@@ -529,42 +529,47 @@ impl CompiledGraph {
         (applied, vacated, remap_old)
     }
 
-    /// The retime-only fast path: topology and threads are shared with the
-    /// base; only the duration/cost (and, if touched, priority) arrays are
-    /// rebuilt.
-    fn apply_retime(&self, patch: &GraphPatch, compact: &dyn Fn(TaskId) -> usize) -> CompiledGraph {
-        let d = patch.delta();
+    /// A copy of this graph with the given tasks' durations replaced, each
+    /// keeping its trailing gap. Topology, threads and priorities stay
+    /// shared with `self` through their `Arc`s; only the duration and
+    /// cost arrays are rebuilt, in O(V). This is the one retime code path:
+    /// the retime arm of [`CompiledGraph::apply`] runs through it, and so
+    /// does retiming a cached plan to another cluster's transfer times.
+    pub fn retimed(&self, durations: impl IntoIterator<Item = (CompactId, u64)>) -> CompiledGraph {
         let mut cost_ns = (*self.cost_ns).clone();
         let mut duration_ns = (*self.duration_ns).clone();
-        let mut priority: Option<Vec<i64>> = None;
-        for &id in d.touched() {
-            let s = d.scalars(id).expect("touched task has a slot");
-            let c = compact(id);
-            let dur = s.duration_ns.unwrap_or(self.duration_ns[c]);
-            let gap = s.gap_ns.unwrap_or(self.cost_ns[c] - self.duration_ns[c]);
-            cost_ns[c] = dur + gap;
-            duration_ns[c] = dur;
-            if let Some(p) = s.priority {
-                if p != self.priority[c] {
-                    priority.get_or_insert_with(|| (*self.priority).clone())[c] = p;
-                }
-            }
+        for (c, dur) in durations {
+            let i = c.0 as usize;
+            cost_ns[i] = dur + (self.cost_ns[i] - self.duration_ns[i]);
+            duration_ns[i] = dur;
         }
         CompiledGraph {
-            task_ids: Arc::clone(&self.task_ids),
-            arena_len: self.arena_len,
-            threads: Arc::clone(&self.threads),
-            thread_of: Arc::clone(&self.thread_of),
             cost_ns: Arc::new(cost_ns),
             duration_ns: Arc::new(duration_ns),
-            priority: priority
-                .map(Arc::new)
-                .unwrap_or_else(|| Arc::clone(&self.priority)),
-            comm_thread: Arc::clone(&self.comm_thread),
-            succ_off: Arc::clone(&self.succ_off),
-            succ: Arc::clone(&self.succ),
-            pred_count: Arc::clone(&self.pred_count),
+            ..self.clone()
         }
+    }
+
+    /// The retime-only fast path: [`CompiledGraph::retimed`] over the
+    /// patch's duration overrides, plus a fresh priority array only if a
+    /// priority actually changed.
+    fn apply_retime(&self, patch: &GraphPatch, compact: &dyn Fn(TaskId) -> usize) -> CompiledGraph {
+        let d = patch.delta();
+        let mut priority: Option<Vec<i64>> = None;
+        let mut applied = self.retimed(d.touched().iter().filter_map(|&id| {
+            let s = d.scalars(id).expect("touched task has a slot");
+            // Only `AddTask` sets a gap, and inserts are structural.
+            debug_assert!(s.gap_ns.is_none(), "retime patch overrides a gap");
+            let c = compact(id);
+            if let Some(p) = s.priority.filter(|&p| p != self.priority[c]) {
+                priority.get_or_insert_with(|| (*self.priority).clone())[c] = p;
+            }
+            s.duration_ns.map(|ns| (CompactId(c as u32), ns))
+        }));
+        if let Some(p) = priority {
+            applied.priority = Arc::new(p);
+        }
+        applied
     }
 }
 
@@ -646,6 +651,22 @@ mod tests {
         let c = CompactId(a.0 as u32);
         assert_eq!(cg.cost_ns(c), 15);
         assert_eq!(cg.duration_ns(c), 10);
+    }
+
+    #[test]
+    fn retimed_keeps_gaps_and_shares_topology() {
+        let mut g = DependencyGraph::new();
+        let a = g.add_task(cpu(10, 5));
+        let b = g.add_task(gpu(50));
+        g.add_dep(a, b, DepKind::Correlation);
+        let cg = CompiledGraph::compile(&g);
+        let r = cg.retimed([(CompactId(0), 30)]);
+        assert_eq!(r.duration_ns(CompactId(0)), 30);
+        assert_eq!(r.cost_ns(CompactId(0)), 35, "the 5 ns gap survives");
+        assert_eq!(r.duration_ns(CompactId(1)), 50);
+        assert!(Arc::ptr_eq(&r.succ, &cg.succ));
+        assert!(Arc::ptr_eq(&r.priority, &cg.priority));
+        assert_eq!(cg.duration_ns(CompactId(0)), 10, "the source is untouched");
     }
 
     #[test]

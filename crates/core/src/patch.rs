@@ -29,13 +29,14 @@
 use crate::graph::{DepKind, DependencyGraph, GraphEdit, GraphView, TaskId};
 use crate::task::{ExecThread, Task, TaskKind};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// One recorded mutation of a base graph.
 ///
 /// The op vocabulary is exactly the mutation surface of
 /// [`crate::graph::GraphEdit`]: every §4.4 primitive and every what-if
 /// transform decomposes into these.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum PatchOp {
     /// Append a new task. Ids are assigned densely after the base arena:
     /// the `k`-th `AddTask` of a patch creates `TaskId(base_capacity + k)`.
@@ -365,9 +366,10 @@ impl fmt::Display for PatchSummary {
 }
 
 /// Incremental stable 64-bit hash: FNV-1a over byte slices, with a
-/// word-at-a-time multiply-xorshift round for the hot integer fields
-/// (hashing a dense retime patch byte-wise would cost more than applying
-/// it). Stable across processes by construction — no `DefaultHasher`
+/// word-at-a-time multiply-xorshift round for integer writes (hashing a
+/// dense retime patch byte-wise would cost more than applying it). As a
+/// [`Hasher`] it takes the derived `Hash` of every op field by field.
+/// Stable across processes by construction — no `DefaultHasher`
 /// randomness.
 struct Fnv(u64);
 
@@ -375,9 +377,15 @@ impl Fnv {
     fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
+}
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
 
     #[inline]
-    fn bytes(&mut self, bytes: &[u8]) {
+    fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
@@ -385,11 +393,26 @@ impl Fnv {
     }
 
     #[inline]
-    fn u64(&mut self, v: u64) {
+    fn write_u64(&mut self, v: u64) {
         let mut x = self.0 ^ v;
         x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
         x ^= x >> 33;
         self.0 = x;
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
     }
 }
 
@@ -418,53 +441,9 @@ impl GraphPatch {
     /// that emit identical patches over the same base predict identically.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
-        h.u64(self.base_capacity as u64);
-        // Hot all-integer ops hash their fields directly; the colder
-        // structured ops (task payloads, kinds, threads) go through their
-        // `Debug` form — a pure function of the fields, so stable.
-        let mut buf = String::new();
-        for op in &self.ops {
-            match op {
-                PatchOp::SetDuration { id, ns } => {
-                    h.u64(1);
-                    h.u64(id.0 as u64);
-                    h.u64(*ns);
-                }
-                PatchOp::SetPriority { id, priority } => {
-                    h.u64(2);
-                    h.u64(id.0 as u64);
-                    h.u64(*priority as u64);
-                }
-                PatchOp::AddDep { from, to, kind } => {
-                    h.u64(3);
-                    h.u64(from.0 as u64);
-                    h.u64(to.0 as u64);
-                    h.u64(*kind as u64);
-                }
-                PatchOp::RemoveDep { from, to } => {
-                    h.u64(4);
-                    h.u64(from.0 as u64);
-                    h.u64(to.0 as u64);
-                }
-                PatchOp::RemoveTask { id } => {
-                    h.u64(5);
-                    h.u64(id.0 as u64);
-                }
-                PatchOp::SetName { id, name } => {
-                    h.u64(6);
-                    h.u64(id.0 as u64);
-                    h.bytes(name.as_bytes());
-                }
-                other => {
-                    use fmt::Write;
-                    buf.clear();
-                    let _ = write!(buf, "{other:?}");
-                    h.u64(7);
-                    h.bytes(buf.as_bytes());
-                }
-            }
-        }
-        h.0
+        self.base_capacity.hash(&mut h);
+        self.ops.hash(&mut h);
+        h.finish()
     }
 
     /// Op-type counts (distinct task ids for the field-update families).
@@ -1083,6 +1062,48 @@ mod tests {
             build(50).fingerprint(),
             PatchGraph::new(&g).finish().fingerprint()
         );
+
+        // Inserted tasks hash field by field: a change to any one field
+        // of the added task must change the fingerprint.
+        let push = || {
+            let mut t = Task::new(
+                "push_3_0",
+                TaskKind::Communication {
+                    prim: crate::task::CommPrimitive::Push,
+                    bytes: 4 << 20,
+                },
+                ExecThread::Comm(crate::task::CommChannel::Send),
+                900,
+            );
+            t.priority = -7;
+            t
+        };
+        let insert = |t: Task| {
+            let mut p = PatchGraph::new(&g);
+            let id = p.add_task(t);
+            p.add_dep(TaskId(2), id, DepKind::Comm);
+            p.finish().fingerprint()
+        };
+        let reference = insert(push());
+        assert_eq!(reference, insert(push()));
+        let mut renamed = push();
+        renamed.name = "push_3_1".into();
+        let mut resized = push();
+        resized.kind = TaskKind::Communication {
+            prim: crate::task::CommPrimitive::Push,
+            bytes: (4 << 20) - 1,
+        };
+        let mut rethreaded = push();
+        rethreaded.thread = ExecThread::Comm(crate::task::CommChannel::Receive);
+        let mut reprioritized = push();
+        reprioritized.priority = -8;
+        let variants = [renamed, resized, rethreaded, reprioritized];
+        let mut seen: Vec<u64> = vec![reference];
+        for t in variants {
+            let fp = insert(t.clone());
+            assert!(!seen.contains(&fp), "{t:?} collides with a sibling patch");
+            seen.push(fp);
+        }
     }
 
     #[test]

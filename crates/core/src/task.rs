@@ -82,7 +82,7 @@ pub enum CommPrimitive {
 }
 
 /// What a task does.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum TaskKind {
     /// A CPU-side CUDA runtime API call.
     CpuApi(CudaApi),
@@ -124,7 +124,7 @@ pub struct LayerRef {
 }
 
 /// One node of the dependency graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Task {
     /// Kernel or API name (select-by-keyword operates on this, §4.4).
     pub name: String,

@@ -20,8 +20,8 @@
 //!   and the worker dies; a later reader must classify it reclaimable.
 //! - **StealLease** — another worker's reclaim fires early and moves
 //!   this worker's lease back to `todo/` mid-evaluation; the victim
-//!   keeps evaluating and publishes anyway (deterministic evaluation
-//!   makes the duplicate harmless).
+//!   keeps evaluating, then drops its result because only a lease
+//!   holder publishes, and the re-queued shard is evaluated again.
 //!
 //! `clock_skew_ms` additionally skews every `now` the injected
 //! [`crate::RunDir`] observes, exercising lease-TTL math under

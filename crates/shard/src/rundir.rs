@@ -128,6 +128,11 @@ pub struct RunStatus {
     pub leased: usize,
     /// Shards with a partial result.
     pub done: usize,
+    /// Shards counted in `done` whose lease is still held: the owner may
+    /// still be writing the partial, or died before releasing the lease
+    /// (reclaim releases it once stale). A partial is final only when
+    /// its lease is gone.
+    pub publishing: usize,
     /// Total shards in the manifest.
     pub shards: usize,
 }
@@ -483,10 +488,13 @@ impl RunDir {
     /// Renews a held lease: rewrites the sidecar with a fresh claim
     /// timestamp (and refreshes the lease file's mtime for the
     /// sidecar-less fallback). Workers heartbeat this during long
-    /// evaluations so peers don't reclaim live work. Best-effort by
-    /// design: if the lease was already reclaimed, the renewal recreates
-    /// only a harmless orphan sidecar that the next claim overwrites.
+    /// evaluations so peers don't reclaim live work. A lease that was
+    /// already reclaimed is left alone: rewriting its sidecar would
+    /// clobber the next owner's claim.
     pub fn renew(&self, index: usize, worker: &str, ttl_ms: u64) -> Result<(), ShardError> {
+        if !self.holds_lease(index, worker) {
+            return Ok(());
+        }
         let meta = ShardLease {
             index,
             worker: worker.to_string(),
@@ -516,7 +524,10 @@ impl RunDir {
     /// Completes a claimed shard: atomically writes the partial result,
     /// then releases the lease. Write-then-release ordering means a
     /// crash can only lose the *lease* (later reclaimed), never the
-    /// result.
+    /// result. Only the lease holder publishes: a worker whose lease was
+    /// reclaimed or stolen mid-evaluation drops its result (the shard is
+    /// back in `todo/` or with a peer), so no partial changes after its
+    /// lease is gone and a drain that waited for every lease is final.
     pub fn complete(
         &self,
         claim: &ClaimedShard,
@@ -533,6 +544,9 @@ impl RunDir {
                 ),
             )
             .with_shard(claim.index));
+        }
+        if !self.holds_lease(claim.index, &claim.worker) {
+            return Ok(());
         }
         let result = ShardResult {
             index: claim.index,
@@ -551,7 +565,7 @@ impl RunDir {
                     // the worker dies. The published state is untouched;
                     // the orphan tmp is swept by `reclaim_stale`.
                     if let Ok(json) = serde_json::to_string_pretty(&result) {
-                        let tmp = partial.with_extension(format!("tmp.{}", std::process::id()));
+                        let tmp = tmp_path(&partial);
                         std::fs::write(&tmp, &json.as_bytes()[..json.len() / 2]).ok();
                     }
                     return Err(ShardError::injected_kill(Step::PartialWrite, claim.index));
@@ -597,6 +611,17 @@ impl RunDir {
         std::fs::remove_file(self.lease_meta_path(claim.index)).ok();
         std::fs::remove_file(self.lease_path(claim.index)).ok();
         Ok(())
+    }
+
+    /// Whether `worker` still holds shard `index`'s lease. An unreadable
+    /// sidecar cannot say otherwise, so it counts as held.
+    fn holds_lease(&self, index: usize, worker: &str) -> bool {
+        self.lease_path(index).exists()
+            && match self.lease(index) {
+                Ok(Some(meta)) => meta.worker == worker,
+                Ok(None) => false,
+                Err(_) => true,
+            }
     }
 
     /// Reads shard `index`'s partial result, if completed. A partial
@@ -673,8 +698,10 @@ impl RunDir {
     /// during the sidecar write) and the lease file's mtime is older
     /// than `default_ttl_ms`. The metadata is removed *before* the
     /// rename so a re-claimer's fresh lease is never deleted by a stale
-    /// reclaimer. Orphaned `*.tmp.*` files older than `default_ttl_ms`
-    /// (torn partial writes) are swept. Returns the reclaimed indices.
+    /// reclaimer. An expired lease whose shard *has* a partial is only
+    /// released, not requeued. Orphaned `*.tmp.*` files older than
+    /// `default_ttl_ms` (torn partial writes) are swept. Returns the
+    /// reclaimed indices.
     pub fn reclaim_stale(
         &self,
         now_ms: u64,
@@ -684,13 +711,6 @@ impl RunDir {
         for index in self.indices_in("leases")? {
             if let Some(inj) = &self.faults {
                 inj.maybe_kill(FaultPoint::Reclaim, index)?;
-            }
-            if self.partial_path(index).exists() {
-                // Completed but lease removal was lost in a crash:
-                // finish the release instead of re-queuing done work.
-                std::fs::remove_file(self.lease_meta_path(index)).ok();
-                std::fs::remove_file(self.lease_path(index)).ok();
-                continue;
             }
             let stale = match self.lease(index) {
                 Ok(Some(meta)) => meta.is_stale(now_ms),
@@ -707,6 +727,14 @@ impl RunDir {
                 continue;
             }
             std::fs::remove_file(self.lease_meta_path(index)).ok();
+            if self.partial_path(index).exists() {
+                // Completed, but the owner died before releasing the
+                // lease: finish the release instead of re-queuing done
+                // work. Only once stale — until then the owner may still
+                // be writing the partial.
+                std::fs::remove_file(self.lease_path(index)).ok();
+                continue;
+            }
             match std::fs::rename(self.lease_path(index), self.todo_path(index)) {
                 Ok(()) => reclaimed.push(index),
                 // Another reclaimer won, or the owner completed after
@@ -792,9 +820,7 @@ impl RunDir {
             )
             .with_shard(index)
         })?;
-        let tmp = self
-            .todo_path(index)
-            .with_extension(format!("tmp.{}", std::process::id()));
+        let tmp = tmp_path(&self.todo_path(index));
         let publish = || -> std::io::Result<()> {
             std::fs::write(&tmp, &json)?;
             std::fs::rename(&tmp, self.todo_path(index))
@@ -838,6 +864,9 @@ impl RunDir {
         for index in 0..manifest.shards {
             if self.partial_path(index).exists() {
                 status.done += 1;
+                if self.lease_path(index).exists() {
+                    status.publishing += 1;
+                }
             } else if self.lease_path(index).exists() {
                 status.leased += 1;
             } else if self.todo_path(index).exists() {
@@ -851,8 +880,8 @@ impl RunDir {
     /// from under its owner: the sidecar is dropped and the lease file
     /// returns to `todo/`. Used by the fault-injection harness (the
     /// [`FaultKind::StealLease`] kind); the victim worker keeps
-    /// evaluating and publishes anyway — determinism makes the duplicate
-    /// evaluation harmless.
+    /// evaluating, and [`RunDir::complete`] then drops its result
+    /// because the lease is gone.
     pub fn steal_lease(&self, index: usize) {
         std::fs::remove_file(self.lease_meta_path(index)).ok();
         std::fs::rename(self.lease_path(index), self.todo_path(index)).ok();
@@ -958,6 +987,15 @@ fn staging_path(root: &Path) -> Result<PathBuf, ShardError> {
     Ok(root.with_file_name(format!(".{name}.init-{}-{seq}", std::process::id())))
 }
 
+/// A staging name for an atomic write of `path`, unique per call: two
+/// writers of one file (say, two worker threads requeueing the same
+/// corrupt shard) must not publish or consume each other's temp file.
+fn tmp_path(path: &Path) -> PathBuf {
+    static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    path.with_extension(format!("tmp.{}.{seq}", std::process::id()))
+}
+
 /// Write-to-temp-then-rename, so concurrent readers and a crash mid-write
 /// never observe a truncated JSON file. `step` names the protocol step
 /// in the error when the write fails.
@@ -968,7 +1006,7 @@ pub fn write_json_atomic<T: Serialize>(
 ) -> Result<(), ShardError> {
     let json =
         serde_json::to_string_pretty(value).map_err(|e| ShardError::fatal(step, e.to_string()))?;
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let tmp = tmp_path(path);
     std::fs::write(&tmp, json)
         .map_err(|e| ShardError::retryable(step, format!("cannot write {}: {e}", tmp.display())))?;
     std::fs::rename(&tmp, path)

@@ -79,8 +79,8 @@ fn evaluate_with_heartbeat(
 ) -> Result<Vec<ScenarioOutcome>, ShardError> {
     // The evaluation-window faults: a kill here is a worker dying
     // mid-shard (lease left behind for peers to reclaim); a lease theft
-    // simulates a racing reclaimer — the victim keeps evaluating and
-    // publishes anyway, which determinism makes harmless.
+    // simulates a racing reclaimer — the victim keeps evaluating, then
+    // finds its lease gone and drops the result at `complete`.
     if let Some(inj) = run.fault_injector() {
         match inj.take(FaultPoint::Evaluate) {
             Some(FaultKind::Kill) => {
@@ -161,7 +161,10 @@ pub fn run_worker_observed(
             continue;
         }
         let status = with_retry(&cfg.retry, &mut summary.retries, || run.status())?;
-        if status.is_drained() {
+        // A partial whose lease is still held may yet change (its owner
+        // may be mid-publish or have died writing it): wait for the
+        // release, or for reclaim to release a stale lease, first.
+        if status.is_drained() && status.publishing == 0 {
             // Drained by partial-count — but a partial may be torn or
             // bit-rotted. Verify before declaring the run complete;
             // corrupt shards are quarantined, requeued, and re-drained.
@@ -193,7 +196,7 @@ pub fn run_worker_observed(
                     "worker {} gave up after {idle_ms} ms: {} shard(s) still leased by peers \
                      and none claimable",
                     cfg.worker_id,
-                    status.leased + status.todo
+                    status.leased + status.publishing + status.todo
                 ),
             ));
         }

@@ -172,8 +172,9 @@ fn stolen_lease_causes_a_harmless_duplicate_evaluation() {
         "steal",
         FaultPlan::single(FaultPoint::Evaluate, FaultKind::StealLease),
     );
-    // The victim survives a lease theft: it publishes anyway, and the
-    // re-queued shard evaluates a second time to identical bytes.
+    // The victim survives a lease theft: it drops the stolen shard's
+    // result (only a lease holder publishes), and the re-queued shard
+    // evaluates a second time to identical bytes.
     let summary = victim.unwrap();
     assert!(summary.shards_completed >= 3, "{summary:?}");
     assert_eq!(merged, oracle_json());

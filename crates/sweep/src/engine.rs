@@ -8,7 +8,7 @@ use crate::executor::{parallel_map, parallel_map_with, ExecutorStats};
 use crate::grid::SweepGrid;
 use crate::report::{ScenarioOutcome, SweepReport};
 use crate::scenario::{fnv1a64, OptSpec, Scenario};
-use daydream_comm::ClusterConfig;
+use daydream_comm::{ClusterConfig, PsModel};
 use daydream_core::replicate::ReplicatedGraph;
 use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
@@ -19,8 +19,9 @@ use daydream_core::whatif::{
 use daydream_core::{
     busy_time_bound, incremental_cone_fits, simulate_compiled_with, simulate_incremental,
     simulate_warm, thread_busy_after, thread_busy_ns, try_simulate_incremental_with, CompactId,
-    CompiledGraph, EarliestStart, ExecThread, GraphPatch, IncrementalOptions, IncrementalStats,
-    PatchGraph, Prediction, ProfiledGraph, Schedule, ScratchPool, SimScratch, TaskId, TaskKind,
+    CompiledGraph, CompiledSim, EarliestStart, ExecThread, GraphPatch, IncrementalOptions,
+    IncrementalStats, PatchGraph, Prediction, ProfiledGraph, Schedule, ScratchPool, SimScratch,
+    TaskId, TaskKind,
 };
 use daydream_device::GpuSpec;
 use daydream_models::{
@@ -29,7 +30,9 @@ use daydream_models::{
 use daydream_runtime::{ground_truth, ExecConfig};
 use daydream_trace::{LayerId, MemcpyDir};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -79,12 +82,85 @@ impl Fidelity {
     }
 }
 
-/// The unrolled P3 base: replicated graph plus its compiled form, built
-/// lazily (only grids containing P3 scenarios pay for it) and shared
-/// across every P3 scenario of the profile.
-struct P3Base {
-    rep: ReplicatedGraph,
+/// One compiled P3 plan of a base: the replicated base with one
+/// config's push/pull tasks inserted and applied, once. Of the whole
+/// plan only the transfer durations depend on the cluster (Algorithm 7
+/// prices a slice at `bytes / bandwidth`), so a scenario retimes those
+/// and simulates; it never re-plans, re-emits or re-applies the inserts.
+struct P3Plan {
+    /// The applied replicated graph. Its transfer durations are those of
+    /// the cluster that built the plan; every evaluation retimes them.
     compiled: CompiledGraph,
+    /// Compact id and payload bytes of every inserted push/pull task.
+    transfers: Vec<(CompactId, u64)>,
+    /// Compact ids of the last two unrolled copies' tasks: the steady
+    /// state is the span between their ends.
+    last_copies: [Vec<CompactId>; 2],
+    /// Fingerprint of the plan's patch. The sliced plan is the FIFO one
+    /// when no gradient exceeds a slice; equal fingerprints say so.
+    fingerprint: u64,
+}
+
+impl P3Plan {
+    /// Plans `cfg`'s inserts over the replicated base and applies them.
+    fn build(
+        pg: &ProfiledGraph,
+        rep: &ReplicatedGraph,
+        rep_compiled: &CompiledGraph,
+        cfg: &P3Config,
+    ) -> P3Plan {
+        let mut ov = PatchGraph::new(&rep.graph);
+        plan_p3_inserts(&mut ov, &p3_insert_plan(pg, rep, cfg));
+        let patch = ov.finish();
+        let compiled = rep_compiled.apply(&patch);
+        let compact = |id: TaskId| compiled.compact_of(id).expect("P3 inserts remove no task");
+        let transfers = patch
+            .inserted_tasks()
+            .filter_map(|(id, t)| match t.kind {
+                TaskKind::Communication { bytes, .. } => Some((compact(id), bytes)),
+                _ => None,
+            })
+            .collect();
+        let copy = |k: usize| -> Vec<CompactId> {
+            pg.graph
+                .iter()
+                .map(|(id, _)| compact(rep.replica(k, id)))
+                .collect()
+        };
+        let n = rep.iterations();
+        let last_copies = [copy(n - 2), copy(n - 1)];
+        P3Plan {
+            compiled,
+            transfers,
+            last_copies,
+            fingerprint: patch.fingerprint(),
+        }
+    }
+
+    /// Steady-state iteration time of a simulation of `graph` (this plan,
+    /// retimed): the span between the last two copies' ends, as
+    /// [`ReplicatedGraph::steady_iteration_ns`] reads it.
+    fn steady_iteration_ns(&self, graph: &CompiledGraph, sim: &CompiledSim) -> u64 {
+        let end = |ids: &[CompactId]| {
+            ids.iter()
+                .map(|&c| sim.start_ns[c.0 as usize] + graph.duration_ns(c))
+                .max()
+                .unwrap_or(0)
+        };
+        end(&self.last_copies[1]) - end(&self.last_copies[0])
+    }
+}
+
+/// The two compiled P3 plans of a base, built together on its first P3
+/// scenario (only grids containing P3 pay for them) and shared by every
+/// P3 scenario of the profile. The replicated `DependencyGraph` and its
+/// compiled form are dropped once both plans are applied.
+struct P3Base {
+    /// Whole-layer transfers ([`P3Config::baseline`]): the
+    /// parameter-server baseline P3 is compared against.
+    fifo: P3Plan,
+    /// P3's 4 MB slices ([`P3Config::p3`]).
+    sliced: P3Plan,
 }
 
 /// The cached DDP stage of a distributed scenario: the replicated-base
@@ -186,6 +262,7 @@ struct BaseProfile {
     /// Per-thread duration-class sums behind the rung-0 analytic
     /// surrogate, computed lazily on its first use.
     classes: OnceLock<Vec<ClassSums>>,
+    /// The P3 plans, built on the base's first P3 scenario.
     p3: OnceLock<P3Base>,
     ddp: Mutex<HashMap<(u32, u32, u64), Arc<DdpPlan>>>,
 }
@@ -265,11 +342,18 @@ impl BaseProfile {
         plan
     }
 
-    fn p3_base(&self) -> &P3Base {
+    /// The base's P3 plans, built on first use from the first P3
+    /// scenario's cluster (every evaluation retimes all transfers, so
+    /// which cluster built them never shows in a prediction).
+    fn p3_plans(&self, cluster: &ClusterConfig) -> &P3Base {
         self.p3.get_or_init(|| {
             let rep = p3_replicated_base(&self.graph, P3_ITERATIONS);
             let compiled = CompiledGraph::compile(&rep.graph);
-            P3Base { rep, compiled }
+            let plan = |cfg: P3Config| P3Plan::build(&self.graph, &rep, &compiled, &cfg);
+            P3Base {
+                fifo: plan(P3Config::baseline(*cluster)),
+                sliced: plan(P3Config::p3(*cluster)),
+            }
         })
     }
 
@@ -1015,40 +1099,47 @@ fn offloaded_bytes(patch: &GraphPatch) -> u64 {
         .sum()
 }
 
-/// Runs the P3 analysis for one parameter-server config over the shared
-/// replicated base: emit the push/pull patch, apply it to the compiled
-/// replicated graph, simulate under the priority scheduler, and extract
-/// the steady-state iteration time. Always a full simulation — steady-
-/// state extraction reads the whole replicated timeline, and the
-/// replicated base keeps no captured schedule.
+/// Evaluates one parameter-server config of a P3 scenario over its
+/// cached plan: retime the plan's transfers to the cluster's wire times
+/// ([`PsModel::wire_ns`]), simulate under the priority scheduler, and read
+/// the steady-state iteration straight from the compiled simulation.
+/// Always a full simulation: the steady state reads the whole replicated
+/// timeline, and the plan keeps no captured schedule.
+///
+/// The patch-cache key hashes the plan's fingerprint with the retimed
+/// durations: equal keys mean the same retimed graph. So clusters with
+/// identical wire times (one machine at any bandwidth) share one
+/// simulation, and so do the FIFO and sliced plans when they coincide.
 fn p3_prediction(
     scenario: &Scenario,
-    base: &BaseProfile,
-    cfg: &P3Config,
+    plan: &P3Plan,
+    cluster: &ClusterConfig,
     patches: &PatchCache,
     counters: &SimCounters,
 ) -> PatchEval {
-    let p3b = base.p3_base();
-    let inserts = p3_insert_plan(&base.graph, &p3b.rep, cfg);
-    let mut ov = PatchGraph::new(&p3b.rep.graph);
-    plan_p3_inserts(&mut ov, &inserts);
-    let patch = ov.finish();
+    let ps = PsModel::new(*cluster);
+    let wires: Vec<u64> = plan.transfers.iter().map(|&(_, b)| ps.wire_ns(b)).collect();
+    let mut h = DefaultHasher::new();
+    (plan.fingerprint, &wires).hash(&mut h);
     // P3 is never evaluated at a reduced rung (the steady-state analysis
     // has no cheap stand-in), so its key is always exact-fidelity.
-    let key = patch_key(scenario, "p3", patch.fingerprint(), Fidelity::Exact);
+    let key = patch_key(scenario, "p3", h.finish(), Fidelity::Exact);
     if let Some(eval) = patches.get(key) {
         return eval;
     }
-    let applied = p3b.compiled.apply(&patch);
-    let sim = simulate_compiled_with(&applied, &P3Scheduler)
-        .expect("P3 graph must stay a DAG")
-        .into_sim_result(&applied);
-    counters.record_full(applied.len());
+    let retimed = plan.compiled.retimed(
+        plan.transfers
+            .iter()
+            .zip(&wires)
+            .map(|(&(c, _), &w)| (c, w)),
+    );
+    let sim = simulate_compiled_with(&retimed, &P3Scheduler).expect("P3 graph must stay a DAG");
+    counters.record_full(retimed.len());
     let eval = PatchEval {
-        predicted_ns: p3b.rep.steady_iteration_ns(&sim),
+        predicted_ns: plan.steady_iteration_ns(&retimed, &sim),
         incremental: false,
         estimated: false,
-        tasks_redispatched: applied.len() as u64,
+        tasks_redispatched: retimed.len() as u64,
     };
     patches.insert(key, eval);
     eval
@@ -1183,14 +1274,9 @@ fn evaluate(
             // cluster with FIFO layer-granularity transfers (paper
             // §6.6), not the single-GPU profile — so the speedup column
             // means "what P3's slicing+priority buys on this cluster".
-            let fifo = p3_prediction(
-                scenario,
-                base,
-                &P3Config::baseline(cluster),
-                patches,
-                counters,
-            );
-            let p3 = p3_prediction(scenario, base, &P3Config::p3(cluster), patches, counters);
+            let plans = base.p3_plans(&cluster);
+            let fifo = p3_prediction(scenario, &plans.fifo, &cluster, patches, counters);
+            let p3 = p3_prediction(scenario, &plans.sliced, &cluster, patches, counters);
             sim_path = "full";
             tasks_redispatched = fifo.tasks_redispatched + p3.tasks_redispatched;
             Prediction {
@@ -1352,15 +1438,17 @@ pub fn explain_scenario(scenario: &Scenario) -> Result<String, String> {
             gpus_per_machine,
             bw_gbps,
         } => {
+            // A one-shot path: rebuild the replicated base here rather
+            // than keep it resident beside the engine's compiled plans.
             let cluster = ClusterConfig::new(*machines, *gpus_per_machine, *bw_gbps);
-            let p3b = base.p3_base();
-            let cfg = P3Config::p3(cluster);
-            let inserts = p3_insert_plan(&base.graph, &p3b.rep, &cfg);
-            let mut ov = PatchGraph::new(&p3b.rep.graph);
+            let rep = p3_replicated_base(&base.graph, P3_ITERATIONS);
+            let inserts = p3_insert_plan(&base.graph, &rep, &P3Config::p3(cluster));
+            let mut ov = PatchGraph::new(&rep.graph);
             plan_p3_inserts(&mut ov, &inserts);
             (
                 format!("patch over the {P3_ITERATIONS}-iteration replicated base"),
-                "full re-simulation (P3 steady-state analysis reads the \
+                "full re-simulation of the base's cached P3 plan, retimed to \
+                 this cluster's wire times (steady-state analysis reads the \
                  whole replicated timeline)"
                     .to_string(),
                 Arc::new(ov.finish()),

@@ -166,3 +166,35 @@ fn p3_predictions_within_paper_bound() {
         "P3 speedup must fall off at high bandwidth: {gains:?}"
     );
 }
+
+/// The sweep engine's P3 numbers (per-base compiled plans, retimed per
+/// cluster) equal the mutate-in-place `what_if_p3` on the engine's own
+/// profile: P3 for the prediction, the FIFO config for the baseline.
+/// Clusters run back to back on one engine, so plan reuse is covered.
+#[test]
+fn engine_p3_matches_the_mutate_in_place_oracle() {
+    use daydream::sweep::{OptSpec, Scenario, SweepEngine};
+    let engine = SweepEngine::new(1);
+    for name in ["ResNet-50", "GNMT", "BERT_Base"] {
+        let model = zoo::by_name(name).unwrap();
+        let pg = profile(&model, &ExecConfig::pytorch_2080ti().with_batch(4));
+        for machines in [2, 8] {
+            for bw_gbps in [1.0, 12.0, 60.0] {
+                let opt = OptSpec::P3 {
+                    machines,
+                    gpus_per_machine: 1,
+                    bw_gbps,
+                };
+                let out = engine
+                    .run_scenarios(vec![Scenario::new(name, 4, opt)])
+                    .unwrap();
+                let cluster = ClusterConfig::new(machines, 1, bw_gbps);
+                let fifo = whatif::what_if_p3(&pg, &whatif::P3Config::baseline(cluster));
+                let p3 = whatif::what_if_p3(&pg, &whatif::P3Config::p3(cluster));
+                let at = format!("{name} b4 on {machines}x1 @ {bw_gbps} Gbps");
+                assert_eq!(out[0].baseline_ns, fifo.iteration_ns, "{at}: FIFO");
+                assert_eq!(out[0].predicted_ns, p3.iteration_ns, "{at}: P3");
+            }
+        }
+    }
+}
