@@ -1,31 +1,118 @@
-//! Criterion bench: Algorithm 1 simulation throughput.
+//! Bench: the dispatch kernel on the real catalog bases.
+//!
+//! Times `simulate_compiled` on the 12 catalog bases (the six zoo models
+//! at batches 4 and 8) and `simulate_compiled_with(&P3Scheduler)` on each
+//! base's P3 plan: three unrolled iterations with 4 MB-sliced push/pull
+//! transfers for a 4-machine, 10 Gbit/s cluster, the graph the sweep
+//! engine simulates for a `p3` scenario. Profiling, compilation and plan
+//! building stay outside the timed loop. Each figure is the median of
+//! five timed rounds, so one preempted round cannot move it. Unless
+//! running in `--test` smoke mode, the per-task costs are snapshotted
+//! into the `"sim_kernel"` section of `BENCH_sim.json` at the workspace
+//! root.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use daydream_core::{simulate, ProfiledGraph};
+use criterion::Criterion;
+use daydream_bench::util::profile_for;
+use daydream_comm::ClusterConfig;
+use daydream_core::whatif::{
+    p3_insert_plan, p3_replicated_base, plan_p3_inserts, P3Config, P3Scheduler,
+};
+use daydream_core::{
+    simulate_compiled, simulate_compiled_with, CompiledGraph, PatchGraph, ProfiledGraph,
+};
 use daydream_models::zoo;
-use daydream_runtime::{baseline_plan, ExecConfig, Executor};
+use std::hint::black_box;
 
-fn profile_for(name: &str, batch: u64) -> ProfiledGraph {
-    let model = zoo::by_name(name).expect("known model");
-    let cfg = ExecConfig::pytorch_2080ti().with_batch(batch);
-    let ex = Executor::new(&model, &cfg);
-    ProfiledGraph::from_trace(&ex.run(&baseline_plan(&model, batch)))
-}
+/// Timed rounds per figure.
+const ROUNDS: usize = 5;
 
-fn bench_simulation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simulation");
-    group.sample_size(20);
-    for (name, batch) in [("ResNet-50", 8), ("DenseNet-121", 8), ("BERT_Large", 2)] {
-        let pg = profile_for(name, batch);
-        group.throughput(Throughput::Elements(pg.graph.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("simulate", format!("{name}/{} tasks", pg.graph.len())),
-            &pg,
-            |b, pg| b.iter(|| simulate(std::hint::black_box(&pg.graph)).unwrap()),
-        );
+/// The median over [`ROUNDS`] rounds of `samples` runs each, in ns per
+/// task of `cg`.
+fn median_ns_per_task(
+    c: &mut Criterion,
+    id: &str,
+    samples: usize,
+    cg: &CompiledGraph,
+    mut run: impl FnMut(&CompiledGraph),
+) -> f64 {
+    let mut group = c.benchmark_group("sim_kernel");
+    group.sample_size(samples);
+    for _ in 0..ROUNDS {
+        group.bench_function(id, |b| b.iter(|| run(black_box(cg))));
     }
     group.finish();
+    let name = format!("sim_kernel/{id}");
+    let mut per_task: Vec<f64> = c
+        .records()
+        .iter()
+        .filter(|r| r.name == name)
+        .map(|r| r.ns_per_iter / cg.len() as f64)
+        .collect();
+    per_task.sort_by(f64::total_cmp);
+    per_task[per_task.len() / 2]
 }
 
-criterion_group!(benches, bench_simulation);
-criterion_main!(benches);
+/// Compiles the base's 4-machine sliced P3 plan.
+fn p3_plan(pg: &ProfiledGraph) -> CompiledGraph {
+    let rep = p3_replicated_base(pg, 3);
+    let cfg = P3Config::p3(ClusterConfig::new(4, 1, 10.0));
+    let mut ov = PatchGraph::new(&rep.graph);
+    plan_p3_inserts(&mut ov, &p3_insert_plan(pg, &rep, &cfg));
+    CompiledGraph::compile(&rep.graph).apply(&ov.finish())
+}
+
+fn main() {
+    let mut c = Criterion::default();
+    let quick = c.is_quick_mode();
+    let mut rows: Vec<String> = Vec::new();
+    for model in zoo::all_models() {
+        for batch in [4u64, 8] {
+            let (pg, _) = profile_for(&model.name, Some(batch), false);
+            let base = CompiledGraph::compile(&pg.graph);
+            let p3 = p3_plan(&pg);
+            let label = format!("{} b{batch}", model.name);
+            let base_ns = median_ns_per_task(&mut c, &format!("base/{label}"), 40, &base, |cg| {
+                simulate_compiled(cg).unwrap();
+            });
+            let p3_ns = median_ns_per_task(&mut c, &format!("p3/{label}"), 10, &p3, |cg| {
+                simulate_compiled_with(cg, &P3Scheduler).unwrap();
+            });
+            println!("sim_kernel {label}: base {base_ns:.1} ns/task, p3 {p3_ns:.1} ns/task");
+            rows.push(format!(
+                concat!(
+                    "    {{\"model\": \"{}\", \"batch\": {}, ",
+                    "\"tasks\": {}, \"threads\": {}, \"ns_per_task\": {:.1}, ",
+                    "\"p3_tasks\": {}, \"p3_threads\": {}, \"p3_ns_per_task\": {:.1}}}"
+                ),
+                model.name,
+                batch,
+                base.len(),
+                base.thread_count(),
+                base_ns,
+                p3.len(),
+                p3.thread_count(),
+                p3_ns,
+            ));
+        }
+    }
+
+    // Smoke runs (`--test`) measure one iteration — not worth snapshotting.
+    if !quick {
+        let json = format!(
+            concat!(
+                "{{\n  \"kernel\": \"simulate_compiled on each catalog base; ",
+                "simulate_compiled_with(P3Scheduler) on its 3-iteration, 4 MB-sliced ",
+                "P3 plan for 4 machines at 10 Gbit/s\",\n",
+                "  \"note\": \"wall time per dispatched task, median of 5 rounds; ",
+                "compilation and plan building untimed\",\n",
+                "  \"results\": [\n{}\n  ]\n  }}"
+            ),
+            rows.join(",\n")
+        );
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
+        match criterion::snapshot::merge_section(path, "sim_kernel", &json) {
+            Ok(()) => println!("wrote sim_kernel section of {path}"),
+            Err(e) => eprintln!("could not write {path}: {e}"),
+        }
+    }
+}

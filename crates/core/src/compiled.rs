@@ -16,8 +16,9 @@
 //!   predecessor counts are precomputed into flat slices.
 //!
 //! Simulation over this form ([`crate::sim::simulate_compiled_with`])
-//! touches only dense arrays and binary heaps: O((V+E) log V) with small
-//! constants, no `BTreeMap` in the loop.
+//! touches only dense arrays, per-thread binary heaps, and one cached
+//! best candidate per thread: O((V+E) log V) plus an O(threads) scan per
+//! dispatch, with small constants and no `BTreeMap` in the loop.
 
 use crate::graph::{DependencyGraph, TaskId};
 use crate::patch::GraphPatch;

@@ -9,7 +9,7 @@
 //! # The hot path
 //!
 //! [`simulate`] freezes the graph into a [`CompiledGraph`] and runs a
-//! heap-based frontier in O((V+E) log V):
+//! per-thread frontier in O((V+E) log V + V·T) over T execution threads:
 //!
 //! * each execution thread keeps a **two-tier frontier**: a `pending`
 //!   min-heap ordered by `(tentative_start, rank)` for tasks whose
@@ -18,9 +18,12 @@
 //!   start immediately. When progress advances, pending entries whose
 //!   tentative start has been overtaken migrate to `ready` (each task
 //!   migrates at most once);
-//! * a **global lazy heap** holds the best `(feasible_start, rank)`
-//!   candidate per thread; stale entries are discarded on pop by
-//!   revalidating against the thread's current best.
+//! * each thread's best `(feasible_start, rank, task)` candidate is
+//!   **cached** in a flat array, and each dispatch takes the minimum by a
+//!   linear scan — O(T) per dispatch, and zoo graphs have 4–8 threads.
+//!   Only the dispatching thread's entry is recomputed; a task released
+//!   onto another thread can only lower that thread's entry (its
+//!   progress did not move), so one comparison keeps it exact.
 //!
 //! This dispatches exactly the same task sequence as the quadratic
 //! reference loop ([`simulate_reference`]), which refreshes every frontier
@@ -190,16 +193,17 @@ impl ThreadFrontier {
         }
     }
 
-    /// The thread's best candidate as `(feasible_start, rank, task)`.
-    /// Call [`ThreadFrontier::refresh`] first.
+    /// The thread's best candidate as `(feasible_start, rank, task)`, or
+    /// [`IDLE`] if the frontier is empty. Call [`ThreadFrontier::refresh`]
+    /// first.
     #[inline]
-    pub(crate) fn best(&self, progress: u64) -> Option<(u64, Rank, u32)> {
+    pub(crate) fn best(&self, progress: u64) -> Best {
         if let Some(&Reverse((rank, id))) = self.ready.peek() {
-            return Some((progress, rank, id));
+            return (progress, rank, id);
         }
         self.pending
             .peek()
-            .map(|&Reverse((t, rank, id))| (t, rank, id))
+            .map_or(IDLE, |&Reverse((t, rank, id))| (t, rank, id))
     }
 
     /// Inserts a newly dispatchable task.
@@ -296,7 +300,7 @@ pub fn simulate_compiled(graph: &CompiledGraph) -> Result<CompiledSim, GraphErro
     simulate_compiled_with(graph, &EarliestStart)
 }
 
-/// Simulates a compiled graph: the O((V+E) log V) hot path.
+/// Simulates a compiled graph: the hot path.
 pub fn simulate_compiled_with<O: FrontierOrder>(
     cg: &CompiledGraph,
     order: &O,
@@ -324,19 +328,11 @@ pub(crate) fn sim_compiled_core<O: FrontierOrder>(
     let mut wait = vec![0u64; n];
     let mut progress = vec![0u64; t_count];
     let mut fronts: Vec<ThreadFrontier> = (0..t_count).map(|_| ThreadFrontier::default()).collect();
-
-    // Global lazy heap over per-thread bests: (feasible, rank, task, thread).
-    let mut global: BinaryHeap<Reverse<(u64, Rank, u32, u32)>> = BinaryHeap::new();
-
+    let mut bests = vec![IDLE; t_count];
     for i in 0..n {
         if preds[i] == 0 {
             let t = cg.thread_of(CompactId(i as u32)).0 as usize;
             fronts[t].push(0, ranks[i], i as u32, 0);
-        }
-    }
-    for (t, front) in fronts.iter_mut().enumerate() {
-        if let Some((f, r, id)) = front.best(0) {
-            global.push(Reverse((f, r, id, t as u32)));
         }
     }
 
@@ -350,7 +346,7 @@ pub(crate) fn sim_compiled_core<O: FrontierOrder>(
         &mut wait,
         &mut progress,
         &mut fronts,
-        &mut global,
+        &mut bests,
         &mut makespan,
     );
 
@@ -368,10 +364,21 @@ pub(crate) fn sim_compiled_core<O: FrontierOrder>(
     ))
 }
 
+/// A thread's cached best candidate, `(feasible_start, rank, task)` —
+/// the dispatch key of [`dispatch_loop`].
+pub(crate) type Best = (u64, Rank, u32);
+
+/// The [`Best`] of a thread with an empty frontier. It compares above
+/// every real candidate: no task has compact id `u32::MAX`.
+pub(crate) const IDLE: Best = (u64::MAX, (u64::MAX, u64::MAX), u32::MAX);
+
 /// The frontier dispatch loop shared by the full, incremental, and
-/// windowed simulators: drains the seeded heaps to completion, returning
-/// how many tasks were dispatched. All entry points run *this* code, so
-/// no derived path can drift from full-simulation semantics.
+/// windowed simulators: drains the seeded frontiers to completion,
+/// returning how many tasks were dispatched. All entry points run *this*
+/// code, so no derived path can drift from full-simulation semantics.
+///
+/// `bests` is working space, one slot per thread (`fronts.len()`); the
+/// loop fills it from the seeded frontiers itself.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch_loop<G: SimGraphView>(
     cg: &G,
@@ -382,23 +389,31 @@ pub(crate) fn dispatch_loop<G: SimGraphView>(
     wait: &mut [u64],
     progress: &mut [u64],
     fronts: &mut [ThreadFrontier],
-    global: &mut BinaryHeap<Reverse<(u64, Rank, u32, u32)>>,
+    bests: &mut [Best],
     makespan: &mut u64,
 ) -> usize {
+    for (t, front) in fronts.iter_mut().enumerate() {
+        front.refresh(progress[t]);
+        bests[t] = front.best(progress[t]);
+    }
     let mut done = 0usize;
-    while let Some(Reverse((feas, rank, u, t))) = global.pop() {
-        let ti = t as usize;
-        let front = &mut fronts[ti];
-        front.refresh(progress[ti]);
-        // Discard stale entries: the thread's real best was re-pushed when
-        // it changed, so a mismatch means this entry is outdated.
-        if front.best(progress[ti]) != Some((feas, rank, u)) {
-            continue;
+    loop {
+        let mut ti = usize::MAX;
+        let mut best = IDLE;
+        for (t, &b) in bests.iter().enumerate() {
+            if b < best {
+                best = b;
+                ti = t;
+            }
         }
-        front.pop_best();
+        if ti == usize::MAX {
+            break;
+        }
+        let (s, _, u) = best;
+        debug_assert_eq!(fronts[ti].best(progress[ti]), best);
+        fronts[ti].pop_best();
 
         let ui = u as usize;
-        let s = feas;
         start[ui] = s;
         wait[ui] = s - progress[ti];
         let fin = s + cg.cost_ns(CompactId(u));
@@ -414,20 +429,19 @@ pub(crate) fn dispatch_loop<G: SimGraphView>(
                 let tv = cg.thread_of(v).0 as usize;
                 fronts[tv].push(tentative[vi], ranks[vi], v.0, progress[tv]);
                 if tv != ti {
-                    // The other thread's best may have improved.
-                    if let Some((f, r, id)) = fronts[tv].best(progress[tv]) {
-                        global.push(Reverse((f, r, id, tv as u32)));
+                    // That thread's progress did not move, so the released
+                    // task either beats its cached best or leaves it be.
+                    let cand = (tentative[vi].max(progress[tv]), ranks[vi], v.0);
+                    if cand < bests[tv] {
+                        bests[tv] = cand;
                     }
                 }
             }
         }
-        // This thread's progress advanced and its best was consumed:
-        // re-announce whatever is best now.
+        // This thread's progress advanced and its best was consumed.
         let front = &mut fronts[ti];
         front.refresh(progress[ti]);
-        if let Some((f, r, id)) = front.best(progress[ti]) {
-            global.push(Reverse((f, r, id, t)));
-        }
+        bests[ti] = front.best(progress[ti]);
     }
     done
 }
@@ -1207,13 +1221,7 @@ pub fn try_simulate_incremental_with<O: FrontierOrder>(
     }
 
     // --- Re-dispatch the cone through the shared loop. ---
-    let mut global: BinaryHeap<Reverse<(u64, Rank, u32, u32)>> = BinaryHeap::new();
-    for (t, front) in fronts.iter_mut().enumerate() {
-        front.refresh(progress[t]);
-        if let Some((f, r, id)) = front.best(progress[t]) {
-            global.push(Reverse((f, r, id, t as u32)));
-        }
-    }
+    let mut bests = vec![IDLE; t_new];
     let mut makespan = schedule.makespan_prefix[cut_idx];
     let done = dispatch_loop(
         patched,
@@ -1224,7 +1232,7 @@ pub fn try_simulate_incremental_with<O: FrontierOrder>(
         &mut wait,
         &mut progress,
         &mut fronts,
-        &mut global,
+        &mut bests,
         &mut makespan,
     );
     if done != cone {
@@ -1421,7 +1429,7 @@ struct SimBufs {
     ranks: Vec<Rank>,
     progress: Vec<u64>,
     fronts: Vec<ThreadFrontier>,
-    global: BinaryHeap<Reverse<(u64, Rank, u32, u32)>>,
+    bests: Vec<Best>,
 }
 
 impl SimBufs {
@@ -1454,11 +1462,6 @@ impl SimBufs {
                 self.fronts[t].push(0, self.ranks[i], i as u32, 0);
             }
         }
-        for (t, front) in self.fronts[..t_count].iter_mut().enumerate() {
-            if let Some((f, r, id)) = front.best(0) {
-                self.global.push(Reverse((f, r, id, t as u32)));
-            }
-        }
         let mut makespan = 0u64;
         let done = dispatch_loop(
             view,
@@ -1468,8 +1471,8 @@ impl SimBufs {
             &mut self.start,
             &mut self.wait,
             &mut self.progress,
-            &mut self.fronts,
-            &mut self.global,
+            &mut self.fronts[..t_count],
+            &mut self.bests[..t_count],
             &mut makespan,
         );
         if done != n {
@@ -1510,12 +1513,6 @@ impl SimBufs {
                 self.fronts[t].push(tent, self.ranks[i], c, self.progress[t]);
             }
         }
-        for (t, front) in self.fronts[..t_count].iter_mut().enumerate() {
-            front.refresh(self.progress[t]);
-            if let Some((f, r, id)) = front.best(self.progress[t]) {
-                self.global.push(Reverse((f, r, id, t as u32)));
-            }
-        }
         let mut makespan = schedule.makespan_prefix[cut_idx];
         let done = dispatch_loop(
             view,
@@ -1525,8 +1522,8 @@ impl SimBufs {
             &mut self.start,
             &mut self.wait,
             &mut self.progress,
-            &mut self.fronts,
-            &mut self.global,
+            &mut self.fronts[..t_count],
+            &mut self.bests[..t_count],
             &mut makespan,
         );
         Ok((done, makespan))
@@ -1634,6 +1631,7 @@ impl SimScratch {
             self.bufs
                 .fronts
                 .resize_with(t_count, ThreadFrontier::default);
+            self.bufs.bests.resize(t_count, IDLE);
             grew = true;
         }
         if self.bufs.progress.len() < t_count {
@@ -1642,7 +1640,6 @@ impl SimScratch {
         for front in self.bufs.fronts[..t_count].iter_mut() {
             front.clear();
         }
-        self.bufs.global.clear();
         self.last = None;
         if grew {
             self.allocs += 1;

@@ -8,9 +8,11 @@
 //! function.
 
 use crate::construct::ProfiledGraph;
-use crate::graph::GraphEdit;
-use crate::transform::{remove_all, scale_durations, select};
+use crate::graph::{GraphEdit, TaskId};
+use crate::task::Task;
+use crate::transform::{remove_all, scale_durations};
 use daydream_trace::LayerId;
+use std::collections::HashMap;
 
 /// One step of a MetaFlow substitution policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,17 +24,30 @@ pub enum Substitution {
 }
 
 /// The substitution policy (Algorithm 9) over any graph edit target.
+///
+/// One selection pass groups the GPU tasks of every layer the policy
+/// names (ascending ids within a layer); the substitutions then apply in
+/// policy order. A removed layer's group empties, so a later substitution
+/// naming the same layer touches nothing.
 pub fn plan_metaflow<G: GraphEdit>(g: &mut G, policy: &[Substitution]) {
+    let layer_of = |sub: &Substitution| match *sub {
+        Substitution::RemoveLayer(l) | Substitution::ScaleLayer(l, _) => l,
+    };
+    let mut groups: HashMap<LayerId, Vec<TaskId>> = policy
+        .iter()
+        .map(|sub| (layer_of(sub), Vec::new()))
+        .collect();
+    let gpu_layer = |t: &Task| t.layer.filter(|_| t.is_on_gpu()).map(|l| l.layer);
+    let sel = g.select_ids(|t| gpu_layer(t).is_some_and(|l| groups.contains_key(&l)));
+    for id in sel {
+        let layer = gpu_layer(g.task(id)).expect("selected tasks are GPU tasks of a layer");
+        groups.entry(layer).or_default().push(id);
+    }
     for sub in policy {
+        let group = groups.entry(layer_of(sub)).or_default();
         match *sub {
-            Substitution::RemoveLayer(layer) => {
-                let sel = select::gpu_of_layer(g, layer);
-                remove_all(g, &sel);
-            }
-            Substitution::ScaleLayer(layer, s) => {
-                let sel = select::gpu_of_layer(g, layer);
-                scale_durations(g, &sel, s);
-            }
+            Substitution::RemoveLayer(_) => remove_all(g, &std::mem::take(group)),
+            Substitution::ScaleLayer(_, s) => scale_durations(g, group, s),
         }
     }
 }
@@ -47,6 +62,7 @@ pub fn what_if_metaflow(pg: &mut ProfiledGraph, policy: &[Substitution]) {
 mod tests {
     use super::*;
     use crate::predict::predict;
+    use crate::transform::select;
     use daydream_models::zoo;
     use daydream_runtime::{ground_truth, ExecConfig};
 
@@ -87,6 +103,44 @@ mod tests {
             pred.improvement() < 0.0,
             "4x slower conv1 must slow the iteration"
         );
+    }
+
+    /// The grouped pass records the op log of selecting afresh per
+    /// substitution, also when a policy names a layer more than once.
+    #[test]
+    fn grouped_selection_matches_per_substitution_selection() {
+        use crate::patch::PatchGraph;
+        let model = zoo::resnet50();
+        let cfg = ExecConfig::pytorch_2080ti().with_batch(4);
+        let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
+        let layer = |name: &str| model.layers.iter().find(|l| l.name == name).unwrap().id;
+        let (relu, conv1) = (layer("relu"), layer("conv1"));
+        let policy = [
+            Substitution::ScaleLayer(relu, 2.0),
+            Substitution::RemoveLayer(relu),
+            Substitution::ScaleLayer(relu, 3.0),
+            Substitution::ScaleLayer(conv1, 0.5),
+            Substitution::ScaleLayer(conv1, 1.5),
+            Substitution::RemoveLayer(relu),
+        ];
+        let mut grouped = PatchGraph::new(&pg.graph);
+        plan_metaflow(&mut grouped, &policy);
+        let mut fresh = PatchGraph::new(&pg.graph);
+        for sub in &policy {
+            match *sub {
+                Substitution::RemoveLayer(l) => {
+                    let sel = select::gpu_of_layer(&fresh, l);
+                    remove_all(&mut fresh, &sel);
+                }
+                Substitution::ScaleLayer(l, s) => {
+                    let sel = select::gpu_of_layer(&fresh, l);
+                    scale_durations(&mut fresh, &sel, s);
+                }
+            }
+        }
+        let (grouped, fresh) = (grouped.finish(), fresh.finish());
+        assert!(!grouped.is_empty());
+        assert_eq!(grouped.ops(), fresh.ops());
     }
 
     #[test]

@@ -34,5 +34,7 @@ pub use p3::{
     P3Prediction, P3Scheduler,
 };
 pub use reconstruct_bn::{plan_reconstruct_bn, what_if_reconstruct_bn};
-pub use upgrade_gpu::{plan_upgrade_gpu, what_if_upgrade_gpu};
+pub use upgrade_gpu::{
+    classify_gpu_tasks, plan_upgrade_gpu, retime_gpu_classes, what_if_upgrade_gpu, GpuBound,
+};
 pub use vdnn::{plan_vdnn, what_if_vdnn, VdnnConfig, VDNN_STREAM, VDNN_THREAD};

@@ -8,35 +8,76 @@
 //! AMP rule, applied across devices instead of across precisions.
 
 use crate::construct::ProfiledGraph;
-use crate::graph::{GraphEdit, TaskId};
+use crate::graph::{GraphEdit, GraphView, TaskId};
+use crate::task::TaskKind;
 use daydream_device::{classify_kernel, GpuSpec, Precision};
 use daydream_models::OpClass;
 
-/// The hardware-upgrade transformation over any graph edit target.
-pub fn plan_upgrade_gpu<G: GraphEdit>(g: &mut G, old: &GpuSpec, new: &GpuSpec) -> Vec<TaskId> {
+/// The device rate that binds a GPU task's duration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GpuBound {
+    /// A memory copy: PCIe bandwidth.
+    Pcie,
+    /// A compute-bound kernel: arithmetic throughput.
+    Compute,
+    /// Any other kernel: memory bandwidth.
+    Memory,
+}
+
+/// Classifies every live GPU task, in ascending id order. A kernel's
+/// class depends only on its name, so the list holds for any target
+/// device: compute it once per graph and retime it per target with
+/// [`retime_gpu_classes`].
+pub fn classify_gpu_tasks<G: GraphView>(g: &G) -> Vec<(TaskId, GpuBound)> {
+    g.select_ids(|t| t.is_on_gpu())
+        .into_iter()
+        .map(|id| {
+            let t = g.task(id);
+            let bound = match t.kind {
+                TaskKind::GpuMemcpy { .. } => GpuBound::Pcie,
+                _ => {
+                    let class = classify_kernel(&t.name).unwrap_or(OpClass::Elementwise);
+                    if class.is_compute_bound() {
+                        GpuBound::Compute
+                    } else {
+                        GpuBound::Memory
+                    }
+                }
+            };
+            (id, bound)
+        })
+        .collect()
+}
+
+/// Rescales each classified task by the ratio of the `old`/`new` rates
+/// that bind it.
+pub fn retime_gpu_classes<G: GraphEdit>(
+    g: &mut G,
+    classes: &[(TaskId, GpuBound)],
+    old: &GpuSpec,
+    new: &GpuSpec,
+) {
     let compute_ratio =
         old.peak_flops_per_ns(Precision::Fp32) / new.peak_flops_per_ns(Precision::Fp32);
     let memory_ratio = old.bw_bytes_per_ns() / new.bw_bytes_per_ns();
     let pcie_ratio = old.pcie_gbs / new.pcie_gbs;
-
-    let gpu_tasks = g.select_ids(|t| t.is_on_gpu());
-    for &id in &gpu_tasks {
-        let t = g.task(id);
-        let ratio = match &t.kind {
-            crate::task::TaskKind::GpuMemcpy { .. } => pcie_ratio,
-            _ => {
-                let class = classify_kernel(&t.name).unwrap_or(OpClass::Elementwise);
-                if class.is_compute_bound() {
-                    compute_ratio
-                } else {
-                    memory_ratio
-                }
-            }
+    for &(id, bound) in classes {
+        let ratio = match bound {
+            GpuBound::Pcie => pcie_ratio,
+            GpuBound::Compute => compute_ratio,
+            GpuBound::Memory => memory_ratio,
         };
-        let scaled = (t.duration_ns as f64 * ratio).round() as u64;
+        let scaled = (g.task(id).duration_ns as f64 * ratio).round() as u64;
         g.set_duration(id, scaled);
     }
-    gpu_tasks
+}
+
+/// The hardware-upgrade transformation over any graph edit target.
+/// Returns the affected tasks.
+pub fn plan_upgrade_gpu<G: GraphEdit>(g: &mut G, old: &GpuSpec, new: &GpuSpec) -> Vec<TaskId> {
+    let classes = classify_gpu_tasks(g);
+    retime_gpu_classes(g, &classes, old, new);
+    classes.into_iter().map(|(id, _)| id).collect()
 }
 
 /// Rescales GPU kernels for a move from `old` to `new` hardware; memory
@@ -109,6 +150,25 @@ mod tests {
             r.speedup(),
             b.speedup()
         );
+    }
+
+    /// Classes computed once on the base graph retime any overlay to the
+    /// op log `plan_upgrade_gpu` records, for every target.
+    #[test]
+    fn cached_classes_record_the_same_ops() {
+        use crate::patch::PatchGraph;
+        let pg = profile(&zoo::bert_base());
+        let classes = classify_gpu_tasks(&pg.graph);
+        assert!(classes.iter().any(|&(_, b)| b == GpuBound::Compute));
+        assert!(classes.iter().any(|&(_, b)| b == GpuBound::Memory));
+        let old = GpuSpec::rtx_2080ti();
+        for new in [GpuSpec::v100(), GpuSpec::t4()] {
+            let mut direct = PatchGraph::new(&pg.graph);
+            plan_upgrade_gpu(&mut direct, &old, &new);
+            let mut cached = PatchGraph::new(&pg.graph);
+            retime_gpu_classes(&mut cached, &classes, &old, &new);
+            assert_eq!(direct.finish().ops(), cached.finish().ops());
+        }
     }
 
     #[test]

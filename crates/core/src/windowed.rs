@@ -45,10 +45,8 @@ use crate::compiled::{CompactId, CompiledGraph};
 use crate::graph::GraphError;
 use crate::sim::{
     dispatch_loop, sim_compiled_core, CompiledSim, EarliestStart, FrontierOrder, Rank,
-    ThreadFrontier,
+    ThreadFrontier, IDLE,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Tuning for [`simulate_windowed_with`].
 #[derive(Debug, Clone)]
@@ -244,13 +242,7 @@ fn windowed_core<O: FrontierOrder>(
             let t = cg.thread_of(CompactId(ui as u32)).0 as usize;
             fronts[t].push(tentative[ui], ranks[ui], ui as u32, progress[t]);
         }
-        let mut global: BinaryHeap<Reverse<(u64, Rank, u32, u32)>> = BinaryHeap::new();
-        for (t, front) in fronts.iter_mut().enumerate() {
-            front.refresh(progress[t]);
-            if let Some((f, r, id)) = front.best(progress[t]) {
-                global.push(Reverse((f, r, id, t as u32)));
-            }
-        }
+        let mut bests = vec![IDLE; t_count];
         let done = dispatch_loop(
             cg,
             &ranks,
@@ -260,7 +252,7 @@ fn windowed_core<O: FrontierOrder>(
             &mut wait,
             &mut progress,
             &mut fronts,
-            &mut global,
+            &mut bests,
             &mut makespan,
         );
         if done != redispatched_tasks {

@@ -1,18 +1,21 @@
-//! The heap-based simulator against the reference oracle.
+//! The compiled frontier simulator against the reference oracles.
 //!
 //! The compiled frontier ([`daydream_core::simulate`]) must dispatch the
 //! *exact* sequence of the retained quadratic reference loop
 //! ([`daydream_core::simulate_reference`]) under the default policy:
 //! identical `start_ns`, `makespan_ns`, `wait_ns`, and `thread_end` on
 //! arbitrary DAGs — varying thread counts, durations, gaps, and removed
-//! tasks. Plus pinned tests that the P3 and vDNN schedule overrides still
-//! steer dispatch order on the new frontier.
+//! tasks. A test-local rank-aware oracle pins the dispatch order under
+//! every [`FrontierOrder`], P3's included. Plus pinned tests that the P3
+//! and vDNN schedule overrides still steer dispatch order on the new
+//! frontier.
 
 use daydream_core::whatif::P3Scheduler;
 use daydream_core::{
-    simulate, simulate_compiled, simulate_reference, simulate_windowed_with, simulate_with,
-    CommChannel, CompiledGraph, DepKind, DependencyGraph, EarliestStart, ExecThread, Task,
-    TaskKind, WindowedOptions,
+    simulate, simulate_compiled, simulate_compiled_with, simulate_reference,
+    simulate_windowed_with, simulate_with, CommChannel, CompactId, CompiledGraph, CompiledSim,
+    DepKind, DependencyGraph, EarliestStart, ExecThread, FrontierOrder, Task, TaskKind,
+    WindowedOptions,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -29,15 +32,22 @@ fn thread_for(sel: u64) -> ExecThread {
     }
 }
 
-/// Builds a random DAG: tasks with arbitrary threads/durations/gaps,
-/// forward edges only (acyclic by construction), then a few removals
-/// (which exercise tombstone bridging).
-fn build(tasks: &[(u64, u64, u64)], edges: &[(u64, u64)], removals: &[u64]) -> DependencyGraph {
+/// Builds a random DAG: tasks with arbitrary threads (picked from the
+/// `thread` universe), durations, gaps and priorities, forward edges only
+/// (acyclic by construction), then a few removals (which exercise
+/// tombstone bridging).
+fn build(
+    thread: fn(u64) -> ExecThread,
+    tasks: &[(u64, u64, u64, i64)],
+    edges: &[(u64, u64)],
+    removals: &[u64],
+) -> DependencyGraph {
     let mut g = DependencyGraph::new();
     let n = tasks.len();
-    for (i, &(sel, dur, gap)) in tasks.iter().enumerate() {
-        let mut t = Task::new(format!("t{i}"), TaskKind::CpuWork, thread_for(sel), dur);
+    for (i, &(sel, dur, gap, priority)) in tasks.iter().enumerate() {
+        let mut t = Task::new(format!("t{i}"), TaskKind::CpuWork, thread(sel), dur);
         t.gap_ns = gap;
+        t.priority = priority;
         g.add_task(t);
     }
     for &(a, b) in edges {
@@ -58,14 +68,100 @@ fn build(tasks: &[(u64, u64, u64)], edges: &[(u64, u64)], removals: &[u64]) -> D
     g
 }
 
+/// The six-thread universe of the rank-aware oracle: two CPU threads, two
+/// GPU streams, and P3's `Send` and `Receive` channels.
+fn thread6_for(sel: u64) -> ExecThread {
+    match sel % 6 {
+        0 => ExecThread::Cpu(CpuThreadId(0)),
+        1 => ExecThread::Cpu(CpuThreadId(1)),
+        2 => ExecThread::Gpu(DeviceId(0), StreamId(0)),
+        3 => ExecThread::Gpu(DeviceId(0), StreamId(1)),
+        4 => ExecThread::Comm(CommChannel::Send),
+        _ => ExecThread::Comm(CommChannel::Receive),
+    }
+}
+
+/// The dispatch rule itself, in O(n²): at each step dispatch the minimum
+/// `(max(tentative, progress[thread]), rank, id)` over every released
+/// task. Ids are unique, so the order is total for any [`FrontierOrder`].
+fn rank_oracle<O: FrontierOrder>(cg: &CompiledGraph, order: &O) -> CompiledSim {
+    let n = cg.len();
+    let mut preds = cg.pred_counts();
+    let mut tentative = vec![0u64; n];
+    let mut start = vec![0u64; n];
+    let mut wait = vec![0u64; n];
+    let mut progress = vec![0u64; cg.thread_count()];
+    let mut makespan = 0u64;
+    let mut released: Vec<u32> = (0..n as u32).filter(|&i| preds[i as usize] == 0).collect();
+    while !released.is_empty() {
+        let key = |u: u32| {
+            let t = cg.thread_of(CompactId(u)).0 as usize;
+            let feasible = tentative[u as usize].max(progress[t]);
+            (feasible, order.rank(cg, CompactId(u)), u)
+        };
+        let idx = (0..released.len())
+            .min_by_key(|&i| key(released[i]))
+            .expect("released is non-empty");
+        let u = released.swap_remove(idx);
+        let (s, _, _) = key(u);
+        let t = cg.thread_of(CompactId(u)).0 as usize;
+        start[u as usize] = s;
+        wait[u as usize] = s - progress[t];
+        let fin = s + cg.cost_ns(CompactId(u));
+        progress[t] = fin;
+        makespan = makespan.max(s + cg.duration_ns(CompactId(u)));
+        for &v in cg.successors(CompactId(u)) {
+            let vi = v.0 as usize;
+            tentative[vi] = tentative[vi].max(fin);
+            preds[vi] -= 1;
+            if preds[vi] == 0 {
+                released.push(v.0);
+            }
+        }
+    }
+    CompiledSim {
+        start_ns: start,
+        wait_ns: wait,
+        thread_end: progress,
+        makespan_ns: makespan,
+    }
+}
+
 proptest! {
+    // The kernel against the rank-aware oracle under both policies, on
+    // six-thread DAGs dense in ties: short durations and gaps (zeros
+    // included) and a handful of priorities. One case in eight removes
+    // every task, leaving a graph with zero threads.
+    #[test]
+    fn kernel_matches_rank_oracle_under_every_policy(
+        tasks in prop::collection::vec((0u64..6, 0u64..8, 0u64..3, -2i64..3), 1..90),
+        edges in prop::collection::vec((0u64..10_000, 0u64..10_000), 0..250),
+        removals in prop::collection::vec(0u64..10_000, 0..12),
+        wipe in 0u8..8,
+    ) {
+        let removals = if wipe == 0 { (0..tasks.len() as u64).collect() } else { removals };
+        let cg = CompiledGraph::compile(&build(thread6_for, &tasks, &edges, &removals));
+        let fast = simulate_compiled_with(&cg, &EarliestStart).expect("forward edges: a DAG");
+        let oracle = rank_oracle(&cg, &EarliestStart);
+        prop_assert_eq!(&fast.start_ns, &oracle.start_ns);
+        prop_assert_eq!(&fast.wait_ns, &oracle.wait_ns);
+        prop_assert_eq!(&fast.thread_end, &oracle.thread_end);
+        prop_assert_eq!(fast.makespan_ns, oracle.makespan_ns);
+        let fast = simulate_compiled_with(&cg, &P3Scheduler).expect("forward edges: a DAG");
+        let oracle = rank_oracle(&cg, &P3Scheduler);
+        prop_assert_eq!(&fast.start_ns, &oracle.start_ns);
+        prop_assert_eq!(&fast.wait_ns, &oracle.wait_ns);
+        prop_assert_eq!(&fast.thread_end, &oracle.thread_end);
+        prop_assert_eq!(fast.makespan_ns, oracle.makespan_ns);
+    }
+
     #[test]
     fn heap_simulator_matches_reference(
-        tasks in prop::collection::vec((0u64..5, 0u64..200, 0u64..30), 1..90),
+        tasks in prop::collection::vec((0u64..5, 0u64..200, 0u64..30, Just(0i64)), 1..90),
         edges in prop::collection::vec((0u64..10_000, 0u64..10_000), 0..250),
         removals in prop::collection::vec(0u64..10_000, 0..12),
     ) {
-        let g = build(&tasks, &edges, &removals);
+        let g = build(thread_for, &tasks, &edges, &removals);
         let fast = simulate(&g).expect("forward-edge graphs are DAGs");
         let oracle = simulate_reference(&g).expect("forward-edge graphs are DAGs");
         prop_assert_eq!(&fast.start_ns, &oracle.start_ns);
@@ -113,12 +209,12 @@ proptest! {
     // rollback re-dispatch across runs, so both commit paths are covered.
     #[test]
     fn windowed_simulator_matches_serial(
-        tasks in prop::collection::vec((0u64..5, 0u64..200, 0u64..30), 1..90),
+        tasks in prop::collection::vec((0u64..5, 0u64..200, 0u64..30, Just(0i64)), 1..90),
         edges in prop::collection::vec((0u64..10_000, 0u64..10_000), 0..250),
         removals in prop::collection::vec(0u64..10_000, 0..12),
         windows in 1usize..9,
     ) {
-        let g = build(&tasks, &edges, &removals);
+        let g = build(thread_for, &tasks, &edges, &removals);
         let cg = CompiledGraph::compile(&g);
         let serial = simulate_compiled(&cg).expect("forward-edge graphs are DAGs");
         let opts = WindowedOptions { windows, min_tasks: 0 };

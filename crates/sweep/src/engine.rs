@@ -11,10 +11,10 @@ use crate::scenario::{fnv1a64, OptSpec, Scenario};
 use daydream_comm::{ClusterConfig, PsModel};
 use daydream_core::replicate::ReplicatedGraph;
 use daydream_core::whatif::{
-    p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
-    plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist, plan_metaflow,
-    plan_p3_inserts, plan_reconstruct_bn, plan_upgrade_gpu, plan_vdnn, DgcConfig, GistConfig,
-    P3Config, P3Scheduler, Substitution, VdnnConfig, KERNEL_OVERHEAD_NS,
+    classify_gpu_tasks, p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth,
+    plan_batch_size, plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist,
+    plan_metaflow, plan_p3_inserts, plan_reconstruct_bn, plan_vdnn, retime_gpu_classes, DgcConfig,
+    GistConfig, GpuBound, P3Config, P3Scheduler, Substitution, VdnnConfig, KERNEL_OVERHEAD_NS,
 };
 use daydream_core::{
     busy_time_bound, incremental_cone_fits, simulate_compiled_with, simulate_incremental,
@@ -264,6 +264,9 @@ struct BaseProfile {
     classes: OnceLock<Vec<ClassSums>>,
     /// The P3 plans, built on the base's first P3 scenario.
     p3: OnceLock<P3Base>,
+    /// Every GPU task's binding rate, classified from its kernel name on
+    /// the base's first `upgrade-gpu` scenario and reused for any target.
+    gpu_classes: OnceLock<Vec<(TaskId, GpuBound)>>,
     ddp: Mutex<HashMap<(u32, u32, u64), Arc<DdpPlan>>>,
 }
 
@@ -840,6 +843,7 @@ fn build_profile(model_name: &str, batch: u64) -> Result<BaseProfile, String> {
         busy: OnceLock::new(),
         classes: OnceLock::new(),
         p3: OnceLock::new(),
+        gpu_classes: OnceLock::new(),
         ddp: Mutex::new(HashMap::new()),
     })
 }
@@ -932,7 +936,10 @@ fn emit_patch(opt: &OptSpec, base: &BaseProfile) -> Result<Arc<GraphPatch>, Stri
         OptSpec::UpgradeGpu { to } => {
             let new = GpuSpec::by_name(to)?;
             let old = GpuSpec::rtx_2080ti();
-            plan_upgrade_gpu(&mut ov, &old, &new);
+            let classes = base
+                .gpu_classes
+                .get_or_init(|| classify_gpu_tasks(&pg.graph));
+            retime_gpu_classes(&mut ov, classes, &old, &new);
         }
         OptSpec::BatchSize { batch } => {
             plan_batch_size(&mut ov, profile_batch, *batch);
