@@ -23,11 +23,19 @@
 //! caches emitted patches by fingerprint, so a warm what-if pays only
 //! the simulation. The `fresh` rows keep emit + apply in the loop —
 //! they are the pre-arena per-scenario pipeline, unchanged.
+//!
+//! A second row per size prices a *structural* patch the same way: the
+//! `tail_structural` splice (a compression kernel inserted before each
+//! of the 16 tail transfers, plus the transfer shrink), simulated warm
+//! over the base plus overlay against the fresh `apply_traced` +
+//! `simulate_incremental` pipeline. It is recorded under `structural`
+//! and carries no floor.
 
 use criterion::{BenchmarkId, Criterion, Throughput};
-use daydream_bench::synth::{synthetic_graph, tail_retime};
+use daydream_bench::synth::{synthetic_graph, tail_retime, tail_structural};
 use daydream_core::{
-    simulate_incremental, simulate_warm, CompiledGraph, PatchGraph, Schedule, SimScratch, TaskId,
+    simulate_incremental, simulate_warm, CompiledGraph, DependencyGraph, GraphPatch, PatchGraph,
+    Schedule, SimScratch, TaskId,
 };
 use std::hint::black_box;
 
@@ -36,10 +44,58 @@ use std::hint::black_box;
 /// pipeline this PR's >= 20x acceptance floor is pinned against.
 const FRESH_BASELINE_100K_NS: f64 = 2_209_199.3;
 
+/// Pins the warm answer for `patch` byte-identical to the fresh
+/// pipeline on a warmed arena, returning the cone it re-dispatched.
+fn pin_warm(
+    compiled: &CompiledGraph,
+    schedule: &Schedule,
+    patch: &GraphPatch,
+    scratch: &mut SimScratch,
+) -> usize {
+    let warm =
+        simulate_warm(compiled, schedule, patch, scratch).expect("patched graph must stay a DAG");
+    let (applied, trace) = compiled.apply_traced(patch);
+    let oracle = simulate_incremental(compiled, schedule, &applied, patch, &trace)
+        .expect("patched graph must stay a DAG");
+    assert!(warm.stats.is_incremental(), "tail patch must stay warm");
+    assert_eq!(warm.makespan_ns, oracle.sim.makespan_ns);
+    assert_eq!(warm.stats, oracle.stats);
+    assert_eq!(
+        scratch.materialize(schedule).expect("warm eval completed"),
+        oracle.sim,
+        "arena result must be byte-identical to the fresh path"
+    );
+    warm.stats.redispatched
+}
+
+/// One `{"tasks", "cone", "warm_ns", "fresh_ns", "speedup"}` row.
+fn row(tasks: usize, cone: usize, warm: Option<f64>, fresh: Option<f64>) -> String {
+    let fmt_opt = |v: Option<f64>| {
+        v.map(|x| format!("{x:.1}"))
+            .unwrap_or_else(|| "null".to_string())
+    };
+    let speedup = match (warm, fresh) {
+        (Some(w), Some(f)) if w > 0.0 => Some(((f / w) * 10.0).round() / 10.0),
+        _ => None,
+    };
+    format!(
+        concat!(
+            "    {{\"tasks\": {}, \"cone\": {}, ",
+            "\"warm_ns\": {}, \"fresh_ns\": {}, \"speedup\": {}}}"
+        ),
+        tasks,
+        cone,
+        fmt_opt(warm),
+        fmt_opt(fresh),
+        fmt_opt(speedup),
+    )
+}
+
 fn main() {
     let mut c = Criterion::default();
     let quick = c.is_quick_mode();
     let mut rows: Vec<String> = Vec::new();
+    let mut structural_rows: Vec<String> = Vec::new();
     let mut warm_ns_by_size: Vec<(usize, f64)> = Vec::new();
 
     for &n in &[1_000usize, 10_000, 100_000] {
@@ -58,20 +114,7 @@ fn main() {
         // Warm the arena once outside the measurement and pin the warm
         // answer byte-identical to the fresh-allocation oracle.
         let mut scratch = SimScratch::new();
-        let warm0 = simulate_warm(&compiled, &schedule, &patch, &mut scratch)
-            .expect("patched graph must stay a DAG");
-        let (applied, trace) = compiled.apply_traced(&patch);
-        let oracle = simulate_incremental(&compiled, &schedule, &applied, &patch, &trace)
-            .expect("patched graph must stay a DAG");
-        assert!(warm0.stats.is_incremental(), "tail retime must stay warm");
-        assert_eq!(warm0.makespan_ns, oracle.sim.makespan_ns);
-        assert_eq!(warm0.stats, oracle.stats);
-        assert_eq!(
-            scratch.materialize(&schedule).expect("warm eval completed"),
-            oracle.sim,
-            "arena result must be byte-identical to the fresh path"
-        );
-        let cone = warm0.stats.redispatched;
+        let cone = pin_warm(&compiled, &schedule, &patch, &mut scratch);
 
         let mut group = c.benchmark_group("eval_warm");
         group.sample_size(if n >= 100_000 { 20 } else { 60 });
@@ -124,25 +167,22 @@ fn main() {
             );
             warm_ns_by_size.push((tasks, w));
         }
-        let fmt_opt = |v: Option<f64>| {
-            v.map(|x| format!("{x:.1}"))
-                .unwrap_or_else(|| "null".to_string())
-        };
-        let speedup = match (warm, fresh) {
-            (Some(w), Some(f)) if w > 0.0 => Some(((f / w) * 10.0).round() / 10.0),
-            _ => None,
-        };
-        rows.push(format!(
-            concat!(
-                "    {{\"tasks\": {}, \"cone\": {}, ",
-                "\"warm_ns\": {}, \"fresh_ns\": {}, \"speedup\": {}}}"
-            ),
-            tasks,
-            cone,
-            fmt_opt(warm),
-            fmt_opt(fresh),
-            fmt_opt(speedup),
-        ));
+        rows.push(row(tasks, cone, warm, fresh));
+
+        // The structural splice over the same base.
+        let mut ov = PatchGraph::new(&g);
+        tail_structural(&mut ov, &targets);
+        let patch = ov.finish();
+        let cone = pin_warm(&compiled, &schedule, &patch, &mut scratch);
+        let (warm, fresh) = bench_structural(&mut c, &g, &compiled, &schedule, &patch, &targets);
+        if let (Some(w), Some(f)) = (warm, fresh) {
+            println!(
+                "eval_warm structural {tasks} tasks: warm {w:.0} ns vs fresh {f:.0} ns \
+                 ({:.1}x, cone {cone})",
+                f / w.max(1e-9)
+            );
+        }
+        structural_rows.push(row(tasks, cone, warm, fresh));
     }
 
     // Smoke runs (`--test`) measure one iteration — no assertions, no
@@ -174,13 +214,16 @@ fn main() {
                 "{{\n  \"pipelines\": \"warm = simulate_warm on a persistent ",
                 "SimScratch arena, patch pre-emitted; fresh = emit + apply_traced + ",
                 "simulate_incremental with per-call clones\",\n",
-                "  \"note\": \"16-transfer tail retime at every size (fixed cone); ",
+                "  \"note\": \"results: 16-transfer tail retime at every size (fixed cone); ",
                 "full runs assert warm@100k >= 20x over the {} ns pre-arena baseline ",
-                "and <= 5x scaling 1k -> 100k\",\n",
-                "  \"results\": [\n{}\n  ]\n  }}"
+                "and <= 5x scaling 1k -> 100k. structural: tail_structural splice ",
+                "(16 inserted kernels, rewired transfers), no floor\",\n",
+                "  \"results\": [\n{}\n  ],\n",
+                "  \"structural\": [\n{}\n  ]\n  }}"
             ),
             FRESH_BASELINE_100K_NS,
-            rows.join(",\n")
+            rows.join(",\n"),
+            structural_rows.join(",\n")
         );
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
         match criterion::snapshot::merge_section(path, "eval_warm", &json) {
@@ -188,4 +231,61 @@ fn main() {
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
+}
+
+/// Benches warm vs fresh evaluation of the structural splice, returning
+/// their ns/iter.
+fn bench_structural(
+    c: &mut Criterion,
+    g: &DependencyGraph,
+    compiled: &CompiledGraph,
+    schedule: &Schedule,
+    patch: &GraphPatch,
+    targets: &[TaskId],
+) -> (Option<f64>, Option<f64>) {
+    let tasks = g.len();
+    let mut scratch = SimScratch::new();
+    let mut group = c.benchmark_group("eval_warm_structural");
+    group.sample_size(if tasks >= 100_000 { 20 } else { 60 });
+    group.throughput(Throughput::Elements(tasks as u64));
+    group.bench_with_input(
+        BenchmarkId::new("warm", format!("{tasks} tasks")),
+        &(compiled, schedule, patch),
+        |b, (compiled, schedule, patch)| {
+            b.iter(|| {
+                black_box(
+                    simulate_warm(compiled, schedule, black_box(patch), &mut scratch)
+                        .unwrap()
+                        .makespan_ns,
+                )
+            })
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("fresh", format!("{tasks} tasks")),
+        &(g, compiled, schedule),
+        |b, (g, compiled, schedule)| {
+            b.iter(|| {
+                let mut ov = PatchGraph::new(black_box(g));
+                tail_structural(&mut ov, targets);
+                let patch = ov.finish();
+                let (applied, trace) = compiled.apply_traced(&patch);
+                black_box(
+                    simulate_incremental(compiled, schedule, &applied, &patch, &trace)
+                        .unwrap()
+                        .sim
+                        .makespan_ns,
+                )
+            })
+        },
+    );
+    group.finish();
+    let find = |kind: &str| {
+        c.records()
+            .iter()
+            .rev()
+            .find(|r| r.name == format!("eval_warm_structural/{kind}/{tasks} tasks"))
+            .map(|r| r.ns_per_iter)
+    };
+    (find("warm"), find("fresh"))
 }

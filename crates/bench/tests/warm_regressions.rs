@@ -3,21 +3,51 @@
 //! Two regressions these pin:
 //!
 //! * **Allocation creep** — the whole point of the epoch-stamped arena
-//!   is that a warmed evaluation touches no allocator. The counting
-//!   global allocator in `daydream_bench::util` (debug builds only)
-//!   fails this test the moment someone reintroduces a per-call `clone`
-//!   or `Vec::new` into the hot loop.
+//!   is that a warmed evaluation touches no allocator, for retimes and
+//!   structural patches alike. The counting global allocator in
+//!   `daydream_bench::util` (debug builds only) fails these tests the
+//!   moment someone reintroduces a per-call `clone`, `Vec::new` or
+//!   patch apply into the hot loop.
 //! * **Snapshot drift** — the checked-in `BENCH_sim.json` must carry an
 //!   `eval_warm` section whose numbers still clear the acceptance
 //!   floors (>= 20x over the pre-arena fresh pipeline at ~100k tasks,
 //!   <= 5x scaling 1k -> 100k at a fixed 16-transfer cone), so a
 //!   regressing re-snapshot cannot land silently.
 
-use daydream_bench::synth::{synthetic_graph, tail_retime};
-use daydream_bench::{assert_no_allocs, thread_allocs};
+use daydream_bench::synth::{synthetic_graph, tail_retime, tail_structural};
+use daydream_bench::{assert_no_allocs, profile_for, thread_allocs};
+use daydream_comm::ClusterConfig;
+use daydream_core::whatif::plan_distributed;
 use daydream_core::{
-    simulate_incremental, simulate_warm, CompiledGraph, PatchGraph, Schedule, SimScratch, TaskId,
+    simulate_incremental, simulate_warm, CompiledGraph, GraphPatch, PatchGraph, Schedule,
+    SimScratch, TaskId, WarmOutcome,
 };
+
+/// Evaluates `patch` warm three times on one arena — the first call sizes
+/// it, the second settles retained heap capacities, the third must not
+/// allocate — and pins the answer to the apply + classic oracle.
+fn third_warm_call_allocates_nothing(
+    what: &str,
+    compiled: &CompiledGraph,
+    schedule: &Schedule,
+    patch: &GraphPatch,
+) -> WarmOutcome {
+    let mut scratch = SimScratch::new();
+    let first = simulate_warm(compiled, schedule, patch, &mut scratch).unwrap();
+    let second = simulate_warm(compiled, schedule, patch, &mut scratch).unwrap();
+    assert_eq!(first, second);
+    let third = assert_no_allocs(what, || {
+        simulate_warm(compiled, schedule, patch, &mut scratch).unwrap()
+    });
+    assert_eq!(third, first);
+
+    let (applied, trace) = compiled.apply_traced(patch);
+    let oracle = simulate_incremental(compiled, schedule, &applied, patch, &trace).unwrap();
+    assert_eq!(third.makespan_ns, oracle.sim.makespan_ns);
+    assert_eq!(third.stats, oracle.stats);
+    assert_eq!(scratch.materialize(schedule).unwrap(), oracle.sim);
+    third
+}
 
 #[test]
 fn warmed_evaluation_is_allocation_free() {
@@ -48,6 +78,41 @@ fn warmed_evaluation_is_allocation_free() {
     let oracle = simulate_incremental(&compiled, &schedule, &applied, &patch, &trace).unwrap();
     assert_eq!(third.makespan_ns, oracle.sim.makespan_ns);
     assert_eq!(scratch.materialize(&schedule).unwrap(), oracle.sim);
+}
+
+#[test]
+fn warmed_structural_evaluation_is_allocation_free() {
+    // A small structural cone: compression kernels spliced before the
+    // last 16 transfers of the synthetic graph.
+    let g = synthetic_graph(3_000);
+    let compiled = CompiledGraph::compile(&g);
+    let schedule = Schedule::capture(&compiled).expect("base must be a DAG");
+    let comms = g.select(|t| t.thread.is_comm());
+    let targets: Vec<TaskId> = comms.iter().rev().take(16).copied().collect();
+    let mut ov = PatchGraph::new(&g);
+    tail_structural(&mut ov, &targets);
+    let out = third_warm_call_allocates_nothing(
+        "warmed structural simulate_warm",
+        &compiled,
+        &schedule,
+        &ov.finish(),
+    );
+    assert!(out.stats.is_incremental(), "tail splice must stay warm");
+
+    // A catalog patch on a zoo base: DDP inserts one allreduce per
+    // gradient bucket onto a communication channel the profile never
+    // used.
+    let (pg, _) = profile_for("ResNet-50", Some(4), false);
+    let compiled = CompiledGraph::compile(&pg.graph);
+    let schedule = Schedule::capture(&compiled).expect("base must be a DAG");
+    let mut ov = PatchGraph::new(&pg.graph);
+    plan_distributed(&mut ov, &pg.meta.buckets, &ClusterConfig::new(2, 1, 10.0));
+    third_warm_call_allocates_nothing(
+        "warmed DDP simulate_warm",
+        &compiled,
+        &schedule,
+        &ov.finish(),
+    );
 }
 
 #[test]

@@ -234,8 +234,20 @@ impl CompiledGraph {
         (*self.pred_count).clone()
     }
 
-    /// The compact id of a live task, if present.
+    /// Returns `true` if the interned thread is a communication channel.
+    #[inline]
+    pub(crate) fn is_comm_thread(&self, t: ThreadId) -> bool {
+        self.comm_thread[t.0 as usize]
+    }
+
+    /// The compact id of a live task, if present: O(1) when the source
+    /// arena had no tombstones (compaction is then the identity, as for
+    /// every profiled base), a binary search otherwise.
+    #[inline]
     pub fn compact_of(&self, id: TaskId) -> Option<CompactId> {
+        if self.task_ids.len() == self.arena_len {
+            return (id.0 < self.arena_len).then_some(CompactId(id.0 as u32));
+        }
         self.task_ids
             .binary_search(&id)
             .ok()

@@ -61,12 +61,13 @@ pub use predict::{
 pub use replicate::{replicate_iterations, ReplicatedGraph};
 pub use report::{layer_report, LayerTimes};
 pub use sim::{
-    busy_time_bound, incremental_cone_fits, simulate, simulate_compiled, simulate_compiled_with,
-    simulate_incremental, simulate_incremental_with, simulate_reference, simulate_warm,
-    simulate_warm_with, simulate_with, simulate_with_reference, thread_busy_after, thread_busy_ns,
-    try_simulate_incremental_with, Candidate, CompiledSim, EarliestStart, FallbackReason,
-    FrontierOrder, IncrementalOptions, IncrementalOutcome, IncrementalStats, Rank, Schedule,
-    Scheduler, ScratchCounters, ScratchPool, SimResult, SimScratch, WarmOutcome,
+    busy_time_bound, simulate, simulate_compiled, simulate_compiled_with, simulate_incremental,
+    simulate_incremental_with, simulate_reference, simulate_warm, simulate_warm_with,
+    simulate_with, simulate_with_reference, thread_busy_after, thread_busy_ns,
+    try_simulate_incremental_with, try_simulate_warm_with, Candidate, CompiledSim, EarliestStart,
+    FallbackReason, FrontierOrder, IncrementalOptions, IncrementalOutcome, IncrementalStats, Rank,
+    RankInputs, Schedule, Scheduler, ScratchCounters, ScratchPool, SimResult, SimScratch,
+    WarmOutcome,
 };
 pub use task::{CommChannel, CommPrimitive, ExecThread, LayerRef, Task, TaskKind};
 pub use windowed::{simulate_windowed, simulate_windowed_with, WindowedOptions, WindowedStats};

@@ -137,12 +137,14 @@ pub(crate) struct NetDelta {
     touched: Vec<TaskId>,
     /// Removal bitmap (base or new tasks removed by this patch).
     removed: Vec<bool>,
-    /// Number of set bits in `removed`.
-    removed_count: usize,
+    /// Ids with a set bit in `removed`, in removal order.
+    removed_list: Vec<TaskId>,
     /// Final successor lists of every task whose out-edges changed.
     succ: Vec<Option<Box<EdgeList>>>,
     /// Final predecessor lists of every task whose in-edges changed.
     pred: Vec<Option<Box<EdgeList>>>,
+    /// Ids with a `succ` or `pred` list, each once, in first-write order.
+    edge_ids: Vec<TaskId>,
     /// `true` once any adjacency list has been touched.
     edges_touched: bool,
     /// Ids of added tasks, ascending (includes ones removed again).
@@ -276,28 +278,37 @@ impl NetDelta {
     /// `true` when the patch changes topology (tasks in/out, edges, or
     /// anything that invalidates the base CSR).
     pub(crate) fn is_structural(&self) -> bool {
-        self.removed_count > 0 || !self.new_ids.is_empty() || self.edges_touched
+        !self.removed_list.is_empty() || !self.new_ids.is_empty() || self.edges_touched
     }
 
-    /// Ids the patch removed (set bits of the removal bitmap), ascending.
-    pub(crate) fn removed_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.removed
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r)
-            .map(|(i, _)| TaskId(i))
+    /// Ids the patch removed, in removal order. O(removed).
+    pub(crate) fn removed_ids(&self) -> &[TaskId] {
+        &self.removed_list
     }
 
-    /// Ids whose final predecessor list the patch overrides, ascending.
-    /// (Every edge add/remove dirties the `to` side's list, and task
-    /// removal dirties every neighbour — so this is exactly the set of
-    /// tasks whose dependency-readiness the patch can move.)
+    /// Ids with an overridden adjacency list (successors, predecessors,
+    /// or both), each once, in first-write order. O(|patch|).
+    pub(crate) fn edge_ids(&self) -> &[TaskId] {
+        &self.edge_ids
+    }
+
+    /// Ids whose final predecessor list the patch overrides, in
+    /// first-write order. (Every edge add/remove dirties the `to` side's
+    /// list, and task removal dirties every neighbour — so this is
+    /// exactly the set of tasks whose dependency-readiness the patch can
+    /// move.)
     pub(crate) fn pred_overlay_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.pred
+        self.edge_ids
             .iter()
-            .enumerate()
-            .filter(|(_, o)| o.is_some())
-            .map(|(i, _)| TaskId(i))
+            .copied()
+            .filter(|&id| self.pred_over(id).is_some())
+    }
+
+    /// Records `id` in `edge_ids` when it has no adjacency list yet.
+    fn note_edge_id(&mut self, id: TaskId) {
+        if self.succ_over(id).is_none() && self.pred_over(id).is_none() {
+            self.edge_ids.push(id);
+        }
     }
 }
 
@@ -596,6 +607,9 @@ pub struct PatchGraph<'a> {
     base: &'a DependencyGraph,
     ops: Vec<PatchOp>,
     delta: NetDelta,
+    /// Neighbour buffers [`GraphEdit::remove_task`] reuses across calls.
+    removed_preds: EdgeList,
+    removed_succs: EdgeList,
 }
 
 const NO_EDGES: &[(TaskId, DepKind)] = &[];
@@ -614,6 +628,8 @@ impl<'a> PatchGraph<'a> {
             base,
             ops: Vec::new(),
             delta: NetDelta::default(),
+            removed_preds: Vec::new(),
+            removed_succs: Vec::new(),
         }
     }
 
@@ -637,6 +653,8 @@ impl<'a> PatchGraph<'a> {
             base,
             ops: prior.ops.clone(),
             delta: prior.delta.clone(),
+            removed_preds: Vec::new(),
+            removed_succs: Vec::new(),
         }
     }
 
@@ -668,6 +686,7 @@ impl<'a> PatchGraph<'a> {
     /// write (empty for overlay-added tasks).
     fn succ_mut(&mut self, id: TaskId) -> &mut Vec<(TaskId, DepKind)> {
         self.delta.edges_touched = true;
+        self.delta.note_edge_id(id);
         let len = self.capacity().max(id.0 + 1);
         ensure_slots(&mut self.delta.succ, len);
         let base = self.base;
@@ -682,6 +701,7 @@ impl<'a> PatchGraph<'a> {
 
     fn pred_mut(&mut self, id: TaskId) -> &mut Vec<(TaskId, DepKind)> {
         self.delta.edges_touched = true;
+        self.delta.note_edge_id(id);
         let len = self.capacity().max(id.0 + 1);
         ensure_slots(&mut self.delta.pred, len);
         let base = self.base;
@@ -757,10 +777,14 @@ impl GraphView for PatchGraph<'_> {
         })
     }
 
+    // A removed task has no edges: removal detaches both sides, and its
+    // own lists are cleared only if the overlay already held them.
     fn successors(&self, id: TaskId) -> &[(TaskId, DepKind)] {
         match self.delta.succ_over(id) {
             Some(v) => v,
-            None if id.0 < self.base.capacity() => self.base.successors(id),
+            None if id.0 < self.base.capacity() && !self.delta.is_removed(id) => {
+                self.base.successors(id)
+            }
             None => NO_EDGES,
         }
     }
@@ -768,7 +792,9 @@ impl GraphView for PatchGraph<'_> {
     fn predecessors(&self, id: TaskId) -> &[(TaskId, DepKind)] {
         match self.delta.pred_over(id) {
             Some(v) => v,
-            None if id.0 < self.base.capacity() => self.base.predecessors(id),
+            None if id.0 < self.base.capacity() && !self.delta.is_removed(id) => {
+                self.base.predecessors(id)
+            }
             None => NO_EDGES,
         }
     }
@@ -866,29 +892,39 @@ impl GraphEdit for PatchGraph<'_> {
             return;
         }
         self.ops.push(PatchOp::RemoveTask { id });
+        // Neighbours first: a removed task reads as edgeless.
+        let mut preds = std::mem::take(&mut self.removed_preds);
+        let mut succs = std::mem::take(&mut self.removed_succs);
+        preds.clear();
+        succs.clear();
+        preds.extend_from_slice(GraphView::predecessors(self, id));
+        succs.extend_from_slice(GraphView::successors(self, id));
         if self.delta.removed.len() <= id.0 {
             self.delta
                 .removed
                 .resize(self.capacity().max(id.0 + 1), false);
         }
         self.delta.removed[id.0] = true;
-        self.delta.removed_count += 1;
-        let preds = GraphView::predecessors(self, id).to_vec();
-        let succs = GraphView::successors(self, id).to_vec();
+        self.delta.removed_list.push(id);
         for &(p, _) in &preds {
             self.succ_mut(p).retain(|&(t, _)| t != id);
         }
         for &(s, _) in &succs {
             self.pred_mut(s).retain(|&(t, _)| t != id);
         }
-        self.succ_mut(id).clear();
-        self.pred_mut(id).clear();
+        for list in [&mut self.delta.succ, &mut self.delta.pred] {
+            if let Some(l) = list.get_mut(id.0).and_then(|o| o.as_deref_mut()) {
+                l.clear();
+            }
+        }
         for &(p, pk) in &preds {
             for &(s, sk) in &succs {
                 let kind = if pk == sk { pk } else { DepKind::Transform };
                 self.insert_edge(p, s, kind);
             }
         }
+        self.removed_preds = preds;
+        self.removed_succs = succs;
     }
 
     fn set_duration(&mut self, id: TaskId, duration_ns: u64) {

@@ -17,7 +17,9 @@
 //!   a `ready` min-heap ordered by `rank` alone for tasks the thread could
 //!   start immediately. When progress advances, pending entries whose
 //!   tentative start has been overtaken migrate to `ready` (each task
-//!   migrates at most once);
+//!   migrates at most once). A lone task stays in an inline slot with
+//!   both heaps empty, so chain threads (the launch thread, each GPU
+//!   stream) dispatch without touching a heap;
 //! * each thread's best `(feasible_start, rank, task)` candidate is
 //!   **cached** in a flat array, and each dispatch takes the minimum by a
 //!   linear scan — O(T) per dispatch, and zoo graphs have 4–8 threads.
@@ -33,6 +35,15 @@
 //! ordered by their fixed tentative starts, and the cross-thread minimum
 //! is the global one. The reference loop is retained as the oracle for the
 //! equivalence proptests and the `sim_scale` benchmark.
+//!
+//! # Warm evaluation
+//!
+//! [`simulate_warm_with`] answers a what-if from a captured base
+//! [`Schedule`] without applying its patch: retimes, thread moves,
+//! inserts and removals are all read through an epoch-stamped overlay on
+//! the base [`CompiledGraph`], and only the cone of tasks the patch can
+//! affect is re-dispatched. The clone-based [`simulate_incremental_with`]
+//! over `CompiledGraph::apply_traced` is kept as its oracle.
 
 use crate::compiled::{ApplyTrace, CompactId, CompiledGraph, ThreadId};
 use crate::graph::{DependencyGraph, GraphError, TaskId};
@@ -48,6 +59,40 @@ use std::sync::Mutex;
 /// for the whole simulation.
 pub type Rank = (u64, u64);
 
+/// The task attributes a [`FrontierOrder`] may rank on. Implemented by
+/// [`CompiledGraph`] and by the warm overlay view, so a policy ranks the
+/// tasks of a patched graph without the patch ever being applied.
+///
+/// Ids passed to a policy sort like the simulated graph's compact ids
+/// (ascending [`TaskId`] order), but over a warm view their values can
+/// differ from a fresh compile's: policies may compare ids, not read
+/// meaning into their magnitude.
+pub trait RankInputs {
+    /// Scheduling priority of a task.
+    fn priority(&self, c: CompactId) -> i64;
+    /// `true` if the task runs on a communication channel.
+    fn on_comm_thread(&self, c: CompactId) -> bool;
+    /// Duration of a task.
+    fn duration_ns(&self, c: CompactId) -> u64;
+}
+
+impl RankInputs for CompiledGraph {
+    // Inherent methods shadow the trait methods, so each delegation below
+    // resolves to the inherent accessor (no recursion).
+    #[inline]
+    fn priority(&self, c: CompactId) -> i64 {
+        CompiledGraph::priority(self, c)
+    }
+    #[inline]
+    fn on_comm_thread(&self, c: CompactId) -> bool {
+        CompiledGraph::on_comm_thread(self, c)
+    }
+    #[inline]
+    fn duration_ns(&self, c: CompactId) -> u64 {
+        CompiledGraph::duration_ns(self, c)
+    }
+}
+
 /// Scheduling policy over the compiled frontier (paper §4.4 "Schedule").
 ///
 /// The frontier always dispatches the candidate with the smallest
@@ -57,7 +102,7 @@ pub type Rank = (u64, u64);
 /// priority.
 pub trait FrontierOrder {
     /// The tie-break rank of `task`.
-    fn rank(&self, graph: &CompiledGraph, task: CompactId) -> Rank;
+    fn rank<G: RankInputs + ?Sized>(&self, graph: &G, task: CompactId) -> Rank;
 
     /// `true` if [`simulate_incremental_with`] may trust this policy
     /// across a patch: ranks must be a fixed function of the task's
@@ -86,7 +131,7 @@ pub trait FrontierOrder {
 pub struct EarliestStart;
 
 impl FrontierOrder for EarliestStart {
-    fn rank(&self, _graph: &CompiledGraph, task: CompactId) -> Rank {
+    fn rank<G: RankInputs + ?Sized>(&self, _graph: &G, task: CompactId) -> Rank {
         // Compact ids ascend with TaskIds, so this is the reference
         // tie-break.
         (task.0 as u64, 0)
@@ -174,8 +219,17 @@ impl CompiledSim {
 /// thread's current progress (ordered by rank), `pending` holds tasks
 /// whose dependency-induced start is still in the thread's future
 /// (ordered by that start, then rank).
+///
+/// Most threads are chains — the launch thread and each GPU stream hold
+/// exactly one task after every push — so a lone task stays inline in
+/// `solo` with both heaps empty, and a chain dispatch touches no heap.
+/// A second push spills the slot into the tier it belongs to at the
+/// current progress.
 #[derive(Debug, Default)]
 pub(crate) struct ThreadFrontier {
+    /// The only task, as `(tentative_start, rank, task)`; `Some` only
+    /// while both heaps are empty.
+    solo: Option<(u64, Rank, u32)>,
     pending: BinaryHeap<Reverse<(u64, Rank, u32)>>,
     ready: BinaryHeap<Reverse<(Rank, u32)>>,
 }
@@ -198,6 +252,10 @@ impl ThreadFrontier {
     /// first.
     #[inline]
     pub(crate) fn best(&self, progress: u64) -> Best {
+        if let Some((t, rank, id)) = self.solo {
+            // What the heaps would report for their only entry.
+            return (t.max(progress), rank, id);
+        }
         if let Some(&Reverse((rank, id))) = self.ready.peek() {
             return (progress, rank, id);
         }
@@ -209,6 +267,19 @@ impl ThreadFrontier {
     /// Inserts a newly dispatchable task.
     #[inline]
     pub(crate) fn push(&mut self, tentative: u64, rank: Rank, task: u32, progress: u64) {
+        match self.solo.take() {
+            None if self.ready.is_empty() && self.pending.is_empty() => {
+                self.solo = Some((tentative, rank, task));
+                return;
+            }
+            None => {}
+            Some((t, r, id)) => self.push_heap(t, r, id, progress),
+        }
+        self.push_heap(tentative, rank, task, progress);
+    }
+
+    #[inline]
+    fn push_heap(&mut self, tentative: u64, rank: Rank, task: u32, progress: u64) {
         if tentative <= progress {
             self.ready.push(Reverse((rank, task)));
         } else {
@@ -219,14 +290,15 @@ impl ThreadFrontier {
     /// Removes the current best (after [`ThreadFrontier::refresh`]).
     #[inline]
     pub(crate) fn pop_best(&mut self) {
-        if self.ready.pop().is_none() {
+        if self.solo.take().is_none() && self.ready.pop().is_none() {
             self.pending.pop();
         }
     }
 
-    /// Empties both tiers, retaining heap capacity for reuse.
+    /// Empties the frontier, retaining heap capacity for reuse.
     #[inline]
     pub(crate) fn clear(&mut self) {
+        self.solo = None;
         self.pending.clear();
         self.ready.clear();
     }
@@ -234,38 +306,20 @@ impl ThreadFrontier {
 
 /// The graph surface [`dispatch_loop`] reads — everything the frontier
 /// needs to dispatch a task and release its successors. Implemented by
-/// [`CompiledGraph`] itself and by [`RetimeView`], the copy-on-write
-/// overlay that serves retime patches without materializing an applied
-/// graph. The loop is monomorphized per implementation, so the compiled
-/// hot path is unchanged.
-pub(crate) trait SimGraphView {
-    fn len(&self) -> usize;
-    fn thread_count(&self) -> usize;
+/// [`CompiledGraph`] itself and by [`OverlayView`], the copy-on-write
+/// overlay that serves any patch without materializing an applied graph.
+/// The loop is monomorphized per implementation, so the compiled hot
+/// path is unchanged.
+pub(crate) trait SimGraphView: RankInputs {
     fn cost_ns(&self, c: CompactId) -> u64;
-    fn duration_ns(&self, c: CompactId) -> u64;
     fn thread_of(&self, c: CompactId) -> ThreadId;
     fn successors(&self, c: CompactId) -> &[CompactId];
-    fn pred_count(&self, c: CompactId) -> u32;
 }
 
 impl SimGraphView for CompiledGraph {
-    // Inherent methods shadow the trait methods, so each delegation below
-    // resolves to the inherent accessor (no recursion).
-    #[inline]
-    fn len(&self) -> usize {
-        CompiledGraph::len(self)
-    }
-    #[inline]
-    fn thread_count(&self) -> usize {
-        CompiledGraph::thread_count(self)
-    }
     #[inline]
     fn cost_ns(&self, c: CompactId) -> u64 {
         CompiledGraph::cost_ns(self, c)
-    }
-    #[inline]
-    fn duration_ns(&self, c: CompactId) -> u64 {
-        CompiledGraph::duration_ns(self, c)
     }
     #[inline]
     fn thread_of(&self, c: CompactId) -> ThreadId {
@@ -274,10 +328,6 @@ impl SimGraphView for CompiledGraph {
     #[inline]
     fn successors(&self, c: CompactId) -> &[CompactId] {
         CompiledGraph::successors(self, c)
-    }
-    #[inline]
-    fn pred_count(&self, c: CompactId) -> u32 {
-        CompiledGraph::pred_count(self, c)
     }
 }
 
@@ -809,9 +859,8 @@ pub fn simulate_incremental_with<O: FrontierOrder>(
 
 /// The patch-influence cutoff and re-dispatch cone size over the base
 /// schedule, derived from the *unapplied* patch — base, delta, and
-/// schedule only. This is the whole decision surface of the incremental
-/// path's size threshold, so [`incremental_cone_fits`] can answer it
-/// without paying [`CompiledGraph::apply_traced`].
+/// schedule only: the whole decision surface of the incremental path's
+/// size threshold, needing no [`CompiledGraph::apply_traced`].
 struct ConeBound {
     /// Earliest instant any patch effect can surface (`u64::MAX` when
     /// the patch has no simulation-relevant effect).
@@ -829,6 +878,7 @@ fn cone_bound<O: FrontierOrder>(
     schedule: &Schedule,
     patch: &GraphPatch,
     order: &O,
+    ins: &mut InsertBounds,
 ) -> ConeBound {
     let d = patch.delta();
     let base_cap = patch.base_capacity();
@@ -857,31 +907,29 @@ fn cone_bound<O: FrontierOrder>(
             cutoff = cutoff.min(schedule.tentative_ns[c]);
         }
     }
-    for id in d.removed_ids() {
+    let mut removed_live = 0usize;
+    for &id in d.removed_ids() {
         if id.0 < base_cap {
             // The vacated thread slot opens where the base dispatched it.
             cutoff = cutoff.min(schedule.sim.start_ns[base_compact(id)]);
+            removed_live += 1;
         }
     }
-    let (insert_bound, insert_cost) =
-        inserted_bounds(d, base_cap, &|id| schedule.fin_ns[base_compact(id)]);
+    ins.compute(d, base_cap, |id| schedule.fin_ns[base_compact(id)]);
+    let mut inserted_live = 0usize;
     for (i, &v) in d.new_ids().iter().enumerate() {
         if !d.is_removed(v) {
-            cutoff = cutoff.min(insert_bound[i]);
+            cutoff = cutoff.min(ins.bound[i]);
+            inserted_live += 1;
         }
     }
     // A predecessor gates its successor at its *finish*: earliest
     // dispatch plus cost for inserted tasks, the scheduled finish for
     // base tasks.
     let fin_lb_of = |p: TaskId| -> u64 {
-        if p.0 >= base_cap {
-            let i = d
-                .new_ids()
-                .binary_search(&p)
-                .expect("edge endpoint must be a known task");
-            insert_bound[i] + insert_cost[i]
-        } else {
-            schedule.fin_ns[base_compact(p)]
+        match p.0.checked_sub(base_cap) {
+            Some(i) => ins.bound[i] + ins.cost[i],
+            None => schedule.fin_ns[base_compact(p)],
         }
     };
     for id in d.pred_overlay_ids() {
@@ -895,11 +943,6 @@ fn cone_bound<O: FrontierOrder>(
         cutoff = cutoff.min(ready_lb.min(schedule.sim.start_ns[base_compact(id)]));
     }
 
-    let removed_live = d
-        .removed_ids()
-        .filter(|id| id.0 < base_cap && base.compact_of(*id).is_some())
-        .count();
-    let inserted_live = d.new_ids().iter().filter(|&&v| !d.is_removed(v)).count();
     let n_new = base.len() - removed_live + inserted_live;
     if cutoff == u64::MAX {
         return ConeBound {
@@ -919,29 +962,6 @@ fn cone_bound<O: FrontierOrder>(
         cone,
         n_new,
     }
-}
-
-/// Decides — without paying [`CompiledGraph::apply_traced`] — whether
-/// the incremental cone of `patch` fits `opts.max_cone_fraction`. When
-/// it returns `false`, [`try_simulate_incremental_with`] on the applied
-/// graph would answer `Err(..)` with the same policy and options, so a
-/// caller that only wants a cheap ranking signal (the sweep search's
-/// low-fidelity rungs) can skip the apply entirely and fall back to
-/// [`busy_time_bound`]. A `true` answer is necessary but not sufficient:
-/// the applied patch can still fall back for vacated threads, which are
-/// only visible after the apply.
-pub fn incremental_cone_fits<O: FrontierOrder>(
-    base: &CompiledGraph,
-    schedule: &Schedule,
-    patch: &GraphPatch,
-    order: &O,
-    opts: &IncrementalOptions,
-) -> bool {
-    if !order.incremental_safe() {
-        return false;
-    }
-    let b = cone_bound(base, schedule, patch, order);
-    b.cutoff == u64::MAX || b.cone as f64 <= opts.max_cone_fraction * b.n_new as f64
 }
 
 /// Per-thread busy time (sum of [`CompiledGraph::cost_ns`]) of a
@@ -1043,7 +1063,7 @@ fn busy_after_patch(
             None => busy[base.thread_of(c).0 as usize] += new_cost as i128 - old_cost as i128,
         }
     }
-    for id in d.removed_ids() {
+    for &id in d.removed_ids() {
         if id.0 < base_cap {
             if let Some(c) = base.compact_of(id) {
                 busy[base.thread_of(c).0 as usize] -= base.cost_ns(c) as i128;
@@ -1101,7 +1121,7 @@ pub fn try_simulate_incremental_with<O: FrontierOrder>(
             .0 as usize
     };
 
-    let bound = cone_bound(base, schedule, patch, order);
+    let bound = cone_bound(base, schedule, patch, order, &mut InsertBounds::default());
     debug_assert_eq!(bound.n_new, n_new, "delta-derived live count must match");
     let cutoff = bound.cutoff;
 
@@ -1255,58 +1275,66 @@ pub fn try_simulate_incremental_with<O: FrontierOrder>(
 }
 
 /// Earliest-dispatch lower bounds (and thread costs) for a patch's
-/// inserted tasks: each can start no earlier than the finishes of its
-/// base predecessors and the (bound + cost) of its inserted
-/// predecessors, propagated in topological order over the inserted-only
-/// subgraph. Tasks on a cycle (an invalid patch the full simulation will
-/// reject) keep the conservative bound 0.
-fn inserted_bounds(
-    d: &crate::patch::NetDelta,
-    base_cap: usize,
-    base_fin: &dyn Fn(TaskId) -> u64,
-) -> (Vec<u64>, Vec<u64>) {
-    let new_ids = d.new_ids();
-    let k = new_ids.len();
-    let idx_of = |id: TaskId| new_ids.binary_search(&id).ok();
-    let mut bound = vec![0u64; k];
-    let mut indeg = vec![0u32; k];
-    let mut cost = vec![0u64; k];
-    for (i, &v) in new_ids.iter().enumerate() {
-        let s = d.scalars(v).expect("inserted task has a slot");
-        cost[i] = s.duration_ns.unwrap_or(0) + s.gap_ns.unwrap_or(0);
-        if let Some(list) = d.pred_over(v) {
-            for &(p, _) in list {
+/// inserted tasks, indexed like `new_ids`: each can start no earlier
+/// than the finishes of its base predecessors and the (bound + cost) of
+/// its inserted predecessors, propagated in topological order over the
+/// inserted-only subgraph. Tasks on a cycle (an invalid patch the full
+/// simulation will reject) keep the conservative bound 0. The buffers
+/// are reused across evaluations.
+#[derive(Debug, Default)]
+struct InsertBounds {
+    bound: Vec<u64>,
+    cost: Vec<u64>,
+    indeg: Vec<u32>,
+    queue: Vec<u32>,
+}
+
+impl InsertBounds {
+    fn compute(&mut self, d: &NetDelta, base_cap: usize, base_fin: impl Fn(TaskId) -> u64) {
+        let new_ids = d.new_ids();
+        let k = new_ids.len();
+        for v in [&mut self.bound, &mut self.cost] {
+            v.clear();
+            v.resize(k, 0);
+        }
+        self.indeg.clear();
+        self.indeg.resize(k, 0);
+        self.queue.clear();
+        for (i, &v) in new_ids.iter().enumerate() {
+            let s = d.scalars(v).expect("inserted task has a slot");
+            self.cost[i] = s.duration_ns.unwrap_or(0) + s.gap_ns.unwrap_or(0);
+            for &(p, _) in d.pred_over(v).map_or(&[][..], |l| l) {
                 if p.0 >= base_cap {
-                    indeg[i] += 1;
+                    self.indeg[i] += 1;
                 } else {
-                    bound[i] = bound[i].max(base_fin(p));
+                    self.bound[i] = self.bound[i].max(base_fin(p));
                 }
             }
+            if self.indeg[i] == 0 {
+                self.queue.push(i as u32);
+            }
         }
-    }
-    let mut queue: Vec<usize> = (0..k).filter(|&i| indeg[i] == 0).collect();
-    let mut head = 0;
-    while head < queue.len() {
-        let i = queue[head];
-        head += 1;
-        if let Some(succs) = d.succ_over(new_ids[i]) {
-            for &(s, _) in succs {
-                if let Some(j) = idx_of(s) {
-                    bound[j] = bound[j].max(bound[i] + cost[i]);
-                    indeg[j] -= 1;
-                    if indeg[j] == 0 {
-                        queue.push(j);
+        let mut head = 0;
+        while head < self.queue.len() {
+            let i = self.queue[head] as usize;
+            head += 1;
+            // New ids are dense after the base arena.
+            for &(s, _) in d.succ_over(new_ids[i]).map_or(&[][..], |l| l) {
+                if let Some(j) = s.0.checked_sub(base_cap) {
+                    self.bound[j] = self.bound[j].max(self.bound[i] + self.cost[i]);
+                    self.indeg[j] -= 1;
+                    if self.indeg[j] == 0 {
+                        self.queue.push(j as u32);
                     }
                 }
             }
         }
-    }
-    for i in 0..k {
-        if indeg[i] > 0 {
-            bound[i] = 0;
+        for i in 0..k {
+            if self.indeg[i] > 0 {
+                self.bound[i] = 0;
+            }
         }
     }
-    (bound, cost)
 }
 
 // ---------------------------------------------------------------------------
@@ -1315,104 +1343,347 @@ fn inserted_bounds(
 
 /// Per-prefix-task bytes the cone path never writes: the `start`/`wait`
 /// clone (16), zeroed `tentative` (8) / `preds` (4) / `ranks` (16), and
-/// `apply_retime`'s `cost_ns`/`duration_ns` clones (16).
+/// the applied graph's `cost_ns`/`duration_ns` arrays (16).
 const WARM_BYTES_PER_PREFIX_TASK: u64 = 60;
 /// Per-task bytes a no-op patch avoids cloning (the base [`CompiledSim`]
 /// `start`/`wait` arrays).
 const WARM_BYTES_PER_NOOP_TASK: u64 = 16;
-/// Per-task bytes the overlay-backed full fallback avoids cloning
-/// (`apply_retime`'s `cost_ns`/`duration_ns` arrays).
+/// Per-task bytes the overlay-backed full fallback avoids copying (at
+/// least the applied graph's `cost_ns`/`duration_ns` arrays).
 const WARM_BYTES_PER_APPLY_TASK: u64 = 16;
 
-/// Copy-on-write retime overlay buffers: `stamp[c] == epoch` marks a
-/// cone-task write; every other slot reads through to the base arrays.
-/// "Resetting" the overlay is bumping the epoch — O(1), no clearing.
+/// [`Overlay::row`] start of a slot that reads its successors from the
+/// base CSR.
+const BASE_ROW: u32 = u32::MAX;
+
+/// The shape of the patched graph an [`Overlay`] serves.
+#[derive(Debug, Clone, Copy, Default)]
+struct ViewShape {
+    /// Base tasks: view ids below this are base compact ids.
+    n_base: usize,
+    /// The view id space: `n_base` plus the live inserted tasks.
+    n: usize,
+    /// Live tasks: `n` minus the removed base tasks.
+    live: usize,
+    /// The base's threads plus the threads only the patch uses.
+    t_count: usize,
+}
+
+/// A patch as copy-on-write overrides over the base [`CompiledGraph`],
+/// built in O(|patch|) per evaluation — what lets the warm path simulate
+/// any patch, inserts and removals included, without applying it.
+///
+/// **View ids.** Base task `c` keeps its compact id; the `k`-th live
+/// inserted task gets `n_base + k`. Removed base tasks keep their id but
+/// carry a dead stamp and are never seeded. View ids therefore sort
+/// exactly like the applied graph's compact ids (live base tasks in
+/// `TaskId` order, then the inserts), so every tie-break matches.
+/// Threads the base never used are interned after the base's threads.
+///
+/// **Slots.** `stamp[i] == epoch` marks an overridden slot, whose
+/// `cost`/`dur`/`thread`/`prio`/`pcnt`/`row` are all valid (copied from
+/// the base where the patch left a field alone); every other slot reads
+/// through to the base. Removal dirties every neighbour, so an
+/// unstamped base row never points at a removed task. "Resetting" the
+/// overlay is bumping the epoch — O(1), no clearing.
 #[derive(Debug, Default)]
-struct RetimeOverlay {
+struct Overlay {
     stamp: Vec<u32>,
     cost: Vec<u64>,
     dur: Vec<u64>,
+    thread: Vec<u32>,
+    prio: Vec<i64>,
+    /// Predecessor count (read only for seeding).
+    pcnt: Vec<u32>,
+    /// Successor range in `side`, or `(BASE_ROW, _)` for the base row.
+    row: Vec<(u32, u32)>,
+    /// `dead[c] == epoch` marks a base task the patch removed.
+    dead: Vec<u32>,
+    /// The successor lists the patch overrides, in view ids.
+    side: Vec<CompactId>,
+    /// View id per inserted task (`new_ids` order), `u32::MAX` when the
+    /// patch removed it again.
+    ins_view: Vec<u32>,
+    /// Threads the base never interned, in view order, each with the
+    /// smallest task id placed on it — its interning position in a real
+    /// apply.
+    new_threads: Vec<(ExecThread, TaskId)>,
+    /// Live tasks per view thread.
+    live_per_thread: Vec<u32>,
+    /// [`cone_bound`]'s inserted-task bounds.
+    ins: InsertBounds,
+    /// The shape of the last build.
+    shape: ViewShape,
 }
 
-impl RetimeOverlay {
-    /// Stamps `apply_retime`'s per-task cost/duration for every touched
-    /// task — O(|patch| log V) instead of cloning two full arrays.
-    fn build(&mut self, base: &CompiledGraph, d: &NetDelta, epoch: u32) {
-        for &id in d.touched() {
-            let s = d.scalars(id).expect("touched task has a slot");
-            let c = base
-                .compact_of(id)
-                .expect("retimed task must be live in the base");
-            let i = c.0 as usize;
-            let dur = s.duration_ns.unwrap_or(base.duration_ns(c));
-            let gap = s.gap_ns.unwrap_or(base.cost_ns(c) - base.duration_ns(c));
+impl Overlay {
+    /// Sizes the per-slot arrays for `n` view ids; `true` if they grew.
+    fn ensure(&mut self, n: usize) -> bool {
+        if self.stamp.len() >= n {
+            return false;
+        }
+        // Fresh stamps are 0 == never current (epochs start at 1).
+        self.stamp.resize(n, 0);
+        self.dead.resize(n, 0);
+        self.cost.resize(n, 0);
+        self.dur.resize(n, 0);
+        self.thread.resize(n, 0);
+        self.prio.resize(n, 0);
+        self.pcnt.resize(n, 0);
+        self.row.resize(n, (BASE_ROW, 0));
+        true
+    }
+
+    /// Stamps slot `i` with base task `i`'s state unless it is already
+    /// current.
+    #[inline]
+    fn activate_base(&mut self, base: &CompiledGraph, i: usize, epoch: u32) {
+        if self.stamp[i] != epoch {
+            let c = CompactId(i as u32);
             self.stamp[i] = epoch;
+            self.cost[i] = base.cost_ns(c);
+            self.dur[i] = base.duration_ns(c);
+            self.thread[i] = base.thread_of(c).0;
+            self.prio[i] = base.priority(c);
+            self.pcnt[i] = base.pred_count(c);
+            self.row[i] = (BASE_ROW, 0);
+        }
+    }
+
+    /// The view thread of `t`, interning it after the base's threads on
+    /// first sight; `id` is a live task placed on it.
+    fn intern(&mut self, base: &CompiledGraph, t: ExecThread, id: TaskId) -> u32 {
+        let t_base = base.thread_count();
+        if let Some(i) = (0..t_base).find(|&i| base.exec_thread(ThreadId(i as u32)) == t) {
+            return i as u32;
+        }
+        match self.new_threads.iter().position(|&(x, _)| x == t) {
+            Some(k) => {
+                let first = &mut self.new_threads[k].1;
+                *first = (*first).min(id);
+                (t_base + k) as u32
+            }
+            None => {
+                self.new_threads.push((t, id));
+                self.live_per_thread.push(0);
+                (t_base + self.new_threads.len() - 1) as u32
+            }
+        }
+    }
+
+    /// The view id of a live task of the patched graph.
+    #[inline]
+    fn view_of(&self, base: &CompiledGraph, base_cap: usize, id: TaskId) -> usize {
+        if id.0 >= base_cap {
+            self.ins_view[id.0 - base_cap] as usize
+        } else {
+            base.compact_of(id)
+                .expect("patched task must be live in the base")
+                .0 as usize
+        }
+    }
+
+    /// Builds the overlay of `d` over `base` in O(|patch| + threads).
+    /// The slot arrays must cover `base.len() + d.new_ids().len()`.
+    fn build(
+        &mut self,
+        base: &CompiledGraph,
+        schedule: &Schedule,
+        d: &NetDelta,
+        base_cap: usize,
+        epoch: u32,
+    ) {
+        let n_base = base.len();
+        let t_base = base.thread_count();
+        self.side.clear();
+        self.ins_view.clear();
+        self.new_threads.clear();
+        // Per-thread live counts start from the base timelines.
+        self.live_per_thread.clear();
+        self.live_per_thread
+            .extend(schedule.tl_off.windows(2).map(|w| w[1] - w[0]));
+
+        let mut n = n_base;
+        for &v in d.new_ids() {
+            if d.is_removed(v) {
+                self.ins_view.push(u32::MAX);
+            } else {
+                self.ins_view.push(n as u32);
+                n += 1;
+            }
+        }
+        let mut removed = 0usize;
+        for &id in d.removed_ids() {
+            // Inserted-then-removed tasks have no base compact id.
+            if let Some(c) = base.compact_of(id) {
+                self.dead[c.0 as usize] = epoch;
+                self.live_per_thread[base.thread_of(c).0 as usize] -= 1;
+                removed += 1;
+            }
+        }
+
+        // Scalar overrides: retimed, reprioritized and moved base tasks,
+        // and every inserted task (whose slot carries every field).
+        for &id in d.touched() {
+            if d.is_removed(id) {
+                continue;
+            }
+            let s = d.scalars(id).expect("touched task has a slot");
+            let i = self.view_of(base, base_cap, id);
+            if id.0 >= base_cap {
+                self.stamp[i] = epoch;
+                self.pcnt[i] = 0;
+                self.row[i] = (0, 0);
+            } else {
+                self.activate_base(base, i, epoch);
+            }
+            let dur = s.duration_ns.unwrap_or_else(|| self.dur[i]);
+            let gap = s.gap_ns.unwrap_or_else(|| self.cost[i] - self.dur[i]);
             self.cost[i] = dur + gap;
             self.dur[i] = dur;
+            if let Some(p) = s.priority {
+                self.prio[i] = p;
+            }
+            if let Some(t) = s.thread {
+                let ti = self.intern(base, t, id);
+                if id.0 < base_cap {
+                    self.live_per_thread[self.thread[i] as usize] -= 1;
+                }
+                self.live_per_thread[ti as usize] += 1;
+                self.thread[i] = ti;
+            }
         }
+
+        // Adjacency overrides, translated to view ids. Removed tasks are
+        // detached from every list, so each target has a view id.
+        for &id in d.edge_ids() {
+            if d.is_removed(id) {
+                continue;
+            }
+            let i = self.view_of(base, base_cap, id);
+            if id.0 < base_cap {
+                self.activate_base(base, i, epoch);
+            }
+            if let Some(list) = d.pred_over(id) {
+                self.pcnt[i] = list.len() as u32;
+            }
+            if let Some(list) = d.succ_over(id) {
+                let lo = self.side.len() as u32;
+                for &(to, _) in list {
+                    debug_assert!(!d.is_removed(to), "overlay edge to a removed task");
+                    let v = self.view_of(base, base_cap, to);
+                    self.side.push(CompactId(v as u32));
+                }
+                self.row[i] = (lo, self.side.len() as u32);
+            }
+        }
+
+        self.shape = ViewShape {
+            n_base,
+            n,
+            live: n - removed,
+            t_count: t_base + self.new_threads.len(),
+        };
     }
 
-    fn view<'a>(&'a self, base: &'a CompiledGraph, epoch: u32) -> RetimeView<'a> {
-        RetimeView {
+    /// `true` if the patch left a base thread without tasks.
+    fn vacates_a_thread(&self) -> bool {
+        let t_base = self.shape.t_count - self.new_threads.len();
+        self.live_per_thread[..t_base].contains(&0)
+    }
+
+    fn view<'a>(&'a self, base: &'a CompiledGraph, epoch: u32) -> OverlayView<'a> {
+        OverlayView {
             base,
+            ov: self,
             epoch,
-            stamp: &self.stamp,
-            cost: &self.cost,
-            dur: &self.dur,
         }
     }
 }
 
-/// A retimed graph served straight off the base [`CompiledGraph`] plus
-/// the epoch-stamped overlay: topology, threads, and ranks are the
-/// base's by construction (warm eligibility rejects everything else),
-/// so only `cost_ns`/`duration_ns` consult the overlay.
-pub(crate) struct RetimeView<'a> {
+/// A patched graph served straight off the base [`CompiledGraph`] plus
+/// the epoch-stamped [`Overlay`].
+pub(crate) struct OverlayView<'a> {
     base: &'a CompiledGraph,
+    ov: &'a Overlay,
     epoch: u32,
-    stamp: &'a [u32],
-    cost: &'a [u64],
-    dur: &'a [u64],
 }
 
-impl SimGraphView for RetimeView<'_> {
+impl OverlayView<'_> {
+    /// The overridden slot of `c`, if the patch touched it.
     #[inline]
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-    #[inline]
-    fn thread_count(&self) -> usize {
-        self.base.thread_count()
-    }
-    #[inline]
-    fn cost_ns(&self, c: CompactId) -> u64 {
+    fn slot(&self, c: CompactId) -> Option<usize> {
         let i = c.0 as usize;
-        if self.stamp[i] == self.epoch {
-            self.cost[i]
-        } else {
-            self.base.cost_ns(c)
+        (self.ov.stamp[i] == self.epoch).then_some(i)
+    }
+
+    /// `false` for a base task the patch removed.
+    #[inline]
+    fn is_live(&self, i: usize) -> bool {
+        i >= self.ov.shape.n_base || self.ov.dead[i] != self.epoch
+    }
+
+    #[inline]
+    fn pred_count(&self, c: CompactId) -> u32 {
+        match self.slot(c) {
+            Some(i) => self.ov.pcnt[i],
+            None => self.base.pred_count(c),
+        }
+    }
+}
+
+impl RankInputs for OverlayView<'_> {
+    #[inline]
+    fn priority(&self, c: CompactId) -> i64 {
+        match self.slot(c) {
+            Some(i) => self.ov.prio[i],
+            None => self.base.priority(c),
+        }
+    }
+    #[inline]
+    fn on_comm_thread(&self, c: CompactId) -> bool {
+        let Some(i) = self.slot(c) else {
+            return self.base.on_comm_thread(c);
+        };
+        let t = self.ov.thread[i] as usize;
+        match t.checked_sub(self.base.thread_count()) {
+            Some(k) => self.ov.new_threads[k].0.is_comm(),
+            None => self.base.is_comm_thread(ThreadId(t as u32)),
         }
     }
     #[inline]
     fn duration_ns(&self, c: CompactId) -> u64 {
-        let i = c.0 as usize;
-        if self.stamp[i] == self.epoch {
-            self.dur[i]
-        } else {
-            self.base.duration_ns(c)
+        match self.slot(c) {
+            Some(i) => self.ov.dur[i],
+            None => self.base.duration_ns(c),
+        }
+    }
+}
+
+impl SimGraphView for OverlayView<'_> {
+    #[inline]
+    fn cost_ns(&self, c: CompactId) -> u64 {
+        match self.slot(c) {
+            Some(i) => self.ov.cost[i],
+            None => self.base.cost_ns(c),
         }
     }
     #[inline]
     fn thread_of(&self, c: CompactId) -> ThreadId {
-        self.base.thread_of(c)
+        match self.slot(c) {
+            Some(i) => ThreadId(self.ov.thread[i]),
+            None => self.base.thread_of(c),
+        }
     }
     #[inline]
     fn successors(&self, c: CompactId) -> &[CompactId] {
+        if let Some(i) = self.slot(c) {
+            let (lo, hi) = self.ov.row[i];
+            if lo != BASE_ROW {
+                return &self.ov.side[lo as usize..hi as usize];
+            }
+        }
         self.base.successors(c)
-    }
-    #[inline]
-    fn pred_count(&self, c: CompactId) -> u32 {
-        self.base.pred_count(c)
     }
 }
 
@@ -1433,33 +1704,65 @@ struct SimBufs {
 }
 
 impl SimBufs {
-    /// Full simulation into the scratch buffers: every slot is written,
-    /// so the whole range is stamped. `ranks_from` must rank identically
-    /// to `view` — callers pass the simulated graph itself, or the base
-    /// when retime eligibility guarantees rank equality.
-    fn run_full<G: SimGraphView, O: FrontierOrder>(
+    /// Sizes the buffers for `n` tasks on `t_count` threads; `true` if
+    /// any grew.
+    fn ensure(&mut self, n: usize, t_count: usize) -> bool {
+        let mut grew = false;
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.start.resize(n, 0);
+            self.wait.resize(n, 0);
+            self.tentative.resize(n, 0);
+            self.preds.resize(n, 0);
+            self.ranks.resize(n, (0, 0));
+            grew = true;
+        }
+        if self.fronts.len() < t_count {
+            self.fronts.resize_with(t_count, ThreadFrontier::default);
+            self.bests.resize(t_count, IDLE);
+            self.progress.resize(t_count, 0);
+            grew = true;
+        }
+        grew
+    }
+
+    /// Stamps view task `i` with its seeded state and, once it owes no
+    /// predecessor, puts it on its thread's frontier.
+    #[inline]
+    fn seed<O: FrontierOrder>(
         &mut self,
-        view: &G,
-        ranks_from: &CompiledGraph,
+        view: &OverlayView,
+        order: &O,
+        i: u32,
+        rem: u32,
+        tent: u64,
+        epoch: u32,
+    ) {
+        let c = CompactId(i);
+        let iu = i as usize;
+        self.stamp[iu] = epoch;
+        self.preds[iu] = rem;
+        self.tentative[iu] = tent;
+        self.ranks[iu] = order.rank(view, c);
+        if rem == 0 {
+            let t = view.thread_of(c).0 as usize;
+            self.fronts[t].push(tent, self.ranks[iu], i, self.progress[t]);
+        }
+    }
+
+    /// Full simulation of every live view task into the buffers.
+    fn run_full<O: FrontierOrder>(
+        &mut self,
+        view: &OverlayView,
         order: &O,
         epoch: u32,
     ) -> Result<u64, GraphError> {
-        let n = view.len();
-        let t_count = view.thread_count();
-        for i in 0..n {
-            let c = CompactId(i as u32);
-            self.stamp[i] = epoch;
-            self.ranks[i] = order.rank(ranks_from, c);
-            self.tentative[i] = 0;
-            self.preds[i] = view.pred_count(c);
-            self.start[i] = 0;
-            self.wait[i] = 0;
-        }
-        self.progress[..t_count].fill(0);
-        for i in 0..n {
-            if self.preds[i] == 0 {
-                let t = view.thread_of(CompactId(i as u32)).0 as usize;
-                self.fronts[t].push(0, self.ranks[i], i as u32, 0);
+        let shape = view.ov.shape;
+        self.progress[..shape.t_count].fill(0);
+        for i in 0..shape.n {
+            if view.is_live(i) {
+                let preds = view.pred_count(CompactId(i as u32));
+                self.seed(view, order, i as u32, preds, 0, epoch);
             }
         }
         let mut makespan = 0u64;
@@ -1471,46 +1774,73 @@ impl SimBufs {
             &mut self.start,
             &mut self.wait,
             &mut self.progress,
-            &mut self.fronts[..t_count],
-            &mut self.bests[..t_count],
+            &mut self.fronts[..shape.t_count],
+            &mut self.bests[..shape.t_count],
             &mut makespan,
         );
-        if done != n {
+        if done != shape.live {
             return Err(GraphError::Cycle);
         }
         Ok(makespan)
     }
 
-    /// Seeds and re-dispatches the cone over `view`, stamping exactly
-    /// the suffix tasks. Retime-only by contract: compaction is the
-    /// identity and topology, threads, and ranks are the base's, so the
-    /// loop provably never touches a prefix slot (every successor of a
-    /// suffix task is itself a suffix task).
+    /// Seeds and re-dispatches the cone over `view`, stamping exactly the
+    /// live suffix and inserted tasks: base threads resume from their
+    /// progress at the cutoff, fresh ones from zero; suffix tasks seed
+    /// through [`Schedule::pred_split`] or their overridden predecessor
+    /// list, inserts from their own lists. Every successor of a cone task
+    /// is itself a cone task, so the loop never touches a prefix slot.
     #[allow(clippy::too_many_arguments)]
-    fn run_retime_cone<G: SimGraphView, O: FrontierOrder>(
+    fn run_cone<O: FrontierOrder>(
         &mut self,
-        view: &G,
-        base: &CompiledGraph,
+        view: &OverlayView,
         schedule: &Schedule,
+        d: &NetDelta,
         cutoff: u64,
         cut_idx: usize,
         order: &O,
         epoch: u32,
-    ) -> Result<(usize, u64), GraphError> {
-        let t_count = base.thread_count();
+    ) -> (usize, u64) {
+        let base = view.base;
+        let t_count = view.ov.shape.t_count;
         for t in 0..t_count {
-            self.progress[t] = schedule.progress_at(t, cutoff);
+            self.progress[t] = if t < base.thread_count() {
+                schedule.progress_at(t, cutoff)
+            } else {
+                0
+            };
         }
+        // Remaining preds / seeded tentative from an explicit list:
+        // replayed base predecessors contribute their finish; suffix and
+        // inserted ones (no base compact id) stay owed to the loop.
+        let split_list = |list: &[(TaskId, crate::graph::DepKind)]| -> (u32, u64) {
+            let mut rem = 0u32;
+            let mut tent = 0u64;
+            for &(p, _) in list {
+                match base.compact_of(p) {
+                    Some(c) if schedule.sim.start_ns[c.0 as usize] < cutoff => {
+                        tent = tent.max(schedule.fin_ns[c.0 as usize]);
+                    }
+                    _ => rem += 1,
+                }
+            }
+            (rem, tent)
+        };
         for &c in &schedule.by_start[cut_idx..] {
-            let i = c as usize;
-            let (rem, tent) = schedule.pred_split(i, cutoff);
-            self.stamp[i] = epoch;
-            self.preds[i] = rem;
-            self.tentative[i] = tent;
-            self.ranks[i] = order.rank(base, CompactId(c));
-            if rem == 0 {
-                let t = view.thread_of(CompactId(c)).0 as usize;
-                self.fronts[t].push(tent, self.ranks[i], c, self.progress[t]);
+            if !view.is_live(c as usize) {
+                continue;
+            }
+            let (rem, tent) = match d.pred_over(base.task_id(CompactId(c))) {
+                Some(list) => split_list(list),
+                None => schedule.pred_split(c as usize, cutoff),
+            };
+            self.seed(view, order, c, rem, tent, epoch);
+        }
+        for (k, &v) in d.new_ids().iter().enumerate() {
+            let i = view.ov.ins_view[k];
+            if i != u32::MAX {
+                let (rem, tent) = d.pred_over(v).map_or((0, 0), |l| split_list(l));
+                self.seed(view, order, i, rem, tent, epoch);
             }
         }
         let mut makespan = schedule.makespan_prefix[cut_idx];
@@ -1526,32 +1856,21 @@ impl SimBufs {
             &mut self.bests[..t_count],
             &mut makespan,
         );
-        Ok((done, makespan))
+        (done, makespan)
     }
 }
 
-/// What the last [`simulate_warm_with`] call left in the arena — enough
-/// for [`SimScratch::materialize`] to reconstruct the full
-/// [`CompiledSim`] the classic path would have returned.
-#[derive(Debug)]
+/// What the last warm evaluation left in the arena — enough for
+/// [`SimScratch::materialize`] to reconstruct the full [`CompiledSim`]
+/// the classic path would have returned.
+#[derive(Debug, Clone, Copy)]
 enum WarmLast {
     /// Cone re-dispatch: stamped slots overlay the base schedule.
-    Cone {
-        n: usize,
-        t_count: usize,
-        makespan: u64,
-    },
-    /// Full dispatch into the buffers (fallback paths).
-    Full {
-        n: usize,
-        t_count: usize,
-        makespan: u64,
-    },
+    Cone { makespan: u64 },
+    /// Full dispatch of every live view task into the buffers.
+    Full { makespan: u64 },
     /// No simulation-relevant effect: the base schedule is the answer.
     Noop,
-    /// A materialized simulation (structural patches still route through
-    /// the classic incremental path).
-    Ready(CompiledSim),
 }
 
 /// Monotonic reuse accounting of a scratch arena (or a whole
@@ -1581,13 +1900,14 @@ impl ScratchCounters {
 /// A reusable simulation arena for [`simulate_warm_with`]: every per-sim
 /// O(V) vector lives here as epoch-stamped slots sized once per compiled
 /// base, so back-to-back warm evaluations allocate nothing and touch
-/// only their cone. Invalidation is one epoch bump per evaluation; the
-/// u32 generation counter wrapping around triggers a full stamp clear
-/// (pinned by tests), so stale stamps can never alias a new epoch.
+/// only their patch and cone. Invalidation is one epoch bump per
+/// evaluation; the u32 generation counter wrapping around triggers a
+/// full stamp clear (pinned by tests), so stale stamps can never alias a
+/// new epoch.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     epoch: u32,
-    ov: RetimeOverlay,
+    ov: Overlay,
     bufs: SimBufs,
     last: Option<WarmLast>,
     reuses: u64,
@@ -1601,93 +1921,84 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// Opens a new evaluation epoch and (re)sizes the buffers for a
-    /// graph of `n` tasks on `t_count` threads. O(1) when the arena has
-    /// already served a graph at least this large.
-    fn begin(&mut self, n: usize, t_count: usize) {
+    /// Opens a new evaluation epoch and builds the overlay of `patch`
+    /// over `base`, (re)sizing the buffers on the way. O(|patch|) when
+    /// the arena has already served a graph at least this large.
+    fn begin(&mut self, base: &CompiledGraph, schedule: &Schedule, patch: &GraphPatch) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // u32 wrap: stamps written 2^32 evaluations ago could alias
-            // the restarted epoch — clear both stamp arrays once.
+            // the restarted epoch — clear every stamp array once.
             self.bufs.stamp.fill(0);
             self.ov.stamp.fill(0);
+            self.ov.dead.fill(0);
             self.epoch = 1;
         }
-        let mut grew = false;
-        if self.bufs.stamp.len() < n {
-            // Fresh stamps are 0 == never-current (epochs start at 1).
-            self.bufs.stamp.resize(n, 0);
-            self.bufs.start.resize(n, 0);
-            self.bufs.wait.resize(n, 0);
-            self.bufs.tentative.resize(n, 0);
-            self.bufs.preds.resize(n, 0);
-            self.bufs.ranks.resize(n, (0, 0));
-            self.ov.stamp.resize(n, 0);
-            self.ov.cost.resize(n, 0);
-            self.ov.dur.resize(n, 0);
-            grew = true;
-        }
-        if self.bufs.fronts.len() < t_count {
-            self.bufs
-                .fronts
-                .resize_with(t_count, ThreadFrontier::default);
-            self.bufs.bests.resize(t_count, IDLE);
-            grew = true;
-        }
-        if self.bufs.progress.len() < t_count {
-            self.bufs.progress.resize(t_count, 0);
-        }
-        for front in self.bufs.fronts[..t_count].iter_mut() {
-            front.clear();
-        }
         self.last = None;
-        if grew {
+        let d = patch.delta();
+        let grew = self.ov.ensure(base.len() + d.new_ids().len());
+        self.ov
+            .build(base, schedule, d, patch.base_capacity(), self.epoch);
+        let shape = self.ov.shape;
+        if self.bufs.ensure(shape.n, shape.t_count) || grew {
             self.allocs += 1;
         } else {
             self.reuses += 1;
+        }
+        for front in self.bufs.fronts[..shape.t_count].iter_mut() {
+            front.clear();
         }
     }
 
     /// Reconstructs the full [`CompiledSim`] of the last
     /// [`simulate_warm_with`] call — byte-identical to what the classic
-    /// fresh-allocation path returns for the same patch (the oracle the
-    /// equivalence proptests pin). `schedule` must be the one that
-    /// evaluation ran against. `None` before any evaluation.
+    /// path returns for the same patch over the applied graph (the
+    /// oracle the equivalence proptests pin): view ids map back to the
+    /// applied compact order by skipping removed tasks, and threads to
+    /// the apply's interning order (surviving base threads, then fresh
+    /// threads by the first task placed on them). `schedule` must be the
+    /// one that evaluation ran against. `None` before any evaluation.
     pub fn materialize(&self, schedule: &Schedule) -> Option<CompiledSim> {
-        match self.last.as_ref()? {
-            WarmLast::Cone {
-                n,
-                t_count,
-                makespan,
-            } => {
-                let mut start = schedule.sim.start_ns.clone();
-                let mut wait = schedule.sim.wait_ns.clone();
-                for i in 0..*n {
-                    if self.bufs.stamp[i] == self.epoch {
-                        start[i] = self.bufs.start[i];
-                        wait[i] = self.bufs.wait[i];
-                    }
-                }
-                Some(CompiledSim {
-                    start_ns: start,
-                    wait_ns: wait,
-                    thread_end: self.bufs.progress[..*t_count].to_vec(),
-                    makespan_ns: *makespan,
-                })
+        let (full, makespan) = match self.last? {
+            WarmLast::Noop => return Some(schedule.sim.clone()),
+            WarmLast::Cone { makespan } => (false, makespan),
+            WarmLast::Full { makespan } => (true, makespan),
+        };
+        let shape = self.ov.shape;
+        let mut start = Vec::with_capacity(shape.live);
+        let mut wait = Vec::with_capacity(shape.live);
+        for i in 0..shape.n {
+            if i < shape.n_base && self.ov.dead[i] == self.epoch {
+                continue;
             }
-            WarmLast::Full {
-                n,
-                t_count,
-                makespan,
-            } => Some(CompiledSim {
-                start_ns: self.bufs.start[..*n].to_vec(),
-                wait_ns: self.bufs.wait[..*n].to_vec(),
-                thread_end: self.bufs.progress[..*t_count].to_vec(),
-                makespan_ns: *makespan,
-            }),
-            WarmLast::Noop => Some(schedule.sim.clone()),
-            WarmLast::Ready(sim) => Some(sim.clone()),
+            if full || i >= shape.n_base || self.bufs.stamp[i] == self.epoch {
+                start.push(self.bufs.start[i]);
+                wait.push(self.bufs.wait[i]);
+            } else {
+                start.push(schedule.sim.start_ns[i]);
+                wait.push(schedule.sim.wait_ns[i]);
+            }
         }
+        let t_base = shape.t_count - self.ov.new_threads.len();
+        let mut thread_end: Vec<u64> = (0..t_base)
+            .filter(|&t| self.ov.live_per_thread[t] > 0)
+            .map(|t| self.bufs.progress[t])
+            .collect();
+        let mut fresh: Vec<(TaskId, u64)> = self
+            .ov
+            .new_threads
+            .iter()
+            .enumerate()
+            .map(|(k, &(_, first))| (first, self.bufs.progress[t_base + k]))
+            .collect();
+        fresh.sort_unstable();
+        thread_end.extend(fresh.into_iter().map(|(_, end)| end));
+        Some(CompiledSim {
+            start_ns: start,
+            wait_ns: wait,
+            thread_end,
+            makespan_ns: makespan,
+        })
     }
 
     /// Reuse accounting since construction (or the last
@@ -1752,7 +2063,7 @@ impl ScratchPool {
     }
 
     /// Returns an arena to the pool, folding its counters into the pool
-    /// totals and dropping any materialized result it still holds.
+    /// totals and forgetting its last evaluation.
     pub fn put(&self, mut scratch: SimScratch) {
         let c = scratch.take_counters();
         self.reuses.fetch_add(c.reuses, Ordering::Relaxed);
@@ -1807,23 +2118,22 @@ pub fn simulate_warm(
 }
 
 /// The allocation-free warm twin of [`simulate_incremental_with`]: the
-/// same dispatch semantics (pinned byte-identical by the equivalence
-/// proptests), but every per-sim O(V) buffer comes from `scratch` and a
-/// retime patch never materializes an applied graph — `cost`/`duration`
-/// reads go through a copy-on-write overlay on the base, and the replay
-/// prefix is never copied at all. Warm cost is O(cone + |patch|), not
-/// O(V):
+/// same dispatch semantics and path decisions (pinned byte-identical by
+/// the equivalence proptests), but no patch is ever applied. Every patch
+/// — retimes, thread moves, priority edits, inserts, removals, rewires —
+/// is simulated over the base [`CompiledGraph`] plus an epoch-stamped
+/// overlay in `scratch`, built in O(|patch|), and every per-sim O(V)
+/// buffer comes from the arena. The decisions, in order:
 ///
-/// * **retime-eligible** (no structural edit, no thread move, no
-///   rank-relevant priority change, incremental-safe policy): the cone
-///   is re-dispatched over [`RetimeView`]; a too-large cone falls back
-///   to a *full* re-dispatch over the same view — still zero clones and
-///   zero allocations warm (the satellite fix: fallback no longer pays
-///   the incremental path's setup cost);
-/// * **everything else** applies the patch for real and routes through
-///   the classic incremental path, with `FallbackReason` exits running
-///   the full simulation into the arena instead of allocating ~8 fresh
-///   arrays.
+/// 1. a policy that is not incremental-safe runs the full path;
+/// 2. so does a patch that vacates a base thread;
+/// 3. a patch with no simulation-relevant effect answers with the base
+///    schedule, a cone above `opts.max_cone_fraction` runs the full path,
+///    and every other patch re-dispatches only its cone: the replayed
+///    prefix is never copied, so warm cost is O(cone + |patch|).
+///
+/// The full path dispatches every live task over the same overlay —
+/// still zero clones and zero allocations warm.
 ///
 /// # Panics
 ///
@@ -1837,6 +2147,44 @@ pub fn simulate_warm_with<O: FrontierOrder>(
     order: &O,
     opts: &IncrementalOptions,
 ) -> Result<WarmOutcome, GraphError> {
+    let reason = match try_simulate_warm_with(base, schedule, patch, scratch, order, opts)? {
+        Ok(outcome) => return Ok(outcome),
+        Err(reason) => reason,
+    };
+    // The overlay of this evaluation is still current.
+    let view = scratch.ov.view(base, scratch.epoch);
+    let makespan = scratch.bufs.run_full(&view, order, scratch.epoch)?;
+    let live = scratch.ov.shape.live;
+    scratch.last = Some(WarmLast::Full { makespan });
+    scratch.bytes_copied_avoided += live as u64 * WARM_BYTES_PER_APPLY_TASK;
+    Ok(WarmOutcome {
+        makespan_ns: makespan,
+        stats: IncrementalStats {
+            redispatched: live,
+            total: live,
+            cutoff_ns: None,
+            fallback: Some(reason),
+        },
+    })
+}
+
+/// [`simulate_warm_with`] *without* the full-simulation fallback: the
+/// inner `Err` names why the cone cannot (or should not) run, leaving
+/// the caller free to substitute something cheaper — the sweep search's
+/// low-fidelity rungs answer it with [`busy_time_bound`]. After an
+/// `Err`, the arena holds nothing to [`SimScratch::materialize`].
+///
+/// # Panics
+///
+/// As [`simulate_warm_with`].
+pub fn try_simulate_warm_with<O: FrontierOrder>(
+    base: &CompiledGraph,
+    schedule: &Schedule,
+    patch: &GraphPatch,
+    scratch: &mut SimScratch,
+    order: &O,
+    opts: &IncrementalOptions,
+) -> Result<Result<WarmOutcome, FallbackReason>, GraphError> {
     assert_eq!(
         base.len(),
         schedule.len(),
@@ -1847,140 +2195,59 @@ pub fn simulate_warm_with<O: FrontierOrder>(
         patch.base_capacity(),
         "patch recorded against a different base arena"
     );
-    let d = patch.delta();
-    let n = base.len();
-    let t_count = base.thread_count();
-
-    // Warm eligibility mirrors apply_traced's retime arm plus rank
-    // stability: with no structural edit, no real thread move, and no
-    // rank-relevant priority change, the patched graph shares the base's
-    // topology, thread interning, and ranks — only cost/duration differ,
-    // which the overlay captures without an apply.
-    let retime_eligible = order.incremental_safe()
-        && !d.is_structural()
-        && d.touched().iter().all(|&id| {
-            let s = d.scalars(id).expect("touched task has a slot");
-            let c = base
-                .compact_of(id)
-                .expect("retimed task must be live in the base");
-            let thread_same = s
-                .thread
-                .is_none_or(|t| base.exec_thread(base.thread_of(c)) == t);
-            let rank_stable =
-                !order.rank_uses_priority() || s.priority.is_none_or(|p| p == base.priority(c));
-            thread_same && rank_stable
-        });
-
-    if retime_eligible {
-        let bound = cone_bound(base, schedule, patch, order);
-        debug_assert_eq!(bound.n_new, n, "retime patch cannot change the live count");
-        if bound.cutoff == u64::MAX {
-            // No simulation-relevant effect. Unlike the classic path,
-            // the base schedule is *referenced*, not cloned.
-            scratch.last = Some(WarmLast::Noop);
-            scratch.bytes_copied_avoided += n as u64 * WARM_BYTES_PER_NOOP_TASK;
-            return Ok(WarmOutcome {
-                makespan_ns: schedule.makespan_ns(),
-                stats: IncrementalStats {
-                    redispatched: 0,
-                    total: n,
-                    cutoff_ns: Some(u64::MAX),
-                    fallback: None,
-                },
-            });
-        }
-        scratch.begin(n, t_count);
-        scratch.ov.build(base, d, scratch.epoch);
-        let view = scratch.ov.view(base, scratch.epoch);
-        if bound.cone as f64 > opts.max_cone_fraction * n as f64 {
-            // ConeTooLarge: re-dispatch everything, but over the overlay
-            // view — no apply_retime clones, no fresh arrays.
-            let makespan = scratch.bufs.run_full(&view, base, order, scratch.epoch)?;
-            scratch.last = Some(WarmLast::Full {
-                n,
-                t_count,
-                makespan,
-            });
-            scratch.bytes_copied_avoided += n as u64 * WARM_BYTES_PER_APPLY_TASK;
-            return Ok(WarmOutcome {
-                makespan_ns: makespan,
-                stats: IncrementalStats {
-                    redispatched: n,
-                    total: n,
-                    cutoff_ns: None,
-                    fallback: Some(FallbackReason::ConeTooLarge),
-                },
-            });
-        }
-        let (done, makespan) = scratch.bufs.run_retime_cone(
-            &view,
-            base,
-            schedule,
-            bound.cutoff,
-            bound.cut_idx,
-            order,
-            scratch.epoch,
-        )?;
-        if done != bound.cone {
-            return Err(GraphError::Cycle);
-        }
-        scratch.last = Some(WarmLast::Cone {
-            n,
-            t_count,
-            makespan,
-        });
-        scratch.bytes_copied_avoided += (n - bound.cone) as u64 * WARM_BYTES_PER_PREFIX_TASK;
-        return Ok(WarmOutcome {
-            makespan_ns: makespan,
+    scratch.begin(base, schedule, patch);
+    if !order.incremental_safe() {
+        return Ok(Err(FallbackReason::PolicyUnsafe));
+    }
+    if scratch.ov.vacates_a_thread() {
+        return Ok(Err(FallbackReason::VacatedThreads));
+    }
+    let live = scratch.ov.shape.live;
+    let bound = cone_bound(base, schedule, patch, order, &mut scratch.ov.ins);
+    debug_assert_eq!(bound.n_new, live, "delta-derived live count must match");
+    if bound.cutoff == u64::MAX {
+        // No simulation-relevant effect (name/kind edits, priority edits
+        // under a priority-blind policy): the base schedule is the
+        // answer, referenced rather than cloned.
+        scratch.last = Some(WarmLast::Noop);
+        scratch.bytes_copied_avoided += live as u64 * WARM_BYTES_PER_NOOP_TASK;
+        return Ok(Ok(WarmOutcome {
+            makespan_ns: schedule.makespan_ns(),
             stats: IncrementalStats {
-                redispatched: done,
-                total: n,
-                cutoff_ns: Some(bound.cutoff),
+                redispatched: 0,
+                total: live,
+                cutoff_ns: Some(u64::MAX),
                 fallback: None,
             },
-        });
+        }));
     }
-
-    // Materializing paths: the patch needs a real apply (structural edit,
-    // thread move, rank-relevant priority) or the policy is unsafe.
-    let (applied, trace) = base.apply_traced(patch);
-    let full_into_scratch =
-        |scratch: &mut SimScratch, reason: FallbackReason| -> Result<WarmOutcome, GraphError> {
-            let (n_new, t_new) = (applied.len(), applied.thread_count());
-            scratch.begin(n_new, t_new);
-            let makespan = scratch
-                .bufs
-                .run_full(&applied, &applied, order, scratch.epoch)?;
-            scratch.last = Some(WarmLast::Full {
-                n: n_new,
-                t_count: t_new,
-                makespan,
-            });
-            Ok(WarmOutcome {
-                makespan_ns: makespan,
-                stats: IncrementalStats {
-                    redispatched: n_new,
-                    total: n_new,
-                    cutoff_ns: None,
-                    fallback: Some(reason),
-                },
-            })
-        };
-    if !order.incremental_safe() {
-        return full_into_scratch(scratch, FallbackReason::PolicyUnsafe);
+    if bound.cone as f64 > opts.max_cone_fraction * live as f64 {
+        return Ok(Err(FallbackReason::ConeTooLarge));
     }
-    match try_simulate_incremental_with(base, schedule, &applied, patch, &trace, order, opts)? {
-        Ok(outcome) => {
-            let makespan = outcome.sim.makespan_ns;
-            let stats = outcome.stats;
-            scratch.last = Some(WarmLast::Ready(outcome.sim));
-            Ok(WarmOutcome {
-                makespan_ns: makespan,
-                stats,
-            })
-        }
-        Err(reason) => full_into_scratch(scratch, reason),
+    let view = scratch.ov.view(base, scratch.epoch);
+    let (done, makespan) = scratch.bufs.run_cone(
+        &view,
+        schedule,
+        patch.delta(),
+        bound.cutoff,
+        bound.cut_idx,
+        order,
+        scratch.epoch,
+    );
+    if done != bound.cone {
+        return Err(GraphError::Cycle);
     }
+    scratch.last = Some(WarmLast::Cone { makespan });
+    scratch.bytes_copied_avoided += (live - bound.cone) as u64 * WARM_BYTES_PER_PREFIX_TASK;
+    Ok(Ok(WarmOutcome {
+        makespan_ns: makespan,
+        stats: IncrementalStats {
+            redispatched: done,
+            total: live,
+            cutoff_ns: Some(bound.cutoff),
+            fallback: None,
+        },
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -2320,7 +2587,7 @@ mod tests {
             },
             &mut scratch,
         );
-        // Structural patch routes through the classic incremental path.
+        // Structural patch: simulated over the overlay, never applied.
         let mut p = PatchGraph::new(&g);
         let extra = p.add_task(cpu(40, 0));
         p.add_dep(ids[10], extra, DepKind::Transform);

@@ -13,11 +13,11 @@
 //! overheads, which is why the paper overestimates P3's speedup at higher
 //! bandwidths (§6.6).
 
-use crate::compiled::{CompactId, CompiledGraph};
+use crate::compiled::CompactId;
 use crate::construct::ProfiledGraph;
 use crate::graph::{DepKind, GraphEdit, TaskId};
 use crate::replicate::{replicate_iterations, ReplicatedGraph};
-use crate::sim::{simulate_with, Candidate, FrontierOrder, Rank, Scheduler, SimResult};
+use crate::sim::{simulate_with, Candidate, FrontierOrder, Rank, RankInputs, Scheduler, SimResult};
 use crate::task::{CommChannel, CommPrimitive, ExecThread, Task, TaskKind};
 use daydream_comm::{ClusterConfig, PsModel};
 use daydream_trace::{LayerId, Phase};
@@ -71,7 +71,7 @@ fn descending(priority: i64) -> u64 {
 }
 
 impl FrontierOrder for P3Scheduler {
-    fn rank(&self, graph: &CompiledGraph, task: CompactId) -> Rank {
+    fn rank<G: RankInputs + ?Sized>(&self, graph: &G, task: CompactId) -> Rank {
         if graph.on_comm_thread(task) {
             // Highest priority first; ties by task id.
             (descending(graph.priority(task)), task.0 as u64)

@@ -20,7 +20,7 @@ use daydream_core::{
     simulate_compiled_with, simulate_incremental_with, CommChannel, CompactId, CompiledGraph,
     DepKind, DependencyGraph, EarliestStart, ExecThread, FallbackReason, FrontierOrder, GraphEdit,
     GraphPatch, GraphView, IncrementalOptions, IncrementalStats, PatchGraph, ProfiledGraph, Rank,
-    Schedule, Task, TaskId, TaskKind,
+    RankInputs, Schedule, Task, TaskId, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -176,10 +176,9 @@ proptest! {
 
     // The apply-free estimate surface of the sweep search's low-fidelity
     // rungs: `busy_time_bound` over the base + delta must equal summing
-    // costs over the *applied* graph, and `incremental_cone_fits` must
-    // mirror the real path's size decision — a `false` answer implies
-    // the applied attempt refuses, a `true` answer implies it only ever
-    // refuses for vacated threads (invisible before the apply).
+    // costs over the *applied* graph, and `try_simulate_warm_with` must
+    // make the applied attempt's decision — the same cone, or a refusal
+    // for the same reason.
     #[test]
     fn apply_free_estimates_match_the_applied_graph(
         tasks in prop::collection::vec((0u64..5, 0u64..200, 0u64..30), 1..60),
@@ -189,8 +188,8 @@ proptest! {
         budget_pct in 0u64..101,
     ) {
         use daydream_core::{
-            busy_time_bound, incremental_cone_fits, thread_busy_ns,
-            try_simulate_incremental_with,
+            busy_time_bound, thread_busy_ns, try_simulate_incremental_with,
+            try_simulate_warm_with, SimScratch,
         };
         let g = build_dag(&tasks, &edges);
         let mut p = PatchGraph::new(&g);
@@ -214,15 +213,25 @@ proptest! {
 
         let opts = IncrementalOptions { max_cone_fraction: budget_pct as f64 / 100.0 };
         let schedule = Schedule::capture_with(&base, &EarliestStart).unwrap();
-        let fits = incremental_cone_fits(&base, &schedule, &patch, &EarliestStart, &opts);
         let attempt =
             try_simulate_incremental_with(&base, &schedule, &applied, &patch, &trace,
                 &EarliestStart, &opts)
             .unwrap();
-        match attempt {
-            Ok(_) => prop_assert!(fits, "the attempt ran the cone but the precheck said no"),
-            Err(FallbackReason::VacatedThreads) => {} // invisible pre-apply, either answer is fine
-            Err(_) => prop_assert!(!fits, "the attempt refused on size but the precheck said fits"),
+        let warm = try_simulate_warm_with(&base, &schedule, &patch, &mut SimScratch::new(),
+            &EarliestStart, &opts)
+            .unwrap();
+        match (attempt, warm) {
+            (Ok(applied), Ok(warm)) => {
+                prop_assert_eq!(applied.sim.makespan_ns, warm.makespan_ns);
+                prop_assert_eq!(applied.stats, warm.stats);
+            }
+            (Err(applied), Err(warm)) => prop_assert_eq!(applied, warm),
+            (applied, warm) => prop_assert!(
+                false,
+                "the applied attempt said {:?}, the warm one {:?}",
+                applied.err(),
+                warm.err()
+            ),
         }
     }
 
@@ -419,7 +428,7 @@ fn unsafe_policy_falls_back() {
     /// A policy that ranks by duration — not stable across retimes.
     struct ByDuration;
     impl FrontierOrder for ByDuration {
-        fn rank(&self, graph: &CompiledGraph, task: CompactId) -> Rank {
+        fn rank<G: RankInputs + ?Sized>(&self, graph: &G, task: CompactId) -> Rank {
             (graph.duration_ns(task), task.0 as u64)
         }
     }

@@ -1,20 +1,24 @@
 //! Warm scratch-arena evaluation against the fresh-allocation oracle.
 //!
 //! `simulate_warm_with` reuses one epoch-stamped [`SimScratch`] arena
-//! across back-to-back evaluations; a stale stamp surviving an epoch
-//! bump, a buffer sized for the wrong base, or a missed overlay slot
-//! would all show up as a divergence from `simulate_incremental_with`
-//! run fresh. So: random DAGs, random op sequences (retimes, structural
-//! inserts, removals), interleaved across *two* bases and three
-//! frontier policies (priority-blind, priority-ranking, and one that is
-//! not incremental-safe), with forced fallbacks mixed in — every step
-//! on the one shared arena must be byte-identical to the oracle.
+//! across back-to-back evaluations and simulates every patch over the
+//! base graph plus an overlay, never applying it. A stale stamp
+//! surviving an epoch bump, a buffer sized for the wrong base, a missed
+//! overlay slot, a seeded removed task, or a fresh thread interned out of
+//! order would all show up as a divergence from applying the patch and
+//! running `simulate_incremental_with` fresh. So: random DAGs, random op
+//! sequences (retimes, thread moves, inserts onto threads the base never
+//! used, removals that vacate a base thread, inserts removed again,
+//! rewires in either direction), interleaved across *two* bases and
+//! three frontier policies (priority-blind, priority-ranking, and one
+//! that is not incremental-safe), with forced fallbacks mixed in — every
+//! step on the one shared arena must be byte-identical to the oracle.
 
 use daydream_core::whatif::P3Scheduler;
 use daydream_core::{
     simulate_incremental_with, simulate_warm_with, CommChannel, CompactId, CompiledGraph, DepKind,
     DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit, GraphPatch, GraphView,
-    IncrementalOptions, PatchGraph, Rank, Schedule, SimScratch, Task, TaskId, TaskKind,
+    IncrementalOptions, PatchGraph, Rank, RankInputs, Schedule, SimScratch, Task, TaskId, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -23,7 +27,7 @@ use proptest::prelude::*;
 /// take the full-simulation fallback and still match the oracle's.
 struct ByDuration;
 impl FrontierOrder for ByDuration {
-    fn rank(&self, graph: &CompiledGraph, task: CompactId) -> Rank {
+    fn rank<G: RankInputs + ?Sized>(&self, graph: &G, task: CompactId) -> Rank {
         (graph.duration_ns(task), task.0 as u64)
     }
 }
@@ -57,9 +61,53 @@ fn build_dag(tasks: &[(u64, u64, u64)], edges: &[(u64, u64)]) -> DependencyGraph
     g
 }
 
+/// Threads no base graph uses: inserts and moves onto them make the
+/// warm view intern threads after the base's.
+fn fresh_thread(sel: u64) -> ExecThread {
+    if sel.is_multiple_of(2) {
+        ExecThread::Comm(CommChannel::Send)
+    } else {
+        ExecThread::Cpu(CpuThreadId(7))
+    }
+}
+
+/// `true` if `to` is reachable from `from` in the overlay's current graph.
+fn reaches(p: &PatchGraph<'_>, from: TaskId, to: TaskId) -> bool {
+    let mut stack = vec![from];
+    let mut seen = vec![from];
+    while let Some(u) = stack.pop() {
+        if u == to {
+            return true;
+        }
+        for &(v, _) in p.successors(u) {
+            if !seen.contains(&v) {
+                seen.push(v);
+                stack.push(v);
+            }
+        }
+    }
+    false
+}
+
+/// Adds `from -> to` in either id direction unless it would close a
+/// cycle, so rewires can also delay a task that dispatches early.
+fn add_edge(p: &mut PatchGraph<'_>, from: TaskId, to: TaskId) {
+    if from != to && !reaches(p, to, from) {
+        p.add_dep(from, to, DepKind::Transform);
+    }
+}
+
+fn inserted(thread: ExecThread, v: u64) -> Task {
+    let mut t = Task::new("ins", TaskKind::CpuWork, thread, v % 300);
+    t.gap_ns = v % 13;
+    t.priority = (v % 5) as i64 - 2;
+    t
+}
+
 /// One random mutation decoded against the overlay's current state:
-/// retimes (duration / priority / thread), structural edits (edge add
-/// and remove, task insert), and task removal.
+/// retimes (duration / priority / thread, fresh threads included),
+/// rewires, inserts (appended, spliced, or removed again), and removals
+/// (one task, or every task of a thread).
 fn apply_random_op(p: &mut PatchGraph<'_>, op: (u64, u64, u64, u64)) {
     let (sel, a, b, v) = op;
     let live = p.live_ids();
@@ -67,19 +115,11 @@ fn apply_random_op(p: &mut PatchGraph<'_>, op: (u64, u64, u64, u64)) {
         return;
     }
     let pick = |x: u64| live[(x as usize) % live.len()];
-    match sel % 8 {
+    match sel % 13 {
         0 => p.set_duration(pick(a), v % 500),
         1 => p.set_priority(pick(a), v as i64 % 10 - 5),
-        2 => {
-            let (x, y) = (pick(a), pick(b));
-            if x != y {
-                p.add_dep(x.min(y), x.max(y), DepKind::Transform);
-            }
-        }
-        3 => {
-            let (x, y) = (pick(a), pick(b));
-            p.remove_dep(x.min(y), x.max(y));
-        }
+        2 => add_edge(p, pick(a), pick(b)),
+        3 => p.remove_dep(pick(a), pick(b)),
         4 => {
             if live.len() > 1 {
                 p.remove_task(pick(a));
@@ -87,13 +127,52 @@ fn apply_random_op(p: &mut PatchGraph<'_>, op: (u64, u64, u64, u64)) {
         }
         5 => {
             let anchor = pick(a);
-            let mut t = Task::new("ins", TaskKind::CpuWork, thread_for(v), v % 300);
-            t.gap_ns = v % 13;
-            let id = p.add_task(t);
+            let id = p.add_task(inserted(thread_for(v), v));
             p.add_dep(anchor, id, DepKind::Transform);
         }
         6 => p.set_thread(pick(a), thread_for(v)),
-        _ => p.set_duration(pick(a), v % 50),
+        7 => p.set_duration(pick(a), v % 50),
+        // Splice onto a thread the base never used.
+        8 => {
+            let id = p.add_task(inserted(fresh_thread(v), v));
+            add_edge(p, pick(a), id);
+            add_edge(p, id, pick(b));
+        }
+        9 => p.set_thread(pick(a), fresh_thread(v)),
+        // Remove every task of one thread, vacating it.
+        10 => {
+            let thread = p.task(pick(a)).thread;
+            let victims: Vec<TaskId> = live
+                .iter()
+                .copied()
+                .filter(|&id| p.task(id).thread == thread)
+                .collect();
+            if victims.len() < live.len() {
+                for id in victims {
+                    p.remove_task(id);
+                }
+            }
+        }
+        // An insert bridged into the graph, then removed again.
+        11 => {
+            let id = p.add_task(inserted(thread_for(v), v));
+            add_edge(p, pick(a), id);
+            add_edge(p, id, pick(b));
+            p.remove_task(id);
+        }
+        // Rewire a task's readiness: drop its in-edges (it can start
+        // earlier), then gate it on a fresh insert.
+        _ => {
+            let t = pick(a);
+            let preds: Vec<TaskId> = p.predecessors(t).iter().map(|&(x, _)| x).collect();
+            for x in preds {
+                p.remove_dep(x, t);
+            }
+            if v.is_multiple_of(2) {
+                let id = p.add_task(inserted(thread_for(b), v));
+                p.add_dep(id, t, DepKind::Transform);
+            }
+        }
     }
 }
 
@@ -201,5 +280,37 @@ proptest! {
                     &base.cg, &base.sched_dur, &patch, &ByDuration, &opts, &mut scratch),
             }
         }
+    }
+}
+
+/// Two threads the base never used, introduced in the opposite order to
+/// their first task ids: the apply interns them by first task id, so the
+/// materialized `thread_end` must follow that order, not the patch's.
+#[test]
+fn fresh_threads_materialize_in_apply_order() {
+    let tasks: Vec<(u64, u64, u64)> = (0..12).map(|i| (i % 4, 20 + i, i % 3)).collect();
+    let edges: Vec<(u64, u64)> = (0..11).map(|i| (i, i + 1)).collect();
+    let base = WarmBase::build(&tasks, &edges);
+    let mut p = PatchGraph::new(&base.graph);
+    let id = p.add_task(inserted(fresh_thread(0), 40));
+    p.add_dep(TaskId(2), id, DepKind::Transform);
+    p.set_thread(TaskId(9), fresh_thread(1));
+    p.set_duration(TaskId(9), 500);
+    let patch = p.finish();
+    let mut scratch = SimScratch::new();
+    for opts in [
+        IncrementalOptions::default(),
+        IncrementalOptions {
+            max_cone_fraction: 0.0,
+        },
+    ] {
+        check_step(
+            &base.cg,
+            &base.sched_es,
+            &patch,
+            &EarliestStart,
+            &opts,
+            &mut scratch,
+        );
     }
 }

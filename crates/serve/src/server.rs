@@ -420,7 +420,7 @@ fn parse_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, (u16, String)> {
 }
 
 /// Synchronous single-scenario evaluation against the warm base. Warm
-/// path: microseconds via `simulate_incremental` over the resident
+/// path: microseconds via `simulate_warm` over the resident base and
 /// schedule; cold path: one profile build first.
 fn handle_whatif(state: &AppState, body: &[u8]) -> (u16, String) {
     let req: WhatIfRequest = match parse_body(body) {

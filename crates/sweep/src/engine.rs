@@ -17,11 +17,10 @@ use daydream_core::whatif::{
     GistConfig, GpuBound, P3Config, P3Scheduler, Substitution, VdnnConfig, KERNEL_OVERHEAD_NS,
 };
 use daydream_core::{
-    busy_time_bound, incremental_cone_fits, simulate_compiled_with, simulate_incremental,
-    simulate_warm, thread_busy_after, thread_busy_ns, try_simulate_incremental_with, CompactId,
-    CompiledGraph, CompiledSim, EarliestStart, ExecThread, GraphPatch, IncrementalOptions,
-    IncrementalStats, PatchGraph, Prediction, ProfiledGraph, Schedule, ScratchPool, SimScratch,
-    TaskId, TaskKind,
+    busy_time_bound, simulate_compiled_with, simulate_warm, thread_busy_after, thread_busy_ns,
+    try_simulate_warm_with, CompactId, CompiledGraph, CompiledSim, EarliestStart, ExecThread,
+    GraphPatch, IncrementalOptions, IncrementalStats, PatchGraph, Prediction, ProfiledGraph,
+    Schedule, ScratchPool, SimScratch, TaskId, TaskKind,
 };
 use daydream_device::GpuSpec;
 use daydream_models::{
@@ -243,9 +242,10 @@ impl DgcAgg {
 /// scenarios. The baseline is simulated exactly once — its full
 /// [`Schedule`] (dispatch order, per-thread timelines, readiness times)
 /// is retained — and the dependency graph compiled exactly once, at
-/// profile-build time; per-scenario work is patch emit +
-/// [`CompiledGraph::apply_traced`] + *incremental* simulate: only the
-/// cone of tasks the patch can affect is re-dispatched.
+/// profile-build time; per-scenario work is patch emit + a warm simulate
+/// over the base plus the patch's overlay ([`simulate_warm`]): no patch
+/// is applied, and only the cone of tasks the patch can affect is
+/// re-dispatched.
 struct BaseProfile {
     model: Model,
     graph: ProfiledGraph,
@@ -965,21 +965,6 @@ fn patch_key(scenario: &Scenario, policy: &str, patch_fingerprint: u64, fidelity
     )
 }
 
-/// The low-fidelity stand-in for a simulation whose cone exceeds the
-/// rung's budget: the patched graph's maximum per-thread busy time
-/// (Σ `cost_ns` over each thread's tasks). A lower bound on the
-/// makespan, not a prediction — global transforms rescale exactly these
-/// costs, so it ranks rung candidates in O(tasks) without dispatching
-/// anything. Exact-fidelity evaluation never uses it.
-fn busy_time_estimate(applied: &CompiledGraph) -> u64 {
-    let mut busy = vec![0u64; applied.thread_count()];
-    for i in 0..applied.len() {
-        let c = CompactId(i as u32);
-        busy[applied.thread_of(c).0 as usize] += applied.cost_ns(c);
-    }
-    busy.into_iter().max().unwrap_or(0)
-}
-
 /// What the rung-0 analytic surrogate knows about a candidate without
 /// emitting its patch.
 enum Surrogate {
@@ -1153,9 +1138,9 @@ fn p3_prediction(
 }
 
 /// Evaluates one scenario against its shared base profile: emit the
-/// patch, consult the patch-fingerprint cache, apply + *incrementally*
-/// simulate on a miss (re-dispatching only the cone the patch can
-/// affect), and derive the report's memory/communication objectives.
+/// patch, consult the patch-fingerprint cache, simulate it warm on a
+/// miss (re-dispatching only the cone the patch can affect), and derive
+/// the report's memory/communication objectives.
 fn evaluate(
     scenario: &Scenario,
     base: &BaseProfile,
@@ -1177,9 +1162,9 @@ fn evaluate(
     let mut memory_bytes = fp.total();
     let mut comm_bytes = 0u64;
 
-    // Patched evaluation: incremental apply + cone re-simulation against
-    // the base schedule (full simulation only when the cone is too
-    // large), short-circuited by the patch-fingerprint cache.
+    // Patched evaluation: warm cone re-simulation against the base
+    // schedule (full simulation only when the cone is too large),
+    // short-circuited by the patch-fingerprint cache.
     let mut run_patch = |patch: &GraphPatch| -> PatchEval {
         let key = patch_key(scenario, "default", patch.fingerprint(), fidelity);
         if let Some(eval) = patches.get(key) {
@@ -1201,35 +1186,16 @@ fn evaluate(
                 }
             }
             Fidelity::Rung { max_cone_fraction } => {
+                // Low-fidelity stand-in: a patch whose cone busts the
+                // rung's budget (or that vacates a thread) answers with
+                // the O(|patch|) busy-time bound — a lower bound on the
+                // makespan that ranks rung candidates, never simulated.
                 let opts = IncrementalOptions { max_cone_fraction };
-                // Decide the cone budget from the *unapplied* patch: an
-                // over-budget patch answers with the O(|patch|) busy
-                // delta and never materializes the patched graph — at a
-                // low rung the apply itself is most of a full eval.
-                if !incremental_cone_fits(
+                let attempt = try_simulate_warm_with(
                     &base.compiled,
                     &base.schedule,
                     patch,
-                    &EarliestStart,
-                    &opts,
-                ) {
-                    counters.record_estimate();
-                    let eval = PatchEval {
-                        predicted_ns: busy_time_bound(&base.compiled, base.busy_ns(), patch),
-                        incremental: false,
-                        estimated: true,
-                        tasks_redispatched: 0,
-                    };
-                    patches.insert(key, eval);
-                    return eval;
-                }
-                let (applied, trace) = base.compiled.apply_traced(patch);
-                let attempt = try_simulate_incremental_with(
-                    &base.compiled,
-                    &base.schedule,
-                    &applied,
-                    patch,
-                    &trace,
+                    scratch,
                     &EarliestStart,
                     &opts,
                 )
@@ -1238,19 +1204,16 @@ fn evaluate(
                     Ok(outcome) => {
                         counters.record(&outcome.stats);
                         PatchEval {
-                            predicted_ns: outcome.sim.makespan_ns,
+                            predicted_ns: outcome.makespan_ns,
                             incremental: outcome.stats.is_incremental(),
                             estimated: false,
                             tasks_redispatched: outcome.stats.redispatched as u64,
                         }
                     }
-                    // Vacated threads — only visible after the apply;
-                    // the busy bound over the applied graph equals the
-                    // delta form, so the estimate is path-independent.
                     Err(_) => {
                         counters.record_estimate();
                         PatchEval {
-                            predicted_ns: busy_time_estimate(&applied),
+                            predicted_ns: busy_time_bound(&base.compiled, base.busy_ns(), patch),
                             incremental: false,
                             estimated: true,
                             tasks_redispatched: 0,
@@ -1468,10 +1431,14 @@ pub fn explain_scenario(scenario: &Scenario) -> Result<String, String> {
             } else {
                 "patch over the profiled base graph".to_string()
             };
-            let (applied, trace) = base.compiled.apply_traced(&patch);
-            let outcome =
-                simulate_incremental(&base.compiled, &base.schedule, &applied, &patch, &trace)
-                    .map_err(|e| format!("patched graph for {}: {e}", scenario.label()))?;
+            // The path `evaluate` takes: warm, over the base plus overlay.
+            let outcome = simulate_warm(
+                &base.compiled,
+                &base.schedule,
+                &patch,
+                &mut SimScratch::new(),
+            )
+            .map_err(|e| format!("patched graph for {}: {e}", scenario.label()))?;
             let s = outcome.stats;
             let sim_note = match s.fallback {
                 None => format!(
@@ -1562,6 +1529,60 @@ mod tests {
         ));
         // Families without a surrogate fall through to the patch path.
         assert!(surrogate_estimate(&OptSpec::Amp, &base).is_none());
+    }
+
+    #[test]
+    fn rung_estimate_is_the_applied_graphs_busy_time() {
+        // A rung answers an over-budget or thread-vacating patch with
+        // `busy_time_bound` over the *unapplied* patch. It must equal the
+        // busy time of the applied graph, so the estimate does not depend
+        // on which fallback refused the cone. No catalog family vacates a
+        // zoo thread, so a hand-made patch removes one thread's tasks.
+        use daydream_core::{FallbackReason, GraphEdit};
+        let base = build_profile("ResNet-50", 4).unwrap();
+        let g = &base.graph.graph;
+        let mut per_thread: HashMap<ExecThread, Vec<TaskId>> = HashMap::new();
+        for (id, t) in g.iter() {
+            per_thread.entry(t.thread).or_default().push(id);
+        }
+        let lightest = per_thread.values().min_by_key(|ids| ids.len()).unwrap();
+        let mut ov = PatchGraph::new(g);
+        for &id in lightest {
+            ov.remove_task(id);
+        }
+        let mut patches = vec![(None, Arc::new(ov.finish()))];
+        for opt in [
+            OptSpec::FusedAdam,
+            OptSpec::Gist { lossy: true },
+            OptSpec::Vdnn { lookahead: 1 },
+            OptSpec::Ddp {
+                machines: 2,
+                gpus_per_machine: 1,
+                bw_gbps: 10.0,
+            },
+        ] {
+            let patch = emit_patch(&opt, &base).unwrap();
+            patches.push((Some(opt), patch));
+        }
+        let mut scratch = SimScratch::new();
+        for (opt, patch) in &patches {
+            let applied = base.compiled.apply(patch);
+            let applied_busy = thread_busy_ns(&applied).into_iter().max().unwrap_or(0);
+            let bound = busy_time_bound(&base.compiled, base.busy_ns(), patch);
+            assert_eq!(bound, applied_busy, "{opt:?}: delta bound vs applied graph");
+            let attempt = try_simulate_warm_with(
+                &base.compiled,
+                &base.schedule,
+                patch,
+                &mut scratch,
+                &EarliestStart,
+                &IncrementalOptions::default(),
+            )
+            .unwrap();
+            if opt.is_none() {
+                assert_eq!(attempt, Err(FallbackReason::VacatedThreads));
+            }
+        }
     }
 
     #[test]
