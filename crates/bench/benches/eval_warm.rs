@@ -1,70 +1,61 @@
 //! Criterion bench: O(cone) warm evaluation on the scratch arena.
 //!
-//! `sim_incremental` showed the cone re-dispatch itself is cheap, but
-//! the *evaluation wrapper* around it was still O(n): every call cloned
-//! the base schedule's `start_ns`/`wait_ns` prefixes, re-allocated the
-//! per-task seed vectors, and applied the patch into a fresh
-//! `CompiledGraph`. At 100k tasks a 16-transfer tail retime cost
-//! ~2.21 ms — ~400x its 1k-task cost for the same cone.
+//! Before the arena, a per-scenario evaluation was O(n) even when its
+//! cone was tiny: every call cloned the base schedule's
+//! `start_ns`/`wait_ns` prefixes, re-allocated the per-task seed
+//! vectors, and applied the patch into a fresh `CompiledGraph`. At 100k
+//! tasks a 16-transfer tail retime cost ~2.21 ms — ~400x its 1k-task
+//! cost for the same cone.
 //!
 //! `simulate_warm` answers the same query from an epoch-stamped
 //! [`SimScratch`] arena: buffers are sized once per base and reset by a
 //! generation bump, touched durations live in a copy-on-write overlay
 //! over the captured base arrays, and the replayed prefix is never
-//! copied. This bench prices that warm path against the fresh
-//! clone-everything pipeline on the shared synthetic graphs
-//! (1k/10k/100k tasks, fixed 16-transfer retime cone), pins the warm
-//! result byte-identical to the fresh oracle, and — outside `--test`
-//! smoke mode — asserts the two acceptance floors: warm evaluation at
-//! ~100k tasks must beat the old 2.21 ms pipeline by >= 20x, and must
-//! scale 1k -> 100k by <= 5x (O(cone + touched), not O(n)).
+//! copied. This bench prices that warm path against the fresh pipeline
+//! without a base schedule — emit + `CompiledGraph::apply` +
+//! `simulate_compiled` — on the shared synthetic graphs (1k/10k/100k
+//! tasks, fixed 16-transfer retime cone), pins the warm result
+//! byte-identical to that full simulation, and — outside `--test` smoke
+//! mode — asserts the two acceptance floors: warm evaluation at ~100k
+//! tasks must beat the old 2.21 ms pipeline by >= 20x, and must scale
+//! 1k -> 100k by <= 5x (O(cone + touched), not O(n)).
 //!
 //! Patch emit stays outside the measured warm path: the sweep engine
 //! caches emitted patches by fingerprint, so a warm what-if pays only
-//! the simulation. The `fresh` rows keep emit + apply in the loop —
-//! they are the pre-arena per-scenario pipeline, unchanged.
+//! the simulation. The `fresh` rows keep emit + apply in the loop.
 //!
 //! A second row per size prices a *structural* patch the same way: the
 //! `tail_structural` splice (a compression kernel inserted before each
 //! of the 16 tail transfers, plus the transfer shrink), simulated warm
-//! over the base plus overlay against the fresh `apply_traced` +
-//! `simulate_incremental` pipeline. It is recorded under `structural`
-//! and carries no floor.
+//! over the base plus overlay against the same fresh pipeline. It is
+//! recorded under `structural` and carries no floor.
 
 use criterion::{BenchmarkId, Criterion, Throughput};
+use daydream_bench::assert_warm_matches_full;
 use daydream_bench::synth::{synthetic_graph, tail_retime, tail_structural};
 use daydream_core::{
-    simulate_incremental, simulate_warm, CompiledGraph, DependencyGraph, GraphPatch, PatchGraph,
+    simulate_compiled, simulate_warm, CompiledGraph, DependencyGraph, GraphPatch, PatchGraph,
     Schedule, SimScratch, TaskId,
 };
 use std::hint::black_box;
 
-/// `retime_incremental_ns` at 99999 tasks from the `sim_incremental`
-/// section of `BENCH_sim.json` before the arena existed — the fresh
-/// pipeline this PR's >= 20x acceptance floor is pinned against.
+/// The per-scenario tail-retime evaluation at 99999 tasks before the
+/// arena existed (emit + `apply_traced` + the clone-based incremental
+/// simulator, since deleted) — the fixed baseline the >= 20x acceptance
+/// floor is pinned against.
 const FRESH_BASELINE_100K_NS: f64 = 2_209_199.3;
 
-/// Pins the warm answer for `patch` byte-identical to the fresh
-/// pipeline on a warmed arena, returning the cone it re-dispatched.
+/// Pins the warm answer for `patch` byte-identical to the full
+/// simulation of the applied graph on a warmed arena, returning the cone
+/// it re-dispatched.
 fn pin_warm(
     compiled: &CompiledGraph,
     schedule: &Schedule,
     patch: &GraphPatch,
     scratch: &mut SimScratch,
 ) -> usize {
-    let warm =
-        simulate_warm(compiled, schedule, patch, scratch).expect("patched graph must stay a DAG");
-    let (applied, trace) = compiled.apply_traced(patch);
-    let oracle = simulate_incremental(compiled, schedule, &applied, patch, &trace)
-        .expect("patched graph must stay a DAG");
+    let warm = assert_warm_matches_full(compiled, schedule, patch, scratch);
     assert!(warm.stats.is_incremental(), "tail patch must stay warm");
-    assert_eq!(warm.makespan_ns, oracle.sim.makespan_ns);
-    assert_eq!(warm.stats, oracle.stats);
-    assert_eq!(
-        scratch.materialize(schedule).expect("warm eval completed"),
-        oracle.sim,
-        "arena result must be byte-identical to the fresh path"
-    );
     warm.stats.redispatched
 }
 
@@ -134,19 +125,13 @@ fn main() {
         );
         group.bench_with_input(
             BenchmarkId::new("fresh", format!("{tasks} tasks")),
-            &(&g, &compiled, &schedule),
-            |b, (g, compiled, schedule)| {
+            &(&g, &compiled),
+            |b, (g, compiled)| {
                 b.iter(|| {
                     let mut ov = PatchGraph::new(black_box(g));
                     tail_retime(&mut ov, &targets);
-                    let patch = ov.finish();
-                    let (applied, trace) = compiled.apply_traced(&patch);
-                    black_box(
-                        simulate_incremental(compiled, schedule, &applied, &patch, &trace)
-                            .unwrap()
-                            .sim
-                            .makespan_ns,
-                    )
+                    let applied = compiled.apply(&ov.finish());
+                    black_box(simulate_compiled(&applied).unwrap().makespan_ns)
                 })
             },
         );
@@ -212,8 +197,8 @@ fn main() {
         let json = format!(
             concat!(
                 "{{\n  \"pipelines\": \"warm = simulate_warm on a persistent ",
-                "SimScratch arena, patch pre-emitted; fresh = emit + apply_traced + ",
-                "simulate_incremental with per-call clones\",\n",
+                "SimScratch arena, patch pre-emitted; fresh = emit + apply + ",
+                "simulate_compiled\",\n",
                 "  \"note\": \"results: 16-transfer tail retime at every size (fixed cone); ",
                 "full runs assert warm@100k >= 20x over the {} ns pre-arena baseline ",
                 "and <= 5x scaling 1k -> 100k. structural: tail_structural splice ",
@@ -263,19 +248,13 @@ fn bench_structural(
     );
     group.bench_with_input(
         BenchmarkId::new("fresh", format!("{tasks} tasks")),
-        &(g, compiled, schedule),
-        |b, (g, compiled, schedule)| {
+        &(g, compiled),
+        |b, (g, compiled)| {
             b.iter(|| {
                 let mut ov = PatchGraph::new(black_box(g));
                 tail_structural(&mut ov, targets);
-                let patch = ov.finish();
-                let (applied, trace) = compiled.apply_traced(&patch);
-                black_box(
-                    simulate_incremental(compiled, schedule, &applied, &patch, &trace)
-                        .unwrap()
-                        .sim
-                        .makespan_ns,
-                )
+                let applied = compiled.apply(&ov.finish());
+                black_box(simulate_compiled(&applied).unwrap().makespan_ns)
             })
         },
     );

@@ -10,66 +10,16 @@
 //!
 //! Four scales (1k/10k/100k/1M tasks) measure the compiled path; the
 //! reference oracle runs at 1k and 10k only (its quadratic frontier
-//! refresh needs tens of seconds per iteration at 100k). From 100k up,
-//! the speculative windowed path (`simulate_windowed`) is measured
-//! against the serial heap loop — at 1M the collective channel's ready
-//! backlog makes heap churn dominate, which is exactly what the
-//! certified presim avoids. Unless running in `--test` smoke mode, the
-//! measurements are snapshotted into the `"sim_scale"` section of
-//! `BENCH_sim.json` at the workspace root (shared with `transform_patch`
-//! via the criterion-shim snapshot registry).
+//! refresh needs tens of seconds per iteration at 100k). Unless running
+//! in `--test` smoke mode, the measurements are snapshotted into the
+//! `"sim_scale"` section of `BENCH_sim.json` at the workspace root
+//! (shared with `transform_patch` via the criterion-shim snapshot
+//! registry).
 
 use criterion::{BenchmarkId, Criterion, Throughput};
-use daydream_core::{
-    simulate, simulate_compiled, simulate_reference, simulate_windowed, CommChannel, CompiledGraph,
-    DepKind, DependencyGraph, ExecThread, Task, TaskKind,
-};
-use daydream_trace::{CpuThreadId, DeviceId, StreamId};
+use daydream_bench::synth::{synthetic_graph, STREAMS};
+use daydream_core::{simulate, simulate_compiled, simulate_reference, CompiledGraph};
 use std::hint::black_box;
-
-const STREAMS: u32 = 4;
-
-/// A communication-bound iteration graph with ~`n` tasks
-/// (launch + kernel + transfer per step).
-fn synthetic_graph(n: usize) -> DependencyGraph {
-    let steps = n / 3;
-    let mut g = DependencyGraph::new();
-    g.reserve(steps * 3);
-    let cpu = ExecThread::Cpu(CpuThreadId(0));
-    let chan = ExecThread::Comm(CommChannel::Collective);
-    let mut prev_launch: Option<daydream_core::TaskId> = None;
-    let mut prev_kernel = vec![None; STREAMS as usize];
-    for i in 0..steps {
-        let stream = (i as u32) % STREAMS;
-        let launch = g.add_task(Task::new("cudaLaunchKernel", TaskKind::CpuWork, cpu, 4_000));
-        let kernel = g.add_task(Task::new(
-            "kernel",
-            TaskKind::GpuKernel,
-            ExecThread::Gpu(DeviceId(0), StreamId(stream)),
-            30_000,
-        ));
-        let comm = g.add_task(Task::new(
-            "allreduce_slice",
-            TaskKind::Communication {
-                prim: daydream_core::CommPrimitive::AllReduce,
-                bytes: 1 << 20,
-            },
-            chan,
-            45_000,
-        ));
-        if let Some(p) = prev_launch {
-            g.add_dep(p, launch, DepKind::CpuSeq);
-        }
-        if let Some(p) = prev_kernel[stream as usize] {
-            g.add_dep(p, kernel, DepKind::GpuSeq);
-        }
-        g.add_dep(launch, kernel, DepKind::Correlation);
-        g.add_dep(kernel, comm, DepKind::Comm);
-        prev_launch = Some(launch);
-        prev_kernel[stream as usize] = Some(kernel);
-    }
-    g
-}
 
 fn main() {
     let mut c = Criterion::default();
@@ -105,18 +55,6 @@ fn main() {
             &compiled,
             |b, cg| b.iter(|| simulate_compiled(black_box(cg)).unwrap()),
         );
-        if n >= 100_000 {
-            // Sanity-pin byte identity before measuring the fast path.
-            assert_eq!(
-                simulate_windowed(&compiled).unwrap(),
-                simulate_compiled(&compiled).unwrap()
-            );
-            group.bench_with_input(
-                BenchmarkId::new("windowed", format!("{tasks} tasks")),
-                &compiled,
-                |b, cg| b.iter(|| simulate_windowed(black_box(cg)).unwrap()),
-            );
-        }
         let reference_feasible = n <= 10_000;
         if reference_feasible {
             group.sample_size(if n >= 10_000 { 3 } else { 10 });
@@ -135,25 +73,13 @@ fn main() {
                 .find(|r| r.name.contains(&format!("/{kind}/{tasks} tasks")))
                 .map(|r| r.ns_per_iter)
         };
-        let (comp, hot, reference, windowed) = (
-            find("compiled"),
-            find("compiled_hot"),
-            find("reference"),
-            find("windowed"),
-        );
+        let (comp, hot, reference) = (find("compiled"), find("compiled_hot"), find("reference"));
         let speedup = match (comp, reference) {
             (Some(cn), Some(rn)) if cn > 0.0 => Some(rn / cn),
             _ => None,
         };
         if let Some(s) = speedup {
             println!("sim_scale {tasks} tasks: reference/compiled speedup {s:.1}x");
-        }
-        let win_speedup = match (hot, windowed) {
-            (Some(hn), Some(wn)) if wn > 0.0 => Some(hn / wn),
-            _ => None,
-        };
-        if let Some(s) = win_speedup {
-            println!("sim_scale {tasks} tasks: serial/windowed speedup {s:.2}x");
         }
         let fmt_opt = |v: Option<f64>| {
             v.map(|x| format!("{x:.1}"))
@@ -163,15 +89,12 @@ fn main() {
             concat!(
                 "    {{\"tasks\": {}, \"edges\": {}, ",
                 "\"compiled_ns_per_iter\": {}, \"compiled_hot_ns_per_iter\": {}, ",
-                "\"windowed_ns_per_iter\": {}, \"windowed_speedup_vs_serial\": {}, ",
                 "\"reference_ns_per_iter\": {}, \"speedup_vs_reference\": {}}}"
             ),
             tasks,
             edges,
             fmt_opt(comp),
             fmt_opt(hot),
-            fmt_opt(windowed),
-            fmt_opt(win_speedup.map(|s| (s * 100.0).round() / 100.0)),
             fmt_opt(reference),
             fmt_opt(speedup.map(|s| (s * 10.0).round() / 10.0)),
         ));
@@ -184,8 +107,7 @@ fn main() {
                 "{{\n  \"graph\": \"communication-bound synthetic iteration ",
                 "(launch chain + {} streams + contended collective channel)\",\n",
                 "  \"note\": \"reference omitted at 100k+ tasks (quadratic frontier ",
-                "refresh takes tens of seconds per iteration); windowed = speculative ",
-                "certified dispatch, byte-identical to serial, measured from 100k up\",\n",
+                "refresh takes tens of seconds per iteration)\",\n",
                 "  \"results\": [\n{}\n  ]\n  }}"
             ),
             STREAMS,

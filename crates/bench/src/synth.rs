@@ -1,6 +1,6 @@
 //! Synthetic communication-bound iteration graphs shared by the
-//! `sim_scale` / `sim_incremental` / `eval_warm` benches (and the
-//! allocation-regression tests): a CPU launch chain, kernels
+//! `sim_scale` / `eval_warm` benches (and the allocation-regression
+//! tests): a CPU launch chain, kernels
 //! round-robined over four streams, one gradient transfer per kernel
 //! contending for a collective channel.
 

@@ -15,17 +15,16 @@
 //!   regressing re-snapshot cannot land silently.
 
 use daydream_bench::synth::{synthetic_graph, tail_retime, tail_structural};
-use daydream_bench::{assert_no_allocs, profile_for, thread_allocs};
+use daydream_bench::{assert_no_allocs, assert_warm_matches_full, profile_for, thread_allocs};
 use daydream_comm::ClusterConfig;
 use daydream_core::whatif::plan_distributed;
 use daydream_core::{
-    simulate_incremental, simulate_warm, CompiledGraph, GraphPatch, PatchGraph, Schedule,
-    SimScratch, TaskId, WarmOutcome,
+    simulate_warm, CompiledGraph, GraphPatch, PatchGraph, Schedule, SimScratch, TaskId, WarmOutcome,
 };
 
 /// Evaluates `patch` warm three times on one arena — the first call sizes
 /// it, the second settles retained heap capacities, the third must not
-/// allocate — and pins the answer to the apply + classic oracle.
+/// allocate — and pins the answer to the apply + full-simulation oracle.
 fn third_warm_call_allocates_nothing(
     what: &str,
     compiled: &CompiledGraph,
@@ -40,12 +39,10 @@ fn third_warm_call_allocates_nothing(
         simulate_warm(compiled, schedule, patch, &mut scratch).unwrap()
     });
     assert_eq!(third, first);
-
-    let (applied, trace) = compiled.apply_traced(patch);
-    let oracle = simulate_incremental(compiled, schedule, &applied, patch, &trace).unwrap();
-    assert_eq!(third.makespan_ns, oracle.sim.makespan_ns);
-    assert_eq!(third.stats, oracle.stats);
-    assert_eq!(scratch.materialize(schedule).unwrap(), oracle.sim);
+    assert_eq!(
+        assert_warm_matches_full(compiled, schedule, patch, &mut scratch),
+        third
+    );
     third
 }
 
@@ -74,10 +71,10 @@ fn warmed_evaluation_is_allocation_free() {
     assert_eq!(third.makespan_ns, first.makespan_ns);
 
     // And the warm answer still matches the fresh-allocation oracle.
-    let (applied, trace) = compiled.apply_traced(&patch);
-    let oracle = simulate_incremental(&compiled, &schedule, &applied, &patch, &trace).unwrap();
-    assert_eq!(third.makespan_ns, oracle.sim.makespan_ns);
-    assert_eq!(scratch.materialize(&schedule).unwrap(), oracle.sim);
+    assert_eq!(
+        assert_warm_matches_full(&compiled, &schedule, &patch, &mut scratch),
+        third
+    );
 }
 
 #[test]

@@ -684,10 +684,8 @@ pub fn cmd_sweep(args: &Args) -> Result<(), String> {
         stats.incremental_sims, stats.full_sims, stats.patch_hits, stats.tasks_redispatched,
     );
     println!(
-        "scratch: {} arena reuses, {} allocs, {:.1} MiB of prefix copies avoided",
-        stats.scratch_reuses,
-        stats.scratch_allocs,
-        stats.bytes_copied_avoided as f64 / (1024.0 * 1024.0),
+        "scratch: {} arena reuses, {} allocs",
+        stats.scratch_reuses, stats.scratch_allocs,
     );
     if stats.cache_contended > 0 || stats.patch_contended > 0 {
         println!(

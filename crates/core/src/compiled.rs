@@ -36,25 +36,14 @@ pub struct CompactId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(pub u32);
 
-/// What [`CompiledGraph::apply_traced`] did to the base: the inputs the
-/// incremental simulator ([`crate::sim::simulate_incremental_with`])
-/// needs to decide between cone re-dispatch and full fallback.
+/// What [`CompiledGraph::apply_traced`] did to the base.
 #[derive(Debug, Clone)]
 pub struct ApplyTrace {
-    /// `true` if the structural path ran (topology or thread changes);
-    /// `false` for the retime-only fast path (identical compaction).
-    pub structural: bool,
-    /// `true` if the patch left a base thread without tasks — base
-    /// `ThreadId`s are then re-compacted and no longer stable, so the
-    /// incremental simulator must fall back to a full run.
+    /// `true` if the patch left a base thread without tasks: base
+    /// `ThreadId`s are then re-compacted and no longer stable. Warm
+    /// evaluation falls back to a full run for exactly these patches
+    /// ([`crate::sim::FallbackReason::VacatedThreads`]).
     pub vacated_threads: bool,
-    /// Base-compact → new-compact id remap (`u32::MAX` for removed
-    /// tasks); `None` means identity (retime-only patches).
-    pub remap: Option<Vec<u32>>,
-    /// Directly-touched task ids in the *new* compact space: retimed,
-    /// reprioritized, rethreaded, edge-rewired, and inserted tasks.
-    /// Removed tasks are reported by absence through `remap`.
-    pub touched: Vec<CompactId>,
 }
 
 /// A frozen dependency graph in CSR form, ready for simulation.
@@ -280,12 +269,8 @@ impl CompiledGraph {
         self.apply_traced(patch).0
     }
 
-    /// [`CompiledGraph::apply`] plus an [`ApplyTrace`] describing what
-    /// the patch did: the compaction remap, the vacated-thread flag (the
-    /// two fallback inputs [`crate::sim::simulate_incremental_with`]
-    /// consumes — its cone itself is derived from the patch delta plus
-    /// the remap), and the directly-touched new-space ids for tooling
-    /// and diagnostics.
+    /// [`CompiledGraph::apply`] plus an [`ApplyTrace`] saying whether the
+    /// patch vacated a base thread.
     ///
     /// # Panics
     ///
@@ -298,7 +283,7 @@ impl CompiledGraph {
         );
         let d = patch.delta();
         if d.is_structural() {
-            return self.traced_structural(patch);
+            return self.apply_structural(patch);
         }
         // Dense retimes (AMP touches every GPU task) amortize one flat
         // inverse pass; sparse ones binary-search per touched task.
@@ -317,54 +302,12 @@ impl CompiledGraph {
                 .is_some_and(|t| self.threads[self.thread_of[compact(id)].0 as usize] != t)
         });
         if thread_changed {
-            return self.traced_structural(patch);
+            return self.apply_structural(patch);
         }
-        let applied = self.apply_retime(patch, &compact);
-        // Retime-only: compaction is identity and edges are untouched,
-        // so the touched set is exactly the scalar-touched ids (already
-        // unique), mapped through the same compact lookup apply used.
-        let mut touched: Vec<CompactId> = d
-            .touched()
-            .iter()
-            .map(|&id| CompactId(compact(id) as u32))
-            .collect();
-        touched.sort_unstable();
         (
-            applied,
+            self.apply_retime(patch, &compact),
             ApplyTrace {
-                structural: false,
                 vacated_threads: false,
-                remap: None,
-                touched,
-            },
-        )
-    }
-
-    /// The structural arm of [`CompiledGraph::apply_traced`].
-    fn traced_structural(&self, patch: &GraphPatch) -> (CompiledGraph, ApplyTrace) {
-        let (applied, vacated_threads, remap) = self.apply_structural(patch);
-        let d = patch.delta();
-        // Directly-touched ids in the *new* compact space: retimed /
-        // reprioritized / rethreaded / rewired survivors plus every
-        // inserted task. Removed tasks have no new id — they are
-        // reported by absence (`remap` sends them to `u32::MAX`).
-        let mut touched: Vec<CompactId> = d
-            .touched()
-            .iter()
-            .copied()
-            .chain(d.pred_overlay_ids())
-            .filter(|id| !d.is_removed(*id))
-            .filter_map(|id| applied.compact_of(id))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        (
-            applied,
-            ApplyTrace {
-                structural: true,
-                vacated_threads,
-                remap: Some(remap),
-                touched,
             },
         )
     }
@@ -381,11 +324,10 @@ impl CompiledGraph {
     }
 
     /// The structural path: rebuild compaction, per-task state, and CSR
-    /// in flat array passes, reusing every untouched base span. Also
-    /// returns whether any base thread was vacated (its `ThreadId`s then
-    /// compact — base thread ids are *stable* otherwise) and the
-    /// old-compact → new-compact remap (`u32::MAX` for removed tasks).
-    fn apply_structural(&self, patch: &GraphPatch) -> (CompiledGraph, bool, Vec<u32>) {
+    /// in flat array passes, reusing every untouched base span. The trace
+    /// says whether any base thread was vacated (its `ThreadId`s then
+    /// compact; base thread ids are *stable* otherwise).
+    fn apply_structural(&self, patch: &GraphPatch) -> (CompiledGraph, ApplyTrace) {
         let d = patch.delta();
         let base_cap = self.arena_len;
         let n_old = self.len();
@@ -539,7 +481,12 @@ impl CompiledGraph {
             succ: Arc::new(succ),
             pred_count: Arc::new(pred_count),
         };
-        (applied, vacated, remap_old)
+        (
+            applied,
+            ApplyTrace {
+                vacated_threads: vacated,
+            },
+        )
     }
 
     /// A copy of this graph with the given tasks' durations replaced, each

@@ -47,27 +47,20 @@ pub mod sim;
 pub mod task;
 pub mod transform;
 pub mod whatif;
-pub mod windowed;
 
 pub use compiled::{ApplyTrace, CompactId, CompiledGraph, ThreadId};
 pub use construct::{build_graph, ProfiledGraph};
 pub use export::{sim_to_trace, simulate_to_trace};
 pub use graph::{DepKind, DependencyGraph, GraphEdit, GraphError, GraphView, TaskId};
 pub use patch::{GraphPatch, PatchGraph, PatchOp, PatchSummary};
-pub use predict::{
-    makespan_ns, predict, predict_from_baseline, predict_incremental, predict_patched,
-    predict_with, Prediction,
-};
+pub use predict::{predict, predict_from_baseline, Prediction};
 pub use replicate::{replicate_iterations, ReplicatedGraph};
 pub use report::{layer_report, LayerTimes};
 pub use sim::{
-    busy_time_bound, simulate, simulate_compiled, simulate_compiled_with, simulate_incremental,
-    simulate_incremental_with, simulate_reference, simulate_warm, simulate_warm_with,
-    simulate_with, simulate_with_reference, thread_busy_after, thread_busy_ns,
-    try_simulate_incremental_with, try_simulate_warm_with, Candidate, CompiledSim, EarliestStart,
-    FallbackReason, FrontierOrder, IncrementalOptions, IncrementalOutcome, IncrementalStats, Rank,
-    RankInputs, Schedule, Scheduler, ScratchCounters, ScratchPool, SimResult, SimScratch,
-    WarmOutcome,
+    busy_time_bound, simulate, simulate_compiled, simulate_compiled_with, simulate_reference,
+    simulate_warm, simulate_warm_with, simulate_with, simulate_with_reference, thread_busy_after,
+    thread_busy_ns, try_simulate_warm_with, Candidate, CompiledSim, EarliestStart, FallbackReason,
+    FrontierOrder, IncrementalOptions, IncrementalStats, Rank, RankInputs, Schedule, Scheduler,
+    ScratchCounters, ScratchPool, SimResult, SimScratch, WarmOutcome,
 };
 pub use task::{CommChannel, CommPrimitive, ExecThread, LayerRef, Task, TaskKind};
-pub use windowed::{simulate_windowed, simulate_windowed_with, WindowedOptions, WindowedStats};

@@ -1,10 +1,7 @@
 //! Prediction reports: baseline vs what-if simulated time.
 
-use crate::compiled::CompiledGraph;
 use crate::construct::ProfiledGraph;
-use crate::graph::DependencyGraph;
-use crate::patch::GraphPatch;
-use crate::sim::{simulate, simulate_with, FrontierOrder};
+use crate::sim::simulate;
 use serde::{Deserialize, Serialize};
 
 /// Outcome of one what-if analysis.
@@ -50,18 +47,8 @@ pub fn predict<F>(pg: &ProfiledGraph, transform: F) -> Prediction
 where
     F: FnOnce(&mut ProfiledGraph),
 {
-    predict_with(pg, transform, &crate::sim::EarliestStart)
-}
-
-/// [`predict`] with a custom frontier policy for the transformed graph
-/// (the baseline always uses the default policy it was profiled under).
-pub fn predict_with<F, O>(pg: &ProfiledGraph, transform: F, order: &O) -> Prediction
-where
-    F: FnOnce(&mut ProfiledGraph),
-    O: FrontierOrder,
-{
     let baseline = simulate(&pg.graph).expect("profiled graph must be a DAG");
-    predict_from_baseline_with(baseline.makespan_ns, pg, transform, order)
+    predict_from_baseline(baseline.makespan_ns, pg, transform)
 }
 
 /// [`predict`] against a baseline makespan simulated once up front.
@@ -74,117 +61,18 @@ pub fn predict_from_baseline<F>(baseline_ns: u64, pg: &ProfiledGraph, transform:
 where
     F: FnOnce(&mut ProfiledGraph),
 {
-    predict_from_baseline_with(baseline_ns, pg, transform, &crate::sim::EarliestStart)
-}
-
-/// [`predict_from_baseline`] with a custom frontier policy.
-pub fn predict_from_baseline_with<F, O>(
-    baseline_ns: u64,
-    pg: &ProfiledGraph,
-    transform: F,
-    order: &O,
-) -> Prediction
-where
-    F: FnOnce(&mut ProfiledGraph),
-    O: FrontierOrder,
-{
     let mut transformed = pg.clone();
     transform(&mut transformed);
-    let predicted =
-        simulate_with(&transformed.graph, order).expect("transformed graph must stay a DAG");
+    let predicted = simulate(&transformed.graph).expect("transformed graph must stay a DAG");
     Prediction {
         baseline_ns,
         predicted_ns: predicted.makespan_ns,
     }
-}
-
-/// Simulates a standalone graph and returns its makespan in nanoseconds.
-pub fn makespan_ns(graph: &DependencyGraph) -> u64 {
-    simulate(graph).expect("graph must be a DAG").makespan_ns
-}
-
-/// [`predict_from_baseline`] over the compiled fast path: applies an
-/// already-emitted [`GraphPatch`] to a shared immutable [`CompiledGraph`]
-/// (compiled once per base profile) and simulates the patched graph —
-/// per-scenario cost is emit + apply + simulate, with no base clone and
-/// no full recompile.
-pub fn predict_patched(
-    baseline_ns: u64,
-    compiled: &CompiledGraph,
-    patch: &GraphPatch,
-) -> Prediction {
-    predict_patched_with(baseline_ns, compiled, patch, &crate::sim::EarliestStart)
-}
-
-/// [`predict_patched`] with a custom frontier policy.
-pub fn predict_patched_with<O: FrontierOrder>(
-    baseline_ns: u64,
-    compiled: &CompiledGraph,
-    patch: &GraphPatch,
-    order: &O,
-) -> Prediction {
-    let patched = compiled.apply(patch);
-    let predicted =
-        crate::sim::simulate_compiled_with(&patched, order).expect("patched graph must stay a DAG");
-    Prediction {
-        baseline_ns,
-        predicted_ns: predicted.makespan_ns,
-    }
-}
-
-/// The fastest per-scenario path: applies the patch incrementally and
-/// re-simulates only its cone against a [`Schedule`] captured once over
-/// the shared base ([`crate::sim::simulate_incremental_with`]), falling
-/// back to a full simulation when the cone is too large. The returned
-/// stats say which path ran and how many tasks were re-dispatched.
-pub fn predict_incremental(
-    schedule: &crate::sim::Schedule,
-    compiled: &CompiledGraph,
-    patch: &GraphPatch,
-) -> (Prediction, crate::sim::IncrementalStats) {
-    let (patched, trace) = compiled.apply_traced(patch);
-    let outcome = crate::sim::simulate_incremental(compiled, schedule, &patched, patch, &trace)
-        .expect("patched graph must stay a DAG");
-    (
-        Prediction {
-            baseline_ns: schedule.makespan_ns(),
-            predicted_ns: outcome.sim.makespan_ns,
-        },
-        outcome.stats,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{DepKind, DependencyGraph};
-    use crate::patch::PatchGraph;
-    use crate::sim::Schedule;
-    use crate::task::{ExecThread, Task, TaskKind};
-    use daydream_trace::CpuThreadId;
-
-    #[test]
-    fn predict_incremental_matches_predict_patched() {
-        let mut g = DependencyGraph::new();
-        let cpu = ExecThread::Cpu(CpuThreadId(0));
-        let ids: Vec<_> = (0..20)
-            .map(|i| g.add_task(Task::new(format!("t{i}"), TaskKind::CpuWork, cpu, 10)))
-            .collect();
-        for w in ids.windows(2) {
-            g.add_dep(w[0], w[1], DepKind::CpuSeq);
-        }
-        let compiled = crate::CompiledGraph::compile(&g);
-        let schedule = Schedule::capture(&compiled).unwrap();
-        let mut p = PatchGraph::new(&g);
-        crate::GraphEdit::set_duration(&mut p, ids[18], 500);
-        let patch = p.finish();
-
-        let (inc, stats) = predict_incremental(&schedule, &compiled, &patch);
-        let full = predict_patched(schedule.makespan_ns(), &compiled, &patch);
-        assert_eq!(inc, full, "incremental prediction diverged");
-        assert!(stats.is_incremental());
-        assert_eq!(stats.redispatched, 2, "only the retimed tail re-dispatches");
-    }
 
     #[test]
     fn report_math() {

@@ -42,10 +42,11 @@
 //! [`Schedule`] without applying its patch: retimes, thread moves,
 //! inserts and removals are all read through an epoch-stamped overlay on
 //! the base [`CompiledGraph`], and only the cone of tasks the patch can
-//! affect is re-dispatched. The clone-based [`simulate_incremental_with`]
-//! over `CompiledGraph::apply_traced` is kept as its oracle.
+//! affect is re-dispatched. Its oracle is the full path:
+//! [`simulate_compiled_with`] over `CompiledGraph::apply`, which
+//! [`simulate_reference`] pins in turn.
 
-use crate::compiled::{ApplyTrace, CompactId, CompiledGraph, ThreadId};
+use crate::compiled::{CompactId, CompiledGraph, ThreadId};
 use crate::graph::{DependencyGraph, GraphError, TaskId};
 use crate::patch::{GraphPatch, NetDelta};
 use crate::task::ExecThread;
@@ -104,9 +105,9 @@ pub trait FrontierOrder {
     /// The tie-break rank of `task`.
     fn rank<G: RankInputs + ?Sized>(&self, graph: &G, task: CompactId) -> Rank;
 
-    /// `true` if [`simulate_incremental_with`] may trust this policy
-    /// across a patch: ranks must be a fixed function of the task's
-    /// compact-id *order*, priority, and comm-thread flag, so the
+    /// `true` if the warm cone path ([`simulate_warm_with`]) may trust
+    /// this policy across a patch: ranks must be a fixed function of the
+    /// task's compact-id *order*, priority, and comm-thread flag, so the
     /// relative rank of two untouched tasks cannot change when a patch
     /// shifts compact ids or edits other tasks. Policies ranking on
     /// anything else (durations, successor counts, global state) must
@@ -119,7 +120,7 @@ pub trait FrontierOrder {
     /// `true` if ranks depend on task priority. Priority-only patches
     /// then influence scheduling from the task's dependency-ready time;
     /// policies that ignore priority (the default [`EarliestStart`])
-    /// let the incremental simulator skip them entirely.
+    /// let the warm cone path skip them entirely.
     fn rank_uses_priority(&self) -> bool {
         true
     }
@@ -226,7 +227,7 @@ impl CompiledSim {
 /// A second push spills the slot into the tier it belongs to at the
 /// current progress.
 #[derive(Debug, Default)]
-pub(crate) struct ThreadFrontier {
+struct ThreadFrontier {
     /// The only task, as `(tentative_start, rank, task)`; `Some` only
     /// while both heaps are empty.
     solo: Option<(u64, Rank, u32)>,
@@ -237,7 +238,7 @@ pub(crate) struct ThreadFrontier {
 impl ThreadFrontier {
     /// Migrates pending tasks overtaken by `progress` into the ready tier.
     #[inline]
-    pub(crate) fn refresh(&mut self, progress: u64) {
+    fn refresh(&mut self, progress: u64) {
         while let Some(&Reverse((t, rank, id))) = self.pending.peek() {
             if t > progress {
                 break;
@@ -251,7 +252,7 @@ impl ThreadFrontier {
     /// [`IDLE`] if the frontier is empty. Call [`ThreadFrontier::refresh`]
     /// first.
     #[inline]
-    pub(crate) fn best(&self, progress: u64) -> Best {
+    fn best(&self, progress: u64) -> Best {
         if let Some((t, rank, id)) = self.solo {
             // What the heaps would report for their only entry.
             return (t.max(progress), rank, id);
@@ -266,7 +267,7 @@ impl ThreadFrontier {
 
     /// Inserts a newly dispatchable task.
     #[inline]
-    pub(crate) fn push(&mut self, tentative: u64, rank: Rank, task: u32, progress: u64) {
+    fn push(&mut self, tentative: u64, rank: Rank, task: u32, progress: u64) {
         match self.solo.take() {
             None if self.ready.is_empty() && self.pending.is_empty() => {
                 self.solo = Some((tentative, rank, task));
@@ -289,7 +290,7 @@ impl ThreadFrontier {
 
     /// Removes the current best (after [`ThreadFrontier::refresh`]).
     #[inline]
-    pub(crate) fn pop_best(&mut self) {
+    fn pop_best(&mut self) {
         if self.solo.take().is_none() && self.ready.pop().is_none() {
             self.pending.pop();
         }
@@ -297,7 +298,7 @@ impl ThreadFrontier {
 
     /// Empties the frontier, retaining heap capacity for reuse.
     #[inline]
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.solo = None;
         self.pending.clear();
         self.ready.clear();
@@ -310,7 +311,7 @@ impl ThreadFrontier {
 /// overlay that serves any patch without materializing an applied graph.
 /// The loop is monomorphized per implementation, so the compiled hot
 /// path is unchanged.
-pub(crate) trait SimGraphView: RankInputs {
+trait SimGraphView: RankInputs {
     fn cost_ns(&self, c: CompactId) -> u64;
     fn thread_of(&self, c: CompactId) -> ThreadId;
     fn successors(&self, c: CompactId) -> &[CompactId];
@@ -362,7 +363,7 @@ pub fn simulate_compiled_with<O: FrontierOrder>(
 /// dependency-induced start (`max` over predecessor finishes) — the
 /// readiness times [`Schedule::capture_with`] indexes for incremental
 /// cutoff computation.
-pub(crate) fn sim_compiled_core<O: FrontierOrder>(
+fn sim_compiled_core<O: FrontierOrder>(
     cg: &CompiledGraph,
     order: &O,
 ) -> Result<(CompiledSim, Vec<u64>), GraphError> {
@@ -416,21 +417,21 @@ pub(crate) fn sim_compiled_core<O: FrontierOrder>(
 
 /// A thread's cached best candidate, `(feasible_start, rank, task)` —
 /// the dispatch key of [`dispatch_loop`].
-pub(crate) type Best = (u64, Rank, u32);
+type Best = (u64, Rank, u32);
 
 /// The [`Best`] of a thread with an empty frontier. It compares above
 /// every real candidate: no task has compact id `u32::MAX`.
-pub(crate) const IDLE: Best = (u64::MAX, (u64::MAX, u64::MAX), u32::MAX);
+const IDLE: Best = (u64::MAX, (u64::MAX, u64::MAX), u32::MAX);
 
-/// The frontier dispatch loop shared by the full, incremental, and
-/// windowed simulators: drains the seeded frontiers to completion,
+/// The frontier dispatch loop shared by the full simulator and the warm
+/// path (cone and full): drains the seeded frontiers to completion,
 /// returning how many tasks were dispatched. All entry points run *this*
 /// code, so no derived path can drift from full-simulation semantics.
 ///
 /// `bests` is working space, one slot per thread (`fronts.len()`); the
 /// loop fills it from the seeded frontiers itself.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn dispatch_loop<G: SimGraphView>(
+fn dispatch_loop<G: SimGraphView>(
     cg: &G,
     ranks: &[Rank],
     tentative: &mut [u64],
@@ -706,7 +707,7 @@ impl Schedule {
     }
 }
 
-/// Tuning knobs for [`simulate_incremental_with`].
+/// Tuning knobs for [`simulate_warm_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncrementalOptions {
     /// Fall back to a full simulation when the re-dispatch cone exceeds
@@ -775,45 +776,10 @@ impl IncrementalStats {
     }
 }
 
-/// Result of [`simulate_incremental_with`]: the simulation (identical to
-/// a full run of the patched graph) plus work accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalOutcome {
-    /// Dense simulation output over the patched graph.
-    pub sim: CompiledSim,
-    /// Which path ran and how much it re-dispatched.
-    pub stats: IncrementalStats,
-}
-
-/// [`simulate_incremental_with`] under the default earliest-start policy
-/// and default options.
-pub fn simulate_incremental(
-    base: &CompiledGraph,
-    schedule: &Schedule,
-    patched: &CompiledGraph,
-    patch: &GraphPatch,
-    trace: &ApplyTrace,
-) -> Result<IncrementalOutcome, GraphError> {
-    simulate_incremental_with(
-        base,
-        schedule,
-        patched,
-        patch,
-        trace,
-        &EarliestStart,
-        &IncrementalOptions::default(),
-    )
-}
-
-/// Simulates `patched = base.apply_traced(patch)` by reusing the base
-/// [`Schedule`]: replays every dispatch strictly before the patch's
-/// earliest possible influence verbatim, seeds the frontier heaps from
-/// the remaining *cone*, and drives the shared [`dispatch_loop`] over
-/// just those tasks — O(|cone| log |cone|) instead of O(V log V) per
-/// scenario. Falls back to [`simulate_compiled_with`] when the policy is
-/// not incremental-safe, the patch vacated a thread, or the cone exceeds
-/// the size threshold. The result is pinned (proptests) to be identical
-/// to the full simulation of the patched graph.
+/// The patch-influence cutoff and re-dispatch cone size over the base
+/// schedule, derived from the *unapplied* patch — base, delta, and
+/// schedule only: the whole decision surface of the warm path's size
+/// threshold.
 ///
 /// The cutoff is sound because dispatches happen in nondecreasing start
 /// order: every candidate created by a dispatch at time `s` has feasible
@@ -824,50 +790,13 @@ pub fn simulate_incremental(
 /// time, a removal from the start of the vacated slot, an insertion from
 /// its predecessors' finishes, and an edge rewire from the earlier of
 /// the target's base start and its loosest new readiness.
-///
-/// # Panics
-///
-/// Panics if `schedule` was not captured over `base`, or `patch`/`trace`
-/// do not correspond to `base` and `patched`.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_incremental_with<O: FrontierOrder>(
-    base: &CompiledGraph,
-    schedule: &Schedule,
-    patched: &CompiledGraph,
-    patch: &GraphPatch,
-    trace: &ApplyTrace,
-    order: &O,
-    opts: &IncrementalOptions,
-) -> Result<IncrementalOutcome, GraphError> {
-    match try_simulate_incremental_with(base, schedule, patched, patch, trace, order, opts)? {
-        Ok(outcome) => Ok(outcome),
-        Err(reason) => {
-            let n_new = patched.len();
-            let sim = simulate_compiled_with(patched, order)?;
-            Ok(IncrementalOutcome {
-                sim,
-                stats: IncrementalStats {
-                    redispatched: n_new,
-                    total: n_new,
-                    cutoff_ns: None,
-                    fallback: Some(reason),
-                },
-            })
-        }
-    }
-}
-
-/// The patch-influence cutoff and re-dispatch cone size over the base
-/// schedule, derived from the *unapplied* patch — base, delta, and
-/// schedule only: the whole decision surface of the incremental path's
-/// size threshold, needing no [`CompiledGraph::apply_traced`].
 struct ConeBound {
     /// Earliest instant any patch effect can surface (`u64::MAX` when
     /// the patch has no simulation-relevant effect).
     cutoff: u64,
     /// Index of the first base dispatch at or after `cutoff`.
     cut_idx: usize,
-    /// Tasks the incremental path would re-dispatch.
+    /// Tasks the cone path would re-dispatch.
     cone: usize,
     /// Live tasks of the patched graph (base − removed + inserted).
     n_new: usize,
@@ -1080,200 +1009,6 @@ fn busy_after_patch(
     (busy, extra)
 }
 
-/// The cone path of [`simulate_incremental_with`] *without* the full-sim
-/// fallback: the inner `Err` names why the cone cannot (or should not)
-/// run, leaving the caller free to substitute something cheaper than a
-/// full simulation — the multi-fidelity sweep search answers a too-large
-/// cone at a low rung with an O(|patch|) analytic estimate instead.
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_incremental_with<O: FrontierOrder>(
-    base: &CompiledGraph,
-    schedule: &Schedule,
-    patched: &CompiledGraph,
-    patch: &GraphPatch,
-    trace: &ApplyTrace,
-    order: &O,
-    opts: &IncrementalOptions,
-) -> Result<Result<IncrementalOutcome, FallbackReason>, GraphError> {
-    assert_eq!(
-        base.len(),
-        schedule.len(),
-        "schedule captured over a different base"
-    );
-    assert_eq!(
-        base.arena_len(),
-        patch.base_capacity(),
-        "patch recorded against a different base arena"
-    );
-    let n_new = patched.len();
-    if !order.incremental_safe() {
-        return Ok(Err(FallbackReason::PolicyUnsafe));
-    }
-    if trace.vacated_threads {
-        return Ok(Err(FallbackReason::VacatedThreads));
-    }
-
-    let d = patch.delta();
-    let base_cap = patch.base_capacity();
-    let base_compact = |id: TaskId| -> usize {
-        base.compact_of(id)
-            .expect("patched task must be live in the base")
-            .0 as usize
-    };
-
-    let bound = cone_bound(base, schedule, patch, order, &mut InsertBounds::default());
-    debug_assert_eq!(bound.n_new, n_new, "delta-derived live count must match");
-    let cutoff = bound.cutoff;
-
-    if cutoff == u64::MAX {
-        // No simulation-relevant change (name/kind edits, priority edits
-        // under a priority-blind policy): the base schedule is the answer.
-        debug_assert_eq!(n_new, base.len());
-        return Ok(Ok(IncrementalOutcome {
-            sim: schedule.sim.clone(),
-            stats: IncrementalStats {
-                redispatched: 0,
-                total: n_new,
-                cutoff_ns: Some(cutoff),
-                fallback: None,
-            },
-        }));
-    }
-
-    let cut_idx = bound.cut_idx;
-    let suffix = &schedule.by_start[cut_idx..];
-    let cone = bound.cone;
-    if cone as f64 > opts.max_cone_fraction * n_new as f64 {
-        return Ok(Err(FallbackReason::ConeTooLarge));
-    }
-
-    // --- Replay the prefix verbatim. ---
-    let remap = trace.remap.as_deref();
-    let map = |c: u32| -> u32 {
-        match remap {
-            Some(r) => r[c as usize],
-            None => c,
-        }
-    };
-    let (mut start, mut wait) = match remap {
-        None => (schedule.sim.start_ns.clone(), schedule.sim.wait_ns.clone()),
-        Some(r) => {
-            let mut start = vec![0u64; n_new];
-            let mut wait = vec![0u64; n_new];
-            for (old, &new) in r.iter().enumerate() {
-                if new != u32::MAX {
-                    start[new as usize] = schedule.sim.start_ns[old];
-                    wait[new as usize] = schedule.sim.wait_ns[old];
-                }
-            }
-            (start, wait)
-        }
-    };
-    let t_new = patched.thread_count();
-    let t_base = base.thread_count();
-    debug_assert!(t_base <= t_new, "vacated threads must have fallen back");
-    let mut progress = vec![0u64; t_new];
-    for (t, p) in progress.iter_mut().enumerate().take(t_base) {
-        *p = schedule.progress_at(t, cutoff);
-    }
-
-    // --- Seed the cone. ---
-    let mut tentative = vec![0u64; n_new];
-    let mut preds = vec![0u32; n_new];
-    let mut ranks: Vec<Rank> = vec![(0, 0); n_new];
-    let mut fronts: Vec<ThreadFrontier> = (0..t_new).map(|_| ThreadFrontier::default()).collect();
-    // Remaining preds / seeded tentative from an explicit (rewired or
-    // inserted) predecessor list: prefix predecessors contribute their
-    // base finish, suffix and inserted ones stay owed to the loop.
-    let split_list = |list: &[(TaskId, crate::graph::DepKind)]| -> (u32, u64) {
-        let mut rem = 0u32;
-        let mut tent = 0u64;
-        for &(p, _) in list {
-            if p.0 >= base_cap {
-                rem += 1;
-            } else {
-                let c = base_compact(p);
-                if schedule.sim.start_ns[c] < cutoff {
-                    tent = tent.max(schedule.fin_ns[c]);
-                } else {
-                    rem += 1;
-                }
-            }
-        }
-        (rem, tent)
-    };
-    let mut seed = |c_new: u32, rem: u32, tent: u64| {
-        let i = c_new as usize;
-        preds[i] = rem;
-        tentative[i] = tent;
-        ranks[i] = order.rank(patched, CompactId(c_new));
-        if rem == 0 {
-            let t = patched.thread_of(CompactId(c_new)).0 as usize;
-            fronts[t].push(tent, ranks[i], c_new, progress[t]);
-        }
-    };
-    for &c_base in suffix {
-        let id = base.task_id(CompactId(c_base));
-        if d.is_removed(id) {
-            continue;
-        }
-        let c_new = map(c_base);
-        debug_assert_ne!(c_new, u32::MAX, "unremoved base task must survive");
-        let (rem, tent) = match d.pred_over(id) {
-            Some(list) => split_list(list),
-            None => schedule.pred_split(c_base as usize, cutoff),
-        };
-        seed(c_new, rem, tent);
-    }
-    for &v in d.new_ids() {
-        if d.is_removed(v) {
-            continue;
-        }
-        let c_new = patched
-            .compact_of(v)
-            .expect("inserted task is live in the patched graph")
-            .0;
-        let (rem, tent) = match d.pred_over(v) {
-            Some(list) => split_list(list),
-            None => (0, 0),
-        };
-        seed(c_new, rem, tent);
-    }
-
-    // --- Re-dispatch the cone through the shared loop. ---
-    let mut bests = vec![IDLE; t_new];
-    let mut makespan = schedule.makespan_prefix[cut_idx];
-    let done = dispatch_loop(
-        patched,
-        &ranks,
-        &mut tentative,
-        &mut preds,
-        &mut start,
-        &mut wait,
-        &mut progress,
-        &mut fronts,
-        &mut bests,
-        &mut makespan,
-    );
-    if done != cone {
-        return Err(GraphError::Cycle);
-    }
-    Ok(Ok(IncrementalOutcome {
-        sim: CompiledSim {
-            start_ns: start,
-            wait_ns: wait,
-            thread_end: progress,
-            makespan_ns: makespan,
-        },
-        stats: IncrementalStats {
-            redispatched: done,
-            total: n_new,
-            cutoff_ns: Some(cutoff),
-            fallback: None,
-        },
-    }))
-}
-
 /// Earliest-dispatch lower bounds (and thread costs) for a patch's
 /// inserted tasks, indexed like `new_ids`: each can start no earlier
 /// than the finishes of its base predecessors and the (bound + cost) of
@@ -1340,17 +1075,6 @@ impl InsertBounds {
 // ---------------------------------------------------------------------------
 // Warm evaluation: epoch-stamped scratch arenas
 // ---------------------------------------------------------------------------
-
-/// Per-prefix-task bytes the cone path never writes: the `start`/`wait`
-/// clone (16), zeroed `tentative` (8) / `preds` (4) / `ranks` (16), and
-/// the applied graph's `cost_ns`/`duration_ns` arrays (16).
-const WARM_BYTES_PER_PREFIX_TASK: u64 = 60;
-/// Per-task bytes a no-op patch avoids cloning (the base [`CompiledSim`]
-/// `start`/`wait` arrays).
-const WARM_BYTES_PER_NOOP_TASK: u64 = 16;
-/// Per-task bytes the overlay-backed full fallback avoids copying (at
-/// least the applied graph's `cost_ns`/`duration_ns` arrays).
-const WARM_BYTES_PER_APPLY_TASK: u64 = 16;
 
 /// [`Overlay::row`] start of a slot that reads its successors from the
 /// base CSR.
@@ -1603,7 +1327,7 @@ impl Overlay {
 
 /// A patched graph served straight off the base [`CompiledGraph`] plus
 /// the epoch-stamped [`Overlay`].
-pub(crate) struct OverlayView<'a> {
+struct OverlayView<'a> {
     base: &'a CompiledGraph,
     ov: &'a Overlay,
     epoch: u32,
@@ -1862,7 +1586,7 @@ impl SimBufs {
 
 /// What the last warm evaluation left in the arena — enough for
 /// [`SimScratch::materialize`] to reconstruct the full [`CompiledSim`]
-/// the classic path would have returned.
+/// of the applied graph.
 #[derive(Debug, Clone, Copy)]
 enum WarmLast {
     /// Cone re-dispatch: stamped slots overlay the base schedule.
@@ -1881,20 +1605,6 @@ pub struct ScratchCounters {
     pub reuses: u64,
     /// Evaluations that had to (re)size at least one buffer.
     pub allocs: u64,
-    /// Bytes of per-task array copying the warm path skipped relative to
-    /// the fresh-allocation path.
-    pub bytes_copied_avoided: u64,
-}
-
-impl ScratchCounters {
-    /// Component-wise sum.
-    pub fn merged(self, other: ScratchCounters) -> ScratchCounters {
-        ScratchCounters {
-            reuses: self.reuses + other.reuses,
-            allocs: self.allocs + other.allocs,
-            bytes_copied_avoided: self.bytes_copied_avoided + other.bytes_copied_avoided,
-        }
-    }
 }
 
 /// A reusable simulation arena for [`simulate_warm_with`]: every per-sim
@@ -1912,7 +1622,6 @@ pub struct SimScratch {
     last: Option<WarmLast>,
     reuses: u64,
     allocs: u64,
-    bytes_copied_avoided: u64,
 }
 
 impl SimScratch {
@@ -1951,13 +1660,14 @@ impl SimScratch {
     }
 
     /// Reconstructs the full [`CompiledSim`] of the last
-    /// [`simulate_warm_with`] call — byte-identical to what the classic
-    /// path returns for the same patch over the applied graph (the
-    /// oracle the equivalence proptests pin): view ids map back to the
-    /// applied compact order by skipping removed tasks, and threads to
-    /// the apply's interning order (surviving base threads, then fresh
-    /// threads by the first task placed on them). `schedule` must be the
-    /// one that evaluation ran against. `None` before any evaluation.
+    /// [`simulate_warm_with`] call — byte-identical to
+    /// [`simulate_compiled_with`] over `CompiledGraph::apply` of the same
+    /// patch (the oracle the equivalence proptests pin): view ids map
+    /// back to the applied compact order by skipping removed tasks, and
+    /// threads to the apply's interning order (surviving base threads,
+    /// then fresh threads by the first task placed on them). `schedule`
+    /// must be the one that evaluation ran against. `None` before any
+    /// evaluation.
     pub fn materialize(&self, schedule: &Schedule) -> Option<CompiledSim> {
         let (full, makespan) = match self.last? {
             WarmLast::Noop => return Some(schedule.sim.clone()),
@@ -2007,7 +1717,6 @@ impl SimScratch {
         ScratchCounters {
             reuses: self.reuses,
             allocs: self.allocs,
-            bytes_copied_avoided: self.bytes_copied_avoided,
         }
     }
 
@@ -2017,7 +1726,6 @@ impl SimScratch {
         let c = self.counters();
         self.reuses = 0;
         self.allocs = 0;
-        self.bytes_copied_avoided = 0;
         c
     }
 
@@ -2043,7 +1751,6 @@ pub struct ScratchPool {
     pool: Mutex<Vec<SimScratch>>,
     reuses: AtomicU64,
     allocs: AtomicU64,
-    bytes_copied_avoided: AtomicU64,
 }
 
 impl ScratchPool {
@@ -2068,8 +1775,6 @@ impl ScratchPool {
         let c = scratch.take_counters();
         self.reuses.fetch_add(c.reuses, Ordering::Relaxed);
         self.allocs.fetch_add(c.allocs, Ordering::Relaxed);
-        self.bytes_copied_avoided
-            .fetch_add(c.bytes_copied_avoided, Ordering::Relaxed);
         scratch.last = None;
         self.pool
             .lock()
@@ -2082,15 +1787,13 @@ impl ScratchPool {
         ScratchCounters {
             reuses: self.reuses.load(Ordering::Relaxed),
             allocs: self.allocs.load(Ordering::Relaxed),
-            bytes_copied_avoided: self.bytes_copied_avoided.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Result of [`simulate_warm_with`]: the predicted makespan plus the
-/// same work accounting the classic incremental path reports. The full
-/// per-task simulation stays in the arena; call
-/// [`SimScratch::materialize`] to expand it.
+/// Result of [`simulate_warm_with`]: the predicted makespan plus which
+/// path ran and how much it re-dispatched. The full per-task simulation
+/// stays in the arena; call [`SimScratch::materialize`] to expand it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarmOutcome {
     /// End of the last task — the predicted iteration time.
@@ -2117,10 +1820,11 @@ pub fn simulate_warm(
     )
 }
 
-/// The allocation-free warm twin of [`simulate_incremental_with`]: the
-/// same dispatch semantics and path decisions (pinned byte-identical by
-/// the equivalence proptests), but no patch is ever applied. Every patch
-/// — retimes, thread moves, priority edits, inserts, removals, rewires —
+/// Simulates `base.apply(patch)` from the base [`Schedule`] without
+/// applying the patch, allocation-free once `scratch` is warm. The
+/// result is pinned byte-identical (equivalence proptests) to
+/// [`simulate_compiled_with`] over the applied graph. Every patch —
+/// retimes, thread moves, priority edits, inserts, removals, rewires —
 /// is simulated over the base [`CompiledGraph`] plus an epoch-stamped
 /// overlay in `scratch`, built in O(|patch|), and every per-sim O(V)
 /// buffer comes from the arena. The decisions, in order:
@@ -2156,7 +1860,6 @@ pub fn simulate_warm_with<O: FrontierOrder>(
     let makespan = scratch.bufs.run_full(&view, order, scratch.epoch)?;
     let live = scratch.ov.shape.live;
     scratch.last = Some(WarmLast::Full { makespan });
-    scratch.bytes_copied_avoided += live as u64 * WARM_BYTES_PER_APPLY_TASK;
     Ok(WarmOutcome {
         makespan_ns: makespan,
         stats: IncrementalStats {
@@ -2210,7 +1913,6 @@ pub fn try_simulate_warm_with<O: FrontierOrder>(
         // under a priority-blind policy): the base schedule is the
         // answer, referenced rather than cloned.
         scratch.last = Some(WarmLast::Noop);
-        scratch.bytes_copied_avoided += live as u64 * WARM_BYTES_PER_NOOP_TASK;
         return Ok(Ok(WarmOutcome {
             makespan_ns: schedule.makespan_ns(),
             stats: IncrementalStats {
@@ -2238,7 +1940,6 @@ pub fn try_simulate_warm_with<O: FrontierOrder>(
         return Err(GraphError::Cycle);
     }
     scratch.last = Some(WarmLast::Cone { makespan });
-    scratch.bytes_copied_avoided += (live - bound.cone) as u64 * WARM_BYTES_PER_PREFIX_TASK;
     Ok(Ok(WarmOutcome {
         makespan_ns: makespan,
         stats: IncrementalStats {
@@ -2530,9 +2231,82 @@ mod tests {
         assert!(r.thread_end.is_empty());
     }
 
-    /// Warm evaluation against the classic fresh-allocation oracle on a
-    /// single arena across every path: cone, no-op, forced full
-    /// fallback, and a structural patch.
+    /// Evaluates `patch` warm on `scratch` and pins it to the classic
+    /// oracle, [`simulate_compiled_with`] over `CompiledGraph::apply`,
+    /// then checks the path accounting against the applied graph: a
+    /// vacated thread or a cone over budget falls back and dispatches
+    /// every task; otherwise the cone is every live base task dispatched
+    /// at or after the cutoff, plus every live insert.
+    fn check_warm(
+        cg: &CompiledGraph,
+        schedule: &Schedule,
+        patch: &GraphPatch,
+        opts: &IncrementalOptions,
+        scratch: &mut SimScratch,
+    ) {
+        let warm = simulate_warm_with(cg, schedule, patch, scratch, &EarliestStart, opts)
+            .expect("patched graph must stay a DAG");
+        let (applied, trace) = cg.apply_traced(patch);
+        let full = simulate_compiled(&applied).expect("patched graph must stay a DAG");
+        assert_eq!(warm.makespan_ns, full.makespan_ns);
+        assert_eq!(
+            scratch.materialize(schedule).unwrap(),
+            full,
+            "warm arena diverged from the full simulation"
+        );
+
+        let stats = warm.stats;
+        assert_eq!(stats.total, applied.len(), "live task count");
+        if stats.fallback.is_some() {
+            assert_eq!(stats.redispatched, stats.total);
+            assert_eq!(stats.cutoff_ns, None);
+        }
+        if trace.vacated_threads {
+            assert_eq!(stats.fallback, Some(FallbackReason::VacatedThreads));
+            return;
+        }
+        let unbounded = IncrementalOptions {
+            max_cone_fraction: 1.0,
+        };
+        let cone_path = simulate_warm_with(
+            cg,
+            schedule,
+            patch,
+            &mut SimScratch::new(),
+            &EarliestStart,
+            &unbounded,
+        )
+        .unwrap()
+        .stats;
+        let cutoff = cone_path
+            .cutoff_ns
+            .expect("an unbounded budget runs the cone");
+        let cone = if cutoff == u64::MAX {
+            0
+        } else {
+            let kept = (0..cg.len()).filter(|&i| {
+                applied
+                    .compact_of(cg.task_id(CompactId(i as u32)))
+                    .is_some()
+            });
+            let inserts = applied.len() - kept.clone().count();
+            kept.filter(|&i| schedule.sim().start_ns[i] >= cutoff)
+                .count()
+                + inserts
+        };
+        assert_eq!(cone_path.redispatched, cone, "cone size");
+        if cone as f64 > opts.max_cone_fraction * stats.total as f64 {
+            assert_eq!(stats.fallback, Some(FallbackReason::ConeTooLarge));
+        } else {
+            assert_eq!(stats.fallback, None);
+            assert_eq!(stats.redispatched, cone);
+            assert_eq!(stats.cutoff_ns, Some(cutoff));
+        }
+    }
+
+    /// Warm evaluation against the classic oracle, apply + full
+    /// simulation, on a single arena across every path: cone, no-op,
+    /// forced full fallback, and a structural patch.
     #[test]
     fn warm_paths_match_the_classic_oracle() {
         use crate::graph::GraphEdit;
@@ -2545,61 +2319,37 @@ mod tests {
         let cg = CompiledGraph::compile(&g);
         let schedule = Schedule::capture(&cg).unwrap();
         let mut scratch = SimScratch::new();
-
-        let check = |patch: &GraphPatch, opts: &IncrementalOptions, scratch: &mut SimScratch| {
-            let warm = simulate_warm_with(&cg, &schedule, patch, scratch, &EarliestStart, opts)
-                .expect("patched graph must stay a DAG");
-            let (applied, trace) = cg.apply_traced(patch);
-            let oracle = simulate_incremental_with(
-                &cg,
-                &schedule,
-                &applied,
-                patch,
-                &trace,
-                &EarliestStart,
-                opts,
-            )
-            .expect("patched graph must stay a DAG");
-            assert_eq!(warm.makespan_ns, oracle.sim.makespan_ns);
-            assert_eq!(warm.stats, oracle.stats, "path accounting diverged");
-            assert_eq!(
-                scratch.materialize(&schedule).unwrap(),
-                oracle.sim,
-                "warm arena diverged from the fresh-allocation oracle"
-            );
-        };
+        let default = IncrementalOptions::default();
 
         // Cone re-dispatch.
         let mut p = PatchGraph::new(&g);
         p.set_duration(ids[8], 500);
-        check(&p.finish(), &IncrementalOptions::default(), &mut scratch);
+        check_warm(&cg, &schedule, &p.finish(), &default, &mut scratch);
         // No-op under a priority-blind policy.
         let mut p = PatchGraph::new(&g);
         p.set_priority(ids[3], 7);
-        check(&p.finish(), &IncrementalOptions::default(), &mut scratch);
+        check_warm(&cg, &schedule, &p.finish(), &default, &mut scratch);
         // Forced full fallback stays on the overlay (no apply).
         let mut p = PatchGraph::new(&g);
         p.set_duration(ids[2], 900);
-        check(
-            &p.finish(),
-            &IncrementalOptions {
-                max_cone_fraction: 0.0,
-            },
-            &mut scratch,
-        );
+        let zero = IncrementalOptions {
+            max_cone_fraction: 0.0,
+        };
+        check_warm(&cg, &schedule, &p.finish(), &zero, &mut scratch);
         // Structural patch: simulated over the overlay, never applied.
         let mut p = PatchGraph::new(&g);
         let extra = p.add_task(cpu(40, 0));
         p.add_dep(ids[10], extra, DepKind::Transform);
-        check(&p.finish(), &IncrementalOptions::default(), &mut scratch);
+        check_warm(&cg, &schedule, &p.finish(), &default, &mut scratch);
         // Back-to-back cone on the same arena: stale stamps must not leak.
         let mut p = PatchGraph::new(&g);
         p.set_duration(ids[4], 123);
-        check(&p.finish(), &IncrementalOptions::default(), &mut scratch);
+        check_warm(&cg, &schedule, &p.finish(), &default, &mut scratch);
 
-        let c = scratch.counters();
-        assert!(c.reuses >= 2, "warm arena must be reused across evals");
-        assert!(c.bytes_copied_avoided > 0);
+        assert!(
+            scratch.counters().reuses >= 2,
+            "warm arena must be reused across evals"
+        );
     }
 
     /// Epoch overflow (u32 wrap) must reset the stamp arrays cleanly:
@@ -2629,12 +2379,13 @@ mod tests {
         // Epochs u32::MAX, then wrap -> 1, then 2 — different cones each
         // time so a stale stamp surviving the wrap would corrupt output.
         for (target, ns) in [(5usize, 600u64), (2, 700), (6, 800)] {
-            let patch = mk(target, ns);
-            let warm = simulate_warm(&cg, &schedule, &patch, &mut scratch).unwrap();
-            let (applied, trace) = cg.apply_traced(&patch);
-            let oracle = simulate_incremental(&cg, &schedule, &applied, &patch, &trace).unwrap();
-            assert_eq!(warm.makespan_ns, oracle.sim.makespan_ns);
-            assert_eq!(scratch.materialize(&schedule).unwrap(), oracle.sim);
+            check_warm(
+                &cg,
+                &schedule,
+                &mk(target, ns),
+                &IncrementalOptions::default(),
+                &mut scratch,
+            );
         }
         assert_eq!(scratch.epoch(), 2, "wrap must restart the counter at 1");
     }

@@ -1,0 +1,116 @@
+//! The one oracle the warm-path tests share: [`simulate_compiled_with`]
+//! over [`CompiledGraph::apply`], plus the path accounting the warm path
+//! must report for the patch.
+
+use daydream_core::{
+    simulate_compiled_with, simulate_warm_with, CompactId, CompiledGraph, FallbackReason,
+    FrontierOrder, GraphPatch, IncrementalOptions, IncrementalStats, Schedule, SimScratch,
+    WarmOutcome,
+};
+
+/// Evaluates `patch` warm on `scratch` and pins the result to the full
+/// simulation of the applied graph: the makespan, the materialized
+/// dense simulation, and its expanded arena-indexed form. Then checks
+/// the work accounting with [`assert_stats`] and returns the outcome.
+pub fn assert_warm_matches_full<O: FrontierOrder>(
+    cg: &CompiledGraph,
+    schedule: &Schedule,
+    patch: &GraphPatch,
+    order: &O,
+    opts: &IncrementalOptions,
+    scratch: &mut SimScratch,
+) -> WarmOutcome {
+    let warm = simulate_warm_with(cg, schedule, patch, scratch, order, opts)
+        .expect("patched graph must stay a DAG");
+    let applied = cg.apply(patch);
+    let full = simulate_compiled_with(&applied, order).expect("patched graph must stay a DAG");
+    assert_eq!(warm.makespan_ns, full.makespan_ns, "makespan diverged");
+    let materialized = scratch
+        .materialize(schedule)
+        .expect("a completed warm evaluation must materialize");
+    assert_eq!(
+        materialized, full,
+        "warm simulation diverged from the full run"
+    );
+    assert_eq!(
+        materialized.into_sim_result(&applied),
+        full.into_sim_result(&applied),
+        "expanded SimResult diverged"
+    );
+    assert_stats(cg, schedule, patch, order, opts, &warm.stats);
+    warm
+}
+
+/// The path accounting `simulate_warm_with` must report for `patch`,
+/// derived from the applied graph: the policy and
+/// `ApplyTrace::vacated_threads` decide the structural fallbacks; on the
+/// cone path, every live base task dispatched at or after the cutoff
+/// plus every live insert re-dispatches; and that cone, taken at an
+/// unbounded budget, decides the size fallback.
+fn assert_stats<O: FrontierOrder>(
+    cg: &CompiledGraph,
+    schedule: &Schedule,
+    patch: &GraphPatch,
+    order: &O,
+    opts: &IncrementalOptions,
+    stats: &IncrementalStats,
+) {
+    let (applied, trace) = cg.apply_traced(patch);
+    assert_eq!(stats.total, applied.len(), "live task count");
+    if stats.fallback.is_some() {
+        assert_eq!(
+            stats.redispatched, stats.total,
+            "a fallback dispatches every task"
+        );
+        assert_eq!(stats.cutoff_ns, None, "a fallback has no cutoff");
+    }
+    if !order.incremental_safe() {
+        assert_eq!(stats.fallback, Some(FallbackReason::PolicyUnsafe));
+        return;
+    }
+    if trace.vacated_threads {
+        assert_eq!(stats.fallback, Some(FallbackReason::VacatedThreads));
+        return;
+    }
+    let unbounded = IncrementalOptions {
+        max_cone_fraction: 1.0,
+    };
+    let cone_path = simulate_warm_with(
+        cg,
+        schedule,
+        patch,
+        &mut SimScratch::new(),
+        order,
+        &unbounded,
+    )
+    .expect("patched graph must stay a DAG")
+    .stats;
+    let cutoff = cone_path
+        .cutoff_ns
+        .expect("an unbounded budget runs the cone");
+    let cone = if cutoff == u64::MAX {
+        0
+    } else {
+        let survivors: Vec<usize> = (0..cg.len())
+            .filter(|&i| {
+                applied
+                    .compact_of(cg.task_id(CompactId(i as u32)))
+                    .is_some()
+            })
+            .collect();
+        let inserts = applied.len() - survivors.len();
+        survivors
+            .iter()
+            .filter(|&&i| schedule.sim().start_ns[i] >= cutoff)
+            .count()
+            + inserts
+    };
+    assert_eq!(cone_path.redispatched, cone, "cone size");
+    if cone as f64 > opts.max_cone_fraction * stats.total as f64 {
+        assert_eq!(stats.fallback, Some(FallbackReason::ConeTooLarge));
+    } else {
+        assert_eq!(stats.fallback, None);
+        assert_eq!(stats.redispatched, cone);
+        assert_eq!(stats.cutoff_ns, Some(cutoff));
+    }
+}

@@ -12,10 +12,9 @@
 
 use daydream_core::whatif::P3Scheduler;
 use daydream_core::{
-    simulate, simulate_compiled, simulate_compiled_with, simulate_reference,
-    simulate_windowed_with, simulate_with, CommChannel, CompactId, CompiledGraph, CompiledSim,
-    DepKind, DependencyGraph, EarliestStart, ExecThread, FrontierOrder, Task, TaskKind,
-    WindowedOptions,
+    simulate, simulate_compiled_with, simulate_reference, simulate_with, CommChannel, CompactId,
+    CompiledGraph, CompiledSim, DepKind, DependencyGraph, EarliestStart, ExecThread, FrontierOrder,
+    Task, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -200,28 +199,6 @@ proptest! {
         let oracle = simulate_reference(&g).unwrap();
         prop_assert_eq!(&fast.start_ns, &oracle.start_ns);
         prop_assert_eq!(fast.makespan_ns, oracle.makespan_ns);
-    }
-
-    // The speculative windowed path must be byte-identical to the serial
-    // compiled simulator on arbitrary DAGs. Forced to engage on small
-    // graphs (`min_tasks: 0`); adversarial shapes (zero durations,
-    // cross-thread fan-in, removals) trigger both full certification and
-    // rollback re-dispatch across runs, so both commit paths are covered.
-    #[test]
-    fn windowed_simulator_matches_serial(
-        tasks in prop::collection::vec((0u64..5, 0u64..200, 0u64..30, Just(0i64)), 1..90),
-        edges in prop::collection::vec((0u64..10_000, 0u64..10_000), 0..250),
-        removals in prop::collection::vec(0u64..10_000, 0..12),
-        windows in 1usize..9,
-    ) {
-        let g = build(thread_for, &tasks, &edges, &removals);
-        let cg = CompiledGraph::compile(&g);
-        let serial = simulate_compiled(&cg).expect("forward-edge graphs are DAGs");
-        let opts = WindowedOptions { windows, min_tasks: 0 };
-        let (win, stats) = simulate_windowed_with(&cg, &EarliestStart, &opts)
-            .expect("forward-edge graphs are DAGs");
-        prop_assert_eq!(&win, &serial);
-        prop_assert_eq!(stats.certified_tasks + stats.redispatched_tasks, cg.len());
     }
 }
 

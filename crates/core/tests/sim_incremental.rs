@@ -1,14 +1,18 @@
 //! Incremental cone re-simulation against the full simulator.
 //!
-//! `simulate_incremental_with` must be *byte-identical* to a full
-//! `simulate_compiled_with` run of the patched graph: same per-task
+//! `simulate_warm_with` must be *byte-identical* to a full
+//! `simulate_compiled_with` run of the applied graph: same per-task
 //! starts and waits, same per-thread ends, same makespan — on random
 //! DAGs with random op sequences under both frontier policies, on the
 //! profiled ResNet-50 / BERT graphs for every what-if transform in the
 //! catalog (including P3 over its replicated base), and on every
-//! fallback path. Patch composition (`GraphPatch::compose`, layered
-//! `PatchGraph`) is pinned against sequential apply here too.
+//! fallback path, with the work accounting each path must report.
+//! Patch composition (`GraphPatch::compose`, layered `PatchGraph`) is
+//! pinned against sequential apply here too.
 
+mod common;
+
+use common::assert_warm_matches_full;
 use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
@@ -17,10 +21,10 @@ use daydream_core::whatif::{
     DgcConfig, GistConfig, P3Config, P3Scheduler, Substitution, VdnnConfig,
 };
 use daydream_core::{
-    simulate_compiled_with, simulate_incremental_with, CommChannel, CompactId, CompiledGraph,
-    DepKind, DependencyGraph, EarliestStart, ExecThread, FallbackReason, FrontierOrder, GraphEdit,
-    GraphPatch, GraphView, IncrementalOptions, IncrementalStats, PatchGraph, ProfiledGraph, Rank,
-    RankInputs, Schedule, Task, TaskId, TaskKind,
+    simulate_compiled_with, CommChannel, CompactId, CompiledGraph, DepKind, DependencyGraph,
+    EarliestStart, ExecThread, FallbackReason, FrontierOrder, GraphEdit, GraphPatch, GraphView,
+    IncrementalOptions, IncrementalStats, PatchGraph, ProfiledGraph, Rank, RankInputs, Schedule,
+    SimScratch, Task, TaskId, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -37,9 +41,9 @@ const FALLBACK: IncrementalOptions = IncrementalOptions {
     max_cone_fraction: 0.0,
 };
 
-/// Runs the incremental simulator and the full simulator over the same
-/// patched graph and asserts identical output (dense *and* expanded
-/// arena-indexed forms), returning the incremental stats.
+/// Evaluates `patch` warm over a freshly compiled `base` and asserts it
+/// equals the full simulation of the applied graph (dense *and* expanded
+/// arena-indexed forms) with the expected work accounting, returning it.
 fn assert_incremental<O: FrontierOrder>(
     base: &DependencyGraph,
     patch: &GraphPatch,
@@ -48,21 +52,7 @@ fn assert_incremental<O: FrontierOrder>(
 ) -> IncrementalStats {
     let cg = CompiledGraph::compile(base);
     let schedule = Schedule::capture_with(&cg, order).expect("base must be a DAG");
-    let (applied, trace) = cg.apply_traced(patch);
-    let incremental =
-        simulate_incremental_with(&cg, &schedule, &applied, patch, &trace, order, opts)
-            .expect("patched graph must stay a DAG");
-    let full = simulate_compiled_with(&applied, order).expect("patched graph must stay a DAG");
-    assert_eq!(
-        incremental.sim, full,
-        "incremental simulation diverged from the full run"
-    );
-    assert_eq!(
-        incremental.sim.clone().into_sim_result(&applied),
-        full.into_sim_result(&applied),
-        "expanded SimResult diverged"
-    );
-    incremental.stats
+    assert_warm_matches_full(&cg, &schedule, patch, order, opts, &mut SimScratch::new()).stats
 }
 
 // --- The random-DAG universe of patch_equivalence.rs -----------------------
@@ -177,8 +167,8 @@ proptest! {
     // The apply-free estimate surface of the sweep search's low-fidelity
     // rungs: `busy_time_bound` over the base + delta must equal summing
     // costs over the *applied* graph, and `try_simulate_warm_with` must
-    // make the applied attempt's decision — the same cone, or a refusal
-    // for the same reason.
+    // make the checked decision of `simulate_warm_with` — the same cone,
+    // or a refusal for the same reason.
     #[test]
     fn apply_free_estimates_match_the_applied_graph(
         tasks in prop::collection::vec((0u64..5, 0u64..200, 0u64..30), 1..60),
@@ -187,10 +177,7 @@ proptest! {
             (0u64..10_000, 0u64..10_000, 0u64..10_000, 0u64..10_000), 0..40),
         budget_pct in 0u64..101,
     ) {
-        use daydream_core::{
-            busy_time_bound, thread_busy_ns, try_simulate_incremental_with,
-            try_simulate_warm_with, SimScratch,
-        };
+        use daydream_core::{busy_time_bound, thread_busy_ns, try_simulate_warm_with};
         let g = build_dag(&tasks, &edges);
         let mut p = PatchGraph::new(&g);
         for &op in &ops {
@@ -198,7 +185,7 @@ proptest! {
         }
         let patch = p.finish();
         let base = CompiledGraph::compile(&g);
-        let (applied, trace) = base.apply_traced(&patch);
+        let applied = base.apply(&patch);
 
         let base_busy = thread_busy_ns(&base);
         let bound = busy_time_bound(&base, &base_busy, &patch);
@@ -213,25 +200,14 @@ proptest! {
 
         let opts = IncrementalOptions { max_cone_fraction: budget_pct as f64 / 100.0 };
         let schedule = Schedule::capture_with(&base, &EarliestStart).unwrap();
-        let attempt =
-            try_simulate_incremental_with(&base, &schedule, &applied, &patch, &trace,
-                &EarliestStart, &opts)
-            .unwrap();
-        let warm = try_simulate_warm_with(&base, &schedule, &patch, &mut SimScratch::new(),
+        let checked = assert_warm_matches_full(&base, &schedule, &patch, &EarliestStart, &opts,
+            &mut SimScratch::new());
+        let attempt = try_simulate_warm_with(&base, &schedule, &patch, &mut SimScratch::new(),
             &EarliestStart, &opts)
             .unwrap();
-        match (attempt, warm) {
-            (Ok(applied), Ok(warm)) => {
-                prop_assert_eq!(applied.sim.makespan_ns, warm.makespan_ns);
-                prop_assert_eq!(applied.stats, warm.stats);
-            }
-            (Err(applied), Err(warm)) => prop_assert_eq!(applied, warm),
-            (applied, warm) => prop_assert!(
-                false,
-                "the applied attempt said {:?}, the warm one {:?}",
-                applied.err(),
-                warm.err()
-            ),
+        match attempt {
+            Ok(warm) => prop_assert_eq!(warm, checked),
+            Err(reason) => prop_assert_eq!(Some(reason), checked.stats.fallback),
         }
     }
 

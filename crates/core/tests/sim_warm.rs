@@ -6,7 +6,7 @@
 //! surviving an epoch bump, a buffer sized for the wrong base, a missed
 //! overlay slot, a seeded removed task, or a fresh thread interned out of
 //! order would all show up as a divergence from applying the patch and
-//! running `simulate_incremental_with` fresh. So: random DAGs, random op
+//! running `simulate_compiled_with` fresh. So: random DAGs, random op
 //! sequences (retimes, thread moves, inserts onto threads the base never
 //! used, removals that vacate a base thread, inserts removed again,
 //! rewires in either direction), interleaved across *two* bases and
@@ -14,11 +14,14 @@
 //! that is not incremental-safe), with forced fallbacks mixed in — every
 //! step on the one shared arena must be byte-identical to the oracle.
 
+mod common;
+
+use common::assert_warm_matches_full;
 use daydream_core::whatif::P3Scheduler;
 use daydream_core::{
-    simulate_incremental_with, simulate_warm_with, CommChannel, CompactId, CompiledGraph, DepKind,
-    DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit, GraphPatch, GraphView,
-    IncrementalOptions, PatchGraph, Rank, RankInputs, Schedule, SimScratch, Task, TaskId, TaskKind,
+    CommChannel, CompactId, CompiledGraph, DepKind, DependencyGraph, EarliestStart, ExecThread,
+    FrontierOrder, GraphEdit, GraphView, IncrementalOptions, PatchGraph, Rank, RankInputs,
+    Schedule, SimScratch, Task, TaskId, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -202,36 +205,6 @@ impl WarmBase {
     }
 }
 
-/// Evaluates `patch` warm on the shared arena and fresh via the classic
-/// clone-everything path; the makespan, the work accounting, and the
-/// fully materialized per-task simulation must all agree.
-fn check_step<O: FrontierOrder>(
-    cg: &CompiledGraph,
-    schedule: &Schedule,
-    patch: &GraphPatch,
-    order: &O,
-    opts: &IncrementalOptions,
-    scratch: &mut SimScratch,
-) {
-    let warm = simulate_warm_with(cg, schedule, patch, scratch, order, opts)
-        .expect("patched graph must stay a DAG");
-    let (applied, trace) = cg.apply_traced(patch);
-    let oracle = simulate_incremental_with(cg, schedule, &applied, patch, &trace, order, opts)
-        .expect("patched graph must stay a DAG");
-    assert_eq!(
-        warm.makespan_ns, oracle.sim.makespan_ns,
-        "makespan diverged"
-    );
-    assert_eq!(warm.stats, oracle.stats, "path accounting diverged");
-    let materialized = scratch
-        .materialize(schedule)
-        .expect("a completed warm evaluation must materialize");
-    assert_eq!(
-        materialized, oracle.sim,
-        "arena simulation diverged from fresh allocation"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -272,13 +245,13 @@ proptest! {
                 _ => IncrementalOptions { max_cone_fraction: 0.0 },
             };
             match (*sel / 2) % 3 {
-                0 => check_step(
+                0 => assert_warm_matches_full(
                     &base.cg, &base.sched_es, &patch, &EarliestStart, &opts, &mut scratch),
-                1 => check_step(
+                1 => assert_warm_matches_full(
                     &base.cg, &base.sched_p3, &patch, &P3Scheduler, &opts, &mut scratch),
-                _ => check_step(
+                _ => assert_warm_matches_full(
                     &base.cg, &base.sched_dur, &patch, &ByDuration, &opts, &mut scratch),
-            }
+            };
         }
     }
 }
@@ -304,7 +277,7 @@ fn fresh_threads_materialize_in_apply_order() {
             max_cone_fraction: 0.0,
         },
     ] {
-        check_step(
+        assert_warm_matches_full(
             &base.cg,
             &base.sched_es,
             &patch,

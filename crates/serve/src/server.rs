@@ -341,7 +341,7 @@ fn handle_metrics(state: &AppState) -> (u16, String) {
             "\"incremental_sims\":{},\"full_sims\":{},\"estimate_sims\":{},",
             "\"patch_hits\":{},\"tasks_redispatched\":{},",
             "\"fidelity_checks\":{},\"fidelity_failures\":{},\"fidelity_worst_rel_err\":{}}},",
-            "\"scratch\":{{\"reuses\":{},\"allocs\":{},\"bytes_copied_avoided\":{}}},",
+            "\"scratch\":{{\"reuses\":{},\"allocs\":{}}},",
             "\"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},{}}},",
             "\"patch_cache\":{{\"entries\":{},\"hits\":{},{}}},",
             "\"recovery\":{{\"retries\":{},\"reclaims\":{},\"faults_injected\":{},",
@@ -363,7 +363,6 @@ fn handle_metrics(state: &AppState) -> (u16, String) {
         totals.fidelity_worst_rel_err,
         totals.scratch_reuses,
         totals.scratch_allocs,
-        totals.bytes_copied_avoided,
         cache.len(),
         cache.hits(),
         cache.misses(),
@@ -636,7 +635,9 @@ mod tests {
         // counter must move (the whole point of the daemon). The
         // bandwidth what-if's cone is small, so it re-dispatches
         // incrementally against the resident schedule.
-        let before: u64 = metric(&get(&addr, "/metrics").body, "incremental_sims");
+        let before_body = get(&addr, "/metrics").body;
+        let before: u64 = metric(&before_body, "incremental_sims");
+        let scratch_evals = |body: &str| metric(body, "reuses") + metric(body, "allocs");
         let warm = post(
             &addr,
             "/whatif",
@@ -649,11 +650,12 @@ mod tests {
             after > before,
             "warm what-if must use the incremental path ({before} -> {after})"
         );
-        // The warm path runs on a pooled scratch arena whose savings the
-        // metrics expose, alongside the sharded cache counter arrays.
+        // The warm path runs on a pooled scratch arena whose reuse
+        // counters the metrics expose, alongside the sharded cache
+        // counter arrays.
         assert!(
-            metric(&metrics_body, "bytes_copied_avoided") > 0,
-            "warm eval must skip prefix clones: {metrics_body}"
+            scratch_evals(&metrics_body) > scratch_evals(&before_body),
+            "warm eval must run on a pooled scratch arena: {metrics_body}"
         );
         for field in [
             "\"scratch\":",

@@ -414,9 +414,6 @@ pub struct RunStats {
     /// Warm-arena evaluations that had to (re)size at least one scratch
     /// buffer — at most one per worker per new largest base.
     pub scratch_allocs: u64,
-    /// Bytes of per-task array copying the warm path skipped this run
-    /// relative to the fresh-allocation path.
-    pub bytes_copied_avoided: u64,
     /// Contended result-cache shard acquisitions this run (another
     /// worker held the same shard's lock).
     pub cache_contended: usize,
@@ -455,7 +452,6 @@ impl RunStats {
         self.estimate_sims += other.estimate_sims;
         self.scratch_reuses += other.scratch_reuses;
         self.scratch_allocs += other.scratch_allocs;
-        self.bytes_copied_avoided += other.bytes_copied_avoided;
         self.cache_contended += other.cache_contended;
         self.patch_contended += other.patch_contended;
         self.retries += other.retries;
@@ -795,8 +791,6 @@ impl SweepEngine {
             estimate_sims: counters.estimates.load(Ordering::Relaxed),
             scratch_reuses: scratch_after.reuses - scratch_before.reuses,
             scratch_allocs: scratch_after.allocs - scratch_before.allocs,
-            bytes_copied_avoided: scratch_after.bytes_copied_avoided
-                - scratch_before.bytes_copied_avoided,
             cache_contended: self.cache.contended() - cache_contended_before,
             patch_contended: self.patches.contended() - patch_contended_before,
             executor: exec_stats,

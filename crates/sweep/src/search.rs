@@ -14,7 +14,7 @@
 //! Pruning only ever compares like against like: a rung outcome whose
 //! cone fit the budget carries the *true* makespan, while an over-budget
 //! one carries the optimistic busy-time bound — the two classes are
-//! ranked and quota'd separately (see [`select_survivors`]'s internals),
+//! ranked and quota'd separately (see `select_survivors`'s internals),
 //! so a bound can never evict an exactly-known contender.
 //!
 //! Determinism: survivors are selected by `(front rank, predicted time,
