@@ -1,8 +1,9 @@
 //! Criterion bench: what the resident daemon's warm profile registry
 //! buys over cold-start evaluation.
 //!
-//! Three measurements around one what-if scenario (ResNet-50 b4,
-//! bandwidth x2 — an incremental-path family):
+//! Three measurements around one what-if scenario (GNMT b4, DDP on four
+//! machines at 10 Gbit/s — a patch the incremental cone path serves,
+//! re-dispatching part of the graph):
 //!
 //! 1. *cold* — a fresh engine per iteration: profile build + compile +
 //!    baseline schedule capture + evaluation, the cost every one-shot
@@ -14,7 +15,7 @@
 //!    [`daydream_serve::Server`] socket round trip, bounding the
 //!    daemon's own protocol overhead.
 //!
-//! Plus sweep-job throughput: a 12-scenario grid submitted through the
+//! Plus sweep-job throughput: a 10-scenario grid submitted through the
 //! daemon's [`daydream_serve::JobQueue`], timed submit-to-done.
 //!
 //! Unless running in `--test` smoke mode, results land in the `"serve"`
@@ -29,10 +30,11 @@ use std::sync::Arc;
 
 fn whatif_scenario() -> Scenario {
     SweepGrid::builder()
-        .models(["ResNet-50"])
+        .models(["GNMT"])
         .batches([4])
-        .opts(["bandwidth"])
-        .bandwidth_factors([2.0])
+        .opts(["ddp"])
+        .machines([4])
+        .bandwidths([10.0])
         .build()
         .expand()
         .expect("valid grid")
@@ -69,6 +71,10 @@ fn main() {
         outcome.sim_path, "incremental",
         "the warm what-if must ride the cone path"
     );
+    assert!(
+        outcome.tasks_redispatched > 0,
+        "the warm what-if must re-dispatch a cone, not replay a no-op"
+    );
 
     let mut group = c.benchmark_group("serve");
     group.sample_size(10);
@@ -98,7 +104,7 @@ fn main() {
     .expect("bind daemon");
     let addr = server.local_addr().expect("bound").to_string();
     let daemon = std::thread::spawn(move || server.run().expect("daemon runs"));
-    let body = r#"{"model": "ResNet-50", "opt": "bandwidth"}"#;
+    let body = r#"{"model": "GNMT", "opt": "ddp", "machines": 4, "bw": 10}"#;
     let first = http_request(&addr, "POST", "/whatif", body).expect("daemon warmup");
     assert!(first.is_ok(), "warmup what-if failed: {}", first.body);
     group.bench_function("whatif_warm/http_roundtrip", |b| {
@@ -166,7 +172,7 @@ fn main() {
             );
             let json = format!(
                 concat!(
-                    "{{\n  \"scenario\": \"ResNet-50 b4 bandwidth[x2]\",\n",
+                    "{{\n  \"scenario\": \"{}\",\n",
                     "  \"note\": \"cold = fresh engine per iteration (profile build + compile + ",
                     "baseline capture + eval); warm = resident engine, result cache cleared, ",
                     "incremental cone re-dispatch only; http = same warm eval through a live ",
@@ -180,6 +186,7 @@ fn main() {
                     "  \"sweep_job_ns_per_iter\": {},\n",
                     "  \"sweep_job_scen_per_s\": {}\n  }}"
                 ),
+                scenario.label(),
                 cold,
                 warm,
                 (speedup * 10.0).round() / 10.0,

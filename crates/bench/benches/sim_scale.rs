@@ -13,8 +13,8 @@
 //! refresh needs tens of seconds per iteration at 100k). Unless running
 //! in `--test` smoke mode, the measurements are snapshotted into the
 //! `"sim_scale"` section of `BENCH_sim.json` at the workspace root
-//! (shared with `transform_patch` via the criterion-shim snapshot
-//! registry).
+//! (merged with the other benches' sections via the criterion-shim
+//! snapshot registry).
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use daydream_bench::synth::{synthetic_graph, STREAMS};

@@ -14,12 +14,8 @@
 use criterion::Criterion;
 use daydream_bench::util::profile_for;
 use daydream_comm::ClusterConfig;
-use daydream_core::whatif::{
-    p3_insert_plan, p3_replicated_base, plan_p3_inserts, P3Config, P3Scheduler,
-};
-use daydream_core::{
-    simulate_compiled, simulate_compiled_with, CompiledGraph, PatchGraph, ProfiledGraph,
-};
+use daydream_core::whatif::{P3Config, P3Plan, P3Scheduler};
+use daydream_core::{simulate_compiled, simulate_compiled_with, CompiledGraph};
 use daydream_models::zoo;
 use std::hint::black_box;
 
@@ -52,15 +48,6 @@ fn median_ns_per_task(
     per_task[per_task.len() / 2]
 }
 
-/// Compiles the base's 4-machine sliced P3 plan.
-fn p3_plan(pg: &ProfiledGraph) -> CompiledGraph {
-    let rep = p3_replicated_base(pg, 3);
-    let cfg = P3Config::p3(ClusterConfig::new(4, 1, 10.0));
-    let mut ov = PatchGraph::new(&rep.graph);
-    plan_p3_inserts(&mut ov, &p3_insert_plan(pg, &rep, &cfg));
-    CompiledGraph::compile(&rep.graph).apply(&ov.finish())
-}
-
 fn main() {
     let mut c = Criterion::default();
     let quick = c.is_quick_mode();
@@ -69,12 +56,13 @@ fn main() {
         for batch in [4u64, 8] {
             let (pg, _) = profile_for(&model.name, Some(batch), false);
             let base = CompiledGraph::compile(&pg.graph);
-            let p3 = p3_plan(&pg);
+            let plan = P3Plan::new(&pg, &P3Config::p3(ClusterConfig::new(4, 1, 10.0)));
+            let p3 = plan.compiled();
             let label = format!("{} b{batch}", model.name);
             let base_ns = median_ns_per_task(&mut c, &format!("base/{label}"), 40, &base, |cg| {
                 simulate_compiled(cg).unwrap();
             });
-            let p3_ns = median_ns_per_task(&mut c, &format!("p3/{label}"), 10, &p3, |cg| {
+            let p3_ns = median_ns_per_task(&mut c, &format!("p3/{label}"), 10, p3, |cg| {
                 simulate_compiled_with(cg, &P3Scheduler).unwrap();
             });
             println!("sim_kernel {label}: base {base_ns:.1} ns/task, p3 {p3_ns:.1} ns/task");

@@ -1,5 +1,7 @@
 //! Criterion bench: what-if transformation + simulation round trips —
-//! the cost of answering one what-if question from an existing profile.
+//! the cost of answering one what-if question from an existing profile
+//! (compile + baseline capture + patch emit + warm simulation, or a P3
+//! plan build + evaluation).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use daydream_comm::ClusterConfig;
@@ -22,28 +24,23 @@ fn bench_whatifs(c: &mut Criterion) {
     let cluster = ClusterConfig::new(4, 2, 10.0);
 
     group.bench_function("amp/ResNet-50", |b| {
-        b.iter(|| predict(std::hint::black_box(&resnet), whatif::what_if_amp))
+        b.iter(|| predict(std::hint::black_box(&resnet), whatif::plan_amp))
     });
     group.bench_function("fused_adam/BERT_Base", |b| {
-        b.iter(|| {
-            predict(std::hint::black_box(&bert), |g| {
-                whatif::what_if_fused_adam(g);
-            })
-        })
+        b.iter(|| predict(std::hint::black_box(&bert), whatif::plan_fused_adam))
     });
     group.bench_function("distributed/BERT_Base", |b| {
         b.iter(|| {
             predict(std::hint::black_box(&bert), |g| {
-                whatif::what_if_distributed(g, &cluster);
+                whatif::plan_distributed(g, &bert.meta.buckets, &cluster)
             })
         })
     });
     group.bench_function("p3_unrolled/ResNet-50", |b| {
+        let p3 = ClusterConfig::new(4, 1, 4.0);
         b.iter(|| {
-            whatif::what_if_p3(
-                std::hint::black_box(&resnet),
-                &whatif::P3Config::p3(ClusterConfig::new(4, 1, 4.0)),
-            )
+            whatif::P3Plan::new(std::hint::black_box(&resnet), &whatif::P3Config::p3(p3))
+                .evaluate(&p3)
         })
     });
     group.finish();

@@ -4,7 +4,7 @@
 use crate::util::{ms, profile_for, Table};
 use daydream_comm::ClusterConfig;
 use daydream_core::predict;
-use daydream_core::whatif::{what_if_dgc, what_if_distributed, what_if_p3, DgcConfig, P3Config};
+use daydream_core::whatif::{plan_dgc, plan_distributed, DgcConfig, P3Config, P3Plan};
 use daydream_runtime::ddp_buckets;
 
 /// DDP gradient-bucket capacity sweep (PyTorch defaults to 25 MB).
@@ -17,11 +17,7 @@ pub fn bucket_sweep() -> Table {
     );
     for cap_mb in [1u64, 5, 25, 100, 4096] {
         let buckets = ddp_buckets(&model, cap_mb << 20);
-        let mut pg2 = pg.clone();
-        pg2.meta.buckets = buckets.clone();
-        let pred = predict(&pg2, |g| {
-            what_if_distributed(g, &cluster);
-        });
+        let pred = predict(&pg, |g| plan_distributed(g, &buckets, &cluster));
         let label = if cap_mb >= 4096 {
             "one call".to_string()
         } else {
@@ -46,18 +42,22 @@ pub fn slice_sweep() -> Table {
         "Ablation: P3 slice size (ResNet-50, 4x1 @ 2 Gbps)",
         &["slice", "predicted iter (ms)"],
     );
-    let baseline = what_if_p3(&pg, &P3Config::baseline(cluster));
+    let evaluate = |cfg: P3Config| {
+        P3Plan::new(&pg, &cfg)
+            .evaluate(&cluster)
+            .expect("P3 plan must stay a DAG")
+    };
+    let baseline = evaluate(P3Config::baseline(cluster));
     t.row(vec![
         "whole tensors (no P3)".into(),
         ms(baseline.iteration_ms()),
     ]);
     for kb in [256u64, 1024, 4096, 16384] {
-        let cfg = P3Config {
+        let pred = evaluate(P3Config {
             cluster,
             slice_bytes: Some(kb << 10),
             iterations: 3,
-        };
-        let pred = what_if_p3(&pg, &cfg);
+        });
         t.row(vec![format!("{} KB", kb), ms(pred.iteration_ms())]);
     }
     t.note("slicing + priority lets input-side parameters overtake the backlog;");
@@ -73,24 +73,19 @@ pub fn dgc_sweep() -> Table {
         "Ablation: DGC compression ratio (VGG-19, 4x1 @ 5 Gbps)",
         &["ratio", "predicted iter (ms)"],
     );
-    let plain = predict(&pg, |g| {
-        what_if_distributed(g, &cluster);
-    });
+    let plain = predict(&pg, |g| plan_distributed(g, &pg.meta.buckets, &cluster));
     t.row(vec![
         "1.0 (no compression)".into(),
         ms(plain.predicted_ms()),
     ]);
     for ratio in [0.1, 0.01, 0.001] {
+        let cfg = DgcConfig {
+            compression_ratio: ratio,
+            ..DgcConfig::default()
+        };
         let pred = predict(&pg, |g| {
-            let ars = what_if_distributed(g, &cluster);
-            what_if_dgc(
-                g,
-                &ars,
-                &DgcConfig {
-                    compression_ratio: ratio,
-                    ..DgcConfig::default()
-                },
-            );
+            let ars = plan_distributed(g, &pg.meta.buckets, &cluster);
+            plan_dgc(g, &ars, &cfg)
         });
         t.row(vec![format!("{ratio}"), ms(pred.predicted_ms())]);
     }

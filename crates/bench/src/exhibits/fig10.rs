@@ -3,7 +3,7 @@
 
 use crate::util::{ms, pct, profile_for, Table};
 use daydream_comm::ClusterConfig;
-use daydream_core::whatif::{what_if_p3, P3Config};
+use daydream_core::whatif::{P3Config, P3Plan};
 use daydream_runtime::{run_parameter_server, ExecConfig, PsTrainingConfig};
 
 /// Bandwidth sweeps of Fig. 10 in Gbps (a: ResNet-50, b: VGG-19).
@@ -38,14 +38,17 @@ impl Fig10Point {
 pub fn fig10_points(model_name: &str, batch: u64) -> Vec<Fig10Point> {
     let (pg, model) = profile_for(model_name, Some(batch), true);
     let cfg = ExecConfig::mxnet_p4000().with_batch(batch);
-    fig10_bandwidths(model_name)
+    let bandwidths = fig10_bandwidths(model_name);
+    // One plan per panel: every bandwidth point retimes its transfers.
+    let plan = P3Plan::new(&pg, &P3Config::p3(ClusterConfig::new(4, 1, bandwidths[0])));
+    bandwidths
         .into_iter()
         .map(|gbps| {
             let cluster = ClusterConfig::new(4, 1, gbps);
             let baseline =
                 run_parameter_server(&model, &cfg, PsTrainingConfig::baseline(cluster), 3);
             let gt = run_parameter_server(&model, &cfg, PsTrainingConfig::p3(cluster), 3);
-            let pred = what_if_p3(&pg, &P3Config::p3(cluster));
+            let pred = plan.evaluate(&cluster).expect("P3 plan must stay a DAG");
             Fig10Point {
                 gbps,
                 baseline_ms: baseline.iteration_ms(),

@@ -23,7 +23,7 @@ pub fn fig5() -> Table {
     for name in FIG5_MODELS {
         let (pg, model) = profile_for(name, None, false);
         let cfg = ExecConfig::pytorch_2080ti();
-        let pred = predict(&pg, whatif::what_if_amp);
+        let pred = predict(&pg, whatif::plan_amp);
         let gt = ground_truth::run_amp(&model, &cfg).meta.iteration_ns();
         t.row(vec![
             name.into(),

@@ -23,9 +23,7 @@ pub fn fig7() -> Table {
     for name in FIG7_MODELS {
         let (pg, model) = profile_for(name, None, false);
         let cfg = ExecConfig::pytorch_2080ti();
-        let pred = predict(&pg, |g| {
-            whatif::what_if_fused_adam(g);
-        });
+        let pred = predict(&pg, whatif::plan_fused_adam);
         let gt = ground_truth::run_fused_adam(&model, &cfg)
             .meta
             .iteration_ns();

@@ -40,7 +40,7 @@ pub fn fig8_points(model_name: &str) -> Vec<Fig8Point> {
     for bw in FIG8_BANDWIDTHS {
         for cluster in ClusterConfig::fig8_layouts(bw) {
             let pred = predict(&pg, |g| {
-                whatif::what_if_distributed(g, &cluster);
+                whatif::plan_distributed(g, &pg.meta.buckets, &cluster)
             });
             // Fig. 8 compares against the baseline with a synchronization
             // before each allReduce (the paper's caption).

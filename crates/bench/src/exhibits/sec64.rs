@@ -11,7 +11,7 @@ pub fn sec64() -> Table {
     let cfg = ExecConfig::caffe_2080ti();
     let baseline = ground_truth::run_baseline(&model, &cfg);
     let pg = ProfiledGraph::from_trace(&baseline);
-    let pred = predict(&pg, |g| whatif::what_if_reconstruct_bn(g, &model));
+    let pred = predict(&pg, |g| whatif::plan_reconstruct_bn(g, &model));
     let gt = ground_truth::run_reconstructed_bn(&model, &cfg)
         .meta
         .iteration_ns();

@@ -21,70 +21,70 @@ pub fn table1() -> Table {
             "single-worker utilization",
             "reducing precision",
             "Automatic Mixed Precision (Micikevicius et al.)",
-            "whatif::what_if_amp",
+            "whatif::plan_amp",
             "Fig. 5/6",
         ),
         (
             "single-worker utilization",
             "fusing kernels/layers",
             "FusedAdam (Apex)",
-            "whatif::what_if_fused_adam",
+            "whatif::plan_fused_adam",
             "Fig. 7",
         ),
         (
             "single-worker utilization",
             "improving low-level kernels",
             "Restructuring Batchnorm (Jung et al.)",
-            "whatif::what_if_reconstruct_bn",
+            "whatif::plan_reconstruct_bn",
             "Sec. 6.4",
         ),
         (
             "single-worker utilization",
             "fusing kernels/layers",
             "MetaFlow (Jia et al.)",
-            "whatif::what_if_metaflow",
+            "whatif::plan_metaflow",
             "modeled (Sec. 5.2)",
         ),
         (
             "single-worker memory",
             "reducing memory footprint",
             "vDNN (Rhu et al.)",
-            "whatif::what_if_vdnn",
+            "whatif::plan_vdnn",
             "modeled (Sec. 5.2)",
         ),
         (
             "single-worker memory",
             "reducing memory footprint",
             "Gist (Jain et al.)",
-            "whatif::what_if_gist",
+            "whatif::plan_gist",
             "modeled (Sec. 5.2)",
         ),
         (
             "distributed scaling",
             "data parallelism",
             "PyTorch DDP + NCCL",
-            "whatif::what_if_distributed",
+            "whatif::plan_distributed",
             "Fig. 8/9",
         ),
         (
             "distributed communication",
             "overlap / scheduling",
             "P3 (Jayarajan et al.)",
-            "whatif::what_if_p3",
+            "whatif::P3Plan",
             "Fig. 10",
         ),
         (
             "distributed communication",
             "network utilization",
             "BlueConnect (Cho et al.)",
-            "whatif::what_if_blueconnect",
+            "whatif::plan_blueconnect",
             "modeled (Sec. 5.2)",
         ),
         (
             "distributed communication",
             "gradient compression",
             "Deep Gradient Compression (Lin et al.)",
-            "whatif::what_if_dgc",
+            "whatif::plan_dgc",
             "modeled (Sec. 5.2)",
         ),
     ];

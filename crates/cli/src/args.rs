@@ -55,12 +55,19 @@ impl Args {
 
     /// Numeric option with a default.
     pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid value for --{key}: {v}")),
-        }
+        Ok(self.num_maybe(key)?.unwrap_or(default))
+    }
+
+    /// Optional numeric option: `None` when absent, an error when given
+    /// but unparsable.
+    pub fn num_maybe<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.options
+            .get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("invalid value for --{key}: {v}"))
+            })
+            .transpose()
     }
 
     /// Returns `true` if a bare flag was given.

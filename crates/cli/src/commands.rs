@@ -3,21 +3,21 @@
 use crate::args::Args;
 use crate::fidelity;
 use daydream_comm::ClusterConfig;
-use daydream_core::whatif::{
-    what_if_amp, what_if_bandwidth, what_if_blueconnect, what_if_dgc, what_if_distributed,
-    what_if_fused_adam, what_if_gist, what_if_metaflow, what_if_p3, what_if_reconstruct_bn,
-    what_if_upgrade_gpu, what_if_vdnn, DgcConfig, GistConfig, P3Config, Substitution, VdnnConfig,
-};
-use daydream_core::{layer_report, predict, simulate, ProfiledGraph};
+use daydream_core::whatif::{P3Config, P3Plan};
+use daydream_core::{layer_report, simulate, ProfiledGraph};
 use daydream_device::GpuSpec;
-use daydream_models::{footprint, max_batch, zoo, Model, Optimizer};
+use daydream_models::{footprint, max_batch, zoo, Model};
 use daydream_runtime::{ground_truth, ExecConfig};
-use daydream_serve::{http_request_retrying, QueryError, RetryOptions, ServeConfig, Server};
+use daydream_serve::{
+    http_request_retrying, QueryError, RetryOptions, ServeConfig, Server, WhatIfRequest,
+};
 use daydream_shard::{
     diff_runs, merge_run, merged_cache, process_shard, run_worker, write_merged, RunDir, RunStore,
     ShardDisposition, ShardPlan, WorkerConfig,
 };
-use daydream_sweep::{explain_scenario, run_search, SearchConfig, SweepEngine, SweepGrid};
+use daydream_sweep::{
+    evaluate_trace, explain_scenario, run_search, OptSpec, SearchConfig, SweepEngine, SweepGrid,
+};
 use daydream_trace::{diff_traces, runtime_breakdown, Framework};
 
 /// Resolves a model name or exits with a helpful message.
@@ -376,101 +376,73 @@ pub fn cmd_memory(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `daydream predict <model> --opt <optimization>` — run a what-if.
+/// `daydream predict <model> --opt <family>` — one what-if over a fresh
+/// profile, as a one-scenario engine evaluation. The flags resolve
+/// through the daemon's [`WhatIfRequest`], so `predict` answers and
+/// refuses exactly what `/whatif` and `sweep` do.
 pub fn cmd_predict(args: &Args) -> Result<(), String> {
+    reject_unknown(
+        args,
+        "predict",
+        &[
+            "opt",
+            "framework",
+            "gpu",
+            "batch",
+            "seed",
+            "machines",
+            "gpus",
+            "bw",
+            "factor",
+            "to",
+        ],
+        1,
+    )?;
     let name = args
         .positional
         .first()
         .ok_or("usage: daydream predict <model> --opt <opt>")?;
     let model = model_or_die(name);
     let cfg = exec_config(args)?;
-    let opt = args.opt("opt", "amp");
     let trace = ground_truth::run_baseline(&model, &cfg);
-    let pg = ProfiledGraph::from_trace(&trace);
+    let scenario = WhatIfRequest {
+        model: model.name.clone(),
+        batch: Some(trace.meta.batch_size as u64),
+        opt: Some(args.opt("opt", "amp")),
+        machines: args.num_maybe("machines")?,
+        gpus: args.num_maybe("gpus")?,
+        bw: args.num_maybe("bw")?,
+        factor: args.num_maybe("factor")?,
+        to: args.opt_maybe("to").map(str::to_string),
+        ..WhatIfRequest::default()
+    }
+    .scenario()?;
 
-    let cluster = ClusterConfig::new(
-        args.num("machines", 4u32)?,
-        args.num("gpus", 1u32)?,
-        args.num("bw", 10.0f64)?,
-    );
-
-    let prediction = match opt.as_str() {
-        "amp" => predict(&pg, what_if_amp),
-        "fused-adam" => {
-            if model.optimizer != Optimizer::Adam {
-                return Err(format!(
-                    "{} trains with SGD; FusedAdam does not apply",
-                    model.name
-                ));
-            }
-            predict(&pg, |g| {
-                what_if_fused_adam(g);
-            })
-        }
-        "reconstruct-bn" => predict(&pg, |g| what_if_reconstruct_bn(g, &model)),
-        "ddp" => predict(&pg, |g| {
-            what_if_distributed(g, &cluster);
-        }),
-        "blueconnect" => predict(&pg, |g| {
-            let ars = what_if_distributed(g, &cluster);
-            what_if_blueconnect(g, &cluster, &ars);
-        }),
-        "dgc" => predict(&pg, |g| {
-            let ars = what_if_distributed(g, &cluster);
-            what_if_dgc(g, &ars, &DgcConfig::default());
-        }),
-        "vdnn" => predict(&pg, |g| {
-            what_if_vdnn(g, &model, &VdnnConfig::default());
-        }),
-        "gist" => predict(&pg, |g| {
-            what_if_gist(g, &GistConfig::default());
-        }),
-        "metaflow" => {
-            let mut policy = Vec::new();
-            for l in &model.layers {
-                if l.name.ends_with("attn.key") || l.name.ends_with("attn.value") {
-                    policy.push(Substitution::RemoveLayer(l.id));
-                } else if l.name.ends_with("attn.query") {
-                    policy.push(Substitution::ScaleLayer(l.id, 1.8));
-                }
-            }
-            if policy.is_empty() {
-                return Err(format!("{} has no attention blocks to fuse", model.name));
-            }
-            predict(&pg, |g| what_if_metaflow(g, &policy))
-        }
-        "bandwidth" => predict(&pg, |g| {
-            what_if_bandwidth(g, args.num("factor", 2.0f64).unwrap_or(2.0));
-        }),
-        "upgrade-gpu" => {
-            let new = GpuSpec::by_name(&args.opt("to", "v100"))?;
-            let old = cfg.gpu.clone();
-            predict(&pg, |g| {
-                what_if_upgrade_gpu(g, &old, &new);
-            })
-        }
-        "p3" => {
-            let p3 = what_if_p3(&pg, &P3Config::p3(cluster));
-            println!(
-                "{} + P3 on {cluster}: predicted steady-state iteration {:.1} ms \
-                 ({} messages/iteration)",
-                model.name,
-                p3.iteration_ms(),
-                p3.messages_per_iteration
-            );
-            return Ok(());
-        }
-        other => {
-            return Err(format!(
-                "unknown optimization '{other}'. available: amp fused-adam reconstruct-bn ddp \
-                 blueconnect dgc vdnn gist metaflow bandwidth upgrade-gpu p3"
-            ))
-        }
-    };
+    if let OptSpec::P3 {
+        machines,
+        gpus_per_machine,
+        bw_gbps,
+    } = scenario.opt
+    {
+        let cluster = ClusterConfig::new(machines, gpus_per_machine, bw_gbps);
+        let pg = ProfiledGraph::from_trace(&trace);
+        let p3 = P3Plan::new(&pg, &P3Config::p3(cluster))
+            .evaluate(&cluster)
+            .map_err(|e| format!("P3 graph for {}: {e}", scenario.label()))?;
+        println!(
+            "{} + P3 on {cluster}: predicted steady-state iteration {:.1} ms \
+             ({} messages/iteration)",
+            model.name,
+            p3.iteration_ms(),
+            p3.messages_per_iteration
+        );
+        return Ok(());
+    }
+    let family = scenario.opt.family();
+    let prediction = evaluate_trace(model, &trace, &scenario.opt)?;
     println!(
-        "{} + {}: {:.1} ms -> {:.1} ms ({:+.1}% {})",
-        model.name,
-        opt,
+        "{} + {family}: {:.1} ms -> {:.1} ms ({:+.1}% {})",
+        scenario.model,
         prediction.baseline_ms(),
         prediction.predicted_ms(),
         prediction.improvement().abs() * 100.0,
@@ -1232,6 +1204,36 @@ mod tests {
     fn predict_amp_runs() {
         let a = args(&["ResNet-50", "--opt", "amp", "--batch", "4"]);
         cmd_predict(&a).unwrap();
+    }
+
+    /// Runs `predict ResNet-50 --batch 4 <extra>`, which must fail, and
+    /// returns its error.
+    fn predict_err(extra: &str) -> String {
+        let argv: Vec<&str> = ["ResNet-50", "--batch", "4"]
+            .into_iter()
+            .chain(extra.split_whitespace())
+            .collect();
+        cmd_predict(&args(&argv)).expect_err("predict must refuse")
+    }
+
+    #[test]
+    fn predict_rejects_misspelled_options() {
+        assert!(predict_err("--opt ddp --machine 8").contains("--machine"));
+    }
+
+    #[test]
+    fn predict_rejects_unparsable_numbers() {
+        assert!(predict_err("--opt bandwidth --factor abc").contains("--factor"));
+    }
+
+    #[test]
+    fn predict_rejects_negative_bandwidth() {
+        assert!(predict_err("--opt ddp --bw -5").contains("invalid bandwidth"));
+    }
+
+    #[test]
+    fn predict_rejects_zero_machines() {
+        assert!(predict_err("--opt ddp --machines 0").contains("machine count"));
     }
 
     #[test]

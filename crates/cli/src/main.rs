@@ -76,9 +76,9 @@ TRACE / GOLDEN OPTIONS:
                  simulated durations to prove the gate fails)
     golden-gen   accepts: --dir D (default goldens)
 
-PREDICT OPTIONS:
-    --opt O            amp | fused-adam | reconstruct-bn | ddp | blueconnect |
-                       dgc | vdnn | gist | metaflow | bandwidth | upgrade-gpu | p3
+PREDICT OPTIONS (one POST /whatif scenario over this profile: its families,
+defaults and refusals, e.g. vdnn on a model without convolutions):
+    --opt O            a sweep --opts family                    (default amp)
     --machines N --gpus N --bw GBPS    cluster for ddp/blueconnect/dgc/p3
     --factor F         bandwidth multiplier for --opt bandwidth (default 2)
     --to G             target device for --opt upgrade-gpu (default v100)

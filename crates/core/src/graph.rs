@@ -59,8 +59,8 @@ impl std::error::Error for GraphError {}
 /// [`crate::patch::PatchGraph`], the copy-on-write overlay that what-if
 /// planners emit [`crate::patch::GraphPatch`]es through. The §4.4
 /// primitives ([`crate::transform`]) are generic over this trait, so one
-/// implementation serves both the legacy mutate-in-place path and the
-/// patch-emitting path.
+/// implementation serves both the patch-emitting path and the
+/// mutate-in-place oracle.
 pub trait GraphView {
     /// Immutable task access.
     fn task(&self, id: TaskId) -> &Task;

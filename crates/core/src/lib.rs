@@ -12,9 +12,11 @@
 //!    §4.2.2, and the synchronization-free task-to-layer mapping of §4.3.
 //! 3. **Graph transformation** ([`transform`], [`whatif`]) — model an
 //!    optimization with select / shrink / insert / remove / schedule
-//!    primitives; ten ready-made models cover the paper's Table 1 set.
-//! 4. **Simulation** ([`simulate`], paper Algorithm 1) — replay the
-//!    transformed graph to predict iteration time.
+//!    primitives, recorded as a [`GraphPatch`] over the profile; ten
+//!    ready-made models cover the paper's Table 1 set.
+//! 4. **Simulation** ([`simulate_warm`], paper Algorithm 1) — replay the
+//!    patched graph over the compiled baseline to predict iteration time
+//!    ([`predict()`] runs steps 3–4 for one what-if).
 //!
 //! # Examples
 //!
@@ -28,9 +30,10 @@
 //! let cfg = ExecConfig::pytorch_2080ti().with_batch(8);
 //! let trace = ground_truth::run_baseline(&model, &cfg);
 //!
-//! // What if we enabled mixed precision?
+//! // What if we enabled mixed precision? The planner records a patch
+//! // over the profile, simulated warm over the compiled baseline.
 //! let profile = ProfiledGraph::from_trace(&trace);
-//! let prediction = predict(&profile, whatif::what_if_amp);
+//! let prediction = predict(&profile, whatif::plan_amp);
 //! assert!(prediction.speedup() > 1.0);
 //! ```
 
@@ -53,7 +56,7 @@ pub use construct::{build_graph, ProfiledGraph};
 pub use export::{sim_to_trace, simulate_to_trace};
 pub use graph::{DepKind, DependencyGraph, GraphEdit, GraphError, GraphView, TaskId};
 pub use patch::{GraphPatch, PatchGraph, PatchOp, PatchSummary};
-pub use predict::{predict, predict_from_baseline, Prediction};
+pub use predict::{predict, Prediction};
 pub use replicate::{replicate_iterations, ReplicatedGraph};
 pub use report::{layer_report, LayerTimes};
 pub use sim::{

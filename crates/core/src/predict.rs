@@ -1,7 +1,17 @@
-//! Prediction reports: baseline vs what-if simulated time.
+//! One-profile what-if evaluation, and its report.
+//!
+//! [`predict`] answers a what-if the way the sweep engine answers every
+//! scenario: compile the profile once, capture its baseline
+//! [`Schedule`], record the planner's edits as one [`GraphPatch`] over the
+//! profile, and simulate that patch warm over the compiled base
+//! ([`simulate_warm`]). No graph is cloned or mutated.
+//!
+//! [`GraphPatch`]: crate::patch::GraphPatch
 
+use crate::compiled::CompiledGraph;
 use crate::construct::ProfiledGraph;
-use crate::sim::simulate;
+use crate::patch::PatchGraph;
+use crate::sim::{simulate_warm, Schedule, SimScratch};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of one what-if analysis.
@@ -41,32 +51,28 @@ impl Prediction {
     }
 }
 
-/// Applies a transformation to a copy of the profile and simulates both
-/// versions with the default scheduler.
-pub fn predict<F>(pg: &ProfiledGraph, transform: F) -> Prediction
-where
-    F: FnOnce(&mut ProfiledGraph),
-{
-    let baseline = simulate(&pg.graph).expect("profiled graph must be a DAG");
-    predict_from_baseline(baseline.makespan_ns, pg, transform)
-}
-
-/// [`predict`] against a baseline makespan simulated once up front.
+/// Predicts the profile's iteration time under a what-if: `plan` records
+/// the transformation (any `whatif::plan_*` planner, or custom §4.4
+/// primitives) into a [`PatchGraph`] over the profile, and the patch is
+/// simulated warm over the compiled baseline.
 ///
-/// Callers that evaluate many what-ifs over one shared base profile (the
-/// sweep engine, the CLI's analyze command) simulate the baseline a single
-/// time and pass its makespan here, so per-scenario work is just
-/// transform + compile + simulate of the transformed graph.
-pub fn predict_from_baseline<F>(baseline_ns: u64, pg: &ProfiledGraph, transform: F) -> Prediction
+/// # Panics
+///
+/// Panics if the profile or the patched graph is not a DAG.
+pub fn predict<'a, F, R>(pg: &'a ProfiledGraph, plan: F) -> Prediction
 where
-    F: FnOnce(&mut ProfiledGraph),
+    F: FnOnce(&mut PatchGraph<'a>) -> R,
 {
-    let mut transformed = pg.clone();
-    transform(&mut transformed);
-    let predicted = simulate(&transformed.graph).expect("transformed graph must stay a DAG");
+    let compiled = CompiledGraph::compile(&pg.graph);
+    let schedule = Schedule::capture(&compiled).expect("profiled graph must be a DAG");
+    let mut overlay = PatchGraph::new(&pg.graph);
+    plan(&mut overlay);
+    let patch = overlay.finish();
+    let outcome = simulate_warm(&compiled, &schedule, &patch, &mut SimScratch::new())
+        .expect("patched graph must stay a DAG");
     Prediction {
-        baseline_ns,
-        predicted_ns: predicted.makespan_ns,
+        baseline_ns: schedule.makespan_ns(),
+        predicted_ns: outcome.makespan_ns,
     }
 }
 

@@ -10,10 +10,11 @@
 //! built from these.
 //!
 //! Every primitive is generic over [`GraphEdit`], so the same code serves
-//! two call paths: mutate a [`crate::DependencyGraph`] in place (the
-//! legacy `what_if_*` API), or record a [`crate::patch::GraphPatch`]
-//! through a [`crate::patch::PatchGraph`] overlay for the
-//! compile-once-patch-per-scenario pipeline.
+//! two call paths: record a [`crate::patch::GraphPatch`] through a
+//! [`crate::patch::PatchGraph`] overlay — the compile-once, patch-per-
+//! scenario pipeline behind [`crate::predict()`] and the sweep engine — or
+//! mutate a [`crate::DependencyGraph`] in place, the oracle the patch
+//! pipeline is tested against.
 
 use crate::graph::{DepKind, GraphEdit, GraphView, TaskId};
 use crate::task::{ExecThread, Task, TaskKind};

@@ -7,7 +7,6 @@
 //! (Fig. 5) because the CPU side, which AMP does not change, is modeled
 //! exactly.
 
-use crate::construct::ProfiledGraph;
 use crate::graph::GraphEdit;
 use crate::transform::select;
 
@@ -32,14 +31,10 @@ pub fn plan_amp<G: GraphEdit>(g: &mut G) {
     }
 }
 
-/// Applies the AMP transformation to the graph (Algorithm 3).
-pub fn what_if_amp(pg: &mut ProfiledGraph) {
-    plan_amp(&mut pg.graph);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::ProfiledGraph;
     use crate::predict::predict;
     use daydream_models::zoo;
     use daydream_runtime::{ground_truth, ExecConfig};
@@ -50,7 +45,7 @@ mod tests {
         let cfg = ExecConfig::pytorch_2080ti();
         let baseline = ground_truth::run_baseline(&model, &cfg);
         let pg = ProfiledGraph::from_trace(&baseline);
-        let pred = predict(&pg, what_if_amp);
+        let pred = predict(&pg, plan_amp);
         let gt = ground_truth::run_amp(&model, &cfg).meta.iteration_ns();
         let err = pred.error_vs(gt);
         assert!(
@@ -69,7 +64,7 @@ mod tests {
         let cfg = ExecConfig::pytorch_2080ti();
         let baseline = ground_truth::run_baseline(&model, &cfg);
         let pg = ProfiledGraph::from_trace(&baseline);
-        let pred = predict(&pg, what_if_amp);
+        let pred = predict(&pg, plan_amp);
         let gt = ground_truth::run_amp(&model, &cfg).meta.iteration_ns();
         let err = pred.error_vs(gt);
         assert!(
@@ -99,7 +94,7 @@ mod tests {
             .filter(|(_, t)| t.thread.is_cpu())
             .map(|(_, t)| t.duration_ns)
             .sum();
-        what_if_amp(&mut pg);
+        plan_amp(&mut pg.graph);
         let cpu_after: u64 = pg
             .graph
             .iter()

@@ -4,13 +4,14 @@
 //! answers it by shrinking every `allReduce` task's duration by 2x and
 //! re-simulating. This operates on profiles that already contain
 //! communication tasks — either a distributed ground-truth trace or a graph
-//! produced by [`crate::whatif::what_if_distributed`].
+//! produced by [`crate::whatif::plan_distributed`].
 
-use crate::construct::ProfiledGraph;
 use crate::graph::{GraphEdit, TaskId};
 use crate::task::TaskKind;
 
-/// The bandwidth-change transformation over any graph edit target.
+/// Scales every communication task for a bandwidth change of `factor`
+/// (2.0 = twice the bandwidth, halving transfer times), over any graph
+/// edit target.
 ///
 /// Returns the affected tasks.
 pub fn plan_bandwidth<G: GraphEdit>(g: &mut G, factor: f64) -> Vec<TaskId> {
@@ -23,17 +24,10 @@ pub fn plan_bandwidth<G: GraphEdit>(g: &mut G, factor: f64) -> Vec<TaskId> {
     comm
 }
 
-/// Scales every communication task for a bandwidth change of `factor`
-/// (2.0 = twice the bandwidth, halving transfer times).
-///
-/// Returns the affected tasks.
-pub fn what_if_bandwidth(pg: &mut ProfiledGraph, factor: f64) -> Vec<TaskId> {
-    plan_bandwidth(&mut pg.graph, factor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::ProfiledGraph;
     use crate::predict::predict;
     use daydream_comm::{ClusterConfig, NcclExecution};
     use daydream_models::zoo;
@@ -54,9 +48,7 @@ mod tests {
         let pg = ProfiledGraph::from_trace(&profiled.trace);
 
         // Transform: "what if network bandwidth is 2x?"
-        let pred = predict(&pg, |g| {
-            what_if_bandwidth(g, 2.0);
-        });
+        let pred = predict(&pg, |g| plan_bandwidth(g, 2.0));
         // Ground truth: actually run at 20 Gbps.
         let gt = run_distributed(&model, &cfg, fast, NcclExecution::Synced, &plan);
         let err = pred.error_vs(gt.trace.meta.iteration_ns());
@@ -80,9 +72,7 @@ mod tests {
             &plan,
         );
         let pg = ProfiledGraph::from_trace(&run.trace);
-        let pred = predict(&pg, |g| {
-            what_if_bandwidth(g, 1.0);
-        });
+        let pred = predict(&pg, |g| plan_bandwidth(g, 1.0));
         assert_eq!(pred.baseline_ns, pred.predicted_ns);
     }
 
@@ -92,7 +82,7 @@ mod tests {
         let cfg = ExecConfig::pytorch_2080ti().with_batch(8);
         let trace = daydream_runtime::ground_truth::run_baseline(&model, &cfg);
         let mut pg = ProfiledGraph::from_trace(&trace);
-        let touched = what_if_bandwidth(&mut pg, 4.0);
+        let touched = plan_bandwidth(&mut pg.graph, 4.0);
         assert!(touched.is_empty(), "no comm tasks in a single-GPU profile");
     }
 }

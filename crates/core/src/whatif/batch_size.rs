@@ -9,7 +9,6 @@
 //! not per-sample — stays put, which is exactly why larger batches improve
 //! hardware utilization.
 
-use crate::construct::ProfiledGraph;
 use crate::graph::{GraphEdit, TaskId};
 use crate::task::TaskKind;
 
@@ -18,8 +17,10 @@ use crate::task::TaskKind;
 /// kernel time into the fixed and batch-scalable shares the same way.
 pub const KERNEL_OVERHEAD_NS: u64 = 3_000;
 
-/// The batch-size transformation over any graph edit target; the caller
+/// Rescales GPU work for a change from the profiled batch size
+/// `old_batch` to `new_batch`, over any graph edit target; the caller
 /// supplies the profiled batch size (graph views carry no metadata).
+/// Returns the affected tasks.
 pub fn plan_batch_size<G: GraphEdit>(g: &mut G, old_batch: u64, new_batch: u64) -> Vec<TaskId> {
     assert!(new_batch > 0, "batch size must be positive");
     let factor = new_batch as f64 / old_batch as f64;
@@ -51,18 +52,10 @@ pub fn plan_batch_size<G: GraphEdit>(g: &mut G, old_batch: u64, new_batch: u64) 
     gpu_tasks
 }
 
-/// Rescales GPU work for a change from the profiled batch size to
-/// `new_batch`. Returns the affected tasks.
-pub fn what_if_batch_size(pg: &mut ProfiledGraph, new_batch: u64) -> Vec<TaskId> {
-    let old_batch = pg.meta.batch_size as u64;
-    let affected = plan_batch_size(&mut pg.graph, old_batch, new_batch);
-    pg.meta.batch_size = new_batch as u32;
-    affected
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::ProfiledGraph;
     use crate::predict::predict;
     use daydream_models::zoo;
     use daydream_runtime::{ground_truth, ExecConfig};
@@ -72,9 +65,7 @@ mod tests {
         let model = zoo::resnet50();
         let cfg = ExecConfig::pytorch_2080ti().with_batch(16);
         let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
-        let pred = predict(&pg, |g| {
-            what_if_batch_size(g, 32);
-        });
+        let pred = predict(&pg, |g| plan_batch_size(g, 16, 32));
         let gt_cfg = cfg.with_batch(32).with_seed(0xBA7C);
         let gt = ground_truth::run_baseline(&model, &gt_cfg)
             .meta
@@ -90,12 +81,8 @@ mod tests {
         let model = zoo::resnet50();
         let cfg = ExecConfig::pytorch_2080ti().with_batch(8);
         let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
-        let t8 = predict(&pg, |g| {
-            what_if_batch_size(g, 8);
-        });
-        let t32 = predict(&pg, |g| {
-            what_if_batch_size(g, 32);
-        });
+        let t8 = predict(&pg, |g| plan_batch_size(g, 8, 8));
+        let t32 = predict(&pg, |g| plan_batch_size(g, 8, 32));
         let per_sample_8 = t8.predicted_ns as f64 / 8.0;
         let per_sample_32 = t32.predicted_ns as f64 / 32.0;
         assert!(
@@ -109,9 +96,7 @@ mod tests {
         let model = zoo::resnet50();
         let cfg = ExecConfig::pytorch_2080ti().with_batch(8);
         let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
-        let pred = predict(&pg, |g| {
-            what_if_batch_size(g, 8);
-        });
+        let pred = predict(&pg, |g| plan_batch_size(g, 8, 8));
         assert_eq!(pred.baseline_ns, pred.predicted_ns);
     }
 }

@@ -6,12 +6,17 @@
 //! heterogeneous link bandwidths are used concurrently. Modeled by
 //! rewriting every inserted all-reduce task into the stage chain.
 
-use crate::construct::ProfiledGraph;
 use crate::graph::{DepKind, GraphEdit, TaskId};
 use crate::task::{CommChannel, CommPrimitive, ExecThread, Task, TaskKind};
 use daydream_comm::{reduce_scatter_ns, ClusterConfig};
 
-/// The BlueConnect transformation over any graph edit target.
+/// Applies the BlueConnect transformation, over any graph edit target, to
+/// previously inserted all-reduce tasks (from
+/// [`crate::whatif::plan_distributed`]).
+///
+/// Uses the natural two-level factorization of the cluster: GPUs within a
+/// machine over PCIe, then machines over the network. Returns the tasks of
+/// the rewritten chains.
 pub fn plan_blueconnect<G: GraphEdit>(
     g: &mut G,
     cluster: &ClusterConfig,
@@ -101,25 +106,12 @@ pub fn plan_blueconnect<G: GraphEdit>(
     chain_tasks
 }
 
-/// Applies the BlueConnect transformation to previously inserted
-/// all-reduce tasks (from [`crate::whatif::what_if_distributed`]).
-///
-/// Uses the natural two-level factorization of the cluster: GPUs within a
-/// machine over PCIe, then machines over the network. Returns the tasks of
-/// the rewritten chains.
-pub fn what_if_blueconnect(
-    pg: &mut ProfiledGraph,
-    cluster: &ClusterConfig,
-    allreduce_tasks: &[TaskId],
-) -> Vec<TaskId> {
-    plan_blueconnect(&mut pg.graph, cluster, allreduce_tasks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::ProfiledGraph;
     use crate::predict::predict;
-    use crate::whatif::what_if_distributed;
+    use crate::whatif::plan_distributed;
     use daydream_models::zoo;
     use daydream_runtime::{ground_truth, ExecConfig};
 
@@ -133,12 +125,10 @@ mod tests {
     fn blueconnect_beats_flat_ring_on_hierarchical_cluster() {
         let pg = profile();
         let cluster = ClusterConfig::new(4, 2, 10.0);
-        let ring = predict(&pg, |g| {
-            what_if_distributed(g, &cluster);
-        });
+        let ring = predict(&pg, |g| plan_distributed(g, &pg.meta.buckets, &cluster));
         let bc = predict(&pg, |g| {
-            let ars = what_if_distributed(g, &cluster);
-            what_if_blueconnect(g, &cluster, &ars);
+            let ars = plan_distributed(g, &pg.meta.buckets, &cluster);
+            plan_blueconnect(g, &cluster, &ars)
         });
         assert!(
             bc.predicted_ns < ring.predicted_ns,
@@ -152,8 +142,8 @@ mod tests {
     fn chain_structure_is_valid() {
         let mut pg = profile();
         let cluster = ClusterConfig::new(4, 2, 10.0);
-        let ars = what_if_distributed(&mut pg, &cluster);
-        let chain = what_if_blueconnect(&mut pg, &cluster, &ars);
+        let ars = plan_distributed(&mut pg.graph, &pg.meta.buckets, &cluster);
+        let chain = plan_blueconnect(&mut pg.graph, &cluster, &ars);
         // Two stages -> rs0, rs1, ag1, ag0 per call.
         assert_eq!(chain.len(), ars.len() * 4);
         pg.graph
@@ -165,8 +155,8 @@ mod tests {
     fn single_machine_multi_gpu_uses_one_stage() {
         let mut pg = profile();
         let cluster = ClusterConfig::new(1, 2, 10.0);
-        let ars = what_if_distributed(&mut pg, &cluster);
-        let chain = what_if_blueconnect(&mut pg, &cluster, &ars);
+        let ars = plan_distributed(&mut pg.graph, &pg.meta.buckets, &cluster);
+        let chain = plan_blueconnect(&mut pg.graph, &cluster, &ars);
         // One stage -> rs0 + ag0 per call.
         assert_eq!(chain.len(), ars.len() * 2);
         pg.graph.validate().unwrap();

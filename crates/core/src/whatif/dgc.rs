@@ -3,9 +3,8 @@
 //! DGC sends only heavily compressed gradients: communication shrinks by
 //! the compression ratio, but compression/decompression kernels run on the
 //! GPU around every transfer. Applied after
-//! [`crate::whatif::what_if_distributed`] has inserted the all-reduce tasks.
+//! [`crate::whatif::plan_distributed`] has inserted the all-reduce tasks.
 
-use crate::construct::ProfiledGraph;
 use crate::graph::{DepKind, GraphEdit, TaskId};
 use crate::task::{Task, TaskKind};
 
@@ -32,7 +31,9 @@ impl Default for DgcConfig {
     }
 }
 
-/// The DGC transformation over any graph edit target.
+/// Applies the DGC transformation, over any graph edit target, to
+/// previously inserted communication tasks; returns the inserted
+/// compression kernels.
 pub fn plan_dgc<G: GraphEdit>(g: &mut G, comm_tasks: &[TaskId], cfg: &DgcConfig) -> Vec<TaskId> {
     // Compression runs on the compute stream before each transfer.
     let gpu_thread = g
@@ -99,17 +100,12 @@ pub fn plan_dgc<G: GraphEdit>(g: &mut G, comm_tasks: &[TaskId], cfg: &DgcConfig)
     inserted
 }
 
-/// Applies the DGC transformation to previously inserted communication
-/// tasks; returns the inserted compression kernels.
-pub fn what_if_dgc(pg: &mut ProfiledGraph, comm_tasks: &[TaskId], cfg: &DgcConfig) -> Vec<TaskId> {
-    plan_dgc(&mut pg.graph, comm_tasks, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::ProfiledGraph;
     use crate::predict::predict;
-    use crate::whatif::what_if_distributed;
+    use crate::whatif::plan_distributed;
     use daydream_comm::ClusterConfig;
     use daydream_models::zoo;
     use daydream_runtime::{ground_truth, ExecConfig};
@@ -125,12 +121,10 @@ mod tests {
     fn dgc_helps_on_slow_networks() {
         let pg = profile();
         let cluster = ClusterConfig::new(4, 1, 5.0);
-        let plain = predict(&pg, |g| {
-            what_if_distributed(g, &cluster);
-        });
+        let plain = predict(&pg, |g| plan_distributed(g, &pg.meta.buckets, &cluster));
         let dgc = predict(&pg, |g| {
-            let ars = what_if_distributed(g, &cluster);
-            what_if_dgc(g, &ars, &DgcConfig::default());
+            let ars = plan_distributed(g, &pg.meta.buckets, &cluster);
+            plan_dgc(g, &ars, &DgcConfig::default())
         });
         assert!(
             dgc.predicted_ns < plain.predicted_ns,
@@ -147,12 +141,10 @@ mod tests {
         // built to predict cheaply.
         let pg = profile();
         let cluster = ClusterConfig::new(2, 1, 40.0);
-        let plain = predict(&pg, |g| {
-            what_if_distributed(g, &cluster);
-        });
+        let plain = predict(&pg, |g| plan_distributed(g, &pg.meta.buckets, &cluster));
         let dgc = predict(&pg, |g| {
-            let ars = what_if_distributed(g, &cluster);
-            what_if_dgc(g, &ars, &DgcConfig::default());
+            let ars = plan_distributed(g, &pg.meta.buckets, &cluster);
+            plan_dgc(g, &ars, &DgcConfig::default())
         });
         let gain = 1.0 - dgc.predicted_ns as f64 / plain.predicted_ns as f64;
         assert!(
@@ -165,9 +157,9 @@ mod tests {
     fn structure_valid_and_transfer_scaled() {
         let mut pg = profile();
         let cluster = ClusterConfig::new(4, 1, 10.0);
-        let ars = what_if_distributed(&mut pg, &cluster);
+        let ars = plan_distributed(&mut pg.graph, &pg.meta.buckets, &cluster);
         let before: u64 = ars.iter().map(|&id| pg.graph.task(id).duration_ns).sum();
-        let kernels = what_if_dgc(&mut pg, &ars, &DgcConfig::default());
+        let kernels = plan_dgc(&mut pg.graph, &ars, &DgcConfig::default());
         let after: u64 = ars.iter().map(|&id| pg.graph.task(id).duration_ns).sum();
         assert!(after < before / 50, "transfers must shrink ~100x");
         assert_eq!(kernels.len(), ars.len() * 2);

@@ -10,7 +10,6 @@
 //! which is what makes predictions deviate from interference-afflicted
 //! ground truth (Fig. 9).
 
-use crate::construct::ProfiledGraph;
 use crate::graph::{DepKind, GraphEdit, TaskId};
 use crate::task::{CommChannel, CommPrimitive, ExecThread, Task, TaskKind};
 use crate::transform::select;
@@ -21,6 +20,9 @@ use std::collections::HashMap;
 /// The distributed-training transformation (Algorithm 6) over any graph
 /// edit target; the caller supplies the profiled gradient buckets (graph
 /// views carry no metadata).
+///
+/// Returns the inserted all-reduce tasks in bucket order, so follow-up
+/// transformations (BlueConnect, DGC) can rewrite them.
 pub fn plan_distributed<G: GraphEdit>(
     g: &mut G,
     buckets: &[BucketInfo],
@@ -85,18 +87,10 @@ pub fn plan_distributed<G: GraphEdit>(
     inserted
 }
 
-/// Applies the distributed-training transformation (Algorithm 6).
-///
-/// Returns the inserted all-reduce tasks in bucket order, so follow-up
-/// transformations (BlueConnect, DGC) can rewrite them.
-pub fn what_if_distributed(pg: &mut ProfiledGraph, cluster: &ClusterConfig) -> Vec<TaskId> {
-    let buckets = pg.meta.buckets.clone();
-    plan_distributed(&mut pg.graph, &buckets, cluster)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::ProfiledGraph;
     use crate::predict::predict;
     use daydream_comm::NcclExecution;
     use daydream_models::zoo;
@@ -118,9 +112,7 @@ mod tests {
             ClusterConfig::new(2, 1, 10.0),
             ClusterConfig::new(4, 2, 10.0),
         ] {
-            let pred = predict(&pg, |g| {
-                what_if_distributed(g, &cluster);
-            });
+            let pred = predict(&pg, |g| plan_distributed(g, &pg.meta.buckets, &cluster));
             let gt = run_distributed(&model, &cfg, cluster, NcclExecution::Synced, &plan)
                 .trace
                 .meta
@@ -136,10 +128,8 @@ mod tests {
         let cfg = ExecConfig::pytorch_2080ti().with_batch(16);
         let pg = profile(&model, &cfg);
         let t = |m: u32, g: u32| {
-            predict(&pg, |pgg| {
-                what_if_distributed(pgg, &ClusterConfig::new(m, g, 10.0));
-            })
-            .predicted_ns
+            let cluster = ClusterConfig::new(m, g, 10.0);
+            predict(&pg, |pgg| plan_distributed(pgg, &pg.meta.buckets, &cluster)).predicted_ns
         };
         let t1 = t(1, 1);
         let t2 = t(2, 1);
@@ -153,10 +143,8 @@ mod tests {
         let cfg = ExecConfig::pytorch_2080ti().with_batch(16);
         let pg = profile(&model, &cfg);
         let t = |bw: f64| {
-            predict(&pg, |pgg| {
-                what_if_distributed(pgg, &ClusterConfig::new(4, 1, bw));
-            })
-            .predicted_ns
+            let cluster = ClusterConfig::new(4, 1, bw);
+            predict(&pg, |pgg| plan_distributed(pgg, &pg.meta.buckets, &cluster)).predicted_ns
         };
         assert!(t(10.0) > t(20.0));
         assert!(t(20.0) > t(40.0));
@@ -170,9 +158,7 @@ mod tests {
         let cfg = ExecConfig::pytorch_2080ti().with_batch(16);
         let pg = profile(&model, &cfg);
         let cluster = ClusterConfig::new(4, 1, 10.0);
-        let pred = predict(&pg, |g| {
-            what_if_distributed(g, &cluster);
-        });
+        let pred = predict(&pg, |g| plan_distributed(g, &pg.meta.buckets, &cluster));
         let total_comm: u64 = pg
             .meta
             .buckets
@@ -189,7 +175,7 @@ mod tests {
         let cfg = ExecConfig::pytorch_2080ti().with_batch(2);
         let mut pg = profile(&model, &cfg);
         let cluster = ClusterConfig::new(2, 1, 10.0);
-        let calls = what_if_distributed(&mut pg, &cluster);
+        let calls = plan_distributed(&mut pg.graph, &pg.meta.buckets, &cluster);
         assert_eq!(calls.len(), pg.meta.buckets.len());
         pg.graph
             .validate()

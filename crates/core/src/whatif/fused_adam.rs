@@ -6,12 +6,14 @@
 //! eliminating the thousands of CUDA launches that make unfused Adam
 //! CPU-bound on BERT (§6.3).
 
-use crate::construct::ProfiledGraph;
 use crate::graph::{GraphEdit, TaskId};
 use crate::transform::{remove_all, select};
 use daydream_trace::Phase;
 
 /// The FusedAdam transformation (Algorithm 4) over any graph edit target.
+///
+/// Returns the id of the surviving fused kernel, or `None` if the profile
+/// has no weight-update GPU tasks.
 pub fn plan_fused_adam<G: GraphEdit>(g: &mut G) -> Option<TaskId> {
     let wu_gpu = select::gpu_in_phase(g, Phase::WeightUpdate);
     if wu_gpu.is_empty() {
@@ -58,17 +60,10 @@ pub fn plan_fused_adam<G: GraphEdit>(g: &mut G) -> Option<TaskId> {
     Some(keep)
 }
 
-/// Applies the FusedAdam transformation (Algorithm 4).
-///
-/// Returns the id of the surviving fused kernel, or `None` if the profile
-/// has no weight-update GPU tasks.
-pub fn what_if_fused_adam(pg: &mut ProfiledGraph) -> Option<TaskId> {
-    plan_fused_adam(&mut pg.graph)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::ProfiledGraph;
     use crate::predict::predict;
     use daydream_models::zoo;
     use daydream_runtime::{ground_truth, ExecConfig};
@@ -77,9 +72,7 @@ mod tests {
         let cfg = ExecConfig::pytorch_2080ti();
         let baseline = ground_truth::run_baseline(&model, &cfg);
         let pg = ProfiledGraph::from_trace(&baseline);
-        let pred = predict(&pg, |g| {
-            what_if_fused_adam(g);
-        });
+        let pred = predict(&pg, plan_fused_adam);
         let gt = ground_truth::run_fused_adam(&model, &cfg)
             .meta
             .iteration_ns();
@@ -131,7 +124,7 @@ mod tests {
             before > 2_000,
             "unfused BERT Adam launches thousands of kernels"
         );
-        let kept = what_if_fused_adam(&mut pg).expect("fused kernel inserted");
+        let kept = plan_fused_adam(&mut pg.graph).expect("fused kernel inserted");
         let after = select::gpu_in_phase(&pg.graph, Phase::WeightUpdate);
         assert_eq!(after, vec![kept]);
         pg.graph.validate().expect("graph stays a DAG");

@@ -7,7 +7,6 @@
 //! from the existing element-wise kernels of the same layer (the paper's
 //! estimation guideline).
 
-use crate::construct::ProfiledGraph;
 use crate::graph::{DepKind, GraphEdit, GraphView, TaskId};
 use crate::task::{Task, TaskKind};
 use crate::transform::insert_gpu_task_with_launch;
@@ -103,11 +102,6 @@ pub fn plan_gist<G: GraphEdit>(g: &mut G, cfg: &GistConfig) -> Vec<TaskId> {
     inserted
 }
 
-/// Applies the Gist transformation; returns the inserted GPU kernels.
-pub fn what_if_gist(pg: &mut ProfiledGraph, cfg: &GistConfig) -> Vec<TaskId> {
-    plan_gist(&mut pg.graph, cfg)
-}
-
 /// Duration estimate, layer tag, and CPU anchor for an insertion next to
 /// task `u` — the "estimate from existing element-wise kernels" rule.
 fn anchor<G: GraphView>(g: &G, u: TaskId) -> (u64, Option<crate::task::LayerRef>, TaskId) {
@@ -124,6 +118,7 @@ fn anchor<G: GraphView>(g: &G, u: TaskId) -> (u64, Option<crate::task::LayerRef>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::ProfiledGraph;
     use crate::predict::predict;
     use daydream_models::zoo;
     use daydream_runtime::{ground_truth, ExecConfig};
@@ -137,9 +132,7 @@ mod tests {
     #[test]
     fn gist_predicts_bounded_overhead() {
         let pg = profile();
-        let pred = predict(&pg, |g| {
-            what_if_gist(g, &GistConfig::default());
-        });
+        let pred = predict(&pg, |g| plan_gist(g, &GistConfig::default()));
         let overhead = -pred.improvement();
         assert!(overhead > 0.0, "encode/decode kernels must cost something");
         assert!(
@@ -151,17 +144,15 @@ mod tests {
     #[test]
     fn lossy_costs_more_than_lossless() {
         let pg = profile();
-        let lossless = predict(&pg, |g| {
-            what_if_gist(g, &GistConfig::default());
-        });
+        let lossless = predict(&pg, |g| plan_gist(g, &GistConfig::default()));
         let lossy = predict(&pg, |g| {
-            what_if_gist(
+            plan_gist(
                 g,
                 &GistConfig {
                     lossy: true,
                     launch_ns: 6_000,
                 },
-            );
+            )
         });
         assert!(lossy.predicted_ns > lossless.predicted_ns);
     }
@@ -173,7 +164,7 @@ mod tests {
             .graph
             .select(|t| t.is_on_gpu() && t.name.contains("elementwise_kernel_relu"))
             .len();
-        let inserted = what_if_gist(&mut pg, &GistConfig::default());
+        let inserted = plan_gist(&mut pg.graph, &GistConfig::default());
         assert_eq!(inserted.len(), relus);
         pg.graph.validate().expect("Gist graph must stay a DAG");
     }

@@ -4,13 +4,13 @@
 //! kernels); after a substitution policy is chosen, its runtime effect is
 //! just per-layer task removal and scaling, which Daydream models directly.
 //! The paper notes Daydream can serve as a precise cost model inside
-//! MetaFlow's backtracking search; [`what_if_metaflow`] is that evaluation
-//! function.
+//! MetaFlow's backtracking search; [`plan_metaflow`] under
+//! [`crate::predict()`] is that evaluation function.
 
-use crate::construct::ProfiledGraph;
 use crate::graph::{GraphEdit, TaskId};
 use crate::task::Task;
 use crate::transform::{remove_all, scale_durations};
+use daydream_models::Model;
 use daydream_trace::LayerId;
 use std::collections::HashMap;
 
@@ -52,15 +52,26 @@ pub fn plan_metaflow<G: GraphEdit>(g: &mut G, policy: &[Substitution]) {
     }
 }
 
-/// Applies a substitution policy (Algorithm 9's `Remove_layer` /
-/// `Scale_layer` helpers).
-pub fn what_if_metaflow(pg: &mut ProfiledGraph, policy: &[Substitution]) {
-    plan_metaflow(&mut pg.graph, policy);
+/// The QKV-fusion policy the catalog's `metaflow` family evaluates: fuse
+/// each attention block's query/key/value projections into one widened
+/// GEMM — the key and value layers are absorbed and the query layer's
+/// kernels scale by 1.8x. Empty for models without attention.
+pub fn qkv_fusion_policy(model: &Model) -> Vec<Substitution> {
+    let mut policy = Vec::new();
+    for l in &model.layers {
+        if l.name.ends_with("attn.key") || l.name.ends_with("attn.value") {
+            policy.push(Substitution::RemoveLayer(l.id));
+        } else if l.name.ends_with("attn.query") {
+            policy.push(Substitution::ScaleLayer(l.id, 1.8));
+        }
+    }
+    policy
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::ProfiledGraph;
     use crate::predict::predict;
     use crate::transform::select;
     use daydream_models::zoo;
@@ -73,15 +84,10 @@ mod tests {
         let model = zoo::bert_base();
         let cfg = ExecConfig::pytorch_2080ti().with_batch(4);
         let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
-        let mut policy = Vec::new();
-        for l in &model.layers {
-            if l.name.ends_with("attn.key") || l.name.ends_with("attn.value") {
-                policy.push(Substitution::RemoveLayer(l.id));
-            } else if l.name.ends_with("attn.query") {
-                policy.push(Substitution::ScaleLayer(l.id, 1.8));
-            }
-        }
-        let pred = predict(&pg, |g| what_if_metaflow(g, &policy));
+        let policy = qkv_fusion_policy(&model);
+        assert!(!policy.is_empty(), "BERT has attention blocks");
+        assert!(qkv_fusion_policy(&zoo::resnet50()).is_empty());
+        let pred = predict(&pg, |g| plan_metaflow(g, &policy));
         assert!(
             pred.improvement() > 0.0,
             "fusing QKV should help: {:.4}",
@@ -97,7 +103,7 @@ mod tests {
         let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
         let conv1 = model.layers.iter().find(|l| l.name == "conv1").unwrap().id;
         let pred = predict(&pg, |g| {
-            what_if_metaflow(g, &[Substitution::ScaleLayer(conv1, 4.0)])
+            plan_metaflow(g, &[Substitution::ScaleLayer(conv1, 4.0)])
         });
         assert!(
             pred.improvement() < 0.0,
@@ -149,7 +155,7 @@ mod tests {
         let cfg = ExecConfig::pytorch_2080ti().with_batch(8);
         let mut pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
         let relu = model.layers.iter().find(|l| l.name == "relu").unwrap().id;
-        what_if_metaflow(&mut pg, &[Substitution::RemoveLayer(relu)]);
+        plan_metaflow(&mut pg.graph, &[Substitution::RemoveLayer(relu)]);
         pg.graph.validate().unwrap();
         assert!(select::gpu_of_layer(&pg.graph, relu).is_empty());
     }

@@ -2,6 +2,9 @@
 //!
 //! Every model is a composition of the §4.4 primitives — select, shrink/
 //! scale, insert/remove, schedule — applied to a profiled dependency graph.
+//! Each `plan_*` planner runs over any [`crate::GraphEdit`] target: a
+//! [`crate::PatchGraph`] under [`crate::predict()`] or the sweep engine,
+//! or a graph edited in place by the tests' oracles.
 //! The five evaluated in §6 are tested against their ground-truth
 //! executions in `daydream-runtime`; the other five are the §5.2 modeling
 //! demonstrations.
@@ -20,21 +23,19 @@ mod reconstruct_bn;
 mod upgrade_gpu;
 mod vdnn;
 
-pub use amp::{plan_amp, what_if_amp, COMPUTE_BOUND_GAIN, MEMORY_BOUND_GAIN};
-pub use bandwidth::{plan_bandwidth, what_if_bandwidth};
-pub use batch_size::{plan_batch_size, what_if_batch_size, KERNEL_OVERHEAD_NS};
-pub use blueconnect::{plan_blueconnect, what_if_blueconnect};
-pub use dgc::{plan_dgc, what_if_dgc, DgcConfig};
-pub use distributed::{plan_distributed, what_if_distributed};
-pub use fused_adam::{plan_fused_adam, what_if_fused_adam};
-pub use gist::{plan_gist, what_if_gist, GistConfig};
-pub use metaflow::{plan_metaflow, what_if_metaflow, Substitution};
+pub use amp::{plan_amp, COMPUTE_BOUND_GAIN, MEMORY_BOUND_GAIN};
+pub use bandwidth::plan_bandwidth;
+pub use batch_size::{plan_batch_size, KERNEL_OVERHEAD_NS};
+pub use blueconnect::plan_blueconnect;
+pub use dgc::{plan_dgc, DgcConfig};
+pub use distributed::plan_distributed;
+pub use fused_adam::plan_fused_adam;
+pub use gist::{plan_gist, GistConfig};
+pub use metaflow::{plan_metaflow, qkv_fusion_policy, Substitution};
 pub use p3::{
-    p3_insert_plan, p3_replicated_base, plan_p3_inserts, what_if_p3, P3Config, P3Insert,
-    P3Prediction, P3Scheduler,
+    p3_insert_plan, p3_replicated_base, plan_p3_inserts, P3Config, P3Insert, P3Plan, P3Prediction,
+    P3Scheduler,
 };
-pub use reconstruct_bn::{plan_reconstruct_bn, what_if_reconstruct_bn};
-pub use upgrade_gpu::{
-    classify_gpu_tasks, plan_upgrade_gpu, retime_gpu_classes, what_if_upgrade_gpu, GpuBound,
-};
-pub use vdnn::{plan_vdnn, what_if_vdnn, VdnnConfig, VDNN_STREAM, VDNN_THREAD};
+pub use reconstruct_bn::plan_reconstruct_bn;
+pub use upgrade_gpu::{classify_gpu_tasks, plan_upgrade_gpu, retime_gpu_classes, GpuBound};
+pub use vdnn::{plan_vdnn, VdnnConfig, VDNN_STREAM, VDNN_THREAD};

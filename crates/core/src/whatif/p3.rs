@@ -7,17 +7,20 @@
 //! iterations, push/pull tasks are *inserted* per slice between a layer's
 //! backward task and its next-iteration forward task, and the simulator's
 //! `Schedule` function is overridden with a priority queue.
+//! [`P3Plan`] is the one evaluator: it applies a config's inserts to the
+//! compiled, unrolled profile once, then retimes the transfers per cluster.
 //!
 //! The predicted transfer times are pure wire times (`bytes / bandwidth`,
 //! Algorithm 7); real MXNet messages also pay server/worker engine
 //! overheads, which is why the paper overestimates P3's speedup at higher
 //! bandwidths (§6.6).
 
-use crate::compiled::CompactId;
+use crate::compiled::{CompactId, CompiledGraph};
 use crate::construct::ProfiledGraph;
-use crate::graph::{DepKind, GraphEdit, TaskId};
+use crate::graph::{DepKind, GraphEdit, GraphError, TaskId};
+use crate::patch::{PatchGraph, PatchSummary};
 use crate::replicate::{replicate_iterations, ReplicatedGraph};
-use crate::sim::{simulate_with, Candidate, FrontierOrder, Rank, RankInputs, Scheduler, SimResult};
+use crate::sim::{simulate_compiled_with, Candidate, FrontierOrder, Rank, RankInputs, Scheduler};
 use crate::task::{CommChannel, CommPrimitive, ExecThread, Task, TaskKind};
 use daydream_comm::{ClusterConfig, PsModel};
 use daydream_trace::{LayerId, Phase};
@@ -260,6 +263,8 @@ pub fn p3_insert_plan(pg: &ProfiledGraph, rep: &ReplicatedGraph, cfg: &P3Config)
 
 /// Splices a P3 insertion plan into a replicated graph (or a patch
 /// overlay of one); returns the messages-per-iteration count.
+/// [`P3Plan::build`] records it as a patch; tests run it in place as the
+/// oracle.
 pub fn plan_p3_inserts<G: GraphEdit>(g: &mut G, inserts: &[P3Insert]) -> usize {
     let mut messages = 0usize;
     for ins in inserts {
@@ -300,30 +305,134 @@ pub fn plan_p3_inserts<G: GraphEdit>(g: &mut G, inserts: &[P3Insert]) -> usize {
 }
 
 /// Unrolls a profile for P3's steady-state analysis (at least two
-/// iterations). The result is the shared base the sweep engine compiles
-/// once and patches per P3 scenario.
+/// iterations). The result is the shared base [`P3Plan::build`] compiles
+/// once and patches per config.
 pub fn p3_replicated_base(pg: &ProfiledGraph, iterations: usize) -> ReplicatedGraph {
     replicate_iterations(&pg.graph, iterations.max(2))
 }
 
-/// Runs the P3 (or PS-baseline) what-if analysis on a single-GPU profile.
-///
-/// Unrolls the profile, inserts push/pull tasks per gradient slice between
-/// each layer's backward completion and its next-iteration forward start,
-/// and simulates with the priority scheduler.
-pub fn what_if_p3(pg: &ProfiledGraph, cfg: &P3Config) -> P3Prediction {
-    let mut rep = p3_replicated_base(pg, cfg.iterations);
-    let inserts = p3_insert_plan(pg, &rep, cfg);
-    let messages = plan_p3_inserts(&mut rep.graph, &inserts);
-    let sim: SimResult = simulate_with(&rep.graph, &P3Scheduler).expect("P3 graph must stay a DAG");
-    P3Prediction {
-        iteration_ns: steady(&rep, &sim),
-        messages_per_iteration: messages,
-    }
+/// A compiled P3 (or PS-baseline) plan: the replicated base with one
+/// config's push/pull tasks inserted and applied, once. Of the whole plan
+/// only the transfer durations depend on the cluster (Algorithm 7 prices
+/// a slice at `bytes / bandwidth`), so evaluating a cluster retimes those
+/// and simulates under [`P3Scheduler`]; it never re-plans, re-emits or
+/// re-applies the inserts.
+#[derive(Debug, Clone)]
+pub struct P3Plan {
+    /// The applied replicated graph. Its transfer durations are those of
+    /// the cluster that built the plan; every evaluation retimes them.
+    compiled: CompiledGraph,
+    /// Compact id and payload bytes of every inserted push/pull task.
+    transfers: Vec<(CompactId, u64)>,
+    /// Compact ids of the last two unrolled copies' tasks: the steady
+    /// state is the span between their ends.
+    last_copies: [Vec<CompactId>; 2],
+    /// Fingerprint of the plan's patch over the replicated base.
+    fingerprint: u64,
+    /// Op counts of the plan's patch.
+    summary: PatchSummary,
+    /// Push/pull pairs inserted per iteration.
+    messages_per_iteration: usize,
 }
 
-fn steady(rep: &ReplicatedGraph, sim: &SimResult) -> u64 {
-    rep.steady_iteration_ns(sim)
+impl P3Plan {
+    /// Plans `cfg` over a lone profile: unrolls `cfg.iterations` copies,
+    /// compiles them and builds the plan over that base.
+    pub fn new(pg: &ProfiledGraph, cfg: &P3Config) -> P3Plan {
+        let rep = p3_replicated_base(pg, cfg.iterations);
+        let compiled = CompiledGraph::compile(&rep.graph);
+        P3Plan::build(pg, &rep, &compiled, cfg)
+    }
+
+    /// Plans `cfg`'s inserts over a replicated base of `pg` (and its
+    /// compiled form) and applies them. Several configs' plans can share
+    /// one replication.
+    pub fn build(
+        pg: &ProfiledGraph,
+        rep: &ReplicatedGraph,
+        rep_compiled: &CompiledGraph,
+        cfg: &P3Config,
+    ) -> P3Plan {
+        let mut ov = PatchGraph::new(&rep.graph);
+        let messages_per_iteration = plan_p3_inserts(&mut ov, &p3_insert_plan(pg, rep, cfg));
+        let patch = ov.finish();
+        let compiled = rep_compiled.apply(&patch);
+        let compact = |id: TaskId| compiled.compact_of(id).expect("P3 inserts remove no task");
+        let transfers = patch
+            .inserted_tasks()
+            .filter_map(|(id, t)| match t.kind {
+                TaskKind::Communication { bytes, .. } => Some((compact(id), bytes)),
+                _ => None,
+            })
+            .collect();
+        let copy = |k: usize| -> Vec<CompactId> {
+            pg.graph
+                .iter()
+                .map(|(id, _)| compact(rep.replica(k, id)))
+                .collect()
+        };
+        let n = rep.iterations();
+        let last_copies = [copy(n - 2), copy(n - 1)];
+        P3Plan {
+            compiled,
+            transfers,
+            last_copies,
+            fingerprint: patch.fingerprint(),
+            summary: patch.summary(),
+            messages_per_iteration,
+        }
+    }
+
+    /// Fingerprint of the plan's patch. The sliced plan is the FIFO one
+    /// when no gradient exceeds a slice; equal fingerprints say so.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// Op counts of the plan's patch over the replicated base.
+    pub fn summary(&self) -> PatchSummary {
+        self.summary
+    }
+
+    /// The applied replicated graph, timed for the cluster that built the
+    /// plan.
+    pub fn compiled(&self) -> &CompiledGraph {
+        &self.compiled
+    }
+
+    /// The wire time ([`PsModel::wire_ns`]) of every inserted transfer on
+    /// `cluster`, in plan order.
+    pub fn wire_times(&self, cluster: &ClusterConfig) -> Vec<u64> {
+        let ps = PsModel::new(*cluster);
+        self.transfers.iter().map(|&(_, b)| ps.wire_ns(b)).collect()
+    }
+
+    /// Steady-state iteration time with the transfers retimed to `wires`
+    /// (one per transfer, as [`P3Plan::wire_times`] returns them): a full
+    /// simulation under [`P3Scheduler`], read as the span between the last
+    /// two unrolled copies' ends, as
+    /// [`ReplicatedGraph::steady_iteration_ns`] reads it.
+    pub fn steady_iteration_ns(&self, wires: &[u64]) -> Result<u64, GraphError> {
+        let retimed = self
+            .compiled
+            .retimed(self.transfers.iter().zip(wires).map(|(&(c, _), &w)| (c, w)));
+        let sim = simulate_compiled_with(&retimed, &P3Scheduler)?;
+        let end = |ids: &[CompactId]| {
+            ids.iter()
+                .map(|&c| sim.start_ns[c.0 as usize] + retimed.duration_ns(c))
+                .max()
+                .unwrap_or(0)
+        };
+        Ok(end(&self.last_copies[1]) - end(&self.last_copies[0]))
+    }
+
+    /// The plan's prediction on `cluster`.
+    pub fn evaluate(&self, cluster: &ClusterConfig) -> Result<P3Prediction, GraphError> {
+        Ok(P3Prediction {
+            iteration_ns: self.steady_iteration_ns(&self.wire_times(cluster))?,
+            messages_per_iteration: self.messages_per_iteration,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -348,8 +457,9 @@ mod tests {
         let model = zoo::resnet50();
         let pg = worker_profile(&model, 16);
         let cluster = ClusterConfig::new(4, 1, 2.0);
-        let base = what_if_p3(&pg, &P3Config::baseline(cluster));
-        let p3 = what_if_p3(&pg, &P3Config::p3(cluster));
+        let predict = |cfg: P3Config| P3Plan::new(&pg, &cfg).evaluate(&cluster).unwrap();
+        let base = predict(P3Config::baseline(cluster));
+        let p3 = predict(P3Config::p3(cluster));
         assert!(
             p3.iteration_ns < base.iteration_ns,
             "P3 {:.1}ms must beat baseline {:.1}ms",
@@ -363,7 +473,12 @@ mod tests {
     fn prediction_decreases_with_bandwidth() {
         let model = zoo::resnet50();
         let pg = worker_profile(&model, 16);
-        let t = |bw: f64| what_if_p3(&pg, &P3Config::p3(ClusterConfig::new(4, 1, bw))).iteration_ns;
+        let plan = P3Plan::new(&pg, &P3Config::p3(ClusterConfig::new(4, 1, 2.0)));
+        let t = |bw: f64| {
+            plan.evaluate(&ClusterConfig::new(4, 1, bw))
+                .unwrap()
+                .iteration_ns
+        };
         assert!(t(2.0) > t(4.0));
         assert!(t(4.0) > t(8.0));
     }
@@ -377,7 +492,9 @@ mod tests {
         let pg = worker_profile(&model, 8);
         let cfg = ExecConfig::mxnet_p4000().with_batch(8);
         let cluster = ClusterConfig::new(4, 1, 10.0);
-        let pred = what_if_p3(&pg, &P3Config::p3(cluster));
+        let pred = P3Plan::new(&pg, &P3Config::p3(cluster))
+            .evaluate(&cluster)
+            .unwrap();
         let gt = daydream_runtime::run_parameter_server(
             &model,
             &cfg,
@@ -398,9 +515,10 @@ mod tests {
         let model = zoo::resnet50();
         let pg = worker_profile(&model, 16);
         let cfg = ExecConfig::mxnet_p4000().with_batch(16);
+        let plan = P3Plan::new(&pg, &P3Config::p3(ClusterConfig::new(4, 1, 1.0)));
         for bw in [1.0, 2.0, 4.0, 8.0] {
             let cluster = ClusterConfig::new(4, 1, bw);
-            let pred = what_if_p3(&pg, &P3Config::p3(cluster));
+            let pred = plan.evaluate(&cluster).unwrap();
             let gt = daydream_runtime::run_parameter_server(
                 &model,
                 &cfg,

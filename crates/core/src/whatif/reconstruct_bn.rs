@@ -10,13 +10,16 @@
 //! less-tuned kernels plus extra allocations — information a trace-level
 //! model cannot know (§7.4).
 
-use crate::construct::ProfiledGraph;
 use crate::graph::GraphEdit;
 use crate::transform::remove_all;
 use daydream_models::Model;
 use daydream_trace::LayerId;
 
-/// The reconstruct-batchnorm transformation over any graph edit target.
+/// The reconstruct-batchnorm transformation (Algorithm 5) over any graph
+/// edit target.
+///
+/// `model` supplies the layer-kind lookup (`u.layer is ReLU` in the paper's
+/// pseudo-code).
 pub fn plan_reconstruct_bn<G: GraphEdit>(g: &mut G, model: &Model) {
     let kind_of = |layer: LayerId| model.layer(layer).map(|l| l.kind.type_name());
     let relu_tasks = g.select_ids(|t| {
@@ -39,17 +42,10 @@ pub fn plan_reconstruct_bn<G: GraphEdit>(g: &mut G, model: &Model) {
     }
 }
 
-/// Applies the reconstruct-batchnorm transformation (Algorithm 5).
-///
-/// `model` supplies the layer-kind lookup (`u.layer is ReLU` in the paper's
-/// pseudo-code).
-pub fn what_if_reconstruct_bn(pg: &mut ProfiledGraph, model: &Model) {
-    plan_reconstruct_bn(&mut pg.graph, model);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::ProfiledGraph;
     use crate::predict::predict;
     use daydream_models::zoo;
     use daydream_runtime::{ground_truth, ExecConfig};
@@ -60,7 +56,7 @@ mod tests {
         let cfg = ExecConfig::caffe_2080ti();
         let baseline = ground_truth::run_baseline(&model, &cfg);
         let pg = ProfiledGraph::from_trace(&baseline);
-        let pred = predict(&pg, |g| what_if_reconstruct_bn(g, &model));
+        let pred = predict(&pg, |g| plan_reconstruct_bn(g, &model));
         let gt_trace = ground_truth::run_reconstructed_bn(&model, &cfg);
         let gt = gt_trace.meta.iteration_ns();
 
@@ -99,7 +95,7 @@ mod tests {
             .filter(|(_, t)| t.is_on_gpu() && t.name.contains("bn_"))
             .map(|(_, t)| t.duration_ns)
             .sum();
-        what_if_reconstruct_bn(&mut pg, &model);
+        plan_reconstruct_bn(&mut pg.graph, &model);
         let relu_left = pg
             .graph
             .select(|t| {

@@ -7,7 +7,6 @@
 //! bandwidth for the rest — the same first-order model behind the paper's
 //! AMP rule, applied across devices instead of across precisions.
 
-use crate::construct::ProfiledGraph;
 use crate::graph::{GraphEdit, GraphView, TaskId};
 use crate::task::TaskKind;
 use daydream_device::{classify_kernel, GpuSpec, Precision};
@@ -72,23 +71,19 @@ pub fn retime_gpu_classes<G: GraphEdit>(
     }
 }
 
-/// The hardware-upgrade transformation over any graph edit target.
-/// Returns the affected tasks.
+/// Rescales GPU kernels for a move from `old` to `new` hardware, over any
+/// graph edit target; memory copies scale with PCIe bandwidth. Returns the
+/// affected tasks.
 pub fn plan_upgrade_gpu<G: GraphEdit>(g: &mut G, old: &GpuSpec, new: &GpuSpec) -> Vec<TaskId> {
     let classes = classify_gpu_tasks(g);
     retime_gpu_classes(g, &classes, old, new);
     classes.into_iter().map(|(id, _)| id).collect()
 }
 
-/// Rescales GPU kernels for a move from `old` to `new` hardware; memory
-/// copies scale with PCIe bandwidth. Returns the affected tasks.
-pub fn what_if_upgrade_gpu(pg: &mut ProfiledGraph, old: &GpuSpec, new: &GpuSpec) -> Vec<TaskId> {
-    plan_upgrade_gpu(&mut pg.graph, old, new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::ProfiledGraph;
     use crate::predict::predict;
     use daydream_models::zoo;
     use daydream_runtime::{ground_truth, ExecConfig};
@@ -103,9 +98,7 @@ mod tests {
         let model = zoo::resnet50();
         let pg = profile(&model);
         let (old, new) = (GpuSpec::rtx_2080ti(), GpuSpec::v100());
-        let pred = predict(&pg, |g| {
-            what_if_upgrade_gpu(g, &old, &new);
-        });
+        let pred = predict(&pg, |g| plan_upgrade_gpu(g, &old, &new));
         // Ground truth: actually execute the plan on the V100 cost model.
         let gt_cfg = ExecConfig {
             gpu: GpuSpec::v100(),
@@ -124,9 +117,7 @@ mod tests {
         let model = zoo::bert_base();
         let pg = profile(&model);
         let (old, new) = (GpuSpec::rtx_2080ti(), GpuSpec::t4());
-        let pred = predict(&pg, |g| {
-            what_if_upgrade_gpu(g, &old, &new);
-        });
+        let pred = predict(&pg, |g| plan_upgrade_gpu(g, &old, &new));
         assert!(pred.speedup() < 1.0, "a T4 must be slower than a 2080 Ti");
     }
 
@@ -138,12 +129,8 @@ mod tests {
         let (old, new) = (GpuSpec::rtx_2080ti(), GpuSpec::v100());
         let resnet = profile(&zoo::resnet50());
         let bert = profile(&zoo::bert_large());
-        let r = predict(&resnet, |g| {
-            what_if_upgrade_gpu(g, &old, &new);
-        });
-        let b = predict(&bert, |g| {
-            what_if_upgrade_gpu(g, &old, &new);
-        });
+        let r = predict(&resnet, |g| plan_upgrade_gpu(g, &old, &new));
+        let b = predict(&bert, |g| plan_upgrade_gpu(g, &old, &new));
         assert!(
             r.speedup() > b.speedup(),
             "ResNet ({:.2}x) should gain more than CPU-bound BERT-large ({:.2}x)",
@@ -176,9 +163,7 @@ mod tests {
         let model = zoo::resnet50();
         let pg = profile(&model);
         let spec = GpuSpec::rtx_2080ti();
-        let pred = predict(&pg, |g| {
-            what_if_upgrade_gpu(g, &spec, &spec);
-        });
+        let pred = predict(&pg, |g| plan_upgrade_gpu(g, &spec, &spec));
         assert_eq!(pred.baseline_ns, pred.predicted_ns);
     }
 }

@@ -11,7 +11,6 @@
 //! *after* `L` (look-ahead), modeling the paper's `findPrefetchLayer`
 //! schedule override.
 
-use crate::construct::ProfiledGraph;
 use crate::graph::{DepKind, GraphEdit, TaskId};
 use crate::task::{ExecThread, Task, TaskKind};
 use daydream_models::{LayerKind, Model};
@@ -168,16 +167,10 @@ pub fn plan_vdnn<G: GraphEdit>(g: &mut G, model: &Model, cfg: &VdnnConfig, batch
     offloaded
 }
 
-/// Applies the vDNN(conv) transformation; returns the number of offloaded
-/// layers.
-pub fn what_if_vdnn(pg: &mut ProfiledGraph, model: &Model, cfg: &VdnnConfig) -> usize {
-    let batch = pg.meta.batch_size as u64;
-    plan_vdnn(&mut pg.graph, model, cfg, batch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::ProfiledGraph;
     use crate::predict::predict;
     use daydream_models::zoo;
     use daydream_runtime::{ground_truth, ExecConfig};
@@ -191,9 +184,7 @@ mod tests {
     fn vdnn_predicts_overhead_not_speedup() {
         let model = zoo::vgg19();
         let pg = profile(&model);
-        let pred = predict(&pg, |g| {
-            what_if_vdnn(g, &model, &VdnnConfig::default());
-        });
+        let pred = predict(&pg, |g| plan_vdnn(g, &model, &VdnnConfig::default(), 16));
         assert!(
             pred.improvement() <= 0.0,
             "vDNN must cost time, not save it"
@@ -210,7 +201,7 @@ mod tests {
     fn offloads_every_convolution() {
         let model = zoo::resnet50();
         let mut pg = profile(&model);
-        let n = what_if_vdnn(&mut pg, &model, &VdnnConfig::default());
+        let n = plan_vdnn(&mut pg.graph, &model, &VdnnConfig::default(), 16);
         assert_eq!(n, 53, "all ResNet-50 convolutions offload");
         pg.graph.validate().expect("vDNN graph must stay a DAG");
     }
@@ -220,17 +211,11 @@ mod tests {
         let model = zoo::vgg19();
         let pg = profile(&model);
         let t = |bw: f64| {
-            predict(&pg, |g| {
-                what_if_vdnn(
-                    g,
-                    &model,
-                    &VdnnConfig {
-                        pcie_bytes_per_ns: bw,
-                        prefetch_lookahead: 2,
-                    },
-                );
-            })
-            .predicted_ns
+            let cfg = VdnnConfig {
+                pcie_bytes_per_ns: bw,
+                prefetch_lookahead: 2,
+            };
+            predict(&pg, |g| plan_vdnn(g, &model, &cfg, 16)).predicted_ns
         };
         assert!(t(4.0) > t(12.0), "PCIe bandwidth must matter");
     }

@@ -14,13 +14,13 @@ use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
     plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist, plan_metaflow,
-    plan_p3_inserts, plan_reconstruct_bn, plan_upgrade_gpu, plan_vdnn, what_if_distributed,
-    DgcConfig, GistConfig, P3Config, P3Scheduler, Substitution, VdnnConfig,
+    plan_p3_inserts, plan_reconstruct_bn, plan_upgrade_gpu, plan_vdnn, qkv_fusion_policy,
+    DgcConfig, GistConfig, P3Config, P3Plan, P3Scheduler, VdnnConfig,
 };
 use daydream_core::{
-    simulate_compiled_with, simulate_with_reference, CommChannel, CompactId, CompiledGraph,
-    DepKind, DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit, GraphPatch,
-    GraphView, PatchGraph, ProfiledGraph, SimResult, Task, TaskId, TaskKind,
+    simulate_compiled_with, simulate_with, simulate_with_reference, CommChannel, CompactId,
+    CompiledGraph, DepKind, DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit,
+    GraphPatch, GraphView, PatchGraph, ProfiledGraph, SimResult, Task, TaskId, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -331,9 +331,13 @@ fn dgc_patch_matches_reference_on_resnet() {
 #[test]
 fn bandwidth_patch_matches_reference_on_distributed_resnet() {
     // Bandwidth scaling needs communication tasks: transform a profile
-    // with DDP first (legacy path), then patch the transformed base.
+    // with DDP first (in place), then patch the transformed base.
     let mut pg = resnet_profile();
-    what_if_distributed(&mut pg, &ClusterConfig::new(4, 1, 10.0));
+    plan_distributed(
+        &mut pg.graph,
+        &pg.meta.buckets,
+        &ClusterConfig::new(4, 1, 10.0),
+    );
     check_transform(&pg, |g| {
         let touched = plan_bandwidth(g, 2.0);
         assert!(!touched.is_empty());
@@ -351,15 +355,7 @@ fn fused_adam_patch_matches_reference_on_bert() {
 #[test]
 fn metaflow_patch_matches_reference_on_bert() {
     let pg = bert_profile();
-    let model = daydream_models::zoo::bert_base();
-    let mut policy = Vec::new();
-    for l in &model.layers {
-        if l.name.ends_with("attn.key") || l.name.ends_with("attn.value") {
-            policy.push(Substitution::RemoveLayer(l.id));
-        } else if l.name.ends_with("attn.query") {
-            policy.push(Substitution::ScaleLayer(l.id, 1.8));
-        }
-    }
+    let policy = qkv_fusion_policy(&daydream_models::zoo::bert_base());
     let pg_ref = &pg;
     check_transform(pg_ref, |g| plan_metaflow(g, &policy));
 }
@@ -380,23 +376,29 @@ fn p3_patch_matches_reference_on_replicated_base() {
         let patch = p.finish();
         let fast = assert_equiv(&rep.graph, &patch, &P3Scheduler);
 
-        // Steady-state extraction over the patched sim matches the legacy
-        // mutate-in-place analysis end to end.
-        let legacy = daydream_core::whatif::what_if_p3(&pg, &cfg);
-        assert_eq!(rep.steady_iteration_ns(&fast), legacy.iteration_ns);
+        // Steady-state extraction over the patched sim matches the
+        // mutate-in-place analysis end to end, and so does the compiled
+        // plan every front end evaluates.
+        let mut oracle = p3_replicated_base(&pg, cfg.iterations);
+        plan_p3_inserts(&mut oracle.graph, &inserts);
+        let sim = simulate_with(&oracle.graph, &P3Scheduler).unwrap();
+        let steady = oracle.steady_iteration_ns(&sim);
+        assert_eq!(rep.steady_iteration_ns(&fast), steady);
+        let plan = P3Plan::new(&pg, &cfg).evaluate(&cluster).unwrap();
+        assert_eq!(plan.iteration_ns, steady);
     }
 }
 
-/// The legacy mutate-in-place wrappers and the patch pipeline are the
-/// same code (generic planners), so their simulations must agree exactly.
+/// A planner run in place and the same planner recording a patch are the
+/// same code (generic over `GraphEdit`), so their simulations must agree
+/// exactly.
 #[test]
 fn legacy_wrapper_and_patch_agree_end_to_end() {
     let pg = resnet_profile();
     let patched = check_transform(&pg, |g| plan_amp(g));
-    let mut legacy = pg.clone();
-    daydream_core::whatif::what_if_amp(&mut legacy);
-    let legacy_sim = daydream_core::simulate(&legacy.graph).unwrap();
-    assert_eq!(patched, legacy_sim);
+    let mut in_place = pg.graph.clone();
+    plan_amp(&mut in_place);
+    assert_eq!(patched, daydream_core::simulate(&in_place).unwrap());
 }
 
 /// Removing a task whose thread then becomes empty must drop the thread

@@ -307,12 +307,12 @@ fn p3_order_leaves_compute_threads_in_id_order() {
 /// backward task has finished.
 #[test]
 fn vdnn_prefetch_release_still_gates_dispatch() {
-    use daydream_core::whatif::{what_if_vdnn, VdnnConfig};
+    use daydream_core::whatif::{plan_vdnn, VdnnConfig};
     let model = daydream_models::zoo::vgg19();
     let cfg = daydream_runtime::ExecConfig::pytorch_2080ti().with_batch(8);
     let trace = daydream_runtime::ground_truth::run_baseline(&model, &cfg);
     let mut pg = daydream_core::ProfiledGraph::from_trace(&trace);
-    let offloaded = what_if_vdnn(&mut pg, &model, &VdnnConfig::default());
+    let offloaded = plan_vdnn(&mut pg.graph, &model, &VdnnConfig::default(), 8);
     assert!(offloaded > 0);
     let sim = simulate(&pg.graph).unwrap();
     let mut checked = 0;

@@ -17,8 +17,8 @@ use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
     plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist, plan_metaflow,
-    plan_p3_inserts, plan_reconstruct_bn, plan_upgrade_gpu, plan_vdnn, what_if_distributed,
-    DgcConfig, GistConfig, P3Config, P3Scheduler, Substitution, VdnnConfig,
+    plan_p3_inserts, plan_reconstruct_bn, plan_upgrade_gpu, plan_vdnn, qkv_fusion_policy,
+    DgcConfig, GistConfig, P3Config, P3Scheduler, VdnnConfig,
 };
 use daydream_core::{
     simulate_compiled_with, CommChannel, CompactId, CompiledGraph, DepKind, DependencyGraph,
@@ -570,7 +570,11 @@ fn incremental_matches_full_for_dgc_on_resnet() {
 #[test]
 fn incremental_matches_full_for_bandwidth_on_distributed_resnet() {
     let mut pg = resnet_profile();
-    what_if_distributed(&mut pg, &ClusterConfig::new(4, 1, 10.0));
+    plan_distributed(
+        &mut pg.graph,
+        &pg.meta.buckets,
+        &ClusterConfig::new(4, 1, 10.0),
+    );
     check_transform(&pg, |g| {
         plan_bandwidth(g, 2.0);
     });
@@ -585,15 +589,7 @@ fn incremental_matches_full_for_fused_adam_on_bert() {
 
 #[test]
 fn incremental_matches_full_for_metaflow_on_bert() {
-    let model = daydream_models::zoo::bert_base();
-    let mut policy = Vec::new();
-    for l in &model.layers {
-        if l.name.ends_with("attn.key") || l.name.ends_with("attn.value") {
-            policy.push(Substitution::RemoveLayer(l.id));
-        } else if l.name.ends_with("attn.query") {
-            policy.push(Substitution::ScaleLayer(l.id, 1.8));
-        }
-    }
+    let policy = qkv_fusion_policy(&daydream_models::zoo::bert_base());
     check_transform(&bert_profile(), |g| plan_metaflow(g, &policy));
 }
 

@@ -8,26 +8,24 @@ use crate::executor::{parallel_map, parallel_map_with, ExecutorStats};
 use crate::grid::SweepGrid;
 use crate::report::{ScenarioOutcome, SweepReport};
 use crate::scenario::{fnv1a64, OptSpec, Scenario};
-use daydream_comm::{ClusterConfig, PsModel};
-use daydream_core::replicate::ReplicatedGraph;
+use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{
-    classify_gpu_tasks, p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth,
-    plan_batch_size, plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist,
-    plan_metaflow, plan_p3_inserts, plan_reconstruct_bn, plan_vdnn, retime_gpu_classes, DgcConfig,
-    GistConfig, GpuBound, P3Config, P3Scheduler, Substitution, VdnnConfig, KERNEL_OVERHEAD_NS,
+    classify_gpu_tasks, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
+    plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist, plan_metaflow,
+    plan_reconstruct_bn, plan_vdnn, qkv_fusion_policy, retime_gpu_classes, DgcConfig, GistConfig,
+    GpuBound, P3Config, P3Plan, VdnnConfig, KERNEL_OVERHEAD_NS,
 };
 use daydream_core::{
-    busy_time_bound, simulate_compiled_with, simulate_warm, thread_busy_after, thread_busy_ns,
-    try_simulate_warm_with, CompactId, CompiledGraph, CompiledSim, EarliestStart, ExecThread,
-    GraphPatch, IncrementalOptions, IncrementalStats, PatchGraph, Prediction, ProfiledGraph,
-    Schedule, ScratchPool, SimScratch, TaskId, TaskKind,
+    busy_time_bound, simulate_warm, thread_busy_after, thread_busy_ns, try_simulate_warm_with,
+    CompiledGraph, EarliestStart, ExecThread, GraphPatch, IncrementalOptions, IncrementalStats,
+    PatchGraph, Prediction, ProfiledGraph, Schedule, ScratchPool, SimScratch, TaskId, TaskKind,
 };
 use daydream_device::GpuSpec;
 use daydream_models::{
     footprint, stashed_activation_bytes, vdnn_offloadable_bytes, Model, F32_BYTES,
 };
 use daydream_runtime::{ground_truth, ExecConfig};
-use daydream_trace::{LayerId, MemcpyDir};
+use daydream_trace::{LayerId, MemcpyDir, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -78,75 +76,6 @@ impl Fidelity {
                 format!("cone{}", (max_cone_fraction * 1000.0).round() as u64)
             }
         }
-    }
-}
-
-/// One compiled P3 plan of a base: the replicated base with one
-/// config's push/pull tasks inserted and applied, once. Of the whole
-/// plan only the transfer durations depend on the cluster (Algorithm 7
-/// prices a slice at `bytes / bandwidth`), so a scenario retimes those
-/// and simulates; it never re-plans, re-emits or re-applies the inserts.
-struct P3Plan {
-    /// The applied replicated graph. Its transfer durations are those of
-    /// the cluster that built the plan; every evaluation retimes them.
-    compiled: CompiledGraph,
-    /// Compact id and payload bytes of every inserted push/pull task.
-    transfers: Vec<(CompactId, u64)>,
-    /// Compact ids of the last two unrolled copies' tasks: the steady
-    /// state is the span between their ends.
-    last_copies: [Vec<CompactId>; 2],
-    /// Fingerprint of the plan's patch. The sliced plan is the FIFO one
-    /// when no gradient exceeds a slice; equal fingerprints say so.
-    fingerprint: u64,
-}
-
-impl P3Plan {
-    /// Plans `cfg`'s inserts over the replicated base and applies them.
-    fn build(
-        pg: &ProfiledGraph,
-        rep: &ReplicatedGraph,
-        rep_compiled: &CompiledGraph,
-        cfg: &P3Config,
-    ) -> P3Plan {
-        let mut ov = PatchGraph::new(&rep.graph);
-        plan_p3_inserts(&mut ov, &p3_insert_plan(pg, rep, cfg));
-        let patch = ov.finish();
-        let compiled = rep_compiled.apply(&patch);
-        let compact = |id: TaskId| compiled.compact_of(id).expect("P3 inserts remove no task");
-        let transfers = patch
-            .inserted_tasks()
-            .filter_map(|(id, t)| match t.kind {
-                TaskKind::Communication { bytes, .. } => Some((compact(id), bytes)),
-                _ => None,
-            })
-            .collect();
-        let copy = |k: usize| -> Vec<CompactId> {
-            pg.graph
-                .iter()
-                .map(|(id, _)| compact(rep.replica(k, id)))
-                .collect()
-        };
-        let n = rep.iterations();
-        let last_copies = [copy(n - 2), copy(n - 1)];
-        P3Plan {
-            compiled,
-            transfers,
-            last_copies,
-            fingerprint: patch.fingerprint(),
-        }
-    }
-
-    /// Steady-state iteration time of a simulation of `graph` (this plan,
-    /// retimed): the span between the last two copies' ends, as
-    /// [`ReplicatedGraph::steady_iteration_ns`] reads it.
-    fn steady_iteration_ns(&self, graph: &CompiledGraph, sim: &CompiledSim) -> u64 {
-        let end = |ids: &[CompactId]| {
-            ids.iter()
-                .map(|&c| sim.start_ns[c.0 as usize] + graph.duration_ns(c))
-                .max()
-                .unwrap_or(0)
-        };
-        end(&self.last_copies[1]) - end(&self.last_copies[0])
     }
 }
 
@@ -271,6 +200,43 @@ struct BaseProfile {
 }
 
 impl BaseProfile {
+    /// Builds the base from one profiled iteration of `model`: graph
+    /// construction, one compile, and the baseline [`Schedule`] capture
+    /// the warm simulator replays.
+    fn new(model: Model, trace: &Trace) -> Result<BaseProfile, String> {
+        let graph = ProfiledGraph::from_trace(trace);
+        let compiled = CompiledGraph::compile(&graph.graph);
+        let schedule = Schedule::capture(&compiled).map_err(|e| {
+            format!(
+                "baseline graph for {} b{}: {e}",
+                model.name, trace.meta.batch_size
+            )
+        })?;
+        let baseline_ns = schedule.makespan_ns();
+        // Fidelity check: the baseline replay of the recorded run is the
+        // engine's one chance to notice a drifted cost model or graph
+        // builder — both timings are already in hand, so it is free.
+        let recorded_ns = trace.meta.iteration_ns();
+        let fidelity_rel_err = if recorded_ns > 0 {
+            (baseline_ns as f64 - recorded_ns as f64).abs() / recorded_ns as f64
+        } else {
+            0.0
+        };
+        Ok(BaseProfile {
+            model,
+            graph,
+            baseline_ns,
+            fidelity_rel_err,
+            compiled,
+            schedule,
+            busy: OnceLock::new(),
+            classes: OnceLock::new(),
+            p3: OnceLock::new(),
+            gpu_classes: OnceLock::new(),
+            ddp: Mutex::new(HashMap::new()),
+        })
+    }
+
     fn busy_ns(&self) -> &[u64] {
         self.busy.get_or_init(|| thread_busy_ns(&self.compiled))
     }
@@ -347,7 +313,8 @@ impl BaseProfile {
 
     /// The base's P3 plans, built on first use from the first P3
     /// scenario's cluster (every evaluation retimes all transfers, so
-    /// which cluster built them never shows in a prediction).
+    /// which cluster built them never shows in a prediction). Both plans
+    /// share one replication of the base.
     fn p3_plans(&self, cluster: &ClusterConfig) -> &P3Base {
         self.p3.get_or_init(|| {
             let rep = p3_replicated_base(&self.graph, P3_ITERATIONS);
@@ -805,41 +772,15 @@ impl SweepEngine {
     }
 }
 
-/// Profiles one baseline iteration (the paper's PyTorch / RTX 2080 Ti
-/// single-GPU setting, fixed seed), compiles it for patching, and
-/// captures the baseline [`Schedule`] the incremental simulator replays.
+/// Profiles one baseline iteration in the engine's fixed environment
+/// (the paper's PyTorch / RTX 2080 Ti single-GPU setting, fixed seed)
+/// and builds the base from it.
 fn build_profile(model_name: &str, batch: u64) -> Result<BaseProfile, String> {
     let model = daydream_models::zoo::by_name(model_name)
         .ok_or_else(|| format!("unknown model '{model_name}'"))?;
     let cfg = ExecConfig::pytorch_2080ti().with_batch(batch);
     let trace = ground_truth::run_baseline(&model, &cfg);
-    let graph = ProfiledGraph::from_trace(&trace);
-    let compiled = CompiledGraph::compile(&graph.graph);
-    let schedule = Schedule::capture(&compiled)
-        .map_err(|e| format!("baseline graph for {model_name} b{batch}: {e}"))?;
-    let baseline_ns = schedule.makespan_ns();
-    // Fidelity check: the baseline replay of the recorded run is the
-    // engine's one chance to notice a drifted cost model or graph
-    // builder — both timings are already in hand, so it is free.
-    let recorded_ns = trace.meta.iteration_ns();
-    let fidelity_rel_err = if recorded_ns > 0 {
-        (baseline_ns as f64 - recorded_ns as f64).abs() / recorded_ns as f64
-    } else {
-        0.0
-    };
-    Ok(BaseProfile {
-        model,
-        graph,
-        baseline_ns,
-        fidelity_rel_err,
-        compiled,
-        schedule,
-        busy: OnceLock::new(),
-        classes: OnceLock::new(),
-        p3: OnceLock::new(),
-        gpu_classes: OnceLock::new(),
-        ddp: Mutex::new(HashMap::new()),
-    })
+    BaseProfile::new(model, &trace)
 }
 
 /// Emits the [`GraphPatch`] modeling `opt` over the base profile's graph.
@@ -864,17 +805,7 @@ fn emit_patch(opt: &OptSpec, base: &BaseProfile) -> Result<Arc<GraphPatch>, Stri
             plan_fused_adam(&mut ov);
         }
         OptSpec::ReconstructBn => plan_reconstruct_bn(&mut ov, model),
-        OptSpec::Metaflow => {
-            let mut policy = Vec::new();
-            for l in &model.layers {
-                if l.name.ends_with("attn.key") || l.name.ends_with("attn.value") {
-                    policy.push(Substitution::RemoveLayer(l.id));
-                } else if l.name.ends_with("attn.query") {
-                    policy.push(Substitution::ScaleLayer(l.id, 1.8));
-                }
-            }
-            plan_metaflow(&mut ov, &policy);
-        }
+        OptSpec::Metaflow => plan_metaflow(&mut ov, &qkv_fusion_policy(model)),
         OptSpec::Ddp {
             machines,
             gpus_per_machine,
@@ -929,7 +860,7 @@ fn emit_patch(opt: &OptSpec, base: &BaseProfile) -> Result<Arc<GraphPatch>, Stri
         }
         OptSpec::UpgradeGpu { to } => {
             let new = GpuSpec::by_name(to)?;
-            let old = GpuSpec::rtx_2080ti();
+            let old = GpuSpec::by_name(&pg.meta.device)?;
             let classes = base
                 .gpu_classes
                 .get_or_init(|| classify_gpu_tasks(&pg.graph));
@@ -1086,11 +1017,12 @@ fn offloaded_bytes(patch: &GraphPatch) -> u64 {
 }
 
 /// Evaluates one parameter-server config of a P3 scenario over its
-/// cached plan: retime the plan's transfers to the cluster's wire times
-/// ([`PsModel::wire_ns`]), simulate under the priority scheduler, and read
-/// the steady-state iteration straight from the compiled simulation.
-/// Always a full simulation: the steady state reads the whole replicated
-/// timeline, and the plan keeps no captured schedule.
+/// cached plan: retime the plan's transfers to the cluster's wire times,
+/// simulate under the priority scheduler, and read the steady-state
+/// iteration straight from the compiled simulation
+/// ([`P3Plan::steady_iteration_ns`]). Always a full simulation: the
+/// steady state reads the whole replicated timeline, and the plan keeps
+/// no captured schedule.
 ///
 /// The patch-cache key hashes the plan's fingerprint with the retimed
 /// durations: equal keys mean the same retimed graph. So clusters with
@@ -1102,33 +1034,29 @@ fn p3_prediction(
     cluster: &ClusterConfig,
     patches: &PatchCache,
     counters: &SimCounters,
-) -> PatchEval {
-    let ps = PsModel::new(*cluster);
-    let wires: Vec<u64> = plan.transfers.iter().map(|&(_, b)| ps.wire_ns(b)).collect();
+) -> Result<PatchEval, String> {
+    let wires = plan.wire_times(cluster);
     let mut h = DefaultHasher::new();
-    (plan.fingerprint, &wires).hash(&mut h);
+    (plan.fingerprint(), &wires).hash(&mut h);
     // P3 is never evaluated at a reduced rung (the steady-state analysis
     // has no cheap stand-in), so its key is always exact-fidelity.
     let key = patch_key(scenario, "p3", h.finish(), Fidelity::Exact);
     if let Some(eval) = patches.get(key) {
-        return eval;
+        return Ok(eval);
     }
-    let retimed = plan.compiled.retimed(
-        plan.transfers
-            .iter()
-            .zip(&wires)
-            .map(|(&(c, _), &w)| (c, w)),
-    );
-    let sim = simulate_compiled_with(&retimed, &P3Scheduler).expect("P3 graph must stay a DAG");
-    counters.record_full(retimed.len());
+    let predicted_ns = plan
+        .steady_iteration_ns(&wires)
+        .map_err(|e| format!("P3 graph for {}: {e}", scenario.label()))?;
+    let dispatched = plan.compiled().len();
+    counters.record_full(dispatched);
     let eval = PatchEval {
-        predicted_ns: plan.steady_iteration_ns(&retimed, &sim),
+        predicted_ns,
         incremental: false,
         estimated: false,
-        tasks_redispatched: retimed.len() as u64,
+        tasks_redispatched: dispatched as u64,
     };
     patches.insert(key, eval);
-    eval
+    Ok(eval)
 }
 
 /// Evaluates one scenario against its shared base profile: emit the
@@ -1159,10 +1087,11 @@ fn evaluate(
     // Patched evaluation: warm cone re-simulation against the base
     // schedule (full simulation only when the cone is too large),
     // short-circuited by the patch-fingerprint cache.
-    let mut run_patch = |patch: &GraphPatch| -> PatchEval {
+    let dag_error = |e| format!("patched graph for {}: {e}", scenario.label());
+    let mut run_patch = |patch: &GraphPatch| -> Result<PatchEval, String> {
         let key = patch_key(scenario, "default", patch.fingerprint(), fidelity);
         if let Some(eval) = patches.get(key) {
-            return eval;
+            return Ok(eval);
         }
         let eval = match fidelity {
             Fidelity::Exact => {
@@ -1170,7 +1099,7 @@ fn evaluate(
                 // the per-evaluation prefix clones, so a small cone
                 // costs O(cone), not O(n).
                 let outcome = simulate_warm(&base.compiled, &base.schedule, patch, scratch)
-                    .expect("patched graph must stay a DAG");
+                    .map_err(dag_error)?;
                 counters.record(&outcome.stats);
                 PatchEval {
                     predicted_ns: outcome.makespan_ns,
@@ -1193,7 +1122,7 @@ fn evaluate(
                     &EarliestStart,
                     &opts,
                 )
-                .expect("patched graph must stay a DAG");
+                .map_err(dag_error)?;
                 match attempt {
                     Ok(outcome) => {
                         counters.record(&outcome.stats);
@@ -1217,7 +1146,7 @@ fn evaluate(
             }
         };
         patches.insert(key, eval);
-        eval
+        Ok(eval)
     };
 
     let mut sim_path = "baseline";
@@ -1239,8 +1168,8 @@ fn evaluate(
             // §6.6), not the single-GPU profile — so the speedup column
             // means "what P3's slicing+priority buys on this cluster".
             let plans = base.p3_plans(&cluster);
-            let fifo = p3_prediction(scenario, &plans.fifo, &cluster, patches, counters);
-            let p3 = p3_prediction(scenario, &plans.sliced, &cluster, patches, counters);
+            let fifo = p3_prediction(scenario, &plans.fifo, &cluster, patches, counters)?;
+            let p3 = p3_prediction(scenario, &plans.sliced, &cluster, patches, counters)?;
             sim_path = "full";
             tasks_redispatched = fifo.tasks_redispatched + p3.tasks_redispatched;
             Prediction {
@@ -1356,7 +1285,7 @@ fn evaluate(
                 }
                 _ => {}
             }
-            let eval = run_patch(&patch);
+            let eval = run_patch(&patch)?;
             sim_path = if eval.estimated {
                 "estimate"
             } else if eval.incremental {
@@ -1389,6 +1318,33 @@ fn evaluate(
     })
 }
 
+/// Evaluates one optimization over a caller's profiled iteration of
+/// `model`: the engine's per-scenario path (patch emit + warm simulation,
+/// or the P3 plans) over a base built from `trace`, with fresh caches.
+/// `opt` is taken as given; `daydream predict` resolves it through the
+/// grid first (the daemon's `WhatIfRequest::scenario`), so it refuses
+/// exactly what `sweep` and `/whatif` refuse.
+pub fn evaluate_trace(model: Model, trace: &Trace, opt: &OptSpec) -> Result<Prediction, String> {
+    let scenario = Scenario::new(
+        model.name.clone(),
+        trace.meta.batch_size as u64,
+        opt.clone(),
+    );
+    let base = BaseProfile::new(model, trace)?;
+    let outcome = evaluate(
+        &scenario,
+        &base,
+        &PatchCache::new(),
+        &SimCounters::default(),
+        Fidelity::Exact,
+        &mut SimScratch::new(),
+    )?;
+    Ok(Prediction {
+        baseline_ns: outcome.baseline_ns,
+        predicted_ns: outcome.predicted_ns,
+    })
+}
+
 /// Renders a human-readable patch explanation for one scenario: builds
 /// the base profile, emits the scenario's patch, summarizes what it does
 /// to the graph, and reports which simulation path would evaluate it —
@@ -1396,26 +1352,24 @@ fn evaluate(
 /// re-dispatched (`daydream sweep --explain`).
 pub fn explain_scenario(scenario: &Scenario) -> Result<String, String> {
     let base = build_profile(&scenario.model, scenario.batch)?;
-    let (note, sim_note, patch) = match &scenario.opt {
+    let (note, sim_note, fingerprint, summary, offloaded) = match &scenario.opt {
         OptSpec::P3 {
             machines,
             gpus_per_machine,
             bw_gbps,
         } => {
-            // A one-shot path: rebuild the replicated base here rather
-            // than keep it resident beside the engine's compiled plans.
+            // The sliced plan `evaluate` retimes for this cluster.
             let cluster = ClusterConfig::new(*machines, *gpus_per_machine, *bw_gbps);
-            let rep = p3_replicated_base(&base.graph, P3_ITERATIONS);
-            let inserts = p3_insert_plan(&base.graph, &rep, &P3Config::p3(cluster));
-            let mut ov = PatchGraph::new(&rep.graph);
-            plan_p3_inserts(&mut ov, &inserts);
+            let plan = &base.p3_plans(&cluster).sliced;
             (
                 format!("patch over the {P3_ITERATIONS}-iteration replicated base"),
                 "full re-simulation of the base's cached P3 plan, retimed to \
-                 this cluster's wire times (steady-state analysis reads the \
-                 whole replicated timeline)"
+                     this cluster's wire times (steady-state analysis reads the \
+                     whole replicated timeline)"
                     .to_string(),
-                Arc::new(ov.finish()),
+                plan.fingerprint(),
+                plan.summary(),
+                0,
             )
         }
         opt => {
@@ -1435,27 +1389,29 @@ pub fn explain_scenario(scenario: &Scenario) -> Result<String, String> {
             .map_err(|e| format!("patched graph for {}: {e}", scenario.label()))?;
             let s = outcome.stats;
             let sim_note = match s.fallback {
-                None => format!(
-                    "incremental cone re-simulation\ncone:      {} of {} tasks re-dispatched ({:.1}%)",
-                    s.redispatched,
-                    s.total,
-                    s.cone_fraction() * 100.0
-                ),
-                Some(reason) => format!("full re-simulation ({reason})"),
-            };
-            (note, sim_note, patch)
+                    None => format!(
+                        "incremental cone re-simulation\ncone:      {} of {} tasks re-dispatched ({:.1}%)",
+                        s.redispatched,
+                        s.total,
+                        s.cone_fraction() * 100.0
+                    ),
+                    Some(reason) => format!("full re-simulation ({reason})"),
+                };
+            (
+                note,
+                sim_note,
+                patch.fingerprint(),
+                patch.summary(),
+                offloaded_bytes(&patch),
+            )
         }
     };
     let mut out = String::new();
     out.push_str(&format!("scenario:  {}\n", scenario.label()));
     out.push_str(&format!("key:       {}\n", scenario.fingerprint_hex()));
-    out.push_str(&format!(
-        "patch:     {:016x} ({note})\n",
-        patch.fingerprint()
-    ));
+    out.push_str(&format!("patch:     {fingerprint:016x} ({note})\n"));
     out.push_str(&format!("sim path:  {sim_note}\n"));
-    out.push_str(&format!("{}\n", patch.summary()));
-    let offloaded = offloaded_bytes(&patch);
+    out.push_str(&format!("{summary}\n"));
     if offloaded > 0 {
         out.push_str(&format!(
             "offloaded: {:.2} GiB device-to-host\n",
@@ -1677,40 +1633,40 @@ mod tests {
 
     #[test]
     fn patch_evaluation_matches_legacy_mutate_path() {
-        // The patch pipeline must predict exactly what clone + mutate +
-        // recompile predicted: pin every catalog family on one profile.
-        use daydream_core::predict_from_baseline;
+        // The patch pipeline must predict exactly what running the same
+        // planner in place on a clone of the base graph and simulating it
+        // from scratch predicts: pin every catalog family on one profile.
+        // This is the check that planners read the same state through a
+        // `PatchGraph` as in place.
+        use daydream_core::simulate;
+        use daydream_core::whatif::plan_upgrade_gpu;
         let base = build_profile("ResNet-50", 4).unwrap();
-        let scenarios = [
-            OptSpec::Amp,
-            OptSpec::ReconstructBn,
-            OptSpec::Gist { lossy: true },
-            OptSpec::Vdnn { lookahead: 2 },
-            OptSpec::Bandwidth { factor: 2.0 },
-            OptSpec::UpgradeGpu { to: "v100".into() },
-            OptSpec::BatchSize { batch: 8 },
-            OptSpec::Ddp {
-                machines: 4,
-                gpus_per_machine: 1,
-                bw_gbps: 10.0,
-            },
-            OptSpec::BlueConnect {
-                machines: 4,
-                gpus_per_machine: 2,
-                bw_gbps: 10.0,
-            },
-            OptSpec::Dgc {
-                machines: 4,
-                gpus_per_machine: 1,
-                bw_gbps: 10.0,
-                ratio: 0.01,
-            },
-        ];
+        let scenarios = SweepGrid::builder()
+            .models(["ResNet-50"])
+            .batches([4])
+            .opts(
+                "amp,reconstruct-bn,gist,vdnn,bandwidth,upgrade-gpu,batch-size,ddp,blueconnect,dgc"
+                    .split(','),
+            )
+            .machines([4])
+            .gpus_per_machine(2)
+            .bandwidths([10.0])
+            .gist_lossy([true])
+            .target_batches([8])
+            .build()
+            .expand()
+            .unwrap();
+        assert_eq!(scenarios.len(), 10);
+        let (model, buckets) = (&base.model, &base.graph.meta.buckets);
+        let cluster = ClusterConfig::new(4, 2, 10.0);
+        let lossy = GistConfig {
+            lossy: true,
+            ..GistConfig::default()
+        };
         let patches = PatchCache::new();
         let counters = SimCounters::default();
         let mut scratch = SimScratch::new();
-        for opt in scenarios {
-            let scenario = Scenario::new("ResNet-50", 4, opt.clone());
+        for scenario in scenarios {
             let outcome = evaluate(
                 &scenario,
                 &base,
@@ -1720,88 +1676,43 @@ mod tests {
                 &mut scratch,
             )
             .unwrap();
-            let legacy = predict_from_baseline(base.baseline_ns, &base.graph, |g| {
-                let cluster = |m: u32, gm: u32, bw: f64| ClusterConfig::new(m, gm, bw);
-                match &opt {
-                    OptSpec::Amp => daydream_core::whatif::what_if_amp(g),
-                    OptSpec::ReconstructBn => {
-                        daydream_core::whatif::what_if_reconstruct_bn(g, &base.model)
-                    }
-                    OptSpec::Gist { lossy } => {
-                        daydream_core::whatif::what_if_gist(
-                            g,
-                            &GistConfig {
-                                lossy: *lossy,
-                                ..GistConfig::default()
-                            },
-                        );
-                    }
-                    OptSpec::Vdnn { lookahead } => {
-                        daydream_core::whatif::what_if_vdnn(
-                            g,
-                            &base.model,
-                            &VdnnConfig {
-                                prefetch_lookahead: *lookahead,
-                                ..VdnnConfig::default()
-                            },
-                        );
-                    }
-                    OptSpec::Bandwidth { factor } => {
-                        daydream_core::whatif::what_if_bandwidth(g, *factor);
-                    }
-                    OptSpec::UpgradeGpu { to } => {
-                        daydream_core::whatif::what_if_upgrade_gpu(
-                            g,
-                            &GpuSpec::rtx_2080ti(),
-                            &GpuSpec::by_name(to).unwrap(),
-                        );
-                    }
-                    OptSpec::BatchSize { batch } => {
-                        daydream_core::whatif::what_if_batch_size(g, *batch);
-                    }
-                    OptSpec::Ddp {
-                        machines,
-                        gpus_per_machine,
-                        bw_gbps,
-                    } => {
-                        daydream_core::whatif::what_if_distributed(
-                            g,
-                            &cluster(*machines, *gpus_per_machine, *bw_gbps),
-                        );
-                    }
-                    OptSpec::BlueConnect {
-                        machines,
-                        gpus_per_machine,
-                        bw_gbps,
-                    } => {
-                        let c = cluster(*machines, *gpus_per_machine, *bw_gbps);
-                        let ars = daydream_core::whatif::what_if_distributed(g, &c);
-                        daydream_core::whatif::what_if_blueconnect(g, &c, &ars);
-                    }
-                    OptSpec::Dgc {
-                        machines,
-                        gpus_per_machine,
-                        bw_gbps,
-                        ratio,
-                    } => {
-                        let c = cluster(*machines, *gpus_per_machine, *bw_gbps);
-                        let ars = daydream_core::whatif::what_if_distributed(g, &c);
-                        daydream_core::whatif::what_if_dgc(
-                            g,
-                            &ars,
-                            &DgcConfig {
-                                compression_ratio: *ratio,
-                                ..DgcConfig::default()
-                            },
-                        );
-                    }
-                    _ => unreachable!(),
+            // The grid's defaults: lookahead 2, factor 2, V100, ratio 0.01.
+            let mut g = base.graph.graph.clone();
+            match scenario.opt {
+                OptSpec::Amp => plan_amp(&mut g),
+                OptSpec::ReconstructBn => plan_reconstruct_bn(&mut g, model),
+                OptSpec::Gist { .. } => {
+                    plan_gist(&mut g, &lossy);
                 }
-            });
+                OptSpec::Vdnn { .. } => {
+                    plan_vdnn(&mut g, model, &VdnnConfig::default(), 4);
+                }
+                OptSpec::Bandwidth { .. } => {
+                    plan_bandwidth(&mut g, 2.0);
+                }
+                OptSpec::UpgradeGpu { .. } => {
+                    plan_upgrade_gpu(&mut g, &GpuSpec::rtx_2080ti(), &GpuSpec::v100());
+                }
+                OptSpec::BatchSize { .. } => {
+                    plan_batch_size(&mut g, 4, 8);
+                }
+                OptSpec::Ddp { .. } => {
+                    plan_distributed(&mut g, buckets, &cluster);
+                }
+                OptSpec::BlueConnect { .. } => {
+                    let ars = plan_distributed(&mut g, buckets, &cluster);
+                    plan_blueconnect(&mut g, &cluster, &ars);
+                }
+                OptSpec::Dgc { .. } => {
+                    let ars = plan_distributed(&mut g, buckets, &cluster);
+                    plan_dgc(&mut g, &ars, &DgcConfig::default());
+                }
+                _ => unreachable!(),
+            }
             assert_eq!(
                 outcome.predicted_ns,
-                legacy.predicted_ns,
-                "{}: patch path diverged from legacy mutate path",
+                simulate(&g).unwrap().makespan_ns,
+                "{}: patch path diverged from the in-place planner",
                 scenario.label()
             );
         }

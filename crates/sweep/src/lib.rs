@@ -49,8 +49,8 @@ pub mod search;
 
 pub use cache::{PatchCache, SweepCache};
 pub use engine::{
-    explain_scenario, Fidelity, OutcomeObserver, ResidentProfile, RunStats, SweepEngine,
-    FIDELITY_TOLERANCE,
+    evaluate_trace, explain_scenario, Fidelity, OutcomeObserver, ResidentProfile, RunStats,
+    SweepEngine, FIDELITY_TOLERANCE,
 };
 pub use executor::{parallel_map, ExecutorStats};
 pub use grid::{SweepGrid, SweepGridBuilder};

@@ -14,7 +14,9 @@
 //!    estimation for an integrity-checking tool, modeled with insert)
 
 use daydream::core::transform::{insert_gpu_task_with_launch, select};
-use daydream::core::{predict, DepKind, ProfiledGraph, Task, TaskKind};
+use daydream::core::{
+    predict, simulate, DepKind, GraphEdit, GraphView, Prediction, ProfiledGraph, Task, TaskKind,
+};
 use daydream::models::zoo;
 use daydream::runtime::{ground_truth, ExecConfig};
 use daydream::trace::Phase;
@@ -26,14 +28,17 @@ fn main() {
     let profile = ProfiledGraph::from_trace(&trace);
     println!("baseline: {:.1} ms/iteration\n", trace.meta.iteration_ms());
 
-    // 1. Shrink: halve every CPU gap (framework overhead).
-    let faster_host = predict(&profile, |pg| {
-        let cpu_tasks = pg.graph.select(|t| t.thread.is_cpu());
-        for id in cpu_tasks {
-            let t = pg.graph.task_mut(id);
-            t.gap_ns /= 2;
-        }
-    });
+    // 1. Shrink: halve every CPU gap (framework overhead). Gaps are not
+    //    part of a graph patch, so edit a copy of the graph and simulate
+    //    both versions.
+    let mut halved = profile.graph.clone();
+    for id in halved.select(|t| t.thread.is_cpu()) {
+        halved.task_mut(id).gap_ns /= 2;
+    }
+    let faster_host = Prediction {
+        baseline_ns: simulate(&profile.graph).expect("DAG").makespan_ns,
+        predicted_ns: simulate(&halved).expect("DAG").makespan_ns,
+    };
     println!(
         "halved framework gaps:      {:.1} ms ({:+.1}%)",
         faster_host.predicted_ms(),
@@ -41,13 +46,12 @@ fn main() {
     );
 
     // 2. Select + remove: fuse attention softmax into the batched GEMMs.
-    let fused_softmax = predict(&profile, |pg| {
-        let softmaxes = pg
-            .graph
-            .select(|t| t.is_on_gpu() && t.name.contains("softmax_warp_kernel_attn"));
+    let fused_softmax = predict(&profile, |g| {
+        let softmaxes =
+            g.select_ids(|t| t.is_on_gpu() && t.name.contains("softmax_warp_kernel_attn"));
         let n = softmaxes.len();
         for id in softmaxes {
-            pg.graph.remove_task(id);
+            g.remove_task(id);
         }
         assert!(n > 0, "BERT has attention softmax kernels");
     });
@@ -59,25 +63,24 @@ fn main() {
 
     // 3. Insert: a checksum kernel after every forward GPU task of a layer
     //    boundary (integrity checking), with its CPU launch per Fig. 4b.
-    let with_checksums = predict(&profile, |pg| {
-        let targets = select::gpu_in_phase(&pg.graph, Phase::Forward);
+    let with_checksums = predict(&profile, |g| {
+        let targets = select::gpu_in_phase(g, Phase::Forward);
         // One checksum per LayerNorm output (block boundary).
         let targets: Vec<_> = targets
             .into_iter()
-            .filter(|&id| pg.graph.task(id).name.contains("layer_norm"))
+            .filter(|&id| g.task(id).name.contains("layer_norm"))
             .collect();
         for u in targets {
-            let launch = pg
-                .graph
+            let launch = g
                 .predecessors(u)
                 .iter()
                 .find(|&&(_, k)| k == DepKind::Correlation)
                 .map(|&(p, _)| p)
                 .expect("kernels have launches");
-            let thread = pg.graph.task(u).thread;
+            let thread = g.task(u).thread;
             let mut k = Task::new("checksum_kernel", TaskKind::GpuKernel, thread, 12_000);
-            k.layer = pg.graph.task(u).layer;
-            insert_gpu_task_with_launch(&mut pg.graph, launch, u, k, 6_000);
+            k.layer = g.task(u).layer;
+            insert_gpu_task_with_launch(g, launch, u, k, 6_000);
         }
     });
     println!(

@@ -39,7 +39,7 @@ fn main() {
     for bw in [10.0, 20.0, 40.0] {
         for cluster in ClusterConfig::fig8_layouts(bw) {
             let pred = predict(&profile, |g| {
-                whatif::what_if_distributed(g, &cluster);
+                whatif::plan_distributed(g, &profile.meta.buckets, &cluster)
             });
             let workers = cluster.workers() as f64;
             // Samples/second across the cluster at fixed per-GPU batch.

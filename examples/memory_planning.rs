@@ -9,7 +9,7 @@
 //! would free up — together with its predicted time overhead, so the
 //! memory/time trade-off is visible in one place.
 
-use daydream::core::whatif::{what_if_batch_size, what_if_vdnn, VdnnConfig};
+use daydream::core::whatif::{plan_batch_size, plan_vdnn, VdnnConfig};
 use daydream::core::{predict, ProfiledGraph};
 use daydream::models::{footprint, max_batch, vdnn_offloadable_bytes, zoo};
 use daydream::runtime::{ground_truth, ExecConfig};
@@ -60,9 +60,7 @@ fn main() {
         if candidate <= batch {
             continue;
         }
-        let pred = predict(&pg, |g| {
-            what_if_batch_size(g, candidate);
-        });
+        let pred = predict(&pg, |g| plan_batch_size(g, batch, candidate));
         println!(
             "  batch {:>4}: {:>8.1} ms/iter  {:>7.0} samples/s (predicted)",
             candidate,
@@ -73,9 +71,7 @@ fn main() {
 
     // What would vDNN buy (memory) and cost (time)?
     let freed = vdnn_offloadable_bytes(&model, batch);
-    let vdnn = predict(&pg, |g| {
-        what_if_vdnn(g, &model, &VdnnConfig::default());
-    });
+    let vdnn = predict(&pg, |g| plan_vdnn(g, &model, &VdnnConfig::default(), batch));
     println!(
         "\nvDNN(conv) at batch {}: frees {:.2} GiB of activations, costs {:.1}% iteration time",
         batch,

@@ -46,7 +46,7 @@ fn main() {
     );
 
     // Phases 3+4: what if we enabled Automatic Mixed Precision?
-    let amp = predict(&profile, whatif::what_if_amp);
+    let amp = predict(&profile, whatif::plan_amp);
     println!(
         "what-if AMP: {:.1} ms -> {:.1} ms ({:.2}x speedup predicted)",
         amp.baseline_ms(),

@@ -10,9 +10,9 @@
 
 use daydream::comm::ClusterConfig;
 use daydream::core::whatif::{
-    what_if_amp, what_if_blueconnect, what_if_dgc, what_if_distributed, what_if_fused_adam,
-    what_if_gist, what_if_metaflow, what_if_p3, what_if_reconstruct_bn, what_if_vdnn, DgcConfig,
-    GistConfig, P3Config, Substitution, VdnnConfig,
+    plan_amp, plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist,
+    plan_metaflow, plan_reconstruct_bn, plan_vdnn, qkv_fusion_policy, DgcConfig, GistConfig,
+    P3Config, P3Plan, VdnnConfig,
 };
 use daydream::core::{predict, ProfiledGraph};
 use daydream::models::zoo;
@@ -39,7 +39,7 @@ fn main() {
     let cluster = ClusterConfig::new(4, 2, 10.0);
     let mut results: Vec<(String, f64, f64)> = Vec::new();
 
-    let amp = predict(&profile, what_if_amp);
+    let amp = predict(&profile, plan_amp);
     results.push((
         "mixed precision (AMP)".into(),
         amp.predicted_ms(),
@@ -47,9 +47,7 @@ fn main() {
     ));
 
     if model.optimizer == daydream::models::Optimizer::Adam {
-        let fused = predict(&profile, |g| {
-            what_if_fused_adam(g);
-        });
+        let fused = predict(&profile, plan_fused_adam);
         results.push((
             "FusedAdam".into(),
             fused.predicted_ms(),
@@ -59,7 +57,7 @@ fn main() {
         println!("FusedAdam: not applicable ({} trains with SGD)", model.name);
     }
 
-    let rbn = predict(&profile, |g| what_if_reconstruct_bn(g, &model));
+    let rbn = predict(&profile, |g| plan_reconstruct_bn(g, &model));
     results.push((
         "reconstructed batchnorm".into(),
         rbn.predicted_ms(),
@@ -67,16 +65,9 @@ fn main() {
     ));
 
     // Fuse attention QKV projections, MetaFlow-style, where present.
-    let mut policy = Vec::new();
-    for l in &model.layers {
-        if l.name.ends_with("attn.key") || l.name.ends_with("attn.value") {
-            policy.push(Substitution::RemoveLayer(l.id));
-        } else if l.name.ends_with("attn.query") {
-            policy.push(Substitution::ScaleLayer(l.id, 1.8));
-        }
-    }
+    let policy = qkv_fusion_policy(&model);
     if !policy.is_empty() {
-        let mf = predict(&profile, |g| what_if_metaflow(g, &policy));
+        let mf = predict(&profile, |g| plan_metaflow(g, &policy));
         results.push((
             "MetaFlow QKV fusion".into(),
             mf.predicted_ms(),
@@ -84,8 +75,9 @@ fn main() {
         ));
     }
 
+    let batch = trace.meta.batch_size as u64;
     let vdnn = predict(&profile, |g| {
-        what_if_vdnn(g, &model, &VdnnConfig::default());
+        plan_vdnn(g, &model, &VdnnConfig::default(), batch)
     });
     results.push((
         "vDNN offloading (memory)".into(),
@@ -93,9 +85,7 @@ fn main() {
         vdnn.improvement(),
     ));
 
-    let gist = predict(&profile, |g| {
-        what_if_gist(g, &GistConfig::default());
-    });
+    let gist = predict(&profile, |g| plan_gist(g, &GistConfig::default()));
     results.push((
         "Gist encodings (memory)".into(),
         gist.predicted_ms(),
@@ -103,17 +93,16 @@ fn main() {
     ));
 
     // Distributed family: predicted 8-worker iteration times.
-    let ddp = predict(&profile, |g| {
-        what_if_distributed(g, &cluster);
-    });
+    let buckets = &profile.meta.buckets;
+    let ddp = predict(&profile, |g| plan_distributed(g, buckets, &cluster));
     results.push((
         format!("DDP {cluster}"),
         ddp.predicted_ms(),
         ddp.improvement(),
     ));
     let bc = predict(&profile, |g| {
-        let ars = what_if_distributed(g, &cluster);
-        what_if_blueconnect(g, &cluster, &ars);
+        let ars = plan_distributed(g, buckets, &cluster);
+        plan_blueconnect(g, &cluster, &ars)
     });
     results.push((
         format!("DDP+BlueConnect {cluster}"),
@@ -121,8 +110,8 @@ fn main() {
         bc.improvement(),
     ));
     let dgc = predict(&profile, |g| {
-        let ars = what_if_distributed(g, &cluster);
-        what_if_dgc(g, &ars, &DgcConfig::default());
+        let ars = plan_distributed(g, buckets, &cluster);
+        plan_dgc(g, &ars, &DgcConfig::default())
     });
     results.push((
         format!("DDP+DGC {cluster}"),
@@ -131,7 +120,9 @@ fn main() {
     ));
 
     let ps = ClusterConfig::new(4, 1, 10.0);
-    let p3 = what_if_p3(&profile, &P3Config::p3(ps));
+    let p3 = P3Plan::new(&profile, &P3Config::p3(ps))
+        .evaluate(&ps)
+        .expect("P3 plan must stay a DAG");
     results.push((
         format!("P3 parameter server {ps}"),
         p3.iteration_ms(),

@@ -32,7 +32,7 @@
 //! let cfg = ExecConfig::pytorch_2080ti().with_batch(8);
 //! let trace = ground_truth::run_baseline(&model, &cfg);
 //! let profile = ProfiledGraph::from_trace(&trace);
-//! let amp = predict(&profile, whatif::what_if_amp);
+//! let amp = predict(&profile, whatif::plan_amp);
 //! assert!(amp.speedup() > 1.0);
 //! ```
 

@@ -16,7 +16,7 @@ fn amp_predictions_within_13_percent() {
     for name in ["BERT_Base", "BERT_Large", "Seq2Seq", "ResNet-50"] {
         let model = zoo::by_name(name).unwrap();
         let pg = profile(&model, &cfg);
-        let pred = predict(&pg, whatif::what_if_amp);
+        let pred = predict(&pg, whatif::plan_amp);
         let gt = ground_truth::run_amp(&model, &cfg).meta.iteration_ns();
         let err = pred.error_vs(gt);
         assert!(err < 0.13, "{name}: AMP error {err:.3}");
@@ -32,9 +32,7 @@ fn fused_adam_predictions_and_ordering() {
     for name in ["BERT_Base", "BERT_Large", "Seq2Seq"] {
         let model = zoo::by_name(name).unwrap();
         let pg = profile(&model, &cfg);
-        let pred = predict(&pg, |g| {
-            whatif::what_if_fused_adam(g);
-        });
+        let pred = predict(&pg, whatif::plan_fused_adam);
         let gt = ground_truth::run_fused_adam(&model, &cfg)
             .meta
             .iteration_ns();
@@ -53,7 +51,7 @@ fn reconstruct_bn_overestimates_ground_truth() {
     let model = zoo::densenet121();
     let cfg = ExecConfig::caffe_2080ti();
     let pg = profile(&model, &cfg);
-    let pred = predict(&pg, |g| whatif::what_if_reconstruct_bn(g, &model));
+    let pred = predict(&pg, |g| whatif::plan_reconstruct_bn(g, &model));
     let gt = ground_truth::run_reconstructed_bn(&model, &cfg)
         .meta
         .iteration_ns();
@@ -80,7 +78,7 @@ fn distributed_predictions_track_ground_truth() {
             ClusterConfig::new(4, 2, 40.0),
         ] {
             let pred = predict(&pg, |g| {
-                whatif::what_if_distributed(g, &cluster);
+                whatif::plan_distributed(g, &pg.meta.buckets, &cluster)
             });
             let gt = run_distributed(&model, &cfg, cluster, NcclExecution::Synced, &plan)
                 .trace
@@ -129,10 +127,11 @@ fn p3_predictions_within_paper_bound() {
     let mut plan = baseline_plan(&model, 8);
     plan.wu.clear();
     let pg = ProfiledGraph::from_trace(&ex.run(&plan));
+    let p3 = whatif::P3Plan::new(&pg, &whatif::P3Config::p3(ClusterConfig::new(4, 1, 2.0)));
     let mut gains = Vec::new();
     for bw in [2.0, 5.0, 10.0, 25.0] {
         let cluster = ClusterConfig::new(4, 1, bw);
-        let pred = whatif::what_if_p3(&pg, &whatif::P3Config::p3(cluster));
+        let pred = p3.evaluate(&cluster).unwrap();
         let gt = daydream::runtime::run_parameter_server(
             &model,
             &cfg,
@@ -168,12 +167,22 @@ fn p3_predictions_within_paper_bound() {
 }
 
 /// The sweep engine's P3 numbers (per-base compiled plans, retimed per
-/// cluster) equal the mutate-in-place `what_if_p3` on the engine's own
-/// profile: P3 for the prediction, the FIFO config for the baseline.
-/// Clusters run back to back on one engine, so plan reuse is covered.
+/// cluster) equal a mutate-in-place analysis of the engine's own profile:
+/// unroll it, splice the push/pull tasks into the graph itself, simulate
+/// under the priority scheduler and read the steady state. P3 for the
+/// prediction, the FIFO config for the baseline. Clusters run back to
+/// back on one engine, so plan reuse is covered.
 #[test]
 fn engine_p3_matches_the_mutate_in_place_oracle() {
+    use daydream::core::simulate_with;
     use daydream::sweep::{OptSpec, Scenario, SweepEngine};
+    let oracle = |pg: &ProfiledGraph, cfg: &whatif::P3Config| {
+        let mut rep = whatif::p3_replicated_base(pg, cfg.iterations);
+        let inserts = whatif::p3_insert_plan(pg, &rep, cfg);
+        whatif::plan_p3_inserts(&mut rep.graph, &inserts);
+        let sim = simulate_with(&rep.graph, &whatif::P3Scheduler).unwrap();
+        rep.steady_iteration_ns(&sim)
+    };
     let engine = SweepEngine::new(1);
     for name in ["ResNet-50", "GNMT", "BERT_Base"] {
         let model = zoo::by_name(name).unwrap();
@@ -189,11 +198,11 @@ fn engine_p3_matches_the_mutate_in_place_oracle() {
                     .run_scenarios(vec![Scenario::new(name, 4, opt)])
                     .unwrap();
                 let cluster = ClusterConfig::new(machines, 1, bw_gbps);
-                let fifo = whatif::what_if_p3(&pg, &whatif::P3Config::baseline(cluster));
-                let p3 = whatif::what_if_p3(&pg, &whatif::P3Config::p3(cluster));
+                let fifo = oracle(&pg, &whatif::P3Config::baseline(cluster));
+                let p3 = oracle(&pg, &whatif::P3Config::p3(cluster));
                 let at = format!("{name} b4 on {machines}x1 @ {bw_gbps} Gbps");
-                assert_eq!(out[0].baseline_ns, fifo.iteration_ns, "{at}: FIFO");
-                assert_eq!(out[0].predicted_ns, p3.iteration_ns, "{at}: P3");
+                assert_eq!(out[0].baseline_ns, fifo, "{at}: FIFO");
+                assert_eq!(out[0].predicted_ns, p3, "{at}: P3");
             }
         }
     }

@@ -118,7 +118,7 @@ proptest! {
         let trace = ex.run(&baseline_plan(&model, batch));
         let mut pg = ProfiledGraph::from_trace(&trace);
         let before = simulate(&pg.graph).expect("DAG").makespan_ns;
-        daydream::core::whatif::what_if_amp(&mut pg);
+        daydream::core::whatif::plan_amp(&mut pg.graph);
         prop_assert!(pg.graph.validate().is_ok());
         let after = simulate(&pg.graph).expect("DAG").makespan_ns;
         prop_assert!(after <= before, "AMP must never slow a graph down");
@@ -132,7 +132,7 @@ proptest! {
         let trace = ex.run(&baseline_plan(&model, batch));
         let mut pg = ProfiledGraph::from_trace(&trace);
         let before = simulate(&pg.graph).expect("DAG").makespan_ns;
-        daydream::core::whatif::what_if_fused_adam(&mut pg);
+        daydream::core::whatif::plan_fused_adam(&mut pg.graph);
         prop_assert!(pg.graph.validate().is_ok());
         let after = simulate(&pg.graph).expect("DAG").makespan_ns;
         prop_assert!(after <= before, "removing launches must never slow the graph");
