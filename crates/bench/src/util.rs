@@ -4,9 +4,8 @@
 //! warm-evaluation hot path as allocation-free.
 
 use daydream_core::{
-    simulate_compiled, simulate_warm, simulate_warm_with, CompactId, CompiledGraph, EarliestStart,
-    FallbackReason, GraphPatch, IncrementalOptions, ProfiledGraph, Schedule, SimScratch,
-    WarmOutcome,
+    simulate_compiled, simulate_warm, simulate_warm_with, CompactId, CompiledGraph, FallbackReason,
+    GraphPatch, IncrementalOptions, ProfiledGraph, Schedule, SimScratch, WarmOutcome,
 };
 use daydream_models::{zoo, Model};
 use daydream_runtime::{ground_truth, ExecConfig};
@@ -125,7 +124,6 @@ pub fn assert_warm_matches_full(
         schedule,
         patch,
         &mut SimScratch::new(),
-        &EarliestStart,
         &unbounded,
     )
     .expect("patched graph is a DAG")

@@ -9,7 +9,8 @@ use daydream_device::GpuSpec;
 use daydream_models::{footprint, max_batch, zoo, Model};
 use daydream_runtime::{ground_truth, ExecConfig};
 use daydream_serve::{
-    http_request_retrying, QueryError, RetryOptions, ServeConfig, Server, WhatIfRequest,
+    http_request_retrying, QueryError, RetryOptions, ServeConfig, Server, SweepRequest,
+    WhatIfRequest,
 };
 use daydream_shard::{
     diff_runs, merge_run, merged_cache, process_shard, run_worker, write_merged, RunDir, RunStore,
@@ -472,6 +473,13 @@ fn parse_list<T: std::str::FromStr>(
         .collect()
 }
 
+/// A comma-separated list option, or `None` when it is absent.
+fn list_maybe<T: std::str::FromStr>(args: &Args, key: &str) -> Result<Option<Vec<T>>, String> {
+    args.opt_maybe(key)
+        .map(|_| parse_list(args, key, ""))
+        .transpose()
+}
+
 /// Option keys `sweep` understands; anything else is a typo, not a
 /// silently ignored request (the axis surface is too large to guess).
 const SWEEP_KEYS: &[&str] = &[
@@ -523,33 +531,23 @@ pub fn cmd_sweep(args: &Args) -> Result<(), String> {
             "unknown sweep option --{unknown} (see `daydream help` for the sweep option list)"
         ));
     }
-    let lossy = match args.opt("lossy", "off").as_str() {
-        "off" => vec![false],
-        "on" => vec![true],
-        "both" => vec![false, true],
-        other => return Err(format!("invalid --lossy '{other}' (off | on | both)")),
-    };
-    let max_batch: u64 = args.num("max-batch", u64::MAX)?;
-
-    let grid = SweepGrid::builder()
-        .models(parse_list::<String>(args, "models", "ResNet-50,BERT_Base")?)
-        .batches(parse_list(args, "batches", "4,8")?)
-        .opts(parse_list::<String>(
-            args,
-            "opts",
-            "amp,fused-adam,gist,ddp,dgc,bandwidth",
-        )?)
-        .bandwidths(parse_list(args, "bw", "10,25")?)
-        .machines(parse_list(args, "machines", "4")?)
-        .gpus_per_machine(args.num("gpus", 1u32)?)
-        .dgc_ratios(parse_list(args, "ratios", "0.01")?)
-        .bandwidth_factors(parse_list(args, "factors", "2.0")?)
-        .upgrade_targets(parse_list::<String>(args, "to", "v100")?)
-        .gist_lossy(lossy)
-        .vdnn_lookaheads(parse_list(args, "lookaheads", "2")?)
-        .target_batches(parse_list(args, "target-batches", "16")?)
-        .filter(move |s| s.batch <= max_batch)
-        .build();
+    // The daemon's request type holds the one copy of the axis defaults.
+    let grid = SweepRequest {
+        models: list_maybe(args, "models")?,
+        batches: list_maybe(args, "batches")?,
+        opts: list_maybe(args, "opts")?,
+        bw: list_maybe(args, "bw")?,
+        machines: list_maybe(args, "machines")?,
+        gpus: args.num_maybe("gpus")?,
+        ratios: list_maybe(args, "ratios")?,
+        factors: list_maybe(args, "factors")?,
+        to: list_maybe(args, "to")?,
+        lossy: args.opt_maybe("lossy").map(str::to_string),
+        lookaheads: list_maybe(args, "lookaheads")?,
+        target_batches: list_maybe(args, "target-batches")?,
+        max_batch: args.num_maybe("max-batch")?,
+    }
+    .grid()?;
 
     let search_cfg = sweep_search_config(args)?;
 
@@ -587,9 +585,7 @@ pub fn cmd_sweep(args: &Args) -> Result<(), String> {
     if args.opt_maybe("run-dir").is_some() {
         if search_cfg.is_some() {
             return Err(
-                "--search does not combine with --run-dir: shard each search round \
-                 explicitly (round plans come from the search report's survivor sets)"
-                    .into(),
+                "--search does not combine with --run-dir: a search runs in one process".into(),
             );
         }
         return cmd_sweep_sharded(args, &grid, &engine);

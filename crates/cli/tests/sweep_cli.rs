@@ -235,7 +235,7 @@ fn sweep_search_flag_validation() {
             "2"
         ])
         .contains("--search does not combine with --run-dir"),
-        "sharded halving is planned per round, not via --run-dir"
+        "a halving search is not sharded"
     );
     assert!(
         stderr_of(&["--search", "halving", "--keep-fraction", "0"])

@@ -137,3 +137,19 @@ fn golden_fidelity_gate_end_to_end() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `profile --verify` is the one production caller of the quadratic
+/// reference loop: it must agree with the compiled simulator on a real
+/// profile and say so.
+#[test]
+fn profile_verify_matches_the_reference_oracle() {
+    let (ok, stdout, stderr) = run(
+        &["profile", "ResNet-50", "--batch", "4", "--verify"],
+        &std::env::temp_dir(),
+    );
+    assert!(ok, "profile --verify failed: {stderr}");
+    assert!(
+        stdout.contains("compiled simulator matches reference oracle"),
+        "got: {stdout}"
+    );
+}

@@ -223,12 +223,6 @@ impl CompiledGraph {
         (*self.pred_count).clone()
     }
 
-    /// Returns `true` if the interned thread is a communication channel.
-    #[inline]
-    pub(crate) fn is_comm_thread(&self, t: ThreadId) -> bool {
-        self.comm_thread[t.0 as usize]
-    }
-
     /// The compact id of a live task, if present: O(1) when the source
     /// arena had no tombstones (compaction is then the identity, as for
     /// every profiled base), a binary search otherwise.

@@ -2,9 +2,10 @@
 //!
 //! Traverses the dependency graph, dispatching each ready task to its
 //! execution thread and advancing per-thread progress by `duration + gap`.
-//! The scheduling policy is pluggable (paper §4.4 "Schedule" primitive):
-//! the default picks the frontier task with the earliest feasible start;
-//! P3 overrides the tie-break on communication channels.
+//! The scheduling policy is pluggable on the full path (paper §4.4
+//! "Schedule" primitive): the default picks the frontier task with the
+//! earliest feasible start; P3 overrides the tie-break on communication
+//! channels.
 //!
 //! # The hot path
 //!
@@ -42,9 +43,9 @@
 //! [`Schedule`] without applying its patch: retimes, thread moves,
 //! inserts and removals are all read through an epoch-stamped overlay on
 //! the base [`CompiledGraph`], and only the cone of tasks the patch can
-//! affect is re-dispatched. Its oracle is the full path:
-//! [`simulate_compiled_with`] over `CompiledGraph::apply`, which
-//! [`simulate_reference`] pins in turn.
+//! affect is re-dispatched. It runs the default order only. Its oracle is
+//! the full path: [`simulate_compiled`] over `CompiledGraph::apply`,
+//! which [`simulate_reference`] pins in turn.
 
 use crate::compiled::{CompactId, CompiledGraph, ThreadId};
 use crate::graph::{DependencyGraph, GraphError, TaskId};
@@ -60,70 +61,18 @@ use std::sync::Mutex;
 /// for the whole simulation.
 pub type Rank = (u64, u64);
 
-/// The task attributes a [`FrontierOrder`] may rank on. Implemented by
-/// [`CompiledGraph`] and by the warm overlay view, so a policy ranks the
-/// tasks of a patched graph without the patch ever being applied.
-///
-/// Ids passed to a policy sort like the simulated graph's compact ids
-/// (ascending [`TaskId`] order), but over a warm view their values can
-/// differ from a fresh compile's: policies may compare ids, not read
-/// meaning into their magnitude.
-pub trait RankInputs {
-    /// Scheduling priority of a task.
-    fn priority(&self, c: CompactId) -> i64;
-    /// `true` if the task runs on a communication channel.
-    fn on_comm_thread(&self, c: CompactId) -> bool;
-    /// Duration of a task.
-    fn duration_ns(&self, c: CompactId) -> u64;
-}
-
-impl RankInputs for CompiledGraph {
-    // Inherent methods shadow the trait methods, so each delegation below
-    // resolves to the inherent accessor (no recursion).
-    #[inline]
-    fn priority(&self, c: CompactId) -> i64 {
-        CompiledGraph::priority(self, c)
-    }
-    #[inline]
-    fn on_comm_thread(&self, c: CompactId) -> bool {
-        CompiledGraph::on_comm_thread(self, c)
-    }
-    #[inline]
-    fn duration_ns(&self, c: CompactId) -> u64 {
-        CompiledGraph::duration_ns(self, c)
-    }
-}
-
 /// Scheduling policy over the compiled frontier (paper §4.4 "Schedule").
 ///
 /// The frontier always dispatches the candidate with the smallest
 /// `(feasible_start, rank)` pair; a policy only chooses the rank. The
 /// default [`EarliestStart`] ranks by task id, reproducing Algorithm 1's
 /// "earliest start, ties by id" exactly; P3 ranks communication tasks by
-/// priority.
+/// priority. Only the full path ([`simulate_compiled_with`]) takes a
+/// policy: the warm cone path ([`simulate_warm_with`]) always runs the
+/// default order.
 pub trait FrontierOrder {
     /// The tie-break rank of `task`.
-    fn rank<G: RankInputs + ?Sized>(&self, graph: &G, task: CompactId) -> Rank;
-
-    /// `true` if the warm cone path ([`simulate_warm_with`]) may trust
-    /// this policy across a patch: ranks must be a fixed function of the
-    /// task's compact-id *order*, priority, and comm-thread flag, so the
-    /// relative rank of two untouched tasks cannot change when a patch
-    /// shifts compact ids or edits other tasks. Policies ranking on
-    /// anything else (durations, successor counts, global state) must
-    /// return `false` — the conservative default — which routes every
-    /// patched simulation through the full fallback.
-    fn incremental_safe(&self) -> bool {
-        false
-    }
-
-    /// `true` if ranks depend on task priority. Priority-only patches
-    /// then influence scheduling from the task's dependency-ready time;
-    /// policies that ignore priority (the default [`EarliestStart`])
-    /// let the warm cone path skip them entirely.
-    fn rank_uses_priority(&self) -> bool {
-        true
-    }
+    fn rank(&self, graph: &CompiledGraph, task: CompactId) -> Rank;
 }
 
 /// The default policy: earliest feasible start, ties broken by task id
@@ -132,19 +81,17 @@ pub trait FrontierOrder {
 pub struct EarliestStart;
 
 impl FrontierOrder for EarliestStart {
-    fn rank<G: RankInputs + ?Sized>(&self, _graph: &G, task: CompactId) -> Rank {
-        // Compact ids ascend with TaskIds, so this is the reference
-        // tie-break.
-        (task.0 as u64, 0)
+    fn rank(&self, _graph: &CompiledGraph, task: CompactId) -> Rank {
+        default_rank(task.0)
     }
+}
 
-    fn incremental_safe(&self) -> bool {
-        true
-    }
-
-    fn rank_uses_priority(&self) -> bool {
-        false
-    }
+/// [`EarliestStart`]'s rank. Compact ids ascend with `TaskId`s, and so
+/// do the warm overlay's view ids, so this is the reference tie-break on
+/// both paths.
+#[inline]
+fn default_rank(task: u32) -> Rank {
+    (task as u64, 0)
 }
 
 /// Output of a simulation run.
@@ -311,16 +258,23 @@ impl ThreadFrontier {
 /// overlay that serves any patch without materializing an applied graph.
 /// The loop is monomorphized per implementation, so the compiled hot
 /// path is unchanged.
-trait SimGraphView: RankInputs {
+trait SimGraphView {
     fn cost_ns(&self, c: CompactId) -> u64;
+    fn duration_ns(&self, c: CompactId) -> u64;
     fn thread_of(&self, c: CompactId) -> ThreadId;
     fn successors(&self, c: CompactId) -> &[CompactId];
 }
 
 impl SimGraphView for CompiledGraph {
+    // Inherent methods shadow the trait methods, so each delegation below
+    // resolves to the inherent accessor (no recursion).
     #[inline]
     fn cost_ns(&self, c: CompactId) -> u64 {
         CompiledGraph::cost_ns(self, c)
+    }
+    #[inline]
+    fn duration_ns(&self, c: CompactId) -> u64 {
+        CompiledGraph::duration_ns(self, c)
     }
     #[inline]
     fn thread_of(&self, c: CompactId) -> ThreadId {
@@ -361,8 +315,8 @@ pub fn simulate_compiled_with<O: FrontierOrder>(
 
 /// The full-simulation core, additionally returning each task's final
 /// dependency-induced start (`max` over predecessor finishes) — the
-/// readiness times [`Schedule::capture_with`] indexes for incremental
-/// cutoff computation.
+/// readiness times [`Schedule::capture`] indexes for incremental cutoff
+/// computation.
 fn sim_compiled_core<O: FrontierOrder>(
     cg: &CompiledGraph,
     order: &O,
@@ -390,7 +344,7 @@ fn sim_compiled_core<O: FrontierOrder>(
     let mut makespan = 0u64;
     let done = dispatch_loop(
         cg,
-        &ranks,
+        |u| ranks[u as usize],
         &mut tentative,
         &mut preds,
         &mut start,
@@ -428,12 +382,13 @@ const IDLE: Best = (u64::MAX, (u64::MAX, u64::MAX), u32::MAX);
 /// returning how many tasks were dispatched. All entry points run *this*
 /// code, so no derived path can drift from full-simulation semantics.
 ///
-/// `bests` is working space, one slot per thread (`fronts.len()`); the
-/// loop fills it from the seeded frontiers itself.
+/// `rank` is the policy's rank of a task. `bests` is working space, one
+/// slot per thread (`fronts.len()`); the loop fills it from the seeded
+/// frontiers itself.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_loop<G: SimGraphView>(
     cg: &G,
-    ranks: &[Rank],
+    rank: impl Fn(u32) -> Rank,
     tentative: &mut [u64],
     preds: &mut [u32],
     start: &mut [u64],
@@ -478,11 +433,12 @@ fn dispatch_loop<G: SimGraphView>(
             preds[vi] -= 1;
             if preds[vi] == 0 {
                 let tv = cg.thread_of(v).0 as usize;
-                fronts[tv].push(tentative[vi], ranks[vi], v.0, progress[tv]);
+                let rv = rank(v.0);
+                fronts[tv].push(tentative[vi], rv, v.0, progress[tv]);
                 if tv != ti {
                     // That thread's progress did not move, so the released
                     // task either beats its cached best or leaves it be.
-                    let cand = (tentative[vi].max(progress[tv]), ranks[vi], v.0);
+                    let cand = (tentative[vi].max(progress[tv]), rv, v.0);
                     if cand < bests[tv] {
                         bests[tv] = cand;
                     }
@@ -505,7 +461,7 @@ fn dispatch_loop<G: SimGraphView>(
 /// re-simulation needs: per-task start/finish/ready times, the dispatch
 /// sequence sorted by start, per-thread timelines, and per-task
 /// predecessor arrays sorted by predecessor start with running-max
-/// finishes. Built once per base profile ([`Schedule::capture_with`]);
+/// finishes. Built once per base profile ([`Schedule::capture`]);
 /// every patched scenario then reuses the schedule to replay the
 /// unaffected prefix verbatim and re-dispatch only its cone.
 ///
@@ -543,18 +499,10 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Captures the base schedule under the default policy.
+    /// Simulates `cg` under the default policy and builds the
+    /// incremental-seeding indices. O(V log V + E log E) once per base.
     pub fn capture(cg: &CompiledGraph) -> Result<Schedule, GraphError> {
-        Self::capture_with(cg, &EarliestStart)
-    }
-
-    /// Simulates `cg` and builds the incremental-seeding indices.
-    /// O(V log V + E log E) once per base.
-    pub fn capture_with<O: FrontierOrder>(
-        cg: &CompiledGraph,
-        order: &O,
-    ) -> Result<Schedule, GraphError> {
-        let (sim, tentative_ns) = sim_compiled_core(cg, order)?;
+        let (sim, tentative_ns) = sim_compiled_core(cg, &EarliestStart)?;
         let n = cg.len();
         let fin_ns: Vec<u64> = (0..n)
             .map(|i| sim.start_ns[i] + cg.cost_ns(CompactId(i as u32)))
@@ -728,9 +676,6 @@ impl Default for IncrementalOptions {
 /// Why an incremental simulation fell back to the full path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackReason {
-    /// The frontier policy did not declare itself incremental-safe
-    /// ([`FrontierOrder::incremental_safe`]).
-    PolicyUnsafe,
     /// The patch vacated a base thread, so base `ThreadId`s are not
     /// stable in the patched graph.
     VacatedThreads,
@@ -741,7 +686,6 @@ pub enum FallbackReason {
 impl std::fmt::Display for FallbackReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            FallbackReason::PolicyUnsafe => "frontier policy is not incremental-safe",
             FallbackReason::VacatedThreads => "patch vacates a base thread",
             FallbackReason::ConeTooLarge => "re-dispatch cone exceeds the size threshold",
         })
@@ -785,11 +729,12 @@ impl IncrementalStats {
 /// order: every candidate created by a dispatch at time `s` has feasible
 /// start ≥ `s`, so the first behavioral divergence between base and
 /// patched simulations cannot precede the minimum over per-change
-/// influence bounds — a retime acts from the task's base start, a
-/// rank-relevant priority or thread change from its dependency-ready
-/// time, a removal from the start of the vacated slot, an insertion from
-/// its predecessors' finishes, and an edge rewire from the earlier of
-/// the target's base start and its loosest new readiness.
+/// influence bounds — a retime acts from the task's base start, a thread
+/// change from its dependency-ready time, a removal from the start of the
+/// vacated slot, an insertion from its predecessors' finishes, and an
+/// edge rewire from the earlier of the target's base start and its
+/// loosest new readiness. The default order ignores priority, so a
+/// priority edit has no effect.
 struct ConeBound {
     /// Earliest instant any patch effect can surface (`u64::MAX` when
     /// the patch has no simulation-relevant effect).
@@ -802,11 +747,10 @@ struct ConeBound {
     n_new: usize,
 }
 
-fn cone_bound<O: FrontierOrder>(
+fn cone_bound(
     base: &CompiledGraph,
     schedule: &Schedule,
     patch: &GraphPatch,
-    order: &O,
     ins: &mut InsertBounds,
 ) -> ConeBound {
     let d = patch.delta();
@@ -830,9 +774,9 @@ fn cone_bound<O: FrontierOrder>(
             // effects start no earlier than the task's own dispatch.
             cutoff = cutoff.min(schedule.sim.start_ns[c]);
         }
-        if s.thread.is_some() || (s.priority.is_some() && order.rank_uses_priority()) {
-            // A rank or placement change can move the task's own
-            // dispatch, but never before its dependencies allow.
+        if s.thread.is_some() {
+            // A placement change can move the task's own dispatch, but
+            // never before its dependencies allow.
             cutoff = cutoff.min(schedule.tentative_ns[c]);
         }
     }
@@ -1105,7 +1049,7 @@ struct ViewShape {
 /// Threads the base never used are interned after the base's threads.
 ///
 /// **Slots.** `stamp[i] == epoch` marks an overridden slot, whose
-/// `cost`/`dur`/`thread`/`prio`/`pcnt`/`row` are all valid (copied from
+/// `cost`/`dur`/`thread`/`pcnt`/`row` are all valid (copied from
 /// the base where the patch left a field alone); every other slot reads
 /// through to the base. Removal dirties every neighbour, so an
 /// unstamped base row never points at a removed task. "Resetting" the
@@ -1116,7 +1060,6 @@ struct Overlay {
     cost: Vec<u64>,
     dur: Vec<u64>,
     thread: Vec<u32>,
-    prio: Vec<i64>,
     /// Predecessor count (read only for seeding).
     pcnt: Vec<u32>,
     /// Successor range in `side`, or `(BASE_ROW, _)` for the base row.
@@ -1152,7 +1095,6 @@ impl Overlay {
         self.cost.resize(n, 0);
         self.dur.resize(n, 0);
         self.thread.resize(n, 0);
-        self.prio.resize(n, 0);
         self.pcnt.resize(n, 0);
         self.row.resize(n, (BASE_ROW, 0));
         true
@@ -1168,7 +1110,6 @@ impl Overlay {
             self.cost[i] = base.cost_ns(c);
             self.dur[i] = base.duration_ns(c);
             self.thread[i] = base.thread_of(c).0;
-            self.prio[i] = base.priority(c);
             self.pcnt[i] = base.pred_count(c);
             self.row[i] = (BASE_ROW, 0);
         }
@@ -1246,8 +1187,9 @@ impl Overlay {
             }
         }
 
-        // Scalar overrides: retimed, reprioritized and moved base tasks,
-        // and every inserted task (whose slot carries every field).
+        // Scalar overrides: retimed and moved base tasks, and every
+        // inserted task (whose slot carries every field). Priorities are
+        // not read: the default order ranks by id alone.
         for &id in d.touched() {
             if d.is_removed(id) {
                 continue;
@@ -1265,9 +1207,6 @@ impl Overlay {
             let gap = s.gap_ns.unwrap_or_else(|| self.cost[i] - self.dur[i]);
             self.cost[i] = dur + gap;
             self.dur[i] = dur;
-            if let Some(p) = s.priority {
-                self.prio[i] = p;
-            }
             if let Some(t) = s.thread {
                 let ti = self.intern(base, t, id);
                 if id.0 < base_cap {
@@ -1356,23 +1295,12 @@ impl OverlayView<'_> {
     }
 }
 
-impl RankInputs for OverlayView<'_> {
+impl SimGraphView for OverlayView<'_> {
     #[inline]
-    fn priority(&self, c: CompactId) -> i64 {
+    fn cost_ns(&self, c: CompactId) -> u64 {
         match self.slot(c) {
-            Some(i) => self.ov.prio[i],
-            None => self.base.priority(c),
-        }
-    }
-    #[inline]
-    fn on_comm_thread(&self, c: CompactId) -> bool {
-        let Some(i) = self.slot(c) else {
-            return self.base.on_comm_thread(c);
-        };
-        let t = self.ov.thread[i] as usize;
-        match t.checked_sub(self.base.thread_count()) {
-            Some(k) => self.ov.new_threads[k].0.is_comm(),
-            None => self.base.is_comm_thread(ThreadId(t as u32)),
+            Some(i) => self.ov.cost[i],
+            None => self.base.cost_ns(c),
         }
     }
     #[inline]
@@ -1380,16 +1308,6 @@ impl RankInputs for OverlayView<'_> {
         match self.slot(c) {
             Some(i) => self.ov.dur[i],
             None => self.base.duration_ns(c),
-        }
-    }
-}
-
-impl SimGraphView for OverlayView<'_> {
-    #[inline]
-    fn cost_ns(&self, c: CompactId) -> u64 {
-        match self.slot(c) {
-            Some(i) => self.ov.cost[i],
-            None => self.base.cost_ns(c),
         }
     }
     #[inline]
@@ -1421,7 +1339,6 @@ struct SimBufs {
     wait: Vec<u64>,
     tentative: Vec<u64>,
     preds: Vec<u32>,
-    ranks: Vec<Rank>,
     progress: Vec<u64>,
     fronts: Vec<ThreadFrontier>,
     bests: Vec<Best>,
@@ -1438,7 +1355,6 @@ impl SimBufs {
             self.wait.resize(n, 0);
             self.tentative.resize(n, 0);
             self.preds.resize(n, 0);
-            self.ranks.resize(n, (0, 0));
             grew = true;
         }
         if self.fronts.len() < t_count {
@@ -1453,46 +1369,31 @@ impl SimBufs {
     /// Stamps view task `i` with its seeded state and, once it owes no
     /// predecessor, puts it on its thread's frontier.
     #[inline]
-    fn seed<O: FrontierOrder>(
-        &mut self,
-        view: &OverlayView,
-        order: &O,
-        i: u32,
-        rem: u32,
-        tent: u64,
-        epoch: u32,
-    ) {
-        let c = CompactId(i);
+    fn seed(&mut self, view: &OverlayView, i: u32, rem: u32, tent: u64, epoch: u32) {
         let iu = i as usize;
         self.stamp[iu] = epoch;
         self.preds[iu] = rem;
         self.tentative[iu] = tent;
-        self.ranks[iu] = order.rank(view, c);
         if rem == 0 {
-            let t = view.thread_of(c).0 as usize;
-            self.fronts[t].push(tent, self.ranks[iu], i, self.progress[t]);
+            let t = view.thread_of(CompactId(i)).0 as usize;
+            self.fronts[t].push(tent, default_rank(i), i, self.progress[t]);
         }
     }
 
     /// Full simulation of every live view task into the buffers.
-    fn run_full<O: FrontierOrder>(
-        &mut self,
-        view: &OverlayView,
-        order: &O,
-        epoch: u32,
-    ) -> Result<u64, GraphError> {
+    fn run_full(&mut self, view: &OverlayView, epoch: u32) -> Result<u64, GraphError> {
         let shape = view.ov.shape;
         self.progress[..shape.t_count].fill(0);
         for i in 0..shape.n {
             if view.is_live(i) {
                 let preds = view.pred_count(CompactId(i as u32));
-                self.seed(view, order, i as u32, preds, 0, epoch);
+                self.seed(view, i as u32, preds, 0, epoch);
             }
         }
         let mut makespan = 0u64;
         let done = dispatch_loop(
             view,
-            &self.ranks,
+            default_rank,
             &mut self.tentative,
             &mut self.preds,
             &mut self.start,
@@ -1514,15 +1415,13 @@ impl SimBufs {
     /// through [`Schedule::pred_split`] or their overridden predecessor
     /// list, inserts from their own lists. Every successor of a cone task
     /// is itself a cone task, so the loop never touches a prefix slot.
-    #[allow(clippy::too_many_arguments)]
-    fn run_cone<O: FrontierOrder>(
+    fn run_cone(
         &mut self,
         view: &OverlayView,
         schedule: &Schedule,
         d: &NetDelta,
         cutoff: u64,
         cut_idx: usize,
-        order: &O,
         epoch: u32,
     ) -> (usize, u64) {
         let base = view.base;
@@ -1558,19 +1457,19 @@ impl SimBufs {
                 Some(list) => split_list(list),
                 None => schedule.pred_split(c as usize, cutoff),
             };
-            self.seed(view, order, c, rem, tent, epoch);
+            self.seed(view, c, rem, tent, epoch);
         }
         for (k, &v) in d.new_ids().iter().enumerate() {
             let i = view.ov.ins_view[k];
             if i != u32::MAX {
                 let (rem, tent) = d.pred_over(v).map_or((0, 0), |l| split_list(l));
-                self.seed(view, order, i, rem, tent, epoch);
+                self.seed(view, i, rem, tent, epoch);
             }
         }
         let mut makespan = schedule.makespan_prefix[cut_idx];
         let done = dispatch_loop(
             view,
-            &self.ranks,
+            default_rank,
             &mut self.tentative,
             &mut self.preds,
             &mut self.start,
@@ -1661,7 +1560,7 @@ impl SimScratch {
 
     /// Reconstructs the full [`CompiledSim`] of the last
     /// [`simulate_warm_with`] call — byte-identical to
-    /// [`simulate_compiled_with`] over `CompiledGraph::apply` of the same
+    /// [`simulate_compiled`] over `CompiledGraph::apply` of the same
     /// patch (the oracle the equivalence proptests pin): view ids map
     /// back to the applied compact order by skipping removed tasks, and
     /// threads to the apply's interning order (surviving base threads,
@@ -1802,8 +1701,7 @@ pub struct WarmOutcome {
     pub stats: IncrementalStats,
 }
 
-/// [`simulate_warm_with`] under the default earliest-start policy and
-/// default options.
+/// [`simulate_warm_with`] under the default options.
 pub fn simulate_warm(
     base: &CompiledGraph,
     schedule: &Schedule,
@@ -1815,26 +1713,26 @@ pub fn simulate_warm(
         schedule,
         patch,
         scratch,
-        &EarliestStart,
         &IncrementalOptions::default(),
     )
 }
 
-/// Simulates `base.apply(patch)` from the base [`Schedule`] without
-/// applying the patch, allocation-free once `scratch` is warm. The
-/// result is pinned byte-identical (equivalence proptests) to
-/// [`simulate_compiled_with`] over the applied graph. Every patch —
-/// retimes, thread moves, priority edits, inserts, removals, rewires —
-/// is simulated over the base [`CompiledGraph`] plus an epoch-stamped
-/// overlay in `scratch`, built in O(|patch|), and every per-sim O(V)
-/// buffer comes from the arena. The decisions, in order:
+/// Simulates `base.apply(patch)` from the base [`Schedule`] under the
+/// default [`EarliestStart`] order without applying the patch,
+/// allocation-free once `scratch` is warm. The result is pinned
+/// byte-identical (equivalence proptests) to [`simulate_compiled`] over
+/// the applied graph. Every patch — retimes, thread moves, priority
+/// edits, inserts, removals, rewires — is simulated over the base
+/// [`CompiledGraph`] plus an epoch-stamped overlay in `scratch`, built in
+/// O(|patch|), and every per-sim O(V) buffer comes from the arena. The
+/// decisions, in order:
 ///
-/// 1. a policy that is not incremental-safe runs the full path;
-/// 2. so does a patch that vacates a base thread;
-/// 3. a patch with no simulation-relevant effect answers with the base
-///    schedule, a cone above `opts.max_cone_fraction` runs the full path,
-///    and every other patch re-dispatches only its cone: the replayed
-///    prefix is never copied, so warm cost is O(cone + |patch|).
+/// 1. a patch that vacates a base thread runs the full path;
+/// 2. a patch with no simulation-relevant effect (priority and name
+///    edits) answers with the base schedule, a cone above
+///    `opts.max_cone_fraction` runs the full path, and every other patch
+///    re-dispatches only its cone: the replayed prefix is never copied,
+///    so warm cost is O(cone + |patch|).
 ///
 /// The full path dispatches every live task over the same overlay —
 /// still zero clones and zero allocations warm.
@@ -1843,21 +1741,20 @@ pub fn simulate_warm(
 ///
 /// Panics if `schedule` was not captured over `base`, or `patch` was not
 /// recorded against `base`'s arena.
-pub fn simulate_warm_with<O: FrontierOrder>(
+pub fn simulate_warm_with(
     base: &CompiledGraph,
     schedule: &Schedule,
     patch: &GraphPatch,
     scratch: &mut SimScratch,
-    order: &O,
     opts: &IncrementalOptions,
 ) -> Result<WarmOutcome, GraphError> {
-    let reason = match try_simulate_warm_with(base, schedule, patch, scratch, order, opts)? {
+    let reason = match try_simulate_warm_with(base, schedule, patch, scratch, opts)? {
         Ok(outcome) => return Ok(outcome),
         Err(reason) => reason,
     };
     // The overlay of this evaluation is still current.
     let view = scratch.ov.view(base, scratch.epoch);
-    let makespan = scratch.bufs.run_full(&view, order, scratch.epoch)?;
+    let makespan = scratch.bufs.run_full(&view, scratch.epoch)?;
     let live = scratch.ov.shape.live;
     scratch.last = Some(WarmLast::Full { makespan });
     Ok(WarmOutcome {
@@ -1880,12 +1777,11 @@ pub fn simulate_warm_with<O: FrontierOrder>(
 /// # Panics
 ///
 /// As [`simulate_warm_with`].
-pub fn try_simulate_warm_with<O: FrontierOrder>(
+pub fn try_simulate_warm_with(
     base: &CompiledGraph,
     schedule: &Schedule,
     patch: &GraphPatch,
     scratch: &mut SimScratch,
-    order: &O,
     opts: &IncrementalOptions,
 ) -> Result<Result<WarmOutcome, FallbackReason>, GraphError> {
     assert_eq!(
@@ -1899,19 +1795,15 @@ pub fn try_simulate_warm_with<O: FrontierOrder>(
         "patch recorded against a different base arena"
     );
     scratch.begin(base, schedule, patch);
-    if !order.incremental_safe() {
-        return Ok(Err(FallbackReason::PolicyUnsafe));
-    }
     if scratch.ov.vacates_a_thread() {
         return Ok(Err(FallbackReason::VacatedThreads));
     }
     let live = scratch.ov.shape.live;
-    let bound = cone_bound(base, schedule, patch, order, &mut scratch.ov.ins);
+    let bound = cone_bound(base, schedule, patch, &mut scratch.ov.ins);
     debug_assert_eq!(bound.n_new, live, "delta-derived live count must match");
     if bound.cutoff == u64::MAX {
-        // No simulation-relevant effect (name/kind edits, priority edits
-        // under a priority-blind policy): the base schedule is the
-        // answer, referenced rather than cloned.
+        // No simulation-relevant effect (name, kind or priority edits):
+        // the base schedule is the answer, referenced rather than cloned.
         scratch.last = Some(WarmLast::Noop);
         return Ok(Ok(WarmOutcome {
             makespan_ns: schedule.makespan_ns(),
@@ -1933,7 +1825,6 @@ pub fn try_simulate_warm_with<O: FrontierOrder>(
         patch.delta(),
         bound.cutoff,
         bound.cut_idx,
-        order,
         scratch.epoch,
     );
     if done != bound.cone {
@@ -1955,54 +1846,14 @@ pub fn try_simulate_warm_with<O: FrontierOrder>(
 // Reference implementation (the oracle)
 // ---------------------------------------------------------------------------
 
-/// A frontier entry of the reference loop: a ready task and its earliest
-/// feasible start time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
-    /// The ready task.
-    pub task: TaskId,
-    /// `max(thread progress, dependency-induced start)`.
-    pub feasible_start: u64,
-}
-
-/// Scheduling policy of the reference loop: picks the next frontier task.
-///
-/// Retained for the oracle only — the hot path's policies implement
-/// [`FrontierOrder`] instead.
-pub trait Scheduler {
-    /// Returns the index into `frontier` of the task to execute next.
-    ///
-    /// `frontier` is never empty when called.
-    fn pick(&mut self, frontier: &[Candidate], graph: &DependencyGraph) -> usize;
-}
-
-impl Scheduler for EarliestStart {
-    fn pick(&mut self, frontier: &[Candidate], _graph: &DependencyGraph) -> usize {
-        let mut best = 0usize;
-        for (i, c) in frontier.iter().enumerate().skip(1) {
-            let b = &frontier[best];
-            if (c.feasible_start, c.task.0) < (b.feasible_start, b.task.0) {
-                best = i;
-            }
-        }
-        best
-    }
-}
-
-/// Simulates with the original quadratic loop and the default policy —
-/// the equivalence oracle for [`simulate`] and the `sim_scale` baseline.
-pub fn simulate_reference(graph: &DependencyGraph) -> Result<SimResult, GraphError> {
-    simulate_with_reference(graph, &mut EarliestStart)
-}
-
-/// The original refresh-everything simulation loop: on every dispatch the
+/// Simulates with the original quadratic loop: on every dispatch the
 /// feasible start of the *entire* frontier is recomputed against thread
-/// progress (a `BTreeMap` lookup per candidate) and the scheduler
-/// linear-scans it. O(V · frontier) — kept as the test oracle.
-pub fn simulate_with_reference<S: Scheduler>(
-    graph: &DependencyGraph,
-    scheduler: &mut S,
-) -> Result<SimResult, GraphError> {
+/// progress (a `BTreeMap` lookup per candidate) and the frontier is
+/// linear-scanned for Algorithm 1's pick — the earliest feasible start,
+/// ties broken by task id. O(V · frontier): the equivalence oracle for
+/// [`simulate`] (the proptests and `daydream profile --verify`) and the
+/// `sim_scale` baseline.
+pub fn simulate_reference(graph: &DependencyGraph) -> Result<SimResult, GraphError> {
     let n = graph.capacity();
     let mut refs: Vec<usize> = vec![0; n];
     let mut tentative: Vec<u64> = vec![0; n];
@@ -2011,31 +1862,28 @@ pub fn simulate_with_reference<S: Scheduler>(
     let mut progress: BTreeMap<ExecThread, u64> = BTreeMap::new();
 
     let mut live = 0usize;
-    let mut frontier: Vec<Candidate> = Vec::new();
+    let mut frontier: Vec<TaskId> = Vec::new();
     for (id, t) in graph.iter() {
         live += 1;
         refs[id.0] = graph.predecessors(id).len();
         progress.entry(t.thread).or_insert(0);
         if refs[id.0] == 0 {
-            frontier.push(Candidate {
-                task: id,
-                feasible_start: 0,
-            });
+            frontier.push(id);
         }
     }
 
     let mut done = 0usize;
     let mut makespan = 0u64;
     while !frontier.is_empty() {
-        // Refresh feasible starts against current thread progress.
-        for c in frontier.iter_mut() {
-            let t = graph.task(c.task);
-            let p = progress[&t.thread];
-            c.feasible_start = p.max(tentative[c.task.0]);
-        }
-        let idx = scheduler.pick(&frontier, graph);
-        let c = frontier.swap_remove(idx);
-        let u = c.task;
+        // Feasible starts against current thread progress; ties by id.
+        let idx = (0..frontier.len())
+            .min_by_key(|&i| {
+                let id = frontier[i];
+                let p = progress[&graph.task(id).thread];
+                (p.max(tentative[id.0]), id.0)
+            })
+            .expect("frontier is non-empty");
+        let u = frontier.swap_remove(idx);
         let task = graph.task(u);
         let p = progress[&task.thread];
         let s = p.max(tentative[u.0]);
@@ -2050,10 +1898,7 @@ pub fn simulate_with_reference<S: Scheduler>(
             tentative[child.0] = tentative[child.0].max(fin);
             refs[child.0] -= 1;
             if refs[child.0] == 0 {
-                frontier.push(Candidate {
-                    task: child,
-                    feasible_start: tentative[child.0],
-                });
+                frontier.push(child);
             }
         }
     }
@@ -2229,165 +2074,6 @@ mod tests {
         let r = simulate_checked(&g).unwrap();
         assert_eq!(r.makespan_ns, 0);
         assert!(r.thread_end.is_empty());
-    }
-
-    /// Evaluates `patch` warm on `scratch` and pins it to the classic
-    /// oracle, [`simulate_compiled_with`] over `CompiledGraph::apply`,
-    /// then checks the path accounting against the applied graph: a
-    /// vacated thread or a cone over budget falls back and dispatches
-    /// every task; otherwise the cone is every live base task dispatched
-    /// at or after the cutoff, plus every live insert.
-    fn check_warm(
-        cg: &CompiledGraph,
-        schedule: &Schedule,
-        patch: &GraphPatch,
-        opts: &IncrementalOptions,
-        scratch: &mut SimScratch,
-    ) {
-        let warm = simulate_warm_with(cg, schedule, patch, scratch, &EarliestStart, opts)
-            .expect("patched graph must stay a DAG");
-        let (applied, trace) = cg.apply_traced(patch);
-        let full = simulate_compiled(&applied).expect("patched graph must stay a DAG");
-        assert_eq!(warm.makespan_ns, full.makespan_ns);
-        assert_eq!(
-            scratch.materialize(schedule).unwrap(),
-            full,
-            "warm arena diverged from the full simulation"
-        );
-
-        let stats = warm.stats;
-        assert_eq!(stats.total, applied.len(), "live task count");
-        if stats.fallback.is_some() {
-            assert_eq!(stats.redispatched, stats.total);
-            assert_eq!(stats.cutoff_ns, None);
-        }
-        if trace.vacated_threads {
-            assert_eq!(stats.fallback, Some(FallbackReason::VacatedThreads));
-            return;
-        }
-        let unbounded = IncrementalOptions {
-            max_cone_fraction: 1.0,
-        };
-        let cone_path = simulate_warm_with(
-            cg,
-            schedule,
-            patch,
-            &mut SimScratch::new(),
-            &EarliestStart,
-            &unbounded,
-        )
-        .unwrap()
-        .stats;
-        let cutoff = cone_path
-            .cutoff_ns
-            .expect("an unbounded budget runs the cone");
-        let cone = if cutoff == u64::MAX {
-            0
-        } else {
-            let kept = (0..cg.len()).filter(|&i| {
-                applied
-                    .compact_of(cg.task_id(CompactId(i as u32)))
-                    .is_some()
-            });
-            let inserts = applied.len() - kept.clone().count();
-            kept.filter(|&i| schedule.sim().start_ns[i] >= cutoff)
-                .count()
-                + inserts
-        };
-        assert_eq!(cone_path.redispatched, cone, "cone size");
-        if cone as f64 > opts.max_cone_fraction * stats.total as f64 {
-            assert_eq!(stats.fallback, Some(FallbackReason::ConeTooLarge));
-        } else {
-            assert_eq!(stats.fallback, None);
-            assert_eq!(stats.redispatched, cone);
-            assert_eq!(stats.cutoff_ns, Some(cutoff));
-        }
-    }
-
-    /// Warm evaluation against the classic oracle, apply + full
-    /// simulation, on a single arena across every path: cone, no-op,
-    /// forced full fallback, and a structural patch.
-    #[test]
-    fn warm_paths_match_the_classic_oracle() {
-        use crate::graph::GraphEdit;
-        use crate::patch::PatchGraph;
-        let mut g = DependencyGraph::new();
-        let ids: Vec<_> = (0..12).map(|i| g.add_task(cpu(10 + i, 1))).collect();
-        for w in ids.windows(2) {
-            g.add_dep(w[0], w[1], DepKind::CpuSeq);
-        }
-        let cg = CompiledGraph::compile(&g);
-        let schedule = Schedule::capture(&cg).unwrap();
-        let mut scratch = SimScratch::new();
-        let default = IncrementalOptions::default();
-
-        // Cone re-dispatch.
-        let mut p = PatchGraph::new(&g);
-        p.set_duration(ids[8], 500);
-        check_warm(&cg, &schedule, &p.finish(), &default, &mut scratch);
-        // No-op under a priority-blind policy.
-        let mut p = PatchGraph::new(&g);
-        p.set_priority(ids[3], 7);
-        check_warm(&cg, &schedule, &p.finish(), &default, &mut scratch);
-        // Forced full fallback stays on the overlay (no apply).
-        let mut p = PatchGraph::new(&g);
-        p.set_duration(ids[2], 900);
-        let zero = IncrementalOptions {
-            max_cone_fraction: 0.0,
-        };
-        check_warm(&cg, &schedule, &p.finish(), &zero, &mut scratch);
-        // Structural patch: simulated over the overlay, never applied.
-        let mut p = PatchGraph::new(&g);
-        let extra = p.add_task(cpu(40, 0));
-        p.add_dep(ids[10], extra, DepKind::Transform);
-        check_warm(&cg, &schedule, &p.finish(), &default, &mut scratch);
-        // Back-to-back cone on the same arena: stale stamps must not leak.
-        let mut p = PatchGraph::new(&g);
-        p.set_duration(ids[4], 123);
-        check_warm(&cg, &schedule, &p.finish(), &default, &mut scratch);
-
-        assert!(
-            scratch.counters().reuses >= 2,
-            "warm arena must be reused across evals"
-        );
-    }
-
-    /// Epoch overflow (u32 wrap) must reset the stamp arrays cleanly:
-    /// evaluations across the wrap stay byte-identical to the oracle and
-    /// the counter restarts at 1.
-    #[test]
-    fn epoch_wrap_resets_cleanly() {
-        use crate::graph::GraphEdit;
-        use crate::patch::PatchGraph;
-        let mut g = DependencyGraph::new();
-        let ids: Vec<_> = (0..8).map(|i| g.add_task(cpu(10 + i, 1))).collect();
-        for w in ids.windows(2) {
-            g.add_dep(w[0], w[1], DepKind::CpuSeq);
-        }
-        let cg = CompiledGraph::compile(&g);
-        let schedule = Schedule::capture(&cg).unwrap();
-        let mut scratch = SimScratch::new();
-
-        let mk = |target: usize, ns: u64| {
-            let mut p = PatchGraph::new(&g);
-            p.set_duration(ids[target], ns);
-            p.finish()
-        };
-        // Size the arena, then park the counter just below the wrap.
-        simulate_warm(&cg, &schedule, &mk(5, 500), &mut scratch).unwrap();
-        scratch.force_epoch(u32::MAX - 1);
-        // Epochs u32::MAX, then wrap -> 1, then 2 — different cones each
-        // time so a stale stamp surviving the wrap would corrupt output.
-        for (target, ns) in [(5usize, 600u64), (2, 700), (6, 800)] {
-            check_warm(
-                &cg,
-                &schedule,
-                &mk(target, ns),
-                &IncrementalOptions::default(),
-                &mut scratch,
-            );
-        }
-        assert_eq!(scratch.epoch(), 2, "wrap must restart the counter at 1");
     }
 
     /// A wide comm channel frontier — the shape that made the reference

@@ -143,7 +143,7 @@ pub struct Task {
     /// Start time measured in the profiled run (informational; the
     /// simulator recomputes starts).
     pub measured_start_ns: u64,
-    /// Scheduling priority for custom [`crate::sim::Scheduler`]s (P3).
+    /// Scheduling priority for custom [`crate::sim::FrontierOrder`]s (P3).
     pub priority: i64,
 }
 

@@ -4,10 +4,9 @@
 //! thread, name keyword, or layer), **shrink/scale** their durations,
 //! **insert/remove** tasks in an execution thread's sequence (inserting a
 //! GPU task also inserts the CPU launch that triggers it — Fig. 4), and
-//! **schedule** (override the simulator's policy via
-//! [`crate::sim::FrontierOrder`]; the legacy [`crate::sim::Scheduler`]
-//! trait drives only the reference oracle). §5 shows ten optimizations
-//! built from these.
+//! **schedule** (override the full simulator's policy via
+//! [`crate::sim::FrontierOrder`]). §5 shows ten optimizations built from
+//! these.
 //!
 //! Every primitive is generic over [`GraphEdit`], so the same code serves
 //! two call paths: record a [`crate::patch::GraphPatch`] through a

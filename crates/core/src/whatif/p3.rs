@@ -20,7 +20,7 @@ use crate::construct::ProfiledGraph;
 use crate::graph::{DepKind, GraphEdit, GraphError, TaskId};
 use crate::patch::{PatchGraph, PatchSummary};
 use crate::replicate::{replicate_iterations, ReplicatedGraph};
-use crate::sim::{simulate_compiled_with, Candidate, FrontierOrder, Rank, RankInputs, Scheduler};
+use crate::sim::{simulate_compiled_with, FrontierOrder, Rank};
 use crate::task::{CommChannel, CommPrimitive, ExecThread, Task, TaskKind};
 use daydream_comm::{ClusterConfig, PsModel};
 use daydream_trace::{LayerId, Phase};
@@ -59,11 +59,8 @@ impl P3Config {
 }
 
 /// The P3 scheduler: earliest feasible start, ties on communication
-/// channels broken by priority (Algorithm 7's `Schedule` override).
-///
-/// Implements both [`FrontierOrder`] (the compiled heap frontier the
-/// simulator actually runs) and the legacy [`Scheduler`] trait (the
-/// reference-loop oracle).
+/// channels broken by priority (Algorithm 7's `Schedule` override), as a
+/// [`FrontierOrder`] of the full simulator.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct P3Scheduler;
 
@@ -74,7 +71,7 @@ fn descending(priority: i64) -> u64 {
 }
 
 impl FrontierOrder for P3Scheduler {
-    fn rank<G: RankInputs + ?Sized>(&self, graph: &G, task: CompactId) -> Rank {
+    fn rank(&self, graph: &CompiledGraph, task: CompactId) -> Rank {
         if graph.on_comm_thread(task) {
             // Highest priority first; ties by task id.
             (descending(graph.priority(task)), task.0 as u64)
@@ -82,55 +79,10 @@ impl FrontierOrder for P3Scheduler {
             // Compute threads keep the default earliest-id order. The id
             // component stays below any comm rank's priority component, so
             // cross-thread ties at equal feasibility favor compute tasks.
-            //
-            // This total order is the canonical P3 semantics. The legacy
-            // `Scheduler` impl below scans the frontier with a *pairwise*
-            // comparison that is intransitive across mixed comm/compute
-            // candidates — its pick on such ties depends on frontier
-            // layout, so the two implementations can legitimately differ
-            // there (pinned in `sim_equivalence.rs`). Equal-feasibility
-            // mixed ties are rare and were arbitrary before; the heap
-            // frontier makes them deterministic.
+            // This total order makes mixed comm/compute ties at equal
+            // feasibility deterministic (pinned in `sim_equivalence.rs`).
             (task.0 as u64, 0)
         }
-    }
-
-    // Ranks are a fixed function of (comm flag, priority, id order), so
-    // the incremental simulator may reuse a base schedule across patches
-    // — priority edits influence it from the task's ready time.
-    fn incremental_safe(&self) -> bool {
-        true
-    }
-
-    fn rank_uses_priority(&self) -> bool {
-        true
-    }
-}
-
-impl Scheduler for P3Scheduler {
-    fn pick(&mut self, frontier: &[Candidate], graph: &crate::graph::DependencyGraph) -> usize {
-        let mut best = 0usize;
-        for (i, c) in frontier.iter().enumerate().skip(1) {
-            let b = frontier[best];
-            if c.feasible_start < b.feasible_start {
-                best = i;
-                continue;
-            }
-            if c.feasible_start == b.feasible_start {
-                let (tc, tb) = (graph.task(c.task), graph.task(b.task));
-                let both_comm = tc.thread.is_comm() && tb.thread.is_comm();
-                let better = if both_comm {
-                    (tc.priority, std::cmp::Reverse(c.task.0))
-                        > (tb.priority, std::cmp::Reverse(b.task.0))
-                } else {
-                    c.task.0 < b.task.0
-                };
-                if better {
-                    best = i;
-                }
-            }
-        }
-        best
     }
 }
 

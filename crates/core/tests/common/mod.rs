@@ -1,29 +1,27 @@
-//! The one oracle the warm-path tests share: [`simulate_compiled_with`]
-//! over [`CompiledGraph::apply`], plus the path accounting the warm path
-//! must report for the patch.
+//! The one oracle the warm-path tests share: [`simulate_compiled`] over
+//! [`CompiledGraph::apply`], plus the path accounting the warm path must
+//! report for the patch.
 
 use daydream_core::{
-    simulate_compiled_with, simulate_warm_with, CompactId, CompiledGraph, FallbackReason,
-    FrontierOrder, GraphPatch, IncrementalOptions, IncrementalStats, Schedule, SimScratch,
-    WarmOutcome,
+    simulate_compiled, simulate_warm_with, CompactId, CompiledGraph, FallbackReason, GraphPatch,
+    IncrementalOptions, IncrementalStats, Schedule, SimScratch, WarmOutcome,
 };
 
 /// Evaluates `patch` warm on `scratch` and pins the result to the full
 /// simulation of the applied graph: the makespan, the materialized
 /// dense simulation, and its expanded arena-indexed form. Then checks
 /// the work accounting with [`assert_stats`] and returns the outcome.
-pub fn assert_warm_matches_full<O: FrontierOrder>(
+pub fn assert_warm_matches_full(
     cg: &CompiledGraph,
     schedule: &Schedule,
     patch: &GraphPatch,
-    order: &O,
     opts: &IncrementalOptions,
     scratch: &mut SimScratch,
 ) -> WarmOutcome {
-    let warm = simulate_warm_with(cg, schedule, patch, scratch, order, opts)
+    let warm = simulate_warm_with(cg, schedule, patch, scratch, opts)
         .expect("patched graph must stay a DAG");
     let applied = cg.apply(patch);
-    let full = simulate_compiled_with(&applied, order).expect("patched graph must stay a DAG");
+    let full = simulate_compiled(&applied).expect("patched graph must stay a DAG");
     assert_eq!(warm.makespan_ns, full.makespan_ns, "makespan diverged");
     let materialized = scratch
         .materialize(schedule)
@@ -37,21 +35,20 @@ pub fn assert_warm_matches_full<O: FrontierOrder>(
         full.into_sim_result(&applied),
         "expanded SimResult diverged"
     );
-    assert_stats(cg, schedule, patch, order, opts, &warm.stats);
+    assert_stats(cg, schedule, patch, opts, &warm.stats);
     warm
 }
 
 /// The path accounting `simulate_warm_with` must report for `patch`,
-/// derived from the applied graph: the policy and
-/// `ApplyTrace::vacated_threads` decide the structural fallbacks; on the
-/// cone path, every live base task dispatched at or after the cutoff
-/// plus every live insert re-dispatches; and that cone, taken at an
-/// unbounded budget, decides the size fallback.
-fn assert_stats<O: FrontierOrder>(
+/// derived from the applied graph: `ApplyTrace::vacated_threads` decides
+/// the structural fallback; on the cone path, every live base task
+/// dispatched at or after the cutoff plus every live insert
+/// re-dispatches; and that cone, taken at an unbounded budget, decides
+/// the size fallback.
+fn assert_stats(
     cg: &CompiledGraph,
     schedule: &Schedule,
     patch: &GraphPatch,
-    order: &O,
     opts: &IncrementalOptions,
     stats: &IncrementalStats,
 ) {
@@ -64,10 +61,6 @@ fn assert_stats<O: FrontierOrder>(
         );
         assert_eq!(stats.cutoff_ns, None, "a fallback has no cutoff");
     }
-    if !order.incremental_safe() {
-        assert_eq!(stats.fallback, Some(FallbackReason::PolicyUnsafe));
-        return;
-    }
     if trace.vacated_threads {
         assert_eq!(stats.fallback, Some(FallbackReason::VacatedThreads));
         return;
@@ -75,16 +68,9 @@ fn assert_stats<O: FrontierOrder>(
     let unbounded = IncrementalOptions {
         max_cone_fraction: 1.0,
     };
-    let cone_path = simulate_warm_with(
-        cg,
-        schedule,
-        patch,
-        &mut SimScratch::new(),
-        order,
-        &unbounded,
-    )
-    .expect("patched graph must stay a DAG")
-    .stats;
+    let cone_path = simulate_warm_with(cg, schedule, patch, &mut SimScratch::new(), &unbounded)
+        .expect("patched graph must stay a DAG")
+        .stats;
     let cutoff = cone_path
         .cutoff_ns
         .expect("an unbounded budget runs the cone");

@@ -18,7 +18,7 @@ use daydream_core::whatif::{
     DgcConfig, GistConfig, P3Config, P3Plan, P3Scheduler, VdnnConfig,
 };
 use daydream_core::{
-    simulate_compiled_with, simulate_with, simulate_with_reference, CommChannel, CompactId,
+    simulate_compiled_with, simulate_reference, simulate_with, CommChannel, CompactId,
     CompiledGraph, DepKind, DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit,
     GraphPatch, GraphView, PatchGraph, ProfiledGraph, SimResult, Task, TaskId, TaskKind,
 };
@@ -202,7 +202,7 @@ proptest! {
         let patch = p.finish();
         let fast = assert_equiv(&g, &patch, &EarliestStart);
         let replayed = patch.apply_reference(&g);
-        let quadratic = simulate_with_reference(&replayed, &mut EarliestStart).unwrap();
+        let quadratic = simulate_reference(&replayed).unwrap();
         prop_assert_eq!(fast, quadratic);
     }
 }

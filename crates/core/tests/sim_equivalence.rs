@@ -252,9 +252,8 @@ fn p3_order_overrides_comm_dispatch_on_new_frontier() {
 /// Pinned: the canonical P3 semantics on a *mixed* comm/compute frontier.
 /// A zero-cost compute dispatch can unlock a higher-priority transfer at
 /// the channel's current feasibility; the heap frontier then prefers the
-/// higher priority deterministically. (The legacy `Scheduler` oracle's
-/// pairwise scan is intransitive on mixed ties and may pick differently —
-/// which is why no equivalence proptest runs under the P3 policy.)
+/// higher priority deterministically, as the rank-aware oracle of
+/// `kernel_matches_rank_oracle_under_every_policy` does.
 #[test]
 fn p3_mixed_frontier_prefers_unlocked_high_priority_transfer() {
     let chan = ExecThread::Comm(CommChannel::Send);

@@ -1,12 +1,12 @@
 //! Incremental cone re-simulation against the full simulator.
 //!
 //! `simulate_warm_with` must be *byte-identical* to a full
-//! `simulate_compiled_with` run of the applied graph: same per-task
-//! starts and waits, same per-thread ends, same makespan — on random
-//! DAGs with random op sequences under both frontier policies, on the
-//! profiled ResNet-50 / BERT graphs for every what-if transform in the
-//! catalog (including P3 over its replicated base), and on every
-//! fallback path, with the work accounting each path must report.
+//! `simulate_compiled` run of the applied graph: same per-task starts and
+//! waits, same per-thread ends, same makespan — on random DAGs with
+//! random op sequences, on the profiled ResNet-50 / BERT graphs for every
+//! what-if transform in the catalog (including P3's inserts over its
+//! replicated base), and on every fallback path, with the work
+//! accounting each path must report.
 //! Patch composition (`GraphPatch::compose`, layered `PatchGraph`) is
 //! pinned against sequential apply here too.
 
@@ -18,13 +18,12 @@ use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
     plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist, plan_metaflow,
     plan_p3_inserts, plan_reconstruct_bn, plan_upgrade_gpu, plan_vdnn, qkv_fusion_policy,
-    DgcConfig, GistConfig, P3Config, P3Scheduler, VdnnConfig,
+    DgcConfig, GistConfig, P3Config, VdnnConfig,
 };
 use daydream_core::{
-    simulate_compiled_with, CommChannel, CompactId, CompiledGraph, DepKind, DependencyGraph,
-    EarliestStart, ExecThread, FallbackReason, FrontierOrder, GraphEdit, GraphPatch, GraphView,
-    IncrementalOptions, IncrementalStats, PatchGraph, ProfiledGraph, Rank, RankInputs, Schedule,
-    SimScratch, Task, TaskId, TaskKind,
+    simulate_compiled, CommChannel, CompactId, CompiledGraph, DepKind, DependencyGraph, ExecThread,
+    FallbackReason, GraphEdit, GraphPatch, GraphView, IncrementalOptions, IncrementalStats,
+    PatchGraph, ProfiledGraph, Schedule, SimScratch, Task, TaskId, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -44,15 +43,14 @@ const FALLBACK: IncrementalOptions = IncrementalOptions {
 /// Evaluates `patch` warm over a freshly compiled `base` and asserts it
 /// equals the full simulation of the applied graph (dense *and* expanded
 /// arena-indexed forms) with the expected work accounting, returning it.
-fn assert_incremental<O: FrontierOrder>(
+fn assert_incremental(
     base: &DependencyGraph,
     patch: &GraphPatch,
-    order: &O,
     opts: &IncrementalOptions,
 ) -> IncrementalStats {
     let cg = CompiledGraph::compile(base);
-    let schedule = Schedule::capture_with(&cg, order).expect("base must be a DAG");
-    assert_warm_matches_full(&cg, &schedule, patch, order, opts, &mut SimScratch::new()).stats
+    let schedule = Schedule::capture(&cg).expect("base must be a DAG");
+    assert_warm_matches_full(&cg, &schedule, patch, opts, &mut SimScratch::new()).stats
 }
 
 // --- The random-DAG universe of patch_equivalence.rs -----------------------
@@ -132,9 +130,9 @@ fn apply_random_op(p: &mut PatchGraph<'_>, op: (u64, u64, u64, u64)) {
 }
 
 proptest! {
-    // Random DAGs x random op sequences under both policies, with the
-    // cone forced, with the default threshold, and with forced fallback:
-    // every path must equal the full simulation.
+    // Random DAGs x random op sequences, with the cone forced, with the
+    // default threshold, and with forced fallback: every path must equal
+    // the full simulation.
     #[test]
     fn random_patches_match_full_simulation(
         tasks in prop::collection::vec((0u64..5, 0u64..200, 0u64..30), 1..60),
@@ -148,16 +146,14 @@ proptest! {
             apply_random_op(&mut p, op);
         }
         let patch = p.finish();
-        let stats = assert_incremental(&g, &patch, &EarliestStart, &FORCE);
+        let stats = assert_incremental(&g, &patch, &FORCE);
         prop_assert!(
             stats.fallback.is_none() || stats.fallback == Some(FallbackReason::VacatedThreads),
             "forced cone may only fall back on vacated threads, got {:?}",
             stats.fallback
         );
-        assert_incremental(&g, &patch, &EarliestStart, &IncrementalOptions::default());
-        assert_incremental(&g, &patch, &P3Scheduler, &FORCE);
-        assert_incremental(&g, &patch, &P3Scheduler, &IncrementalOptions::default());
-        let fb = assert_incremental(&g, &patch, &EarliestStart, &FALLBACK);
+        assert_incremental(&g, &patch, &IncrementalOptions::default());
+        let fb = assert_incremental(&g, &patch, &FALLBACK);
         prop_assert!(
             fb.fallback.is_some() || fb.redispatched == 0,
             "zero threshold must fall back unless the patch is a sim no-op"
@@ -199,12 +195,12 @@ proptest! {
         // so the busy sum is a lower bound only up to trailing gaps.
 
         let opts = IncrementalOptions { max_cone_fraction: budget_pct as f64 / 100.0 };
-        let schedule = Schedule::capture_with(&base, &EarliestStart).unwrap();
-        let checked = assert_warm_matches_full(&base, &schedule, &patch, &EarliestStart, &opts,
-            &mut SimScratch::new());
-        let attempt = try_simulate_warm_with(&base, &schedule, &patch, &mut SimScratch::new(),
-            &EarliestStart, &opts)
-            .unwrap();
+        let schedule = Schedule::capture(&base).unwrap();
+        let checked =
+            assert_warm_matches_full(&base, &schedule, &patch, &opts, &mut SimScratch::new());
+        let attempt =
+            try_simulate_warm_with(&base, &schedule, &patch, &mut SimScratch::new(), &opts)
+                .unwrap();
         match attempt {
             Ok(warm) => prop_assert_eq!(warm, checked),
             Err(reason) => prop_assert_eq!(Some(reason), checked.stats.fallback),
@@ -246,7 +242,7 @@ proptest! {
         );
         // The incremental compiler handles the composed patch like any
         // other, and the incremental simulator agrees with full.
-        assert_incremental(&g, &composed, &EarliestStart, &FORCE);
+        assert_incremental(&g, &composed, &FORCE);
     }
 }
 
@@ -304,7 +300,7 @@ fn tail_retime_redispatches_only_the_tail() {
     let mut p = PatchGraph::new(&g);
     p.set_duration(ids[90], 500);
     let patch = p.finish();
-    let stats = assert_incremental(&g, &patch, &EarliestStart, &IncrementalOptions::default());
+    let stats = assert_incremental(&g, &patch, &IncrementalOptions::default());
     assert!(stats.is_incremental());
     assert_eq!(
         stats.redispatched, 10,
@@ -317,7 +313,7 @@ fn tail_retime_redispatches_only_the_tail() {
 fn empty_patch_redispatches_nothing() {
     let (g, _) = chain(20);
     let patch = PatchGraph::new(&g).finish();
-    let stats = assert_incremental(&g, &patch, &EarliestStart, &IncrementalOptions::default());
+    let stats = assert_incremental(&g, &patch, &IncrementalOptions::default());
     assert!(stats.is_incremental());
     assert_eq!(stats.redispatched, 0);
 }
@@ -328,12 +324,9 @@ fn priority_patch_is_free_under_priority_blind_policy() {
     let mut p = PatchGraph::new(&g);
     p.set_priority(ids[0], -99);
     let patch = p.finish();
-    // EarliestStart ignores priority: zero cone.
-    let stats = assert_incremental(&g, &patch, &EarliestStart, &IncrementalOptions::default());
+    // The default order ignores priority: zero cone.
+    let stats = assert_incremental(&g, &patch, &IncrementalOptions::default());
     assert_eq!(stats.redispatched, 0);
-    // P3 ranks comm tasks by priority: the change must be simulated
-    // (here everything still agrees — the chain has no comm thread).
-    assert_incremental(&g, &patch, &P3Scheduler, &FORCE);
 }
 
 /// A dependency removal can let a *later-ranked but earlier-timeline*
@@ -351,7 +344,7 @@ fn removed_dep_overtakes_earlier_timeline_task() {
     let mut p = PatchGraph::new(&g);
     p.remove_dep(x, u);
     let patch = p.finish();
-    let stats = assert_incremental(&g, &patch, &EarliestStart, &FORCE);
+    let stats = assert_incremental(&g, &patch, &FORCE);
     assert!(stats.is_incremental());
     assert_eq!(
         stats.cutoff_ns,
@@ -360,9 +353,7 @@ fn removed_dep_overtakes_earlier_timeline_task() {
     );
     // And the semantics: u (id 1) now beats w (id 2) on the shared CPU.
     let cg = CompiledGraph::compile(&g).apply(&patch);
-    let sim = simulate_compiled_with(&cg, &EarliestStart)
-        .unwrap()
-        .into_sim_result(&cg);
+    let sim = simulate_compiled(&cg).unwrap().into_sim_result(&cg);
     assert_eq!(sim.start_of(u), 0);
     assert_eq!(sim.start_of(w), 10);
 }
@@ -377,7 +368,7 @@ fn late_removed_dep_replays_the_prefix() {
     let mut p = PatchGraph::new(&g);
     p.remove_dep(x, ids[4]);
     let patch = p.finish();
-    let stats = assert_incremental(&g, &patch, &EarliestStart, &IncrementalOptions::default());
+    let stats = assert_incremental(&g, &patch, &IncrementalOptions::default());
     assert!(stats.is_incremental());
     assert_eq!(stats.cutoff_ns, Some(40), "cutoff at c3's finish");
     assert_eq!(
@@ -395,25 +386,8 @@ fn vacating_patch_falls_back() {
     let mut p = PatchGraph::new(&g);
     p.remove_task(b);
     let patch = p.finish();
-    let stats = assert_incremental(&g, &patch, &EarliestStart, &FORCE);
+    let stats = assert_incremental(&g, &patch, &FORCE);
     assert_eq!(stats.fallback, Some(FallbackReason::VacatedThreads));
-}
-
-#[test]
-fn unsafe_policy_falls_back() {
-    /// A policy that ranks by duration — not stable across retimes.
-    struct ByDuration;
-    impl FrontierOrder for ByDuration {
-        fn rank<G: RankInputs + ?Sized>(&self, graph: &G, task: CompactId) -> Rank {
-            (graph.duration_ns(task), task.0 as u64)
-        }
-    }
-    let (g, ids) = chain(10);
-    let mut p = PatchGraph::new(&g);
-    p.set_duration(ids[9], 99);
-    let patch = p.finish();
-    let stats = assert_incremental(&g, &patch, &ByDuration, &FORCE);
-    assert_eq!(stats.fallback, Some(FallbackReason::PolicyUnsafe));
 }
 
 #[test]
@@ -444,7 +418,7 @@ fn layered_overlay_equals_compose() {
     let a = CompiledGraph::compile(&composed.apply_reference(&g));
     let b = CompiledGraph::compile(&refinement.apply_reference(&mid));
     assert_eq!(canonical(&a), canonical(&b));
-    assert_incremental(&g, &composed, &EarliestStart, &FORCE);
+    assert_incremental(&g, &composed, &FORCE);
 }
 
 // --- The full what-if catalog over profiled model graphs -------------------
@@ -468,14 +442,9 @@ fn check_transform(pg: &ProfiledGraph, plan: impl FnOnce(&mut PatchGraph<'_>)) {
     plan(&mut p);
     let patch = p.finish();
     assert!(!patch.is_empty(), "transform must emit a non-empty patch");
-    assert_incremental(&pg.graph, &patch, &EarliestStart, &FORCE);
-    assert_incremental(
-        &pg.graph,
-        &patch,
-        &EarliestStart,
-        &IncrementalOptions::default(),
-    );
-    assert_incremental(&pg.graph, &patch, &EarliestStart, &FALLBACK);
+    assert_incremental(&pg.graph, &patch, &FORCE);
+    assert_incremental(&pg.graph, &patch, &IncrementalOptions::default());
+    assert_incremental(&pg.graph, &patch, &FALLBACK);
 }
 
 #[test]
@@ -593,6 +562,9 @@ fn incremental_matches_full_for_metaflow_on_bert() {
     check_transform(&bert_profile(), |g| plan_metaflow(g, &policy));
 }
 
+/// P3 itself evaluates on the full path (`P3Plan`, under its priority
+/// order); this pins the warm path on its large insert patch over the
+/// replicated base, under the default order.
 #[test]
 fn incremental_matches_full_for_p3_on_replicated_base() {
     let pg = resnet_profile();
@@ -603,12 +575,7 @@ fn incremental_matches_full_for_p3_on_replicated_base() {
         let mut p = PatchGraph::new(&rep.graph);
         plan_p3_inserts(&mut p, &inserts);
         let patch = p.finish();
-        assert_incremental(&rep.graph, &patch, &P3Scheduler, &FORCE);
-        assert_incremental(
-            &rep.graph,
-            &patch,
-            &P3Scheduler,
-            &IncrementalOptions::default(),
-        );
+        assert_incremental(&rep.graph, &patch, &FORCE);
+        assert_incremental(&rep.graph, &patch, &IncrementalOptions::default());
     }
 }

@@ -9,31 +9,19 @@
 //! running `simulate_compiled_with` fresh. So: random DAGs, random op
 //! sequences (retimes, thread moves, inserts onto threads the base never
 //! used, removals that vacate a base thread, inserts removed again,
-//! rewires in either direction), interleaved across *two* bases and
-//! three frontier policies (priority-blind, priority-ranking, and one
-//! that is not incremental-safe), with forced fallbacks mixed in — every
-//! step on the one shared arena must be byte-identical to the oracle.
+//! rewires in either direction), interleaved across *two* bases, with
+//! forced fallbacks mixed in — every step on the one shared arena must be
+//! byte-identical to the oracle.
 
 mod common;
 
 use common::assert_warm_matches_full;
-use daydream_core::whatif::P3Scheduler;
 use daydream_core::{
-    CommChannel, CompactId, CompiledGraph, DepKind, DependencyGraph, EarliestStart, ExecThread,
-    FrontierOrder, GraphEdit, GraphView, IncrementalOptions, PatchGraph, Rank, RankInputs,
-    Schedule, SimScratch, Task, TaskId, TaskKind,
+    simulate_warm, CommChannel, CompiledGraph, DepKind, DependencyGraph, ExecThread, GraphEdit,
+    GraphView, IncrementalOptions, PatchGraph, Schedule, SimScratch, Task, TaskId, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
-
-/// Ranks by duration — not stable across retimes, so the warm path must
-/// take the full-simulation fallback and still match the oracle's.
-struct ByDuration;
-impl FrontierOrder for ByDuration {
-    fn rank<G: RankInputs + ?Sized>(&self, graph: &G, task: CompactId) -> Rank {
-        (graph.duration_ns(task), task.0 as u64)
-    }
-}
 
 fn thread_for(sel: u64) -> ExecThread {
     match sel % 5 {
@@ -179,28 +167,25 @@ fn apply_random_op(p: &mut PatchGraph<'_>, op: (u64, u64, u64, u64)) {
     }
 }
 
-/// One compiled base with a captured schedule per policy.
+/// One compiled base with its captured schedule.
 struct WarmBase {
     graph: DependencyGraph,
     cg: CompiledGraph,
-    sched_es: Schedule,
-    sched_p3: Schedule,
-    sched_dur: Schedule,
+    schedule: Schedule,
 }
 
 impl WarmBase {
     fn build(tasks: &[(u64, u64, u64)], edges: &[(u64, u64)]) -> WarmBase {
-        let graph = build_dag(tasks, edges);
+        WarmBase::of(build_dag(tasks, edges))
+    }
+
+    fn of(graph: DependencyGraph) -> WarmBase {
         let cg = CompiledGraph::compile(&graph);
-        let sched_es = Schedule::capture_with(&cg, &EarliestStart).expect("base must be a DAG");
-        let sched_p3 = Schedule::capture_with(&cg, &P3Scheduler).expect("base must be a DAG");
-        let sched_dur = Schedule::capture_with(&cg, &ByDuration).expect("base must be a DAG");
+        let schedule = Schedule::capture(&cg).expect("base must be a DAG");
         WarmBase {
             graph,
             cg,
-            sched_es,
-            sched_p3,
-            sched_dur,
+            schedule,
         }
     }
 }
@@ -209,9 +194,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Back-to-back warm evaluations on ONE arena, hopping between two
-    // bases of different sizes and three policies, with the cone budget
-    // cycling through default / forced / zero (forced full fallback).
-    // Every step must be byte-identical to a fresh-allocation run.
+    // bases of different sizes, with the cone budget cycling through
+    // default / forced / zero (forced full fallback). Every step must be
+    // byte-identical to a fresh-allocation run.
     #[test]
     fn arena_reuse_is_byte_identical_to_fresh_allocation(
         tasks_a in prop::collection::vec((0u64..5, 0u64..200, 0u64..30), 1..40),
@@ -220,7 +205,7 @@ proptest! {
         edges_b in prop::collection::vec((0u64..10_000, 0u64..10_000), 0..50),
         steps in prop::collection::vec(
             (
-                0u64..6, // base x policy selector
+                0u64..2, // base selector
                 0u64..3, // cone budget: default / forced / zero
                 prop::collection::vec(
                     (0u64..10_000, 0u64..10_000, 0u64..10_000, 0u64..10_000), 0..8),
@@ -233,7 +218,7 @@ proptest! {
         ];
         let mut scratch = SimScratch::new();
         for (sel, budget, ops) in &steps {
-            let base = &bases[(*sel as usize) % 2];
+            let base = &bases[*sel as usize];
             let mut p = PatchGraph::new(&base.graph);
             for &op in ops {
                 apply_random_op(&mut p, op);
@@ -244,14 +229,7 @@ proptest! {
                 1 => IncrementalOptions { max_cone_fraction: 1.0 },
                 _ => IncrementalOptions { max_cone_fraction: 0.0 },
             };
-            match (*sel / 2) % 3 {
-                0 => assert_warm_matches_full(
-                    &base.cg, &base.sched_es, &patch, &EarliestStart, &opts, &mut scratch),
-                1 => assert_warm_matches_full(
-                    &base.cg, &base.sched_p3, &patch, &P3Scheduler, &opts, &mut scratch),
-                _ => assert_warm_matches_full(
-                    &base.cg, &base.sched_dur, &patch, &ByDuration, &opts, &mut scratch),
-            };
+            assert_warm_matches_full(&base.cg, &base.schedule, &patch, &opts, &mut scratch);
         }
     }
 }
@@ -277,13 +255,103 @@ fn fresh_threads_materialize_in_apply_order() {
             max_cone_fraction: 0.0,
         },
     ] {
+        assert_warm_matches_full(&base.cg, &base.schedule, &patch, &opts, &mut scratch);
+    }
+}
+
+/// A serial CPU chain of `n` tasks: durations 10, 11, ... and 1 ns gaps.
+fn chain(n: u64) -> (WarmBase, Vec<TaskId>) {
+    let mut g = DependencyGraph::new();
+    let ids: Vec<TaskId> = (0..n)
+        .map(|i| {
+            let mut t = Task::new(
+                "c",
+                TaskKind::CpuWork,
+                ExecThread::Cpu(CpuThreadId(0)),
+                10 + i,
+            );
+            t.gap_ns = 1;
+            g.add_task(t)
+        })
+        .collect();
+    for w in ids.windows(2) {
+        g.add_dep(w[0], w[1], DepKind::CpuSeq);
+    }
+    (WarmBase::of(g), ids)
+}
+
+/// Warm evaluation against the full oracle on a single arena across every
+/// path: cone, no-op, forced full fallback, and a structural patch.
+#[test]
+fn warm_paths_match_the_classic_oracle() {
+    let (base, ids) = chain(12);
+    let mut scratch = SimScratch::new();
+    let default = IncrementalOptions::default();
+    let mut check = |p: PatchGraph<'_>, opts: &IncrementalOptions| {
+        assert_warm_matches_full(&base.cg, &base.schedule, &p.finish(), opts, &mut scratch)
+    };
+
+    // Cone re-dispatch.
+    let mut p = PatchGraph::new(&base.graph);
+    p.set_duration(ids[8], 500);
+    check(p, &default);
+    // No-op: the default order ignores priority.
+    let mut p = PatchGraph::new(&base.graph);
+    p.set_priority(ids[3], 7);
+    assert_eq!(check(p, &default).stats.redispatched, 0);
+    // Forced full fallback stays on the overlay (no apply).
+    let mut p = PatchGraph::new(&base.graph);
+    p.set_duration(ids[2], 900);
+    let zero = IncrementalOptions {
+        max_cone_fraction: 0.0,
+    };
+    check(p, &zero);
+    // Structural patch: simulated over the overlay, never applied.
+    let mut p = PatchGraph::new(&base.graph);
+    let extra = p.add_task(Task::new(
+        "c",
+        TaskKind::CpuWork,
+        ExecThread::Cpu(CpuThreadId(0)),
+        40,
+    ));
+    p.add_dep(ids[10], extra, DepKind::Transform);
+    check(p, &default);
+    // Back-to-back cone on the same arena: stale stamps must not leak.
+    let mut p = PatchGraph::new(&base.graph);
+    p.set_duration(ids[4], 123);
+    check(p, &default);
+
+    assert!(
+        scratch.counters().reuses >= 2,
+        "warm arena must be reused across evals"
+    );
+}
+
+/// Epoch overflow (u32 wrap) must reset the stamp arrays cleanly:
+/// evaluations across the wrap stay byte-identical to the oracle and
+/// the counter restarts at 1.
+#[test]
+fn epoch_wrap_resets_cleanly() {
+    let (base, ids) = chain(8);
+    let mut scratch = SimScratch::new();
+    let mk = |target: usize, ns: u64| {
+        let mut p = PatchGraph::new(&base.graph);
+        p.set_duration(ids[target], ns);
+        p.finish()
+    };
+    // Size the arena, then park the counter just below the wrap.
+    simulate_warm(&base.cg, &base.schedule, &mk(5, 500), &mut scratch).unwrap();
+    scratch.force_epoch(u32::MAX - 1);
+    // Epochs u32::MAX, then wrap -> 1, then 2 — different cones each
+    // time so a stale stamp surviving the wrap would corrupt output.
+    for (target, ns) in [(5usize, 600u64), (2, 700), (6, 800)] {
         assert_warm_matches_full(
             &base.cg,
-            &base.sched_es,
-            &patch,
-            &EarliestStart,
-            &opts,
+            &base.schedule,
+            &mk(target, ns),
+            &IncrementalOptions::default(),
             &mut scratch,
         );
     }
+    assert_eq!(scratch.epoch(), 2, "wrap must restart the counter at 1");
 }

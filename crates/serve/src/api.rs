@@ -3,11 +3,12 @@
 //!
 //! [`SweepGrid`] itself is not serializable (it carries closure
 //! filters), so submissions arrive as [`SweepRequest`] — a plain-data
-//! mirror of the CLI's axis options with the *same defaults*, so a grid
-//! submitted to the daemon expands to exactly the scenario list the
-//! offline `daydream sweep` builds from the same arguments. That shared
-//! vocabulary is what makes the served report byte-identical to the
-//! offline one.
+//! mirror of the CLI's axis options. The offline `daydream sweep` parses
+//! its options into the same type and expands the same
+//! [`SweepRequest::grid`], so a grid submitted to the daemon expands to
+//! exactly the scenario list the CLI builds from the same arguments.
+//! That shared vocabulary is what makes the served report byte-identical
+//! to the offline one.
 
 use daydream_sweep::{Scenario, SweepGrid};
 use serde::{Deserialize, Serialize};
@@ -113,7 +114,8 @@ pub struct SweepRequest {
 }
 
 impl SweepRequest {
-    /// Builds the grid, axis for axis, with the CLI's defaults.
+    /// Builds the grid, axis for axis: the one copy of the sweep defaults,
+    /// shared by the daemon and `daydream sweep`.
     pub fn grid(&self) -> Result<SweepGrid, String> {
         let lossy = match self.lossy.as_deref().unwrap_or("off") {
             "off" => vec![false],

@@ -65,7 +65,6 @@ pub mod error;
 pub mod faults;
 pub mod merge;
 pub mod plan;
-pub mod rounds;
 pub mod rundir;
 pub mod store;
 pub mod worker;
@@ -74,7 +73,6 @@ pub use error::{with_retry, Recovery, RetryPolicy, ShardError, Step};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultPoint, ScheduledFault};
 pub use merge::{load_merged, merge_run, merged_cache, write_merged};
 pub use plan::ShardPlan;
-pub use rounds::RoundPlan;
 pub use rundir::{
     write_json_atomic, ClaimedShard, RunDir, RunManifest, RunStatus, ShardLease, ShardResult,
 };

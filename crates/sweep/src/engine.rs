@@ -17,8 +17,8 @@ use daydream_core::whatif::{
 };
 use daydream_core::{
     busy_time_bound, simulate_warm, thread_busy_after, thread_busy_ns, try_simulate_warm_with,
-    CompiledGraph, EarliestStart, ExecThread, GraphPatch, IncrementalOptions, IncrementalStats,
-    PatchGraph, Prediction, ProfiledGraph, Schedule, ScratchPool, SimScratch, TaskId, TaskKind,
+    CompiledGraph, ExecThread, GraphPatch, IncrementalOptions, IncrementalStats, PatchGraph,
+    Prediction, ProfiledGraph, Schedule, ScratchPool, SimScratch, TaskId, TaskKind,
 };
 use daydream_device::GpuSpec;
 use daydream_models::{
@@ -1114,15 +1114,9 @@ fn evaluate(
                 // the O(|patch|) busy-time bound — a lower bound on the
                 // makespan that ranks rung candidates, never simulated.
                 let opts = IncrementalOptions { max_cone_fraction };
-                let attempt = try_simulate_warm_with(
-                    &base.compiled,
-                    &base.schedule,
-                    patch,
-                    scratch,
-                    &EarliestStart,
-                    &opts,
-                )
-                .map_err(dag_error)?;
+                let attempt =
+                    try_simulate_warm_with(&base.compiled, &base.schedule, patch, scratch, &opts)
+                        .map_err(dag_error)?;
                 match attempt {
                     Ok(outcome) => {
                         counters.record(&outcome.stats);
@@ -1525,7 +1519,6 @@ mod tests {
                 &base.schedule,
                 patch,
                 &mut scratch,
-                &EarliestStart,
                 &IncrementalOptions::default(),
             )
             .unwrap();

@@ -19,9 +19,8 @@
 //!
 //! Determinism: survivors are selected by `(front rank, predicted time,
 //! fingerprint)` and carried between rungs sorted by
-//! [`Scenario::fingerprint`], so a search is reproducible across runs,
-//! thread counts, and shard merges (the per-rung survivor sets double as
-//! round inputs for `daydream-shard`'s round plans). With
+//! [`Scenario::fingerprint`], so a search is reproducible across runs
+//! and thread counts. With
 //! `keep_fraction = 1.0` nothing is ever pruned and the final report is
 //! byte-identical to the exhaustive sweep's.
 //!
@@ -129,7 +128,7 @@ pub struct RungStats {
     /// Wall-clock time of the rung, ms.
     pub wall_ms: u64,
     /// Fingerprints (hex, sorted) of the scenarios promoted out of this
-    /// rung — the shard-round input for distributed search.
+    /// rung.
     pub survivors: Vec<String>,
 }
 
@@ -386,9 +385,9 @@ pub fn run_search(
     search_scenarios(engine, grid.expand()?, cfg)
 }
 
-/// Runs the search over an explicit scenario list (one shard's slice of
-/// a distributed search). Duplicate fingerprints collapse to their first
-/// occurrence — survivor sets are fingerprint-keyed.
+/// Runs the search over an explicit scenario list. Duplicate
+/// fingerprints collapse to their first occurrence — survivor sets are
+/// fingerprint-keyed.
 pub fn search_scenarios(
     engine: &SweepEngine,
     scenarios: Vec<Scenario>,

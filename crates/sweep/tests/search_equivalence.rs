@@ -168,7 +168,7 @@ proptest! {
 }
 
 /// Determinism pin: the same search on fresh engines returns identical
-/// reports, promotions, and survivor sets (the shard-round contract).
+/// reports, promotions, and survivor sets.
 #[test]
 fn search_is_deterministic_across_engines() {
     let grid = SweepGrid::builder()
