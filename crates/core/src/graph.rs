@@ -102,6 +102,25 @@ pub trait GraphEdit: GraphView {
     /// Removes a task, bridging its thread sequences (Remove primitive).
     fn remove_task(&mut self, id: TaskId);
 
+    /// Removes every task in `ids`, as if by [`GraphEdit::remove_task`]
+    /// on each id in order. Duplicates and ids already removed are
+    /// skipped.
+    ///
+    /// An implementation may remove the set in one pass instead. It must
+    /// then record the same removals in the same order, and leave every
+    /// live task with the same successor set as the sequential removals:
+    /// `u -> v` for each pair of live tasks joined by an edge or by a
+    /// path whose inner tasks are all removed. A bridged edge takes
+    /// `remove_task`'s kind rule along the path that first reaches it
+    /// (equal kinds are kept, otherwise [`DepKind::Transform`]), so where
+    /// several removed paths join the same pair its kind can differ from
+    /// the sequential result. Simulation and compilation ignore kinds.
+    fn remove_tasks(&mut self, ids: &[TaskId]) {
+        for &id in ids {
+            self.remove_task(id);
+        }
+    }
+
     /// Sets a task's duration (the shrink/scale primitives).
     fn set_duration(&mut self, id: TaskId, duration_ns: u64);
 
@@ -189,6 +208,17 @@ pub struct DependencyGraph {
     edges: HashSet<u64>,
 }
 
+/// The kind of the edge that bridges a removed task: an edge of kind
+/// `into` reaches it and one of kind `out` leaves it. Equal kinds are
+/// kept; otherwise the bridge is a [`DepKind::Transform`] edge.
+pub(crate) fn bridge_kind(into: DepKind, out: DepKind) -> DepKind {
+    if into == out {
+        into
+    } else {
+        DepKind::Transform
+    }
+}
+
 /// Packed `(from, to)` key for the edge set.
 fn edge_key(from: TaskId, to: TaskId) -> u64 {
     debug_assert!(from.0 < u32::MAX as usize && to.0 < u32::MAX as usize);
@@ -258,8 +288,7 @@ impl DependencyGraph {
         // Bridge.
         for &(p, pk) in &preds {
             for &(s, sk) in &succs {
-                let kind = if pk == sk { pk } else { DepKind::Transform };
-                self.add_dep(p, s, kind);
+                self.add_dep(p, s, bridge_kind(pk, sk));
             }
         }
     }

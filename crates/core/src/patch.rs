@@ -21,15 +21,30 @@
 //!   Equivalence proptests pin `apply == apply_reference` for every
 //!   what-if transform in the catalog.
 //!
-//! The overlay stores its state in dense, arena-indexed arrays (boxed
-//! slots, a touched-id list, a removal bitmap) rather than hash maps:
-//! catalog transforms like AMP retime most of the graph, and per-op hash
-//! lookups would make emit as expensive as the clone it replaces.
+//! The overlay stores its state in arrays rather than hash maps: catalog
+//! transforms like AMP retime most of the graph, and per-op hash lookups
+//! would make emit as expensive as the clone it replaces. Only flat
+//! arrays of plain values span the whole arena (override flags, scalar
+//! overrides, a removal bitmap, and `u32` slot maps), so creating,
+//! cloning and dropping an overlay copies memory blocks. The slot maps
+//! index compact arenas that hold only what the patch touched: merged
+//! task views and overridden edge lists. Layering a refinement onto a
+//! cached DDP patch therefore clones in proportion to that patch.
+//!
+//! [`GraphEdit::remove_tasks`] removes a set in one pass: mark the set,
+//! collect its live predecessors and successors, and walk the removed
+//! region once from each outside predecessor, bridging it to every
+//! outside successor it reaches. Only those boundary tasks get overlay
+//! edge lists. The op log and every live task's successor set are those
+//! of removing the ids one by one; a bridge's kind follows `remove_task`'s
+//! rule along the path that first reaches it, so it can differ from
+//! sequential removal only where several removed paths join one pair.
 
-use crate::graph::{DepKind, DependencyGraph, GraphEdit, GraphView, TaskId};
+use crate::graph::{bridge_kind, DepKind, DependencyGraph, GraphEdit, GraphView, TaskId};
 use crate::task::{ExecThread, Task, TaskKind};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// One recorded mutation of a base graph.
 ///
@@ -108,12 +123,15 @@ pub enum PatchOp {
 /// recording; the op log stays the authoritative definition (the overlay
 /// mirrors [`DependencyGraph`]'s mutation semantics op by op).
 ///
-/// All per-task storage is dense and arena-indexed; `None` slots mean
-/// "untouched, read the base". Field updates are stored as sparse scalar
-/// overrides — materializing a full `Task` per touched node (a `String`
-/// clone each) would make dense retimes as expensive as the graph clone
-/// this module exists to avoid; the merged `Task` view is built lazily,
-/// only when a planner actually re-reads a modified task.
+/// Per-task state covers the whole arena only as flat arrays of plain
+/// values (flag bytes, scalar overrides, the removal bitmap, `u32` slot
+/// maps), so creating, cloning and dropping a delta copies memory blocks
+/// instead of visiting slots. Everything else lives in compact arenas
+/// holding only the tasks the patch touched. Field updates are stored as
+/// sparse scalar overrides — materializing a full `Task` per touched node
+/// (a `String` clone each) would make dense retimes as expensive as the
+/// graph clone this module exists to avoid; the merged `Task` view is
+/// built lazily, only when a planner actually re-reads a modified task.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NetDelta {
     /// Per-task override bitmap (0 = untouched); the flat field arrays
@@ -127,26 +145,27 @@ pub(crate) struct NetDelta {
     /// Rare structured overrides (blueconnect/batch-size rewrites).
     kind: std::collections::HashMap<usize, TaskKind>,
     name: std::collections::HashMap<usize, String>,
-    /// Lazily merged full-`Task` views: pre-filled for inserted tasks,
-    /// built on first read for modified base tasks, kept in sync by
-    /// every later setter. `OnceLock` (not `OnceCell`) so finished
-    /// patches are `Sync` — the sweep engine shares cached DDP patches
-    /// across worker threads and layers refinements on top.
-    merged: Vec<std::sync::OnceLock<Box<Task>>>,
     /// Ids with a nonzero flag byte, in first-touch order.
     touched: Vec<TaskId>,
+    /// Merged full-`Task` views of the touched tasks. The table is
+    /// created by the first insert or the first read of a touched task,
+    /// so a retime no planner re-reads never builds it. `OnceLock` (not
+    /// `OnceCell`) so finished patches are `Sync` — the sweep engine
+    /// shares cached DDP patches across worker threads and layers
+    /// refinements on top.
+    views: OnceLock<Views>,
     /// Removal bitmap (base or new tasks removed by this patch).
     removed: Vec<bool>,
     /// Ids with a set bit in `removed`, in removal order.
     removed_list: Vec<TaskId>,
-    /// Final successor lists of every task whose out-edges changed.
-    succ: Vec<Option<Box<EdgeList>>>,
-    /// Final predecessor lists of every task whose in-edges changed.
-    pred: Vec<Option<Box<EdgeList>>>,
-    /// Ids with a `succ` or `pred` list, each once, in first-write order.
+    /// Ids with an overridden adjacency list (successors, predecessors,
+    /// or both), each once, in first-write order.
     edge_ids: Vec<TaskId>,
-    /// `true` once any adjacency list has been touched.
-    edges_touched: bool,
+    /// Per-task index into `edge_ids` and `edges` (`NO_SLOT` = no list).
+    edge_at: Vec<u32>,
+    /// Final adjacency lists of the tasks whose edges changed, parallel
+    /// to `edge_ids`.
+    edges: Vec<EdgeSlot>,
     /// Ids of added tasks, ascending (includes ones removed again).
     new_ids: Vec<TaskId>,
 }
@@ -163,8 +182,87 @@ const F_NAME: u8 = 1 << 5;
 /// `F_THREAD`).
 const NO_THREAD: ExecThread = ExecThread::Cpu(daydream_trace::CpuThreadId(u32::MAX));
 
+/// Filler for the slot maps: the task has no entry in the arena.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Merged full-`Task` views, one cell per touched task: pre-filled for
+/// inserted tasks, built on first read for modified base tasks, and kept
+/// in sync by every later setter.
+#[derive(Debug, Clone)]
+struct Views {
+    /// Per-task index into `cells` (`NO_SLOT` = untouched).
+    at: Vec<u32>,
+    /// Empty cells until first read, in first-touch order.
+    cells: Vec<OnceLock<Box<Task>>>,
+}
+
+impl Views {
+    /// One empty cell per id of `touched`, in an arena of `len` tasks.
+    fn new(touched: &[TaskId], len: usize) -> Views {
+        let mut at = vec![NO_SLOT; len];
+        for (i, id) in touched.iter().enumerate() {
+            at[id.0] = i as u32;
+        }
+        Views {
+            at,
+            cells: touched.iter().map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Adds an empty cell for a newly touched task.
+    fn push(&mut self, id: TaskId) {
+        if self.at.len() <= id.0 {
+            self.at.resize(id.0 + 1, NO_SLOT);
+        }
+        self.at[id.0] = self.cells.len() as u32;
+        self.cells.push(OnceLock::new());
+    }
+}
+
 /// A task's typed adjacency list.
 type EdgeList = Vec<(TaskId, DepKind)>;
+
+/// One side of a task's adjacency.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    Succ,
+    Pred,
+}
+
+/// The overridden adjacency of one task; `None` reads the base list.
+#[derive(Debug, Clone, Default)]
+struct EdgeSlot {
+    succ: Option<EdgeList>,
+    pred: Option<EdgeList>,
+}
+
+impl EdgeSlot {
+    fn side(&self, side: Side) -> Option<&EdgeList> {
+        match side {
+            Side::Succ => self.succ.as_ref(),
+            Side::Pred => self.pred.as_ref(),
+        }
+    }
+
+    fn side_mut(&mut self, side: Side) -> &mut Option<EdgeList> {
+        match side {
+            Side::Succ => &mut self.succ,
+            Side::Pred => &mut self.pred,
+        }
+    }
+}
+
+/// `id`'s adjacency list on `side` in the base graph (empty for ids the
+/// base never issued).
+fn base_list(base: &DependencyGraph, id: TaskId, side: Side) -> &[(TaskId, DepKind)] {
+    if id.0 >= base.capacity() {
+        return NO_EDGES;
+    }
+    match side {
+        Side::Succ => base.successors(id),
+        Side::Pred => base.predecessors(id),
+    }
+}
 
 /// Copy-out of a slot's simulation-relevant overrides (what
 /// [`crate::CompiledGraph::apply`] merges onto its base arrays).
@@ -180,8 +278,12 @@ pub(crate) struct ScalarOver {
     pub(crate) thread: Option<ExecThread>,
 }
 
-fn dense_get<T>(v: &[Option<Box<T>>], i: usize) -> Option<&T> {
-    v.get(i).and_then(|o| o.as_deref())
+/// The arena index `map` holds for `id`, if any.
+fn slot(map: &[u32], id: TaskId) -> Option<usize> {
+    map.get(id.0)
+        .copied()
+        .filter(|&s| s != NO_SLOT)
+        .map(|s| s as usize)
 }
 
 impl NetDelta {
@@ -195,7 +297,6 @@ impl NetDelta {
     fn ensure(&mut self, len: usize) {
         if self.flags.len() < len {
             self.flags.resize(len, 0);
-            self.merged.resize_with(len, std::sync::OnceLock::new);
         }
     }
 
@@ -238,28 +339,40 @@ impl NetDelta {
         })
     }
 
-    /// Pending merged-view cell for `id`, if the cache array covers it.
-    fn merged_mut(&mut self, i: usize) -> Option<&mut Task> {
-        self.merged
-            .get_mut(i)
-            .and_then(|c| c.get_mut())
+    /// The merged-view cell of a touched task (creating the table).
+    fn merged_cell(&self, id: TaskId) -> &OnceLock<Box<Task>> {
+        let views = self
+            .views
+            .get_or_init(|| Views::new(&self.touched, self.flags.len()));
+        &views.cells[slot(&views.at, id).expect("touched task has a slot")]
+    }
+
+    /// The merged view of a touched task, if it has been built.
+    fn merged_mut(&mut self, id: TaskId) -> Option<&mut Task> {
+        let views = self.views.get_mut()?;
+        views.cells[slot(&views.at, id)?]
+            .get_mut()
             .map(|b| &mut **b)
     }
 
     /// The full task state of an *inserted* task (always materialized).
     pub(crate) fn new_task(&self, id: TaskId) -> &Task {
-        self.merged
-            .get(id.0)
-            .and_then(|c| c.get())
+        self.views
+            .get()
+            .and_then(|v| v.cells[slot(&v.at, id)?].get())
             .expect("inserted tasks are fully materialized")
     }
 
+    fn over(&self, id: TaskId, side: Side) -> Option<&EdgeList> {
+        slot(&self.edge_at, id).and_then(|s| self.edges[s].side(side))
+    }
+
     pub(crate) fn succ_over(&self, id: TaskId) -> Option<&EdgeList> {
-        dense_get(&self.succ, id.0)
+        self.over(id, Side::Succ)
     }
 
     pub(crate) fn pred_over(&self, id: TaskId) -> Option<&EdgeList> {
-        dense_get(&self.pred, id.0)
+        self.over(id, Side::Pred)
     }
 
     pub(crate) fn is_removed(&self, id: TaskId) -> bool {
@@ -278,7 +391,7 @@ impl NetDelta {
     /// `true` when the patch changes topology (tasks in/out, edges, or
     /// anything that invalidates the base CSR).
     pub(crate) fn is_structural(&self) -> bool {
-        !self.removed_list.is_empty() || !self.new_ids.is_empty() || self.edges_touched
+        !self.removed_list.is_empty() || !self.new_ids.is_empty() || !self.edge_ids.is_empty()
     }
 
     /// Ids the patch removed, in removal order. O(removed).
@@ -300,15 +413,51 @@ impl NetDelta {
     pub(crate) fn pred_overlay_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
         self.edge_ids
             .iter()
-            .copied()
-            .filter(|&id| self.pred_over(id).is_some())
+            .zip(&self.edges)
+            .filter(|(_, e)| e.pred.is_some())
+            .map(|(&id, _)| id)
     }
 
-    /// Records `id` in `edge_ids` when it has no adjacency list yet.
-    fn note_edge_id(&mut self, id: TaskId) {
-        if self.succ_over(id).is_none() && self.pred_over(id).is_none() {
-            self.edge_ids.push(id);
+    /// `id`'s index in `edges`, adding an empty slot (and recording `id`
+    /// in `edge_ids`) on first use.
+    fn edge_slot(&mut self, id: TaskId) -> usize {
+        if self.edge_at.len() <= id.0 {
+            self.edge_at.resize(id.0 + 1, NO_SLOT);
         }
+        if self.edge_at[id.0] == NO_SLOT {
+            self.edge_at[id.0] = self.edges.len() as u32;
+            self.edge_ids.push(id);
+            self.edges.push(EdgeSlot::default());
+        }
+        self.edge_at[id.0] as usize
+    }
+
+    /// `id`'s overlay list on `side`, copied from the base on first write
+    /// (empty for overlay-added tasks).
+    fn list_mut(&mut self, base: &DependencyGraph, id: TaskId, side: Side) -> &mut EdgeList {
+        let s = self.edge_slot(id);
+        self.edges[s]
+            .side_mut(side)
+            .get_or_insert_with(|| base_list(base, id, side).to_vec())
+    }
+
+    /// Drops every removed task from `id`'s list on `side`.
+    fn drop_removed(&mut self, base: &DependencyGraph, id: TaskId, side: Side) {
+        let s = self.edge_slot(id);
+        let removed = &self.removed;
+        self.edges[s]
+            .side_mut(side)
+            .get_or_insert_with(|| base_list(base, id, side).to_vec())
+            .retain(|&(t, _)| !removed.get(t.0).copied().unwrap_or(false));
+    }
+
+    /// Marks `id` removed (`len` sizes a bitmap that is still too short).
+    fn mark_removed(&mut self, id: TaskId, len: usize) {
+        if self.removed.len() <= id.0 {
+            self.removed.resize(len.max(id.0 + 1), false);
+        }
+        self.removed[id.0] = true;
+        self.removed_list.push(id);
     }
 }
 
@@ -607,19 +756,52 @@ pub struct PatchGraph<'a> {
     base: &'a DependencyGraph,
     ops: Vec<PatchOp>,
     delta: NetDelta,
-    /// Neighbour buffers [`GraphEdit::remove_task`] reuses across calls.
-    removed_preds: EdgeList,
-    removed_succs: EdgeList,
+    /// Buffers [`GraphEdit::remove_tasks`] reuses across calls.
+    scratch: RemovalScratch,
+}
+
+/// Scratch state of [`GraphEdit::remove_tasks`] on a [`PatchGraph`],
+/// kept across calls: metaflow removes one layer per call.
+#[derive(Debug, Default)]
+struct RemovalScratch {
+    /// Per-task marks: `stamp[i] == epoch` marks task `i` seen by the
+    /// current pass.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The tasks this call removes.
+    set: Vec<TaskId>,
+    /// The set's live predecessors and successors, each once.
+    preds: Vec<TaskId>,
+    succs: Vec<TaskId>,
+    /// Depth-first walk stack: a removed task and the merged kind of the
+    /// path that reached it.
+    stack: Vec<(TaskId, DepKind)>,
+    /// Bridges the walks found, as `(from, to, kind)`.
+    bridges: Vec<(TaskId, TaskId, DepKind)>,
+}
+
+impl RemovalScratch {
+    /// Starts a pass with fresh marks over an arena of `len` tasks.
+    fn next_epoch(&mut self, len: usize) {
+        if self.stamp.len() < len {
+            self.stamp.resize(len, 0);
+        }
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// Marks `id` for the current pass; `false` if it already was.
+    fn mark(&mut self, id: TaskId) -> bool {
+        let fresh = self.stamp[id.0] != self.epoch;
+        self.stamp[id.0] = self.epoch;
+        fresh
+    }
 }
 
 const NO_EDGES: &[(TaskId, DepKind)] = &[];
-
-/// Grows `v` with `None` up to (at least) `len` slots.
-fn ensure_slots<T>(v: &mut Vec<Option<Box<T>>>, len: usize) {
-    if v.len() < len {
-        v.resize_with(len, || None);
-    }
-}
 
 impl<'a> PatchGraph<'a> {
     /// A fresh overlay over `base`.
@@ -628,8 +810,7 @@ impl<'a> PatchGraph<'a> {
             base,
             ops: Vec::new(),
             delta: NetDelta::default(),
-            removed_preds: Vec::new(),
-            removed_succs: Vec::new(),
+            scratch: RemovalScratch::default(),
         }
     }
 
@@ -653,8 +834,7 @@ impl<'a> PatchGraph<'a> {
             base,
             ops: prior.ops.clone(),
             delta: prior.delta.clone(),
-            removed_preds: Vec::new(),
-            removed_succs: Vec::new(),
+            scratch: RemovalScratch::default(),
         }
     }
 
@@ -682,45 +862,26 @@ impl<'a> PatchGraph<'a> {
         }
     }
 
-    /// Overlay successor list for `id`, cloned from the base on first
-    /// write (empty for overlay-added tasks).
-    fn succ_mut(&mut self, id: TaskId) -> &mut Vec<(TaskId, DepKind)> {
-        self.delta.edges_touched = true;
-        self.delta.note_edge_id(id);
-        let len = self.capacity().max(id.0 + 1);
-        ensure_slots(&mut self.delta.succ, len);
-        let base = self.base;
-        self.delta.succ[id.0].get_or_insert_with(|| {
-            Box::new(if id.0 < base.capacity() {
-                base.successors(id).to_vec()
-            } else {
-                Vec::new()
-            })
-        })
-    }
-
-    fn pred_mut(&mut self, id: TaskId) -> &mut Vec<(TaskId, DepKind)> {
-        self.delta.edges_touched = true;
-        self.delta.note_edge_id(id);
-        let len = self.capacity().max(id.0 + 1);
-        ensure_slots(&mut self.delta.pred, len);
-        let base = self.base;
-        self.delta.pred[id.0].get_or_insert_with(|| {
-            Box::new(if id.0 < base.capacity() {
-                base.predecessors(id).to_vec()
-            } else {
-                Vec::new()
-            })
-        })
+    /// `id`'s current list on `side`, read past a removal mark (what
+    /// `remove_tasks` needs for the tasks it has just marked).
+    fn list(&self, id: TaskId, side: Side) -> &[(TaskId, DepKind)] {
+        match self.delta.over(id, side) {
+            Some(v) => v,
+            None => base_list(self.base, id, side),
+        }
     }
 
     /// Marks `id` touched (growing the override arrays as needed) and
     /// returns its index. No base `Task` clone — overrides are sparse.
     fn touch(&mut self, id: TaskId) -> usize {
         let len = self.capacity().max(id.0 + 1);
-        self.delta.ensure(len);
-        if self.delta.flags[id.0] == 0 {
-            self.delta.touched.push(id);
+        let d = &mut self.delta;
+        d.ensure(len);
+        if d.flags[id.0] == 0 {
+            d.touched.push(id);
+            if let Some(views) = d.views.get_mut() {
+                views.push(id);
+            }
         }
         id.0
     }
@@ -731,15 +892,12 @@ impl<'a> PatchGraph<'a> {
             .any(|&(t, _)| t == to)
     }
 
-    /// Inserts the edge without recording an op (bridging inside
-    /// `remove_task` is part of the `RemoveTask` op's semantics).
-    fn insert_edge(&mut self, from: TaskId, to: TaskId, kind: DepKind) -> bool {
-        if from == to || self.edge_exists(from, to) {
-            return false;
-        }
-        self.succ_mut(from).push((to, kind));
-        self.pred_mut(to).push((from, kind));
-        true
+    /// Writes the edge into both endpoints' overlay lists. Records no op:
+    /// `add_dep` records its own, and bridges belong to `RemoveTask` ops.
+    fn push_edge(&mut self, from: TaskId, to: TaskId, kind: DepKind) {
+        let (base, d) = (self.base, &mut self.delta);
+        d.list_mut(base, from, Side::Succ).push((to, kind));
+        d.list_mut(base, to, Side::Pred).push((from, kind));
     }
 }
 
@@ -752,7 +910,7 @@ impl GraphView for PatchGraph<'_> {
         }
         // Merge lazily: the cell is pre-filled for inserted tasks and
         // kept in sync by every setter, so a hit is always current.
-        d.merged[id.0].get_or_init(|| {
+        d.merged_cell(id).get_or_init(|| {
             let i = id.0;
             let mut t = self.base.task(id).clone();
             if f & F_DUR != 0 {
@@ -777,26 +935,19 @@ impl GraphView for PatchGraph<'_> {
         })
     }
 
-    // A removed task has no edges: removal detaches both sides, and its
-    // own lists are cleared only if the overlay already held them.
+    // A removed task has no edges: removal detaches both sides.
     fn successors(&self, id: TaskId) -> &[(TaskId, DepKind)] {
-        match self.delta.succ_over(id) {
-            Some(v) => v,
-            None if id.0 < self.base.capacity() && !self.delta.is_removed(id) => {
-                self.base.successors(id)
-            }
-            None => NO_EDGES,
+        if self.delta.is_removed(id) {
+            return NO_EDGES;
         }
+        self.list(id, Side::Succ)
     }
 
     fn predecessors(&self, id: TaskId) -> &[(TaskId, DepKind)] {
-        match self.delta.pred_over(id) {
-            Some(v) => v,
-            None if id.0 < self.base.capacity() && !self.delta.is_removed(id) => {
-                self.base.predecessors(id)
-            }
-            None => NO_EDGES,
+        if self.delta.is_removed(id) {
+            return NO_EDGES;
         }
+        self.list(id, Side::Pred)
     }
 
     fn live_ids(&self) -> Vec<TaskId> {
@@ -860,7 +1011,7 @@ impl GraphEdit for PatchGraph<'_> {
         d.gap[i] = task.gap_ns;
         d.prio[i] = task.priority;
         d.thread[i] = task.thread;
-        let _ = d.merged[i].set(Box::new(task));
+        let _ = d.merged_cell(id).set(Box::new(task));
         d.new_ids.push(id);
         id
     }
@@ -870,7 +1021,8 @@ impl GraphEdit for PatchGraph<'_> {
             from.0 < self.capacity() && to.0 < self.capacity(),
             "edge endpoint out of bounds"
         );
-        if self.insert_edge(from, to, kind) {
+        if from != to && !self.edge_exists(from, to) {
+            self.push_edge(from, to, kind);
             self.ops.push(PatchOp::AddDep { from, to, kind });
         }
     }
@@ -879,52 +1031,103 @@ impl GraphEdit for PatchGraph<'_> {
         if !self.edge_exists(from, to) {
             return;
         }
-        self.succ_mut(from).retain(|&(t, _)| t != to);
-        self.pred_mut(to).retain(|&(t, _)| t != from);
+        let (base, d) = (self.base, &mut self.delta);
+        d.list_mut(base, from, Side::Succ).retain(|&(t, _)| t != to);
+        d.list_mut(base, to, Side::Pred).retain(|&(t, _)| t != from);
         self.ops.push(PatchOp::RemoveDep { from, to });
     }
 
-    // Mirrors `DependencyGraph::remove_task` exactly: detach both sides,
-    // then bridge predecessors to successors with kind merging. Recorded
-    // as a single `RemoveTask` op; replay re-derives the same bridging.
     fn remove_task(&mut self, id: TaskId) {
-        if self.is_removed(id) {
-            return;
-        }
-        self.ops.push(PatchOp::RemoveTask { id });
-        // Neighbours first: a removed task reads as edgeless.
-        let mut preds = std::mem::take(&mut self.removed_preds);
-        let mut succs = std::mem::take(&mut self.removed_succs);
-        preds.clear();
-        succs.clear();
-        preds.extend_from_slice(GraphView::predecessors(self, id));
-        succs.extend_from_slice(GraphView::successors(self, id));
-        if self.delta.removed.len() <= id.0 {
-            self.delta
-                .removed
-                .resize(self.capacity().max(id.0 + 1), false);
-        }
-        self.delta.removed[id.0] = true;
-        self.delta.removed_list.push(id);
-        for &(p, _) in &preds {
-            self.succ_mut(p).retain(|&(t, _)| t != id);
-        }
-        for &(s, _) in &succs {
-            self.pred_mut(s).retain(|&(t, _)| t != id);
-        }
-        for list in [&mut self.delta.succ, &mut self.delta.pred] {
-            if let Some(l) = list.get_mut(id.0).and_then(|o| o.as_deref_mut()) {
-                l.clear();
+        self.remove_tasks(&[id]);
+    }
+
+    // One pass over the set (the contract is on the trait method):
+    // mark it, find its live boundary, walk the removed region once from
+    // each outside predecessor, then detach and bridge. Only boundary
+    // tasks get overlay lists. The work is the set, its boundary edges,
+    // the bridges, and the removed tasks each walk reaches.
+    fn remove_tasks(&mut self, ids: &[TaskId]) {
+        let mut s = std::mem::take(&mut self.scratch);
+        let len = self.capacity();
+        s.set.clear();
+        for &id in ids {
+            if !self.is_removed(id) {
+                self.ops.push(PatchOp::RemoveTask { id });
+                self.delta.mark_removed(id, len);
+                s.set.push(id);
             }
         }
-        for &(p, pk) in &preds {
-            for &(s, sk) in &succs {
-                let kind = if pk == sk { pk } else { DepKind::Transform };
-                self.insert_edge(p, s, kind);
+
+        // The boundary. A live task's lists hold only live tasks and
+        // members of this set, so "removed" means "in the set" here.
+        s.preds.clear();
+        s.next_epoch(len);
+        for i in 0..s.set.len() {
+            for &(p, _) in self.list(s.set[i], Side::Pred) {
+                if !self.delta.is_removed(p) && s.mark(p) {
+                    s.preds.push(p);
+                }
             }
         }
-        self.removed_preds = preds;
-        self.removed_succs = succs;
+        s.succs.clear();
+        s.next_epoch(len);
+        for i in 0..s.set.len() {
+            for &(x, _) in self.list(s.set[i], Side::Succ) {
+                if !self.delta.is_removed(x) && s.mark(x) {
+                    s.succs.push(x);
+                }
+            }
+        }
+
+        // From each outside predecessor `p`, bridge to every live task
+        // reached through removed tasks that `p` does not already
+        // precede.
+        s.bridges.clear();
+        for i in 0..s.preds.len() {
+            let p = s.preds[i];
+            s.next_epoch(len);
+            s.mark(p);
+            for &(x, k) in self.list(p, Side::Succ) {
+                if self.delta.is_removed(x) {
+                    s.stack.push((x, k));
+                } else {
+                    s.mark(x);
+                }
+            }
+            while let Some((r, k)) = s.stack.pop() {
+                if !s.mark(r) {
+                    continue;
+                }
+                for &(x, k2) in self.list(r, Side::Succ) {
+                    let kind = bridge_kind(k, k2);
+                    if self.delta.is_removed(x) {
+                        s.stack.push((x, kind));
+                    } else if s.mark(x) {
+                        s.bridges.push((p, x, kind));
+                    }
+                }
+            }
+        }
+
+        let (base, d) = (self.base, &mut self.delta);
+        for &p in &s.preds {
+            d.drop_removed(base, p, Side::Succ);
+        }
+        for &x in &s.succs {
+            d.drop_removed(base, x, Side::Pred);
+        }
+        for &r in &s.set {
+            if let Some(e) = slot(&d.edge_at, r) {
+                let e = &mut d.edges[e];
+                for list in [&mut e.succ, &mut e.pred].into_iter().flatten() {
+                    list.clear();
+                }
+            }
+        }
+        for &(p, x, kind) in &s.bridges {
+            self.push_edge(p, x, kind);
+        }
+        self.scratch = s;
     }
 
     fn set_duration(&mut self, id: TaskId, duration_ns: u64) {
@@ -933,7 +1136,7 @@ impl GraphEdit for PatchGraph<'_> {
         d.flags[i] |= F_DUR;
         d.ensure_dur(i + 1);
         d.dur[i] = duration_ns;
-        if let Some(m) = d.merged_mut(i) {
+        if let Some(m) = d.merged_mut(id) {
             m.duration_ns = duration_ns;
         }
         self.ops.push(PatchOp::SetDuration {
@@ -947,7 +1150,7 @@ impl GraphEdit for PatchGraph<'_> {
         let d = &mut self.delta;
         d.flags[i] |= F_NAME;
         d.name.insert(i, name.clone());
-        if let Some(m) = d.merged_mut(i) {
+        if let Some(m) = d.merged_mut(id) {
             m.name = name.clone();
         }
         self.ops.push(PatchOp::SetName { id, name });
@@ -958,7 +1161,7 @@ impl GraphEdit for PatchGraph<'_> {
         let d = &mut self.delta;
         d.flags[i] |= F_KIND;
         d.kind.insert(i, kind.clone());
-        if let Some(m) = d.merged_mut(i) {
+        if let Some(m) = d.merged_mut(id) {
             m.kind = kind.clone();
         }
         self.ops.push(PatchOp::SetKind { id, kind });
@@ -970,7 +1173,7 @@ impl GraphEdit for PatchGraph<'_> {
         d.flags[i] |= F_THREAD;
         d.ensure_thread(i + 1);
         d.thread[i] = thread;
-        if let Some(m) = d.merged_mut(i) {
+        if let Some(m) = d.merged_mut(id) {
             m.thread = thread;
         }
         self.ops.push(PatchOp::SetThread { id, thread });
@@ -982,7 +1185,7 @@ impl GraphEdit for PatchGraph<'_> {
         d.flags[i] |= F_PRIO;
         d.ensure_prio(i + 1);
         d.prio[i] = priority;
-        if let Some(m) = d.merged_mut(i) {
+        if let Some(m) = d.merged_mut(id) {
             m.priority = priority;
         }
         self.ops.push(PatchOp::SetPriority { id, priority });

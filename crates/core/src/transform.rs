@@ -134,11 +134,10 @@ pub fn scale_durations<G: GraphEdit>(g: &mut G, sel: &[TaskId], factor: f64) {
     }
 }
 
-/// Removes all selected tasks, bridging their thread sequences.
+/// Removes all selected tasks, bridging their thread sequences
+/// ([`GraphEdit::remove_tasks`]: one pass over a patch overlay).
 pub fn remove_all<G: GraphEdit>(g: &mut G, sel: &[TaskId]) {
-    for &id in sel {
-        g.remove_task(id);
-    }
+    g.remove_tasks(sel);
 }
 
 /// Selection helpers mirroring the paper's `Select` examples (§4.4).

@@ -10,6 +10,9 @@
 //! sequences, and on profiled ResNet-50 / BERT graphs for every what-if
 //! transform in the catalog, including P3 over its replicated base.
 
+mod common;
+
+use common::assert_warm_matches_full;
 use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
@@ -20,7 +23,8 @@ use daydream_core::whatif::{
 use daydream_core::{
     simulate_compiled_with, simulate_reference, simulate_with, CommChannel, CompactId,
     CompiledGraph, DepKind, DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit,
-    GraphPatch, GraphView, PatchGraph, ProfiledGraph, SimResult, Task, TaskId, TaskKind,
+    GraphPatch, GraphView, IncrementalOptions, PatchGraph, ProfiledGraph, Schedule, SimResult,
+    SimScratch, Task, TaskId, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -207,6 +211,144 @@ proptest! {
     }
 }
 
+/// Appends the two shapes a one-pass removal must bridge, and returns
+/// the ids to remove:
+/// - FusedAdam's weight update: a chain of `n` kernels on one stream,
+///   each launched from a chain of CPU tasks, between a live head and a
+///   live tail on both threads. Removing every launch and kernel leaves
+///   a region of internal chains with outside edges on both sides.
+/// - `m` removed tasks joining one pair of live tasks `u -> mid -> v`
+///   along paths of different kinds.
+fn add_removal_shapes(g: &mut DependencyGraph, n: usize, m: usize) -> Vec<TaskId> {
+    let (cpu, gpu) = (thread_for(0), thread_for(2));
+    let task = |name: String, thread: ExecThread, dur: u64| {
+        Task::new(name, TaskKind::CpuWork, thread, dur)
+    };
+    let head_cpu = g.add_task(task("head_cpu".into(), cpu, 5));
+    let head_gpu = g.add_task(task("head_gpu".into(), gpu, 7));
+    g.add_dep(TaskId(0), head_cpu, DepKind::Transform);
+    g.add_dep(head_cpu, head_gpu, DepKind::Correlation);
+    let mut doomed = Vec::new();
+    let (mut cpu_prev, mut gpu_prev) = (head_cpu, head_gpu);
+    for i in 0..n {
+        let launch = g.add_task(task(format!("launch{i}"), cpu, 3));
+        let kernel = g.add_task(task(format!("kernel{i}"), gpu, 11));
+        g.add_dep(cpu_prev, launch, DepKind::CpuSeq);
+        g.add_dep(launch, kernel, DepKind::Correlation);
+        g.add_dep(gpu_prev, kernel, DepKind::GpuSeq);
+        (cpu_prev, gpu_prev) = (launch, kernel);
+        doomed.extend([launch, kernel]);
+    }
+    let tail_gpu = g.add_task(task("tail_gpu".into(), gpu, 13));
+    let tail_cpu = g.add_task(task("tail_cpu".into(), cpu, 2));
+    g.add_dep(gpu_prev, tail_gpu, DepKind::GpuSeq);
+    g.add_dep(cpu_prev, tail_cpu, DepKind::CpuSeq);
+    g.add_dep(tail_gpu, tail_cpu, DepKind::Sync);
+
+    // Ids ascend along every edge, as the random ops' edges do.
+    let u = g.add_task(task("u".into(), thread_for(1), 4));
+    g.add_dep(TaskId(0), u, DepKind::Transform);
+    let mids: Vec<TaskId> = (0..m)
+        .map(|j| g.add_task(task(format!("mid{j}"), thread_for(j as u64), 1 + j as u64)))
+        .collect();
+    let v = g.add_task(task("v".into(), thread_for(3), 6));
+    for (j, &mid) in mids.iter().enumerate() {
+        let kind = if j % 2 == 0 {
+            DepKind::CpuSeq
+        } else {
+            DepKind::Comm
+        };
+        g.add_dep(u, mid, kind);
+        g.add_dep(mid, v, DepKind::CpuSeq);
+    }
+    doomed.extend(mids);
+    doomed
+}
+
+/// `id`'s neighbour ids on one side, sorted.
+fn sorted_ids(list: &[(TaskId, DepKind)]) -> Vec<TaskId> {
+    let mut ids: Vec<TaskId> = list.iter().map(|&(t, _)| t).collect();
+    ids.sort_unstable();
+    ids
+}
+
+proptest! {
+    // One-pass removal of a set against removing its ids one by one.
+    // A random prefix of ops runs first, so the set can hold inserted
+    // tasks and tasks already removed; the set also repeats ids.
+    #[test]
+    fn bulk_removal_matches_sequential_removal(
+        tasks in prop::collection::vec((0u64..5, 0u64..200, 0u64..30), 1..40),
+        edges in prop::collection::vec((0u64..10_000, 0u64..10_000), 0..100),
+        prefix in prop::collection::vec(
+            (0u64..10_000, 0u64..10_000, 0u64..10_000, 0u64..10_000), 0..20),
+        picks in prop::collection::vec(0u64..10_000, 0..30),
+        chain in 0usize..6,
+        joins in 0usize..4,
+    ) {
+        let mut g = build_dag(&tasks, &edges);
+        let shapes = add_removal_shapes(&mut g, chain, joins);
+        let mut p = PatchGraph::new(&g);
+        for &op in &prefix {
+            apply_random_op(&mut p, op);
+        }
+        let prior = p.finish();
+
+        let cap = PatchGraph::layered(&g, &prior).capacity();
+        let mut set: Vec<TaskId> = picks.iter().map(|&x| TaskId(x as usize % cap)).collect();
+        let mid = set.len() / 2;
+        set.splice(mid..mid, shapes);
+        let repeats: Vec<TaskId> = set.iter().step_by(3).copied().collect();
+        set.extend(repeats);
+
+        let mut bulk = PatchGraph::layered(&g, &prior);
+        bulk.remove_tasks(&set);
+        let mut one_by_one = PatchGraph::layered(&g, &prior);
+        for &id in &set {
+            one_by_one.remove_task(id);
+        }
+        let live = bulk.live_ids();
+        prop_assert_eq!(&live, &one_by_one.live_ids());
+        let bulk_lists: Vec<(Vec<TaskId>, Vec<TaskId>)> = live
+            .iter()
+            .map(|&id| {
+                (
+                    sorted_ids(GraphView::successors(&bulk, id)),
+                    sorted_ids(GraphView::predecessors(&bulk, id)),
+                )
+            })
+            .collect();
+        let (bulk, one_by_one) = (bulk.finish(), one_by_one.finish());
+        prop_assert_eq!(bulk.ops(), one_by_one.ops());
+        prop_assert_eq!(bulk.fingerprint(), one_by_one.fingerprint());
+
+        // `apply_reference` replays every removal through
+        // `DependencyGraph::remove_task`, one at a time.
+        let sequential = bulk.apply_reference(&g);
+        prop_assert_eq!(&live, &sequential.live_ids());
+        for (&id, lists) in live.iter().zip(&bulk_lists) {
+            let want = (
+                sorted_ids(sequential.successors(id)),
+                sorted_ids(sequential.predecessors(id)),
+            );
+            prop_assert_eq!(lists, &want, "neighbours of {:?}", id);
+        }
+        if live.is_empty() {
+            return Ok(());
+        }
+        assert_equiv(&g, &bulk, &EarliestStart);
+        let cg = CompiledGraph::compile(&g);
+        let schedule = Schedule::capture(&cg).expect("base must be a DAG");
+        let mut scratch = SimScratch::new();
+        for opts in [
+            IncrementalOptions::default(),
+            IncrementalOptions { max_cone_fraction: 1.0 },
+        ] {
+            assert_warm_matches_full(&cg, &schedule, &bulk, &opts, &mut scratch);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The full what-if catalog over profiled model graphs
 // ---------------------------------------------------------------------------
@@ -325,6 +467,46 @@ fn dgc_patch_matches_reference_on_resnet() {
     check_transform(&pg, |g| {
         let ars = plan_distributed(g, &buckets, &cluster);
         plan_dgc(g, &ars, &DgcConfig::default());
+    });
+}
+
+/// The engine plans DDP once per cluster shape and layers each
+/// BlueConnect or DGC refinement onto that cached patch. The composed
+/// patch must match its oracle, and the cached patch must not change.
+fn check_layered_on_ddp(refine: impl Fn(&mut PatchGraph<'_>, &ClusterConfig, &[TaskId])) {
+    let pg = resnet_profile();
+    let cluster = ClusterConfig::new(4, 2, 10.0);
+    let mut p = PatchGraph::new(&pg.graph);
+    let ars = plan_distributed(&mut p, &pg.meta.buckets, &cluster);
+    let ddp = p.finish();
+    let compiled = CompiledGraph::compile(&pg.graph);
+    let pin = |patch: &GraphPatch| {
+        (
+            patch.fingerprint(),
+            patch.summary(),
+            canonical(&compiled.apply(patch)),
+        )
+    };
+    let before = pin(&ddp);
+    let mut layered = PatchGraph::layered(&pg.graph, &ddp);
+    refine(&mut layered, &cluster, &ars);
+    let composed = layered.finish();
+    assert!(composed.ops().len() > ddp.ops().len());
+    assert_equiv(&pg.graph, &composed, &EarliestStart);
+    assert!(pin(&ddp) == before, "the cached DDP patch changed");
+}
+
+#[test]
+fn blueconnect_layered_on_a_cached_ddp_patch_matches_reference() {
+    check_layered_on_ddp(|g, cluster, ars| {
+        plan_blueconnect(g, cluster, ars);
+    });
+}
+
+#[test]
+fn dgc_layered_on_a_cached_ddp_patch_matches_reference() {
+    check_layered_on_ddp(|g, _, ars| {
+        plan_dgc(g, ars, &DgcConfig::default());
     });
 }
 

@@ -66,9 +66,14 @@ impl Model {
         self.layers.iter().map(|l| l.gradient_bytes()).sum()
     }
 
-    /// Looks up a layer by id.
+    /// Looks up a layer by id. [`ModelBuilder`] numbers layers densely
+    /// in order, so the id is first tried as a position; any other layout
+    /// falls back to a scan.
     pub fn layer(&self, id: LayerId) -> Option<&Layer> {
-        self.layers.iter().find(|l| l.id == id)
+        match self.layers.get(id.0 as usize) {
+            Some(l) if l.id == id => Some(l),
+            _ => self.layers.iter().find(|l| l.id == id),
+        }
     }
 
     /// Layers owning parameters, in forward order.
@@ -374,5 +379,29 @@ mod tests {
         let m = tiny();
         assert_eq!(m.layer(LayerId(2)).unwrap().name, "relu1");
         assert!(m.layer(LayerId(99)).is_none());
+    }
+
+    #[test]
+    fn layer_lookup_matches_the_scan_on_every_zoo_model() {
+        for m in crate::zoo::all_models() {
+            for l in &m.layers {
+                let scan = m.layers.iter().find(|x| x.id == l.id);
+                assert_eq!(m.layer(l.id), scan, "{} layer {:?}", m.name, l.id);
+            }
+            let past_end = LayerId(m.layers.len() as u32);
+            assert!(m.layer(past_end).is_none(), "{}", m.name);
+        }
+    }
+
+    #[test]
+    fn layer_lookup_falls_back_for_sparse_ids() {
+        let mut m = tiny();
+        m.layers.reverse();
+        for (i, l) in m.layers.iter_mut().enumerate() {
+            l.id = LayerId(10 * i as u32 + 1);
+        }
+        assert_eq!(m.layer(LayerId(11)).unwrap().id, LayerId(11));
+        assert_eq!(m.layer(LayerId(1)).unwrap().id, LayerId(1));
+        assert!(m.layer(LayerId(2)).is_none());
     }
 }

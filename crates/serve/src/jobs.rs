@@ -23,6 +23,7 @@ use daydream_sweep::report::ScenarioOutcome;
 use daydream_sweep::{Scenario, SweepEngine, SweepReport};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Target scenarios per journaled shard: small enough that a crash
@@ -113,6 +114,10 @@ struct Shared {
     pending: Mutex<VecDeque<Arc<Job>>>,
     cv: Condvar,
     stop: Mutex<bool>,
+    /// Makes the next drain panic, to test that a panicking job cannot
+    /// take the worker down.
+    #[cfg(test)]
+    panic_next_drain: std::sync::atomic::AtomicBool,
 }
 
 /// The queue handle: submit from any connection thread, drain on the
@@ -158,6 +163,8 @@ impl JobQueue {
             pending: Mutex::new(pending),
             cv: Condvar::new(),
             stop: Mutex::new(false),
+            #[cfg(test)]
+            panic_next_drain: std::sync::atomic::AtomicBool::new(false),
         });
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
@@ -347,10 +354,22 @@ fn worker_loop(shared: Arc<Shared>) {
             }
         };
         *job.phase.lock().unwrap() = JobPhase::Running;
-        let outcome = match &job.run {
-            Some(run) => drain_journaled(&shared, &job, run),
-            None => drain_in_memory(&shared, &job),
-        };
+        // A panicking drain fails its job like an error does; the worker
+        // lives on to drain the jobs queued behind it.
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            if shared
+                .panic_next_drain
+                .swap(false, std::sync::atomic::Ordering::SeqCst)
+            {
+                panic!("injected drain panic");
+            }
+            match &job.run {
+                Some(run) => drain_journaled(&shared, &job, run),
+                None => drain_in_memory(&shared, &job),
+            }
+        }))
+        .unwrap_or_else(|panic| Err(format!("job panicked: {}", panic_message(&*panic))));
         match outcome {
             Ok((run_id, note)) => {
                 let note = match (&job.pre_note, note) {
@@ -375,6 +394,15 @@ fn worker_loop(shared: Arc<Shared>) {
             }
         }
     }
+}
+
+/// The message a panic was raised with.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Evaluates an unjournaled (store-less) job directly on the engine.
@@ -654,6 +682,38 @@ mod tests {
         let queue2 = JobQueue::new(engine, Some(store));
         assert_eq!(queue2.recovered_count(), 0);
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_the_worker_drains_the_next() {
+        for journaled in [false, true] {
+            let root = tmp_store(if journaled { "panic-j" } else { "panic" });
+            let store = journaled.then(|| RunStore::open(&root).unwrap());
+            let queue = JobQueue::new(Arc::new(SweepEngine::new(1)), store);
+            queue
+                .shared
+                .panic_next_drain
+                .store(true, std::sync::atomic::Ordering::SeqCst);
+            let armed = queue.submit(scenarios());
+            let next = queue.submit(scenarios());
+            let snap = wait_done(&queue, armed);
+            assert_eq!(snap.state, "failed", "{snap:?}");
+            assert!(
+                snap.error
+                    .as_deref()
+                    .unwrap_or("")
+                    .contains("injected drain panic"),
+                "{snap:?}"
+            );
+            assert_eq!(wait_done(&queue, next).state, "done");
+            assert_eq!(queue.counts(), (0, 0, 1, 1));
+            if journaled {
+                let run = RunStore::open(&root).unwrap().open_run("run-0001").unwrap();
+                assert!(run.path().join("job-failed.json").exists());
+            }
+            queue.shutdown();
+            std::fs::remove_dir_all(&root).ok();
+        }
     }
 
     #[test]

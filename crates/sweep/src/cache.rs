@@ -50,16 +50,24 @@ impl<V> Default for Shard<V> {
 
 impl<V> Shard<V> {
     /// Locks the shard, counting the acquisition as contended when
-    /// another thread currently holds it.
+    /// another thread currently holds it. A shard poisoned by a panic
+    /// under its lock may hold a half-done write; it is a memo table, so
+    /// it is emptied and used again.
     fn lock(&self) -> MutexGuard<'_, HashMap<u64, V>> {
-        match self.entries.try_lock() {
-            Ok(guard) => guard,
+        let locked = match self.entries.try_lock() {
+            Ok(guard) => return guard,
             Err(TryLockError::WouldBlock) => {
                 self.contended.fetch_add(1, Ordering::Relaxed);
-                self.entries.lock().unwrap()
+                self.entries.lock()
             }
-            Err(TryLockError::Poisoned(e)) => panic!("cache shard lock poisoned: {e}"),
-        }
+            Err(TryLockError::Poisoned(e)) => Err(e),
+        };
+        locked.unwrap_or_else(|poisoned| {
+            let mut guard = poisoned.into_inner();
+            guard.clear();
+            self.entries.clear_poison();
+            guard
+        })
     }
 }
 
@@ -396,6 +404,55 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!((cache.hits(), cache.get(9)), (0, None));
+    }
+
+    /// Panics on another thread while holding `shard`'s lock.
+    fn poison<V: Send>(shard: &Shard<V>) {
+        std::thread::scope(|s| {
+            let joined = s
+                .spawn(|| {
+                    let _held = shard.entries.lock().unwrap();
+                    panic!("poisoning a cache shard");
+                })
+                .join();
+            assert!(joined.is_err());
+        });
+        assert!(shard.entries.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_shard_reads_empty_and_keeps_working() {
+        let cache = SweepCache::new();
+        for k in 0..64u64 {
+            cache.insert(k, &outcome(k, "x"));
+        }
+        let shard = &cache.shards[shard_of(7)];
+        let in_shard = (0..64u64).filter(|&k| shard_of(k) == shard_of(7)).count();
+        poison(shard);
+        assert!(cache.lookup(7).is_none(), "the poisoned shard is cleared");
+        assert!(!shard.entries.is_poisoned());
+        assert_eq!(cache.len(), 64 - in_shard);
+        cache.insert(7, &outcome(7, "again"));
+        assert_eq!(cache.lookup(7).unwrap().label, "again");
+        poison(shard);
+        cache.clear();
+        assert!(cache.is_empty());
+
+        let patches = PatchCache::new();
+        let eval = PatchEval {
+            predicted_ns: 1,
+            incremental: false,
+            estimated: false,
+            tasks_redispatched: 2,
+        };
+        patches.insert(9, eval);
+        poison(&patches.shards[shard_of(9)]);
+        assert_eq!(patches.get(9), None, "the poisoned shard is cleared");
+        patches.insert(9, eval);
+        assert_eq!(patches.get(9), Some(eval));
+        poison(&patches.shards[shard_of(9)]);
+        patches.clear();
+        assert!(patches.is_empty());
     }
 
     #[test]

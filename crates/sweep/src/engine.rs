@@ -31,7 +31,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Iterations unrolled for P3 steady-state analysis (both the P3 and the
 /// FIFO-baseline configs use three).
@@ -335,7 +335,7 @@ impl BaseProfile {
             cluster.gpus_per_machine,
             cluster.inter_node_gbps.to_bits(),
         );
-        if let Some(plan) = self.ddp.lock().unwrap().get(&key) {
+        if let Some(plan) = lock(&self.ddp).get(&key) {
             return Arc::clone(plan);
         }
         let mut ov = PatchGraph::new(&self.graph.graph);
@@ -345,7 +345,7 @@ impl BaseProfile {
             allreduces,
             dgc: OnceLock::new(),
         });
-        self.ddp.lock().unwrap().entry(key).or_insert(plan).clone()
+        lock(&self.ddp).entry(key).or_insert(plan).clone()
     }
 }
 
@@ -540,14 +540,14 @@ impl SweepEngine {
 
     /// Counters of the most recent [`SweepEngine::run`].
     pub fn last_stats(&self) -> RunStats {
-        *self.last_stats.lock().unwrap()
+        *lock(&self.last_stats)
     }
 
     /// Engine-lifetime counters: every run's [`RunStats`] folded together
     /// with [`RunStats::absorb`]. A resident daemon exposes these as its
     /// `/metrics`, where per-run snapshots would race between clients.
     pub fn total_stats(&self) -> RunStats {
-        *self.totals.lock().unwrap()
+        *lock(&self.totals)
     }
 
     /// Folds recovery activity (retried protocol calls, lease reclaims,
@@ -561,7 +561,7 @@ impl SweepEngine {
         faults_injected: u64,
         jobs_recovered: u64,
     ) {
-        let mut totals = self.totals.lock().unwrap();
+        let mut totals = lock(&self.totals);
         totals.retries += retries;
         totals.reclaims += reclaims;
         totals.faults_injected += faults_injected;
@@ -572,7 +572,7 @@ impl SweepEngine {
     /// registry, sorted by key — the registry listing a serve daemon
     /// reports (and the warm/cold distinction a what-if client sees).
     pub fn resident_profiles(&self) -> Vec<ResidentProfile> {
-        let have = self.profiles.lock().unwrap();
+        let have = lock(&self.profiles);
         let mut out: Vec<ResidentProfile> = have
             .iter()
             .map(|((model, batch), p)| ResidentProfile {
@@ -665,7 +665,7 @@ impl SweepEngine {
         // misses need, also in parallel — each is an independent
         // simulated training iteration.
         let needed: Vec<(String, u64)> = {
-            let have = self.profiles.lock().unwrap();
+            let have = lock(&self.profiles);
             let mut seen = HashSet::new();
             misses
                 .iter()
@@ -681,7 +681,7 @@ impl SweepEngine {
         let mut fidelity_failures = 0usize;
         let mut fidelity_worst_rel_err = 0.0f64;
         {
-            let mut have = self.profiles.lock().unwrap();
+            let mut have = lock(&self.profiles);
             for (key, profile) in built {
                 let profile = profile?;
                 if profile.fidelity_rel_err > FIDELITY_TOLERANCE {
@@ -698,7 +698,7 @@ impl SweepEngine {
         // has accumulated many bases across runs would otherwise pay an
         // O(all-profiles) clone under the lock per call).
         let bases: HashMap<(String, u64), Arc<BaseProfile>> = {
-            let have = self.profiles.lock().unwrap();
+            let have = lock(&self.profiles);
             let mut needed: HashMap<(String, u64), Arc<BaseProfile>> = HashMap::new();
             for (_, s) in &misses {
                 let key = (s.model.clone(), s.batch);
@@ -766,10 +766,17 @@ impl SweepEngine {
             faults_injected: 0,
             jobs_recovered: 0,
         };
-        *self.last_stats.lock().unwrap() = stats;
-        self.totals.lock().unwrap().absorb(&stats);
+        *lock(&self.last_stats) = stats;
+        lock(&self.totals).absorb(&stats);
         Ok(outcomes)
     }
+}
+
+/// Locks one of the engine's tables or counters, also after a panic
+/// poisoned it: the maps only ever receive whole entries and the
+/// counters are plain values, so what a panicking holder left is sound.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Profiles one baseline iteration in the engine's fixed environment
@@ -1541,6 +1548,32 @@ mod tests {
         let amp = report.results.iter().find(|o| o.opt == "amp").unwrap();
         assert!(amp.speedup > 1.0);
         assert_eq!(engine.last_stats().profiles_built, 1);
+    }
+
+    #[test]
+    fn a_poisoned_profile_table_keeps_serving() {
+        let engine = SweepEngine::new(2);
+        let expected = engine.run(&small_grid()).unwrap();
+        engine.clear_result_cache();
+        std::thread::scope(|s| {
+            let joined = s
+                .spawn(|| {
+                    let _held = engine.profiles.lock().unwrap();
+                    panic!("poisoning the profile table");
+                })
+                .join();
+            assert!(joined.is_err());
+        });
+        assert!(engine.profiles.is_poisoned());
+        let scenarios = small_grid().expand().unwrap();
+        let outcomes = engine.run_scenarios(scenarios).unwrap();
+        assert_eq!(SweepReport::from_outcomes(outcomes), expected);
+        assert_eq!(
+            engine.last_stats().profiles_built,
+            0,
+            "the warm base survives"
+        );
+        assert_eq!(engine.resident_profiles().len(), 1);
     }
 
     #[test]
