@@ -30,12 +30,15 @@
 //! over the base plus overlay against the same fresh pipeline. It is
 //! recorded under `structural` and carries no floor.
 
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use common::assert_warm_matches_full;
 use criterion::{BenchmarkId, Criterion, Throughput};
-use daydream_bench::assert_warm_matches_full;
 use daydream_bench::synth::{synthetic_graph, tail_retime, tail_structural};
 use daydream_core::{
-    simulate_compiled, simulate_warm, CompiledGraph, DependencyGraph, GraphPatch, PatchGraph,
-    Schedule, SimScratch, TaskId,
+    simulate_compiled, simulate_warm, CompiledGraph, DependencyGraph, GraphPatch,
+    IncrementalOptions, PatchGraph, Schedule, SimScratch, TaskId,
 };
 use std::hint::black_box;
 
@@ -54,7 +57,13 @@ fn pin_warm(
     patch: &GraphPatch,
     scratch: &mut SimScratch,
 ) -> usize {
-    let warm = assert_warm_matches_full(compiled, schedule, patch, scratch);
+    let warm = assert_warm_matches_full(
+        compiled,
+        schedule,
+        patch,
+        &IncrementalOptions::default(),
+        scratch,
+    );
     assert!(warm.stats.is_incremental(), "tail patch must stay warm");
     warm.stats.redispatched
 }

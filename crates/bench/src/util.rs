@@ -1,12 +1,8 @@
 //! Shared harness utilities: result tables, CSV export, profile
-//! caching, the full-simulation oracle for warm evaluation, and (debug
-//! builds only) a heap-allocation counter that lets tier-1 tests pin the
-//! warm-evaluation hot path as allocation-free.
+//! caching, and (debug builds only) a heap-allocation counter that lets
+//! tier-1 tests pin the warm-evaluation hot path as allocation-free.
 
-use daydream_core::{
-    simulate_compiled, simulate_warm, simulate_warm_with, CompactId, CompiledGraph, FallbackReason,
-    GraphPatch, IncrementalOptions, ProfiledGraph, Schedule, SimScratch, WarmOutcome,
-};
+use daydream_core::ProfiledGraph;
 use daydream_models::{zoo, Model};
 use daydream_runtime::{ground_truth, ExecConfig};
 use std::collections::HashMap;
@@ -79,85 +75,6 @@ pub fn assert_no_allocs<R>(what: &str, f: impl FnOnce() -> R) -> R {
     #[cfg(not(debug_assertions))]
     let _ = (what, during);
     r
-}
-
-/// Evaluates `patch` warm under the default policy and options and pins
-/// it to the full simulation of the applied graph: the makespan, the
-/// materialized per-task simulation, and the path accounting. A fallback
-/// dispatches every task, and only a vacating patch or an oversized cone
-/// falls back. Otherwise the cone is every base task the patch keeps
-/// that dispatched at or after the cutoff, plus the inserts.
-pub fn assert_warm_matches_full(
-    compiled: &CompiledGraph,
-    schedule: &Schedule,
-    patch: &GraphPatch,
-    scratch: &mut SimScratch,
-) -> WarmOutcome {
-    let warm = simulate_warm(compiled, schedule, patch, scratch).expect("patched graph is a DAG");
-    let (applied, trace) = compiled.apply_traced(patch);
-    let full = simulate_compiled(&applied).expect("patched graph is a DAG");
-    assert_eq!(warm.makespan_ns, full.makespan_ns, "makespan diverged");
-    assert_eq!(
-        scratch.materialize(schedule).expect("warm eval completed"),
-        full,
-        "warm simulation diverged from the full run"
-    );
-
-    let stats = warm.stats;
-    assert_eq!(stats.total, applied.len(), "live task count");
-    if stats.fallback.is_some() {
-        assert_eq!(
-            stats.redispatched, stats.total,
-            "a fallback dispatches every task"
-        );
-        assert_eq!(stats.cutoff_ns, None, "a fallback has no cutoff");
-    }
-    if trace.vacated_threads {
-        assert_eq!(stats.fallback, Some(FallbackReason::VacatedThreads));
-        return warm;
-    }
-    let unbounded = IncrementalOptions {
-        max_cone_fraction: 1.0,
-    };
-    let cone_path = simulate_warm_with(
-        compiled,
-        schedule,
-        patch,
-        &mut SimScratch::new(),
-        &unbounded,
-    )
-    .expect("patched graph is a DAG")
-    .stats;
-    let cutoff = cone_path
-        .cutoff_ns
-        .expect("an unbounded budget runs the cone");
-    let cone = if cutoff == u64::MAX {
-        0
-    } else {
-        let survivors: Vec<usize> = (0..compiled.len())
-            .filter(|&i| {
-                applied
-                    .compact_of(compiled.task_id(CompactId(i as u32)))
-                    .is_some()
-            })
-            .collect();
-        let inserts = applied.len() - survivors.len();
-        survivors
-            .iter()
-            .filter(|&&i| schedule.sim().start_ns[i] >= cutoff)
-            .count()
-            + inserts
-    };
-    assert_eq!(cone_path.redispatched, cone, "cone size");
-    let budget = IncrementalOptions::default().max_cone_fraction;
-    if cone as f64 > budget * stats.total as f64 {
-        assert_eq!(stats.fallback, Some(FallbackReason::ConeTooLarge));
-    } else {
-        assert_eq!(stats.fallback, None);
-        assert_eq!(stats.redispatched, cone);
-        assert_eq!(stats.cutoff_ns, Some(cutoff));
-    }
-    warm
 }
 
 /// A titled result table with aligned text rendering and CSV export.

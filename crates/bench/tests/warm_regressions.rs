@@ -14,12 +14,17 @@
 //!   <= 5x scaling 1k -> 100k at a fixed 16-transfer cone), so a
 //!   regressing re-snapshot cannot land silently.
 
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
+use common::assert_warm_matches_full;
 use daydream_bench::synth::{synthetic_graph, tail_retime, tail_structural};
-use daydream_bench::{assert_no_allocs, assert_warm_matches_full, profile_for, thread_allocs};
+use daydream_bench::{assert_no_allocs, profile_for, thread_allocs};
 use daydream_comm::ClusterConfig;
 use daydream_core::whatif::plan_distributed;
 use daydream_core::{
-    simulate_warm, CompiledGraph, GraphPatch, PatchGraph, Schedule, SimScratch, TaskId, WarmOutcome,
+    simulate_warm, CompiledGraph, GraphPatch, IncrementalOptions, PatchGraph, Schedule, SimScratch,
+    TaskId, WarmOutcome,
 };
 
 /// Evaluates `patch` warm three times on one arena — the first call sizes
@@ -40,7 +45,13 @@ fn third_warm_call_allocates_nothing(
     });
     assert_eq!(third, first);
     assert_eq!(
-        assert_warm_matches_full(compiled, schedule, patch, &mut scratch),
+        assert_warm_matches_full(
+            compiled,
+            schedule,
+            patch,
+            &IncrementalOptions::default(),
+            &mut scratch
+        ),
         third
     );
     third
@@ -72,7 +83,13 @@ fn warmed_evaluation_is_allocation_free() {
 
     // And the warm answer still matches the fresh-allocation oracle.
     assert_eq!(
-        assert_warm_matches_full(&compiled, &schedule, &patch, &mut scratch),
+        assert_warm_matches_full(
+            &compiled,
+            &schedule,
+            &patch,
+            &IncrementalOptions::default(),
+            &mut scratch
+        ),
         third
     );
 }

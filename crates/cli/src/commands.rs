@@ -9,12 +9,11 @@ use daydream_device::GpuSpec;
 use daydream_models::{footprint, max_batch, zoo, Model};
 use daydream_runtime::{ground_truth, ExecConfig};
 use daydream_serve::{
-    http_request_retrying, QueryError, RetryOptions, ServeConfig, Server, SweepRequest,
-    WhatIfRequest,
+    http_request_retrying, QueryError, ServeConfig, Server, SweepRequest, WhatIfRequest,
 };
 use daydream_shard::{
-    diff_runs, merge_run, merged_cache, process_shard, run_worker, write_merged, RunDir, RunStore,
-    ShardDisposition, ShardPlan, WorkerConfig,
+    diff_runs, merge_run, merged_cache, process_shard, run_worker, write_merged, RetryPolicy,
+    RunDir, RunStore, ShardDisposition, ShardPlan, WorkerConfig,
 };
 use daydream_sweep::{
     evaluate_trace, explain_scenario, run_search, OptSpec, SearchConfig, SweepEngine, SweepGrid,
@@ -1091,13 +1090,13 @@ pub fn cmd_query(args: &Args) -> Result<(), String> {
     let body = args.opt("body", "");
     let default_method = if body.is_empty() { "GET" } else { "POST" };
     let method = args.opt("method", default_method).to_uppercase();
-    let defaults = RetryOptions::default();
-    let opts = RetryOptions {
-        retries: args.num("retries", defaults.retries)?,
-        backoff_ms: args.num("backoff-ms", defaults.backoff_ms)?,
-        ..defaults
+    let policy = RetryPolicy {
+        max_retries: args.num("retries", 0)?,
+        base_backoff_ms: args.num("backoff-ms", 100)?,
+        max_backoff_ms: 5_000,
+        ..RetryPolicy::default()
     };
-    let resp = match http_request_retrying(&addr, &method, path, &body, opts) {
+    let resp = match http_request_retrying(&addr, &method, path, &body, policy) {
         Ok(resp) => resp,
         Err(e @ QueryError::Connect { .. }) => return Err(e.to_string()),
         Err(QueryError::Http {

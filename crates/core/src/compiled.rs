@@ -240,14 +240,11 @@ impl CompiledGraph {
     /// Applies a [`GraphPatch`] by incremental recompilation, producing
     /// the compiled form of the patched graph without touching the base.
     ///
-    /// Retime-only patches (scale/shrink durations, priority overrides on
-    /// unchanged topology) rebuild only the affected dense arrays and
-    /// share everything else with the base via `Arc`. Structural patches
-    /// (insert/remove tasks, edge changes, thread moves) rebuild the CSR
-    /// and per-task state in flat O(V + E) array passes — no `Task`
-    /// structs, no `BTreeMap`s, no arena walk — which is what makes a
-    /// per-scenario evaluation "emit + apply + simulate" instead of
-    /// "clone + mutate + recompile".
+    /// Rebuilds the CSR and per-task state in flat O(V + E) array passes
+    /// — no `Task` structs, no `BTreeMap`s, no arena walk — copying every
+    /// untouched base span. The warm evaluation path never applies; this
+    /// is the oracle its tests compare against and how the P3 plans are
+    /// built.
     ///
     /// Simulation over the result is pinned (proptests) to be identical to
     /// [`GraphPatch::apply_reference`] + [`CompiledGraph::compile`]: same
@@ -264,7 +261,8 @@ impl CompiledGraph {
     }
 
     /// [`CompiledGraph::apply`] plus an [`ApplyTrace`] saying whether the
-    /// patch vacated a base thread.
+    /// patch vacated a base thread (its `ThreadId`s then compact; base
+    /// thread ids are *stable* otherwise).
     ///
     /// # Panics
     ///
@@ -275,53 +273,6 @@ impl CompiledGraph {
             patch.base_capacity(),
             "patch recorded against a different base arena"
         );
-        let d = patch.delta();
-        if d.is_structural() {
-            return self.apply_structural(patch);
-        }
-        // Dense retimes (AMP touches every GPU task) amortize one flat
-        // inverse pass; sparse ones binary-search per touched task.
-        let old_of = (d.touched().len() > 64).then(|| self.compact_inverse());
-        let compact = |id: TaskId| -> usize {
-            match &old_of {
-                Some(inv) => inv[id.0] as usize,
-                None => self.compact_of(id).expect("retimed task must be live").0 as usize,
-            }
-        };
-        // Topology untouched; a thread move still needs the structural
-        // path (thread_of rewrite + possible vacated-thread compaction).
-        let thread_changed = d.touched().iter().any(|&id| {
-            let s = d.scalars(id).expect("touched task has a slot");
-            s.thread
-                .is_some_and(|t| self.threads[self.thread_of[compact(id)].0 as usize] != t)
-        });
-        if thread_changed {
-            return self.apply_structural(patch);
-        }
-        (
-            self.apply_retime(patch, &compact),
-            ApplyTrace {
-                vacated_threads: false,
-            },
-        )
-    }
-
-    /// Arena-indexed `TaskId -> old CompactId` inverse (u32::MAX for
-    /// tombstones). One flat O(arena) pass that replaces per-task binary
-    /// searches in the apply loops.
-    fn compact_inverse(&self) -> Vec<u32> {
-        let mut inv = vec![u32::MAX; self.arena_len];
-        for (i, &tid) in self.task_ids.iter().enumerate() {
-            inv[tid.0] = i as u32;
-        }
-        inv
-    }
-
-    /// The structural path: rebuild compaction, per-task state, and CSR
-    /// in flat array passes, reusing every untouched base span. The trace
-    /// says whether any base thread was vacated (its `ThreadId`s then
-    /// compact; base thread ids are *stable* otherwise).
-    fn apply_structural(&self, patch: &GraphPatch) -> (CompiledGraph, ApplyTrace) {
         let d = patch.delta();
         let base_cap = self.arena_len;
         let n_old = self.len();
@@ -483,12 +434,22 @@ impl CompiledGraph {
         )
     }
 
+    /// Arena-indexed `TaskId -> old CompactId` inverse (u32::MAX for
+    /// tombstones). One flat O(arena) pass that replaces per-task binary
+    /// searches in the apply loops.
+    fn compact_inverse(&self) -> Vec<u32> {
+        let mut inv = vec![u32::MAX; self.arena_len];
+        for (i, &tid) in self.task_ids.iter().enumerate() {
+            inv[tid.0] = i as u32;
+        }
+        inv
+    }
+
     /// A copy of this graph with the given tasks' durations replaced, each
     /// keeping its trailing gap. Topology, threads and priorities stay
     /// shared with `self` through their `Arc`s; only the duration and
-    /// cost arrays are rebuilt, in O(V). This is the one retime code path:
-    /// the retime arm of [`CompiledGraph::apply`] runs through it, and so
-    /// does retiming a cached plan to another cluster's transfer times.
+    /// cost arrays are rebuilt, in O(V). This is how a cached P3 plan is
+    /// retimed to another cluster's transfer times.
     pub fn retimed(&self, durations: impl IntoIterator<Item = (CompactId, u64)>) -> CompiledGraph {
         let mut cost_ns = (*self.cost_ns).clone();
         let mut duration_ns = (*self.duration_ns).clone();
@@ -502,28 +463,6 @@ impl CompiledGraph {
             duration_ns: Arc::new(duration_ns),
             ..self.clone()
         }
-    }
-
-    /// The retime-only fast path: [`CompiledGraph::retimed`] over the
-    /// patch's duration overrides, plus a fresh priority array only if a
-    /// priority actually changed.
-    fn apply_retime(&self, patch: &GraphPatch, compact: &dyn Fn(TaskId) -> usize) -> CompiledGraph {
-        let d = patch.delta();
-        let mut priority: Option<Vec<i64>> = None;
-        let mut applied = self.retimed(d.touched().iter().filter_map(|&id| {
-            let s = d.scalars(id).expect("touched task has a slot");
-            // Only `AddTask` sets a gap, and inserts are structural.
-            debug_assert!(s.gap_ns.is_none(), "retime patch overrides a gap");
-            let c = compact(id);
-            if let Some(p) = s.priority.filter(|&p| p != self.priority[c]) {
-                priority.get_or_insert_with(|| (*self.priority).clone())[c] = p;
-            }
-            s.duration_ns.map(|ns| (CompactId(c as u32), ns))
-        }));
-        if let Some(p) = priority {
-            applied.priority = Arc::new(p);
-        }
-        applied
     }
 }
 

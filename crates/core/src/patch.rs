@@ -388,12 +388,6 @@ impl NetDelta {
         &self.new_ids
     }
 
-    /// `true` when the patch changes topology (tasks in/out, edges, or
-    /// anything that invalidates the base CSR).
-    pub(crate) fn is_structural(&self) -> bool {
-        !self.removed_list.is_empty() || !self.new_ids.is_empty() || !self.edge_ids.is_empty()
-    }
-
     /// Ids the patch removed, in removal order. O(removed).
     pub(crate) fn removed_ids(&self) -> &[TaskId] {
         &self.removed_list

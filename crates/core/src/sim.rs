@@ -53,8 +53,7 @@ use crate::patch::{GraphPatch, NetDelta};
 use crate::task::ExecThread;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Secondary dispatch key: breaks ties among candidates feasible at the
 /// same instant. Lower ranks dispatch first; ranks must be fixed per task
@@ -1496,8 +1495,7 @@ enum WarmLast {
     Noop,
 }
 
-/// Monotonic reuse accounting of a scratch arena (or a whole
-/// [`ScratchPool`]).
+/// Monotonic reuse accounting of a scratch arena.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchCounters {
     /// Evaluations served without growing any buffer.
@@ -1620,7 +1618,7 @@ impl SimScratch {
     }
 
     /// Drains the counters to zero, returning the accumulated values —
-    /// how [`ScratchPool::put`] folds a returned arena into pool totals.
+    /// how [`ScratchPool::put`] hands a returned arena's counts back.
     pub fn take_counters(&mut self) -> ScratchCounters {
         let c = self.counters();
         self.reuses = 0;
@@ -1644,12 +1642,11 @@ impl SimScratch {
 /// A shared pool of [`SimScratch`] arenas: the sweep executor checks one
 /// out per worker for the length of a batch, the serve daemon per
 /// request, so arenas stay sized for the resident base across calls.
-/// Counters from returned arenas accumulate into pool totals.
+/// The pool keeps no counts: [`ScratchPool::put`] hands an arena's back
+/// to whoever checked it out.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     pool: Mutex<Vec<SimScratch>>,
-    reuses: AtomicU64,
-    allocs: AtomicU64,
 }
 
 impl ScratchPool {
@@ -1661,32 +1658,23 @@ impl ScratchPool {
     /// Checks out an arena — the most recently returned (warmest) one,
     /// or a fresh empty arena when the pool has run dry.
     pub fn take(&self) -> SimScratch {
-        self.pool
-            .lock()
-            .expect("scratch pool lock poisoned")
-            .pop()
-            .unwrap_or_default()
+        self.arenas().pop().unwrap_or_default()
     }
 
-    /// Returns an arena to the pool, folding its counters into the pool
-    /// totals and forgetting its last evaluation.
-    pub fn put(&self, mut scratch: SimScratch) {
-        let c = scratch.take_counters();
-        self.reuses.fetch_add(c.reuses, Ordering::Relaxed);
-        self.allocs.fetch_add(c.allocs, Ordering::Relaxed);
+    /// Returns an arena to the pool, forgetting its last evaluation, and
+    /// hands back the counts it accumulated while checked out.
+    pub fn put(&self, mut scratch: SimScratch) -> ScratchCounters {
+        let counts = scratch.take_counters();
         scratch.last = None;
-        self.pool
-            .lock()
-            .expect("scratch pool lock poisoned")
-            .push(scratch);
+        self.arenas().push(scratch);
+        counts
     }
 
-    /// Accumulated counters over every returned arena.
-    pub fn counters(&self) -> ScratchCounters {
-        ScratchCounters {
-            reuses: self.reuses.load(Ordering::Relaxed),
-            allocs: self.allocs.load(Ordering::Relaxed),
-        }
+    /// Locks the arena list, also after a panic poisoned it: the list is
+    /// only ever pushed or popped whole, so what a panicking holder left
+    /// is sound.
+    fn arenas(&self) -> MutexGuard<'_, Vec<SimScratch>> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

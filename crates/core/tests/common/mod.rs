@@ -1,11 +1,77 @@
-//! The one oracle the warm-path tests share: [`simulate_compiled`] over
-//! [`CompiledGraph::apply`], plus the path accounting the warm path must
-//! report for the patch.
+//! What the graph tests share: the one warm-path oracle,
+//! [`simulate_compiled`] over [`CompiledGraph::apply`], plus the path
+//! accounting the warm path must report for the patch; the random-DAG
+//! universe; and the canonical structure of a compiled graph. Each test
+//! binary (and `daydream-bench`, by `#[path]`) uses a subset.
+
+#![allow(dead_code)]
 
 use daydream_core::{
-    simulate_compiled, simulate_warm_with, CompactId, CompiledGraph, FallbackReason, GraphPatch,
-    IncrementalOptions, IncrementalStats, Schedule, SimScratch, WarmOutcome,
+    simulate_compiled, simulate_warm_with, CommChannel, CompactId, CompiledGraph, DepKind,
+    DependencyGraph, ExecThread, FallbackReason, GraphPatch, IncrementalOptions, IncrementalStats,
+    Schedule, SimScratch, Task, TaskId, TaskKind, WarmOutcome,
 };
+use daydream_trace::{CpuThreadId, DeviceId, StreamId};
+
+/// The random-DAG thread universe: two CPU threads, two GPU streams, one
+/// communication channel.
+pub fn thread_for(sel: u64) -> ExecThread {
+    match sel % 5 {
+        0 => ExecThread::Cpu(CpuThreadId(0)),
+        1 => ExecThread::Cpu(CpuThreadId(1)),
+        2 => ExecThread::Gpu(DeviceId(0), StreamId(0)),
+        3 => ExecThread::Gpu(DeviceId(0), StreamId(1)),
+        _ => ExecThread::Comm(CommChannel::Collective),
+    }
+}
+
+/// A random DAG over [`thread_for`]'s threads: `(thread selector,
+/// duration, gap)` per task, priorities derived from the duration, and
+/// forward edges only (acyclic by construction).
+pub fn build_dag(tasks: &[(u64, u64, u64)], edges: &[(u64, u64)]) -> DependencyGraph {
+    let mut g = DependencyGraph::new();
+    let n = tasks.len();
+    for (i, &(sel, dur, gap)) in tasks.iter().enumerate() {
+        let mut t = Task::new(format!("t{i}"), TaskKind::CpuWork, thread_for(sel), dur);
+        t.gap_ns = gap;
+        t.priority = (dur % 7) as i64 - 3;
+        g.add_task(t);
+    }
+    for &(a, b) in edges {
+        let (x, y) = ((a as usize) % n, (b as usize) % n);
+        if x == y {
+            continue;
+        }
+        g.add_dep(TaskId(x.min(y)), TaskId(x.max(y)), DepKind::Transform);
+    }
+    g
+}
+
+/// Canonical structural form of a compiled graph: per live task, its
+/// arena id, thread, cost, duration, priority, predecessor count, and
+/// sorted successor arena ids. Interned thread *order* may differ between
+/// `apply` and a fresh compile; everything here must not.
+pub type CanonicalTask = (TaskId, ExecThread, u64, u64, i64, u32, Vec<TaskId>);
+
+/// The [`CanonicalTask`]s of `cg`, in compact order.
+pub fn canonical(cg: &CompiledGraph) -> Vec<CanonicalTask> {
+    (0..cg.len())
+        .map(|i| {
+            let c = CompactId(i as u32);
+            let mut succs: Vec<TaskId> = cg.successors(c).iter().map(|&s| cg.task_id(s)).collect();
+            succs.sort_unstable();
+            (
+                cg.task_id(c),
+                cg.exec_thread(cg.thread_of(c)),
+                cg.cost_ns(c),
+                cg.duration_ns(c),
+                cg.priority(c),
+                cg.pred_count(c),
+                succs,
+            )
+        })
+        .collect()
+}
 
 /// Evaluates `patch` warm on `scratch` and pins the result to the full
 /// simulation of the applied graph: the makespan, the materialized

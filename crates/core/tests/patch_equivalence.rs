@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::assert_warm_matches_full;
+use common::{assert_warm_matches_full, build_dag, canonical, thread_for};
 use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
@@ -21,38 +21,13 @@ use daydream_core::whatif::{
     DgcConfig, GistConfig, P3Config, P3Plan, P3Scheduler, VdnnConfig,
 };
 use daydream_core::{
-    simulate_compiled_with, simulate_reference, simulate_with, CommChannel, CompactId,
-    CompiledGraph, DepKind, DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit,
-    GraphPatch, GraphView, IncrementalOptions, PatchGraph, ProfiledGraph, Schedule, SimResult,
-    SimScratch, Task, TaskId, TaskKind,
+    simulate_compiled_with, simulate_reference, simulate_with, CompiledGraph, DepKind,
+    DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit, GraphPatch, GraphView,
+    IncrementalOptions, PatchGraph, ProfiledGraph, Schedule, SimResult, SimScratch, Task, TaskId,
+    TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
-
-/// Canonical structural form of a compiled graph: per live task, its
-/// arena id, thread, cost, duration, priority, predecessor count, and
-/// sorted successor arena ids. Interned thread *order* may differ between
-/// `apply` and a fresh compile; everything here must not.
-type CanonicalTask = (TaskId, ExecThread, u64, u64, i64, u32, Vec<TaskId>);
-
-fn canonical(cg: &CompiledGraph) -> Vec<CanonicalTask> {
-    (0..cg.len())
-        .map(|i| {
-            let c = CompactId(i as u32);
-            let mut succs: Vec<TaskId> = cg.successors(c).iter().map(|&s| cg.task_id(s)).collect();
-            succs.sort_unstable();
-            (
-                cg.task_id(c),
-                cg.exec_thread(cg.thread_of(c)),
-                cg.cost_ns(c),
-                cg.duration_ns(c),
-                cg.priority(c),
-                cg.pred_count(c),
-                succs,
-            )
-        })
-        .collect()
-}
 
 /// Simulates a compiled graph and expands to arena-indexed results.
 fn sim<O: FrontierOrder>(cg: &CompiledGraph, order: &O) -> SimResult {
@@ -82,37 +57,6 @@ fn assert_equiv<O: FrontierOrder>(
     let slow = sim(&oracle, order);
     assert_eq!(fast, slow, "patched simulation diverged from the oracle");
     fast
-}
-
-/// The random-DAG universe of `sim_equivalence.rs`: two CPU threads, two
-/// GPU streams, one communication channel.
-fn thread_for(sel: u64) -> ExecThread {
-    match sel % 5 {
-        0 => ExecThread::Cpu(CpuThreadId(0)),
-        1 => ExecThread::Cpu(CpuThreadId(1)),
-        2 => ExecThread::Gpu(DeviceId(0), StreamId(0)),
-        3 => ExecThread::Gpu(DeviceId(0), StreamId(1)),
-        _ => ExecThread::Comm(CommChannel::Collective),
-    }
-}
-
-fn build_dag(tasks: &[(u64, u64, u64)], edges: &[(u64, u64)]) -> DependencyGraph {
-    let mut g = DependencyGraph::new();
-    let n = tasks.len();
-    for (i, &(sel, dur, gap)) in tasks.iter().enumerate() {
-        let mut t = Task::new(format!("t{i}"), TaskKind::CpuWork, thread_for(sel), dur);
-        t.gap_ns = gap;
-        t.priority = (dur % 7) as i64 - 3;
-        g.add_task(t);
-    }
-    for &(a, b) in edges {
-        let (x, y) = ((a as usize) % n, (b as usize) % n);
-        if x == y {
-            continue;
-        }
-        g.add_dep(TaskId(x.min(y)), TaskId(x.max(y)), DepKind::Transform);
-    }
-    g
 }
 
 /// One random mutation: `(selector, a, b, value)` decoded against the

@@ -10,6 +10,9 @@
 //! and vDNN schedule overrides still steer dispatch order on the new
 //! frontier.
 
+mod common;
+
+use common::thread_for;
 use daydream_core::whatif::P3Scheduler;
 use daydream_core::{
     simulate, simulate_compiled_with, simulate_reference, simulate_with, CommChannel, CompactId,
@@ -18,18 +21,6 @@ use daydream_core::{
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
-
-/// The simulator's thread universe for random graphs: two CPU threads,
-/// two GPU streams, one communication channel.
-fn thread_for(sel: u64) -> ExecThread {
-    match sel % 5 {
-        0 => ExecThread::Cpu(CpuThreadId(0)),
-        1 => ExecThread::Cpu(CpuThreadId(1)),
-        2 => ExecThread::Gpu(DeviceId(0), StreamId(0)),
-        3 => ExecThread::Gpu(DeviceId(0), StreamId(1)),
-        _ => ExecThread::Comm(CommChannel::Collective),
-    }
-}
 
 /// Builds a random DAG: tasks with arbitrary threads (picked from the
 /// `thread` universe), durations, gaps and priorities, forward edges only

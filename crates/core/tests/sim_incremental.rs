@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::assert_warm_matches_full;
+use common::{assert_warm_matches_full, build_dag, canonical, thread_for};
 use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
@@ -21,9 +21,9 @@ use daydream_core::whatif::{
     DgcConfig, GistConfig, P3Config, VdnnConfig,
 };
 use daydream_core::{
-    simulate_compiled, CommChannel, CompactId, CompiledGraph, DepKind, DependencyGraph, ExecThread,
-    FallbackReason, GraphEdit, GraphPatch, GraphView, IncrementalOptions, IncrementalStats,
-    PatchGraph, ProfiledGraph, Schedule, SimScratch, Task, TaskId, TaskKind,
+    simulate_compiled, CompiledGraph, DepKind, DependencyGraph, ExecThread, FallbackReason,
+    GraphEdit, GraphPatch, GraphView, IncrementalOptions, IncrementalStats, PatchGraph,
+    ProfiledGraph, Schedule, SimScratch, Task, TaskId, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -51,37 +51,6 @@ fn assert_incremental(
     let cg = CompiledGraph::compile(base);
     let schedule = Schedule::capture(&cg).expect("base must be a DAG");
     assert_warm_matches_full(&cg, &schedule, patch, opts, &mut SimScratch::new()).stats
-}
-
-// --- The random-DAG universe of patch_equivalence.rs -----------------------
-
-fn thread_for(sel: u64) -> ExecThread {
-    match sel % 5 {
-        0 => ExecThread::Cpu(CpuThreadId(0)),
-        1 => ExecThread::Cpu(CpuThreadId(1)),
-        2 => ExecThread::Gpu(DeviceId(0), StreamId(0)),
-        3 => ExecThread::Gpu(DeviceId(0), StreamId(1)),
-        _ => ExecThread::Comm(CommChannel::Collective),
-    }
-}
-
-fn build_dag(tasks: &[(u64, u64, u64)], edges: &[(u64, u64)]) -> DependencyGraph {
-    let mut g = DependencyGraph::new();
-    let n = tasks.len();
-    for (i, &(sel, dur, gap)) in tasks.iter().enumerate() {
-        let mut t = Task::new(format!("t{i}"), TaskKind::CpuWork, thread_for(sel), dur);
-        t.gap_ns = gap;
-        t.priority = (dur % 7) as i64 - 3;
-        g.add_task(t);
-    }
-    for &(a, b) in edges {
-        let (x, y) = ((a as usize) % n, (b as usize) % n);
-        if x == y {
-            continue;
-        }
-        g.add_dep(TaskId(x.min(y)), TaskId(x.max(y)), DepKind::Transform);
-    }
-    g
 }
 
 /// One random mutation decoded against the overlay's current state
@@ -244,29 +213,6 @@ proptest! {
         // other, and the incremental simulator agrees with full.
         assert_incremental(&g, &composed, &FORCE);
     }
-}
-
-/// Canonical structural form (as in patch_equivalence.rs): arena id,
-/// thread, cost, duration, priority, pred count, sorted successor ids.
-type CanonicalTask = (TaskId, ExecThread, u64, u64, i64, u32, Vec<TaskId>);
-
-fn canonical(cg: &CompiledGraph) -> Vec<CanonicalTask> {
-    (0..cg.len())
-        .map(|i| {
-            let c = CompactId(i as u32);
-            let mut succs: Vec<TaskId> = cg.successors(c).iter().map(|&s| cg.task_id(s)).collect();
-            succs.sort_unstable();
-            (
-                cg.task_id(c),
-                cg.exec_thread(cg.thread_of(c)),
-                cg.cost_ns(c),
-                cg.duration_ns(c),
-                cg.priority(c),
-                cg.pred_count(c),
-                succs,
-            )
-        })
-        .collect()
 }
 
 // --- Pinned small-graph behavior -------------------------------------------

@@ -15,42 +15,13 @@
 
 mod common;
 
-use common::assert_warm_matches_full;
+use common::{assert_warm_matches_full, build_dag, thread_for};
 use daydream_core::{
     simulate_warm, CommChannel, CompiledGraph, DepKind, DependencyGraph, ExecThread, GraphEdit,
     GraphView, IncrementalOptions, PatchGraph, Schedule, SimScratch, Task, TaskId, TaskKind,
 };
-use daydream_trace::{CpuThreadId, DeviceId, StreamId};
+use daydream_trace::CpuThreadId;
 use proptest::prelude::*;
-
-fn thread_for(sel: u64) -> ExecThread {
-    match sel % 5 {
-        0 => ExecThread::Cpu(CpuThreadId(0)),
-        1 => ExecThread::Cpu(CpuThreadId(1)),
-        2 => ExecThread::Gpu(DeviceId(0), StreamId(0)),
-        3 => ExecThread::Gpu(DeviceId(0), StreamId(1)),
-        _ => ExecThread::Comm(CommChannel::Collective),
-    }
-}
-
-fn build_dag(tasks: &[(u64, u64, u64)], edges: &[(u64, u64)]) -> DependencyGraph {
-    let mut g = DependencyGraph::new();
-    let n = tasks.len();
-    for (i, &(sel, dur, gap)) in tasks.iter().enumerate() {
-        let mut t = Task::new(format!("t{i}"), TaskKind::CpuWork, thread_for(sel), dur);
-        t.gap_ns = gap;
-        t.priority = (dur % 7) as i64 - 3;
-        g.add_task(t);
-    }
-    for &(a, b) in edges {
-        let (x, y) = ((a as usize) % n, (b as usize) % n);
-        if x == y {
-            continue;
-        }
-        g.add_dep(TaskId(x.min(y)), TaskId(x.max(y)), DepKind::Transform);
-    }
-    g
-}
 
 /// Threads no base graph uses: inserts and moves onto them make the
 /// warm view intern threads after the base's.

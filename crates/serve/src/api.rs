@@ -114,36 +114,32 @@ pub struct SweepRequest {
 }
 
 impl SweepRequest {
-    /// Builds the grid, axis for axis: the one copy of the sweep defaults,
+    /// Builds the grid, axis for axis; an absent axis keeps
+    /// [`SweepGrid::default`]'s, the one copy of the sweep defaults,
     /// shared by the daemon and `daydream sweep`.
     pub fn grid(&self) -> Result<SweepGrid, String> {
-        let lossy = match self.lossy.as_deref().unwrap_or("off") {
-            "off" => vec![false],
-            "on" => vec![true],
-            "both" => vec![false, true],
-            other => return Err(format!("invalid lossy mode '{other}' (off | on | both)")),
+        let d = SweepGrid::default();
+        let lossy = match self.lossy.as_deref() {
+            None => d.gist_lossy,
+            Some("off") => vec![false],
+            Some("on") => vec![true],
+            Some("both") => vec![false, true],
+            Some(other) => return Err(format!("invalid lossy mode '{other}' (off | on | both)")),
         };
         let max_batch = self.max_batch.unwrap_or(u64::MAX);
-        let or = |axis: &Option<Vec<String>>, d: &[&str]| -> Vec<String> {
-            axis.clone()
-                .unwrap_or_else(|| d.iter().map(|s| s.to_string()).collect())
-        };
         Ok(SweepGrid::builder()
-            .models(or(&self.models, &["ResNet-50", "BERT_Base"]))
-            .batches(self.batches.clone().unwrap_or_else(|| vec![4, 8]))
-            .opts(or(
-                &self.opts,
-                &["amp", "fused-adam", "gist", "ddp", "dgc", "bandwidth"],
-            ))
-            .bandwidths(self.bw.clone().unwrap_or_else(|| vec![10.0, 25.0]))
-            .machines(self.machines.clone().unwrap_or_else(|| vec![4]))
-            .gpus_per_machine(self.gpus.unwrap_or(1))
-            .dgc_ratios(self.ratios.clone().unwrap_or_else(|| vec![0.01]))
-            .bandwidth_factors(self.factors.clone().unwrap_or_else(|| vec![2.0]))
-            .upgrade_targets(or(&self.to, &["v100"]))
+            .models(self.models.clone().unwrap_or(d.models))
+            .batches(self.batches.clone().unwrap_or(d.batches))
+            .opts(self.opts.clone().unwrap_or(d.opts))
+            .bandwidths(self.bw.clone().unwrap_or(d.bandwidths))
+            .machines(self.machines.clone().unwrap_or(d.machines))
+            .gpus_per_machine(self.gpus.unwrap_or(d.gpus_per_machine))
+            .dgc_ratios(self.ratios.clone().unwrap_or(d.dgc_ratios))
+            .bandwidth_factors(self.factors.clone().unwrap_or(d.bandwidth_factors))
+            .upgrade_targets(self.to.clone().unwrap_or(d.upgrade_targets))
             .gist_lossy(lossy)
-            .vdnn_lookaheads(self.lookaheads.clone().unwrap_or_else(|| vec![2]))
-            .target_batches(self.target_batches.clone().unwrap_or_else(|| vec![16]))
+            .vdnn_lookaheads(self.lookaheads.clone().unwrap_or(d.vdnn_lookaheads))
+            .target_batches(self.target_batches.clone().unwrap_or(d.target_batches))
             .filter(move |s| s.batch <= max_batch)
             .build())
     }

@@ -3,6 +3,7 @@
 //! per connection (`Connection: close`), so response framing is just
 //! "read to EOF".
 
+use daydream_shard::RetryPolicy;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -23,49 +24,6 @@ impl HttpResponse {
     /// True for 2xx statuses.
     pub fn is_ok(&self) -> bool {
         (200..300).contains(&self.status)
-    }
-}
-
-/// Client-side retry policy: capped exponential backoff with
-/// deterministic jitter, honoring `Retry-After` on shed responses.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryOptions {
-    /// Extra attempts after the first (0 = single attempt, no retry).
-    pub retries: u32,
-    /// First backoff in milliseconds; doubles each retry.
-    pub backoff_ms: u64,
-    /// Backoff ceiling in milliseconds.
-    pub max_backoff_ms: u64,
-}
-
-impl Default for RetryOptions {
-    fn default() -> Self {
-        RetryOptions {
-            retries: 0,
-            backoff_ms: 100,
-            max_backoff_ms: 5_000,
-        }
-    }
-}
-
-impl RetryOptions {
-    /// The backoff before retry number `attempt` (0-based): capped
-    /// exponential scaled by a deterministic jitter in `[0.5, 1.5)` so
-    /// a fleet of retrying clients doesn't stampede in lockstep.
-    pub fn backoff_for(&self, attempt: u32) -> u64 {
-        let exp = self
-            .backoff_ms
-            .saturating_mul(1u64 << attempt.min(16))
-            .min(self.max_backoff_ms);
-        // FNV-1a over the attempt number; same scheme the shard worker
-        // uses server-side.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in attempt.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        let jitter = 0.5 + (h % 1024) as f64 / 1024.0;
-        (exp as f64 * jitter) as u64
     }
 }
 
@@ -123,30 +81,30 @@ impl std::fmt::Display for QueryError {
 }
 
 /// [`http_request`] with bounded retry: connection failures, 5xx, and
-/// 429 responses are retried with capped exponential backoff + jitter
-/// (a 429's `Retry-After` hint raises the floor); any other response —
-/// including 4xx — is returned as-is for the caller to interpret.
+/// 429 responses are retried after [`RetryPolicy::backoff_ms`] (a 429's
+/// `Retry-After` hint raises the floor); any other response — including
+/// 4xx — is returned as-is for the caller to interpret.
 pub fn http_request_retrying(
     addr: &str,
     method: &str,
     path: &str,
     body: &str,
-    opts: RetryOptions,
+    policy: RetryPolicy,
 ) -> Result<HttpResponse, QueryError> {
     let mut last: Result<HttpResponse, String> = Err("unattempted".into());
-    for attempt in 0..=opts.retries {
+    for attempt in 0..=policy.max_retries {
         last = http_request(addr, method, path, body);
         let retry_floor_ms = match &last {
             Ok(resp) if resp.status < 500 && resp.status != 429 => return Ok(resp.clone()),
             Ok(resp) => resp.retry_after_ms.unwrap_or(0),
             Err(_) => 0,
         };
-        if attempt < opts.retries {
-            let wait = opts.backoff_for(attempt).max(retry_floor_ms);
+        if attempt < policy.max_retries {
+            let wait = policy.backoff_ms(attempt).max(retry_floor_ms);
             std::thread::sleep(Duration::from_millis(wait));
         }
     }
-    let attempts = opts.retries + 1;
+    let attempts = policy.max_retries + 1;
     match last {
         Ok(resp) => Err(QueryError::Http {
             addr: addr.into(),
@@ -288,27 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_capped_exponential_with_bounded_jitter() {
-        let opts = RetryOptions {
-            retries: 5,
-            backoff_ms: 100,
-            max_backoff_ms: 400,
-        };
-        for attempt in 0..6 {
-            let expected = (100u64 << attempt).min(400);
-            let b = opts.backoff_for(attempt);
-            assert!(
-                b >= expected / 2 && b < expected * 3 / 2,
-                "attempt {attempt}: {b} outside [{}, {})",
-                expected / 2,
-                expected * 3 / 2
-            );
-            // Deterministic: same attempt, same backoff.
-            assert_eq!(b, opts.backoff_for(attempt));
-        }
-    }
-
-    #[test]
     fn connection_failures_are_distinguished_from_server_errors() {
         // Nothing listens on a fresh ephemeral port we bind then drop.
         let port = {
@@ -316,10 +253,11 @@ mod tests {
             l.local_addr().unwrap().port()
         };
         let addr = format!("127.0.0.1:{port}");
-        let opts = RetryOptions {
-            retries: 2,
-            backoff_ms: 1,
+        let opts = RetryPolicy {
+            max_retries: 2,
+            base_backoff_ms: 1,
             max_backoff_ms: 2,
+            seed: 0,
         };
         let err = http_request_retrying(&addr, "GET", "/healthz", "", opts).unwrap_err();
         match &err {
@@ -364,10 +302,9 @@ mod tests {
                     .unwrap();
             }
         });
-        let opts = RetryOptions {
-            retries: 1,
-            backoff_ms: 1,
-            max_backoff_ms: 2,
+        let opts = RetryPolicy {
+            max_retries: 1,
+            ..opts
         };
         let err = http_request_retrying(&addr, "GET", "/healthz", "", opts).unwrap_err();
         match &err {

@@ -24,7 +24,7 @@ use daydream_sweep::{Scenario, SweepEngine, SweepReport};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Target scenarios per journaled shard: small enough that a crash
 /// loses little progress, large enough to amortize claim overhead.
@@ -55,6 +55,21 @@ pub struct JobFailure {
     pub error: String,
     /// Unix milliseconds when the failure was recorded.
     pub failed_unix_ms: u64,
+}
+
+/// Fault handling of a queue's journaled jobs, for `/metrics`: counted
+/// by the queue that retries, reclaims and recovers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Transient protocol failures retried with backoff.
+    pub retries: u64,
+    /// Stale or dead-worker leases reclaimed.
+    pub reclaims: u64,
+    /// Faults fired by a deterministic fault injector (nonzero only
+    /// under chaos testing).
+    pub faults_injected: u64,
+    /// Journaled jobs recovered after a daemon restart.
+    pub jobs_recovered: u64,
 }
 
 /// Lifecycle of one submitted job.
@@ -114,6 +129,7 @@ struct Shared {
     pending: Mutex<VecDeque<Arc<Job>>>,
     cv: Condvar,
     stop: Mutex<bool>,
+    recovery: Mutex<RecoveryStats>,
     /// Makes the next drain panic, to test that a panicking job cannot
     /// take the worker down.
     #[cfg(test)]
@@ -126,7 +142,6 @@ struct Shared {
 pub struct JobQueue {
     shared: Arc<Shared>,
     worker: Mutex<Option<std::thread::JoinHandle<()>>>,
-    recovered: usize,
 }
 
 impl JobQueue {
@@ -154,8 +169,10 @@ impl JobQueue {
                 pending.push_back(job);
             }
         }
-        let recovered = jobs.len();
-        engine.record_recovery(0, 0, 0, recovered as u64);
+        let recovery = RecoveryStats {
+            jobs_recovered: jobs.len() as u64,
+            ..RecoveryStats::default()
+        };
         let shared = Arc::new(Shared {
             engine,
             store,
@@ -163,6 +180,7 @@ impl JobQueue {
             pending: Mutex::new(pending),
             cv: Condvar::new(),
             stop: Mutex::new(false),
+            recovery: Mutex::new(recovery),
             #[cfg(test)]
             panic_next_drain: std::sync::atomic::AtomicBool::new(false),
         });
@@ -174,13 +192,14 @@ impl JobQueue {
         JobQueue {
             shared,
             worker: Mutex::new(Some(worker)),
-            recovered,
         }
     }
 
-    /// Journaled jobs re-enqueued from the store at startup.
-    pub fn recovered_count(&self) -> usize {
-        self.recovered
+    /// Retries, lease reclaims and injected faults of the queue's
+    /// journaled drains so far, and the jobs it re-enqueued from the
+    /// store at startup.
+    pub fn recovery(&self) -> RecoveryStats {
+        *lock(&self.shared.recovery)
     }
 
     /// Enqueues a scenario list; returns the job id immediately. With a
@@ -201,7 +220,7 @@ impl JobQueue {
             },
             None => (None, None),
         };
-        let mut jobs = self.shared.jobs.lock().unwrap();
+        let mut jobs = lock(&self.shared.jobs);
         let id = jobs.len() as u64 + 1;
         let job = Arc::new(Job {
             total: scenarios.len(),
@@ -214,18 +233,13 @@ impl JobQueue {
         });
         jobs.push(Arc::clone(&job));
         drop(jobs);
-        self.shared.pending.lock().unwrap().push_back(job);
+        lock(&self.shared.pending).push_back(job);
         self.shared.cv.notify_one();
         id
     }
 
-    /// Jobs waiting to start (the shedding signal for a bounded queue).
-    pub fn queued_depth(&self) -> usize {
-        self.shared.pending.lock().unwrap().len()
-    }
-
     fn job(&self, id: u64) -> Option<Arc<Job>> {
-        let jobs = self.shared.jobs.lock().unwrap();
+        let jobs = lock(&self.shared.jobs);
         if id == 0 || id as usize > jobs.len() {
             return None;
         }
@@ -235,8 +249,8 @@ impl JobQueue {
     /// Status of job `id`, if it exists.
     pub fn snapshot(&self, id: u64) -> Option<JobSnapshot> {
         let job = self.job(id)?;
-        let phase = job.phase.lock().unwrap().clone();
-        let done = job.partial.lock().unwrap().len();
+        let phase = lock(&job.phase).clone();
+        let done = lock(&job.partial).len();
         let (state, error, run_id, note) = match phase {
             JobPhase::Queued => ("queued", None, None, None),
             JobPhase::Running => ("running", None, None, None),
@@ -260,17 +274,17 @@ impl JobQueue {
     /// offline sweep of the same scenario list.
     pub fn results(&self, id: u64) -> Option<(SweepReport, bool)> {
         let job = self.job(id)?;
-        let outcomes = job.partial.lock().unwrap().clone();
-        let is_final = matches!(&*job.phase.lock().unwrap(), JobPhase::Done { .. });
+        let outcomes = lock(&job.partial).clone();
+        let is_final = matches!(&*lock(&job.phase), JobPhase::Done { .. });
         Some((SweepReport::from_outcomes(outcomes), is_final))
     }
 
     /// Counts of jobs by state: (queued, running, done, failed).
     pub fn counts(&self) -> (usize, usize, usize, usize) {
-        let jobs = self.shared.jobs.lock().unwrap();
+        let jobs = lock(&self.shared.jobs);
         let mut c = (0, 0, 0, 0);
         for job in jobs.iter() {
-            match &*job.phase.lock().unwrap() {
+            match &*lock(&job.phase) {
                 JobPhase::Queued => c.0 += 1,
                 JobPhase::Running => c.1 += 1,
                 JobPhase::Done { .. } => c.2 += 1,
@@ -284,9 +298,9 @@ impl JobQueue {
     /// unstarted jobs stay `queued` (visible in their snapshots) — and,
     /// when journaled, are recovered by the next daemon.
     pub fn shutdown(&self) {
-        *self.shared.stop.lock().unwrap() = true;
+        *lock(&self.shared.stop) = true;
         self.shared.cv.notify_all();
-        if let Some(handle) = self.worker.lock().unwrap().take() {
+        if let Some(handle) = lock(&self.worker).take() {
             handle.join().ok();
         }
     }
@@ -342,18 +356,21 @@ fn journal_job(store: &RunStore, scenarios: &[Scenario]) -> Result<RunDir, Strin
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         let job = {
-            let mut pending = shared.pending.lock().unwrap();
+            let mut pending = lock(&shared.pending);
             loop {
-                if *shared.stop.lock().unwrap() {
+                if *lock(&shared.stop) {
                     return;
                 }
                 if let Some(job) = pending.pop_front() {
                     break job;
                 }
-                pending = shared.cv.wait(pending).unwrap();
+                pending = shared
+                    .cv
+                    .wait(pending)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        *job.phase.lock().unwrap() = JobPhase::Running;
+        *lock(&job.phase) = JobPhase::Running;
         // A panicking drain fails its job like an error does; the worker
         // lives on to drain the jobs queued behind it.
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -377,7 +394,7 @@ fn worker_loop(shared: Arc<Shared>) {
                     (Some(pre), None) => Some(pre.clone()),
                     (None, n) => n,
                 };
-                *job.phase.lock().unwrap() = JobPhase::Done { run_id, note };
+                *lock(&job.phase) = JobPhase::Done { run_id, note };
             }
             Err(e) => {
                 // Poison-mark a journaled failure so a restarted daemon
@@ -390,10 +407,17 @@ fn worker_loop(shared: Arc<Shared>) {
                     write_json_atomic(&run.path().join("job-failed.json"), &marker, Step::Journal)
                         .ok();
                 }
-                *job.phase.lock().unwrap() = JobPhase::Failed(e);
+                *lock(&job.phase) = JobPhase::Failed(e);
             }
         }
     }
+}
+
+/// Locks one of the queue's tables, also after a panic poisoned it:
+/// every guarded value is replaced or appended whole, so what a
+/// panicking holder left is sound.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The message a panic was raised with.
@@ -411,7 +435,7 @@ fn drain_in_memory(
     job: &Arc<Job>,
 ) -> Result<(Option<String>, Option<String>), String> {
     let streamed = |outcome: &ScenarioOutcome| {
-        job.partial.lock().unwrap().push(outcome.clone());
+        lock(&job.partial).push(outcome.clone());
     };
     let mut outcomes = shared
         .engine
@@ -423,7 +447,7 @@ fn drain_in_memory(
     for o in &mut outcomes {
         o.cached = false;
     }
-    *job.partial.lock().unwrap() = outcomes;
+    *lock(&job.partial) = outcomes;
     Ok((None, None))
 }
 
@@ -442,11 +466,9 @@ fn drain_journaled(
         // preloaded so progress (and streamed partials) resume where the
         // dead daemon left off.
         let reclaimed = run.reclaim_worker("serve").map_err(|e| e.to_string())?;
-        shared
-            .engine
-            .record_recovery(0, reclaimed.len() as u64, 0, 0);
+        lock(&shared.recovery).reclaims += reclaimed.len() as u64;
         let manifest = run.manifest().map_err(|e| e.to_string())?;
-        let mut preloaded = job.partial.lock().unwrap();
+        let mut preloaded = lock(&job.partial);
         for index in 0..manifest.shards {
             if let Ok(Some(result)) = run.partial(index) {
                 for mut o in result.outcomes {
@@ -457,7 +479,7 @@ fn drain_journaled(
         }
     }
     let streamed = |outcome: &ScenarioOutcome| {
-        let mut partial = job.partial.lock().unwrap();
+        let mut partial = lock(&job.partial);
         // A reclaim race can evaluate a shard twice; the stream keeps
         // set semantics by key.
         if !partial.iter().any(|o| o.key == outcome.key) {
@@ -472,17 +494,19 @@ fn drain_journaled(
     };
     let summary = run_worker_observed(run, &shared.engine, &cfg, Some(&streamed))
         .map_err(|e| e.to_string())?;
-    let faults = run.fault_injector().map(|i| i.fired()).unwrap_or(0);
-    shared
-        .engine
-        .record_recovery(summary.retries, summary.leases_reclaimed as u64, faults, 0);
+    {
+        let mut recovery = lock(&shared.recovery);
+        recovery.retries += summary.retries;
+        recovery.reclaims += summary.leases_reclaimed as u64;
+        recovery.faults_injected += run.fault_injector().map(|i| i.fired()).unwrap_or(0);
+    }
     let report = merge_run(run).map_err(|e| e.to_string())?;
     write_merged(run, &report).map_err(|e| e.to_string())?;
     let run_id = run
         .manifest()
         .map(|m| m.run_id)
         .map_err(|e| e.to_string())?;
-    *job.partial.lock().unwrap() = report.results.clone();
+    *lock(&job.partial) = report.results.clone();
     let note = job
         .recovered
         .then(|| "recovered after daemon restart".to_string());
@@ -567,7 +591,7 @@ mod tests {
         let store = RunStore::open(&root).unwrap();
         let engine = Arc::new(SweepEngine::new(2));
         let queue = JobQueue::new(engine, Some(store));
-        assert_eq!(queue.recovered_count(), 0);
+        assert_eq!(queue.recovery().jobs_recovered, 0);
         let id = queue.submit(scenarios());
         let snap = wait_done(&queue, id);
         assert_eq!(snap.state, "done", "{snap:?}");
@@ -644,7 +668,7 @@ mod tests {
         // "Restart": a fresh queue over the same store recovers both
         // journaled runs (ids 1 and 2, in run order) and drains them.
         let queue = JobQueue::new(Arc::clone(&engine), Some(store));
-        assert_eq!(queue.recovered_count(), 2);
+        assert_eq!(queue.recovery().jobs_recovered, 2);
         let snap1 = wait_done(&queue, 1);
         let snap2 = wait_done(&queue, 2);
         assert_eq!(snap1.state, "done", "{snap1:?}");
@@ -672,15 +696,16 @@ mod tests {
             );
         }
         // Recovery is observable.
-        assert_eq!(engine.total_stats().jobs_recovered, 2);
-        assert!(engine.total_stats().reclaims >= 1, "dead daemon's lease");
+        let recovery = queue.recovery();
+        assert_eq!(recovery.jobs_recovered, 2);
+        assert!(recovery.reclaims >= 1, "dead daemon's lease");
 
         // A third queue over the same store finds nothing to recover:
         // both runs now have merged.json.
         queue.shutdown();
         let store = RunStore::open(&root).unwrap();
         let queue2 = JobQueue::new(engine, Some(store));
-        assert_eq!(queue2.recovered_count(), 0);
+        assert_eq!(queue2.recovery().jobs_recovered, 0);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -717,6 +742,37 @@ mod tests {
     }
 
     #[test]
+    fn poisoned_job_locks_keep_the_queue_answering() {
+        let queue = JobQueue::new(Arc::new(SweepEngine::new(1)), None);
+        let id = queue.submit(scenarios());
+        assert_eq!(wait_done(&queue, id).state, "done");
+        // A thread panics while it holds the job's partial results and
+        // the jobs table, poisoning both locks.
+        let job = queue.job(id).unwrap();
+        std::thread::scope(|s| {
+            let joined = s
+                .spawn(|| {
+                    let _partial = job.partial.lock().unwrap();
+                    let _jobs = queue.shared.jobs.lock().unwrap();
+                    panic!("poisoning the job locks");
+                })
+                .join();
+            assert!(joined.is_err());
+        });
+        assert!(job.partial.is_poisoned() && queue.shared.jobs.is_poisoned());
+
+        let snap = queue.snapshot(id).unwrap();
+        assert_eq!((snap.state.as_str(), snap.done), ("done", snap.total));
+        let (report, is_final) = queue.results(id).unwrap();
+        assert!(is_final);
+        assert_eq!(report.scenario_count, snap.total);
+        assert_eq!(queue.counts(), (0, 0, 1, 0));
+        let next = queue.submit(scenarios());
+        assert_eq!(wait_done(&queue, next).state, "done");
+        assert_eq!(queue.counts(), (0, 0, 2, 0));
+    }
+
+    #[test]
     fn failed_journaled_jobs_are_not_recovered_again() {
         let root = tmp_store("poison");
         let store = RunStore::open(&root).unwrap();
@@ -733,7 +789,7 @@ mod tests {
 
         // First restart recovers it, fails it, and poison-marks it.
         let queue = JobQueue::new(Arc::clone(&engine), Some(RunStore::open(&root).unwrap()));
-        assert_eq!(queue.recovered_count(), 1);
+        assert_eq!(queue.recovery().jobs_recovered, 1);
         let snap = wait_done(&queue, 1);
         assert_eq!(snap.state, "failed", "{snap:?}");
         assert!(run_path.join("job-failed.json").exists());
@@ -741,7 +797,7 @@ mod tests {
 
         // Second restart skips the poisoned job.
         let queue2 = JobQueue::new(engine, Some(RunStore::open(&root).unwrap()));
-        assert_eq!(queue2.recovered_count(), 0);
+        assert_eq!(queue2.recovery().jobs_recovered, 0);
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -31,7 +31,7 @@
 //! | Endpoint | Answer |
 //! |---|---|
 //! | `GET /healthz` | liveness + uptime |
-//! | `GET /metrics` | engine-lifetime [`daydream_sweep::RunStats`] + cache + job counters |
+//! | `GET /metrics` | engine-lifetime [`daydream_sweep::RunStats`] (each run's own work, summed) + cache + job counters + [`JobQueue::recovery`] |
 //! | `GET /models` | model zoo + warm profile registry |
 //! | `POST /whatif` | one scenario, evaluated synchronously against the warm base |
 //! | `POST /sweep` | submit a grid; returns a job id |
@@ -47,7 +47,7 @@ pub mod jobs;
 pub mod server;
 
 pub use api::{SweepRequest, WhatIfRequest};
-pub use client::{http_request, http_request_retrying, HttpResponse, QueryError, RetryOptions};
+pub use client::{http_request, http_request_retrying, HttpResponse, QueryError};
 pub use http::{HttpError, Limits, Request, RequestParser};
-pub use jobs::{JobFailure, JobJournal, JobQueue, JobSnapshot};
+pub use jobs::{JobFailure, JobJournal, JobQueue, JobSnapshot, RecoveryStats};
 pub use server::{ServeConfig, ServeSummary, Server};

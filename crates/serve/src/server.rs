@@ -4,7 +4,7 @@
 
 use crate::api::{SweepRequest, WhatIfRequest};
 use crate::http::{response_bytes, HttpError, Limits, RequestParser};
-use crate::jobs::JobQueue;
+use crate::jobs::{lock, JobQueue};
 use daydream_shard::RunStore;
 use daydream_sweep::SweepEngine;
 use serde::{Deserialize, Serialize};
@@ -13,7 +13,7 @@ use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How the daemon runs.
@@ -156,7 +156,7 @@ impl Server {
                         .name("daydream-serve-conn".into())
                         .spawn(move || serve_connection(stream, &state))
                         .map_err(|e| format!("cannot spawn connection thread: {e}"))?;
-                    handles.lock().unwrap().push(handle);
+                    lock(&handles).push(handle);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     // The poll interval is the floor on cold-connection
@@ -167,7 +167,7 @@ impl Server {
             }
             // Reap finished connections so long-lived daemons don't
             // accumulate handles.
-            let mut guard = handles.lock().unwrap();
+            let mut guard = lock(&handles);
             let mut keep = Vec::new();
             for h in guard.drain(..) {
                 if h.is_finished() {
@@ -178,7 +178,7 @@ impl Server {
             }
             *guard = keep;
         }
-        for h in handles.into_inner().unwrap() {
+        for h in handles.into_inner().unwrap_or_else(PoisonError::into_inner) {
             h.join().ok();
         }
         self.state.queue.shutdown();
@@ -326,6 +326,7 @@ fn handle_metrics(state: &AppState) -> (u16, String) {
     let patch_cache = state.engine.patch_cache();
     let profiles = state.engine.resident_profiles();
     let (queued, running, done, failed) = state.queue.counts();
+    let recovery = state.queue.recovery();
     let shard_json = |hits: Vec<usize>, contended: Vec<usize>| {
         format!(
             "\"shard_hits\":{:?},\"shard_contended\":{:?}",
@@ -370,16 +371,16 @@ fn handle_metrics(state: &AppState) -> (u16, String) {
         patch_cache.len(),
         patch_cache.hits(),
         shard_json(patch_cache.shard_hits(), patch_cache.shard_contention()),
-        totals.retries,
-        totals.reclaims,
-        totals.faults_injected,
-        totals.jobs_recovered,
+        recovery.retries,
+        recovery.reclaims,
+        recovery.faults_injected,
+        recovery.jobs_recovered,
         state.jobs_submitted.load(Ordering::SeqCst),
         queued,
         running,
         done,
         failed,
-        state.queue.recovered_count(),
+        recovery.jobs_recovered,
     );
     (200, body)
 }

@@ -18,6 +18,8 @@
 //! [`Recovery::Retryable`] errors. Jitter is deterministic (seeded FNV),
 //! so a test replaying the same seed observes the same schedule.
 
+use daydream_sweep::fnv1a64;
+
 /// What a drain loop should do with a failed operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Recovery {
@@ -59,8 +61,6 @@ pub enum Step {
     LeaseWrite,
     /// Reading a `.lease` sidecar.
     LeaseRead,
-    /// Reading a pristine `spec/` shard file.
-    ShardSpec,
     /// Evaluating a claimed shard's scenarios.
     Evaluate,
     /// Writing a shard's partial result (write-tmp-then-rename).
@@ -102,7 +102,6 @@ impl Step {
             Step::ClaimShard => "claim-shard",
             Step::LeaseWrite => "lease-write",
             Step::LeaseRead => "lease-read",
-            Step::ShardSpec => "shard-spec",
             Step::Evaluate => "evaluate",
             Step::PartialWrite => "partial-write",
             Step::PartialRead => "partial-read",
@@ -261,11 +260,7 @@ impl RetryPolicy {
             .saturating_mul(1u64 << attempt.min(20))
             .min(self.max_backoff_ms);
         // FNV-1a over (seed, attempt) -> jitter in [0.5, 1.5).
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for byte in self.seed.to_le_bytes().iter().chain(&attempt.to_le_bytes()) {
-            h ^= u64::from(*byte);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
+        let h = fnv1a64(&[self.seed.to_le_bytes().as_slice(), &attempt.to_le_bytes()].concat());
         let frac = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         ((exp as f64) * (0.5 + frac)) as u64
     }

@@ -370,34 +370,6 @@ impl RunDir {
         self.root.join("merged.json")
     }
 
-    /// Reads shard `index`'s pristine spec (the immutable copy written
-    /// at init, untouched by the claim protocol).
-    pub fn shard_spec(&self, index: usize) -> Result<ShardFile, ShardError> {
-        let path = self.spec_path(index);
-        let json = std::fs::read_to_string(&path).map_err(|e| {
-            let recovery = if e.kind() == ErrorKind::NotFound {
-                Recovery::Fatal
-            } else {
-                Recovery::Retryable
-            };
-            ShardError {
-                step: Step::ShardSpec,
-                recovery,
-                shard: Some(index),
-                message: format!("cannot read {}: {e}", path.display()),
-                injected: false,
-            }
-        })?;
-        let shard: ShardFile = serde_json::from_str(&json).map_err(|e| {
-            ShardError::fatal(
-                Step::ShardSpec,
-                format!("invalid spec {}: {e}", path.display()),
-            )
-            .with_shard(index)
-        })?;
-        Ok(shard)
-    }
-
     /// Attempts to claim shard `index`: atomic rename `todo/ -> leases/`
     /// followed by writing the lease metadata. Returns `Ok(None)` when
     /// the shard is not in `todo/` (already claimed or completed), or

@@ -1,11 +1,14 @@
-//! Content-hash result cache: repeated or overlapping sub-grids are free.
+//! Content-hash caches: repeated or overlapping sub-grids are free.
 //!
-//! Keys are [`crate::Scenario::fingerprint`] values — stable FNV-1a
-//! content hashes — so the cache survives process restarts via a JSON
-//! file (the CLI's `--cache-file`).
+//! Both caches are one sharded [`MemoTable`]. The result cache's keys
+//! are [`crate::Scenario::fingerprint`] values — stable FNV-1a content
+//! hashes — so it survives process restarts via a JSON file (the CLI's
+//! `--cache-file`); the patch cache lives for the engine's lifetime.
 
 use crate::report::ScenarioOutcome;
+use crate::scenario::fnv1a64;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
@@ -20,12 +23,7 @@ pub const CACHE_SHARDS: usize = 16;
 /// prefixes), so the key's bytes run through one more FNV round before
 /// masking.
 fn shard_of(key: u64) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h & (CACHE_SHARDS as u64 - 1)) as usize
+    (fnv1a64(&key.to_le_bytes()) & (CACHE_SHARDS as u64 - 1)) as usize
 }
 
 /// One lock shard: its slice of the key space plus hit/contention
@@ -71,91 +69,83 @@ impl<V> Shard<V> {
     }
 }
 
-/// Thread-safe scenario-result cache, sharded [`CACHE_SHARDS`] ways by
-/// fingerprint so concurrent workers rarely touch the same lock.
-#[derive(Debug, Default)]
-pub struct SweepCache {
-    shards: [Shard<ScenarioOutcome>; CACHE_SHARDS],
-    misses: AtomicUsize,
+/// A thread-safe memo table keyed by content hashes, sharded
+/// [`CACHE_SHARDS`] ways so concurrent workers rarely touch the same
+/// lock. It owns the shard pick, poison recovery, and the per-shard hit
+/// and contention counts; [`SweepCache`] and [`PatchCache`] are its two
+/// instantiations.
+#[derive(Debug)]
+pub struct MemoTable<V> {
+    shards: [Shard<V>; CACHE_SHARDS],
 }
 
-impl SweepCache {
-    /// An empty cache.
+// Not derived: `V` itself needs no `Default` for an empty table.
+impl<V> Default for MemoTable<V> {
+    fn default() -> Self {
+        MemoTable {
+            shards: Default::default(),
+        }
+    }
+}
+
+impl<V: Clone> MemoTable<V> {
+    /// An empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Looks a fingerprint up, counting the hit or miss. Hits come back
-    /// with `cached = true` so reports can show reuse.
-    pub fn lookup(&self, fingerprint: u64) -> Option<ScenarioOutcome> {
-        let shard = &self.shards[shard_of(fingerprint)];
-        let got = shard.lock().get(&fingerprint).cloned();
-        match got {
-            Some(mut outcome) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                outcome.cached = true;
-                Some(outcome)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+    /// Looks a key up, counting a hit on its shard.
+    pub fn get(&self, key: u64) -> Option<V> {
+        let shard = &self.shards[shard_of(key)];
+        let got = shard.lock().get(&key).cloned();
+        if got.is_some() {
+            shard.hits.fetch_add(1, Ordering::Relaxed);
         }
+        got
     }
 
-    /// Stores a freshly computed outcome.
-    pub fn insert(&self, fingerprint: u64, outcome: &ScenarioOutcome) {
-        let mut stored = outcome.clone();
-        stored.cached = false;
-        self.shards[shard_of(fingerprint)]
-            .lock()
-            .insert(fingerprint, stored);
+    /// Stores a value, replacing any previous one under `key`.
+    pub fn insert(&self, key: u64, value: V) {
+        self.shards[shard_of(key)].lock().insert(key, value);
     }
 
-    /// Cache hits since construction (or the last [`SweepCache::clear`]),
+    /// Hits since construction (or the last [`MemoTable::clear`]),
     /// summed over shards.
     pub fn hits(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.hits.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Cache misses since construction.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
+        self.per_shard(|s| &s.hits).sum()
     }
 
     /// Per-shard hit counts, indexed by shard.
     pub fn shard_hits(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.hits.load(Ordering::Relaxed))
-            .collect()
+        self.per_shard(|s| &s.hits).collect()
     }
 
     /// Per-shard contended lock acquisitions, indexed by shard.
     pub fn shard_contention(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.contended.load(Ordering::Relaxed))
-            .collect()
+        self.per_shard(|s| &s.contended).collect()
     }
 
     /// Contended lock acquisitions summed over shards.
     pub fn contended(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.contended.load(Ordering::Relaxed))
-            .sum()
+        self.per_shard(|s| &s.contended).sum()
     }
 
-    /// Number of stored outcomes.
+    /// One counter of every shard, in shard order.
+    fn per_shard(
+        &self,
+        counter: fn(&Shard<V>) -> &AtomicUsize,
+    ) -> impl Iterator<Item = usize> + '_ {
+        self.shards
+            .iter()
+            .map(move |s| counter(s).load(Ordering::Relaxed))
+    }
+
+    /// Number of stored values.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
-    /// Whether the cache is empty.
+    /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -167,6 +157,72 @@ impl SweepCache {
             shard.hits.store(0, Ordering::Relaxed);
             shard.contended.store(0, Ordering::Relaxed);
         }
+    }
+
+    /// Every stored value, in no particular order.
+    fn values(&self) -> Vec<V> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            out.extend(shard.lock().values().cloned());
+        }
+        out
+    }
+}
+
+/// Content-hash scenario-result cache keyed by scenario fingerprint. The
+/// shard accessors ([`MemoTable::hits`], `len`, ...) come from the table
+/// it dereferences to; the cache adds the `cached` flag on hits, a miss
+/// count, and JSON persistence.
+#[derive(Debug, Default)]
+pub struct SweepCache {
+    table: MemoTable<ScenarioOutcome>,
+    misses: AtomicUsize,
+}
+
+impl Deref for SweepCache {
+    type Target = MemoTable<ScenarioOutcome>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.table
+    }
+}
+
+impl SweepCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Looks a fingerprint up, counting the hit or miss. Hits come back
+    /// with `cached = true` so reports can show reuse.
+    pub fn lookup(&self, fingerprint: u64) -> Option<ScenarioOutcome> {
+        let got = self.table.get(fingerprint);
+        if got.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        got.map(|outcome| ScenarioOutcome {
+            cached: true,
+            ..outcome
+        })
+    }
+
+    /// Stores a freshly computed outcome.
+    pub fn insert(&self, fingerprint: u64, outcome: &ScenarioOutcome) {
+        let stored = ScenarioOutcome {
+            cached: false,
+            ..outcome.clone()
+        };
+        self.table.insert(fingerprint, stored);
+    }
+
+    /// Cache misses since construction.
+    pub fn misses(&self) -> usize {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Drops all entries and counters.
+    pub fn clear(&self) {
+        self.table.clear();
         self.misses.store(0, Ordering::Relaxed);
     }
 
@@ -174,10 +230,7 @@ impl SweepCache {
     /// are recomputable, but each outcome carries its `key` hex anyway).
     /// Entries are sorted by key, so sharding never leaks into the file.
     pub fn to_json(&self) -> serde_json::Result<String> {
-        let mut entries: Vec<ScenarioOutcome> = Vec::new();
-        for shard in &self.shards {
-            entries.extend(shard.lock().values().cloned());
-        }
+        let mut entries = self.table.values();
         entries.sort_by(|a, b| a.key.cmp(&b.key));
         serde_json::to_string_pretty(&entries)
     }
@@ -200,7 +253,7 @@ impl SweepCache {
         for outcome in entries {
             let fp = u64::from_str_radix(&outcome.key, 16)
                 .map_err(|_| format!("invalid cache key '{}'", outcome.key))?;
-            self.shards[shard_of(fp)].lock().insert(fp, outcome);
+            self.table.insert(fp, outcome);
             loaded += 1;
         }
         Ok(loaded)
@@ -276,83 +329,7 @@ pub struct PatchEval {
 /// the full outcome (label, memory, comm) and persists to `--cache-file`;
 /// the patch cache keys only the simulated [`PatchEval`] and lives for
 /// the engine's lifetime.
-#[derive(Debug, Default)]
-pub struct PatchCache {
-    shards: [Shard<PatchEval>; CACHE_SHARDS],
-}
-
-impl PatchCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Looks up a recorded evaluation by patch key, counting hits.
-    pub fn get(&self, key: u64) -> Option<PatchEval> {
-        let shard = &self.shards[shard_of(key)];
-        let got = shard.lock().get(&key).copied();
-        if got.is_some() {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        got
-    }
-
-    /// Stores a freshly simulated evaluation.
-    pub fn insert(&self, key: u64, eval: PatchEval) {
-        self.shards[shard_of(key)].lock().insert(key, eval);
-    }
-
-    /// Hits since construction, summed over shards.
-    pub fn hits(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.hits.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Per-shard hit counts, indexed by shard.
-    pub fn shard_hits(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.hits.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Per-shard contended lock acquisitions, indexed by shard.
-    pub fn shard_contention(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.contended.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Contended lock acquisitions summed over shards.
-    pub fn contended(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.contended.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Number of stored makespans.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all entries and counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-            shard.hits.store(0, Ordering::Relaxed);
-            shard.contended.store(0, Ordering::Relaxed);
-        }
-    }
-}
+pub type PatchCache = MemoTable<PatchEval>;
 
 #[cfg(test)]
 mod tests {
@@ -426,7 +403,7 @@ mod tests {
         for k in 0..64u64 {
             cache.insert(k, &outcome(k, "x"));
         }
-        let shard = &cache.shards[shard_of(7)];
+        let shard = &cache.table.shards[shard_of(7)];
         let in_shard = (0..64u64).filter(|&k| shard_of(k) == shard_of(7)).count();
         poison(shard);
         assert!(cache.lookup(7).is_none(), "the poisoned shard is cleared");

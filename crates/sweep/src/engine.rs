@@ -17,8 +17,8 @@ use daydream_core::whatif::{
 };
 use daydream_core::{
     busy_time_bound, simulate_warm, thread_busy_after, thread_busy_ns, try_simulate_warm_with,
-    CompiledGraph, ExecThread, GraphPatch, IncrementalOptions, IncrementalStats, PatchGraph,
-    Prediction, ProfiledGraph, Schedule, ScratchPool, SimScratch, TaskId, TaskKind,
+    CompiledGraph, ExecThread, GraphError, GraphPatch, IncrementalOptions, IncrementalStats,
+    PatchGraph, Prediction, ProfiledGraph, Schedule, ScratchPool, SimScratch, TaskId, TaskKind,
 };
 use daydream_device::GpuSpec;
 use daydream_models::{
@@ -30,7 +30,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Iterations unrolled for P3 steady-state analysis (both the P3 and the
@@ -349,7 +348,10 @@ impl BaseProfile {
     }
 }
 
-/// Wall-clock-free throughput counters of the last `run` call.
+/// Wall-clock-free throughput counters of one `run` call. Each
+/// evaluation worker counts its own work into one of these, and the run
+/// folds the workers' counts together, so a run counts only the work it
+/// did, also while other runs share the engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
     /// Base profiles built this run (cache misses on the profile cache).
@@ -381,21 +383,11 @@ pub struct RunStats {
     /// Warm-arena evaluations that had to (re)size at least one scratch
     /// buffer — at most one per worker per new largest base.
     pub scratch_allocs: u64,
-    /// Contended result-cache shard acquisitions this run (another
-    /// worker held the same shard's lock).
+    /// Contended result-cache shard acquisitions while this run
+    /// evaluated (another worker held the same shard's lock).
     pub cache_contended: usize,
-    /// Contended patch-cache shard acquisitions this run.
+    /// Contended patch-cache shard acquisitions while this run evaluated.
     pub patch_contended: usize,
-    /// Transient protocol failures retried with backoff (shard workers,
-    /// serve jobs). Recorded via [`SweepEngine::record_recovery`].
-    pub retries: u64,
-    /// Stale or dead-worker leases reclaimed.
-    pub reclaims: u64,
-    /// Faults fired by a deterministic fault injector (nonzero only
-    /// under chaos testing).
-    pub faults_injected: u64,
-    /// Journaled serve jobs recovered after a daemon restart.
-    pub jobs_recovered: u64,
     /// Work-stealing counters of the scenario evaluation phase.
     pub executor: ExecutorStats,
 }
@@ -403,8 +395,9 @@ pub struct RunStats {
 impl RunStats {
     /// Folds another run's counters into this one: counts add, the worst
     /// fidelity error is the max, and the worker count is the widest pool
-    /// seen. This is how [`SweepEngine::total_stats`] aggregates
-    /// engine-lifetime counters for a long-lived server process.
+    /// seen. This is how a run folds its workers' counts together, and
+    /// how [`SweepEngine::total_stats`] aggregates engine-lifetime
+    /// counters for a long-lived server process.
     pub fn absorb(&mut self, other: &RunStats) {
         self.profiles_built += other.profiles_built;
         self.patch_hits += other.patch_hits;
@@ -421,13 +414,19 @@ impl RunStats {
         self.scratch_allocs += other.scratch_allocs;
         self.cache_contended += other.cache_contended;
         self.patch_contended += other.patch_contended;
-        self.retries += other.retries;
-        self.reclaims += other.reclaims;
-        self.faults_injected += other.faults_injected;
-        self.jobs_recovered += other.jobs_recovered;
         self.executor.executed += other.executor.executed;
         self.executor.steals += other.executor.steals;
         self.executor.workers = self.executor.workers.max(other.executor.workers);
+    }
+
+    /// Counts one simulation by the path it took.
+    fn record_sim(&mut self, stats: &IncrementalStats) {
+        if stats.is_incremental() {
+            self.incremental_sims += 1;
+        } else {
+            self.full_sims += 1;
+        }
+        self.tasks_redispatched += stats.redispatched as u64;
     }
 }
 
@@ -445,38 +444,6 @@ pub struct ResidentProfile {
     pub baseline_ns: u64,
     /// Baseline-replay fidelity error vs. the recorded iteration.
     pub fidelity_rel_err: f64,
-}
-
-/// Thread-safe simulation-path accounting shared by one `run_scenarios`
-/// call's workers.
-#[derive(Debug, Default)]
-struct SimCounters {
-    incremental: AtomicUsize,
-    full: AtomicUsize,
-    estimates: AtomicUsize,
-    redispatched: AtomicU64,
-}
-
-impl SimCounters {
-    fn record(&self, stats: &IncrementalStats) {
-        if stats.is_incremental() {
-            self.incremental.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.full.fetch_add(1, Ordering::Relaxed);
-        }
-        self.redispatched
-            .fetch_add(stats.redispatched as u64, Ordering::Relaxed);
-    }
-
-    fn record_full(&self, dispatched: usize) {
-        self.full.fetch_add(1, Ordering::Relaxed);
-        self.redispatched
-            .fetch_add(dispatched as u64, Ordering::Relaxed);
-    }
-
-    fn record_estimate(&self) {
-        self.estimates.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Parallel scenario-sweep engine with result and profile caches that
@@ -548,24 +515,6 @@ impl SweepEngine {
     /// `/metrics`, where per-run snapshots would race between clients.
     pub fn total_stats(&self) -> RunStats {
         *lock(&self.totals)
-    }
-
-    /// Folds recovery activity (retried protocol calls, lease reclaims,
-    /// injected faults, recovered jobs) into the engine-lifetime totals,
-    /// so `/metrics` makes fault handling observable. Callers (shard
-    /// workers, the serve job queue) report deltas, not running totals.
-    pub fn record_recovery(
-        &self,
-        retries: u64,
-        reclaims: u64,
-        faults_injected: u64,
-        jobs_recovered: u64,
-    ) {
-        let mut totals = lock(&self.totals);
-        totals.retries += retries;
-        totals.reclaims += reclaims;
-        totals.faults_injected += faults_injected;
-        totals.jobs_recovered += jobs_recovered;
     }
 
     /// The warm `(model, batch)` bases currently resident in the profile
@@ -708,25 +657,35 @@ impl SweepEngine {
             }
             needed
         };
-        let patch_hits_before = self.patches.hits();
         let cache_contended_before = self.cache.contended();
         let patch_contended_before = self.patches.contended();
-        let scratch_before = self.scratch.counters();
-        let counters = SimCounters::default();
+        let run = Mutex::new(RunStats {
+            profiles_built,
+            fidelity_checks: profiles_built,
+            fidelity_failures,
+            fidelity_worst_rel_err,
+            ..RunStats::default()
+        });
         // Each worker checks one scratch arena out of the pool for its
         // whole batch, so back-to-back evaluations of a base reuse warm
-        // epoch-stamped buffers instead of allocating per scenario.
+        // epoch-stamped buffers instead of allocating per scenario. The
+        // worker counts its own work beside the arena and folds it into
+        // the run when it returns the arena.
         let (evaluated, exec_stats) = parallel_map_with(
             misses,
             self.threads,
-            || self.scratch.take(),
-            |s| self.scratch.put(s),
-            |scratch, (i, scenario)| -> Result<_, String> {
+            || (self.scratch.take(), RunStats::default()),
+            |(scratch, mut counted)| {
+                let arena = self.scratch.put(scratch);
+                counted.scratch_reuses += arena.reuses;
+                counted.scratch_allocs += arena.allocs;
+                lock(&run).absorb(&counted);
+            },
+            |(scratch, counted), (i, scenario)| -> Result<_, String> {
                 let base = bases
                     .get(&(scenario.model.clone(), scenario.batch))
                     .expect("phase 1 built every base");
-                let outcome =
-                    evaluate(&scenario, base, &self.patches, &counters, fidelity, scratch)?;
+                let outcome = evaluate(&scenario, base, &self.patches, fidelity, scratch, counted)?;
                 if use_result_cache {
                     self.cache.insert(scenario.fingerprint(), &outcome);
                 }
@@ -745,37 +704,23 @@ impl SweepEngine {
             .map(|o| o.expect("every slot is a hit or an evaluated miss"))
             .collect();
 
-        let scratch_after = self.scratch.counters();
-        let stats = RunStats {
-            profiles_built,
-            patch_hits: self.patches.hits() - patch_hits_before,
-            incremental_sims: counters.incremental.load(Ordering::Relaxed),
-            full_sims: counters.full.load(Ordering::Relaxed),
-            tasks_redispatched: counters.redispatched.load(Ordering::Relaxed),
-            fidelity_checks: profiles_built,
-            fidelity_failures,
-            fidelity_worst_rel_err,
-            estimate_sims: counters.estimates.load(Ordering::Relaxed),
-            scratch_reuses: scratch_after.reuses - scratch_before.reuses,
-            scratch_allocs: scratch_after.allocs - scratch_before.allocs,
-            cache_contended: self.cache.contended() - cache_contended_before,
-            patch_contended: self.patches.contended() - patch_contended_before,
-            executor: exec_stats,
-            retries: 0,
-            reclaims: 0,
-            faults_injected: 0,
-            jobs_recovered: 0,
-        };
+        let mut stats = run.into_inner().unwrap_or_else(PoisonError::into_inner);
+        // Lock contention is counted inside the caches' locks, so it
+        // stays a delta (and includes any overlapping run's contention).
+        stats.cache_contended = self.cache.contended() - cache_contended_before;
+        stats.patch_contended = self.patches.contended() - patch_contended_before;
+        stats.executor = exec_stats;
         *lock(&self.last_stats) = stats;
         lock(&self.totals).absorb(&stats);
         Ok(outcomes)
     }
 }
 
-/// Locks one of the engine's tables or counters, also after a panic
-/// poisoned it: the maps only ever receive whole entries and the
-/// counters are plain values, so what a panicking holder left is sound.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks one of the engine's tables, counters or work queues, also after
+/// a panic poisoned it: the maps and queues only ever receive or give up
+/// whole entries and the counters are plain values, so what a panicking
+/// holder left is sound.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -1040,7 +985,7 @@ fn p3_prediction(
     plan: &P3Plan,
     cluster: &ClusterConfig,
     patches: &PatchCache,
-    counters: &SimCounters,
+    stats: &mut RunStats,
 ) -> Result<PatchEval, String> {
     let wires = plan.wire_times(cluster);
     let mut h = DefaultHasher::new();
@@ -1048,20 +993,35 @@ fn p3_prediction(
     // P3 is never evaluated at a reduced rung (the steady-state analysis
     // has no cheap stand-in), so its key is always exact-fidelity.
     let key = patch_key(scenario, "p3", h.finish(), Fidelity::Exact);
+    memoized(patches, key, stats, |stats| {
+        let predicted_ns = plan
+            .steady_iteration_ns(&wires)
+            .map_err(|e| format!("P3 graph for {}: {e}", scenario.label()))?;
+        let dispatched = plan.compiled().len() as u64;
+        stats.full_sims += 1;
+        stats.tasks_redispatched += dispatched;
+        Ok(PatchEval {
+            predicted_ns,
+            incremental: false,
+            estimated: false,
+            tasks_redispatched: dispatched,
+        })
+    })
+}
+
+/// Answers `key` from the patch cache, counting the hit, or evaluates it
+/// with `compute` and stores the result.
+fn memoized(
+    patches: &PatchCache,
+    key: u64,
+    stats: &mut RunStats,
+    compute: impl FnOnce(&mut RunStats) -> Result<PatchEval, String>,
+) -> Result<PatchEval, String> {
     if let Some(eval) = patches.get(key) {
+        stats.patch_hits += 1;
         return Ok(eval);
     }
-    let predicted_ns = plan
-        .steady_iteration_ns(&wires)
-        .map_err(|e| format!("P3 graph for {}: {e}", scenario.label()))?;
-    let dispatched = plan.compiled().len();
-    counters.record_full(dispatched);
-    let eval = PatchEval {
-        predicted_ns,
-        incremental: false,
-        estimated: false,
-        tasks_redispatched: dispatched as u64,
-    };
+    let eval = compute(stats)?;
     patches.insert(key, eval);
     Ok(eval)
 }
@@ -1074,9 +1034,9 @@ fn evaluate(
     scenario: &Scenario,
     base: &BaseProfile,
     patches: &PatchCache,
-    counters: &SimCounters,
     fidelity: Fidelity,
     scratch: &mut SimScratch,
+    stats: &mut RunStats,
 ) -> Result<ScenarioOutcome, String> {
     let pg = &base.graph;
     let model = &base.model;
@@ -1090,65 +1050,6 @@ fn evaluate(
     let fp = footprint(model, scenario.batch);
     let mut memory_bytes = fp.total();
     let mut comm_bytes = 0u64;
-
-    // Patched evaluation: warm cone re-simulation against the base
-    // schedule (full simulation only when the cone is too large),
-    // short-circuited by the patch-fingerprint cache.
-    let dag_error = |e| format!("patched graph for {}: {e}", scenario.label());
-    let mut run_patch = |patch: &GraphPatch| -> Result<PatchEval, String> {
-        let key = patch_key(scenario, "default", patch.fingerprint(), fidelity);
-        if let Some(eval) = patches.get(key) {
-            return Ok(eval);
-        }
-        let eval = match fidelity {
-            Fidelity::Exact => {
-                // Warm path: the arena's epoch-stamped buffers replace
-                // the per-evaluation prefix clones, so a small cone
-                // costs O(cone), not O(n).
-                let outcome = simulate_warm(&base.compiled, &base.schedule, patch, scratch)
-                    .map_err(dag_error)?;
-                counters.record(&outcome.stats);
-                PatchEval {
-                    predicted_ns: outcome.makespan_ns,
-                    incremental: outcome.stats.is_incremental(),
-                    estimated: false,
-                    tasks_redispatched: outcome.stats.redispatched as u64,
-                }
-            }
-            Fidelity::Rung { max_cone_fraction } => {
-                // Low-fidelity stand-in: a patch whose cone busts the
-                // rung's budget (or that vacates a thread) answers with
-                // the O(|patch|) busy-time bound — a lower bound on the
-                // makespan that ranks rung candidates, never simulated.
-                let opts = IncrementalOptions { max_cone_fraction };
-                let attempt =
-                    try_simulate_warm_with(&base.compiled, &base.schedule, patch, scratch, &opts)
-                        .map_err(dag_error)?;
-                match attempt {
-                    Ok(outcome) => {
-                        counters.record(&outcome.stats);
-                        PatchEval {
-                            predicted_ns: outcome.makespan_ns,
-                            incremental: outcome.stats.is_incremental(),
-                            estimated: false,
-                            tasks_redispatched: outcome.stats.redispatched as u64,
-                        }
-                    }
-                    Err(_) => {
-                        counters.record_estimate();
-                        PatchEval {
-                            predicted_ns: busy_time_bound(&base.compiled, base.busy_ns(), patch),
-                            incremental: false,
-                            estimated: true,
-                            tasks_redispatched: 0,
-                        }
-                    }
-                }
-            }
-        };
-        patches.insert(key, eval);
-        Ok(eval)
-    };
 
     let mut sim_path = "baseline";
     let mut tasks_redispatched = 0u64;
@@ -1169,8 +1070,8 @@ fn evaluate(
             // §6.6), not the single-GPU profile — so the speedup column
             // means "what P3's slicing+priority buys on this cluster".
             let plans = base.p3_plans(&cluster);
-            let fifo = p3_prediction(scenario, &plans.fifo, &cluster, patches, counters)?;
-            let p3 = p3_prediction(scenario, &plans.sliced, &cluster, patches, counters)?;
+            let fifo = p3_prediction(scenario, &plans.fifo, &cluster, patches, stats)?;
+            let p3 = p3_prediction(scenario, &plans.sliced, &cluster, patches, stats)?;
             sim_path = "full";
             tasks_redispatched = fifo.tasks_redispatched + p3.tasks_redispatched;
             Prediction {
@@ -1191,7 +1092,7 @@ fn evaluate(
                         // schedule unchanged. No estimate, no sim.
                         Surrogate::Noop => (base.baseline_ns, "baseline"),
                         Surrogate::Estimate(ns) => {
-                            counters.record_estimate();
+                            stats.estimate_sims += 1;
                             (ns, "estimate")
                         }
                     };
@@ -1286,7 +1187,14 @@ fn evaluate(
                 }
                 _ => {}
             }
-            let eval = run_patch(&patch)?;
+            // Patched evaluation: warm cone re-simulation against the
+            // base schedule (full simulation only when the cone is too
+            // large), short-circuited by the patch-fingerprint cache.
+            let key = patch_key(scenario, "default", patch.fingerprint(), fidelity);
+            let eval = memoized(patches, key, stats, |stats| {
+                simulate_patch(base, &patch, fidelity, scratch, stats)
+                    .map_err(|e| format!("patched graph for {}: {e}", scenario.label()))
+            })?;
             sim_path = if eval.estimated {
                 "estimate"
             } else if eval.incremental {
@@ -1319,6 +1227,56 @@ fn evaluate(
     })
 }
 
+/// Simulates one patch warm over its base at `fidelity`, counting the
+/// path taken.
+fn simulate_patch(
+    base: &BaseProfile,
+    patch: &GraphPatch,
+    fidelity: Fidelity,
+    scratch: &mut SimScratch,
+    stats: &mut RunStats,
+) -> Result<PatchEval, GraphError> {
+    let attempt = match fidelity {
+        // Warm path: the arena's epoch-stamped buffers replace the
+        // per-evaluation prefix clones, so a small cone costs O(cone),
+        // not O(n).
+        Fidelity::Exact => Ok(simulate_warm(
+            &base.compiled,
+            &base.schedule,
+            patch,
+            scratch,
+        )?),
+        Fidelity::Rung { max_cone_fraction } => {
+            let opts = IncrementalOptions { max_cone_fraction };
+            try_simulate_warm_with(&base.compiled, &base.schedule, patch, scratch, &opts)?
+        }
+    };
+    Ok(match attempt {
+        Ok(outcome) => {
+            stats.record_sim(&outcome.stats);
+            PatchEval {
+                predicted_ns: outcome.makespan_ns,
+                incremental: outcome.stats.is_incremental(),
+                estimated: false,
+                tasks_redispatched: outcome.stats.redispatched as u64,
+            }
+        }
+        // Low-fidelity stand-in: a patch whose cone busts the rung's
+        // budget (or that vacates a thread) answers with the O(|patch|)
+        // busy-time bound — a lower bound on the makespan that ranks
+        // rung candidates, never simulated.
+        Err(_) => {
+            stats.estimate_sims += 1;
+            PatchEval {
+                predicted_ns: busy_time_bound(&base.compiled, base.busy_ns(), patch),
+                incremental: false,
+                estimated: true,
+                tasks_redispatched: 0,
+            }
+        }
+    })
+}
+
 /// Evaluates one optimization over a caller's profiled iteration of
 /// `model`: the engine's per-scenario path (patch emit + warm simulation,
 /// or the P3 plans) over a base built from `trace`, with fresh caches.
@@ -1336,9 +1294,9 @@ pub fn evaluate_trace(model: Model, trace: &Trace, opt: &OptSpec) -> Result<Pred
         &scenario,
         &base,
         &PatchCache::new(),
-        &SimCounters::default(),
         Fidelity::Exact,
         &mut SimScratch::new(),
+        &mut RunStats::default(),
     )?;
     Ok(Prediction {
         baseline_ns: outcome.baseline_ns,
@@ -1690,16 +1648,15 @@ mod tests {
             ..GistConfig::default()
         };
         let patches = PatchCache::new();
-        let counters = SimCounters::default();
         let mut scratch = SimScratch::new();
         for scenario in scenarios {
             let outcome = evaluate(
                 &scenario,
                 &base,
                 &patches,
-                &counters,
                 Fidelity::Exact,
                 &mut scratch,
+                &mut RunStats::default(),
             )
             .unwrap();
             // The grid's defaults: lookahead 2, factor 2, V100, ratio 0.01.
@@ -1758,6 +1715,44 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_runs_count_only_their_own_work() {
+        // A daemon's `/whatif` can arrive while a `/sweep` job runs on
+        // the same engine. The first run here blocks in its observer,
+        // holding its scratch arena, until a second run (whose duplicate
+        // scenario hits the patch cache) has returned: each run must
+        // count only its own hits and arena uses.
+        let engine = SweepEngine::new(1);
+        let first = Scenario::new("ResNet-50", 4, OptSpec::Amp);
+        let second = Scenario::new("ResNet-50", 4, OptSpec::Gist { lossy: false });
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| {
+                let observe = |_: &ScenarioOutcome| {
+                    gate.wait();
+                    gate.wait();
+                };
+                engine.run_scenarios_observed(vec![first], &observe)
+            });
+            gate.wait();
+            engine.run_scenarios(vec![second.clone(), second]).unwrap();
+            assert_eq!(engine.last_stats().patch_hits, 1);
+            gate.wait();
+            blocked.join().unwrap().unwrap();
+        });
+        assert_eq!(
+            engine.last_stats().patch_hits,
+            0,
+            "the first run hit nothing"
+        );
+        let totals = engine.total_stats();
+        assert_eq!(totals.patch_hits, 1);
+        assert_eq!(totals.patch_hits, engine.patch_cache().hits());
+        let warm = (totals.incremental_sims + totals.full_sims) as u64;
+        assert_eq!(warm, 2, "one warm evaluation per distinct patch");
+        assert_eq!(totals.scratch_reuses + totals.scratch_allocs, warm);
+    }
+
+    #[test]
     fn vdnn_memory_derived_from_patched_graph() {
         // The vDNN memory objective equals the footprint minus exactly
         // the bytes of the DtoH offload copies the patch inserted.
@@ -1767,9 +1762,9 @@ mod tests {
             &scenario,
             &base,
             &PatchCache::new(),
-            &SimCounters::default(),
             Fidelity::Exact,
             &mut SimScratch::new(),
+            &mut RunStats::default(),
         )
         .unwrap();
         let patch = emit_patch(&scenario.opt, &base).unwrap();

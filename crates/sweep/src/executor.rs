@@ -7,9 +7,10 @@
 //! therefore every downstream ranking — is independent of thread count
 //! and interleaving.
 
+use crate::engine::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Counters from one parallel run (informational; not part of reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,7 +39,8 @@ where
 /// and hands it to `finish` at exit. The sweep engine checks a
 /// [`daydream_core::SimScratch`] arena out of its pool per worker this
 /// way, so a batch of scenario evaluations shares warm buffers instead
-/// of allocating per item.
+/// of allocating per item, and counts each worker's work in a
+/// [`crate::RunStats`] beside the arena.
 pub fn parallel_map_with<T, R, S, I, D, F>(
     items: Vec<T>,
     threads: usize,
@@ -79,7 +81,7 @@ where
     let queues: Vec<Mutex<VecDeque<(usize, T)>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     for (i, item) in items.into_iter().enumerate() {
-        queues[i % workers].lock().unwrap().push_back((i, item));
+        lock(&queues[i % workers]).push_back((i, item));
     }
 
     // Each worker accumulates `(input index, result)` pairs privately and
@@ -102,7 +104,7 @@ where
                 loop {
                     // Own queue first (front: preserves locality of the
                     // round-robin seeding).
-                    let own = queues[me].lock().unwrap().pop_front();
+                    let own = lock(&queues[me]).pop_front();
                     let (idx, item) = match own {
                         Some(work) => work,
                         None => {
@@ -110,7 +112,7 @@ where
                             match steal_batch(queues, me) {
                                 Some(batch) => {
                                     steals.fetch_add(1, Ordering::Relaxed);
-                                    let mut q = queues[me].lock().unwrap();
+                                    let mut q = lock(&queues[me]);
                                     for w in batch {
                                         q.push_back(w);
                                     }
@@ -125,13 +127,13 @@ where
                     local.push((idx, f(&mut state, item)));
                 }
                 finish(state);
-                merged.lock().unwrap().append(&mut local);
+                lock(merged).append(&mut local);
             });
         }
     });
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (idx, r) in merged.into_inner().expect("result mutex poisoned") {
+    for (idx, r) in merged.into_inner().unwrap_or_else(PoisonError::into_inner) {
         slots[idx] = Some(r);
     }
     let results: Vec<R> = slots
@@ -158,12 +160,12 @@ where
 fn steal_batch<T>(queues: &[Mutex<VecDeque<(usize, T)>>], me: usize) -> Option<Vec<(usize, T)>> {
     let mut victims: Vec<(usize, usize)> = (0..queues.len())
         .filter(|&v| v != me)
-        .map(|v| (queues[v].lock().unwrap().len(), v))
+        .map(|v| (lock(&queues[v]).len(), v))
         .filter(|&(len, _)| len > 0)
         .collect();
     victims.sort_unstable_by(|a, b| b.cmp(a));
     for (_, v) in victims {
-        let mut q = queues[v].lock().unwrap();
+        let mut q = lock(&queues[v]);
         if q.is_empty() {
             continue;
         }
@@ -245,8 +247,8 @@ mod tests {
     fn single_thread_is_sequential() {
         let order = Mutex::new(Vec::new());
         parallel_map((0..10).collect::<Vec<u64>>(), 1, |x| {
-            order.lock().unwrap().push(x);
+            lock(&order).push(x);
         });
-        assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<u64>>());
+        assert_eq!(*lock(&order), (0..10).collect::<Vec<u64>>());
     }
 }

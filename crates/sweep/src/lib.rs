@@ -55,7 +55,7 @@ pub use engine::{
 pub use executor::{parallel_map, ExecutorStats};
 pub use grid::{SweepGrid, SweepGridBuilder};
 pub use report::{AxisBest, ScenarioOutcome, SweepReport};
-pub use scenario::{OptSpec, Scenario};
+pub use scenario::{fnv1a64, OptSpec, Scenario};
 pub use search::{
     near_miss_warnings, run_search, search_scenarios, PromotionRecord, RungStats, SearchConfig,
     SearchReport,

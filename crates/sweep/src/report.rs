@@ -53,7 +53,7 @@ impl ScenarioOutcome {
 
 /// `a` dominates `b` when it is no worse on every objective and strictly
 /// better on at least one (all objectives minimized).
-fn dominates(a: &ScenarioOutcome, b: &ScenarioOutcome) -> bool {
+pub(crate) fn dominates(a: &ScenarioOutcome, b: &ScenarioOutcome) -> bool {
     let no_worse = a.predicted_ns <= b.predicted_ns
         && a.memory_bytes <= b.memory_bytes
         && a.comm_bytes <= b.comm_bytes;

@@ -31,7 +31,7 @@
 
 use crate::engine::{Fidelity, SweepEngine};
 use crate::grid::SweepGrid;
-use crate::report::{ScenarioOutcome, SweepReport};
+use crate::report::{dominates, ScenarioOutcome, SweepReport};
 use crate::scenario::{OptSpec, Scenario};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
@@ -242,18 +242,6 @@ impl SearchReport {
         }
         out
     }
-}
-
-/// `a` dominates `b`: no worse on every objective, strictly better on at
-/// least one (mirrors the report's Pareto semantics).
-fn dominates(a: &ScenarioOutcome, b: &ScenarioOutcome) -> bool {
-    let no_worse = a.predicted_ns <= b.predicted_ns
-        && a.memory_bytes <= b.memory_bytes
-        && a.comm_bytes <= b.comm_bytes;
-    let better = a.predicted_ns < b.predicted_ns
-        || a.memory_bytes < b.memory_bytes
-        || a.comm_bytes < b.comm_bytes;
-    no_worse && better
 }
 
 /// Pareto-front rank of each outcome (0 = non-dominated; peel and
