@@ -1,11 +1,12 @@
 //! Bench: the dispatch kernel on the real catalog bases.
 //!
 //! Times `simulate_compiled` on the 12 catalog bases (the six zoo models
-//! at batches 4 and 8) and `simulate_compiled_with(&P3Scheduler)` on each
-//! base's P3 plan: three unrolled iterations with 4 MB-sliced push/pull
-//! transfers for a 4-machine, 10 Gbit/s cluster, the graph the sweep
-//! engine simulates for a `p3` scenario. Profiling, compilation and plan
-//! building stay outside the timed loop. Each figure is the median of
+//! at batches 4 and 8) and `P3Plan::steady_iteration_ns` on a warmed
+//! `SimScratch` arena for each base's P3 plan: three unrolled iterations
+//! with 4 MB-sliced push/pull transfers for a 4-machine, 10 Gbit/s
+//! cluster, the graph and the path the sweep engine simulates for a `p3`
+//! scenario. Profiling, compilation, plan building and the arena's first
+//! sizing stay outside the timed loop. Each figure is the median of
 //! five timed rounds, so one preempted round cannot move it. Unless
 //! running in `--test` smoke mode, the per-task costs are snapshotted
 //! into the `"sim_kernel"` section of `BENCH_sim.json` at the workspace
@@ -14,8 +15,8 @@
 use criterion::Criterion;
 use daydream_bench::util::profile_for;
 use daydream_comm::ClusterConfig;
-use daydream_core::whatif::{P3Config, P3Plan, P3Scheduler};
-use daydream_core::{simulate_compiled, simulate_compiled_with, CompiledGraph};
+use daydream_core::whatif::{P3Config, P3Plan};
+use daydream_core::{simulate_compiled, CompiledGraph, SimScratch};
 use daydream_models::zoo;
 use std::hint::black_box;
 
@@ -56,14 +57,18 @@ fn main() {
         for batch in [4u64, 8] {
             let (pg, _) = profile_for(&model.name, Some(batch), false);
             let base = CompiledGraph::compile(&pg.graph);
-            let plan = P3Plan::new(&pg, &P3Config::p3(ClusterConfig::new(4, 1, 10.0)));
+            let cluster = ClusterConfig::new(4, 1, 10.0);
+            let plan = P3Plan::new(&pg, &P3Config::p3(cluster));
+            let wires = plan.wire_times(&cluster);
+            let mut scratch = SimScratch::new();
+            plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
             let p3 = plan.compiled();
             let label = format!("{} b{batch}", model.name);
             let base_ns = median_ns_per_task(&mut c, &format!("base/{label}"), 40, &base, |cg| {
                 simulate_compiled(cg).unwrap();
             });
-            let p3_ns = median_ns_per_task(&mut c, &format!("p3/{label}"), 10, p3, |cg| {
-                simulate_compiled_with(cg, &P3Scheduler).unwrap();
+            let p3_ns = median_ns_per_task(&mut c, &format!("p3/{label}"), 10, p3, |_| {
+                plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
             });
             println!("sim_kernel {label}: base {base_ns:.1} ns/task, p3 {p3_ns:.1} ns/task");
             rows.push(format!(
@@ -89,8 +94,10 @@ fn main() {
         let json = format!(
             concat!(
                 "{{\n  \"kernel\": \"simulate_compiled on each catalog base; ",
-                "simulate_compiled_with(P3Scheduler) on its 3-iteration, 4 MB-sliced ",
-                "P3 plan for 4 machines at 10 Gbit/s\",\n",
+                "P3Plan::steady_iteration_ns on a warmed SimScratch arena (the engine's ",
+                "path: wire times written into arena-owned rows, dense ranks sorted once ",
+                "per plan) for its 3-iteration, 4 MB-sliced P3 plan for 4 machines at ",
+                "10 Gbit/s\",\n",
                 "  \"note\": \"wall time per dispatched task, median of 5 rounds; ",
                 "compilation and plan building untimed\",\n",
                 "  \"results\": [\n{}\n  ]\n  }}"

@@ -3,11 +3,11 @@
 //! Two regressions these pin:
 //!
 //! * **Allocation creep** — the whole point of the epoch-stamped arena
-//!   is that a warmed evaluation touches no allocator, for retimes and
-//!   structural patches alike. The counting global allocator in
-//!   `daydream_bench::util` (debug builds only) fails these tests the
-//!   moment someone reintroduces a per-call `clone`, `Vec::new` or
-//!   patch apply into the hot loop.
+//!   is that a warmed evaluation touches no allocator, for retimes,
+//!   structural patches and P3's plan runs alike. The counting global
+//!   allocator in `daydream_bench::util` (debug builds only) fails these
+//!   tests the moment someone reintroduces a per-call `clone`,
+//!   `Vec::new` or patch apply into the hot loop.
 //! * **Snapshot drift** — the checked-in `BENCH_sim.json` must carry an
 //!   `eval_warm` section whose numbers still clear the acceptance
 //!   floors (>= 20x over the pre-arena fresh pipeline at ~100k tasks,
@@ -21,7 +21,7 @@ use common::assert_warm_matches_full;
 use daydream_bench::synth::{synthetic_graph, tail_retime, tail_structural};
 use daydream_bench::{assert_no_allocs, profile_for, thread_allocs};
 use daydream_comm::ClusterConfig;
-use daydream_core::whatif::plan_distributed;
+use daydream_core::whatif::{plan_distributed, P3Config, P3Plan};
 use daydream_core::{
     simulate_warm, CompiledGraph, GraphPatch, IncrementalOptions, PatchGraph, Schedule, SimScratch,
     TaskId, WarmOutcome,
@@ -127,6 +127,25 @@ fn warmed_structural_evaluation_is_allocation_free() {
         &schedule,
         &ov.finish(),
     );
+}
+
+#[test]
+fn warmed_p3_evaluation_is_allocation_free() {
+    // The engine's P3 path: a cached plan, simulated on the worker's
+    // arena at another cluster's wire times.
+    let (pg, _) = profile_for("ResNet-50", Some(4), false);
+    let plan = P3Plan::new(&pg, &P3Config::p3(ClusterConfig::new(4, 1, 10.0)));
+    let cluster = ClusterConfig::new(8, 1, 2.0);
+    let wires = plan.wire_times(&cluster);
+    let mut scratch = SimScratch::new();
+    let first = plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
+    let second = plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
+    assert_eq!(first, second);
+    let third = assert_no_allocs("warmed P3Plan::steady_iteration_ns", || {
+        plan.steady_iteration_ns(&wires, &mut scratch).unwrap()
+    });
+    assert_eq!(third, first);
+    assert_eq!(third, plan.evaluate(&cluster).unwrap().iteration_ns);
 }
 
 #[test]

@@ -193,6 +193,16 @@ impl CompiledGraph {
         self.duration_ns[c.0 as usize]
     }
 
+    /// Every task's `duration + gap`, in compact order.
+    pub(crate) fn cost_row(&self) -> &[u64] {
+        &self.cost_ns
+    }
+
+    /// Every task's duration, in compact order.
+    pub(crate) fn duration_row(&self) -> &[u64] {
+        &self.duration_ns
+    }
+
     /// Scheduling priority of a task.
     #[inline]
     pub fn priority(&self, c: CompactId) -> i64 {
@@ -444,26 +454,6 @@ impl CompiledGraph {
         }
         inv
     }
-
-    /// A copy of this graph with the given tasks' durations replaced, each
-    /// keeping its trailing gap. Topology, threads and priorities stay
-    /// shared with `self` through their `Arc`s; only the duration and
-    /// cost arrays are rebuilt, in O(V). This is how a cached P3 plan is
-    /// retimed to another cluster's transfer times.
-    pub fn retimed(&self, durations: impl IntoIterator<Item = (CompactId, u64)>) -> CompiledGraph {
-        let mut cost_ns = (*self.cost_ns).clone();
-        let mut duration_ns = (*self.duration_ns).clone();
-        for (c, dur) in durations {
-            let i = c.0 as usize;
-            cost_ns[i] = dur + (self.cost_ns[i] - self.duration_ns[i]);
-            duration_ns[i] = dur;
-        }
-        CompiledGraph {
-            cost_ns: Arc::new(cost_ns),
-            duration_ns: Arc::new(duration_ns),
-            ..self.clone()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -544,22 +534,6 @@ mod tests {
         let c = CompactId(a.0 as u32);
         assert_eq!(cg.cost_ns(c), 15);
         assert_eq!(cg.duration_ns(c), 10);
-    }
-
-    #[test]
-    fn retimed_keeps_gaps_and_shares_topology() {
-        let mut g = DependencyGraph::new();
-        let a = g.add_task(cpu(10, 5));
-        let b = g.add_task(gpu(50));
-        g.add_dep(a, b, DepKind::Correlation);
-        let cg = CompiledGraph::compile(&g);
-        let r = cg.retimed([(CompactId(0), 30)]);
-        assert_eq!(r.duration_ns(CompactId(0)), 30);
-        assert_eq!(r.cost_ns(CompactId(0)), 35, "the 5 ns gap survives");
-        assert_eq!(r.duration_ns(CompactId(1)), 50);
-        assert!(Arc::ptr_eq(&r.succ, &cg.succ));
-        assert!(Arc::ptr_eq(&r.priority, &cg.priority));
-        assert_eq!(cg.duration_ns(CompactId(0)), 10, "the source is untouched");
     }
 
     #[test]

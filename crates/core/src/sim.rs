@@ -12,16 +12,24 @@
 //! [`simulate`] freezes the graph into a [`CompiledGraph`] and runs a
 //! per-thread frontier in O((V+E) log V + V·T) over T execution threads:
 //!
+//! * every candidate is one **packed `u128` key**, `start << 64 |
+//!   dense_rank << 32 | task`, where a task's dense rank is its position
+//!   in the policy's `(rank, task id)` order. Dense ranks are distinct,
+//!   so comparing keys orders candidates by start, then exactly as the
+//!   policy would, ties included. Under the default order the dense rank
+//!   is the task id itself, so no rank array exists; other orders sort
+//!   their ranks into a dense-rank array ([`FrontierOrder::dense_ranks`]),
+//!   once per plan for P3 and once per call on [`simulate_compiled_with`];
 //! * each execution thread keeps a **two-tier frontier**: a `pending`
-//!   min-heap ordered by `(tentative_start, rank)` for tasks whose
+//!   min-heap of keys over tentative starts for tasks whose
 //!   dependency-induced start is still ahead of the thread's progress, and
-//!   a `ready` min-heap ordered by `rank` alone for tasks the thread could
-//!   start immediately. When progress advances, pending entries whose
-//!   tentative start has been overtaken migrate to `ready` (each task
-//!   migrates at most once). A lone task stays in an inline slot with
-//!   both heaps empty, so chain threads (the launch thread, each GPU
-//!   stream) dispatch without touching a heap;
-//! * each thread's best `(feasible_start, rank, task)` candidate is
+//!   a `ready` min-heap of the keys' low halves (`dense_rank << 32 |
+//!   task`) for tasks the thread could start immediately. When progress
+//!   advances, pending entries whose tentative start has been overtaken
+//!   migrate to `ready` (each task migrates at most once). A lone task
+//!   stays in an inline slot with both heaps empty, so chain threads (the
+//!   launch thread, each GPU stream) dispatch without touching a heap;
+//! * each thread's best candidate key, over its feasible start, is
 //!   **cached** in a flat array, and each dispatch takes the minimum by a
 //!   linear scan — O(T) per dispatch, and zoo graphs have 4–8 threads.
 //!   Only the dispatching thread's entry is recomputed; a task released
@@ -45,7 +53,10 @@
 //! the base [`CompiledGraph`], and only the cone of tasks the patch can
 //! affect is re-dispatched. It runs the default order only. Its oracle is
 //! the full path: [`simulate_compiled`] over `CompiledGraph::apply`,
-//! which [`simulate_reference`] pins in turn.
+//! which [`simulate_reference`] pins in turn. The same [`SimScratch`]
+//! arena also serves P3's full simulations of its cached plans
+//! (`whatif::P3Plan::steady_iteration_ns`), which write the cluster's
+//! transfer times into arena-owned cost and duration rows.
 
 use crate::compiled::{CompactId, CompiledGraph, ThreadId};
 use crate::graph::{DependencyGraph, GraphError, TaskId};
@@ -63,15 +74,37 @@ pub type Rank = (u64, u64);
 /// Scheduling policy over the compiled frontier (paper §4.4 "Schedule").
 ///
 /// The frontier always dispatches the candidate with the smallest
-/// `(feasible_start, rank)` pair; a policy only chooses the rank. The
-/// default [`EarliestStart`] ranks by task id, reproducing Algorithm 1's
-/// "earliest start, ties by id" exactly; P3 ranks communication tasks by
-/// priority. Only the full path ([`simulate_compiled_with`]) takes a
-/// policy: the warm cone path ([`simulate_warm_with`]) always runs the
-/// default order.
+/// `(feasible_start, rank, task id)` triple; a policy only chooses the
+/// rank. The default [`EarliestStart`] ranks by task id, reproducing
+/// Algorithm 1's "earliest start, ties by id" exactly; P3 ranks
+/// communication tasks by priority. Only the full path takes a policy:
+/// [`simulate_compiled_with`] converts it to dense ranks per call, and
+/// `whatif::P3Plan` once per plan. The warm cone path
+/// ([`simulate_warm_with`]) always runs the default order.
 pub trait FrontierOrder {
     /// The tie-break rank of `task`.
     fn rank(&self, graph: &CompiledGraph, task: CompactId) -> Rank;
+
+    /// The order in the form the kernel dispatches by: each task's dense
+    /// rank, its position in the `(rank, task id)` order over `graph`, or
+    /// `None` when that position is the task id itself, so no rank array
+    /// is built. The provided method sorts every task's rank once;
+    /// override it only to return `None` for an order by id.
+    fn dense_ranks(&self, graph: &CompiledGraph) -> Option<Vec<u32>> {
+        let mut by_rank: Vec<(Rank, u32)> = (0..graph.len() as u32)
+            .map(|i| (self.rank(graph, CompactId(i)), i))
+            .collect();
+        // Keys are unique, so any sort gives one answer; the stable sort
+        // merges ascending runs, and in id order a P3 plan's ranks fall
+        // into at most a few hundred (compute tasks by id, transfers
+        // grouped by layer) over thousands of tasks.
+        by_rank.sort();
+        let mut dense = vec![0u32; by_rank.len()];
+        for (pos, &(_, i)) in by_rank.iter().enumerate() {
+            dense[i as usize] = pos as u32;
+        }
+        Some(dense)
+    }
 }
 
 /// The default policy: earliest feasible start, ties broken by task id
@@ -81,16 +114,42 @@ pub struct EarliestStart;
 
 impl FrontierOrder for EarliestStart {
     fn rank(&self, _graph: &CompiledGraph, task: CompactId) -> Rank {
-        default_rank(task.0)
+        (task.0 as u64, 0)
+    }
+
+    /// Compact ids ascend with `TaskId`s, and so do the warm overlay's
+    /// view ids, so the id is the dense rank on both paths.
+    fn dense_ranks(&self, _graph: &CompiledGraph) -> Option<Vec<u32>> {
+        None
     }
 }
 
-/// [`EarliestStart`]'s rank. Compact ids ascend with `TaskId`s, and so
-/// do the warm overlay's view ids, so this is the reference tie-break on
-/// both paths.
+/// A frontier candidate, `start << 64 | dense_rank << 32 | task`:
+/// comparing keys compares starts, then dense ranks, which are distinct.
+type Key = u128;
+
+/// The [`Key`] of a thread with an empty frontier. It compares above
+/// every real candidate: no task has compact id `u32::MAX`.
+const IDLE: Key = u128::MAX;
+
+/// A key's low half, `dense_rank << 32 | task`, with the dense rank read
+/// from `ranks` (`None`: the task id, the default order).
 #[inline]
-fn default_rank(task: u32) -> Rank {
-    (task as u64, 0)
+fn low_key(ranks: Option<&[u32]>, task: u32) -> u64 {
+    let rank = ranks.map_or(task, |r| r[task as usize]);
+    (rank as u64) << 32 | task as u64
+}
+
+/// The key of `low` at `start`.
+#[inline]
+fn key(start: u64, low: u64) -> Key {
+    (start as u128) << 64 | low as u128
+}
+
+/// The start a key carries.
+#[inline]
+fn start_of(k: Key) -> u64 {
+    (k >> 64) as u64
 }
 
 /// Output of a simulation run.
@@ -162,82 +221,91 @@ impl CompiledSim {
     }
 }
 
-/// One execution thread's frontier: `ready` holds tasks startable at the
-/// thread's current progress (ordered by rank), `pending` holds tasks
-/// whose dependency-induced start is still in the thread's future
-/// (ordered by that start, then rank).
+/// One execution thread's frontier: `ready` holds the low key halves of
+/// tasks startable at the thread's current progress, `pending` the keys
+/// of tasks whose dependency-induced start is still in the thread's
+/// future, at that start.
 ///
 /// Most threads are chains — the launch thread and each GPU stream hold
 /// exactly one task after every push — so a lone task stays inline in
 /// `solo` with both heaps empty, and a chain dispatch touches no heap.
 /// A second push spills the slot into the tier it belongs to at the
 /// current progress.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ThreadFrontier {
-    /// The only task, as `(tentative_start, rank, task)`; `Some` only
-    /// while both heaps are empty.
-    solo: Option<(u64, Rank, u32)>,
-    pending: BinaryHeap<Reverse<(u64, Rank, u32)>>,
-    ready: BinaryHeap<Reverse<(Rank, u32)>>,
+    /// The only task's key at its tentative start, or [`IDLE`]; a task
+    /// only while both heaps are empty.
+    solo: Key,
+    pending: BinaryHeap<Reverse<Key>>,
+    ready: BinaryHeap<Reverse<u64>>,
+}
+
+impl Default for ThreadFrontier {
+    fn default() -> Self {
+        ThreadFrontier {
+            solo: IDLE,
+            pending: BinaryHeap::new(),
+            ready: BinaryHeap::new(),
+        }
+    }
 }
 
 impl ThreadFrontier {
     /// Migrates pending tasks overtaken by `progress` into the ready tier.
     #[inline]
     fn refresh(&mut self, progress: u64) {
-        while let Some(&Reverse((t, rank, id))) = self.pending.peek() {
-            if t > progress {
+        while let Some(&Reverse(k)) = self.pending.peek() {
+            if start_of(k) > progress {
                 break;
             }
             self.pending.pop();
-            self.ready.push(Reverse((rank, id)));
+            self.ready.push(Reverse(k as u64));
         }
     }
 
-    /// The thread's best candidate as `(feasible_start, rank, task)`, or
-    /// [`IDLE`] if the frontier is empty. Call [`ThreadFrontier::refresh`]
-    /// first.
+    /// The thread's best candidate key at its feasible start, or [`IDLE`]
+    /// if the frontier is empty. Call [`ThreadFrontier::refresh`] first.
     #[inline]
-    fn best(&self, progress: u64) -> Best {
-        if let Some((t, rank, id)) = self.solo {
+    fn best(&self, progress: u64) -> Key {
+        if self.solo != IDLE {
             // What the heaps would report for their only entry.
-            return (t.max(progress), rank, id);
+            return self.solo.max(key(progress, self.solo as u64));
         }
-        if let Some(&Reverse((rank, id))) = self.ready.peek() {
-            return (progress, rank, id);
+        if let Some(&Reverse(low)) = self.ready.peek() {
+            return key(progress, low);
         }
-        self.pending
-            .peek()
-            .map_or(IDLE, |&Reverse((t, rank, id))| (t, rank, id))
+        self.pending.peek().map_or(IDLE, |&Reverse(k)| k)
     }
 
-    /// Inserts a newly dispatchable task.
+    /// Inserts a newly dispatchable task by its key's low half.
     #[inline]
-    fn push(&mut self, tentative: u64, rank: Rank, task: u32, progress: u64) {
-        match self.solo.take() {
-            None if self.ready.is_empty() && self.pending.is_empty() => {
-                self.solo = Some((tentative, rank, task));
-                return;
-            }
-            None => {}
-            Some((t, r, id)) => self.push_heap(t, r, id, progress),
+    fn push(&mut self, tentative: u64, low: u64, progress: u64) {
+        let k = key(tentative, low);
+        if self.solo != IDLE {
+            let solo = std::mem::replace(&mut self.solo, IDLE);
+            self.push_heap(solo, progress);
+        } else if self.ready.is_empty() && self.pending.is_empty() {
+            self.solo = k;
+            return;
         }
-        self.push_heap(tentative, rank, task, progress);
+        self.push_heap(k, progress);
     }
 
     #[inline]
-    fn push_heap(&mut self, tentative: u64, rank: Rank, task: u32, progress: u64) {
-        if tentative <= progress {
-            self.ready.push(Reverse((rank, task)));
+    fn push_heap(&mut self, k: Key, progress: u64) {
+        if start_of(k) <= progress {
+            self.ready.push(Reverse(k as u64));
         } else {
-            self.pending.push(Reverse((tentative, rank, task)));
+            self.pending.push(Reverse(k));
         }
     }
 
     /// Removes the current best (after [`ThreadFrontier::refresh`]).
     #[inline]
     fn pop_best(&mut self) {
-        if self.solo.take().is_none() && self.ready.pop().is_none() {
+        if self.solo != IDLE {
+            self.solo = IDLE;
+        } else if self.ready.pop().is_none() {
             self.pending.pop();
         }
     }
@@ -245,28 +313,46 @@ impl ThreadFrontier {
     /// Empties the frontier, retaining heap capacity for reuse.
     #[inline]
     fn clear(&mut self) {
-        self.solo = None;
+        self.solo = IDLE;
         self.pending.clear();
         self.ready.clear();
     }
 }
 
-/// The graph surface [`dispatch_loop`] reads — everything the frontier
-/// needs to dispatch a task and release its successors. Implemented by
-/// [`CompiledGraph`] itself and by [`OverlayView`], the copy-on-write
-/// overlay that serves any patch without materializing an applied graph.
-/// The loop is monomorphized per implementation, so the compiled hot
-/// path is unchanged.
+/// The graph surface [`dispatch_loop`] and its seeding read — everything
+/// the frontier needs to seed and dispatch a task and release its
+/// successors. Implemented by [`CompiledGraph`] itself, by
+/// [`OverlayView`], the copy-on-write overlay that serves any patch
+/// without materializing an applied graph, and by [`RetimedView`], a
+/// compiled graph with arena-owned cost and duration rows. The loop is
+/// monomorphized per implementation, so the compiled hot path is
+/// unchanged.
 trait SimGraphView {
+    /// The task id space: every id below it is a task or a removed slot.
+    fn len(&self) -> usize;
+    fn thread_count(&self) -> usize;
     fn cost_ns(&self, c: CompactId) -> u64;
     fn duration_ns(&self, c: CompactId) -> u64;
     fn thread_of(&self, c: CompactId) -> ThreadId;
     fn successors(&self, c: CompactId) -> &[CompactId];
+    fn pred_count(&self, c: CompactId) -> u32;
+    /// `false` for a removed slot, which is never seeded.
+    fn is_live(&self, _i: usize) -> bool {
+        true
+    }
 }
 
 impl SimGraphView for CompiledGraph {
     // Inherent methods shadow the trait methods, so each delegation below
     // resolves to the inherent accessor (no recursion).
+    #[inline]
+    fn len(&self) -> usize {
+        CompiledGraph::len(self)
+    }
+    #[inline]
+    fn thread_count(&self) -> usize {
+        CompiledGraph::thread_count(self)
+    }
     #[inline]
     fn cost_ns(&self, c: CompactId) -> u64 {
         CompiledGraph::cost_ns(self, c)
@@ -282,6 +368,50 @@ impl SimGraphView for CompiledGraph {
     #[inline]
     fn successors(&self, c: CompactId) -> &[CompactId] {
         CompiledGraph::successors(self, c)
+    }
+    #[inline]
+    fn pred_count(&self, c: CompactId) -> u32 {
+        CompiledGraph::pred_count(self, c)
+    }
+}
+
+/// A compiled graph whose cost and duration rows are arena-owned copies
+/// with some tasks retimed: what [`SimScratch::simulate_retimed`]
+/// dispatches, so retiming never clones the graph.
+struct RetimedView<'a> {
+    graph: &'a CompiledGraph,
+    cost: &'a [u64],
+    dur: &'a [u64],
+}
+
+impl SimGraphView for RetimedView<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.graph.len()
+    }
+    #[inline]
+    fn thread_count(&self) -> usize {
+        self.graph.thread_count()
+    }
+    #[inline]
+    fn cost_ns(&self, c: CompactId) -> u64 {
+        self.cost[c.0 as usize]
+    }
+    #[inline]
+    fn duration_ns(&self, c: CompactId) -> u64 {
+        self.dur[c.0 as usize]
+    }
+    #[inline]
+    fn thread_of(&self, c: CompactId) -> ThreadId {
+        self.graph.thread_of(c)
+    }
+    #[inline]
+    fn successors(&self, c: CompactId) -> &[CompactId] {
+        self.graph.successors(c)
+    }
+    #[inline]
+    fn pred_count(&self, c: CompactId) -> u32 {
+        self.graph.pred_count(c)
     }
 }
 
@@ -301,100 +431,63 @@ pub fn simulate_with<O: FrontierOrder>(
 
 /// Simulates a compiled graph with the default policy.
 pub fn simulate_compiled(graph: &CompiledGraph) -> Result<CompiledSim, GraphError> {
-    simulate_compiled_with(graph, &EarliestStart)
+    sim_compiled_core(graph, None).map(|(sim, _)| sim)
 }
 
-/// Simulates a compiled graph: the hot path.
+/// Simulates a compiled graph under `order`, converted to dense ranks
+/// for this call ([`FrontierOrder::dense_ranks`]).
 pub fn simulate_compiled_with<O: FrontierOrder>(
     cg: &CompiledGraph,
     order: &O,
 ) -> Result<CompiledSim, GraphError> {
-    sim_compiled_core(cg, order).map(|(sim, _)| sim)
+    sim_compiled_core(cg, order.dense_ranks(cg).as_deref()).map(|(sim, _)| sim)
 }
 
-/// The full-simulation core, additionally returning each task's final
-/// dependency-induced start (`max` over predecessor finishes) — the
-/// readiness times [`Schedule::capture`] indexes for incremental cutoff
-/// computation.
-fn sim_compiled_core<O: FrontierOrder>(
+/// The full-simulation core on fresh buffers, additionally returning each
+/// task's final dependency-induced start (`max` over predecessor
+/// finishes) — the readiness times [`Schedule::capture`] indexes for
+/// incremental cutoff computation.
+fn sim_compiled_core(
     cg: &CompiledGraph,
-    order: &O,
+    ranks: Option<&[u32]>,
 ) -> Result<(CompiledSim, Vec<u64>), GraphError> {
-    let n = cg.len();
-    let t_count = cg.thread_count();
-    let ranks: Vec<Rank> = (0..n)
-        .map(|i| order.rank(cg, CompactId(i as u32)))
-        .collect();
-
-    let mut tentative = vec![0u64; n];
-    let mut preds = cg.pred_counts();
-    let mut start = vec![0u64; n];
-    let mut wait = vec![0u64; n];
-    let mut progress = vec![0u64; t_count];
-    let mut fronts: Vec<ThreadFrontier> = (0..t_count).map(|_| ThreadFrontier::default()).collect();
-    let mut bests = vec![IDLE; t_count];
-    for i in 0..n {
-        if preds[i] == 0 {
-            let t = cg.thread_of(CompactId(i as u32)).0 as usize;
-            fronts[t].push(0, ranks[i], i as u32, 0);
-        }
-    }
-
-    let mut makespan = 0u64;
-    let done = dispatch_loop(
-        cg,
-        |u| ranks[u as usize],
-        &mut tentative,
-        &mut preds,
-        &mut start,
-        &mut wait,
-        &mut progress,
-        &mut fronts,
-        &mut bests,
-        &mut makespan,
-    );
-
-    if done != n {
+    let mut bufs = SimBufs::default();
+    bufs.ensure(cg.len(), cg.thread_count());
+    let (done, makespan) = bufs.run_full(cg, ranks, 0);
+    if done != cg.len() {
         return Err(GraphError::Cycle);
     }
     Ok((
         CompiledSim {
-            start_ns: start,
-            wait_ns: wait,
-            thread_end: progress,
+            start_ns: bufs.start,
+            wait_ns: bufs.wait,
+            thread_end: bufs.progress,
             makespan_ns: makespan,
         },
-        tentative,
+        bufs.tentative,
     ))
 }
 
-/// A thread's cached best candidate, `(feasible_start, rank, task)` —
-/// the dispatch key of [`dispatch_loop`].
-type Best = (u64, Rank, u32);
-
-/// The [`Best`] of a thread with an empty frontier. It compares above
-/// every real candidate: no task has compact id `u32::MAX`.
-const IDLE: Best = (u64::MAX, (u64::MAX, u64::MAX), u32::MAX);
-
-/// The frontier dispatch loop shared by the full simulator and the warm
-/// path (cone and full): drains the seeded frontiers to completion,
-/// returning how many tasks were dispatched. All entry points run *this*
-/// code, so no derived path can drift from full-simulation semantics.
+/// The frontier dispatch loop shared by every entry point (the full
+/// simulator, the warm cone and full paths, P3's retimed plans): drains
+/// the seeded frontiers to completion, returning how many tasks were
+/// dispatched. All entry points run *this* code, so no derived path can
+/// drift from full-simulation semantics.
 ///
-/// `rank` is the policy's rank of a task. `bests` is working space, one
-/// slot per thread (`fronts.len()`); the loop fills it from the seeded
-/// frontiers itself.
+/// `ranks` holds each task's dense rank (`None`: the task id, the default
+/// order). `bests` is working space, one slot per thread
+/// (`fronts.len()`); the loop fills it from the seeded frontiers itself.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_loop<G: SimGraphView>(
     cg: &G,
-    rank: impl Fn(u32) -> Rank,
+    ranks: Option<&[u32]>,
     tentative: &mut [u64],
     preds: &mut [u32],
     start: &mut [u64],
     wait: &mut [u64],
     progress: &mut [u64],
     fronts: &mut [ThreadFrontier],
-    bests: &mut [Best],
+    bests: &mut [Key],
     makespan: &mut u64,
 ) -> usize {
     for (t, front) in fronts.iter_mut().enumerate() {
@@ -414,7 +507,7 @@ fn dispatch_loop<G: SimGraphView>(
         if ti == usize::MAX {
             break;
         }
-        let (s, _, u) = best;
+        let (s, u) = (start_of(best), best as u32);
         debug_assert_eq!(fronts[ti].best(progress[ti]), best);
         fronts[ti].pop_best();
 
@@ -432,12 +525,12 @@ fn dispatch_loop<G: SimGraphView>(
             preds[vi] -= 1;
             if preds[vi] == 0 {
                 let tv = cg.thread_of(v).0 as usize;
-                let rv = rank(v.0);
-                fronts[tv].push(tentative[vi], rv, v.0, progress[tv]);
+                let low = low_key(ranks, v.0);
+                fronts[tv].push(tentative[vi], low, progress[tv]);
                 if tv != ti {
                     // That thread's progress did not move, so the released
                     // task either beats its cached best or leaves it be.
-                    let cand = (tentative[vi].max(progress[tv]), rv, v.0);
+                    let cand = key(tentative[vi].max(progress[tv]), low);
                     if cand < bests[tv] {
                         bests[tv] = cand;
                     }
@@ -501,7 +594,7 @@ impl Schedule {
     /// Simulates `cg` under the default policy and builds the
     /// incremental-seeding indices. O(V log V + E log E) once per base.
     pub fn capture(cg: &CompiledGraph) -> Result<Schedule, GraphError> {
-        let (sim, tentative_ns) = sim_compiled_core(cg, &EarliestStart)?;
+        let (sim, tentative_ns) = sim_compiled_core(cg, None)?;
         let n = cg.len();
         let fin_ns: Vec<u64> = (0..n)
             .map(|i| sim.start_ns[i] + cg.cost_ns(CompactId(i as u32)))
@@ -1278,23 +1371,17 @@ impl OverlayView<'_> {
         let i = c.0 as usize;
         (self.ov.stamp[i] == self.epoch).then_some(i)
     }
-
-    /// `false` for a base task the patch removed.
-    #[inline]
-    fn is_live(&self, i: usize) -> bool {
-        i >= self.ov.shape.n_base || self.ov.dead[i] != self.epoch
-    }
-
-    #[inline]
-    fn pred_count(&self, c: CompactId) -> u32 {
-        match self.slot(c) {
-            Some(i) => self.ov.pcnt[i],
-            None => self.base.pred_count(c),
-        }
-    }
 }
 
 impl SimGraphView for OverlayView<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.ov.shape.n
+    }
+    #[inline]
+    fn thread_count(&self) -> usize {
+        self.ov.shape.t_count
+    }
     #[inline]
     fn cost_ns(&self, c: CompactId) -> u64 {
         match self.slot(c) {
@@ -1326,6 +1413,18 @@ impl SimGraphView for OverlayView<'_> {
         }
         self.base.successors(c)
     }
+    #[inline]
+    fn pred_count(&self, c: CompactId) -> u32 {
+        match self.slot(c) {
+            Some(i) => self.ov.pcnt[i],
+            None => self.base.pred_count(c),
+        }
+    }
+    /// `false` for a base task the patch removed.
+    #[inline]
+    fn is_live(&self, i: usize) -> bool {
+        i >= self.ov.shape.n_base || self.ov.dead[i] != self.epoch
+    }
 }
 
 /// The reusable per-simulation working arrays. Task-indexed slots carry
@@ -1340,7 +1439,7 @@ struct SimBufs {
     preds: Vec<u32>,
     progress: Vec<u64>,
     fronts: Vec<ThreadFrontier>,
-    bests: Vec<Best>,
+    bests: Vec<Key>,
 }
 
 impl SimBufs {
@@ -1368,44 +1467,56 @@ impl SimBufs {
     /// Stamps view task `i` with its seeded state and, once it owes no
     /// predecessor, puts it on its thread's frontier.
     #[inline]
-    fn seed(&mut self, view: &OverlayView, i: u32, rem: u32, tent: u64, epoch: u32) {
+    fn seed<G: SimGraphView>(
+        &mut self,
+        view: &G,
+        ranks: Option<&[u32]>,
+        i: u32,
+        rem: u32,
+        tent: u64,
+        epoch: u32,
+    ) {
         let iu = i as usize;
         self.stamp[iu] = epoch;
         self.preds[iu] = rem;
         self.tentative[iu] = tent;
         if rem == 0 {
             let t = view.thread_of(CompactId(i)).0 as usize;
-            self.fronts[t].push(tent, default_rank(i), i, self.progress[t]);
+            self.fronts[t].push(tent, low_key(ranks, i), self.progress[t]);
         }
     }
 
-    /// Full simulation of every live view task into the buffers.
-    fn run_full(&mut self, view: &OverlayView, epoch: u32) -> Result<u64, GraphError> {
-        let shape = view.ov.shape;
-        self.progress[..shape.t_count].fill(0);
-        for i in 0..shape.n {
+    /// Full simulation of every live task of `view` into the buffers,
+    /// under the dense order `ranks`, from empty frontiers; returns how
+    /// many tasks were dispatched and the makespan.
+    fn run_full<G: SimGraphView>(
+        &mut self,
+        view: &G,
+        ranks: Option<&[u32]>,
+        epoch: u32,
+    ) -> (usize, u64) {
+        let t_count = view.thread_count();
+        self.progress[..t_count].fill(0);
+        for i in 0..view.len() {
             if view.is_live(i) {
                 let preds = view.pred_count(CompactId(i as u32));
-                self.seed(view, i as u32, preds, 0, epoch);
+                self.seed(view, ranks, i as u32, preds, 0, epoch);
             }
         }
         let mut makespan = 0u64;
         let done = dispatch_loop(
             view,
-            default_rank,
+            ranks,
             &mut self.tentative,
             &mut self.preds,
             &mut self.start,
             &mut self.wait,
             &mut self.progress,
-            &mut self.fronts[..shape.t_count],
-            &mut self.bests[..shape.t_count],
+            &mut self.fronts[..t_count],
+            &mut self.bests[..t_count],
             &mut makespan,
         );
-        if done != shape.live {
-            return Err(GraphError::Cycle);
-        }
-        Ok(makespan)
+        (done, makespan)
     }
 
     /// Seeds and re-dispatches the cone over `view`, stamping exactly the
@@ -1456,19 +1567,19 @@ impl SimBufs {
                 Some(list) => split_list(list),
                 None => schedule.pred_split(c as usize, cutoff),
             };
-            self.seed(view, c, rem, tent, epoch);
+            self.seed(view, None, c, rem, tent, epoch);
         }
         for (k, &v) in d.new_ids().iter().enumerate() {
             let i = view.ov.ins_view[k];
             if i != u32::MAX {
                 let (rem, tent) = d.pred_over(v).map_or((0, 0), |l| split_list(l));
-                self.seed(view, i, rem, tent, epoch);
+                self.seed(view, None, i, rem, tent, epoch);
             }
         }
         let mut makespan = schedule.makespan_prefix[cut_idx];
         let done = dispatch_loop(
             view,
-            default_rank,
+            None,
             &mut self.tentative,
             &mut self.preds,
             &mut self.start,
@@ -1504,18 +1615,22 @@ pub struct ScratchCounters {
     pub allocs: u64,
 }
 
-/// A reusable simulation arena for [`simulate_warm_with`]: every per-sim
-/// O(V) vector lives here as epoch-stamped slots sized once per compiled
-/// base, so back-to-back warm evaluations allocate nothing and touch
-/// only their patch and cone. Invalidation is one epoch bump per
-/// evaluation; the u32 generation counter wrapping around triggers a
-/// full stamp clear (pinned by tests), so stale stamps can never alias a
-/// new epoch.
+/// A reusable simulation arena for [`simulate_warm_with`] and P3's plan
+/// simulations: every per-sim O(V) vector lives here as epoch-stamped
+/// slots sized once per compiled graph, so back-to-back evaluations
+/// allocate nothing and a warm one touches only its patch and cone.
+/// Invalidation is one epoch bump per evaluation; the u32 generation
+/// counter wrapping around triggers a full stamp clear (pinned by
+/// tests), so stale stamps can never alias a new epoch.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     epoch: u32,
     ov: Overlay,
     bufs: SimBufs,
+    /// Cost and duration rows of the last retimed graph
+    /// ([`SimScratch::simulate_retimed`]).
+    cost: Vec<u64>,
+    dur: Vec<u64>,
     last: Option<WarmLast>,
     reuses: u64,
     allocs: u64,
@@ -1527,10 +1642,8 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// Opens a new evaluation epoch and builds the overlay of `patch`
-    /// over `base`, (re)sizing the buffers on the way. O(|patch|) when
-    /// the arena has already served a graph at least this large.
-    fn begin(&mut self, base: &CompiledGraph, schedule: &Schedule, patch: &GraphPatch) {
+    /// Opens a new evaluation epoch, forgetting the last evaluation.
+    fn next_epoch(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // u32 wrap: stamps written 2^32 evaluations ago could alias
@@ -1541,19 +1654,75 @@ impl SimScratch {
             self.epoch = 1;
         }
         self.last = None;
+    }
+
+    /// Sizes the buffers for `n` tasks on `t_count` threads and empties
+    /// the frontiers, counting the evaluation as an alloc if any buffer
+    /// grew (`grew`: the caller's own rows did) and as a reuse otherwise.
+    fn size_bufs(&mut self, n: usize, t_count: usize, grew: bool) {
+        if self.bufs.ensure(n, t_count) || grew {
+            self.allocs += 1;
+        } else {
+            self.reuses += 1;
+        }
+        for front in self.bufs.fronts[..t_count].iter_mut() {
+            front.clear();
+        }
+    }
+
+    /// Opens a new evaluation epoch and builds the overlay of `patch`
+    /// over `base`, (re)sizing the buffers on the way. O(|patch|) when
+    /// the arena has already served a graph at least this large.
+    fn begin(&mut self, base: &CompiledGraph, schedule: &Schedule, patch: &GraphPatch) {
+        self.next_epoch();
         let d = patch.delta();
         let grew = self.ov.ensure(base.len() + d.new_ids().len());
         self.ov
             .build(base, schedule, d, patch.base_capacity(), self.epoch);
         let shape = self.ov.shape;
-        if self.bufs.ensure(shape.n, shape.t_count) || grew {
-            self.allocs += 1;
-        } else {
-            self.reuses += 1;
+        self.size_bufs(shape.n, shape.t_count, grew);
+    }
+
+    /// Fully simulates `graph` with the given tasks' durations replaced
+    /// (each keeping its trailing gap), under the dense order `ranks`
+    /// ([`FrontierOrder::dense_ranks`]), in this arena: the retimed cost
+    /// and duration rows are arena-owned copies, so nothing is cloned
+    /// and, warm, nothing allocated. Returns each task's end (start plus
+    /// duration). The run opens its own epoch and leaves nothing to
+    /// [`SimScratch::materialize`].
+    pub(crate) fn simulate_retimed(
+        &mut self,
+        graph: &CompiledGraph,
+        ranks: Option<&[u32]>,
+        durations: impl IntoIterator<Item = (CompactId, u64)>,
+    ) -> Result<impl Fn(CompactId) -> u64 + '_, GraphError> {
+        self.next_epoch();
+        let n = graph.len();
+        let grew = self.cost.len() < n;
+        if grew {
+            self.cost.resize(n, 0);
+            self.dur.resize(n, 0);
         }
-        for front in self.bufs.fronts[..shape.t_count].iter_mut() {
-            front.clear();
+        self.size_bufs(n, graph.thread_count(), grew);
+        let (cost, dur) = (&mut self.cost[..n], &mut self.dur[..n]);
+        cost.copy_from_slice(graph.cost_row());
+        dur.copy_from_slice(graph.duration_row());
+        for (c, d) in durations {
+            let i = c.0 as usize;
+            cost[i] = d + (cost[i] - dur[i]);
+            dur[i] = d;
         }
+        let view = RetimedView {
+            graph,
+            cost: &self.cost[..n],
+            dur: &self.dur[..n],
+        };
+        let (done, _) = self.bufs.run_full(&view, ranks, self.epoch);
+        if done != n {
+            return Err(GraphError::Cycle);
+        }
+        let (start, dur) = (&self.bufs.start, &self.dur);
+        Ok(move |c: CompactId| start[c.0 as usize] + dur[c.0 as usize])
     }
 
     /// Reconstructs the full [`CompiledSim`] of the last
@@ -1564,7 +1733,8 @@ impl SimScratch {
     /// threads to the apply's interning order (surviving base threads,
     /// then fresh threads by the first task placed on them). `schedule`
     /// must be the one that evaluation ran against. `None` before any
-    /// evaluation.
+    /// warm evaluation, and after a P3 plan run
+    /// (`whatif::P3Plan::steady_iteration_ns`) on this arena.
     pub fn materialize(&self, schedule: &Schedule) -> Option<CompiledSim> {
         let (full, makespan) = match self.last? {
             WarmLast::Noop => return Some(schedule.sim.clone()),
@@ -1742,8 +1912,11 @@ pub fn simulate_warm_with(
     };
     // The overlay of this evaluation is still current.
     let view = scratch.ov.view(base, scratch.epoch);
-    let makespan = scratch.bufs.run_full(&view, scratch.epoch)?;
+    let (done, makespan) = scratch.bufs.run_full(&view, None, scratch.epoch);
     let live = scratch.ov.shape.live;
+    if done != live {
+        return Err(GraphError::Cycle);
+    }
     scratch.last = Some(WarmLast::Full { makespan });
     Ok(WarmOutcome {
         makespan_ns: makespan,
@@ -2062,6 +2235,40 @@ mod tests {
         let r = simulate_checked(&g).unwrap();
         assert_eq!(r.makespan_ns, 0);
         assert!(r.thread_end.is_empty());
+    }
+
+    /// The default order dispatches by id and builds no rank array; any
+    /// other order becomes each task's position in its `(rank, id)`
+    /// order, ties by id.
+    #[test]
+    fn default_order_builds_no_rank_array() {
+        struct Descending;
+        impl FrontierOrder for Descending {
+            fn rank(&self, _graph: &CompiledGraph, task: CompactId) -> Rank {
+                (u64::MAX - task.0 as u64, 0)
+            }
+        }
+        struct Flat;
+        impl FrontierOrder for Flat {
+            fn rank(&self, _graph: &CompiledGraph, _task: CompactId) -> Rank {
+                (7, 7)
+            }
+        }
+        let mut g = DependencyGraph::new();
+        for i in 0..4 {
+            g.add_task(cpu(10 + i, 0));
+        }
+        let cg = CompiledGraph::compile(&g);
+        assert_eq!(EarliestStart.dense_ranks(&cg), None);
+        assert_eq!(Descending.dense_ranks(&cg), Some(vec![3, 2, 1, 0]));
+        assert_eq!(Flat.dense_ranks(&cg), Some(vec![0, 1, 2, 3]));
+        assert_eq!(
+            simulate_compiled_with(&cg, &Flat).unwrap(),
+            simulate_compiled(&cg).unwrap(),
+            "an all-tied order falls back to id order"
+        );
+        let descending = simulate_compiled_with(&cg, &Descending).unwrap();
+        assert_eq!(descending.start_ns, vec![36, 25, 13, 0]);
     }
 
     /// A wide comm channel frontier — the shape that made the reference

@@ -8,7 +8,8 @@
 //! backward task and its next-iteration forward task, and the simulator's
 //! `Schedule` function is overridden with a priority queue.
 //! [`P3Plan`] is the one evaluator: it applies a config's inserts to the
-//! compiled, unrolled profile once, then retimes the transfers per cluster.
+//! compiled, unrolled profile and sorts the scheduler's ranks once, then
+//! simulates each cluster's transfer times on a reusable arena.
 //!
 //! The predicted transfer times are pure wire times (`bytes / bandwidth`,
 //! Algorithm 7); real MXNet messages also pay server/worker engine
@@ -20,7 +21,7 @@ use crate::construct::ProfiledGraph;
 use crate::graph::{DepKind, GraphEdit, GraphError, TaskId};
 use crate::patch::{PatchGraph, PatchSummary};
 use crate::replicate::{replicate_iterations, ReplicatedGraph};
-use crate::sim::{simulate_compiled_with, FrontierOrder, Rank};
+use crate::sim::{FrontierOrder, Rank, SimScratch};
 use crate::task::{CommChannel, CommPrimitive, ExecThread, Task, TaskKind};
 use daydream_comm::{ClusterConfig, PsModel};
 use daydream_trace::{LayerId, Phase};
@@ -264,16 +265,21 @@ pub fn p3_replicated_base(pg: &ProfiledGraph, iterations: usize) -> ReplicatedGr
 }
 
 /// A compiled P3 (or PS-baseline) plan: the replicated base with one
-/// config's push/pull tasks inserted and applied, once. Of the whole plan
-/// only the transfer durations depend on the cluster (Algorithm 7 prices
-/// a slice at `bytes / bandwidth`), so evaluating a cluster retimes those
-/// and simulates under [`P3Scheduler`]; it never re-plans, re-emits or
-/// re-applies the inserts.
+/// config's push/pull tasks inserted and applied, once, and
+/// [`P3Scheduler`]'s order over it sorted into dense ranks, once. Of the
+/// whole plan only the transfer durations depend on the cluster
+/// (Algorithm 7 prices a slice at `bytes / bandwidth`), so evaluating a
+/// cluster writes those into a [`SimScratch`] arena's copy of the
+/// duration rows and simulates there; it never re-plans, re-emits,
+/// re-applies, re-ranks or clones.
 #[derive(Debug, Clone)]
 pub struct P3Plan {
     /// The applied replicated graph. Its transfer durations are those of
-    /// the cluster that built the plan; every evaluation retimes them.
+    /// the cluster that built the plan; every evaluation replaces them.
     compiled: CompiledGraph,
+    /// [`P3Scheduler`]'s dense ranks over `compiled`
+    /// ([`FrontierOrder::dense_ranks`]).
+    ranks: Option<Vec<u32>>,
     /// Compact id and payload bytes of every inserted push/pull task.
     transfers: Vec<(CompactId, u64)>,
     /// Compact ids of the last two unrolled copies' tasks: the steady
@@ -326,6 +332,7 @@ impl P3Plan {
         let n = rep.iterations();
         let last_copies = [copy(n - 2), copy(n - 1)];
         P3Plan {
+            ranks: P3Scheduler.dense_ranks(&compiled),
             compiled,
             transfers,
             last_copies,
@@ -359,29 +366,37 @@ impl P3Plan {
         self.transfers.iter().map(|&(_, b)| ps.wire_ns(b)).collect()
     }
 
-    /// Steady-state iteration time with the transfers retimed to `wires`
-    /// (one per transfer, as [`P3Plan::wire_times`] returns them): a full
-    /// simulation under [`P3Scheduler`], read as the span between the last
-    /// two unrolled copies' ends, as
-    /// [`ReplicatedGraph::steady_iteration_ns`] reads it.
-    pub fn steady_iteration_ns(&self, wires: &[u64]) -> Result<u64, GraphError> {
-        let retimed = self
-            .compiled
-            .retimed(self.transfers.iter().zip(wires).map(|(&(c, _), &w)| (c, w)));
-        let sim = simulate_compiled_with(&retimed, &P3Scheduler)?;
-        let end = |ids: &[CompactId]| {
-            ids.iter()
-                .map(|&c| sim.start_ns[c.0 as usize] + retimed.duration_ns(c))
-                .max()
-                .unwrap_or(0)
-        };
+    /// Steady-state iteration time with the transfers' durations set to
+    /// `wires` (one per transfer, as [`P3Plan::wire_times`] returns
+    /// them): a full simulation under [`P3Scheduler`] in `scratch`, read
+    /// as the span between the last two unrolled copies' ends, as
+    /// [`ReplicatedGraph::steady_iteration_ns`] reads it. A warm arena
+    /// makes the call allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wires` does not hold exactly one time per transfer.
+    pub fn steady_iteration_ns(
+        &self,
+        wires: &[u64],
+        scratch: &mut SimScratch,
+    ) -> Result<u64, GraphError> {
+        assert_eq!(
+            wires.len(),
+            self.transfers.len(),
+            "P3Plan::steady_iteration_ns takes one wire time per transfer of the plan"
+        );
+        let retimes = self.transfers.iter().zip(wires).map(|(&(c, _), &w)| (c, w));
+        let end_of = scratch.simulate_retimed(&self.compiled, self.ranks.as_deref(), retimes)?;
+        let end = |ids: &[CompactId]| ids.iter().map(|&c| end_of(c)).max().unwrap_or(0);
         Ok(end(&self.last_copies[1]) - end(&self.last_copies[0]))
     }
 
-    /// The plan's prediction on `cluster`.
+    /// The plan's prediction on `cluster`, simulated on a fresh arena.
     pub fn evaluate(&self, cluster: &ClusterConfig) -> Result<P3Prediction, GraphError> {
         Ok(P3Prediction {
-            iteration_ns: self.steady_iteration_ns(&self.wire_times(cluster))?,
+            iteration_ns: self
+                .steady_iteration_ns(&self.wire_times(cluster), &mut SimScratch::new())?,
             messages_per_iteration: self.messages_per_iteration,
         })
     }
@@ -419,6 +434,19 @@ mod tests {
             base.iteration_ms()
         );
         assert!(p3.messages_per_iteration > base.messages_per_iteration);
+    }
+
+    /// A wire vector one short would leave the last transfer at the
+    /// building cluster's wire time; it is rejected instead.
+    #[test]
+    #[should_panic(expected = "one wire time per transfer of the plan")]
+    fn short_wire_vector_is_rejected() {
+        let pg = worker_profile(&zoo::vgg19(), 4);
+        let cluster = ClusterConfig::new(4, 1, 10.0);
+        let plan = P3Plan::new(&pg, &P3Config::p3(cluster));
+        let mut wires = plan.wire_times(&ClusterConfig::new(4, 1, 1.0));
+        wires.pop();
+        let _ = plan.steady_iteration_ns(&wires, &mut SimScratch::new());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! identical `start_ns`, `makespan_ns`, `wait_ns`, and `thread_end` on
 //! arbitrary DAGs — varying thread counts, durations, gaps, and removed
 //! tasks. A test-local rank-aware oracle pins the dispatch order under
-//! every [`FrontierOrder`], P3's included. Plus pinned tests that the P3
-//! and vDNN schedule overrides still steer dispatch order on the new
+//! every [`FrontierOrder`], P3's included, and with it the kernel's
+//! conversion of ranks to dense ranks. Plus pinned tests that the P3 and
+//! vDNN schedule overrides still steer dispatch order on the new
 //! frontier.
 
 mod common;
@@ -15,12 +16,13 @@ mod common;
 use common::thread_for;
 use daydream_core::whatif::P3Scheduler;
 use daydream_core::{
-    simulate, simulate_compiled_with, simulate_reference, simulate_with, CommChannel, CompactId,
-    CompiledGraph, CompiledSim, DepKind, DependencyGraph, EarliestStart, ExecThread, FrontierOrder,
-    Task, TaskKind,
+    simulate, simulate_compiled, simulate_compiled_with, simulate_reference, simulate_with,
+    CommChannel, CompactId, CompiledGraph, CompiledSim, DepKind, DependencyGraph, EarliestStart,
+    ExecThread, FrontierOrder, Rank, Task, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Builds a random DAG: tasks with arbitrary threads (picked from the
 /// `thread` universe), durations, gaps and priorities, forward edges only
@@ -71,6 +73,30 @@ fn thread6_for(sel: u64) -> ExecThread {
     }
 }
 
+/// Ranks a task by its thread's index, reversed, and nothing else: every
+/// task on a thread ties with the rest of that thread, so the order
+/// within a thread rests on the id tie-break alone, while at equal
+/// feasibility across threads later threads win, against id order.
+struct ReversedThread;
+
+impl FrontierOrder for ReversedThread {
+    fn rank(&self, graph: &CompiledGraph, task: CompactId) -> Rank {
+        (u64::MAX - graph.thread_of(task).0 as u64, 0)
+    }
+}
+
+/// Asserts that the kernel under `order` dispatches exactly as
+/// [`rank_oracle`] does.
+fn check_kernel<O: FrontierOrder>(cg: &CompiledGraph, order: &O) -> Result<(), TestCaseError> {
+    let fast = simulate_compiled_with(cg, order).expect("forward edges: a DAG");
+    let oracle = rank_oracle(cg, order);
+    prop_assert_eq!(&fast.start_ns, &oracle.start_ns);
+    prop_assert_eq!(&fast.wait_ns, &oracle.wait_ns);
+    prop_assert_eq!(&fast.thread_end, &oracle.thread_end);
+    prop_assert_eq!(fast.makespan_ns, oracle.makespan_ns);
+    Ok(())
+}
+
 /// The dispatch rule itself, in O(n²): at each step dispatch the minimum
 /// `(max(tentative, progress[thread]), rank, id)` over every released
 /// task. Ids are unique, so the order is total for any [`FrontierOrder`].
@@ -118,10 +144,13 @@ fn rank_oracle<O: FrontierOrder>(cg: &CompiledGraph, order: &O) -> CompiledSim {
 }
 
 proptest! {
-    // The kernel against the rank-aware oracle under both policies, on
+    // The kernel against the rank-aware oracle under three policies, on
     // six-thread DAGs dense in ties: short durations and gaps (zeros
-    // included) and a handful of priorities. One case in eight removes
-    // every task, leaving a graph with zero threads.
+    // included) and a handful of priorities. The default order runs
+    // without a rank array, P3's and the reversed-thread order through
+    // their dense ranks; the last ties ranks across most tasks, so the
+    // conversion's id tie-break decides most of its order. One case in
+    // eight removes every task, leaving a graph with zero threads.
     #[test]
     fn kernel_matches_rank_oracle_under_every_policy(
         tasks in prop::collection::vec((0u64..6, 0u64..8, 0u64..3, -2i64..3), 1..90),
@@ -131,18 +160,13 @@ proptest! {
     ) {
         let removals = if wipe == 0 { (0..tasks.len() as u64).collect() } else { removals };
         let cg = CompiledGraph::compile(&build(thread6_for, &tasks, &edges, &removals));
-        let fast = simulate_compiled_with(&cg, &EarliestStart).expect("forward edges: a DAG");
-        let oracle = rank_oracle(&cg, &EarliestStart);
-        prop_assert_eq!(&fast.start_ns, &oracle.start_ns);
-        prop_assert_eq!(&fast.wait_ns, &oracle.wait_ns);
-        prop_assert_eq!(&fast.thread_end, &oracle.thread_end);
-        prop_assert_eq!(fast.makespan_ns, oracle.makespan_ns);
-        let fast = simulate_compiled_with(&cg, &P3Scheduler).expect("forward edges: a DAG");
-        let oracle = rank_oracle(&cg, &P3Scheduler);
-        prop_assert_eq!(&fast.start_ns, &oracle.start_ns);
-        prop_assert_eq!(&fast.wait_ns, &oracle.wait_ns);
-        prop_assert_eq!(&fast.thread_end, &oracle.thread_end);
-        prop_assert_eq!(fast.makespan_ns, oracle.makespan_ns);
+        check_kernel(&cg, &EarliestStart)?;
+        prop_assert_eq!(
+            simulate_compiled(&cg).expect("forward edges: a DAG"),
+            rank_oracle(&cg, &EarliestStart)
+        );
+        check_kernel(&cg, &P3Scheduler)?;
+        check_kernel(&cg, &ReversedThread)?;
     }
 
     #[test]

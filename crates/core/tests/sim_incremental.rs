@@ -6,7 +6,8 @@
 //! random op sequences, on the profiled ResNet-50 / BERT graphs for every
 //! what-if transform in the catalog (including P3's inserts over its
 //! replicated base), and on every fallback path, with the work
-//! accounting each path must report.
+//! accounting each path must report. One arena shared by warm
+//! evaluations and P3 plan runs must answer as fresh arenas do.
 //! Patch composition (`GraphPatch::compose`, layered `PatchGraph`) is
 //! pinned against sequential apply here too.
 
@@ -18,12 +19,12 @@ use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
     plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist, plan_metaflow,
     plan_p3_inserts, plan_reconstruct_bn, plan_upgrade_gpu, plan_vdnn, qkv_fusion_policy,
-    DgcConfig, GistConfig, P3Config, VdnnConfig,
+    DgcConfig, GistConfig, P3Config, P3Plan, VdnnConfig,
 };
 use daydream_core::{
-    simulate_compiled, CompiledGraph, DepKind, DependencyGraph, ExecThread, FallbackReason,
-    GraphEdit, GraphPatch, GraphView, IncrementalOptions, IncrementalStats, PatchGraph,
-    ProfiledGraph, Schedule, SimScratch, Task, TaskId, TaskKind,
+    simulate_compiled, simulate_warm_with, CompiledGraph, DepKind, DependencyGraph, ExecThread,
+    FallbackReason, GraphEdit, GraphPatch, GraphView, IncrementalOptions, IncrementalStats,
+    PatchGraph, ProfiledGraph, Schedule, SimScratch, Task, TaskId, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -523,5 +524,49 @@ fn incremental_matches_full_for_p3_on_replicated_base() {
         let patch = p.finish();
         assert_incremental(&rep.graph, &patch, &FORCE);
         assert_incremental(&rep.graph, &patch, &IncrementalOptions::default());
+    }
+}
+
+/// One arena serves P3 plan runs and warm cone and full evaluations of
+/// two different bases in turn, and every answer equals a fresh arena's:
+/// no `start`, `tentative` or `preds` state a P3 run leaves behind leaks
+/// into a warm run, nor the other way round. After every warm call,
+/// `SimScratch::materialize` still equals the full simulation of the
+/// applied graph (`assert_warm_matches_full`); after a P3 run the arena
+/// holds nothing to materialize.
+#[test]
+fn p3_and_warm_evaluations_share_one_arena() {
+    let cluster = ClusterConfig::new(4, 1, 2.0);
+    let bases: Vec<_> = [resnet_profile(), bert_profile()]
+        .iter()
+        .map(|pg| {
+            let cg = CompiledGraph::compile(&pg.graph);
+            let schedule = Schedule::capture(&cg).expect("base must be a DAG");
+            let mut p = PatchGraph::new(&pg.graph);
+            plan_amp(&mut p);
+            let plan = P3Plan::new(pg, &P3Config::p3(cluster));
+            (cg, schedule, p.finish(), plan)
+        })
+        .collect();
+    let mut shared = SimScratch::new();
+    for _round in 0..2 {
+        for (i, (cg, schedule, patch, plan)) in bases.iter().enumerate() {
+            for opts in [FORCE, FALLBACK] {
+                for p3 in [plan, &bases[1 - i].3] {
+                    let wires = p3.wire_times(&cluster);
+                    assert_eq!(
+                        p3.steady_iteration_ns(&wires, &mut shared).unwrap(),
+                        p3.evaluate(&cluster).unwrap().iteration_ns,
+                        "a P3 run on the shared arena diverged from a fresh one"
+                    );
+                    assert_eq!(shared.materialize(schedule), None);
+                }
+                let warm = assert_warm_matches_full(cg, schedule, patch, &opts, &mut shared);
+                assert_eq!(warm.stats.is_incremental(), opts == FORCE);
+                let fresh = simulate_warm_with(cg, schedule, patch, &mut SimScratch::new(), &opts)
+                    .expect("patched graph must stay a DAG");
+                assert_eq!(warm, fresh, "a warm run on the shared arena diverged");
+            }
+        }
     }
 }

@@ -377,11 +377,13 @@ pub struct RunStats {
     /// Evaluations answered by the analytic busy-time estimate this run
     /// (low-fidelity rungs only; always 0 at exact fidelity).
     pub estimate_sims: usize,
-    /// Warm-arena evaluations that reused already-sized scratch buffers
-    /// (no allocation on the simulation hot path).
+    /// Arena simulations (warm evaluations and P3 plan runs) that reused
+    /// already-sized scratch buffers (no allocation on the simulation hot
+    /// path).
     pub scratch_reuses: u64,
-    /// Warm-arena evaluations that had to (re)size at least one scratch
-    /// buffer — at most one per worker per new largest base.
+    /// Arena simulations that had to (re)size at least one scratch
+    /// buffer — at most one per worker per new largest graph (a base, or
+    /// a P3 plan three iterations long).
     pub scratch_allocs: u64,
     /// Contended result-cache shard acquisitions while this run
     /// evaluated (another worker held the same shard's lock).
@@ -969,9 +971,9 @@ fn offloaded_bytes(patch: &GraphPatch) -> u64 {
 }
 
 /// Evaluates one parameter-server config of a P3 scenario over its
-/// cached plan: retime the plan's transfers to the cluster's wire times,
-/// simulate under the priority scheduler, and read the steady-state
-/// iteration straight from the compiled simulation
+/// cached plan: set the plan's transfers to the cluster's wire times,
+/// simulate under the priority scheduler on the worker's arena, and read
+/// the steady-state iteration straight from the simulation
 /// ([`P3Plan::steady_iteration_ns`]). Always a full simulation: the
 /// steady state reads the whole replicated timeline, and the plan keeps
 /// no captured schedule.
@@ -985,6 +987,7 @@ fn p3_prediction(
     plan: &P3Plan,
     cluster: &ClusterConfig,
     patches: &PatchCache,
+    scratch: &mut SimScratch,
     stats: &mut RunStats,
 ) -> Result<PatchEval, String> {
     let wires = plan.wire_times(cluster);
@@ -995,7 +998,7 @@ fn p3_prediction(
     let key = patch_key(scenario, "p3", h.finish(), Fidelity::Exact);
     memoized(patches, key, stats, |stats| {
         let predicted_ns = plan
-            .steady_iteration_ns(&wires)
+            .steady_iteration_ns(&wires, scratch)
             .map_err(|e| format!("P3 graph for {}: {e}", scenario.label()))?;
         let dispatched = plan.compiled().len() as u64;
         stats.full_sims += 1;
@@ -1070,8 +1073,8 @@ fn evaluate(
             // §6.6), not the single-GPU profile — so the speedup column
             // means "what P3's slicing+priority buys on this cluster".
             let plans = base.p3_plans(&cluster);
-            let fifo = p3_prediction(scenario, &plans.fifo, &cluster, patches, stats)?;
-            let p3 = p3_prediction(scenario, &plans.sliced, &cluster, patches, stats)?;
+            let fifo = p3_prediction(scenario, &plans.fifo, &cluster, patches, scratch, stats)?;
+            let p3 = p3_prediction(scenario, &plans.sliced, &cluster, patches, scratch, stats)?;
             sim_path = "full";
             tasks_redispatched = fifo.tasks_redispatched + p3.tasks_redispatched;
             Prediction {
