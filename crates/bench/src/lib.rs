@@ -17,4 +17,4 @@ pub mod exhibits;
 pub mod synth;
 pub mod util;
 
-pub use util::{assert_no_allocs, profile_for, thread_allocs, Table};
+pub use util::{assert_no_allocs, profile_for, thread_alloc_bytes, thread_allocs, Table};

@@ -67,10 +67,9 @@ pub fn tail_retime<G: GraphEdit>(g: &mut G, targets: &[TaskId]) {
     }
 }
 
-/// Small-cone structural edit: splice a compression kernel between the
-/// producing kernel and each target transfer (as Gist/DGC do), plus a
-/// 100x shrink of the transfer itself.
-pub fn tail_structural<G: GraphEdit>(g: &mut G, targets: &[TaskId]) {
+/// Small-cone insert-only edit: splice a compression kernel between the
+/// producing kernel and each target transfer (as Gist/DGC do).
+pub fn tail_splice<G: GraphEdit>(g: &mut G, targets: &[TaskId]) {
     for (i, &id) in targets.iter().enumerate() {
         let producer = g.predecessors(id).first().map(|&(p, _)| p);
         let gpu = ExecThread::Gpu(DeviceId(0), StreamId((i as u32) % STREAMS));
@@ -80,7 +79,16 @@ pub fn tail_structural<G: GraphEdit>(g: &mut G, targets: &[TaskId]) {
             g.add_dep(p, k, DepKind::GpuSeq);
         }
         g.add_dep(k, id, DepKind::Comm);
-        let shrunk = g.task(id).duration_ns / 100;
-        g.set_duration(id, shrunk);
     }
+}
+
+/// Small-cone structural edit: [`tail_splice`], plus a 100x shrink of
+/// each target transfer.
+pub fn tail_structural<G: GraphEdit>(g: &mut G, targets: &[TaskId]) {
+    tail_splice(g, targets);
+    let shrunk: Vec<(TaskId, u64)> = targets
+        .iter()
+        .map(|&id| (id, g.task(id).duration_ns / 100))
+        .collect();
+    g.set_durations(&shrunk);
 }

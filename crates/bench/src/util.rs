@@ -10,11 +10,12 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
-/// A [`System`](std::alloc::System) wrapper that counts allocations on
-/// the current thread. Installed as the global allocator only in debug
-/// builds (`cargo test`), so release benchmarks measure the stock
-/// allocator; [`thread_allocs`] reports 0 there and
-/// [`assert_no_allocs`] degrades to a plain call.
+/// A [`System`](std::alloc::System) wrapper that counts allocations, and
+/// the bytes they request, on the current thread. Installed as the
+/// global allocator only in debug builds (`cargo test`), so release
+/// benchmarks measure the stock allocator; [`thread_allocs`] and
+/// [`thread_alloc_bytes`] report 0 there and [`assert_no_allocs`]
+/// degrades to a plain call.
 #[cfg(debug_assertions)]
 mod counting_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -22,22 +23,30 @@ mod counting_alloc {
 
     thread_local! {
         static ALLOCS: Cell<u64> = const { Cell::new(0) };
+        static BYTES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts one allocation of `bytes`.
+    fn count(bytes: usize) {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + bytes as u64));
     }
 
     pub struct CountingAlloc;
 
-    // SAFETY: delegates verbatim to `System`; the counter is a plain
-    // thread-local `Cell` bump, which cannot itself allocate or unwind.
+    // SAFETY: delegates verbatim to `System`; the counters are plain
+    // thread-local `Cell` bumps, which cannot themselves allocate or
+    // unwind.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.with(|c| c.set(c.get() + 1));
+            count(layout.size());
             unsafe { System.alloc(layout) }
         }
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
             unsafe { System.dealloc(ptr, layout) }
         }
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.with(|c| c.set(c.get() + 1));
+            count(new_size);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -48,6 +57,10 @@ mod counting_alloc {
     pub fn thread_allocs() -> u64 {
         ALLOCS.with(|c| c.get())
     }
+
+    pub fn thread_alloc_bytes() -> u64 {
+        BYTES.with(|c| c.get())
+    }
 }
 
 /// Heap allocations (including reallocations) made by the current
@@ -57,6 +70,19 @@ pub fn thread_allocs() -> u64 {
     #[cfg(debug_assertions)]
     {
         counting_alloc::thread_allocs()
+    }
+    #[cfg(not(debug_assertions))]
+    {
+        0
+    }
+}
+
+/// Bytes the current thread's heap allocations have requested so far,
+/// counting a reallocation as its new size; always 0 in release builds.
+pub fn thread_alloc_bytes() -> u64 {
+    #[cfg(debug_assertions)]
+    {
+        counting_alloc::thread_alloc_bytes()
     }
     #[cfg(not(debug_assertions))]
     {

@@ -1,6 +1,6 @@
 //! Tier-1 guards on the warm-evaluation perf work.
 //!
-//! Two regressions these pin:
+//! Three regressions these pin:
 //!
 //! * **Allocation creep** — the whole point of the epoch-stamped arena
 //!   is that a warmed evaluation touches no allocator, for retimes,
@@ -8,6 +8,11 @@
 //!   allocator in `daydream_bench::util` (debug builds only) fails these
 //!   tests the moment someone reintroduces a per-call `clone`,
 //!   `Vec::new` or patch apply into the hot loop.
+//! * **Patch memory that grows with the base** — a patch stores what
+//!   it touched: inserting tasks must not size anything to the base
+//!   arena beyond one `u32` slot map, and a refinement layered on a
+//!   cached DDP patch must copy that patch's few flat blocks, not
+//!   arena-wide arrays. The same allocator counts the bytes.
 //! * **Snapshot drift** — the checked-in `BENCH_sim.json` must carry an
 //!   `eval_warm` section whose numbers still clear the acceptance
 //!   floors (>= 20x over the pre-arena fresh pipeline at ~100k tasks,
@@ -18,10 +23,10 @@
 mod common;
 
 use common::assert_warm_matches_full;
-use daydream_bench::synth::{synthetic_graph, tail_retime, tail_structural};
-use daydream_bench::{assert_no_allocs, profile_for, thread_allocs};
+use daydream_bench::synth::{synthetic_graph, tail_retime, tail_splice, tail_structural};
+use daydream_bench::{assert_no_allocs, profile_for, thread_alloc_bytes, thread_allocs};
 use daydream_comm::ClusterConfig;
-use daydream_core::whatif::{plan_distributed, P3Config, P3Plan};
+use daydream_core::whatif::{plan_dgc, plan_distributed, DgcConfig, P3Config, P3Plan};
 use daydream_core::{
     simulate_warm, CompiledGraph, GraphPatch, IncrementalOptions, PatchGraph, Schedule, SimScratch,
     TaskId, WarmOutcome,
@@ -148,15 +153,79 @@ fn warmed_p3_evaluation_is_allocation_free() {
     assert_eq!(third, plan.evaluate(&cluster).unwrap().iteration_ns);
 }
 
+/// Bytes `f` allocates on this thread (0 in release builds).
+fn alloc_bytes<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = thread_alloc_bytes();
+    let r = f();
+    (thread_alloc_bytes() - before, r)
+}
+
+#[test]
+fn insert_only_patch_memory_does_not_grow_with_the_base() {
+    // Sixteen compression kernels spliced before the last transfers: the
+    // same patch over a 3k- and a 100k-task base. Only the `u32` edge
+    // slot map of the rewired base tasks may span the arena.
+    let emit_bytes = |n: usize| {
+        let g = synthetic_graph(n);
+        let comms = g.select(|t| t.thread.is_comm());
+        let targets: Vec<TaskId> = comms.iter().rev().take(16).copied().collect();
+        let (bytes, patch) = alloc_bytes(|| {
+            let mut ov = PatchGraph::new(&g);
+            tail_splice(&mut ov, &targets);
+            ov.finish()
+        });
+        assert_eq!(patch.summary().tasks_added, 16);
+        (g.capacity(), bytes)
+    };
+    let (small_n, small) = emit_bytes(3_000);
+    let (large_n, large) = emit_bytes(99_999);
+    if cfg!(debug_assertions) {
+        let per_task = large.saturating_sub(small) as f64 / (large_n - small_n) as f64;
+        assert!(
+            per_task <= 8.0,
+            "an insert-only patch allocates {per_task:.1} more bytes per extra base task \
+             ({small} B over {small_n} tasks, {large} B over {large_n})"
+        );
+    }
+}
+
+#[test]
+fn dgc_layered_on_a_cached_ddp_patch_copies_little() {
+    // The engine's DGC emit: resume the cached DDP patch and refine it.
+    let (pg, _) = profile_for("ResNet-50", Some(4), false);
+    let mut ov = PatchGraph::new(&pg.graph);
+    let cluster = ClusterConfig::new(4, 1, 10.0);
+    let allreduces = plan_distributed(&mut ov, &pg.meta.buckets, &cluster);
+    let ddp = ov.finish();
+    let cfg = DgcConfig::default();
+    let (bytes, patch) = alloc_bytes(|| {
+        let mut layered = PatchGraph::layered(&pg.graph, &ddp);
+        plan_dgc(&mut layered, &allreduces, &cfg);
+        layered.finish()
+    });
+    assert_eq!(
+        patch.summary().tasks_added,
+        ddp.summary().tasks_added + 2 * allreduces.len()
+    );
+    if cfg!(debug_assertions) {
+        assert!(
+            bytes <= 128 << 10,
+            "DGC layered on ResNet-50 b4's DDP patch allocated {} KiB",
+            bytes >> 10
+        );
+    }
+}
+
 #[test]
 fn counting_allocator_sees_this_crate() {
     // Meta-guard: if the debug global allocator stopped being installed
     // (say, the `#[global_allocator]` moved behind the wrong cfg), the
     // allocation-free test above would pass vacuously.
     if cfg!(debug_assertions) {
-        let before = thread_allocs();
+        let (before, bytes) = (thread_allocs(), thread_alloc_bytes());
         let v: Vec<u64> = (0..64).collect();
         assert!(thread_allocs() > before, "allocation went uncounted");
+        assert!(thread_alloc_bytes() >= bytes + 512, "bytes went uncounted");
         drop(v);
     }
 }

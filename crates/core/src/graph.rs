@@ -81,6 +81,11 @@ pub trait GraphView {
             .filter(|&id| pred(self.task(id)))
             .collect()
     }
+
+    /// The lowest live id whose task satisfies a predicate, if any.
+    fn find_id(&self, pred: impl Fn(&Task) -> bool) -> Option<TaskId> {
+        self.live_ids().into_iter().find(|&id| pred(self.task(id)))
+    }
 }
 
 /// Mutation access to a (possibly virtual) dependency graph.
@@ -123,6 +128,15 @@ pub trait GraphEdit: GraphView {
 
     /// Sets a task's duration (the shrink/scale primitives).
     fn set_duration(&mut self, id: TaskId, duration_ns: u64);
+
+    /// Sets each `(id, duration_ns)` pair's duration, as if by
+    /// [`GraphEdit::set_duration`] on each pair in order. An
+    /// implementation may record the whole run in one pass.
+    fn set_durations(&mut self, retimes: &[(TaskId, u64)]) {
+        for &(id, ns) in retimes {
+            self.set_duration(id, ns);
+        }
+    }
 
     /// Renames a task.
     fn set_name(&mut self, id: TaskId, name: String);

@@ -21,15 +21,19 @@
 //!   Equivalence proptests pin `apply == apply_reference` for every
 //!   what-if transform in the catalog.
 //!
-//! The overlay stores its state in arrays rather than hash maps: catalog
-//! transforms like AMP retime most of the graph, and per-op hash lookups
-//! would make emit as expensive as the clone it replaces. Only flat
-//! arrays of plain values span the whole arena (override flags, scalar
-//! overrides, a removal bitmap, and `u32` slot maps), so creating,
-//! cloning and dropping an overlay copies memory blocks. The slot maps
-//! index compact arenas that hold only what the patch touched: merged
-//! task views and overridden edge lists. Layering a refinement onto a
-//! cached DDP patch therefore clones in proportion to that patch.
+//! A patch's memory and work scale with the patch, not with the base
+//! arena. Base tasks the patch retimes or moves get flat override arrays
+//! over the base arena (flag bytes and plain scalars, each allocated on
+//! the first write of its field): catalog transforms like AMP retime
+//! most of the graph, and per-op hash lookups would make emit as
+//! expensive as the clone it replaces. Inserted tasks live in their own
+//! compact table, so inserting sizes nothing to the arena. Every
+//! overridden adjacency list is a span of one shared edge pool, found
+//! through a `u32` slot map over the base arena (allocated when a base
+//! task's edges first change) or the inserted task's own slot. Creating,
+//! cloning and dropping an overlay therefore copies or frees a few flat
+//! blocks plus the inserted tasks: layering a refinement onto a cached
+//! DDP patch costs that patch's pool, its inserted tasks and one slot map.
 //!
 //! [`GraphEdit::remove_tasks`] removes a set in one pass: mark the set,
 //! collect its live predecessors and successors, and walk the removed
@@ -39,11 +43,14 @@
 //! of removing the ids one by one; a bridge's kind follows `remove_task`'s
 //! rule along the path that first reaches it, so it can differ from
 //! sequential removal only where several removed paths join one pair.
+//! [`GraphEdit::set_durations`] records a bulk retime in one pass.
 
 use crate::graph::{bridge_kind, DepKind, DependencyGraph, GraphEdit, GraphView, TaskId};
 use crate::task::{ExecThread, Task, TaskKind};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// One recorded mutation of a base graph.
@@ -119,40 +126,45 @@ pub enum PatchOp {
 }
 
 /// Net final-state delta of a patch against its base — what
-/// [`crate::CompiledGraph::apply`] consumes. Derived incrementally while
-/// recording; the op log stays the authoritative definition (the overlay
-/// mirrors [`DependencyGraph`]'s mutation semantics op by op).
+/// [`crate::CompiledGraph::apply`] and the warm simulator consume.
+/// Derived incrementally while recording; the op log stays the
+/// authoritative definition (the overlay mirrors [`DependencyGraph`]'s
+/// mutation semantics op by op).
 ///
-/// Per-task state covers the whole arena only as flat arrays of plain
-/// values (flag bytes, scalar overrides, the removal bitmap, `u32` slot
-/// maps), so creating, cloning and dropping a delta copies memory blocks
-/// instead of visiting slots. Everything else lives in compact arenas
-/// holding only the tasks the patch touched. Field updates are stored as
-/// sparse scalar overrides — materializing a full `Task` per touched node
-/// (a `String` clone each) would make dense retimes as expensive as the
-/// graph clone this module exists to avoid; the merged `Task` view is
-/// built lazily, only when a planner actually re-reads a modified task.
+/// Storage follows the patch, not the arena:
+/// * **Modified base tasks** keep sparse field overrides: flat arrays
+///   over the base arena (flag bytes, scalars), each allocated on the
+///   first write of its field, so a dense retime is "index + flag +
+///   store"; rare `kind`/`name` overrides sit in maps. Materializing a
+///   full `Task` per retimed node (a `String` clone each) would make
+///   dense retimes as expensive as the graph clone this module exists
+///   to avoid, so a modified base task's merged view is built lazily,
+///   only when a planner re-reads it.
+/// * **Inserted tasks** live in one table indexed by `id - base_cap`,
+///   holding each task's current state, which every setter writes.
+/// * **Overridden adjacency lists** are spans of one shared `pool`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NetDelta {
-    /// Per-task override bitmap (0 = untouched); the flat field arrays
-    /// below are valid only where the matching bit is set. Flat storage
-    /// keeps a field write at "index + flag + store" — no allocation.
+    /// Arena capacity of the base: ids below it are base tasks, ids at
+    /// or above it index `inserted`.
+    base_cap: usize,
+    /// Per-base-task override bitmap (0 = untouched); the field arrays
+    /// below are valid only where the matching bit is set.
     flags: Vec<u8>,
     dur: Vec<u64>,
-    gap: Vec<u64>,
     prio: Vec<i64>,
     thread: Vec<ExecThread>,
     /// Rare structured overrides (blueconnect/batch-size rewrites).
-    kind: std::collections::HashMap<usize, TaskKind>,
-    name: std::collections::HashMap<usize, String>,
-    /// Ids with a nonzero flag byte, in first-touch order.
+    kind: HashMap<usize, TaskKind>,
+    name: HashMap<usize, String>,
+    /// Modified base tasks and every inserted task, in first-touch
+    /// order.
     touched: Vec<TaskId>,
-    /// Merged full-`Task` views of the touched tasks. The table is
-    /// created by the first insert or the first read of a touched task,
-    /// so a retime no planner re-reads never builds it. `OnceLock` (not
-    /// `OnceCell`) so finished patches are `Sync` — the sweep engine
-    /// shares cached DDP patches across worker threads and layers
-    /// refinements on top.
+    /// Merged full-`Task` views of the modified base tasks. The table is
+    /// created by the first read of one, so a retime no planner re-reads
+    /// never builds it. `OnceLock` (not `OnceCell`) so finished patches
+    /// are `Sync` — the sweep engine shares cached DDP patches across
+    /// worker threads and layers refinements on top.
     views: OnceLock<Views>,
     /// Removal bitmap (base or new tasks removed by this patch).
     removed: Vec<bool>,
@@ -161,22 +173,34 @@ pub(crate) struct NetDelta {
     /// Ids with an overridden adjacency list (successors, predecessors,
     /// or both), each once, in first-write order.
     edge_ids: Vec<TaskId>,
-    /// Per-task index into `edge_ids` and `edges` (`NO_SLOT` = no list).
+    /// Per-base-task index into `edge_ids` and `edges` (`NO_SLOT` = no
+    /// list); inserted tasks keep theirs in their table entry.
     edge_at: Vec<u32>,
-    /// Final adjacency lists of the tasks whose edges changed, parallel
-    /// to `edge_ids`.
+    /// The overridden lists of the tasks in `edge_ids`, parallel to it.
     edges: Vec<EdgeSlot>,
-    /// Ids of added tasks, ascending (includes ones removed again).
+    /// Backing store of every overridden list.
+    pool: Vec<(TaskId, DepKind)>,
+    /// Inserted tasks, indexed by `id - base_cap` (includes ones
+    /// removed again).
+    inserted: Vec<Inserted>,
+    /// Ids of added tasks, ascending and parallel to `inserted`.
     new_ids: Vec<TaskId>,
+}
+
+/// An inserted task: its current state and its adjacency slot.
+#[derive(Debug, Clone)]
+struct Inserted {
+    task: Task,
+    /// Index into `edge_ids` and `edges` (`NO_SLOT` = no list).
+    edge: u32,
 }
 
 /// Field-override flag bits (`NetDelta::flags`).
 const F_DUR: u8 = 1 << 0;
-const F_GAP: u8 = 1 << 1;
-const F_PRIO: u8 = 1 << 2;
-const F_THREAD: u8 = 1 << 3;
-const F_KIND: u8 = 1 << 4;
-const F_NAME: u8 = 1 << 5;
+const F_PRIO: u8 = 1 << 1;
+const F_THREAD: u8 = 1 << 2;
+const F_KIND: u8 = 1 << 3;
+const F_NAME: u8 = 1 << 4;
 
 /// Filler for unset dense `thread` slots (never read: guarded by
 /// `F_THREAD`).
@@ -185,42 +209,44 @@ const NO_THREAD: ExecThread = ExecThread::Cpu(daydream_trace::CpuThreadId(u32::M
 /// Filler for the slot maps: the task has no entry in the arena.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Merged full-`Task` views, one cell per touched task: pre-filled for
-/// inserted tasks, built on first read for modified base tasks, and kept
-/// in sync by every later setter.
+/// `v`, sized to the base arena on first use.
+fn base_array<T: Clone>(v: &mut Vec<T>, base_cap: usize, fill: T) -> &mut Vec<T> {
+    if v.is_empty() {
+        *v = vec![fill; base_cap];
+    }
+    v
+}
+
+/// Merged full-`Task` views, one cell per modified base task: built on
+/// first read, and kept in sync by every later setter.
 #[derive(Debug, Clone)]
 struct Views {
-    /// Per-task index into `cells` (`NO_SLOT` = untouched).
+    /// Per-base-task index into `cells` (`NO_SLOT` = untouched).
     at: Vec<u32>,
     /// Empty cells until first read, in first-touch order.
     cells: Vec<OnceLock<Box<Task>>>,
 }
 
 impl Views {
-    /// One empty cell per id of `touched`, in an arena of `len` tasks.
+    /// One empty cell per base id of `touched`, over a base arena of
+    /// `len` tasks.
     fn new(touched: &[TaskId], len: usize) -> Views {
-        let mut at = vec![NO_SLOT; len];
-        for (i, id) in touched.iter().enumerate() {
-            at[id.0] = i as u32;
+        let mut views = Views {
+            at: vec![NO_SLOT; len],
+            cells: Vec::new(),
+        };
+        for &id in touched.iter().filter(|id| id.0 < len) {
+            views.push(id);
         }
-        Views {
-            at,
-            cells: touched.iter().map(|_| OnceLock::new()).collect(),
-        }
+        views
     }
 
-    /// Adds an empty cell for a newly touched task.
+    /// Adds an empty cell for a newly modified base task.
     fn push(&mut self, id: TaskId) {
-        if self.at.len() <= id.0 {
-            self.at.resize(id.0 + 1, NO_SLOT);
-        }
         self.at[id.0] = self.cells.len() as u32;
         self.cells.push(OnceLock::new());
     }
 }
-
-/// A task's typed adjacency list.
-type EdgeList = Vec<(TaskId, DepKind)>;
 
 /// One side of a task's adjacency.
 #[derive(Debug, Clone, Copy)]
@@ -229,22 +255,56 @@ enum Side {
     Pred,
 }
 
+/// An overridden adjacency list: `len` entries at `pool[start..]`, in
+/// room for `cap`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Free entries a list gets when it is first copied into the pool.
+const LIST_ROOM: u32 = 2;
+
+/// Filler for the pool's free entries (never read).
+const POOL_FILL: (TaskId, DepKind) = (TaskId(usize::MAX), DepKind::Transform);
+
+impl Span {
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    /// Keeps, in order, the entries whose target `keep` accepts.
+    fn retain(&mut self, pool: &mut [(TaskId, DepKind)], keep: impl Fn(TaskId) -> bool) {
+        let list = &mut pool[self.range()];
+        let mut n = 0;
+        for i in 0..list.len() {
+            if keep(list[i].0) {
+                list[n] = list[i];
+                n += 1;
+            }
+        }
+        self.len = n as u32;
+    }
+}
+
 /// The overridden adjacency of one task; `None` reads the base list.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct EdgeSlot {
-    succ: Option<EdgeList>,
-    pred: Option<EdgeList>,
+    succ: Option<Span>,
+    pred: Option<Span>,
 }
 
 impl EdgeSlot {
-    fn side(&self, side: Side) -> Option<&EdgeList> {
+    fn side(&self, side: Side) -> Option<Span> {
         match side {
-            Side::Succ => self.succ.as_ref(),
-            Side::Pred => self.pred.as_ref(),
+            Side::Succ => self.succ,
+            Side::Pred => self.pred,
         }
     }
 
-    fn side_mut(&mut self, side: Side) -> &mut Option<EdgeList> {
+    fn side_mut(&mut self, side: Side) -> &mut Option<Span> {
         match side {
             Side::Succ => &mut self.succ,
             Side::Pred => &mut self.pred,
@@ -270,7 +330,8 @@ fn base_list(base: &DependencyGraph, id: TaskId, side: Side) -> &[(TaskId, DepKi
 pub(crate) struct ScalarOver {
     /// Overridden duration, ns.
     pub(crate) duration_ns: Option<u64>,
-    /// Overridden trailing gap, ns.
+    /// Overridden trailing gap, ns (inserted tasks only: no edit sets a
+    /// base task's gap).
     pub(crate) gap_ns: Option<u64>,
     /// Overridden scheduling priority.
     pub(crate) priority: Option<i64>,
@@ -287,45 +348,64 @@ fn slot(map: &[u32], id: TaskId) -> Option<usize> {
 }
 
 impl NetDelta {
+    fn new(base_cap: usize) -> NetDelta {
+        NetDelta {
+            base_cap,
+            ..NetDelta::default()
+        }
+    }
+
     fn flag(&self, id: TaskId) -> u8 {
         self.flags.get(id.0).copied().unwrap_or(0)
     }
 
-    /// Grows the flag array to cover at least `len` slots; the per-field
-    /// arrays grow lazily on first use of their field, so a pure retime
-    /// patch allocates exactly flags + durations.
-    fn ensure(&mut self, len: usize) {
-        if self.flags.len() < len {
-            self.flags.resize(len, 0);
-        }
+    /// The current state of `id` if the patch inserted it.
+    fn inserted_task(&self, id: TaskId) -> Option<&Task> {
+        let k = id.0.checked_sub(self.base_cap)?;
+        Some(&self.inserted[k].task)
     }
 
-    fn ensure_dur(&mut self, len: usize) {
-        if self.dur.len() < len {
-            self.dur.resize(len, 0);
-        }
+    fn inserted_task_mut(&mut self, id: TaskId) -> Option<&mut Task> {
+        let k = id.0.checked_sub(self.base_cap)?;
+        Some(&mut self.inserted[k].task)
     }
 
-    fn ensure_gap(&mut self, len: usize) {
-        if self.gap.len() < len {
-            self.gap.resize(len, 0);
+    /// Marks base task `id` modified and returns its index; the caller
+    /// sets its field bit. No base `Task` clone — overrides are sparse.
+    fn touch(&mut self, id: TaskId) -> usize {
+        if base_array(&mut self.flags, self.base_cap, 0)[id.0] == 0 {
+            self.touched.push(id);
+            if let Some(views) = self.views.get_mut() {
+                views.push(id);
+            }
         }
+        id.0
     }
 
-    fn ensure_prio(&mut self, len: usize) {
-        if self.prio.len() < len {
-            self.prio.resize(len, 0);
+    /// Flags field `bit` of `id` overridden and returns the state that
+    /// must mirror the write: an inserted task's entry, or a modified
+    /// base task's merged view once it is built. The caller stores a base
+    /// task's field itself.
+    fn write(&mut self, id: TaskId, bit: u8) -> Option<&mut Task> {
+        if id.0 >= self.base_cap {
+            return self.inserted_task_mut(id);
         }
+        let i = self.touch(id);
+        self.flags[i] |= bit;
+        self.merged_mut(id)
     }
 
-    fn ensure_thread(&mut self, len: usize) {
-        if self.thread.len() < len {
-            self.thread.resize(len, NO_THREAD);
-        }
-    }
-
-    /// Simulation-relevant field overrides of a touched task.
+    /// Simulation-relevant field overrides of a touched task (every
+    /// field, for an inserted one).
     pub(crate) fn scalars(&self, id: TaskId) -> Option<ScalarOver> {
+        if let Some(t) = self.inserted_task(id) {
+            return Some(ScalarOver {
+                duration_ns: Some(t.duration_ns),
+                gap_ns: Some(t.gap_ns),
+                priority: Some(t.priority),
+                thread: Some(t.thread),
+            });
+        }
         let f = self.flag(id);
         if f == 0 {
             return None;
@@ -333,21 +413,22 @@ impl NetDelta {
         let i = id.0;
         Some(ScalarOver {
             duration_ns: (f & F_DUR != 0).then(|| self.dur[i]),
-            gap_ns: (f & F_GAP != 0).then(|| self.gap[i]),
+            gap_ns: None,
             priority: (f & F_PRIO != 0).then(|| self.prio[i]),
             thread: (f & F_THREAD != 0).then(|| self.thread[i]),
         })
     }
 
-    /// The merged-view cell of a touched task (creating the table).
+    /// The merged-view cell of a modified base task (creating the
+    /// table).
     fn merged_cell(&self, id: TaskId) -> &OnceLock<Box<Task>> {
         let views = self
             .views
-            .get_or_init(|| Views::new(&self.touched, self.flags.len()));
+            .get_or_init(|| Views::new(&self.touched, self.base_cap));
         &views.cells[slot(&views.at, id).expect("touched task has a slot")]
     }
 
-    /// The merged view of a touched task, if it has been built.
+    /// The merged view of a modified base task, if it has been built.
     fn merged_mut(&mut self, id: TaskId) -> Option<&mut Task> {
         let views = self.views.get_mut()?;
         views.cells[slot(&views.at, id)?]
@@ -355,23 +436,34 @@ impl NetDelta {
             .map(|b| &mut **b)
     }
 
-    /// The full task state of an *inserted* task (always materialized).
+    /// The full task state of an *inserted* task.
     pub(crate) fn new_task(&self, id: TaskId) -> &Task {
-        self.views
-            .get()
-            .and_then(|v| v.cells[slot(&v.at, id)?].get())
-            .expect("inserted tasks are fully materialized")
+        self.inserted_task(id).expect("not an inserted task")
     }
 
-    fn over(&self, id: TaskId, side: Side) -> Option<&EdgeList> {
-        slot(&self.edge_at, id).and_then(|s| self.edges[s].side(side))
+    /// `id`'s index in `edges`, if its adjacency is overridden.
+    fn edge_slot_of(&self, id: TaskId) -> Option<usize> {
+        match id.0.checked_sub(self.base_cap) {
+            Some(k) => self
+                .inserted
+                .get(k)
+                .map(|n| n.edge)
+                .filter(|&s| s != NO_SLOT)
+                .map(|s| s as usize),
+            None => slot(&self.edge_at, id),
+        }
     }
 
-    pub(crate) fn succ_over(&self, id: TaskId) -> Option<&EdgeList> {
+    fn over(&self, id: TaskId, side: Side) -> Option<&[(TaskId, DepKind)]> {
+        let span = self.edges[self.edge_slot_of(id)?].side(side)?;
+        Some(&self.pool[span.range()])
+    }
+
+    pub(crate) fn succ_over(&self, id: TaskId) -> Option<&[(TaskId, DepKind)]> {
         self.over(id, Side::Succ)
     }
 
-    pub(crate) fn pred_over(&self, id: TaskId) -> Option<&EdgeList> {
+    pub(crate) fn pred_over(&self, id: TaskId) -> Option<&[(TaskId, DepKind)]> {
         self.over(id, Side::Pred)
     }
 
@@ -379,7 +471,7 @@ impl NetDelta {
         self.removed.get(id.0).copied().unwrap_or(false)
     }
 
-    /// Modified-or-added task ids in first-touch order.
+    /// Modified base ids and inserted ids, in first-touch order.
     pub(crate) fn touched(&self) -> &[TaskId] {
         &self.touched
     }
@@ -415,34 +507,94 @@ impl NetDelta {
     /// `id`'s index in `edges`, adding an empty slot (and recording `id`
     /// in `edge_ids`) on first use.
     fn edge_slot(&mut self, id: TaskId) -> usize {
-        if self.edge_at.len() <= id.0 {
-            self.edge_at.resize(id.0 + 1, NO_SLOT);
-        }
-        if self.edge_at[id.0] == NO_SLOT {
-            self.edge_at[id.0] = self.edges.len() as u32;
+        let at = match id.0.checked_sub(self.base_cap) {
+            Some(k) => &mut self.inserted[k].edge,
+            None => &mut base_array(&mut self.edge_at, self.base_cap, NO_SLOT)[id.0],
+        };
+        if *at == NO_SLOT {
+            *at = self.edges.len() as u32;
             self.edge_ids.push(id);
             self.edges.push(EdgeSlot::default());
         }
-        self.edge_at[id.0] as usize
+        *at as usize
     }
 
-    /// `id`'s overlay list on `side`, copied from the base on first write
-    /// (empty for overlay-added tasks).
-    fn list_mut(&mut self, base: &DependencyGraph, id: TaskId, side: Side) -> &mut EdgeList {
+    /// `id`'s overlay list on `side`, copied from the base into the pool
+    /// (with room to grow) on first write; returns its slot in `edges`.
+    fn own_list(&mut self, base: &DependencyGraph, id: TaskId, side: Side) -> usize {
         let s = self.edge_slot(id);
-        self.edges[s]
-            .side_mut(side)
-            .get_or_insert_with(|| base_list(base, id, side).to_vec())
+        if self.edges[s].side(side).is_none() {
+            let list = base_list(base, id, side);
+            let start = self.pool.len();
+            self.pool.extend_from_slice(list);
+            self.pool
+                .resize(self.pool.len() + LIST_ROOM as usize, POOL_FILL);
+            *self.edges[s].side_mut(side) = Some(Span {
+                start: start as u32,
+                len: list.len() as u32,
+                cap: list.len() as u32 + LIST_ROOM,
+            });
+        }
+        s
+    }
+
+    /// Appends an entry to `id`'s list on `side`. A full list grows in
+    /// place at the end of the pool, or else moves there with twice its
+    /// room; the space it leaves is not reused.
+    fn push_list(
+        &mut self,
+        base: &DependencyGraph,
+        id: TaskId,
+        side: Side,
+        entry: (TaskId, DepKind),
+    ) {
+        let s = self.own_list(base, id, side);
+        let pool = &mut self.pool;
+        let span = self.edges[s].side_mut(side).as_mut().expect("list owned");
+        if span.len == span.cap {
+            if (span.start + span.cap) as usize != pool.len() {
+                let at = pool.len() as u32;
+                pool.extend_from_within(span.range());
+                span.start = at;
+            }
+            span.cap *= 2;
+            pool.resize((span.start + span.cap) as usize, POOL_FILL);
+        }
+        pool[(span.start + span.len) as usize] = entry;
+        span.len += 1;
+    }
+
+    /// Drops the entries of `id`'s list on `side` that `keep` rejects.
+    fn retain_list(
+        &mut self,
+        base: &DependencyGraph,
+        id: TaskId,
+        side: Side,
+        keep: impl Fn(TaskId) -> bool,
+    ) {
+        let s = self.own_list(base, id, side);
+        let span = self.edges[s].side_mut(side).as_mut().expect("list owned");
+        span.retain(&mut self.pool, keep);
     }
 
     /// Drops every removed task from `id`'s list on `side`.
     fn drop_removed(&mut self, base: &DependencyGraph, id: TaskId, side: Side) {
-        let s = self.edge_slot(id);
+        let s = self.own_list(base, id, side);
         let removed = &self.removed;
-        self.edges[s]
-            .side_mut(side)
-            .get_or_insert_with(|| base_list(base, id, side).to_vec())
-            .retain(|&(t, _)| !removed.get(t.0).copied().unwrap_or(false));
+        let span = self.edges[s].side_mut(side).as_mut().expect("list owned");
+        span.retain(&mut self.pool, |t| {
+            !removed.get(t.0).copied().unwrap_or(false)
+        });
+    }
+
+    /// Empties both of `id`'s overlay lists, if it has any.
+    fn clear_lists(&mut self, id: TaskId) {
+        if let Some(s) = self.edge_slot_of(id) {
+            let e = &mut self.edges[s];
+            for span in [&mut e.succ, &mut e.pred].into_iter().flatten() {
+                span.len = 0;
+            }
+        }
     }
 
     /// Marks `id` removed (`len` sizes a bitmap that is still too short).
@@ -642,31 +794,27 @@ impl GraphPatch {
         s
     }
 
-    /// Distinct *base* tasks whose duration the patch changes, ascending.
-    /// (Memory-objective derivation maps these to layers via the base
-    /// graph; inserted tasks carry their own state.)
-    pub fn retimed_base_ids(&self) -> Vec<TaskId> {
-        let mut ids: Vec<TaskId> = self
-            .ops
+    /// Distinct *base* tasks whose duration the patch changes, in the
+    /// order the patch first modified them, read from the net delta in
+    /// O(touched). (Memory-objective derivation maps these to layers via
+    /// the base graph; inserted tasks carry their own state.)
+    pub fn retimed_base_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
+        let d = &self.delta;
+        d.touched
             .iter()
-            .filter_map(|op| match op {
-                PatchOp::SetDuration { id, .. } if id.0 < self.base_capacity => Some(*id),
-                _ => None,
-            })
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+            .copied()
+            .filter(|&id| id.0 < self.base_capacity && d.flag(id) & F_DUR != 0)
     }
 
     /// Final state of the tasks this patch inserts (and keeps), in
     /// insertion order.
     pub fn inserted_tasks(&self) -> impl Iterator<Item = (TaskId, &Task)> {
-        self.delta
-            .new_ids
+        let d = &self.delta;
+        d.new_ids
             .iter()
-            .filter(|id| !self.delta.is_removed(**id))
-            .map(|id| (*id, self.delta.new_task(*id)))
+            .zip(&d.inserted)
+            .filter(|(id, _)| !d.is_removed(**id))
+            .map(|(id, n)| (*id, &n.task))
     }
 
     /// Replays the op log onto `g` through [`DependencyGraph`]'s own
@@ -803,7 +951,7 @@ impl<'a> PatchGraph<'a> {
         PatchGraph {
             base,
             ops: Vec::new(),
-            delta: NetDelta::default(),
+            delta: NetDelta::new(base.capacity()),
             scratch: RemovalScratch::default(),
         }
     }
@@ -865,21 +1013,6 @@ impl<'a> PatchGraph<'a> {
         }
     }
 
-    /// Marks `id` touched (growing the override arrays as needed) and
-    /// returns its index. No base `Task` clone — overrides are sparse.
-    fn touch(&mut self, id: TaskId) -> usize {
-        let len = self.capacity().max(id.0 + 1);
-        let d = &mut self.delta;
-        d.ensure(len);
-        if d.flags[id.0] == 0 {
-            d.touched.push(id);
-            if let Some(views) = d.views.get_mut() {
-                views.push(id);
-            }
-        }
-        id.0
-    }
-
     fn edge_exists(&self, from: TaskId, to: TaskId) -> bool {
         GraphView::successors(self, from)
             .iter()
@@ -890,28 +1023,20 @@ impl<'a> PatchGraph<'a> {
     /// `add_dep` records its own, and bridges belong to `RemoveTask` ops.
     fn push_edge(&mut self, from: TaskId, to: TaskId, kind: DepKind) {
         let (base, d) = (self.base, &mut self.delta);
-        d.list_mut(base, from, Side::Succ).push((to, kind));
-        d.list_mut(base, to, Side::Pred).push((from, kind));
+        d.push_list(base, from, Side::Succ, (to, kind));
+        d.push_list(base, to, Side::Pred, (from, kind));
     }
-}
 
-impl GraphView for PatchGraph<'_> {
-    fn task(&self, id: TaskId) -> &Task {
+    /// The merged view of base task `id`, whose override flags are `f`.
+    /// Built lazily: every setter keeps a built cell in sync, so a hit
+    /// is always current.
+    fn merged(&self, id: TaskId, f: u8) -> &Task {
         let d = &self.delta;
-        let f = d.flag(id);
-        if f == 0 {
-            return self.base.task(id);
-        }
-        // Merge lazily: the cell is pre-filled for inserted tasks and
-        // kept in sync by every setter, so a hit is always current.
         d.merged_cell(id).get_or_init(|| {
             let i = id.0;
             let mut t = self.base.task(id).clone();
             if f & F_DUR != 0 {
                 t.duration_ns = d.dur[i];
-            }
-            if f & F_GAP != 0 {
-                t.gap_ns = d.gap[i];
             }
             if f & F_PRIO != 0 {
                 t.priority = d.prio[i];
@@ -927,6 +1052,19 @@ impl GraphView for PatchGraph<'_> {
             }
             Box::new(t)
         })
+    }
+}
+
+impl GraphView for PatchGraph<'_> {
+    fn task(&self, id: TaskId) -> &Task {
+        let d = &self.delta;
+        if let Some(t) = d.inserted_task(id) {
+            return t;
+        }
+        match d.flag(id) {
+            0 => self.base.task(id),
+            f => self.merged(id, f),
+        }
     }
 
     // A removed task has no edges: removal detaches both sides.
@@ -970,10 +1108,9 @@ impl GraphView for PatchGraph<'_> {
             if self.delta.is_removed(id) {
                 continue;
             }
-            let t = if self.delta.flag(id) == 0 {
-                t
-            } else {
-                GraphView::task(self, id)
+            let t = match self.delta.flag(id) {
+                0 => t,
+                f => self.merged(id, f),
             };
             if pred(t) {
                 out.push(id);
@@ -986,6 +1123,24 @@ impl GraphView for PatchGraph<'_> {
         }
         out
     }
+
+    // The same walk as `select_ids`, stopping at the first match.
+    fn find_id(&self, pred: impl Fn(&Task) -> bool) -> Option<TaskId> {
+        for (id, t) in self.base.iter() {
+            if self.delta.is_removed(id) {
+                continue;
+            }
+            let t = match self.delta.flag(id) {
+                0 => t,
+                f => self.merged(id, f),
+            };
+            if pred(t) {
+                return Some(id);
+            }
+        }
+        let mut inserted = self.delta.new_ids().iter().copied();
+        inserted.find(|&id| !self.delta.is_removed(id) && pred(self.delta.new_task(id)))
+    }
 }
 
 impl GraphEdit for PatchGraph<'_> {
@@ -994,18 +1149,12 @@ impl GraphEdit for PatchGraph<'_> {
         self.ops.push(PatchOp::AddTask {
             task: Box::new(task.clone()),
         });
-        let i = self.touch(id);
         let d = &mut self.delta;
-        d.flags[i] = F_DUR | F_GAP | F_PRIO | F_THREAD;
-        d.ensure_dur(i + 1);
-        d.ensure_gap(i + 1);
-        d.ensure_prio(i + 1);
-        d.ensure_thread(i + 1);
-        d.dur[i] = task.duration_ns;
-        d.gap[i] = task.gap_ns;
-        d.prio[i] = task.priority;
-        d.thread[i] = task.thread;
-        let _ = d.merged_cell(id).set(Box::new(task));
+        d.touched.push(id);
+        d.inserted.push(Inserted {
+            task,
+            edge: NO_SLOT,
+        });
         d.new_ids.push(id);
         id
     }
@@ -1026,8 +1175,8 @@ impl GraphEdit for PatchGraph<'_> {
             return;
         }
         let (base, d) = (self.base, &mut self.delta);
-        d.list_mut(base, from, Side::Succ).retain(|&(t, _)| t != to);
-        d.list_mut(base, to, Side::Pred).retain(|&(t, _)| t != from);
+        d.retain_list(base, from, Side::Succ, |t| t != to);
+        d.retain_list(base, to, Side::Pred, |t| t != from);
         self.ops.push(PatchOp::RemoveDep { from, to });
     }
 
@@ -1111,12 +1260,7 @@ impl GraphEdit for PatchGraph<'_> {
             d.drop_removed(base, x, Side::Pred);
         }
         for &r in &s.set {
-            if let Some(e) = slot(&d.edge_at, r) {
-                let e = &mut d.edges[e];
-                for list in [&mut e.succ, &mut e.pred].into_iter().flatten() {
-                    list.clear();
-                }
-            }
+            d.clear_lists(r);
         }
         for &(p, x, kind) in &s.bridges {
             self.push_edge(p, x, kind);
@@ -1125,62 +1269,64 @@ impl GraphEdit for PatchGraph<'_> {
     }
 
     fn set_duration(&mut self, id: TaskId, duration_ns: u64) {
-        let i = self.touch(id);
+        self.set_durations(&[(id, duration_ns)]);
+    }
+
+    // One reserve, then each retime is a flag, a store and an op.
+    fn set_durations(&mut self, retimes: &[(TaskId, u64)]) {
+        self.ops.reserve(retimes.len());
         let d = &mut self.delta;
-        d.flags[i] |= F_DUR;
-        d.ensure_dur(i + 1);
-        d.dur[i] = duration_ns;
-        if let Some(m) = d.merged_mut(id) {
-            m.duration_ns = duration_ns;
+        for &(id, ns) in retimes {
+            if id.0 < d.base_cap {
+                base_array(&mut d.dur, d.base_cap, 0)[id.0] = ns;
+            }
+            if let Some(t) = d.write(id, F_DUR) {
+                t.duration_ns = ns;
+            }
+            self.ops.push(PatchOp::SetDuration { id, ns });
         }
-        self.ops.push(PatchOp::SetDuration {
-            id,
-            ns: duration_ns,
-        });
     }
 
     fn set_name(&mut self, id: TaskId, name: String) {
-        let i = self.touch(id);
         let d = &mut self.delta;
-        d.flags[i] |= F_NAME;
-        d.name.insert(i, name.clone());
-        if let Some(m) = d.merged_mut(id) {
-            m.name = name.clone();
+        if id.0 < d.base_cap {
+            d.name.insert(id.0, name.clone());
+        }
+        if let Some(t) = d.write(id, F_NAME) {
+            t.name = name.clone();
         }
         self.ops.push(PatchOp::SetName { id, name });
     }
 
     fn set_kind(&mut self, id: TaskId, kind: TaskKind) {
-        let i = self.touch(id);
         let d = &mut self.delta;
-        d.flags[i] |= F_KIND;
-        d.kind.insert(i, kind.clone());
-        if let Some(m) = d.merged_mut(id) {
-            m.kind = kind.clone();
+        if id.0 < d.base_cap {
+            d.kind.insert(id.0, kind.clone());
+        }
+        if let Some(t) = d.write(id, F_KIND) {
+            t.kind = kind.clone();
         }
         self.ops.push(PatchOp::SetKind { id, kind });
     }
 
     fn set_thread(&mut self, id: TaskId, thread: ExecThread) {
-        let i = self.touch(id);
         let d = &mut self.delta;
-        d.flags[i] |= F_THREAD;
-        d.ensure_thread(i + 1);
-        d.thread[i] = thread;
-        if let Some(m) = d.merged_mut(id) {
-            m.thread = thread;
+        if id.0 < d.base_cap {
+            base_array(&mut d.thread, d.base_cap, NO_THREAD)[id.0] = thread;
+        }
+        if let Some(t) = d.write(id, F_THREAD) {
+            t.thread = thread;
         }
         self.ops.push(PatchOp::SetThread { id, thread });
     }
 
     fn set_priority(&mut self, id: TaskId, priority: i64) {
-        let i = self.touch(id);
         let d = &mut self.delta;
-        d.flags[i] |= F_PRIO;
-        d.ensure_prio(i + 1);
-        d.prio[i] = priority;
-        if let Some(m) = d.merged_mut(id) {
-            m.priority = priority;
+        if id.0 < d.base_cap {
+            base_array(&mut d.prio, d.base_cap, 0)[id.0] = priority;
+        }
+        if let Some(t) = d.write(id, F_PRIO) {
+            t.priority = priority;
         }
         self.ops.push(PatchOp::SetPriority { id, priority });
     }
@@ -1365,6 +1511,130 @@ mod tests {
         let patch = p.finish();
         let kept: Vec<TaskId> = patch.inserted_tasks().map(|(id, _)| id).collect();
         assert_eq!(kept, vec![a]);
+    }
+
+    #[test]
+    fn bulk_retime_records_what_single_retimes_record() {
+        let g = chain(4);
+        let retime = |bulk: bool| {
+            let mut p = PatchGraph::new(&g);
+            let n = p.add_task(cpu("n", 5));
+            // A built merged view must follow later retimes.
+            p.set_priority(TaskId(2), 3);
+            assert_eq!(GraphView::task(&p, TaskId(2)).duration_ns, 10);
+            let runs = [(TaskId(0), 7), (n, 8), (TaskId(2), 9), (TaskId(0), 6)];
+            if bulk {
+                p.set_durations(&runs);
+            } else {
+                for (id, ns) in runs {
+                    p.set_duration(id, ns);
+                }
+            }
+            let reads: Vec<u64> = (0..5)
+                .map(|i| GraphView::task(&p, TaskId(i)).duration_ns)
+                .collect();
+            assert_eq!(reads, [6, 10, 9, 10, 8]);
+            p.finish()
+        };
+        let (bulk, single) = (retime(true), retime(false));
+        assert_eq!(bulk.ops(), single.ops());
+        assert_eq!(bulk.fingerprint(), single.fingerprint());
+        let retimed: Vec<TaskId> = bulk.retimed_base_ids().collect();
+        assert_eq!(
+            retimed,
+            [TaskId(2), TaskId(0)],
+            "first-touch order, base only"
+        );
+    }
+
+    #[test]
+    fn inserted_tasks_take_every_setter() {
+        let g = chain(2);
+        let mut p = PatchGraph::new(&g);
+        let n = p.add_task(cpu("n", 5));
+        p.set_duration(n, 11);
+        p.set_name(n, "renamed".into());
+        p.set_kind(n, TaskKind::GpuKernel);
+        let gpu = ExecThread::Gpu(daydream_trace::DeviceId(0), daydream_trace::StreamId(1));
+        p.set_thread(n, gpu);
+        p.set_priority(n, -2);
+        let t = GraphView::task(&p, n).clone();
+        assert_eq!(
+            (t.duration_ns, t.name.as_str(), t.thread, t.priority),
+            (11, "renamed", gpu, -2)
+        );
+        assert_eq!(t.kind, TaskKind::GpuKernel);
+        let patch = p.finish();
+        let s = patch
+            .delta()
+            .scalars(n)
+            .expect("inserted tasks carry every field");
+        assert_eq!(
+            (s.duration_ns, s.gap_ns, s.priority, s.thread),
+            (Some(11), Some(0), Some(-2), Some(gpu))
+        );
+        assert_eq!(patch.retimed_base_ids().count(), 0);
+        let replayed = patch.apply_reference(&g);
+        assert_eq!(replayed.task(n), &t);
+    }
+
+    #[test]
+    fn edge_lists_outgrow_their_room_and_match_the_replay() {
+        // One predecessor list takes many pushes while other lists are
+        // copied into the pool after it, so it must move; removals and
+        // bridges then edit lists in the middle of the pool.
+        let g = chain(6);
+        let mut p = PatchGraph::new(&g);
+        let hub = TaskId(5);
+        let mut added = Vec::new();
+        for i in 0..9 {
+            let n = p.add_task(cpu(&format!("n{i}"), 1));
+            p.add_dep(TaskId(i % 4), n, DepKind::Transform);
+            p.add_dep(n, hub, DepKind::Transform);
+            added.push(n);
+        }
+        p.remove_dep(added[3], hub);
+        p.remove_task(TaskId(2));
+        p.remove_task(added[0]);
+        let patch = p.finish();
+        let replayed = patch.apply_reference(&g);
+        let view = PatchGraph::layered(&g, &patch);
+        for id in replayed.iter().map(|(id, _)| id) {
+            let sorted = |l: &[(TaskId, DepKind)]| {
+                let mut l = l.to_vec();
+                l.sort_unstable_by_key(|&(t, _)| t);
+                l.into_iter().map(|(t, _)| t).collect::<Vec<_>>()
+            };
+            assert_eq!(
+                sorted(GraphView::successors(&view, id)),
+                sorted(replayed.successors(id)),
+                "successors of {id:?}"
+            );
+            assert_eq!(
+                sorted(GraphView::predecessors(&view, id)),
+                sorted(replayed.predecessors(id)),
+                "predecessors of {id:?}"
+            );
+        }
+        assert_eq!(GraphView::predecessors(&view, hub).len(), 8 + 1);
+    }
+
+    #[test]
+    fn find_id_walks_the_base_then_the_inserted_tasks() {
+        let g = chain(4);
+        let mut p = PatchGraph::new(&g);
+        p.remove_task(TaskId(1));
+        p.set_duration(TaskId(3), 50);
+        let n = p.add_task(cpu("n", 50));
+        assert_eq!(p.find_id(|t| t.duration_ns == 10), Some(TaskId(0)));
+        assert_eq!(
+            p.find_id(|t| t.name == "t1"),
+            None,
+            "removed tasks are skipped"
+        );
+        assert_eq!(p.find_id(|t| t.duration_ns == 50), Some(TaskId(3)));
+        assert_eq!(p.find_id(|t| t.name == "n"), Some(n));
+        assert_eq!(p.find_id(|t| t.name == "absent"), None);
     }
 
     #[test]

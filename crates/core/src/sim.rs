@@ -1074,7 +1074,7 @@ impl InsertBounds {
         for (i, &v) in new_ids.iter().enumerate() {
             let s = d.scalars(v).expect("inserted task has a slot");
             self.cost[i] = s.duration_ns.unwrap_or(0) + s.gap_ns.unwrap_or(0);
-            for &(p, _) in d.pred_over(v).map_or(&[][..], |l| l) {
+            for &(p, _) in d.pred_over(v).unwrap_or_default() {
                 if p.0 >= base_cap {
                     self.indeg[i] += 1;
                 } else {
@@ -1090,7 +1090,7 @@ impl InsertBounds {
             let i = self.queue[head] as usize;
             head += 1;
             // New ids are dense after the base arena.
-            for &(s, _) in d.succ_over(new_ids[i]).map_or(&[][..], |l| l) {
+            for &(s, _) in d.succ_over(new_ids[i]).unwrap_or_default() {
                 if let Some(j) = s.0.checked_sub(base_cap) {
                     self.bound[j] = self.bound[j].max(self.bound[i] + self.cost[i]);
                     self.indeg[j] -= 1;
@@ -1572,7 +1572,7 @@ impl SimBufs {
         for (k, &v) in d.new_ids().iter().enumerate() {
             let i = view.ov.ins_view[k];
             if i != u32::MAX {
-                let (rem, tent) = d.pred_over(v).map_or((0, 0), |l| split_list(l));
+                let (rem, tent) = d.pred_over(v).map_or((0, 0), split_list);
                 self.seed(view, None, i, rem, tent, epoch);
             }
         }

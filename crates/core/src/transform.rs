@@ -126,12 +126,15 @@ pub fn insert_gpu_task_with_launch<G: GraphEdit>(
     (launch_id, kernel_id)
 }
 
-/// Scales the durations of selected tasks by `factor` (shrink when < 1).
+/// Scales the durations of selected tasks by `factor` (shrink when < 1),
+/// recording them as one bulk retime ([`GraphEdit::set_durations`]).
+/// Each id is scaled from the duration it had before the call.
 pub fn scale_durations<G: GraphEdit>(g: &mut G, sel: &[TaskId], factor: f64) {
-    for &id in sel {
-        let scaled = (g.task(id).duration_ns as f64 * factor).round() as u64;
-        g.set_duration(id, scaled);
-    }
+    let retimes: Vec<(TaskId, u64)> = sel
+        .iter()
+        .map(|&id| (id, (g.task(id).duration_ns as f64 * factor).round() as u64))
+        .collect();
+    g.set_durations(&retimes);
 }
 
 /// Removes all selected tasks, bridging their thread sequences

@@ -7,7 +7,7 @@
 //! (Fig. 5) because the CPU side, which AMP does not change, is modeled
 //! exactly.
 
-use crate::graph::GraphEdit;
+use crate::graph::{GraphEdit, TaskId};
 use crate::transform::select;
 
 /// Kernel-duration divisor for Tensor-Core-eligible kernels.
@@ -19,16 +19,19 @@ pub const MEMORY_BOUND_GAIN: f64 = 2.0;
 /// a [`crate::DependencyGraph`] in place or a patch-recording
 /// [`crate::patch::PatchGraph`].
 pub fn plan_amp<G: GraphEdit>(g: &mut G) {
-    for id in select::gpu_tasks(g) {
-        let t = g.task(id);
-        let divisor = if t.name.contains("sgemm") || t.name.contains("scudnn") {
-            COMPUTE_BOUND_GAIN
-        } else {
-            MEMORY_BOUND_GAIN
-        };
-        let shrunk = (t.duration_ns as f64 / divisor).round() as u64;
-        g.set_duration(id, shrunk);
-    }
+    let retimes: Vec<(TaskId, u64)> = select::gpu_tasks(g)
+        .into_iter()
+        .map(|id| {
+            let t = g.task(id);
+            let divisor = if t.name.contains("sgemm") || t.name.contains("scudnn") {
+                COMPUTE_BOUND_GAIN
+            } else {
+                MEMORY_BOUND_GAIN
+            };
+            (id, (t.duration_ns as f64 / divisor).round() as u64)
+        })
+        .collect();
+    g.set_durations(&retimes);
 }
 
 #[cfg(test)]

@@ -25,12 +25,17 @@ pub fn plan_batch_size<G: GraphEdit>(g: &mut G, old_batch: u64, new_batch: u64) 
     assert!(new_batch > 0, "batch size must be positive");
     let factor = new_batch as f64 / old_batch as f64;
     let gpu_tasks = g.select_ids(|t| t.is_on_gpu());
+    // Retimes are recorded in runs between the memcpy rekinds, so the
+    // op order is that of one task at a time.
+    let mut run: Vec<(TaskId, u64)> = Vec::with_capacity(gpu_tasks.len());
     for &id in &gpu_tasks {
         let t = g.task(id);
         match t.kind {
             TaskKind::GpuMemcpy { dir, bytes } => {
                 let scaled_bytes = (bytes as f64 * factor).round() as u64;
                 let scaled_dur = (t.duration_ns as f64 * factor).round() as u64;
+                g.set_durations(&run);
+                run.clear();
                 g.set_kind(
                     id,
                     TaskKind::GpuMemcpy {
@@ -38,17 +43,18 @@ pub fn plan_batch_size<G: GraphEdit>(g: &mut G, old_batch: u64, new_batch: u64) 
                         bytes: scaled_bytes,
                     },
                 );
-                g.set_duration(id, scaled_dur);
+                run.push((id, scaled_dur));
             }
             _ => {
                 // Scale the work above the fixed startup overhead.
                 let work = t.duration_ns.saturating_sub(KERNEL_OVERHEAD_NS);
                 let scaled =
                     KERNEL_OVERHEAD_NS.min(t.duration_ns) + (work as f64 * factor).round() as u64;
-                g.set_duration(id, scaled);
+                run.push((id, scaled));
             }
         }
     }
+    g.set_durations(&run);
     gpu_tasks
 }
 

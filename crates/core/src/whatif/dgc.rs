@@ -36,12 +36,7 @@ impl Default for DgcConfig {
 /// compression kernels.
 pub fn plan_dgc<G: GraphEdit>(g: &mut G, comm_tasks: &[TaskId], cfg: &DgcConfig) -> Vec<TaskId> {
     // Compression runs on the compute stream before each transfer.
-    let gpu_thread = g
-        .live_ids()
-        .into_iter()
-        .map(|id| g.task(id))
-        .find(|t| t.kind.is_gpu())
-        .map(|t| t.thread);
+    let gpu_thread = g.find_id(|t| t.kind.is_gpu()).map(|id| g.task(id).thread);
     let mut inserted = Vec::new();
     for &r in comm_tasks {
         let TaskKind::Communication { bytes, .. } = g.task(r).kind else {

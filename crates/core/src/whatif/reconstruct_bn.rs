@@ -10,7 +10,7 @@
 //! less-tuned kernels plus extra allocations — information a trace-level
 //! model cannot know (§7.4).
 
-use crate::graph::GraphEdit;
+use crate::graph::{GraphEdit, TaskId};
 use crate::transform::remove_all;
 use daydream_models::Model;
 use daydream_trace::LayerId;
@@ -36,10 +36,11 @@ pub fn plan_reconstruct_bn<G: GraphEdit>(g: &mut G, model: &Model) {
                 .map(|l| kind_of(l.layer) == Some("BatchNorm"))
                 .unwrap_or(false)
     });
-    for id in bn_tasks {
-        let halved = g.task(id).duration_ns / 2;
-        g.set_duration(id, halved);
-    }
+    let halved: Vec<(TaskId, u64)> = bn_tasks
+        .into_iter()
+        .map(|id| (id, g.task(id).duration_ns / 2))
+        .collect();
+    g.set_durations(&halved);
 }
 
 #[cfg(test)]

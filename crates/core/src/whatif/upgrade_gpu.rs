@@ -60,15 +60,18 @@ pub fn retime_gpu_classes<G: GraphEdit>(
         old.peak_flops_per_ns(Precision::Fp32) / new.peak_flops_per_ns(Precision::Fp32);
     let memory_ratio = old.bw_bytes_per_ns() / new.bw_bytes_per_ns();
     let pcie_ratio = old.pcie_gbs / new.pcie_gbs;
-    for &(id, bound) in classes {
-        let ratio = match bound {
-            GpuBound::Pcie => pcie_ratio,
-            GpuBound::Compute => compute_ratio,
-            GpuBound::Memory => memory_ratio,
-        };
-        let scaled = (g.task(id).duration_ns as f64 * ratio).round() as u64;
-        g.set_duration(id, scaled);
-    }
+    let retimes: Vec<(TaskId, u64)> = classes
+        .iter()
+        .map(|&(id, bound)| {
+            let ratio = match bound {
+                GpuBound::Pcie => pcie_ratio,
+                GpuBound::Compute => compute_ratio,
+                GpuBound::Memory => memory_ratio,
+            };
+            (id, (g.task(id).duration_ns as f64 * ratio).round() as u64)
+        })
+        .collect();
+    g.set_durations(&retimes);
 }
 
 /// Rescales GPU kernels for a move from `old` to `new` hardware, over any

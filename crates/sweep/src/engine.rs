@@ -28,7 +28,7 @@ use daydream_runtime::{ground_truth, ExecConfig};
 use daydream_trace::{LayerId, MemcpyDir, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -927,32 +927,47 @@ fn surrogate_estimate(opt: &OptSpec, base: &BaseProfile) -> Option<Surrogate> {
     }
 }
 
-/// Σ stashed-activation bytes of the given layers at a batch size.
-fn activation_bytes_of(model: &Model, batch: u64, layers: &BTreeSet<LayerId>) -> u64 {
+/// Σ stashed-activation bytes at a batch size of the model's layers
+/// among `layers` (each counted once, however often it repeats).
+fn activation_bytes_of(
+    model: &Model,
+    batch: u64,
+    layers: impl IntoIterator<Item = LayerId>,
+) -> u64 {
+    let len = model.layers.iter().map(|l| l.id.0 as usize + 1).max();
+    let mut marked = vec![false; len.unwrap_or(0)];
+    for l in layers {
+        if let Some(m) = marked.get_mut(l.0 as usize) {
+            *m = true;
+        }
+    }
     model
         .layers
         .iter()
-        .filter(|l| layers.contains(&l.id))
+        .filter(|l| marked[l.id.0 as usize])
         .map(|l| stashed_activation_bytes(l) * batch)
         .sum()
 }
 
-/// Distinct layers of the *base* tasks a patch retimed.
-fn retimed_layers(patch: &GraphPatch, pg: &ProfiledGraph) -> BTreeSet<LayerId> {
+/// Layers of the *base* tasks a patch retimed.
+fn retimed_layers<'a>(
+    patch: &'a GraphPatch,
+    pg: &'a ProfiledGraph,
+) -> impl Iterator<Item = LayerId> + 'a {
     patch
         .retimed_base_ids()
-        .into_iter()
         .filter_map(|id| pg.graph.task(id).layer.map(|l| l.layer))
-        .collect()
 }
 
-/// Distinct layers of inserted tasks whose name starts with `prefix`.
-fn inserted_layers(patch: &GraphPatch, prefix: &str) -> BTreeSet<LayerId> {
+/// Layers of inserted tasks whose name starts with `prefix`.
+fn inserted_layers<'a>(
+    patch: &'a GraphPatch,
+    prefix: &'a str,
+) -> impl Iterator<Item = LayerId> + 'a {
     patch
         .inserted_tasks()
-        .filter(|(_, t)| t.name.starts_with(prefix))
+        .filter(move |(_, t)| t.name.starts_with(prefix))
         .filter_map(|(_, t)| t.layer.map(|l| l.layer))
-        .collect()
 }
 
 /// Bytes the patch offloads to host memory: the device-to-host copies it
@@ -1135,7 +1150,7 @@ fn evaluate(
                     // AMP stores the stashed activations of the kernels
                     // it retimed in fp16: price exactly those layers.
                     let touched =
-                        activation_bytes_of(model, scenario.batch, &retimed_layers(&patch, pg));
+                        activation_bytes_of(model, scenario.batch, retimed_layers(&patch, pg));
                     let saved = if touched > 0 {
                         touched / 2
                     } else {
@@ -1151,12 +1166,12 @@ fn evaluate(
                     let enc = activation_bytes_of(
                         model,
                         scenario.batch,
-                        &inserted_layers(&patch, "gist_encode"),
+                        inserted_layers(&patch, "gist_encode"),
                     );
                     let dpr = activation_bytes_of(
                         model,
                         scenario.batch,
-                        &inserted_layers(&patch, "gist_dpr"),
+                        inserted_layers(&patch, "gist_dpr"),
                     );
                     let derived = enc / 2 + dpr / 2;
                     let saved = if derived > 0 {
