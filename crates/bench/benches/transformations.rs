@@ -6,10 +6,12 @@
 //! The `patch_emit` part times, on the 12 catalog bases (the six zoo
 //! models at batches 4 and 8), every family the sweep engine emits a
 //! patch for, the way the engine emits it: one overlay per scenario,
-//! with BlueConnect and DGC layered on a DDP plan built once per base,
-//! and upgrade-gpu retiming a kernel classification built once per base.
-//! Each figure splits into emit (overlay plus planner), `finish` and
-//! drop, in µs per patch, the median of five timed rounds. Unless
+//! selecting through the base's task index, with BlueConnect and DGC
+//! layered on a DDP plan; the index and the DDP plan are built once per
+//! base.
+//! Each figure splits into emit (overlay plus planner, which hashes each
+//! op into the patch fingerprint as it records it), `finish` and drop,
+//! in µs per patch, the median of five timed rounds. Unless
 //! running in `--test` smoke mode, the figures are snapshotted into the
 //! `"patch_emit"` section of `BENCH_sim.json` at the workspace root; a
 //! `"before"` table already in that section is carried over unchanged,
@@ -19,7 +21,7 @@ use criterion::{criterion_group, Criterion};
 use daydream_bench::util::profile_for;
 use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{self, DgcConfig, GistConfig, VdnnConfig};
-use daydream_core::{predict, GraphPatch, PatchGraph, ProfiledGraph, TaskId};
+use daydream_core::{predict, GraphPatch, PatchGraph, ProfiledGraph, TaskId, TaskIndex};
 use daydream_device::GpuSpec;
 use daydream_models::{zoo, Model};
 use daydream_runtime::{baseline_plan, ExecConfig, Executor};
@@ -109,9 +111,9 @@ fn families() -> Vec<OptSpec> {
 
 /// What the engine builds once per base and reuses for every scenario.
 struct BaseCache {
+    index: TaskIndex,
     ddp: GraphPatch,
     allreduces: Vec<TaskId>,
-    classes: Vec<(TaskId, whatif::GpuBound)>,
 }
 
 /// Records `opt`'s patch over `pg` as the engine's emit does, up to
@@ -120,27 +122,27 @@ fn emit<'a>(
     opt: &OptSpec,
     pg: &'a ProfiledGraph,
     model: &Model,
-    cache: &BaseCache,
+    cache: &'a BaseCache,
 ) -> PatchGraph<'a> {
     let g = &pg.graph;
     match opt {
         OptSpec::Amp => {
-            let mut ov = PatchGraph::new(g);
+            let mut ov = PatchGraph::new(g).with_index(&cache.index);
             whatif::plan_amp(&mut ov);
             ov
         }
         OptSpec::FusedAdam => {
-            let mut ov = PatchGraph::new(g);
+            let mut ov = PatchGraph::new(g).with_index(&cache.index);
             whatif::plan_fused_adam(&mut ov);
             ov
         }
         OptSpec::ReconstructBn => {
-            let mut ov = PatchGraph::new(g);
+            let mut ov = PatchGraph::new(g).with_index(&cache.index);
             whatif::plan_reconstruct_bn(&mut ov, model);
             ov
         }
         OptSpec::Metaflow => {
-            let mut ov = PatchGraph::new(g);
+            let mut ov = PatchGraph::new(g).with_index(&cache.index);
             whatif::plan_metaflow(&mut ov, &whatif::qkv_fusion_policy(model));
             ov
         }
@@ -149,7 +151,7 @@ fn emit<'a>(
             gpus_per_machine,
             bw_gbps,
         } => {
-            let mut ov = PatchGraph::new(g);
+            let mut ov = PatchGraph::new(g).with_index(&cache.index);
             let c = ClusterConfig::new(*machines, *gpus_per_machine, *bw_gbps);
             whatif::plan_distributed(&mut ov, &pg.meta.buckets, &c);
             ov
@@ -159,13 +161,13 @@ fn emit<'a>(
             gpus_per_machine,
             bw_gbps,
         } => {
-            let mut ov = PatchGraph::layered(g, &cache.ddp);
+            let mut ov = PatchGraph::layered(g, &cache.ddp).with_index(&cache.index);
             let c = ClusterConfig::new(*machines, *gpus_per_machine, *bw_gbps);
             whatif::plan_blueconnect(&mut ov, &c, &cache.allreduces);
             ov
         }
         OptSpec::Dgc { ratio, .. } => {
-            let mut ov = PatchGraph::layered(g, &cache.ddp);
+            let mut ov = PatchGraph::layered(g, &cache.ddp).with_index(&cache.index);
             let cfg = DgcConfig {
                 compression_ratio: *ratio,
                 ..DgcConfig::default()
@@ -174,7 +176,7 @@ fn emit<'a>(
             ov
         }
         OptSpec::Vdnn { lookahead } => {
-            let mut ov = PatchGraph::new(g);
+            let mut ov = PatchGraph::new(g).with_index(&cache.index);
             let cfg = VdnnConfig {
                 prefetch_lookahead: *lookahead,
                 ..VdnnConfig::default()
@@ -183,7 +185,7 @@ fn emit<'a>(
             ov
         }
         OptSpec::Gist { lossy } => {
-            let mut ov = PatchGraph::new(g);
+            let mut ov = PatchGraph::new(g).with_index(&cache.index);
             let cfg = GistConfig {
                 lossy: *lossy,
                 ..GistConfig::default()
@@ -192,19 +194,19 @@ fn emit<'a>(
             ov
         }
         OptSpec::Bandwidth { factor } => {
-            let mut ov = PatchGraph::new(g);
+            let mut ov = PatchGraph::new(g).with_index(&cache.index);
             whatif::plan_bandwidth(&mut ov, *factor);
             ov
         }
         OptSpec::UpgradeGpu { to } => {
-            let mut ov = PatchGraph::new(g);
+            let mut ov = PatchGraph::new(g).with_index(&cache.index);
             let old = GpuSpec::by_name(&pg.meta.device).expect("profiled device");
             let new = GpuSpec::by_name(to).expect("known target");
-            whatif::retime_gpu_classes(&mut ov, &cache.classes, &old, &new);
+            whatif::plan_upgrade_gpu(&mut ov, &old, &new);
             ov
         }
         OptSpec::BatchSize { batch } => {
-            let mut ov = PatchGraph::new(g);
+            let mut ov = PatchGraph::new(g).with_index(&cache.index);
             whatif::plan_batch_size(&mut ov, pg.meta.batch_size as u64, *batch);
             ov
         }
@@ -253,12 +255,13 @@ fn bench_patch_emit(quick: bool) {
     for model in zoo::all_models() {
         for batch in [4u64, 8] {
             let (pg, _) = profile_for(&model.name, Some(batch), false);
-            let mut ov = PatchGraph::new(&pg.graph);
+            let index = TaskIndex::build(&pg.graph);
+            let mut ov = PatchGraph::new(&pg.graph).with_index(&index);
             let allreduces = whatif::plan_distributed(&mut ov, &pg.meta.buckets, &cluster());
             let cache = BaseCache {
                 ddp: ov.finish(),
                 allreduces,
-                classes: whatif::classify_gpu_tasks(&pg.graph),
+                index,
             };
             for opt in families().iter().filter(|o| o.applicable(&model)) {
                 let [emit_us, finish_us, drop_us] =
@@ -303,8 +306,9 @@ fn bench_patch_emit(quick: bool) {
             "blueconnect and dgc layered on the base's DDP patch; vdnn lookahead 2, ",
             "lossless gist, bandwidth x2, upgrade-gpu to v100, batch-size 16\",\n",
             "    \"note\": \"us per patch, median of 5 rounds of 20: emit = overlay + ",
-            "planner, then finish, then drop; DDP plan and GPU kernel classes built once ",
-            "per base, untimed\",\n",
+            "planner, which hashes each op into the fingerprint as it records it, ",
+            "then finish, then drop; task index and DDP plan built once per base, ",
+            "untimed\",\n",
             "    \"results\": [\n{}\n    ]{}\n  }}"
         ),
         rows.join(",\n"),

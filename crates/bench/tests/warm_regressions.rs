@@ -12,7 +12,8 @@
 //!   it touched: inserting tasks must not size anything to the base
 //!   arena beyond one `u32` slot map, and a refinement layered on a
 //!   cached DDP patch must copy that patch's few flat blocks, not
-//!   arena-wide arrays. The same allocator counts the bytes.
+//!   arena-wide arrays. The same allocator counts the bytes, and the
+//!   allocations an inserting emit makes per inserted task.
 //! * **Snapshot drift** — the checked-in `BENCH_sim.json` must carry an
 //!   `eval_warm` section whose numbers still clear the acceptance
 //!   floors (>= 20x over the pre-arena fresh pipeline at ~100k tasks,
@@ -26,10 +27,13 @@ use common::assert_warm_matches_full;
 use daydream_bench::synth::{synthetic_graph, tail_retime, tail_splice, tail_structural};
 use daydream_bench::{assert_no_allocs, profile_for, thread_alloc_bytes, thread_allocs};
 use daydream_comm::ClusterConfig;
-use daydream_core::whatif::{plan_dgc, plan_distributed, DgcConfig, P3Config, P3Plan};
+use daydream_core::whatif::{
+    plan_dgc, plan_distributed, plan_gist, plan_vdnn, DgcConfig, GistConfig, P3Config, P3Plan,
+    VdnnConfig,
+};
 use daydream_core::{
     simulate_warm, CompiledGraph, GraphPatch, IncrementalOptions, PatchGraph, Schedule, SimScratch,
-    TaskId, WarmOutcome,
+    TaskId, TaskIndex, WarmOutcome,
 };
 
 /// Evaluates `patch` warm three times on one arena — the first call sizes
@@ -213,6 +217,40 @@ fn dgc_layered_on_a_cached_ddp_patch_copies_little() {
             "DGC layered on ResNet-50 b4's DDP patch allocated {} KiB",
             bytes >> 10
         );
+    }
+}
+
+#[test]
+fn inserting_emits_allocate_little_per_inserted_task() {
+    // The engine's Gist and vDNN emits over ResNet-50 b4: an overlay
+    // selecting through the base's task index, the planner, `finish`.
+    // Each inserted task is stored once, shared by the op log and the
+    // overlay's table.
+    let (pg, model) = profile_for("ResNet-50", Some(4), false);
+    let index = TaskIndex::build(&pg.graph);
+    let emit = |plan: &dyn Fn(&mut PatchGraph<'_>)| {
+        let before = thread_allocs();
+        let mut ov = PatchGraph::new(&pg.graph).with_index(&index);
+        plan(&mut ov);
+        let patch = ov.finish();
+        let allocs = thread_allocs() - before;
+        let added = patch.summary().tasks_added;
+        assert!(added > 100, "the emit must insert tasks");
+        allocs as f64 / added as f64
+    };
+    let gist = emit(&|g| {
+        plan_gist(g, &GistConfig::default());
+    });
+    let vdnn = emit(&|g| {
+        plan_vdnn(g, &model, &VdnnConfig::default(), 4);
+    });
+    if cfg!(debug_assertions) {
+        for (family, per_task) in [("gist", gist), ("vdnn", vdnn)] {
+            assert!(
+                per_task <= 2.5,
+                "{family} on ResNet-50 b4 makes {per_task:.2} allocations per inserted task"
+            );
+        }
     }
 }
 

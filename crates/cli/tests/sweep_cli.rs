@@ -268,3 +268,57 @@ fn sweep_rejects_duplicate_options() {
         "got: {stderr}"
     );
 }
+
+#[test]
+fn explain_op_counts_match_the_golden() {
+    // `goldens/catalog-explain.txt` holds `sweep --explain` over the CI
+    // catalog grid, one entry per key. A patch fingerprint is an
+    // in-memory cache key whose value may change with the hash; every
+    // other line (the scenario, the simulation path and the op counts)
+    // must not.
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../goldens/catalog-explain.txt"
+    ))
+    .unwrap();
+    let grid = [
+        "--models",
+        "VGG-19,DenseNet-121,ResNet-50,GNMT,BERT_Base,BERT_Large",
+        "--batches",
+        "4,8",
+        "--bw",
+        "1,2,4,8,25",
+        "--machines",
+        "1,2,8",
+        "--lossy",
+        "both",
+        "--opts",
+        "amp,fused-adam,reconstruct-bn,metaflow,ddp,blueconnect,dgc,p3,vdnn,gist,bandwidth,\
+         upgrade-gpu,batch-size",
+    ];
+    let mut explained = String::new();
+    for key in golden.lines().filter_map(|l| l.strip_prefix("key:")) {
+        let out = daydream()
+            .arg("sweep")
+            .args(grid)
+            .args(["--threads", "1", "--explain", key.trim()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        explained.push_str(&String::from_utf8(out.stdout).unwrap());
+    }
+    let without_fingerprints = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| !l.starts_with("patch:"))
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(
+        without_fingerprints(&explained),
+        without_fingerprints(&golden)
+    );
+}

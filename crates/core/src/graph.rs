@@ -4,6 +4,7 @@
 //! bridges thread-sequence edges so the per-thread "linked list" the paper
 //! describes stays intact (Fig. 4).
 
+use crate::index::{Edits, TaskIndex};
 use crate::task::{ExecThread, Task, TaskKind};
 use serde::{map_get, DeError, Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, HashSet};
@@ -85,6 +86,16 @@ pub trait GraphView {
     /// The lowest live id whose task satisfies a predicate, if any.
     fn find_id(&self, pred: impl Fn(&Task) -> bool) -> Option<TaskId> {
         self.live_ids().into_iter().find(|&id| pred(self.task(id)))
+    }
+
+    /// The task index of this view's unmodified base, if the view has
+    /// one and has made none of the `unless` edits since. Only a
+    /// [`crate::PatchGraph`] built [`with_index`](crate::PatchGraph::with_index)
+    /// has one. The [`select`](crate::transform::select) helpers answer
+    /// from it and scan where this returns `None`.
+    fn base_index(&self, unless: Edits) -> Option<&TaskIndex> {
+        let _ = unless;
+        None
     }
 }
 

@@ -41,6 +41,7 @@ pub mod compiled;
 pub mod construct;
 pub mod export;
 pub mod graph;
+pub mod index;
 pub mod layer_map;
 pub mod patch;
 pub mod predict;
@@ -55,6 +56,7 @@ pub use compiled::{ApplyTrace, CompactId, CompiledGraph, ThreadId};
 pub use construct::{build_graph, ProfiledGraph};
 pub use export::{sim_to_trace, simulate_to_trace};
 pub use graph::{DepKind, DependencyGraph, GraphEdit, GraphError, GraphView, TaskId};
+pub use index::{Edits, LayerAnchors, TaskIndex};
 pub use patch::{GraphPatch, PatchGraph, PatchOp, PatchSummary};
 pub use predict::{predict, Prediction};
 pub use replicate::{replicate_iterations, ReplicatedGraph};

@@ -27,13 +27,23 @@
 //! the first write of its field): catalog transforms like AMP retime
 //! most of the graph, and per-op hash lookups would make emit as
 //! expensive as the clone it replaces. Inserted tasks live in their own
-//! compact table, so inserting sizes nothing to the arena. Every
-//! overridden adjacency list is a span of one shared edge pool, found
-//! through a `u32` slot map over the base arena (allocated when a base
-//! task's edges first change) or the inserted task's own slot. Creating,
-//! cloning and dropping an overlay therefore copies or frees a few flat
-//! blocks plus the inserted tasks: layering a refinement onto a cached
-//! DDP patch costs that patch's pool, its inserted tasks and one slot map.
+//! compact table, so inserting sizes nothing to the arena, and each is
+//! stored once: the table and the op log share it until a setter writes
+//! it. Every overridden adjacency list is a span of one shared edge pool,
+//! found through a `u32` slot map over the base arena (allocated when a
+//! base task's edges first change) or the inserted task's own slot.
+//! Creating, cloning and dropping an overlay therefore copies or frees a
+//! few flat blocks: layering a refinement onto a cached DDP patch costs
+//! that patch's pool, one slot map and a reference count per inserted
+//! task.
+//!
+//! The overlay also does no work per base task for what it reads. It
+//! hashes each op into the patch fingerprint as it records it, so a
+//! finished patch's [`GraphPatch::fingerprint`] is a read. And one built
+//! over an indexed base ([`PatchGraph::with_index`]) hands the base's
+//! [`TaskIndex`] to the [`crate::transform::select`] helpers, so a
+//! planner's selections read lists built once per base instead of
+//! scanning the arena.
 //!
 //! [`GraphEdit::remove_tasks`] removes a set in one pass: mark the set,
 //! collect its live predecessors and successors, and walk the removed
@@ -46,12 +56,13 @@
 //! [`GraphEdit::set_durations`] records a bulk retime in one pass.
 
 use crate::graph::{bridge_kind, DepKind, DependencyGraph, GraphEdit, GraphView, TaskId};
+use crate::index::{Edits, TaskIndex};
 use crate::task::{ExecThread, Task, TaskKind};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One recorded mutation of a base graph.
 ///
@@ -63,9 +74,10 @@ pub enum PatchOp {
     /// Append a new task. Ids are assigned densely after the base arena:
     /// the `k`-th `AddTask` of a patch creates `TaskId(base_capacity + k)`.
     AddTask {
-        /// The task to add (complete initial state). Boxed so the hot
-        /// all-integer ops stay a cache-line-friendly 24 bytes.
-        task: Box<Task>,
+        /// The task to add (complete initial state). Shared with the
+        /// overlay's inserted table until a setter writes the task there;
+        /// behind a pointer, so the hot all-integer ops stay small.
+        task: Arc<Task>,
     },
     /// Remove a task, bridging its thread sequences (Remove primitive).
     RemoveTask {
@@ -141,7 +153,9 @@ pub enum PatchOp {
 ///   to avoid, so a modified base task's merged view is built lazily,
 ///   only when a planner re-reads it.
 /// * **Inserted tasks** live in one table indexed by `id - base_cap`,
-///   holding each task's current state, which every setter writes.
+///   holding each task's current state, which every setter writes. The
+///   entry shares its task with the op log's `AddTask` until a setter
+///   copies it out.
 /// * **Overridden adjacency lists** are spans of one shared `pool`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NetDelta {
@@ -154,6 +168,8 @@ pub(crate) struct NetDelta {
     dur: Vec<u64>,
     prio: Vec<i64>,
     thread: Vec<ExecThread>,
+    /// Union of the override bits of every base task.
+    fields: u8,
     /// Rare structured overrides (blueconnect/batch-size rewrites).
     kind: HashMap<usize, TaskKind>,
     name: HashMap<usize, String>,
@@ -190,7 +206,9 @@ pub(crate) struct NetDelta {
 /// An inserted task: its current state and its adjacency slot.
 #[derive(Debug, Clone)]
 struct Inserted {
-    task: Task,
+    /// Shared with the op log's `AddTask` (and with the prior patch's
+    /// table, in a layered overlay) until a setter writes it.
+    task: Arc<Task>,
     /// Index into `edge_ids` and `edges` (`NO_SLOT` = no list).
     edge: u32,
 }
@@ -365,9 +383,25 @@ impl NetDelta {
         Some(&self.inserted[k].task)
     }
 
+    /// `id`'s entry if the patch inserted it, copied out of the op log
+    /// (or a prior patch) first if they still share it.
     fn inserted_task_mut(&mut self, id: TaskId) -> Option<&mut Task> {
         let k = id.0.checked_sub(self.base_cap)?;
-        Some(&mut self.inserted[k].task)
+        Some(Arc::make_mut(&mut self.inserted[k].task))
+    }
+
+    /// The kinds of edit the patch has made (what selections read).
+    fn edits(&self) -> Edits {
+        [
+            (!self.new_ids.is_empty(), Edits::INSERT),
+            (!self.removed_list.is_empty(), Edits::REMOVE),
+            (self.fields & F_THREAD != 0, Edits::THREAD),
+            (self.fields & F_KIND != 0, Edits::KIND),
+            (self.fields & F_NAME != 0, Edits::NAME),
+        ]
+        .into_iter()
+        .filter(|&(made, _)| made)
+        .fold(Edits::NONE, |e, (_, edit)| e.union(edit))
     }
 
     /// Marks base task `id` modified and returns its index; the caller
@@ -392,6 +426,7 @@ impl NetDelta {
         }
         let i = self.touch(id);
         self.flags[i] |= bit;
+        self.fields |= bit;
         self.merged_mut(id)
     }
 
@@ -608,10 +643,12 @@ impl NetDelta {
 }
 
 /// A typed, replayable delta over an immutable base [`DependencyGraph`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct GraphPatch {
     base_capacity: usize,
     ops: Vec<PatchOp>,
+    /// [`op_log_fingerprint`] of the log, folded in while recording.
+    fingerprint: u64,
     delta: NetDelta,
 }
 
@@ -676,12 +713,44 @@ impl fmt::Display for PatchSummary {
 /// dense retime patch byte-wise would cost more than applying it). As a
 /// [`Hasher`] it takes the derived `Hash` of every op field by field.
 /// Stable across processes by construction — no `DefaultHasher`
-/// randomness.
+/// randomness. The state is the hash, so a recording overlay can resume
+/// a finished patch's.
+#[derive(Debug, Clone, Copy)]
 struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+    /// The state after hashing the arena capacity of a patch's base.
+    fn for_base(base_capacity: usize) -> Self {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        base_capacity.hash(&mut h);
+        h
+    }
+}
+
+/// The content hash of an op log recorded over a base arena of
+/// `base_capacity` tasks: the base capacity, then each op in order. This
+/// is the definition [`GraphPatch::fingerprint`] returns, which the
+/// overlay computes op by op as it records; equal logs over equal
+/// arenas hash equally.
+pub fn op_log_fingerprint(base_capacity: usize, ops: &[PatchOp]) -> u64 {
+    let mut h = Fnv::for_base(base_capacity);
+    for op in ops {
+        op.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// The op log an overlay records, hashed as it grows.
+#[derive(Debug)]
+struct OpLog {
+    ops: Vec<PatchOp>,
+    hash: Fnv,
+}
+
+impl OpLog {
+    fn push(&mut self, op: PatchOp) {
+        op.hash(&mut self.hash);
+        self.ops.push(op);
     }
 }
 
@@ -745,11 +814,10 @@ impl GraphPatch {
     /// Stable 64-bit content hash of the op log (plus the base arena
     /// size), usable as a per-base evaluation cache key: two scenarios
     /// that emit identical patches over the same base predict identically.
+    /// Hashed while recording, so this is a read; it always equals
+    /// [`op_log_fingerprint`] of [`GraphPatch::ops`].
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        self.base_capacity.hash(&mut h);
-        self.ops.hash(&mut h);
-        h.finish()
+        self.fingerprint
     }
 
     /// Op-type counts (distinct task ids for the field-update families).
@@ -814,7 +882,7 @@ impl GraphPatch {
             .iter()
             .zip(&d.inserted)
             .filter(|(id, _)| !d.is_removed(**id))
-            .map(|(id, n)| (*id, &n.task))
+            .map(|(id, n)| (*id, &*n.task))
     }
 
     /// Replays the op log onto `g` through [`DependencyGraph`]'s own
@@ -896,7 +964,9 @@ fn replay_ops<G: GraphEdit>(ops: &[PatchOp], g: &mut G) {
 #[derive(Debug)]
 pub struct PatchGraph<'a> {
     base: &'a DependencyGraph,
-    ops: Vec<PatchOp>,
+    /// The base's task index, which the selection helpers read.
+    index: Option<&'a TaskIndex>,
+    log: OpLog,
     delta: NetDelta,
     /// Buffers [`GraphEdit::remove_tasks`] reuses across calls.
     scratch: RemovalScratch,
@@ -950,7 +1020,11 @@ impl<'a> PatchGraph<'a> {
     pub fn new(base: &'a DependencyGraph) -> Self {
         PatchGraph {
             base,
-            ops: Vec::new(),
+            index: None,
+            log: OpLog {
+                ops: Vec::new(),
+                hash: Fnv::for_base(base.capacity()),
+            },
             delta: NetDelta::new(base.capacity()),
             scratch: RemovalScratch::default(),
         }
@@ -974,10 +1048,33 @@ impl<'a> PatchGraph<'a> {
         );
         PatchGraph {
             base,
-            ops: prior.ops.clone(),
+            index: None,
+            log: OpLog {
+                ops: prior.ops.clone(),
+                hash: Fnv(prior.fingerprint),
+            },
             delta: prior.delta.clone(),
             scratch: RemovalScratch::default(),
         }
+    }
+
+    /// This overlay with `index`, built from its base by
+    /// [`TaskIndex::build`], for the
+    /// [`select`](crate::transform::select) helpers to read: they answer
+    /// from it until the overlay's edits could change their answer. The
+    /// recorded patch is the same with or without it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` was built from a graph of another arena size.
+    pub fn with_index(mut self, index: &'a TaskIndex) -> Self {
+        assert_eq!(
+            index.capacity(),
+            self.base.capacity(),
+            "task index built from a different base arena"
+        );
+        self.index = Some(index);
+        self
     }
 
     /// The base graph under the overlay.
@@ -999,7 +1096,8 @@ impl<'a> PatchGraph<'a> {
     pub fn finish(self) -> GraphPatch {
         GraphPatch {
             base_capacity: self.base.capacity(),
-            ops: self.ops,
+            ops: self.log.ops,
+            fingerprint: self.log.hash.finish(),
             delta: self.delta,
         }
     }
@@ -1141,13 +1239,19 @@ impl GraphView for PatchGraph<'_> {
         let mut inserted = self.delta.new_ids().iter().copied();
         inserted.find(|&id| !self.delta.is_removed(id) && pred(self.delta.new_task(id)))
     }
+
+    fn base_index(&self, unless: Edits) -> Option<&TaskIndex> {
+        self.index
+            .filter(|_| !self.delta.edits().intersects(unless))
+    }
 }
 
 impl GraphEdit for PatchGraph<'_> {
     fn add_task(&mut self, task: Task) -> TaskId {
         let id = TaskId(self.capacity());
-        self.ops.push(PatchOp::AddTask {
-            task: Box::new(task.clone()),
+        let task = Arc::new(task);
+        self.log.push(PatchOp::AddTask {
+            task: Arc::clone(&task),
         });
         let d = &mut self.delta;
         d.touched.push(id);
@@ -1166,7 +1270,7 @@ impl GraphEdit for PatchGraph<'_> {
         );
         if from != to && !self.edge_exists(from, to) {
             self.push_edge(from, to, kind);
-            self.ops.push(PatchOp::AddDep { from, to, kind });
+            self.log.push(PatchOp::AddDep { from, to, kind });
         }
     }
 
@@ -1177,7 +1281,7 @@ impl GraphEdit for PatchGraph<'_> {
         let (base, d) = (self.base, &mut self.delta);
         d.retain_list(base, from, Side::Succ, |t| t != to);
         d.retain_list(base, to, Side::Pred, |t| t != from);
-        self.ops.push(PatchOp::RemoveDep { from, to });
+        self.log.push(PatchOp::RemoveDep { from, to });
     }
 
     fn remove_task(&mut self, id: TaskId) {
@@ -1195,7 +1299,7 @@ impl GraphEdit for PatchGraph<'_> {
         s.set.clear();
         for &id in ids {
             if !self.is_removed(id) {
-                self.ops.push(PatchOp::RemoveTask { id });
+                self.log.push(PatchOp::RemoveTask { id });
                 self.delta.mark_removed(id, len);
                 s.set.push(id);
             }
@@ -1274,7 +1378,7 @@ impl GraphEdit for PatchGraph<'_> {
 
     // One reserve, then each retime is a flag, a store and an op.
     fn set_durations(&mut self, retimes: &[(TaskId, u64)]) {
-        self.ops.reserve(retimes.len());
+        self.log.ops.reserve(retimes.len());
         let d = &mut self.delta;
         for &(id, ns) in retimes {
             if id.0 < d.base_cap {
@@ -1283,7 +1387,7 @@ impl GraphEdit for PatchGraph<'_> {
             if let Some(t) = d.write(id, F_DUR) {
                 t.duration_ns = ns;
             }
-            self.ops.push(PatchOp::SetDuration { id, ns });
+            self.log.push(PatchOp::SetDuration { id, ns });
         }
     }
 
@@ -1295,7 +1399,7 @@ impl GraphEdit for PatchGraph<'_> {
         if let Some(t) = d.write(id, F_NAME) {
             t.name = name.clone();
         }
-        self.ops.push(PatchOp::SetName { id, name });
+        self.log.push(PatchOp::SetName { id, name });
     }
 
     fn set_kind(&mut self, id: TaskId, kind: TaskKind) {
@@ -1306,7 +1410,7 @@ impl GraphEdit for PatchGraph<'_> {
         if let Some(t) = d.write(id, F_KIND) {
             t.kind = kind.clone();
         }
-        self.ops.push(PatchOp::SetKind { id, kind });
+        self.log.push(PatchOp::SetKind { id, kind });
     }
 
     fn set_thread(&mut self, id: TaskId, thread: ExecThread) {
@@ -1317,7 +1421,7 @@ impl GraphEdit for PatchGraph<'_> {
         if let Some(t) = d.write(id, F_THREAD) {
             t.thread = thread;
         }
-        self.ops.push(PatchOp::SetThread { id, thread });
+        self.log.push(PatchOp::SetThread { id, thread });
     }
 
     fn set_priority(&mut self, id: TaskId, priority: i64) {
@@ -1328,7 +1432,7 @@ impl GraphEdit for PatchGraph<'_> {
         if let Some(t) = d.write(id, F_PRIO) {
             t.priority = priority;
         }
-        self.ops.push(PatchOp::SetPriority { id, priority });
+        self.log.push(PatchOp::SetPriority { id, priority });
     }
 }
 

@@ -144,32 +144,166 @@ pub fn remove_all<G: GraphEdit>(g: &mut G, sel: &[TaskId]) {
 }
 
 /// Selection helpers mirroring the paper's `Select` examples (§4.4).
+///
+/// Every helper returns the live tasks a scan of the graph selects, in
+/// ascending id order. Over a [`crate::PatchGraph`] built on an indexed
+/// base ([`crate::PatchGraph::with_index`]) a helper reads the base's
+/// [`crate::TaskIndex`] instead, while the overlay has made none of the
+/// edits its answer depends on ([`GraphView::base_index`]); after such an
+/// edit, and on every other graph, it scans.
 pub mod select {
     use super::*;
+    use crate::index::{layer_anchors_of, phase_slot, Edits, GpuTask, LayerAnchors, TaskIndex};
+    use crate::whatif::{gpu_bound, is_relu_kernel, uses_tensor_cores, GpuBound};
+    use daydream_trace::LayerId;
+    use std::borrow::Cow;
+
+    /// Edits that change which tasks are live. (A task's layer, and so
+    /// its phase, is never edited.)
+    const LIVE: Edits = Edits::INSERT.union(Edits::REMOVE);
+
+    /// Edits that change which tasks are live GPU tasks.
+    const GPU: Edits = LIVE.union(Edits::THREAD);
+
+    /// The index's entries for the live GPU tasks (of `phase`, if given),
+    /// while neither those nor the fields in `reads` were edited.
+    fn indexed_gpu<'g, G: GraphView>(
+        g: &'g G,
+        phase: Option<Phase>,
+        reads: Edits,
+    ) -> Option<impl Iterator<Item = &'g GpuTask> + 'g> {
+        let ix = g.base_index(GPU.union(reads))?;
+        Some(
+            ix.gpu
+                .iter()
+                .filter(move |k| phase.is_none_or(|p| k.in_phase(p))),
+        )
+    }
 
     /// All live GPU tasks (`Select(funcPtr(IsOnGPU))` in the algorithms).
     pub fn gpu_tasks<G: GraphView>(g: &G) -> Vec<TaskId> {
-        g.select_ids(|t| t.is_on_gpu())
+        match indexed_gpu(g, None, Edits::NONE) {
+            Some(it) => it.map(|k| k.id).collect(),
+            None => g.select_ids(|t| t.is_on_gpu()),
+        }
     }
 
-    /// Tasks whose name contains a keyword (e.g. `"sgemm"`).
+    /// Live GPU tasks (of `phase`, if given), each with AMP's Tensor Core
+    /// flag: whether its name marks an `sgemm` or `scudnn` kernel.
+    pub fn tensor_core_flags<G: GraphView>(g: &G, phase: Option<Phase>) -> Vec<(TaskId, bool)> {
+        if let Some(it) = indexed_gpu(g, phase, Edits::NAME) {
+            return it.map(|k| (k.id, k.tensor_core)).collect();
+        }
+        let ids = match phase {
+            Some(p) => gpu_in_phase(g, p),
+            None => gpu_tasks(g),
+        };
+        ids.into_iter()
+            .map(|id| (id, uses_tensor_cores(g.task(id))))
+            .collect()
+    }
+
+    /// Live GPU tasks, each with the device rate that binds it
+    /// (upgrade-gpu's classes). A class depends only on the task's kind
+    /// and name, so it holds for any target device.
+    pub fn gpu_bounds<G: GraphView>(g: &G) -> Cow<'_, [(TaskId, GpuBound)]> {
+        if let Some(ix) = g.base_index(GPU.union(Edits::NAME).union(Edits::KIND)) {
+            return Cow::Borrowed(&ix.bounds);
+        }
+        let scan = gpu_tasks(g)
+            .into_iter()
+            .map(|id| (id, gpu_bound(g.task(id))))
+            .collect();
+        Cow::Owned(scan)
+    }
+
+    /// Tasks whose name contains a keyword (e.g. `"sgemm"`). Always scans.
     pub fn by_keyword<G: GraphView>(g: &G, keyword: &str) -> Vec<TaskId> {
         g.select_ids(|t| t.name.contains(keyword))
     }
 
     /// GPU tasks of a given phase.
     pub fn gpu_in_phase<G: GraphView>(g: &G, phase: Phase) -> Vec<TaskId> {
-        g.select_ids(|t| t.is_on_gpu() && t.in_phase(phase))
+        match indexed_gpu(g, Some(phase), Edits::NONE) {
+            Some(it) => it.map(|k| k.id).collect(),
+            None => g.select_ids(|t| t.is_on_gpu() && t.in_phase(phase)),
+        }
+    }
+
+    /// ReLU kernels (`elementwise_kernel_relu`, Gist's rule) of a phase.
+    /// cuDNN convolutions with a fused ReLU carry "relu" in their names
+    /// too, so the rule names the element-wise kernel.
+    pub fn relu_kernels<G: GraphView>(g: &G, phase: Phase) -> Vec<TaskId> {
+        if let Some(it) = indexed_gpu(g, Some(phase), Edits::NAME) {
+            return it.filter(|k| k.relu).map(|k| k.id).collect();
+        }
+        g.select_ids(|t| t.is_on_gpu() && t.in_phase(phase) && is_relu_kernel(t))
     }
 
     /// All tasks (CPU and GPU) of a given phase.
     pub fn in_phase<G: GraphView>(g: &G, phase: Phase) -> Vec<TaskId> {
-        g.select_ids(|t| t.in_phase(phase))
+        match g.base_index(LIVE) {
+            Some(ix) => ix.by_phase[phase_slot(phase)].clone(),
+            None => g.select_ids(|t| t.in_phase(phase)),
+        }
+    }
+
+    /// The task of a phase with the earliest measured start (the lowest
+    /// id among equal starts).
+    pub fn first_in_phase<G: GraphView>(g: &G, phase: Phase) -> Option<TaskId> {
+        match g.base_index(LIVE) {
+            Some(ix) => ix.first_of_phase[phase_slot(phase)],
+            None => in_phase(g, phase)
+                .into_iter()
+                .min_by_key(|&id| g.task(id).measured_start_ns),
+        }
     }
 
     /// GPU tasks belonging to a specific layer id.
-    pub fn gpu_of_layer<G: GraphView>(g: &G, layer: daydream_trace::LayerId) -> Vec<TaskId> {
-        g.select_ids(|t| t.is_on_gpu() && t.layer.map(|l| l.layer == layer).unwrap_or(false))
+    pub fn gpu_of_layer<G: GraphView>(g: &G, layer: LayerId) -> Vec<TaskId> {
+        match g.base_index(GPU) {
+            Some(ix) => ix
+                .layer_gpu
+                .get(layer.0 as usize)
+                .cloned()
+                .unwrap_or_default(),
+            None => g.select_ids(|t| t.is_on_gpu() && t.layer.is_some_and(|l| l.layer == layer)),
+        }
+    }
+
+    /// GPU tasks of the layers `in_set` accepts.
+    pub fn gpu_of_layers<G: GraphView>(g: &G, in_set: impl Fn(LayerId) -> bool) -> Vec<TaskId> {
+        let of_set = |l: Option<crate::task::LayerRef>| l.is_some_and(|l| in_set(l.layer));
+        match indexed_gpu(g, None, Edits::NONE) {
+            Some(it) => it.filter(|k| of_set(k.layer)).map(|k| k.id).collect(),
+            None => g.select_ids(|t| t.is_on_gpu() && of_set(t.layer)),
+        }
+    }
+
+    /// Every layer's [`LayerAnchors`], indexed by layer id (layers
+    /// without GPU tasks get empty anchors or none).
+    pub fn layer_anchors<G: GraphView>(g: &G) -> Cow<'_, [LayerAnchors]> {
+        match g.base_index(GPU) {
+            Some(ix) => Cow::Borrowed(&ix.anchors),
+            None => Cow::Owned(layer_anchors_of(g, g.live_ids())),
+        }
+    }
+
+    /// Communication tasks (`allReduce` and parameter-server transfers).
+    pub fn comm_tasks<G: GraphView>(g: &G) -> Vec<TaskId> {
+        match g.base_index(LIVE.union(Edits::KIND)) {
+            Some(ix) => ix.comm.clone(),
+            None => g.select_ids(|t| matches!(t.kind, TaskKind::Communication { .. })),
+        }
+    }
+
+    /// The lowest live id of a GPU-kind task (a kernel or a copy). Tasks
+    /// an overlay inserts sort after every base task, so the index's
+    /// answer stands while no base task changed kind or was removed.
+    pub fn first_gpu_task<G: GraphView>(g: &G) -> Option<TaskId> {
+        g.base_index(Edits::REMOVE.union(Edits::KIND))
+            .and_then(|ix: &TaskIndex| ix.first_gpu)
+            .or_else(|| g.find_id(|t| t.kind.is_gpu()))
     }
 }
 

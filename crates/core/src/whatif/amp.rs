@@ -8,6 +8,7 @@
 //! exactly.
 
 use crate::graph::{GraphEdit, TaskId};
+use crate::task::Task;
 use crate::transform::select;
 
 /// Kernel-duration divisor for Tensor-Core-eligible kernels.
@@ -15,20 +16,25 @@ pub const COMPUTE_BOUND_GAIN: f64 = 3.0;
 /// Kernel-duration divisor for memory-bound kernels.
 pub const MEMORY_BOUND_GAIN: f64 = 2.0;
 
+/// AMP's Tensor Core rule: kernels whose names mark an `sgemm` or
+/// `scudnn` kernel run on Tensor Cores in fp16.
+pub(crate) fn uses_tensor_cores(t: &Task) -> bool {
+    t.name.contains("sgemm") || t.name.contains("scudnn")
+}
+
 /// The AMP transformation (Algorithm 3) over any graph edit target —
 /// a [`crate::DependencyGraph`] in place or a patch-recording
 /// [`crate::patch::PatchGraph`].
 pub fn plan_amp<G: GraphEdit>(g: &mut G) {
-    let retimes: Vec<(TaskId, u64)> = select::gpu_tasks(g)
+    let retimes: Vec<(TaskId, u64)> = select::tensor_core_flags(g, None)
         .into_iter()
-        .map(|id| {
-            let t = g.task(id);
-            let divisor = if t.name.contains("sgemm") || t.name.contains("scudnn") {
+        .map(|(id, tensor_core)| {
+            let divisor = if tensor_core {
                 COMPUTE_BOUND_GAIN
             } else {
                 MEMORY_BOUND_GAIN
             };
-            (id, (t.duration_ns as f64 / divisor).round() as u64)
+            (id, (g.task(id).duration_ns as f64 / divisor).round() as u64)
         })
         .collect();
     g.set_durations(&retimes);

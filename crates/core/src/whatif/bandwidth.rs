@@ -7,7 +7,7 @@
 //! produced by [`crate::whatif::plan_distributed`].
 
 use crate::graph::{GraphEdit, TaskId};
-use crate::task::TaskKind;
+use crate::transform::select;
 
 /// Scales every communication task for a bandwidth change of `factor`
 /// (2.0 = twice the bandwidth, halving transfer times), over any graph
@@ -16,7 +16,7 @@ use crate::task::TaskKind;
 /// Returns the affected tasks.
 pub fn plan_bandwidth<G: GraphEdit>(g: &mut G, factor: f64) -> Vec<TaskId> {
     assert!(factor > 0.0, "bandwidth factor must be positive");
-    let comm = g.select_ids(|t| matches!(t.kind, TaskKind::Communication { .. }));
+    let comm = select::comm_tasks(g);
     for &id in &comm {
         let scaled = (g.task(id).duration_ns as f64 / factor).round() as u64;
         g.set_duration(id, scaled);

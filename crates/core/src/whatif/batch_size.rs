@@ -11,6 +11,7 @@
 
 use crate::graph::{GraphEdit, TaskId};
 use crate::task::TaskKind;
+use crate::transform::select;
 
 /// Device-side startup latency assumed fixed per kernel, ns. Public so
 /// analytic stand-ins (the sweep search's rung-0 surrogate) can split
@@ -24,7 +25,7 @@ pub const KERNEL_OVERHEAD_NS: u64 = 3_000;
 pub fn plan_batch_size<G: GraphEdit>(g: &mut G, old_batch: u64, new_batch: u64) -> Vec<TaskId> {
     assert!(new_batch > 0, "batch size must be positive");
     let factor = new_batch as f64 / old_batch as f64;
-    let gpu_tasks = g.select_ids(|t| t.is_on_gpu());
+    let gpu_tasks = select::gpu_tasks(g);
     // Retimes are recorded in runs between the memcpy rekinds, so the
     // op order is that of one task at a time.
     let mut run: Vec<(TaskId, u64)> = Vec::with_capacity(gpu_tasks.len());

@@ -7,6 +7,7 @@
 
 use crate::graph::{DepKind, GraphEdit, TaskId};
 use crate::task::{Task, TaskKind};
+use crate::transform::select;
 
 /// Configuration of the DGC what-if analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,7 +37,7 @@ impl Default for DgcConfig {
 /// compression kernels.
 pub fn plan_dgc<G: GraphEdit>(g: &mut G, comm_tasks: &[TaskId], cfg: &DgcConfig) -> Vec<TaskId> {
     // Compression runs on the compute stream before each transfer.
-    let gpu_thread = g.find_id(|t| t.kind.is_gpu()).map(|id| g.task(id).thread);
+    let gpu_thread = select::first_gpu_task(g).map(|id| g.task(id).thread);
     let mut inserted = Vec::new();
     for &r in comm_tasks {
         let TaskKind::Communication { bytes, .. } = g.task(r).kind else {

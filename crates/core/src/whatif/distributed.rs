@@ -15,7 +15,6 @@ use crate::task::{CommChannel, CommPrimitive, ExecThread, Task, TaskKind};
 use crate::transform::select;
 use daydream_comm::{ring_allreduce_ns, ClusterConfig};
 use daydream_trace::{BucketInfo, LayerId, Phase};
-use std::collections::HashMap;
 
 /// The distributed-training transformation (Algorithm 6) over any graph
 /// edit target; the caller supplies the profiled gradient buckets (graph
@@ -29,29 +28,11 @@ pub fn plan_distributed<G: GraphEdit>(
     cluster: &ClusterConfig,
 ) -> Vec<TaskId> {
     // Last backward-phase GPU task of each layer (gradient readiness).
-    let mut last_bwd: HashMap<LayerId, TaskId> = HashMap::new();
-    for id in g.live_ids() {
-        let t = g.task(id);
-        if !(t.is_on_gpu() && t.in_phase(Phase::Backward)) {
-            continue;
-        }
-        let layer = t.layer.expect("in_phase implies layer").layer;
-        match last_bwd.entry(layer) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(id);
-            }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if g.task(*e.get()).measured_start_ns < t.measured_start_ns {
-                    e.insert(id);
-                }
-            }
-        }
-    }
+    let anchors = select::layer_anchors(g).into_owned();
+    let last_bwd = |layer: &LayerId| anchors.get(layer.0 as usize).and_then(|a| a.bwd_last);
 
     // The earliest node of the weight-update phase gates on communication.
-    let wu_first = select::in_phase(g, Phase::WeightUpdate)
-        .into_iter()
-        .min_by_key(|&id| g.task(id).measured_start_ns);
+    let wu_first = select::first_in_phase(g, Phase::WeightUpdate);
 
     let mut inserted = Vec::with_capacity(buckets.len());
     for b in buckets {
@@ -69,13 +50,13 @@ pub fn plan_distributed<G: GraphEdit>(
         task.measured_start_ns = b
             .layers
             .iter()
-            .filter_map(|l| last_bwd.get(l))
-            .map(|&id| g.task(id).measured_start_ns)
+            .filter_map(last_bwd)
+            .map(|id| g.task(id).measured_start_ns)
             .max()
             .unwrap_or(0);
         let id = g.add_task(task);
         for layer in &b.layers {
-            if let Some(&dep) = last_bwd.get(layer) {
+            if let Some(dep) = last_bwd(layer) {
                 g.add_dep(dep, id, DepKind::Comm);
             }
         }

@@ -15,7 +15,7 @@ use daydream_trace::Phase;
 /// Returns the id of the surviving fused kernel, or `None` if the profile
 /// has no weight-update GPU tasks.
 pub fn plan_fused_adam<G: GraphEdit>(g: &mut G) -> Option<TaskId> {
-    let wu_gpu = select::gpu_in_phase(g, Phase::WeightUpdate);
+    let wu_gpu = select::tensor_core_flags(g, Some(Phase::WeightUpdate));
     if wu_gpu.is_empty() {
         return None;
     }
@@ -27,21 +27,20 @@ pub fn plan_fused_adam<G: GraphEdit>(g: &mut G) -> Option<TaskId> {
     // deliberately optimistic estimate.
     let total: u64 = wu_gpu
         .iter()
-        .map(|&id| g.task(id))
-        .filter(|t| t.name.contains("sgemm") || t.name.contains("scudnn"))
-        .map(|t| t.duration_ns)
+        .filter(|&&(_, tensor_core)| tensor_core)
+        .map(|&(id, _)| g.task(id).duration_ns)
         .sum();
     let floor = wu_gpu
         .iter()
-        .map(|&id| g.task(id).duration_ns)
+        .map(|&(id, _)| g.task(id).duration_ns)
         .max()
         .unwrap_or(0);
     let total = total.max(floor);
 
     // Keep the first-launched GPU task as the fused kernel.
-    let keep = *wu_gpu
+    let (keep, _) = *wu_gpu
         .iter()
-        .min_by_key(|&&id| g.task(id).measured_start_ns)
+        .min_by_key(|&&(id, _)| g.task(id).measured_start_ns)
         .expect("non-empty selection");
     g.set_duration(keep, total);
     g.set_name(keep, "multi_tensor_apply_fused_adam".into());

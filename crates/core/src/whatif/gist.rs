@@ -9,7 +9,7 @@
 
 use crate::graph::{DepKind, GraphEdit, GraphView, TaskId};
 use crate::task::{Task, TaskKind};
-use crate::transform::insert_gpu_task_with_launch;
+use crate::transform::{insert_gpu_task_with_launch, select};
 use daydream_trace::Phase;
 
 /// Configuration of the Gist what-if analysis.
@@ -31,19 +31,36 @@ impl Default for GistConfig {
     }
 }
 
+/// Gist's ReLU rule: the element-wise ReLU kernels, whose stashed
+/// outputs Gist binarizes. The name must be this specific, because cuDNN
+/// convolutions with a fused ReLU carry "relu" in their names too
+/// ("scudnn_..._relu_interior_nn").
+pub(crate) fn is_relu_kernel(t: &Task) -> bool {
+    t.name.contains("elementwise_kernel_relu")
+}
+
 /// The Gist transformation over any graph edit target; returns the
 /// inserted GPU kernels.
 pub fn plan_gist<G: GraphEdit>(g: &mut G, cfg: &GistConfig) -> Vec<TaskId> {
-    // Encode after each ReLU-family forward kernel; decode before the
-    // layer's backward kernel. Sizes mirror the host kernels.
-    // Keyword selection must be specific: cuDNN conv kernels also carry
-    // "relu" in their names ("scudnn_..._relu_interior_nn").
-    let relu_fwd: Vec<TaskId> = g.select_ids(|t| {
-        t.is_on_gpu() && t.in_phase(Phase::Forward) && t.name.contains("elementwise_kernel_relu")
-    });
-    let relu_bwd: Vec<TaskId> = g.select_ids(|t| {
-        t.is_on_gpu() && t.in_phase(Phase::Backward) && t.name.contains("elementwise_kernel_relu")
-    });
+    // Encode after each ReLU forward kernel; decode before the layer's
+    // backward kernel. Sizes mirror the host kernels. Every selection is
+    // made before the first insertion: the inserted kernels are named
+    // `gist_*`, so none of them would be selected anyway.
+    let relu_fwd = select::relu_kernels(g, Phase::Forward);
+    let relu_bwd = select::relu_kernels(g, Phase::Backward);
+    // Delayed precision reduction (lossy mode) after every other
+    // forward kernel.
+    let others: Vec<TaskId> = if cfg.lossy {
+        select::gpu_in_phase(g, Phase::Forward)
+            .into_iter()
+            .filter(|&id| {
+                let name = &g.task(id).name;
+                !name.contains("relu") && !name.contains("gist_") && !name.contains("memcpy")
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
     let mut inserted = Vec::new();
     for &u in &relu_fwd {
         let (dur, layer, launch_pred) = anchor(g, u);
@@ -77,27 +94,17 @@ pub fn plan_gist<G: GraphEdit>(g: &mut G, cfg: &GistConfig) -> Vec<TaskId> {
         g.add_dep(kid, u, DepKind::Transform);
         inserted.push(kid);
     }
-    if cfg.lossy {
-        // Delayed precision reduction after every non-ReLU forward kernel.
-        let others: Vec<TaskId> = g.select_ids(|t| {
-            t.is_on_gpu()
-                && t.in_phase(Phase::Forward)
-                && !t.name.contains("relu")
-                && !t.name.contains("gist_")
-                && !t.name.contains("memcpy")
-        });
-        for &u in &others {
-            let (dur, layer, launch_pred) = anchor(g, u);
-            let mut k = Task::new(
-                "gist_dpr_kernel",
-                TaskKind::GpuKernel,
-                g.task(u).thread,
-                dur / 2,
-            );
-            k.layer = layer;
-            let (_, kid) = insert_gpu_task_with_launch(g, launch_pred, u, k, cfg.launch_ns);
-            inserted.push(kid);
-        }
+    for &u in &others {
+        let (dur, layer, launch_pred) = anchor(g, u);
+        let mut k = Task::new(
+            "gist_dpr_kernel",
+            TaskKind::GpuKernel,
+            g.task(u).thread,
+            dur / 2,
+        );
+        k.layer = layer;
+        let (_, kid) = insert_gpu_task_with_launch(g, launch_pred, u, k, cfg.launch_ns);
+        inserted.push(kid);
     }
     inserted
 }

@@ -8,11 +8,9 @@
 //! [`crate::predict()`] is that evaluation function.
 
 use crate::graph::{GraphEdit, TaskId};
-use crate::task::Task;
-use crate::transform::{remove_all, scale_durations};
+use crate::transform::{remove_all, scale_durations, select};
 use daydream_models::Model;
 use daydream_trace::LayerId;
-use std::collections::HashMap;
 
 /// One step of a MetaFlow substitution policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,21 +28,21 @@ pub enum Substitution {
 /// policy order. A removed layer's group empties, so a later substitution
 /// naming the same layer touches nothing.
 pub fn plan_metaflow<G: GraphEdit>(g: &mut G, policy: &[Substitution]) {
-    let layer_of = |sub: &Substitution| match *sub {
-        Substitution::RemoveLayer(l) | Substitution::ScaleLayer(l, _) => l,
+    let slot = |sub: &Substitution| match *sub {
+        Substitution::RemoveLayer(l) | Substitution::ScaleLayer(l, _) => l.0 as usize,
     };
-    let mut groups: HashMap<LayerId, Vec<TaskId>> = policy
-        .iter()
-        .map(|sub| (layer_of(sub), Vec::new()))
-        .collect();
-    let gpu_layer = |t: &Task| t.layer.filter(|_| t.is_on_gpu()).map(|l| l.layer);
-    let sel = g.select_ids(|t| gpu_layer(t).is_some_and(|l| groups.contains_key(&l)));
-    for id in sel {
-        let layer = gpu_layer(g.task(id)).expect("selected tasks are GPU tasks of a layer");
-        groups.entry(layer).or_default().push(id);
+    let len = policy.iter().map(|sub| slot(sub) + 1).max().unwrap_or(0);
+    let mut in_policy = vec![false; len];
+    for sub in policy {
+        in_policy[slot(sub)] = true;
+    }
+    let mut groups: Vec<Vec<TaskId>> = vec![Vec::new(); len];
+    for id in select::gpu_of_layers(g, |l| in_policy.get(l.0 as usize) == Some(&true)) {
+        let layer = g.task(id).layer.expect("selected tasks belong to a layer");
+        groups[layer.layer.0 as usize].push(id);
     }
     for sub in policy {
-        let group = groups.entry(layer_of(sub)).or_default();
+        let group = &mut groups[slot(sub)];
         match *sub {
             Substitution::RemoveLayer(_) => remove_all(g, &std::mem::take(group)),
             Substitution::ScaleLayer(_, s) => scale_durations(g, group, s),

@@ -37,5 +37,10 @@ pub use p3::{
     P3Scheduler,
 };
 pub use reconstruct_bn::plan_reconstruct_bn;
-pub use upgrade_gpu::{classify_gpu_tasks, plan_upgrade_gpu, retime_gpu_classes, GpuBound};
+pub use upgrade_gpu::{plan_upgrade_gpu, GpuBound};
 pub use vdnn::{plan_vdnn, VdnnConfig, VDNN_STREAM, VDNN_THREAD};
+
+// The kernel rules planners select by, which the task index records.
+pub(crate) use amp::uses_tensor_cores;
+pub(crate) use gist::is_relu_kernel;
+pub(crate) use upgrade_gpu::gpu_bound;

@@ -11,9 +11,8 @@
 //! model cannot know (§7.4).
 
 use crate::graph::{GraphEdit, TaskId};
-use crate::transform::remove_all;
+use crate::transform::{remove_all, select};
 use daydream_models::Model;
-use daydream_trace::LayerId;
 
 /// The reconstruct-batchnorm transformation (Algorithm 5) over any graph
 /// edit target.
@@ -21,21 +20,21 @@ use daydream_trace::LayerId;
 /// `model` supplies the layer-kind lookup (`u.layer is ReLU` in the paper's
 /// pseudo-code).
 pub fn plan_reconstruct_bn<G: GraphEdit>(g: &mut G, model: &Model) {
-    let kind_of = |layer: LayerId| model.layer(layer).map(|l| l.kind.type_name());
-    let relu_tasks = g.select_ids(|t| {
-        t.is_on_gpu()
-            && t.layer
-                .map(|l| kind_of(l.layer) == Some("ReLU"))
-                .unwrap_or(false)
-    });
+    // Both selections come before the removal, while the overlay still
+    // matches the base: ReLU and batchnorm layers are disjoint, so the
+    // removal leaves the batchnorm kernels as they were.
+    let of_kind = |kind: &str| {
+        let len = model.layers.iter().map(|l| l.id.0 as usize + 1).max();
+        let mut marked = vec![false; len.unwrap_or(0)];
+        for l in model.layers.iter().filter(|l| l.kind.type_name() == kind) {
+            marked[l.id.0 as usize] = true;
+        }
+        select::gpu_of_layers(g, |l| marked.get(l.0 as usize) == Some(&true))
+    };
+    let relu_tasks = of_kind("ReLU");
+    let bn_tasks = of_kind("BatchNorm");
     remove_all(g, &relu_tasks);
 
-    let bn_tasks = g.select_ids(|t| {
-        t.is_on_gpu()
-            && t.layer
-                .map(|l| kind_of(l.layer) == Some("BatchNorm"))
-                .unwrap_or(false)
-    });
     let halved: Vec<(TaskId, u64)> = bn_tasks
         .into_iter()
         .map(|id| (id, g.task(id).duration_ns / 2))

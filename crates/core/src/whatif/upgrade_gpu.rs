@@ -7,8 +7,9 @@
 //! bandwidth for the rest — the same first-order model behind the paper's
 //! AMP rule, applied across devices instead of across precisions.
 
-use crate::graph::{GraphEdit, GraphView, TaskId};
-use crate::task::TaskKind;
+use crate::graph::{GraphEdit, TaskId};
+use crate::task::{Task, TaskKind};
+use crate::transform::select;
 use daydream_device::{classify_kernel, GpuSpec, Precision};
 use daydream_models::OpClass;
 
@@ -23,44 +24,38 @@ pub enum GpuBound {
     Memory,
 }
 
-/// Classifies every live GPU task, in ascending id order. A kernel's
-/// class depends only on its name, so the list holds for any target
-/// device: compute it once per graph and retime it per target with
-/// [`retime_gpu_classes`].
-pub fn classify_gpu_tasks<G: GraphView>(g: &G) -> Vec<(TaskId, GpuBound)> {
-    g.select_ids(|t| t.is_on_gpu())
-        .into_iter()
-        .map(|id| {
-            let t = g.task(id);
-            let bound = match t.kind {
-                TaskKind::GpuMemcpy { .. } => GpuBound::Pcie,
-                _ => {
-                    let class = classify_kernel(&t.name).unwrap_or(OpClass::Elementwise);
-                    if class.is_compute_bound() {
-                        GpuBound::Compute
-                    } else {
-                        GpuBound::Memory
-                    }
-                }
-            };
-            (id, bound)
-        })
-        .collect()
+/// The rate that binds a GPU task: a copy is PCIe-bound, and a kernel
+/// is classified from its name ([`classify_kernel`]; unrecognized names
+/// count as element-wise, so memory-bound). A class depends only on the
+/// task's kind and name, so it holds for any target device.
+pub(crate) fn gpu_bound(t: &Task) -> GpuBound {
+    match t.kind {
+        TaskKind::GpuMemcpy { .. } => GpuBound::Pcie,
+        _ => {
+            let class = classify_kernel(&t.name).unwrap_or(OpClass::Elementwise);
+            if class.is_compute_bound() {
+                GpuBound::Compute
+            } else {
+                GpuBound::Memory
+            }
+        }
+    }
 }
 
-/// Rescales each classified task by the ratio of the `old`/`new` rates
-/// that bind it.
-pub fn retime_gpu_classes<G: GraphEdit>(
-    g: &mut G,
-    classes: &[(TaskId, GpuBound)],
-    old: &GpuSpec,
-    new: &GpuSpec,
-) {
+/// Rescales GPU kernels for a move from `old` to `new` hardware, over any
+/// graph edit target; memory copies scale with PCIe bandwidth. Returns the
+/// affected tasks.
+///
+/// Each live GPU task is classified by [`select::gpu_bounds`], which an
+/// overlay over an indexed base answers from the classes computed once
+/// per base, and rescaled by the ratio of the `old`/`new` rates that
+/// bind it.
+pub fn plan_upgrade_gpu<G: GraphEdit>(g: &mut G, old: &GpuSpec, new: &GpuSpec) -> Vec<TaskId> {
     let compute_ratio =
         old.peak_flops_per_ns(Precision::Fp32) / new.peak_flops_per_ns(Precision::Fp32);
     let memory_ratio = old.bw_bytes_per_ns() / new.bw_bytes_per_ns();
     let pcie_ratio = old.pcie_gbs / new.pcie_gbs;
-    let retimes: Vec<(TaskId, u64)> = classes
+    let retimes: Vec<(TaskId, u64)> = select::gpu_bounds(g)
         .iter()
         .map(|&(id, bound)| {
             let ratio = match bound {
@@ -72,15 +67,7 @@ pub fn retime_gpu_classes<G: GraphEdit>(
         })
         .collect();
     g.set_durations(&retimes);
-}
-
-/// Rescales GPU kernels for a move from `old` to `new` hardware, over any
-/// graph edit target; memory copies scale with PCIe bandwidth. Returns the
-/// affected tasks.
-pub fn plan_upgrade_gpu<G: GraphEdit>(g: &mut G, old: &GpuSpec, new: &GpuSpec) -> Vec<TaskId> {
-    let classes = classify_gpu_tasks(g);
-    retime_gpu_classes(g, &classes, old, new);
-    classes.into_iter().map(|(id, _)| id).collect()
+    retimes.into_iter().map(|(id, _)| id).collect()
 }
 
 #[cfg(test)]
@@ -142,21 +129,25 @@ mod tests {
         );
     }
 
-    /// Classes computed once on the base graph retime any overlay to the
-    /// op log `plan_upgrade_gpu` records, for every target.
+    /// Classes computed once per base (its task index) retime an
+    /// overlay to the op log the scan's classes record, for every target.
     #[test]
     fn cached_classes_record_the_same_ops() {
+        use crate::index::TaskIndex;
         use crate::patch::PatchGraph;
         let pg = profile(&zoo::bert_base());
-        let classes = classify_gpu_tasks(&pg.graph);
+        let index = TaskIndex::build(&pg.graph);
+        let classes = select::gpu_bounds(&pg.graph);
+        let indexed = PatchGraph::new(&pg.graph).with_index(&index);
+        assert_eq!(select::gpu_bounds(&indexed), classes);
         assert!(classes.iter().any(|&(_, b)| b == GpuBound::Compute));
         assert!(classes.iter().any(|&(_, b)| b == GpuBound::Memory));
         let old = GpuSpec::rtx_2080ti();
         for new in [GpuSpec::v100(), GpuSpec::t4()] {
             let mut direct = PatchGraph::new(&pg.graph);
             plan_upgrade_gpu(&mut direct, &old, &new);
-            let mut cached = PatchGraph::new(&pg.graph);
-            retime_gpu_classes(&mut cached, &classes, &old, &new);
+            let mut cached = PatchGraph::new(&pg.graph).with_index(&index);
+            plan_upgrade_gpu(&mut cached, &old, &new);
             assert_eq!(direct.finish().ops(), cached.finish().ops());
         }
     }

@@ -11,11 +11,11 @@
 //! *after* `L` (look-ahead), modeling the paper's `findPrefetchLayer`
 //! schedule override.
 
-use crate::graph::{DepKind, GraphEdit, TaskId};
+use crate::graph::{DepKind, GraphEdit};
 use crate::task::{ExecThread, Task, TaskKind};
+use crate::transform::select;
 use daydream_models::{LayerKind, Model};
-use daydream_trace::{CpuThreadId, CudaApi, DeviceId, LayerId, MemcpyDir, Phase, StreamId};
-use std::collections::HashMap;
+use daydream_trace::{CpuThreadId, CudaApi, DeviceId, MemcpyDir, StreamId};
 
 /// The CUDA stream vDNN uses for its offload/prefetch copies.
 pub const VDNN_STREAM: StreamId = StreamId(7);
@@ -46,30 +46,8 @@ impl Default for VdnnConfig {
 /// layers.
 pub fn plan_vdnn<G: GraphEdit>(g: &mut G, model: &Model, cfg: &VdnnConfig, batch: u64) -> usize {
     // Anchors per conv layer: last forward GPU task and first backward task.
-    let mut fwd_last: HashMap<LayerId, TaskId> = HashMap::new();
-    let mut bwd_first: HashMap<LayerId, TaskId> = HashMap::new();
-    for id in g.live_ids() {
-        let t = g.task(id);
-        let Some(lr) = t.layer else { continue };
-        if !t.is_on_gpu() {
-            continue;
-        }
-        match lr.phase {
-            Phase::Forward => {
-                let e = fwd_last.entry(lr.layer).or_insert(id);
-                if g.task(*e).measured_start_ns < t.measured_start_ns {
-                    *e = id;
-                }
-            }
-            Phase::Backward => {
-                let e = bwd_first.entry(lr.layer).or_insert(id);
-                if g.task(*e).measured_start_ns > t.measured_start_ns {
-                    *e = id;
-                }
-            }
-            Phase::WeightUpdate => {}
-        }
-    }
+    let anchors = select::layer_anchors(g).into_owned();
+    let anchor = |layer: &daydream_models::Layer| anchors.get(layer.id.0 as usize);
 
     // Convolution layers in forward order.
     let convs: Vec<&daydream_models::Layer> = model
@@ -80,7 +58,7 @@ pub fn plan_vdnn<G: GraphEdit>(g: &mut G, model: &Model, cfg: &VdnnConfig, batch
 
     let mut offloaded = 0usize;
     for (ci, layer) in convs.iter().enumerate() {
-        let (Some(&u), Some(&v)) = (fwd_last.get(&layer.id), bwd_first.get(&layer.id)) else {
+        let Some((u, v)) = anchor(layer).and_then(|a| a.fwd_last.zip(a.bwd_first)) else {
             continue;
         };
         let bytes = 4 * layer.output.numel() * batch;
@@ -158,7 +136,7 @@ pub fn plan_vdnn<G: GraphEdit>(g: &mut G, model: &Model, cfg: &VdnnConfig, batch
         // Prefetch release: the look-ahead layer's backward start (the
         // schedule-override part of Algorithm 10).
         if let Some(release_layer) = convs.get(ci + cfg.prefetch_lookahead) {
-            if let Some(&r) = bwd_first.get(&release_layer.id) {
+            if let Some(r) = anchor(release_layer).and_then(|a| a.bwd_first) {
                 g.add_dep(r, t4, DepKind::Transform);
             }
         }

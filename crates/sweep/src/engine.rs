@@ -7,22 +7,23 @@ use crate::cache::{PatchCache, PatchEval, SweepCache};
 use crate::executor::{parallel_map, parallel_map_with, ExecutorStats};
 use crate::grid::SweepGrid;
 use crate::report::{ScenarioOutcome, SweepReport};
-use crate::scenario::{fnv1a64, OptSpec, Scenario};
+use crate::scenario::{fnv1a64, label_fingerprint, OptSpec, Scenario};
 use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{
-    classify_gpu_tasks, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
-    plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist, plan_metaflow,
-    plan_reconstruct_bn, plan_vdnn, qkv_fusion_policy, retime_gpu_classes, DgcConfig, GistConfig,
-    GpuBound, P3Config, P3Plan, VdnnConfig, KERNEL_OVERHEAD_NS,
+    p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size, plan_blueconnect, plan_dgc,
+    plan_distributed, plan_fused_adam, plan_gist, plan_metaflow, plan_reconstruct_bn,
+    plan_upgrade_gpu, plan_vdnn, qkv_fusion_policy, DgcConfig, GistConfig, P3Config, P3Plan,
+    VdnnConfig, KERNEL_OVERHEAD_NS,
 };
 use daydream_core::{
     busy_time_bound, simulate_warm, thread_busy_after, thread_busy_ns, try_simulate_warm_with,
     CompiledGraph, ExecThread, GraphError, GraphPatch, IncrementalOptions, IncrementalStats,
-    PatchGraph, Prediction, ProfiledGraph, Schedule, ScratchPool, SimScratch, TaskId, TaskKind,
+    PatchGraph, Prediction, ProfiledGraph, Schedule, ScratchPool, SimScratch, TaskId, TaskIndex,
+    TaskKind,
 };
 use daydream_device::GpuSpec;
 use daydream_models::{
-    footprint, stashed_activation_bytes, vdnn_offloadable_bytes, Model, F32_BYTES,
+    footprint, stashed_activation_bytes, vdnn_offloadable_bytes, MemoryFootprint, Model, F32_BYTES,
 };
 use daydream_runtime::{ground_truth, ExecConfig};
 use daydream_trace::{LayerId, MemcpyDir, Trace};
@@ -178,6 +179,10 @@ struct BaseProfile {
     model: Model,
     graph: ProfiledGraph,
     baseline_ns: u64,
+    /// FP32 gradient bytes of the model (what DDP and P3 send).
+    grad_bytes: u64,
+    /// The footprint model's memory estimate at the base's batch.
+    footprint: MemoryFootprint,
     /// |baseline sim − recorded iteration| / recorded — the per-profile
     /// fidelity check rolled into [`RunStats`].
     fidelity_rel_err: f64,
@@ -192,9 +197,9 @@ struct BaseProfile {
     classes: OnceLock<Vec<ClassSums>>,
     /// The P3 plans, built on the base's first P3 scenario.
     p3: OnceLock<P3Base>,
-    /// Every GPU task's binding rate, classified from its kernel name on
-    /// the base's first `upgrade-gpu` scenario and reused for any target.
-    gpu_classes: OnceLock<Vec<(TaskId, GpuBound)>>,
+    /// What the planners select from the graph, built on the base's
+    /// first emitted patch and read through every overlay over it.
+    index: OnceLock<TaskIndex>,
     ddp: Mutex<HashMap<(u32, u32, u64), Arc<DdpPlan>>>,
 }
 
@@ -222,6 +227,8 @@ impl BaseProfile {
             0.0
         };
         Ok(BaseProfile {
+            grad_bytes: (model.param_count() as f64 * F32_BYTES) as u64,
+            footprint: footprint(&model, trace.meta.batch_size as u64),
             model,
             graph,
             baseline_ns,
@@ -231,13 +238,30 @@ impl BaseProfile {
             busy: OnceLock::new(),
             classes: OnceLock::new(),
             p3: OnceLock::new(),
-            gpu_classes: OnceLock::new(),
+            index: OnceLock::new(),
             ddp: Mutex::new(HashMap::new()),
         })
     }
 
     fn busy_ns(&self) -> &[u64] {
         self.busy.get_or_init(|| thread_busy_ns(&self.compiled))
+    }
+
+    /// The base graph's task index, built on first use.
+    fn index(&self) -> &TaskIndex {
+        self.index
+            .get_or_init(|| TaskIndex::build(&self.graph.graph))
+    }
+
+    /// An overlay over the base graph, resumed from `prior` if given,
+    /// that selects through the base's task index.
+    fn overlay(&self, prior: Option<&GraphPatch>) -> PatchGraph<'_> {
+        let g = &self.graph.graph;
+        let ov = match prior {
+            Some(prior) => PatchGraph::layered(g, prior),
+            None => PatchGraph::new(g),
+        };
+        ov.with_index(self.index())
     }
 
     /// Duration-class sums per execution thread (order is incidental —
@@ -337,7 +361,7 @@ impl BaseProfile {
         if let Some(plan) = lock(&self.ddp).get(&key) {
             return Arc::clone(plan);
         }
-        let mut ov = PatchGraph::new(&self.graph.graph);
+        let mut ov = self.overlay(None);
         let allreduces = plan_distributed(&mut ov, &self.graph.meta.buckets, cluster);
         let plan = Arc::new(DdpPlan {
             patch: Arc::new(ov.finish()),
@@ -597,15 +621,16 @@ impl SweepEngine {
         // Rung runs skip it: their outcomes are low-fidelity and must
         // neither read nor pollute the exact-result store.
         let mut outcomes: Vec<Option<ScenarioOutcome>> = Vec::with_capacity(scenarios.len());
-        let mut misses: Vec<(usize, Scenario)> = Vec::new();
+        let mut misses: Vec<(usize, Named)> = Vec::new();
         for (i, scenario) in scenarios.into_iter().enumerate() {
+            let named = Named::new(scenario);
             let hit = if use_result_cache {
-                self.cache.lookup(scenario.fingerprint())
+                self.cache.lookup(named.fingerprint)
             } else {
                 None
             };
             if hit.is_none() {
-                misses.push((i, scenario));
+                misses.push((i, named));
             } else if let (Some(observe), Some(outcome)) = (observer, hit.as_ref()) {
                 observe(outcome);
             }
@@ -620,7 +645,7 @@ impl SweepEngine {
             let mut seen = HashSet::new();
             misses
                 .iter()
-                .map(|(_, s)| (s.model.clone(), s.batch))
+                .map(|(_, n)| (n.scenario.model.clone(), n.scenario.batch))
                 .filter(|k| !have.contains_key(k) && seen.insert(k.clone()))
                 .collect()
         };
@@ -651,8 +676,8 @@ impl SweepEngine {
         let bases: HashMap<(String, u64), Arc<BaseProfile>> = {
             let have = lock(&self.profiles);
             let mut needed: HashMap<(String, u64), Arc<BaseProfile>> = HashMap::new();
-            for (_, s) in &misses {
-                let key = (s.model.clone(), s.batch);
+            for (_, n) in &misses {
+                let key = (n.scenario.model.clone(), n.scenario.batch);
                 needed.entry(key).or_insert_with_key(|k| {
                     Arc::clone(have.get(k).expect("phase 1 built every base"))
                 });
@@ -683,13 +708,13 @@ impl SweepEngine {
                 counted.scratch_allocs += arena.allocs;
                 lock(&run).absorb(&counted);
             },
-            |(scratch, counted), (i, scenario)| -> Result<_, String> {
+            |(scratch, counted), (i, named)| -> Result<_, String> {
                 let base = bases
-                    .get(&(scenario.model.clone(), scenario.batch))
+                    .get(&(named.scenario.model.clone(), named.scenario.batch))
                     .expect("phase 1 built every base");
-                let outcome = evaluate(&scenario, base, &self.patches, fidelity, scratch, counted)?;
+                let outcome = evaluate(&named, base, &self.patches, fidelity, scratch, counted)?;
                 if use_result_cache {
-                    self.cache.insert(scenario.fingerprint(), &outcome);
+                    self.cache.insert(named.fingerprint, &outcome);
                 }
                 if let Some(observe) = observer {
                     observe(&outcome);
@@ -745,12 +770,13 @@ fn build_profile(model_name: &str, batch: u64) -> Result<BaseProfile, String> {
 /// the per-cluster DDP patch through [`BaseProfile::ddp_plan`]:
 /// BlueConnect and DGC resume a [`PatchGraph::layered`] overlay on top
 /// of it and record only their refinement, so `finish` yields the
-/// composed patch without re-planning the DDP stage.
+/// composed patch without re-planning the DDP stage. Every overlay
+/// selects through the base's task index.
 fn emit_patch(opt: &OptSpec, base: &BaseProfile) -> Result<Arc<GraphPatch>, String> {
     let pg = &base.graph;
     let model = &base.model;
     let profile_batch = pg.meta.batch_size as u64;
-    let mut ov = PatchGraph::new(&pg.graph);
+    let mut ov = base.overlay(None);
     match opt {
         OptSpec::Baseline => {}
         OptSpec::P3 { .. } => return Err("P3 patches the replicated base, not the profile".into()),
@@ -775,7 +801,7 @@ fn emit_patch(opt: &OptSpec, base: &BaseProfile) -> Result<Arc<GraphPatch>, Stri
         } => {
             let cluster = ClusterConfig::new(*machines, *gpus_per_machine, *bw_gbps);
             let ddp = base.ddp_plan(&cluster);
-            let mut layered = PatchGraph::layered(&pg.graph, &ddp.patch);
+            let mut layered = base.overlay(Some(&ddp.patch));
             plan_blueconnect(&mut layered, &cluster, &ddp.allreduces);
             return Ok(Arc::new(layered.finish()));
         }
@@ -791,7 +817,7 @@ fn emit_patch(opt: &OptSpec, base: &BaseProfile) -> Result<Arc<GraphPatch>, Stri
                 ..DgcConfig::default()
             };
             let ddp = base.ddp_plan(&cluster);
-            let mut layered = PatchGraph::layered(&pg.graph, &ddp.patch);
+            let mut layered = base.overlay(Some(&ddp.patch));
             plan_dgc(&mut layered, &ddp.allreduces, &cfg);
             return Ok(Arc::new(layered.finish()));
         }
@@ -815,10 +841,7 @@ fn emit_patch(opt: &OptSpec, base: &BaseProfile) -> Result<Arc<GraphPatch>, Stri
         OptSpec::UpgradeGpu { to } => {
             let new = GpuSpec::by_name(to)?;
             let old = GpuSpec::by_name(&pg.meta.device)?;
-            let classes = base
-                .gpu_classes
-                .get_or_init(|| classify_gpu_tasks(&pg.graph));
-            retime_gpu_classes(&mut ov, classes, &old, &new);
+            plan_upgrade_gpu(&mut ov, &old, &new);
         }
         OptSpec::BatchSize { batch } => {
             plan_batch_size(&mut ov, profile_batch, *batch);
@@ -949,25 +972,28 @@ fn activation_bytes_of(
         .sum()
 }
 
-/// Layers of the *base* tasks a patch retimed.
+/// Layers of the *base* tasks a patch retimed, read from the base's
+/// task index.
 fn retimed_layers<'a>(
     patch: &'a GraphPatch,
-    pg: &'a ProfiledGraph,
+    index: &'a TaskIndex,
 ) -> impl Iterator<Item = LayerId> + 'a {
-    patch
-        .retimed_base_ids()
-        .filter_map(|id| pg.graph.task(id).layer.map(|l| l.layer))
+    patch.retimed_base_ids().filter_map(|id| index.layer_of(id))
 }
 
-/// Layers of inserted tasks whose name starts with `prefix`.
-fn inserted_layers<'a>(
-    patch: &'a GraphPatch,
-    prefix: &'a str,
-) -> impl Iterator<Item = LayerId> + 'a {
-    patch
-        .inserted_tasks()
-        .filter(move |(_, t)| t.name.starts_with(prefix))
-        .filter_map(|(_, t)| t.layer.map(|l| l.layer))
+/// Layers of the inserted Gist kernels, in one pass over the inserted
+/// tasks: the encode kernels' and the delayed-precision-reduction ones'.
+fn gist_layers(patch: &GraphPatch) -> (Vec<LayerId>, Vec<LayerId>) {
+    let (mut encode, mut dpr) = (Vec::new(), Vec::new());
+    for (_, t) in patch.inserted_tasks() {
+        let layer = t.layer.map(|l| l.layer);
+        if t.name.starts_with("gist_encode") {
+            encode.extend(layer);
+        } else if t.name.starts_with("gist_dpr") {
+            dpr.extend(layer);
+        }
+    }
+    (encode, dpr)
 }
 
 /// Bytes the patch offloads to host memory: the device-to-host copies it
@@ -998,7 +1024,7 @@ fn offloaded_bytes(patch: &GraphPatch) -> u64 {
 /// identical wire times (one machine at any bandwidth) share one
 /// simulation, and so do the FIFO and sliced plans when they coincide.
 fn p3_prediction(
-    scenario: &Scenario,
+    named: &Named,
     plan: &P3Plan,
     cluster: &ClusterConfig,
     patches: &PatchCache,
@@ -1010,11 +1036,11 @@ fn p3_prediction(
     (plan.fingerprint(), &wires).hash(&mut h);
     // P3 is never evaluated at a reduced rung (the steady-state analysis
     // has no cheap stand-in), so its key is always exact-fidelity.
-    let key = patch_key(scenario, "p3", h.finish(), Fidelity::Exact);
+    let key = patch_key(&named.scenario, "p3", h.finish(), Fidelity::Exact);
     memoized(patches, key, stats, |stats| {
         let predicted_ns = plan
             .steady_iteration_ns(&wires, scratch)
-            .map_err(|e| format!("P3 graph for {}: {e}", scenario.label()))?;
+            .map_err(|e| format!("P3 graph for {}: {e}", named.label))?;
         let dispatched = plan.compiled().len() as u64;
         stats.full_sims += 1;
         stats.tasks_redispatched += dispatched;
@@ -1044,28 +1070,74 @@ fn memoized(
     Ok(eval)
 }
 
+/// A scenario with its label and result-cache fingerprint, each
+/// formatted once per evaluation.
+struct Named {
+    scenario: Scenario,
+    label: String,
+    fingerprint: u64,
+}
+
+impl Named {
+    fn new(scenario: Scenario) -> Named {
+        let label = scenario.label();
+        let fingerprint = label_fingerprint(&label);
+        Named {
+            scenario,
+            label,
+            fingerprint,
+        }
+    }
+
+    /// The scenario's report row.
+    fn outcome(
+        &self,
+        prediction: Prediction,
+        memory_bytes: u64,
+        comm_bytes: u64,
+        sim_path: &str,
+        tasks_redispatched: u64,
+    ) -> ScenarioOutcome {
+        ScenarioOutcome {
+            key: format!("{:016x}", self.fingerprint),
+            label: self.label.clone(),
+            model: self.scenario.model.clone(),
+            batch: self.scenario.batch,
+            opt: self.scenario.opt.label(),
+            baseline_ns: prediction.baseline_ns,
+            predicted_ns: prediction.predicted_ns,
+            speedup: prediction.speedup(),
+            memory_bytes,
+            comm_bytes,
+            sim_path: sim_path.to_string(),
+            tasks_redispatched,
+            cached: false,
+        }
+    }
+}
+
 /// Evaluates one scenario against its shared base profile: emit the
 /// patch, consult the patch-fingerprint cache, simulate it warm on a
 /// miss (re-dispatching only the cone the patch can affect), and derive
 /// the report's memory/communication objectives.
 fn evaluate(
-    scenario: &Scenario,
+    named: &Named,
     base: &BaseProfile,
     patches: &PatchCache,
     fidelity: Fidelity,
     scratch: &mut SimScratch,
     stats: &mut RunStats,
 ) -> Result<ScenarioOutcome, String> {
-    let pg = &base.graph;
+    let scenario = &named.scenario;
     let model = &base.model;
-    let grad_bytes = (model.param_count() as f64 * F32_BYTES) as u64;
+    let grad_bytes = base.grad_bytes;
 
     // Default memory/comm objectives: the footprint-model estimate. The
     // AMP/Gist/vDNN arms below replace it with a value derived from the
     // patched graph (the layers/copies the transformation actually
     // touched), falling back to the model estimate when the patch
     // carries no memory-relevant signal.
-    let fp = footprint(model, scenario.batch);
+    let fp = base.footprint;
     let mut memory_bytes = fp.total();
     let mut comm_bytes = 0u64;
 
@@ -1088,8 +1160,8 @@ fn evaluate(
             // §6.6), not the single-GPU profile — so the speedup column
             // means "what P3's slicing+priority buys on this cluster".
             let plans = base.p3_plans(&cluster);
-            let fifo = p3_prediction(scenario, &plans.fifo, &cluster, patches, scratch, stats)?;
-            let p3 = p3_prediction(scenario, &plans.sliced, &cluster, patches, scratch, stats)?;
+            let fifo = p3_prediction(named, &plans.fifo, &cluster, patches, scratch, stats)?;
+            let p3 = p3_prediction(named, &plans.sliced, &cluster, patches, scratch, stats)?;
             sim_path = "full";
             tasks_redispatched = fifo.tasks_redispatched + p3.tasks_redispatched;
             Prediction {
@@ -1127,21 +1199,7 @@ fn evaluate(
                         baseline_ns: base.baseline_ns,
                         predicted_ns: est_ns,
                     };
-                    return Ok(ScenarioOutcome {
-                        key: scenario.fingerprint_hex(),
-                        label: scenario.label(),
-                        model: scenario.model.clone(),
-                        batch: scenario.batch,
-                        opt: scenario.opt.label(),
-                        baseline_ns: prediction.baseline_ns,
-                        predicted_ns: prediction.predicted_ns,
-                        speedup: prediction.speedup(),
-                        memory_bytes,
-                        comm_bytes,
-                        sim_path: path.to_string(),
-                        tasks_redispatched: 0,
-                        cached: false,
-                    });
+                    return Ok(named.outcome(prediction, memory_bytes, comm_bytes, path, 0));
                 }
             }
             let patch = emit_patch(opt, base)?;
@@ -1149,8 +1207,11 @@ fn evaluate(
                 OptSpec::Amp => {
                     // AMP stores the stashed activations of the kernels
                     // it retimed in fp16: price exactly those layers.
-                    let touched =
-                        activation_bytes_of(model, scenario.batch, retimed_layers(&patch, pg));
+                    let touched = activation_bytes_of(
+                        model,
+                        scenario.batch,
+                        retimed_layers(&patch, base.index()),
+                    );
                     let saved = if touched > 0 {
                         touched / 2
                     } else {
@@ -1163,16 +1224,9 @@ fn evaluate(
                     // kernels for (~2x on that share); lossy adds delayed
                     // precision reduction (fp16) on the other forward
                     // layers it instrumented.
-                    let enc = activation_bytes_of(
-                        model,
-                        scenario.batch,
-                        inserted_layers(&patch, "gist_encode"),
-                    );
-                    let dpr = activation_bytes_of(
-                        model,
-                        scenario.batch,
-                        inserted_layers(&patch, "gist_dpr"),
-                    );
+                    let (encode, dpr) = gist_layers(&patch);
+                    let enc = activation_bytes_of(model, scenario.batch, encode);
+                    let dpr = activation_bytes_of(model, scenario.batch, dpr);
                     let derived = enc / 2 + dpr / 2;
                     let saved = if derived > 0 {
                         derived
@@ -1211,7 +1265,7 @@ fn evaluate(
             let key = patch_key(scenario, "default", patch.fingerprint(), fidelity);
             let eval = memoized(patches, key, stats, |stats| {
                 simulate_patch(base, &patch, fidelity, scratch, stats)
-                    .map_err(|e| format!("patched graph for {}: {e}", scenario.label()))
+                    .map_err(|e| format!("patched graph for {}: {e}", named.label))
             })?;
             sim_path = if eval.estimated {
                 "estimate"
@@ -1228,21 +1282,13 @@ fn evaluate(
         }
     };
 
-    Ok(ScenarioOutcome {
-        key: scenario.fingerprint_hex(),
-        label: scenario.label(),
-        model: scenario.model.clone(),
-        batch: scenario.batch,
-        opt: scenario.opt.label(),
-        baseline_ns: prediction.baseline_ns,
-        predicted_ns: prediction.predicted_ns,
-        speedup: prediction.speedup(),
+    Ok(named.outcome(
+        prediction,
         memory_bytes,
         comm_bytes,
-        sim_path: sim_path.to_string(),
+        sim_path,
         tasks_redispatched,
-        cached: false,
-    })
+    ))
 }
 
 /// Simulates one patch warm over its base at `fidelity`, counting the
@@ -1302,14 +1348,14 @@ fn simulate_patch(
 /// grid first (the daemon's `WhatIfRequest::scenario`), so it refuses
 /// exactly what `sweep` and `/whatif` refuse.
 pub fn evaluate_trace(model: Model, trace: &Trace, opt: &OptSpec) -> Result<Prediction, String> {
-    let scenario = Scenario::new(
+    let named = Named::new(Scenario::new(
         model.name.clone(),
         trace.meta.batch_size as u64,
         opt.clone(),
-    );
+    ));
     let base = BaseProfile::new(model, trace)?;
     let outcome = evaluate(
-        &scenario,
+        &named,
         &base,
         &PatchCache::new(),
         Fidelity::Exact,
@@ -1669,7 +1715,7 @@ mod tests {
         let mut scratch = SimScratch::new();
         for scenario in scenarios {
             let outcome = evaluate(
-                &scenario,
+                &Named::new(scenario.clone()),
                 &base,
                 &patches,
                 Fidelity::Exact,
@@ -1777,7 +1823,7 @@ mod tests {
         let base = build_profile("ResNet-50", 4).unwrap();
         let scenario = Scenario::new("ResNet-50", 4, OptSpec::Vdnn { lookahead: 2 });
         let outcome = evaluate(
-            &scenario,
+            &Named::new(scenario.clone()),
             &base,
             &PatchCache::new(),
             Fidelity::Exact,
@@ -1835,6 +1881,26 @@ mod tests {
         );
         assert!(!rung[0].cached);
         assert_eq!(rung[0].sim_path, "estimate");
+    }
+
+    #[test]
+    fn lossless_gist_without_relu_kernels_is_an_empty_patch() {
+        // GNMT and the BERTs run no element-wise ReLU kernel, so lossless
+        // Gist finds nothing to encode: `--explain` shows an empty patch
+        // and the engine predicts the baseline.
+        let mut scenarios = Vec::new();
+        for model in ["GNMT", "BERT_Base", "BERT_Large"] {
+            for batch in [4, 8] {
+                let s = Scenario::new(model, batch, OptSpec::Gist { lossy: false });
+                let text = explain_scenario(&s).unwrap();
+                assert!(text.contains("(empty patch (no transformation))"), "{text}");
+                assert!(text.contains("tasks inserted:      0\n"), "{text}");
+                scenarios.push(s);
+            }
+        }
+        for o in SweepEngine::new(2).run_scenarios(scenarios).unwrap() {
+            assert_eq!(o.predicted_ns, o.baseline_ns, "{}", o.label);
+        }
     }
 
     #[test]

@@ -193,7 +193,7 @@ impl Scenario {
     /// execution environment, so it is reproducible across processes
     /// (unlike `DefaultHasher`).
     pub fn fingerprint(&self) -> u64 {
-        fnv1a64(format!("{}|pytorch|2080ti|seed0", self.label()).as_bytes())
+        label_fingerprint(&self.label())
     }
 
     /// [`Scenario::fingerprint`] as fixed-width hex, for JSON cache files.
@@ -202,9 +202,19 @@ impl Scenario {
     }
 }
 
+/// [`Scenario::fingerprint`] of the scenario labelled `label`, hashed
+/// without formatting the key string.
+pub(crate) fn label_fingerprint(label: &str) -> u64 {
+    fnv1a64_from(fnv1a64(label.as_bytes()), b"|pytorch|2080ti|seed0")
+}
+
 /// FNV-1a 64-bit hash.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a continued from state `h` over more bytes.
+fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
