@@ -170,7 +170,6 @@ fn emit<'a>(
             let mut ov = PatchGraph::layered(g, &cache.ddp).with_index(&cache.index);
             let cfg = DgcConfig {
                 compression_ratio: *ratio,
-                ..DgcConfig::default()
             };
             whatif::plan_dgc(&mut ov, &cache.allreduces, &cfg);
             ov
@@ -186,10 +185,7 @@ fn emit<'a>(
         }
         OptSpec::Gist { lossy } => {
             let mut ov = PatchGraph::new(g).with_index(&cache.index);
-            let cfg = GistConfig {
-                lossy: *lossy,
-                ..GistConfig::default()
-            };
+            let cfg = GistConfig { lossy: *lossy };
             whatif::plan_gist(&mut ov, &cfg);
             ov
         }

@@ -56,7 +56,6 @@ pub fn slice_sweep() -> Table {
         let pred = evaluate(P3Config {
             cluster,
             slice_bytes: Some(kb << 10),
-            iterations: 3,
         });
         t.row(vec![format!("{} KB", kb), ms(pred.iteration_ms())]);
     }
@@ -81,7 +80,6 @@ pub fn dgc_sweep() -> Table {
     for ratio in [0.1, 0.01, 0.001] {
         let cfg = DgcConfig {
             compression_ratio: ratio,
-            ..DgcConfig::default()
         };
         let pred = predict(&pg, |g| {
             let ars = plan_distributed(g, &pg.meta.buckets, &cluster);

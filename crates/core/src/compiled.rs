@@ -24,7 +24,6 @@ use crate::graph::{DependencyGraph, TaskId};
 use crate::patch::GraphPatch;
 use crate::task::ExecThread;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Dense index of a live task in a [`CompiledGraph`] (the compaction of
 /// [`TaskId`]; ascending `CompactId` order equals ascending `TaskId`
@@ -48,33 +47,38 @@ pub struct ApplyTrace {
 
 /// A frozen dependency graph in CSR form, ready for simulation.
 ///
-/// Every array is behind an [`Arc`], so [`CompiledGraph::apply`] can
-/// produce a patched graph that *shares* untouched regions with its base
-/// (a retime-only patch shares the whole topology; clones are O(1)).
+/// Every row is a plain `Vec` the graph owns. Two builders fill them and
+/// keep them consistent (per-task rows `len()` long, `succ_off` one
+/// longer, per-thread rows `thread_count()` long):
+/// [`CompiledGraph::compile`] from a [`DependencyGraph`], and
+/// [`CompiledGraph::apply`] from a patch's warm overlay over another
+/// compiled graph, which the simulator module compacts.
 #[derive(Debug, Clone)]
 pub struct CompiledGraph {
     /// `CompactId -> TaskId` (ascending).
-    task_ids: Arc<Vec<TaskId>>,
+    pub(crate) task_ids: Vec<TaskId>,
     /// Arena capacity of the source graph (for index-aligned outputs).
-    arena_len: usize,
+    pub(crate) arena_len: usize,
     /// Interned threads, `ThreadId -> ExecThread` (first-appearance order).
-    threads: Arc<Vec<ExecThread>>,
+    pub(crate) threads: Vec<ExecThread>,
+    /// Per-thread task count.
+    pub(crate) thread_tasks: Vec<u32>,
     /// Per-task interned thread.
-    thread_of: Arc<Vec<ThreadId>>,
+    pub(crate) thread_of: Vec<ThreadId>,
     /// Per-task `duration + gap`: what dispatch advances the thread by.
-    cost_ns: Arc<Vec<u64>>,
+    pub(crate) cost_ns: Vec<u64>,
     /// Per-task duration (what the makespan sees).
-    duration_ns: Arc<Vec<u64>>,
+    pub(crate) duration_ns: Vec<u64>,
     /// Per-task scheduling priority (P3's `Schedule` override).
-    priority: Arc<Vec<i64>>,
+    pub(crate) priority: Vec<i64>,
     /// Per-thread "is a communication channel" flag.
-    comm_thread: Arc<Vec<bool>>,
+    pub(crate) comm_thread: Vec<bool>,
     /// CSR offsets into `succ`, length `len() + 1`.
-    succ_off: Arc<Vec<u32>>,
+    pub(crate) succ_off: Vec<u32>,
     /// Flattened successor lists.
-    succ: Arc<Vec<CompactId>>,
+    pub(crate) succ: Vec<CompactId>,
     /// Predecessor counts (the simulator's initial reference counts).
-    pred_count: Arc<Vec<u32>>,
+    pub(crate) pred_count: Vec<u32>,
 }
 
 impl CompiledGraph {
@@ -90,6 +94,7 @@ impl CompiledGraph {
         let n = task_ids.len();
 
         let mut threads: Vec<ExecThread> = Vec::new();
+        let mut thread_tasks: Vec<u32> = Vec::new();
         let mut intern: HashMap<ExecThread, ThreadId> = HashMap::new();
         let mut thread_of = Vec::with_capacity(n);
         let mut cost_ns = Vec::with_capacity(n);
@@ -101,8 +106,10 @@ impl CompiledGraph {
             let t = g.task(id);
             let tid = *intern.entry(t.thread).or_insert_with(|| {
                 threads.push(t.thread);
+                thread_tasks.push(0);
                 ThreadId(threads.len() as u32 - 1)
             });
+            thread_tasks[tid.0 as usize] += 1;
             thread_of.push(tid);
             cost_ns.push(t.cost_ns());
             duration_ns.push(t.duration_ns);
@@ -123,17 +130,18 @@ impl CompiledGraph {
         }
 
         CompiledGraph {
-            task_ids: Arc::new(task_ids),
+            task_ids,
             arena_len: cap,
-            threads: Arc::new(threads),
-            thread_of: Arc::new(thread_of),
-            cost_ns: Arc::new(cost_ns),
-            duration_ns: Arc::new(duration_ns),
-            priority: Arc::new(priority),
-            comm_thread: Arc::new(comm_thread),
-            succ_off: Arc::new(succ_off),
-            succ: Arc::new(succ),
-            pred_count: Arc::new(pred_count),
+            threads,
+            thread_tasks,
+            thread_of,
+            cost_ns,
+            duration_ns,
+            priority,
+            comm_thread,
+            succ_off,
+            succ,
+            pred_count,
         }
     }
 
@@ -193,16 +201,6 @@ impl CompiledGraph {
         self.duration_ns[c.0 as usize]
     }
 
-    /// Every task's `duration + gap`, in compact order.
-    pub(crate) fn cost_row(&self) -> &[u64] {
-        &self.cost_ns
-    }
-
-    /// Every task's duration, in compact order.
-    pub(crate) fn duration_row(&self) -> &[u64] {
-        &self.duration_ns
-    }
-
     /// Scheduling priority of a task.
     #[inline]
     pub fn priority(&self, c: CompactId) -> i64 {
@@ -230,7 +228,7 @@ impl CompiledGraph {
 
     /// A copy of all predecessor counts (the simulator's working state).
     pub fn pred_counts(&self) -> Vec<u32> {
-        (*self.pred_count).clone()
+        self.pred_count.clone()
     }
 
     /// The compact id of a live task, if present: O(1) when the source
@@ -247,21 +245,24 @@ impl CompiledGraph {
             .map(|i| CompactId(i as u32))
     }
 
-    /// Applies a [`GraphPatch`] by incremental recompilation, producing
-    /// the compiled form of the patched graph without touching the base.
+    /// Applies a [`GraphPatch`], producing the compiled form of the
+    /// patched graph without touching the base.
     ///
-    /// Rebuilds the CSR and per-task state in flat O(V + E) array passes
-    /// — no `Task` structs, no `BTreeMap`s, no arena walk — copying every
-    /// untouched base span. The warm evaluation path never applies; this
-    /// is the oracle its tests compare against and how the P3 plans are
-    /// built.
+    /// Builds the patch's overlay over `self`, the one reader of a
+    /// patch's delta that warm evaluation also simulates through, and
+    /// compacts it in flat O(V + E) passes: no `Task` structs, no
+    /// `BTreeMap`s, no arena walk. The warm evaluation path never
+    /// applies; this is the graph its tests compare against and how the
+    /// P3 plans are built.
     ///
-    /// Simulation over the result is pinned (proptests) to be identical to
-    /// [`GraphPatch::apply_reference`] + [`CompiledGraph::compile`]: same
-    /// task starts, waits, makespan, and per-thread ends. Compact ids stay
-    /// in ascending `TaskId` order, so id-based tie-breaks survive; the
-    /// interned thread *order* may differ from a fresh compile, but the
-    /// thread set (and thus every simulation output) does not.
+    /// The result is pinned (proptests) to [`CompiledGraph::compile`] of
+    /// [`GraphPatch::apply_reference`]: the same live tasks, threads,
+    /// costs, durations, priorities, predecessor counts and successor
+    /// sets, so the same task starts, waits, makespan, and per-thread
+    /// ends. Compact ids stay in ascending `TaskId` order, so id-based
+    /// tie-breaks survive; the interned thread *order* may differ from a
+    /// fresh compile, but the thread set (and thus every simulation
+    /// output) does not.
     ///
     /// # Panics
     ///
@@ -283,176 +284,8 @@ impl CompiledGraph {
             patch.base_capacity(),
             "patch recorded against a different base arena"
         );
-        let d = patch.delta();
-        let base_cap = self.arena_len;
-        let n_old = self.len();
-        let arena_new = base_cap + d.new_ids().len();
-        let old_of = self.compact_inverse();
-
-        // Final live task list, ascending (new ids all sort after base).
-        let mut live: Vec<TaskId> = Vec::with_capacity(n_old + d.new_ids().len());
-        live.extend(
-            self.task_ids
-                .iter()
-                .copied()
-                .filter(|id| !d.is_removed(*id)),
-        );
-        live.extend(d.new_ids().iter().copied().filter(|id| !d.is_removed(*id)));
-        let n = live.len();
-
-        // TaskId -> new compact id, arena-indexed.
-        let mut new_compact = vec![u32::MAX; arena_new];
-        for (i, &tid) in live.iter().enumerate() {
-            new_compact[tid.0] = i as u32;
-        }
-        // Old compact -> new compact (for remapping untouched CSR spans).
-        let remap_old: Vec<u32> = self.task_ids.iter().map(|id| new_compact[id.0]).collect();
-
-        // Per-task state. Untouched base tasks copy straight from the base
-        // arrays (no hashing, no Task access); only overlay tasks intern.
-        let mut threads_new: Vec<ExecThread> = (*self.threads).clone();
-        let mut intern: HashMap<ExecThread, u32> = threads_new
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i as u32))
-            .collect();
-        let mut thread_idx: Vec<u32> = Vec::with_capacity(n);
-        let mut cost_ns = Vec::with_capacity(n);
-        let mut duration_ns = Vec::with_capacity(n);
-        let mut priority = Vec::with_capacity(n);
-        let mut pred_count = Vec::with_capacity(n);
-        for &tid in &live {
-            match d.scalars(tid) {
-                // New tasks carry every field in their slot; modified base
-                // tasks merge sparse overrides onto the base arrays.
-                Some(s) if tid.0 >= base_cap => {
-                    let thread = s.thread.expect("new task slot is complete");
-                    let ti = *intern.entry(thread).or_insert_with(|| {
-                        threads_new.push(thread);
-                        threads_new.len() as u32 - 1
-                    });
-                    thread_idx.push(ti);
-                    let dur = s.duration_ns.expect("new task slot is complete");
-                    let gap = s.gap_ns.expect("new task slot is complete");
-                    cost_ns.push(dur + gap);
-                    duration_ns.push(dur);
-                    priority.push(s.priority.expect("new task slot is complete"));
-                }
-                Some(s) => {
-                    let oc = old_of[tid.0] as usize;
-                    let ti = match s.thread {
-                        Some(thread) => *intern.entry(thread).or_insert_with(|| {
-                            threads_new.push(thread);
-                            threads_new.len() as u32 - 1
-                        }),
-                        None => self.thread_of[oc].0,
-                    };
-                    thread_idx.push(ti);
-                    let dur = s.duration_ns.unwrap_or(self.duration_ns[oc]);
-                    let gap = s.gap_ns.unwrap_or(self.cost_ns[oc] - self.duration_ns[oc]);
-                    cost_ns.push(dur + gap);
-                    duration_ns.push(dur);
-                    priority.push(s.priority.unwrap_or(self.priority[oc]));
-                }
-                None => {
-                    let oc = old_of[tid.0] as usize;
-                    thread_idx.push(self.thread_of[oc].0);
-                    cost_ns.push(self.cost_ns[oc]);
-                    duration_ns.push(self.duration_ns[oc]);
-                    priority.push(self.priority[oc]);
-                }
-            }
-            pred_count.push(match d.pred_over(tid) {
-                Some(list) => list.len() as u32,
-                // A new task with no overlay entry never gained an edge.
-                None if tid.0 >= base_cap => 0,
-                None => self.pred_count[old_of[tid.0] as usize],
-            });
-        }
-
-        // Drop threads the patch vacated (a recompile would never intern
-        // them, and `SimResult::thread_end` must agree with the oracle).
-        let mut live_per_thread = vec![0u32; threads_new.len()];
-        for &t in &thread_idx {
-            live_per_thread[t as usize] += 1;
-        }
-        let vacated = live_per_thread.contains(&0);
-        if vacated {
-            let mut remap = vec![u32::MAX; threads_new.len()];
-            let mut compacted = Vec::with_capacity(threads_new.len());
-            for (i, &t) in threads_new.iter().enumerate() {
-                if live_per_thread[i] > 0 {
-                    remap[i] = compacted.len() as u32;
-                    compacted.push(t);
-                }
-            }
-            for t in thread_idx.iter_mut() {
-                *t = remap[*t as usize];
-            }
-            threads_new = compacted;
-        }
-        let comm_thread: Vec<bool> = threads_new.iter().map(ExecThread::is_comm).collect();
-        let thread_of: Vec<ThreadId> = thread_idx.into_iter().map(ThreadId).collect();
-
-        // Successor CSR: untouched rows are remapped base spans; dirty
-        // rows come from the overlay (they never reference removed tasks —
-        // removal detaches both sides, dirtying every neighbour).
-        let mut succ_off = Vec::with_capacity(n + 1);
-        let mut succ: Vec<CompactId> = Vec::with_capacity(self.succ.len());
-        succ_off.push(0u32);
-        for &tid in &live {
-            match d.succ_over(tid) {
-                Some(list) => {
-                    for &(to, _) in list {
-                        let c = new_compact[to.0];
-                        debug_assert_ne!(c, u32::MAX, "overlay edge to a removed task");
-                        succ.push(CompactId(c));
-                    }
-                }
-                // A new task with no overlay entry has no out-edges.
-                None if tid.0 >= base_cap => {}
-                None => {
-                    let oc = CompactId(old_of[tid.0]);
-                    for &s in self.successors(oc) {
-                        let c = remap_old[s.0 as usize];
-                        debug_assert_ne!(c, u32::MAX, "stale base edge to a removed task");
-                        succ.push(CompactId(c));
-                    }
-                }
-            }
-            succ_off.push(succ.len() as u32);
-        }
-
-        let applied = CompiledGraph {
-            task_ids: Arc::new(live),
-            arena_len: arena_new,
-            threads: Arc::new(threads_new),
-            thread_of: Arc::new(thread_of),
-            cost_ns: Arc::new(cost_ns),
-            duration_ns: Arc::new(duration_ns),
-            priority: Arc::new(priority),
-            comm_thread: Arc::new(comm_thread),
-            succ_off: Arc::new(succ_off),
-            succ: Arc::new(succ),
-            pred_count: Arc::new(pred_count),
-        };
-        (
-            applied,
-            ApplyTrace {
-                vacated_threads: vacated,
-            },
-        )
-    }
-
-    /// Arena-indexed `TaskId -> old CompactId` inverse (u32::MAX for
-    /// tombstones). One flat O(arena) pass that replaces per-task binary
-    /// searches in the apply loops.
-    fn compact_inverse(&self) -> Vec<u32> {
-        let mut inv = vec![u32::MAX; self.arena_len];
-        for (i, &tid) in self.task_ids.iter().enumerate() {
-            inv[tid.0] = i as u32;
-        }
-        inv
+        let (applied, vacated_threads) = crate::sim::apply_overlay(self, patch);
+        (applied, ApplyTrace { vacated_threads })
     }
 }
 

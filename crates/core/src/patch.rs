@@ -14,8 +14,8 @@
 //!   (replayable, fingerprintable, explainable) plus the net final-state
 //!   delta the incremental compiler consumes;
 //! * [`crate::CompiledGraph::apply`] turns base + patch into a patched
-//!   compiled graph by reusing untouched CSR regions — no base clone, no
-//!   full recompile;
+//!   compiled graph by compacting the warm simulator's overlay of the
+//!   delta over the compiled base — no base clone, no recompile;
 //! * [`GraphPatch::apply_reference`] is the oracle: clone the base, replay
 //!   the op log through [`DependencyGraph`]'s own mutators, recompile.
 //!   Equivalence proptests pin `apply == apply_reference` for every
@@ -342,8 +342,9 @@ fn base_list(base: &DependencyGraph, id: TaskId, side: Side) -> &[(TaskId, DepKi
     }
 }
 
-/// Copy-out of a slot's simulation-relevant overrides (what
-/// [`crate::CompiledGraph::apply`] merges onto its base arrays).
+/// Copy-out of a slot's simulation-relevant overrides (what the warm
+/// overlay merges onto the compiled base's rows, and
+/// [`crate::CompiledGraph::apply`] reads priorities from).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScalarOver {
     /// Overridden duration, ns.

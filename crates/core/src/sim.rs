@@ -53,7 +53,11 @@
 //! the base [`CompiledGraph`], and only the cone of tasks the patch can
 //! affect is re-dispatched. It runs the default order only. Its oracle is
 //! the full path: [`simulate_compiled`] over `CompiledGraph::apply`,
-//! which [`simulate_reference`] pins in turn. The same [`SimScratch`]
+//! which [`simulate_reference`] pins in turn. That overlay is the one
+//! reader of a patch's delta against a compiled base: `apply` compacts
+//! it, and [`SimScratch::thread_busy_after`] sums costs through it, so
+//! the tests pin it to the op-log replay
+//! (`GraphPatch::apply_reference` recompiled). The same [`SimScratch`]
 //! arena also serves P3's full simulations of its cached plans
 //! (`whatif::P3Plan::steady_iteration_ns`), which write the cluster's
 //! transfer times into arena-owned cost and duration rows.
@@ -63,7 +67,7 @@ use crate::graph::{DependencyGraph, GraphError, TaskId};
 use crate::patch::{GraphPatch, NetDelta};
 use crate::task::ExecThread;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Secondary dispatch key: breaks ties among candidates feasible at the
@@ -618,14 +622,10 @@ impl Schedule {
         // tie against dispatch order — `progress_at` must still see the
         // true thread progress.
         let t_count = cg.thread_count();
-        let mut tl_counts = vec![0u32; t_count];
-        for i in 0..n {
-            tl_counts[cg.thread_of(CompactId(i as u32)).0 as usize] += 1;
-        }
         let mut tl_off = Vec::with_capacity(t_count + 1);
         tl_off.push(0u32);
-        for t in 0..t_count {
-            tl_off.push(tl_off[t] + tl_counts[t]);
+        for (t, &count) in cg.thread_tasks.iter().enumerate() {
+            tl_off.push(tl_off[t] + count);
         }
         let mut cursor: Vec<u32> = tl_off[..t_count].to_vec();
         let mut tl_start = vec![0u64; n];
@@ -930,10 +930,8 @@ fn cone_bound(
 }
 
 /// Per-thread busy time (sum of [`CompiledGraph::cost_ns`]) of a
-/// compiled graph, indexed by interned `ThreadId`. The maximum entry is
-/// an O(V) optimistic stand-in for the makespan (a lower bound up to
-/// trailing per-task gaps) — what the sweep search's low-fidelity rungs
-/// use to rank patches whose cone busts the budget.
+/// compiled graph, indexed by interned `ThreadId`: the base sums
+/// [`SimScratch::thread_busy_after`] adjusts by a patch.
 pub fn thread_busy_ns(g: &CompiledGraph) -> Vec<u64> {
     let mut busy = vec![0u64; g.thread_count()];
     for i in 0..g.len() as u32 {
@@ -941,108 +939,6 @@ pub fn thread_busy_ns(g: &CompiledGraph) -> Vec<u64> {
         busy[g.thread_of(c).0 as usize] += g.cost_ns(c);
     }
     busy
-}
-
-/// Max per-thread busy time of `base.apply(patch)` computed from the
-/// base's busy sums plus the patch delta — O(|patch|) with no patched
-/// graph materialized. `base_busy` must be [`thread_busy_ns`] of `base`
-/// (precompute it once per base; it is amortized over every patch).
-/// Equal to `thread_busy_ns(&base.apply(patch)).max()` by construction:
-/// retimes shift their thread's sum by the cost delta, thread moves and
-/// removals vacate their old slot, and insertions add their cost to the
-/// target thread (interned fresh when the base never ran on it).
-pub fn busy_time_bound(base: &CompiledGraph, base_busy: &[u64], patch: &GraphPatch) -> u64 {
-    let (busy, extra) = busy_after_patch(base, base_busy, patch);
-    busy.iter()
-        .chain(extra.values())
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .max(0) as u64
-}
-
-/// Per-thread busy times of `base.apply(patch)`, keyed by execution
-/// thread — the full vector behind [`busy_time_bound`], for callers that
-/// need the per-thread decomposition (the sweep search precomputes it
-/// once per DDP cluster to price DGC compression ratios analytically).
-/// Entries are clamped at zero like the bound's maximum.
-pub fn thread_busy_after(
-    base: &CompiledGraph,
-    base_busy: &[u64],
-    patch: &GraphPatch,
-) -> Vec<(ExecThread, u64)> {
-    let (busy, extra) = busy_after_patch(base, base_busy, patch);
-    busy.into_iter()
-        .enumerate()
-        .map(|(i, b)| (base.exec_thread(ThreadId(i as u32)), b))
-        .chain(extra)
-        .map(|(t, b)| (t, b.max(0) as u64))
-        .collect()
-}
-
-/// Shared delta accumulation: the base's per-`ThreadId` busy sums
-/// adjusted by the patch, plus sums for execution threads the base never
-/// interned (moves or inserts onto fresh threads).
-fn busy_after_patch(
-    base: &CompiledGraph,
-    base_busy: &[u64],
-    patch: &GraphPatch,
-) -> (Vec<i128>, HashMap<ExecThread, i128>) {
-    debug_assert_eq!(base_busy.len(), base.thread_count());
-    let d = patch.delta();
-    let base_cap = patch.base_capacity();
-    let mut busy: Vec<i128> = base_busy.iter().map(|&b| b as i128).collect();
-    // Threads that only exist in the patched graph (a move or an insert
-    // onto an execution thread the base never interned).
-    let mut extra: HashMap<ExecThread, i128> = HashMap::new();
-    let mut by_exec: Option<HashMap<ExecThread, usize>> = None;
-    macro_rules! add_exec {
-        ($t:expr, $cost:expr) => {{
-            let map = by_exec.get_or_insert_with(|| {
-                (0..base.thread_count())
-                    .map(|i| (base.exec_thread(ThreadId(i as u32)), i))
-                    .collect()
-            });
-            match map.get(&$t) {
-                Some(&i) => busy[i] += $cost,
-                None => *extra.entry($t).or_insert(0) += $cost,
-            }
-        }};
-    }
-    for &id in d.touched() {
-        if id.0 >= base_cap || d.is_removed(id) {
-            continue;
-        }
-        let Some(c) = base.compact_of(id) else {
-            continue;
-        };
-        let Some(s) = d.scalars(id) else { continue };
-        let old_cost = base.cost_ns(c);
-        let new_cost = s.duration_ns.unwrap_or(base.duration_ns(c))
-            + s.gap_ns.unwrap_or(old_cost - base.duration_ns(c));
-        match s.thread {
-            Some(t) => {
-                busy[base.thread_of(c).0 as usize] -= old_cost as i128;
-                add_exec!(t, new_cost as i128);
-            }
-            None => busy[base.thread_of(c).0 as usize] += new_cost as i128 - old_cost as i128,
-        }
-    }
-    for &id in d.removed_ids() {
-        if id.0 < base_cap {
-            if let Some(c) = base.compact_of(id) {
-                busy[base.thread_of(c).0 as usize] -= base.cost_ns(c) as i128;
-            }
-        }
-    }
-    for &v in d.new_ids() {
-        if d.is_removed(v) {
-            continue;
-        }
-        let t = d.new_task(v);
-        add_exec!(t.thread, t.cost_ns() as i128);
-    }
-    (busy, extra)
 }
 
 /// Earliest-dispatch lower bounds (and thread costs) for a patch's
@@ -1131,7 +1027,10 @@ struct ViewShape {
 
 /// A patch as copy-on-write overrides over the base [`CompiledGraph`],
 /// built in O(|patch|) per evaluation — what lets the warm path simulate
-/// any patch, inserts and removals included, without applying it.
+/// any patch, inserts and removals included, without applying it. It is
+/// the one reader of a patch's delta against a compiled base:
+/// `CompiledGraph::apply` compacts it ([`Overlay::compact`]) and the
+/// search's busy bound sums costs through it.
 ///
 /// **View ids.** Base task `c` keeps its compact id; the `k`-th live
 /// inserted task gets `n_base + k`. Removed base tasks keep their id but
@@ -1152,7 +1051,7 @@ struct Overlay {
     cost: Vec<u64>,
     dur: Vec<u64>,
     thread: Vec<u32>,
-    /// Predecessor count (read only for seeding).
+    /// Predecessor count (read for seeding and by `apply`).
     pcnt: Vec<u32>,
     /// Successor range in `side`, or `(BASE_ROW, _)` for the base row.
     row: Vec<(u32, u32)>,
@@ -1228,6 +1127,14 @@ impl Overlay {
         }
     }
 
+    /// The execution thread behind view thread `t`.
+    fn exec_thread(&self, base: &CompiledGraph, t: u32) -> ExecThread {
+        match (t as usize).checked_sub(base.thread_count()) {
+            Some(k) => self.new_threads[k].0,
+            None => base.exec_thread(ThreadId(t)),
+        }
+    }
+
     /// The view id of a live task of the patched graph.
     #[inline]
     fn view_of(&self, base: &CompiledGraph, base_cap: usize, id: TaskId) -> usize {
@@ -1240,25 +1147,17 @@ impl Overlay {
         }
     }
 
-    /// Builds the overlay of `d` over `base` in O(|patch| + threads).
-    /// The slot arrays must cover `base.len() + d.new_ids().len()`.
-    fn build(
-        &mut self,
-        base: &CompiledGraph,
-        schedule: &Schedule,
-        d: &NetDelta,
-        base_cap: usize,
-        epoch: u32,
-    ) {
+    /// Builds the overlay of `d` over `base` in O(|patch| + threads),
+    /// sizing the slot arrays first; `true` if they grew.
+    fn build(&mut self, base: &CompiledGraph, d: &NetDelta, base_cap: usize, epoch: u32) -> bool {
+        let grew = self.ensure(base.len() + d.new_ids().len());
         let n_base = base.len();
         let t_base = base.thread_count();
         self.side.clear();
         self.ins_view.clear();
         self.new_threads.clear();
-        // Per-thread live counts start from the base timelines.
         self.live_per_thread.clear();
-        self.live_per_thread
-            .extend(schedule.tl_off.windows(2).map(|w| w[1] - w[0]));
+        self.live_per_thread.extend_from_slice(&base.thread_tasks);
 
         let mut n = n_base;
         for &v in d.new_ids() {
@@ -1339,6 +1238,7 @@ impl Overlay {
             live: n - removed,
             t_count: t_base + self.new_threads.len(),
         };
+        grew
     }
 
     /// `true` if the patch left a base thread without tasks.
@@ -1354,6 +1254,105 @@ impl Overlay {
             epoch,
         }
     }
+
+    /// The applied graph's order, which `CompiledGraph::apply` builds
+    /// and [`SimScratch::materialize`] reports in: its live view ids in
+    /// compact order, and its threads as view threads in interning order
+    /// (the base threads the patch leaves tasks on, then the fresh ones
+    /// by the first task placed on each).
+    fn applied_order(&self, epoch: u32) -> (impl Iterator<Item = usize> + '_, Vec<u32>) {
+        let shape = self.shape;
+        let t_base = shape.t_count - self.new_threads.len();
+        let mut fresh: Vec<(TaskId, u32)> = (t_base as u32..)
+            .zip(&self.new_threads)
+            .map(|(t, &(_, first))| (first, t))
+            .collect();
+        fresh.sort_unstable();
+        let threads = (0..t_base as u32)
+            .filter(|&t| self.live_per_thread[t as usize] > 0)
+            .chain(fresh.into_iter().map(|(_, t)| t))
+            .collect();
+        let live = (0..shape.n).filter(move |&i| i >= shape.n_base || self.dead[i] != epoch);
+        (live, threads)
+    }
+
+    /// Compacts the patched graph of the last build into a
+    /// [`CompiledGraph`] in [`Overlay::applied_order`]. Every row reads
+    /// through the view except priorities, which the default order never
+    /// reads, so the overlay does not carry them: they come from the
+    /// delta's scalars here.
+    fn compact(&self, base: &CompiledGraph, d: &NetDelta, epoch: u32) -> CompiledGraph {
+        let view = self.view(base, epoch);
+        let shape = self.shape;
+        let (live, order) = self.applied_order(epoch);
+        let mut thread_at = vec![0u32; shape.t_count];
+        for (k, &t) in order.iter().enumerate() {
+            thread_at[t as usize] = k as u32;
+        }
+        let mut inserted = d.new_ids().iter().filter(|&&v| !d.is_removed(v));
+        let mut compact_at = vec![u32::MAX; shape.n];
+        let mut task_ids = Vec::with_capacity(shape.live);
+        let mut thread_of = Vec::with_capacity(shape.live);
+        let mut cost_ns = Vec::with_capacity(shape.live);
+        let mut duration_ns = Vec::with_capacity(shape.live);
+        let mut priority = Vec::with_capacity(shape.live);
+        let mut pred_count = Vec::with_capacity(shape.live);
+        for i in live {
+            let c = CompactId(i as u32);
+            compact_at[i] = task_ids.len() as u32;
+            let id = if i < shape.n_base {
+                base.task_id(c)
+            } else {
+                *inserted.next().expect("a view id per live insert")
+            };
+            task_ids.push(id);
+            thread_of.push(ThreadId(thread_at[view.thread_of(c).0 as usize]));
+            cost_ns.push(view.cost_ns(c));
+            duration_ns.push(view.duration_ns(c));
+            priority.push(match d.scalars(id).and_then(|s| s.priority) {
+                Some(p) => p,
+                None => base.priority(c),
+            });
+            pred_count.push(view.pred_count(c));
+        }
+        let mut succ_off = Vec::with_capacity(shape.live + 1);
+        let mut succ = Vec::with_capacity(base.edge_count());
+        succ_off.push(0u32);
+        for i in (0..shape.n).filter(|&i| compact_at[i] != u32::MAX) {
+            for &v in view.successors(CompactId(i as u32)) {
+                succ.push(CompactId(compact_at[v.0 as usize]));
+            }
+            succ_off.push(succ.len() as u32);
+        }
+        let threads: Vec<ExecThread> = order.iter().map(|&t| self.exec_thread(base, t)).collect();
+        CompiledGraph {
+            task_ids,
+            arena_len: base.arena_len() + d.new_ids().len(),
+            comm_thread: threads.iter().map(ExecThread::is_comm).collect(),
+            threads,
+            thread_tasks: order
+                .iter()
+                .map(|&t| self.live_per_thread[t as usize])
+                .collect(),
+            thread_of,
+            cost_ns,
+            duration_ns,
+            priority,
+            succ_off,
+            succ,
+            pred_count,
+        }
+    }
+}
+
+/// `CompiledGraph::apply_traced`: the overlay of `patch` over `base`,
+/// compacted, and whether the patch vacated a base thread.
+pub(crate) fn apply_overlay(base: &CompiledGraph, patch: &GraphPatch) -> (CompiledGraph, bool) {
+    let mut ov = Overlay::default();
+    let d = patch.delta();
+    // A fresh overlay's stamps are 0, so epoch 1 is current.
+    ov.build(base, d, patch.base_capacity(), 1);
+    (ov.compact(base, d, 1), ov.vacates_a_thread())
 }
 
 /// A patched graph served straight off the base [`CompiledGraph`] plus
@@ -1673,12 +1672,11 @@ impl SimScratch {
     /// Opens a new evaluation epoch and builds the overlay of `patch`
     /// over `base`, (re)sizing the buffers on the way. O(|patch|) when
     /// the arena has already served a graph at least this large.
-    fn begin(&mut self, base: &CompiledGraph, schedule: &Schedule, patch: &GraphPatch) {
+    fn begin(&mut self, base: &CompiledGraph, patch: &GraphPatch) {
         self.next_epoch();
-        let d = patch.delta();
-        let grew = self.ov.ensure(base.len() + d.new_ids().len());
-        self.ov
-            .build(base, schedule, d, patch.base_capacity(), self.epoch);
+        let grew = self
+            .ov
+            .build(base, patch.delta(), patch.base_capacity(), self.epoch);
         let shape = self.ov.shape;
         self.size_bufs(shape.n, shape.t_count, grew);
     }
@@ -1705,8 +1703,8 @@ impl SimScratch {
         }
         self.size_bufs(n, graph.thread_count(), grew);
         let (cost, dur) = (&mut self.cost[..n], &mut self.dur[..n]);
-        cost.copy_from_slice(graph.cost_row());
-        dur.copy_from_slice(graph.duration_row());
+        cost.copy_from_slice(&graph.cost_ns);
+        dur.copy_from_slice(&graph.duration_ns);
         for (c, d) in durations {
             let i = c.0 as usize;
             cost[i] = d + (cost[i] - dur[i]);
@@ -1728,13 +1726,11 @@ impl SimScratch {
     /// Reconstructs the full [`CompiledSim`] of the last
     /// [`simulate_warm_with`] call — byte-identical to
     /// [`simulate_compiled`] over `CompiledGraph::apply` of the same
-    /// patch (the oracle the equivalence proptests pin): view ids map
-    /// back to the applied compact order by skipping removed tasks, and
-    /// threads to the apply's interning order (surviving base threads,
-    /// then fresh threads by the first task placed on them). `schedule`
-    /// must be the one that evaluation ran against. `None` before any
-    /// warm evaluation, and after a P3 plan run
-    /// (`whatif::P3Plan::steady_iteration_ns`) on this arena.
+    /// patch (the oracle the equivalence proptests pin), in the task and
+    /// thread order `apply` builds. `schedule` must be the one that
+    /// evaluation ran against. `None` before any warm evaluation, and
+    /// after a P3 plan run (`whatif::P3Plan::steady_iteration_ns`) or a
+    /// [`SimScratch::thread_busy_after`] on this arena.
     pub fn materialize(&self, schedule: &Schedule) -> Option<CompiledSim> {
         let (full, makespan) = match self.last? {
             WarmLast::Noop => return Some(schedule.sim.clone()),
@@ -1742,12 +1738,10 @@ impl SimScratch {
             WarmLast::Full { makespan } => (true, makespan),
         };
         let shape = self.ov.shape;
+        let (live, threads) = self.ov.applied_order(self.epoch);
         let mut start = Vec::with_capacity(shape.live);
         let mut wait = Vec::with_capacity(shape.live);
-        for i in 0..shape.n {
-            if i < shape.n_base && self.ov.dead[i] == self.epoch {
-                continue;
-            }
+        for i in live {
             if full || i >= shape.n_base || self.bufs.stamp[i] == self.epoch {
                 start.push(self.bufs.start[i]);
                 wait.push(self.bufs.wait[i]);
@@ -1756,26 +1750,69 @@ impl SimScratch {
                 wait.push(schedule.sim.wait_ns[i]);
             }
         }
-        let t_base = shape.t_count - self.ov.new_threads.len();
-        let mut thread_end: Vec<u64> = (0..t_base)
-            .filter(|&t| self.ov.live_per_thread[t] > 0)
-            .map(|t| self.bufs.progress[t])
-            .collect();
-        let mut fresh: Vec<(TaskId, u64)> = self
-            .ov
-            .new_threads
+        let thread_end = threads
             .iter()
-            .enumerate()
-            .map(|(k, &(_, first))| (first, self.bufs.progress[t_base + k]))
+            .map(|&t| self.bufs.progress[t as usize])
             .collect();
-        fresh.sort_unstable();
-        thread_end.extend(fresh.into_iter().map(|(_, end)| end));
         Some(CompiledSim {
             start_ns: start,
             wait_ns: wait,
             thread_end,
             makespan_ns: makespan,
         })
+    }
+
+    /// Per-thread busy time (summed [`CompiledGraph::cost_ns`]) of
+    /// `base.apply(patch)`, keyed by execution thread, from `base_busy`,
+    /// the base's [`thread_busy_ns`]: the patch's overlay is built in
+    /// this arena and only its removed, retimed, moved and inserted tasks
+    /// are read, so a warm arena answers in O(|patch|). A thread the
+    /// patch vacates reads zero. The maximum is the sweep search's
+    /// low-fidelity estimate for a patch whose cone a rung refuses: an
+    /// optimistic stand-in for the makespan, a lower bound up to trailing
+    /// per-task gaps. Counts neither a reuse nor an alloc.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `patch` was not recorded against `base`'s arena.
+    pub fn thread_busy_after(
+        &mut self,
+        base: &CompiledGraph,
+        base_busy: &[u64],
+        patch: &GraphPatch,
+    ) -> Vec<(ExecThread, u64)> {
+        assert_eq!(
+            base.arena_len(),
+            patch.base_capacity(),
+            "patch recorded against a different base arena"
+        );
+        debug_assert_eq!(base_busy.len(), base.thread_count());
+        self.next_epoch();
+        let (d, base_cap) = (patch.delta(), patch.base_capacity());
+        self.ov.build(base, d, base_cap, self.epoch);
+        let view = self.ov.view(base, self.epoch);
+        let mut busy = base_busy.to_vec();
+        busy.resize(view.thread_count(), 0);
+        for &id in d.removed_ids() {
+            // Inserted-then-removed tasks have no base compact id.
+            if let Some(c) = base.compact_of(id) {
+                busy[base.thread_of(c).0 as usize] -= base.cost_ns(c);
+            }
+        }
+        for &id in d.touched() {
+            if d.is_removed(id) {
+                continue;
+            }
+            let c = CompactId(self.ov.view_of(base, base_cap, id) as u32);
+            if id.0 < base_cap {
+                busy[base.thread_of(c).0 as usize] -= base.cost_ns(c);
+            }
+            busy[view.thread_of(c).0 as usize] += view.cost_ns(c);
+        }
+        (0..)
+            .zip(busy)
+            .map(|(t, b)| (self.ov.exec_thread(base, t), b))
+            .collect()
     }
 
     /// Reuse accounting since construction (or the last
@@ -1932,8 +1969,9 @@ pub fn simulate_warm_with(
 /// [`simulate_warm_with`] *without* the full-simulation fallback: the
 /// inner `Err` names why the cone cannot (or should not) run, leaving
 /// the caller free to substitute something cheaper — the sweep search's
-/// low-fidelity rungs answer it with [`busy_time_bound`]. After an
-/// `Err`, the arena holds nothing to [`SimScratch::materialize`].
+/// low-fidelity rungs answer it with the maximum of
+/// [`SimScratch::thread_busy_after`]. After an `Err`, the arena holds
+/// nothing to [`SimScratch::materialize`].
 ///
 /// # Panics
 ///
@@ -1955,7 +1993,7 @@ pub fn try_simulate_warm_with(
         patch.base_capacity(),
         "patch recorded against a different base arena"
     );
-    scratch.begin(base, schedule, patch);
+    scratch.begin(base, patch);
     if scratch.ov.vacates_a_thread() {
         return Ok(Err(FallbackReason::VacatedThreads));
     }

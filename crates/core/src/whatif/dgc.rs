@@ -9,27 +9,35 @@ use crate::graph::{DepKind, GraphEdit, TaskId};
 use crate::task::{Task, TaskKind};
 use crate::transform::select;
 
+/// GPU time to compress one megabyte of gradients, ns (estimated from
+/// existing element-wise kernels, per the paper's guideline).
+const COMPRESS_NS_PER_MB: u64 = 55_000;
+
+/// GPU time to decompress one megabyte, ns.
+const DECOMPRESS_NS_PER_MB: u64 = 35_000;
+
 /// Configuration of the DGC what-if analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DgcConfig {
     /// Fraction of gradient bytes that still travels (0.01 = 1%, the DGC
     /// paper's headline ratio plus metadata overhead).
     pub compression_ratio: f64,
-    /// GPU time to compress one megabyte of gradients, ns (estimated from
-    /// existing element-wise kernels, per the paper's guideline).
-    pub compress_ns_per_mb: u64,
-    /// GPU time to decompress one megabyte, ns.
-    pub decompress_ns_per_mb: u64,
 }
 
 impl Default for DgcConfig {
     fn default() -> Self {
         DgcConfig {
             compression_ratio: 0.01,
-            compress_ns_per_mb: 55_000,
-            decompress_ns_per_mb: 35_000,
         }
     }
+}
+
+/// The durations, ns, of the compression and decompression kernels DGC
+/// puts around a transfer of `bytes`: each scales with the whole
+/// megabytes sent, at least one.
+pub fn dgc_kernel_ns(bytes: u64) -> (u64, u64) {
+    let mb = (bytes >> 20).max(1);
+    (COMPRESS_NS_PER_MB * mb, DECOMPRESS_NS_PER_MB * mb)
 }
 
 /// Applies the DGC transformation, over any graph edit target, to
@@ -43,7 +51,7 @@ pub fn plan_dgc<G: GraphEdit>(g: &mut G, comm_tasks: &[TaskId], cfg: &DgcConfig)
         let TaskKind::Communication { bytes, .. } = g.task(r).kind else {
             continue;
         };
-        let mb = (bytes >> 20).max(1);
+        let (compress_ns, decompress_ns) = dgc_kernel_ns(bytes);
         // Scale the transfer itself.
         let compressed = (g.task(r).duration_ns as f64 * cfg.compression_ratio).round() as u64;
         g.set_duration(r, compressed);
@@ -53,7 +61,7 @@ pub fn plan_dgc<G: GraphEdit>(g: &mut G, comm_tasks: &[TaskId], cfg: &DgcConfig)
             "dgc_compress_kernel",
             TaskKind::GpuKernel,
             gpu_thread,
-            cfg.compress_ns_per_mb * mb,
+            compress_ns,
         );
         comp.measured_start_ns = hint;
         let comp_id = g.add_task(comp);
@@ -61,7 +69,7 @@ pub fn plan_dgc<G: GraphEdit>(g: &mut G, comm_tasks: &[TaskId], cfg: &DgcConfig)
             "dgc_decompress_kernel",
             TaskKind::GpuKernel,
             gpu_thread,
-            cfg.decompress_ns_per_mb * mb,
+            decompress_ns,
         );
         dec.measured_start_ns = hint + 1;
         let dec_id = g.add_task(dec);

@@ -12,23 +12,15 @@ use crate::task::{Task, TaskKind};
 use crate::transform::{insert_gpu_task_with_launch, select};
 use daydream_trace::Phase;
 
+/// CPU cost of each inserted kernel launch, ns.
+const LAUNCH_NS: u64 = 6_000;
+
 /// Configuration of the Gist what-if analysis.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GistConfig {
     /// Also insert the delayed-precision-reduction kernels of Gist's lossy
     /// mode.
     pub lossy: bool,
-    /// CPU cost of each inserted kernel launch, ns.
-    pub launch_ns: u64,
-}
-
-impl Default for GistConfig {
-    fn default() -> Self {
-        GistConfig {
-            lossy: false,
-            launch_ns: 6_000,
-        }
-    }
 }
 
 /// Gist's ReLU rule: the element-wise ReLU kernels, whose stashed
@@ -74,7 +66,7 @@ pub fn plan_gist<G: GraphEdit>(g: &mut G, cfg: &GistConfig) -> Vec<TaskId> {
             dur,
         );
         k.layer = layer;
-        let (_, kid) = insert_gpu_task_with_launch(g, launch_pred, u, k, cfg.launch_ns);
+        let (_, kid) = insert_gpu_task_with_launch(g, launch_pred, u, k, LAUNCH_NS);
         inserted.push(kid);
     }
     for &u in &relu_bwd {
@@ -90,7 +82,7 @@ pub fn plan_gist<G: GraphEdit>(g: &mut G, cfg: &GistConfig) -> Vec<TaskId> {
         // Decode must precede the backward kernel: insert before it on the
         // stream, launched from the same CPU position.
         let before = crate::transform::thread_predecessor(g, u).unwrap_or(u);
-        let (_, kid) = insert_gpu_task_with_launch(g, launch_pred, before, k, cfg.launch_ns);
+        let (_, kid) = insert_gpu_task_with_launch(g, launch_pred, before, k, LAUNCH_NS);
         g.add_dep(kid, u, DepKind::Transform);
         inserted.push(kid);
     }
@@ -103,7 +95,7 @@ pub fn plan_gist<G: GraphEdit>(g: &mut G, cfg: &GistConfig) -> Vec<TaskId> {
             dur / 2,
         );
         k.layer = layer;
-        let (_, kid) = insert_gpu_task_with_launch(g, launch_pred, u, k, cfg.launch_ns);
+        let (_, kid) = insert_gpu_task_with_launch(g, launch_pred, u, k, LAUNCH_NS);
         inserted.push(kid);
     }
     inserted
@@ -152,15 +144,7 @@ mod tests {
     fn lossy_costs_more_than_lossless() {
         let pg = profile();
         let lossless = predict(&pg, |g| plan_gist(g, &GistConfig::default()));
-        let lossy = predict(&pg, |g| {
-            plan_gist(
-                g,
-                &GistConfig {
-                    lossy: true,
-                    launch_ns: 6_000,
-                },
-            )
-        });
+        let lossy = predict(&pg, |g| plan_gist(g, &GistConfig { lossy: true }));
         assert!(lossy.predicted_ns > lossless.predicted_ns);
     }
 

@@ -27,14 +27,14 @@ pub use amp::{plan_amp, COMPUTE_BOUND_GAIN, MEMORY_BOUND_GAIN};
 pub use bandwidth::plan_bandwidth;
 pub use batch_size::{plan_batch_size, KERNEL_OVERHEAD_NS};
 pub use blueconnect::plan_blueconnect;
-pub use dgc::{plan_dgc, DgcConfig};
+pub use dgc::{dgc_kernel_ns, plan_dgc, DgcConfig};
 pub use distributed::plan_distributed;
 pub use fused_adam::plan_fused_adam;
 pub use gist::{plan_gist, GistConfig};
 pub use metaflow::{plan_metaflow, qkv_fusion_policy, Substitution};
 pub use p3::{
     p3_insert_plan, p3_replicated_base, plan_p3_inserts, P3Config, P3Insert, P3Plan, P3Prediction,
-    P3Scheduler,
+    P3Scheduler, P3_ITERATIONS,
 };
 pub use reconstruct_bn::plan_reconstruct_bn;
 pub use upgrade_gpu::{plan_upgrade_gpu, GpuBound};

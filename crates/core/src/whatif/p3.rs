@@ -27,6 +27,9 @@ use daydream_comm::{ClusterConfig, PsModel};
 use daydream_trace::{LayerId, Phase};
 use std::collections::HashMap;
 
+/// Iterations P3's plans unroll for steady state.
+pub const P3_ITERATIONS: usize = 3;
+
 /// Configuration of the P3 what-if analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct P3Config {
@@ -35,17 +38,14 @@ pub struct P3Config {
     /// Gradient slice size in bytes; `None` models the layer-granularity
     /// MXNet baseline instead of P3.
     pub slice_bytes: Option<u64>,
-    /// Iterations to unroll for steady state.
-    pub iterations: usize,
 }
 
 impl P3Config {
-    /// P3 with its 4 MB slices over three unrolled iterations.
+    /// P3 with its 4 MB slices.
     pub fn p3(cluster: ClusterConfig) -> Self {
         P3Config {
             cluster,
             slice_bytes: Some(4 << 20),
-            iterations: 3,
         }
     }
 
@@ -54,7 +54,6 @@ impl P3Config {
         P3Config {
             cluster,
             slice_bytes: None,
-            iterations: 3,
         }
     }
 }
@@ -294,10 +293,10 @@ pub struct P3Plan {
 }
 
 impl P3Plan {
-    /// Plans `cfg` over a lone profile: unrolls `cfg.iterations` copies,
+    /// Plans `cfg` over a lone profile: unrolls [`P3_ITERATIONS`] copies,
     /// compiles them and builds the plan over that base.
     pub fn new(pg: &ProfiledGraph, cfg: &P3Config) -> P3Plan {
-        let rep = p3_replicated_base(pg, cfg.iterations);
+        let rep = p3_replicated_base(pg, P3_ITERATIONS);
         let compiled = CompiledGraph::compile(&rep.graph);
         P3Plan::build(pg, &rep, &compiled, cfg)
     }

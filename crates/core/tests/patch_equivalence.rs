@@ -18,7 +18,7 @@ use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
     plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist, plan_metaflow,
     plan_p3_inserts, plan_reconstruct_bn, plan_upgrade_gpu, plan_vdnn, qkv_fusion_policy,
-    DgcConfig, GistConfig, P3Config, P3Plan, P3Scheduler, VdnnConfig,
+    DgcConfig, GistConfig, P3Config, P3Plan, P3Scheduler, VdnnConfig, P3_ITERATIONS,
 };
 use daydream_core::{
     simulate_compiled_with, simulate_reference, simulate_with, CompiledGraph, DepKind,
@@ -371,13 +371,7 @@ fn gist_patch_matches_reference_on_resnet_lossless_and_lossy() {
         plan_gist(g, &GistConfig::default());
     });
     check_transform(&pg, |g| {
-        plan_gist(
-            g,
-            &GistConfig {
-                lossy: true,
-                launch_ns: 6_000,
-            },
-        );
+        plan_gist(g, &GistConfig { lossy: true });
     });
 }
 
@@ -494,7 +488,7 @@ fn p3_patch_matches_reference_on_replicated_base() {
     let pg = resnet_profile();
     let cluster = ClusterConfig::new(4, 1, 4.0);
     for cfg in [P3Config::baseline(cluster), P3Config::p3(cluster)] {
-        let rep = p3_replicated_base(&pg, cfg.iterations);
+        let rep = p3_replicated_base(&pg, P3_ITERATIONS);
         let inserts = p3_insert_plan(&pg, &rep, &cfg);
         assert!(!inserts.is_empty());
         let mut p = PatchGraph::new(&rep.graph);
@@ -505,7 +499,7 @@ fn p3_patch_matches_reference_on_replicated_base() {
         // Steady-state extraction over the patched sim matches the
         // mutate-in-place analysis end to end, and so does the compiled
         // plan every front end evaluates.
-        let mut oracle = p3_replicated_base(&pg, cfg.iterations);
+        let mut oracle = p3_replicated_base(&pg, P3_ITERATIONS);
         plan_p3_inserts(&mut oracle.graph, &inserts);
         let sim = simulate_with(&oracle.graph, &P3Scheduler).unwrap();
         let steady = oracle.steady_iteration_ns(&sim);

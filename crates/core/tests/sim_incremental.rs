@@ -19,7 +19,7 @@ use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
     plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist, plan_metaflow,
     plan_p3_inserts, plan_reconstruct_bn, plan_upgrade_gpu, plan_vdnn, qkv_fusion_policy,
-    DgcConfig, GistConfig, P3Config, P3Plan, VdnnConfig,
+    DgcConfig, GistConfig, P3Config, P3Plan, VdnnConfig, P3_ITERATIONS,
 };
 use daydream_core::{
     simulate_compiled, simulate_warm_with, CompiledGraph, DepKind, DependencyGraph, ExecThread,
@@ -131,10 +131,12 @@ proptest! {
     }
 
     // The apply-free estimate surface of the sweep search's low-fidelity
-    // rungs: `busy_time_bound` over the base + delta must equal summing
-    // costs over the *applied* graph, and `try_simulate_warm_with` must
-    // make the checked decision of `simulate_warm_with` — the same cone,
-    // or a refusal for the same reason.
+    // rungs: `SimScratch::thread_busy_after` over the base + delta must
+    // equal summing costs per thread over the patched graph, both the
+    // applied one and the recompiled op-log replay, and
+    // `try_simulate_warm_with` must make the checked decision of
+    // `simulate_warm_with` — the same cone, or a refusal for the same
+    // reason.
     #[test]
     fn apply_free_estimates_match_the_applied_graph(
         tasks in prop::collection::vec((0u64..5, 0u64..200, 0u64..30), 1..60),
@@ -143,7 +145,8 @@ proptest! {
             (0u64..10_000, 0u64..10_000, 0u64..10_000, 0u64..10_000), 0..40),
         budget_pct in 0u64..101,
     ) {
-        use daydream_core::{busy_time_bound, thread_busy_ns, try_simulate_warm_with};
+        use daydream_core::{thread_busy_ns, try_simulate_warm_with, ThreadId};
+        use std::collections::BTreeMap;
         let g = build_dag(&tasks, &edges);
         let mut p = PatchGraph::new(&g);
         for &op in &ops {
@@ -153,12 +156,27 @@ proptest! {
         let base = CompiledGraph::compile(&g);
         let applied = base.apply(&patch);
 
-        let base_busy = thread_busy_ns(&base);
-        let bound = busy_time_bound(&base, &base_busy, &patch);
+        let busy = SimScratch::new().thread_busy_after(&base, &thread_busy_ns(&base), &patch);
+        let bound = busy.iter().map(|&(_, b)| b).max().unwrap_or(0);
         let applied_busy = thread_busy_ns(&applied).into_iter().max().unwrap_or(0);
         prop_assert_eq!(
             bound, applied_busy,
             "delta busy bound diverged from the applied graph's busy time"
+        );
+        // Per thread against the replayed op log, which does not go
+        // through `apply`.
+        let nonzero = |busy: Vec<(ExecThread, u64)>| -> BTreeMap<ExecThread, u64> {
+            busy.into_iter().filter(|&(_, b)| b > 0).collect()
+        };
+        let oracle = CompiledGraph::compile(&patch.apply_reference(&g));
+        let oracle_busy = (0..oracle.thread_count() as u32)
+            .map(|t| oracle.exec_thread(ThreadId(t)))
+            .zip(thread_busy_ns(&oracle))
+            .collect();
+        prop_assert_eq!(
+            nonzero(busy),
+            nonzero(oracle_busy),
+            "per-thread busy times diverged from the replayed op log"
         );
         // Not asserted against the makespan: a trailing `gap_ns` on a
         // thread's last task occupies the thread but not the makespan,
@@ -441,13 +459,7 @@ fn incremental_matches_full_for_gist_on_resnet() {
         plan_gist(g, &GistConfig::default());
     });
     check_transform(&resnet_profile(), |g| {
-        plan_gist(
-            g,
-            &GistConfig {
-                lossy: true,
-                launch_ns: 6_000,
-            },
-        );
+        plan_gist(g, &GistConfig { lossy: true });
     });
 }
 
@@ -517,7 +529,7 @@ fn incremental_matches_full_for_p3_on_replicated_base() {
     let pg = resnet_profile();
     let cluster = ClusterConfig::new(4, 1, 4.0);
     for cfg in [P3Config::baseline(cluster), P3Config::p3(cluster)] {
-        let rep = p3_replicated_base(&pg, cfg.iterations);
+        let rep = p3_replicated_base(&pg, P3_ITERATIONS);
         let inserts = p3_insert_plan(&pg, &rep, &cfg);
         let mut p = PatchGraph::new(&rep.graph);
         plan_p3_inserts(&mut p, &inserts);

@@ -17,7 +17,7 @@ use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size,
     plan_blueconnect, plan_dgc, plan_distributed, plan_fused_adam, plan_gist, plan_metaflow,
     plan_p3_inserts, plan_reconstruct_bn, plan_upgrade_gpu, plan_vdnn, qkv_fusion_policy,
-    DgcConfig, GistConfig, GpuBound, P3Config, VdnnConfig,
+    DgcConfig, GistConfig, GpuBound, P3Config, VdnnConfig, P3_ITERATIONS,
 };
 use daydream_core::{
     CommPrimitive, DepKind, Edits, ExecThread, GraphEdit, GraphPatch, GraphView, LayerAnchors,
@@ -261,10 +261,7 @@ fn emit_families(base: &Base, indexed: bool) -> Vec<(&'static str, GraphPatch)> 
     };
     let batch = pg.meta.batch_size as u64;
     let cluster = ClusterConfig::new(4, 2, 10.0);
-    let lossy = GistConfig {
-        lossy: true,
-        ..GistConfig::default()
-    };
+    let lossy = GistConfig { lossy: true };
     let policy = qkv_fusion_policy(model);
     let planners: Vec<(&'static str, Edit<'_>)> = vec![
         ("amp", Box::new(|p| plan_amp(p))),
@@ -385,7 +382,7 @@ fn streamed_fingerprint_is_the_op_logs_hash() {
 
     let base = &catalog_bases()[0];
     let cfg = P3Config::p3(ClusterConfig::new(4, 1, 4.0));
-    let rep = p3_replicated_base(&base.pg, cfg.iterations);
+    let rep = p3_replicated_base(&base.pg, P3_ITERATIONS);
     let mut p = PatchGraph::new(&rep.graph);
     plan_p3_inserts(&mut p, &p3_insert_plan(&base.pg, &rep, &cfg));
     let patch = p.finish();

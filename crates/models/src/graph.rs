@@ -161,7 +161,7 @@ impl ModelBuilder {
     /// # Panics
     ///
     /// Panics if the layer kind cannot infer an output shape
-    /// ([`LayerKind::Concat`] — use [`ModelBuilder::layer_explicit`]).
+    /// ([`LayerKind::Concat`] — use [`ModelBuilder::push_explicit`]).
     pub fn layer(mut self, name: impl Into<String>, kind: LayerKind) -> Self {
         self.push(name, kind);
         self
@@ -193,18 +193,6 @@ impl ModelBuilder {
         self.next_id += 1;
         self.layers.push(layer);
         self.cur = output;
-        self
-    }
-
-    /// Owned variant of [`ModelBuilder::push_explicit`].
-    pub fn layer_explicit(
-        mut self,
-        name: impl Into<String>,
-        kind: LayerKind,
-        input: Shape,
-        output: Shape,
-    ) -> Self {
-        self.push_explicit(name, kind, input, output);
         self
     }
 

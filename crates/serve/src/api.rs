@@ -14,7 +14,8 @@ use daydream_sweep::{Scenario, SweepGrid};
 use serde::{Deserialize, Serialize};
 
 /// A single what-if query: one model, one optimization, one parameter
-/// point. Omitted fields take the CLI defaults.
+/// point. An omitted field takes the first value of its axis in
+/// [`SweepGrid::default`], the one copy of the sweep defaults.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WhatIfRequest {
     /// Zoo model name (required).
@@ -51,21 +52,24 @@ impl WhatIfRequest {
         if self.model.is_empty() {
             return Err("missing required field 'model'".into());
         }
-        let batch = self.batch.unwrap_or(4);
+        let d = SweepGrid::default();
+        let batch = self.batch.unwrap_or(d.batches[0]);
+        // Not a grid axis: a bare what-if predicts the baseline.
         let opt = self.opt.clone().unwrap_or_else(|| "baseline".into());
+        let to = self.to.clone();
         let scenarios = SweepGrid::builder()
             .models([self.model.clone()])
             .batches([batch])
             .opts([opt.clone()])
-            .bandwidths([self.bw.unwrap_or(10.0)])
-            .machines([self.machines.unwrap_or(4)])
-            .gpus_per_machine(self.gpus.unwrap_or(1))
-            .dgc_ratios([self.ratio.unwrap_or(0.01)])
-            .bandwidth_factors([self.factor.unwrap_or(2.0)])
-            .upgrade_targets([self.to.clone().unwrap_or_else(|| "v100".into())])
-            .gist_lossy([self.lossy.unwrap_or(false)])
-            .vdnn_lookaheads([self.lookahead.unwrap_or(2)])
-            .target_batches([self.target_batch.unwrap_or(16)])
+            .bandwidths([self.bw.unwrap_or(d.bandwidths[0])])
+            .machines([self.machines.unwrap_or(d.machines[0])])
+            .gpus_per_machine(self.gpus.unwrap_or(d.gpus_per_machine))
+            .dgc_ratios([self.ratio.unwrap_or(d.dgc_ratios[0])])
+            .bandwidth_factors([self.factor.unwrap_or(d.bandwidth_factors[0])])
+            .upgrade_targets([to.unwrap_or_else(|| d.upgrade_targets[0].clone())])
+            .gist_lossy([self.lossy.unwrap_or(d.gist_lossy[0])])
+            .vdnn_lookaheads([self.lookahead.unwrap_or(d.vdnn_lookaheads[0])])
+            .target_batches([self.target_batch.unwrap_or(d.target_batches[0])])
             .build()
             .expand()?;
         match scenarios.len() {
@@ -157,6 +161,30 @@ mod tests {
         assert_eq!(s.model, "ResNet-50");
         assert_eq!(s.batch, 4);
         assert_eq!(s.opt.family(), "amp");
+
+        // A bare what-if of a parameterized family is the first scenario
+        // the default grid expands for it.
+        for family in [
+            "dgc",
+            "bandwidth",
+            "upgrade-gpu",
+            "vdnn",
+            "batch-size",
+            "ddp",
+        ] {
+            let req = WhatIfRequest {
+                model: "ResNet-50".into(),
+                opt: Some(family.into()),
+                ..WhatIfRequest::default()
+            };
+            let grid = SweepGrid::builder()
+                .models(["ResNet-50"])
+                .opts([family])
+                .build()
+                .expand()
+                .unwrap();
+            assert_eq!(req.scenario().unwrap().label(), grid[0].label(), "{family}");
+        }
     }
 
     #[test]

@@ -10,16 +10,15 @@ use crate::report::{ScenarioOutcome, SweepReport};
 use crate::scenario::{fnv1a64, label_fingerprint, OptSpec, Scenario};
 use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{
-    p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size, plan_blueconnect, plan_dgc,
-    plan_distributed, plan_fused_adam, plan_gist, plan_metaflow, plan_reconstruct_bn,
+    dgc_kernel_ns, p3_replicated_base, plan_amp, plan_bandwidth, plan_batch_size, plan_blueconnect,
+    plan_dgc, plan_distributed, plan_fused_adam, plan_gist, plan_metaflow, plan_reconstruct_bn,
     plan_upgrade_gpu, plan_vdnn, qkv_fusion_policy, DgcConfig, GistConfig, P3Config, P3Plan,
-    VdnnConfig, KERNEL_OVERHEAD_NS,
+    VdnnConfig, KERNEL_OVERHEAD_NS, P3_ITERATIONS,
 };
 use daydream_core::{
-    busy_time_bound, simulate_warm, thread_busy_after, thread_busy_ns, try_simulate_warm_with,
-    CompiledGraph, ExecThread, GraphError, GraphPatch, IncrementalOptions, IncrementalStats,
-    PatchGraph, Prediction, ProfiledGraph, Schedule, ScratchPool, SimScratch, TaskId, TaskIndex,
-    TaskKind,
+    simulate_warm, thread_busy_ns, try_simulate_warm_with, CompiledGraph, ExecThread, GraphError,
+    GraphPatch, IncrementalOptions, IncrementalStats, PatchGraph, Prediction, ProfiledGraph,
+    Schedule, ScratchPool, SimScratch, TaskId, TaskIndex, TaskKind,
 };
 use daydream_device::GpuSpec;
 use daydream_models::{
@@ -32,10 +31,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// Iterations unrolled for P3 steady-state analysis (both the P3 and the
-/// FIFO-baseline configs use three).
-const P3_ITERATIONS: usize = 3;
 
 /// Relative-error budget for the per-profile fidelity check: the
 /// baseline simulation must replay the recorded iteration within this
@@ -190,7 +185,7 @@ struct BaseProfile {
     schedule: Schedule,
     /// Per-thread busy sums of the base ([`thread_busy_ns`]), computed
     /// lazily on the first low-fidelity estimate: the O(|patch|) busy
-    /// delta of [`busy_time_bound`] amortizes against it.
+    /// delta of [`BaseProfile::busy_bound`] amortizes against it.
     busy: OnceLock<Vec<u64>>,
     /// Per-thread duration-class sums behind the rung-0 analytic
     /// surrogate, computed lazily on its first use.
@@ -247,6 +242,14 @@ impl BaseProfile {
         self.busy.get_or_init(|| thread_busy_ns(&self.compiled))
     }
 
+    /// The max per-thread busy time of the base with `patch` applied,
+    /// summed in `scratch` without applying it: what a low-fidelity rung
+    /// predicts for a patch whose cone it refuses.
+    fn busy_bound(&self, patch: &GraphPatch, scratch: &mut SimScratch) -> u64 {
+        let busy = scratch.thread_busy_after(&self.compiled, self.busy_ns(), patch);
+        busy.into_iter().map(|(_, b)| b).max().unwrap_or(0)
+    }
+
     /// The base graph's task index, built on first use.
     fn index(&self) -> &TaskIndex {
         self.index
@@ -296,11 +299,11 @@ impl BaseProfile {
     fn dgc_agg(&self, cluster: &ClusterConfig) -> Arc<DdpPlan> {
         let plan = self.ddp_plan(cluster);
         plan.dgc.get_or_init(|| {
-            let busy = thread_busy_after(&self.compiled, self.busy_ns(), &plan.patch);
+            let busy =
+                SimScratch::new().thread_busy_after(&self.compiled, self.busy_ns(), &plan.patch);
             let idx: HashMap<ExecThread, usize> =
                 busy.iter().enumerate().map(|(i, &(t, _))| (t, i)).collect();
             let mut ar = vec![0u64; busy.len()];
-            let cfg = DgcConfig::default();
             let mut gpu_extra = 0u64;
             let ars: HashSet<TaskId> = plan.allreduces.iter().copied().collect();
             for (id, t) in plan.patch.inserted_tasks() {
@@ -311,8 +314,8 @@ impl BaseProfile {
                     if let Some(&i) = idx.get(&t.thread) {
                         ar[i] += t.duration_ns;
                     }
-                    let mb = (bytes >> 20).max(1);
-                    gpu_extra += (cfg.compress_ns_per_mb + cfg.decompress_ns_per_mb) * mb;
+                    let (compress_ns, decompress_ns) = dgc_kernel_ns(bytes);
+                    gpu_extra += compress_ns + decompress_ns;
                 }
             }
             // plan_dgc puts its kernels on the first live GPU task's
@@ -814,7 +817,6 @@ fn emit_patch(opt: &OptSpec, base: &BaseProfile) -> Result<Arc<GraphPatch>, Stri
             let cluster = ClusterConfig::new(*machines, *gpus_per_machine, *bw_gbps);
             let cfg = DgcConfig {
                 compression_ratio: *ratio,
-                ..DgcConfig::default()
             };
             let ddp = base.ddp_plan(&cluster);
             let mut layered = base.overlay(Some(&ddp.patch));
@@ -829,10 +831,7 @@ fn emit_patch(opt: &OptSpec, base: &BaseProfile) -> Result<Arc<GraphPatch>, Stri
             plan_vdnn(&mut ov, model, &cfg, profile_batch);
         }
         OptSpec::Gist { lossy } => {
-            let cfg = GistConfig {
-                lossy: *lossy,
-                ..GistConfig::default()
-            };
+            let cfg = GistConfig { lossy: *lossy };
             plan_gist(&mut ov, &cfg);
         }
         OptSpec::Bandwidth { factor } => {
@@ -889,7 +888,7 @@ enum Surrogate {
 /// emitted or hashed*. At 10³+-scenario grids these families dominate
 /// the candidate set, and patch emission is most of a low-rung eval.
 ///
-/// Tracks [`busy_time_bound`] of the family's emitted patch up to
+/// Tracks [`BaseProfile::busy_bound`] of the family's emitted patch up to
 /// per-task-vs-per-sum rounding (pinned by a unit test); like that
 /// bound it ranks candidates, it does not predict makespans. `None`
 /// means the family has no surrogate and the rung falls back to the
@@ -1332,7 +1331,7 @@ fn simulate_patch(
         Err(_) => {
             stats.estimate_sims += 1;
             PatchEval {
-                predicted_ns: busy_time_bound(&base.compiled, base.busy_ns(), patch),
+                predicted_ns: base.busy_bound(patch, scratch),
                 incremental: false,
                 estimated: true,
                 tasks_redispatched: 0,
@@ -1486,7 +1485,7 @@ mod tests {
                 panic!("{opt:?} must have an estimate surrogate");
             };
             let patch = emit_patch(&opt, &base).unwrap();
-            let bound = busy_time_bound(&base.compiled, base.busy_ns(), &patch);
+            let bound = base.busy_bound(&patch, &mut SimScratch::new());
             // Per-task vs per-sum rounding differ by well under 0.1%.
             let rel = (sur as f64 - bound as f64).abs() / bound.max(1) as f64;
             assert!(
@@ -1507,10 +1506,11 @@ mod tests {
     #[test]
     fn rung_estimate_is_the_applied_graphs_busy_time() {
         // A rung answers an over-budget or thread-vacating patch with
-        // `busy_time_bound` over the *unapplied* patch. It must equal the
-        // busy time of the applied graph, so the estimate does not depend
-        // on which fallback refused the cone. No catalog family vacates a
-        // zoo thread, so a hand-made patch removes one thread's tasks.
+        // `BaseProfile::busy_bound` over the *unapplied* patch. It must
+        // equal the busy time of the applied graph, so the estimate does
+        // not depend on which fallback refused the cone. No catalog
+        // family vacates a zoo thread, so a hand-made patch removes one
+        // thread's tasks.
         use daydream_core::{FallbackReason, GraphEdit};
         let base = build_profile("ResNet-50", 4).unwrap();
         let g = &base.graph.graph;
@@ -1541,7 +1541,7 @@ mod tests {
         for (opt, patch) in &patches {
             let applied = base.compiled.apply(patch);
             let applied_busy = thread_busy_ns(&applied).into_iter().max().unwrap_or(0);
-            let bound = busy_time_bound(&base.compiled, base.busy_ns(), patch);
+            let bound = base.busy_bound(patch, &mut scratch);
             assert_eq!(bound, applied_busy, "{opt:?}: delta bound vs applied graph");
             let attempt = try_simulate_warm_with(
                 &base.compiled,
@@ -1707,10 +1707,7 @@ mod tests {
         assert_eq!(scenarios.len(), 10);
         let (model, buckets) = (&base.model, &base.graph.meta.buckets);
         let cluster = ClusterConfig::new(4, 2, 10.0);
-        let lossy = GistConfig {
-            lossy: true,
-            ..GistConfig::default()
-        };
+        let lossy = GistConfig { lossy: true };
         let patches = PatchCache::new();
         let mut scratch = SimScratch::new();
         for scenario in scenarios {

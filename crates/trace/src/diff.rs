@@ -55,15 +55,6 @@ impl OpDiff {
     pub fn dur_err_ns(&self) -> i64 {
         self.sim_dur_ns as i64 - self.truth_dur_ns as i64
     }
-
-    /// Relative duration error (sim − truth) / truth; 0 when truth is 0.
-    pub fn rel_dur_err(&self) -> f64 {
-        if self.truth_dur_ns == 0 {
-            0.0
-        } else {
-            self.dur_err_ns() as f64 / self.truth_dur_ns as f64
-        }
-    }
 }
 
 /// Per-lane alignment and timing-error statistics.

@@ -177,7 +177,7 @@ fn engine_p3_matches_the_mutate_in_place_oracle() {
     use daydream::core::simulate_with;
     use daydream::sweep::{OptSpec, Scenario, SweepEngine};
     let oracle = |pg: &ProfiledGraph, cfg: &whatif::P3Config| {
-        let mut rep = whatif::p3_replicated_base(pg, cfg.iterations);
+        let mut rep = whatif::p3_replicated_base(pg, whatif::P3_ITERATIONS);
         let inserts = whatif::p3_insert_plan(pg, &rep, cfg);
         whatif::plan_p3_inserts(&mut rep.graph, &inserts);
         let sim = simulate_with(&rep.graph, &whatif::P3Scheduler).unwrap();
