@@ -45,6 +45,34 @@
 //! is the global one. The reference loop is retained as the oracle for the
 //! equivalence proptests and the `sim_scale` benchmark.
 //!
+//! # Chain-threaded graphs: one topological sweep
+//!
+//! A thread is a **chain** when each of its tasks, except the first, has
+//! the thread's previous task among its direct predecessors: the launch
+//! thread and every GPU stream of a profiled iteration are, and so is
+//! every thread a patch edits through the thread-sequence primitives.
+//! On a chain at most one task is released at a time, and the thread's
+//! progress is the finish of that task's own thread predecessor, which
+//! its tentative start already covers. So every task starts at its
+//! latest predecessor finish, whatever the dispatch order, and when
+//! every thread is a chain Algorithm 1 has no choice to make: a FIFO
+//! pass over released tasks (`SimBufs::run_sweep`) yields the same
+//! starts, waits, thread ends and makespan as the frontier kernel, at
+//! about half its cost per task. The sweep checks the property as it
+//! goes: when it takes a task whose previous task on the same thread, in
+//! sweep order, is not one of its direct predecessors, it stops and the
+//! kernel runs over the same view. It runs in [`Schedule::capture`],
+//! which records whether the base passed
+//! ([`Schedule::is_chain_threaded`]), and in the full fallback of
+//! [`simulate_warm_with`] over such a base when the patch interns no
+//! thread the base lacks (a new collective channel or copy stream is no
+//! chain). [`simulate_compiled`] and the warm cone path stay on the
+//! kernel; the former is the oracle both are pinned to.
+//!
+//! The same argument lets a P3 plan skip its first unrolled iteration
+//! (`ReplaySeed`): where no dispatch can go two ways, the base's
+//! captured schedule is the answer.
+//!
 //! # Warm evaluation
 //!
 //! [`simulate_warm_with`] answers a what-if from a captured base
@@ -58,9 +86,10 @@
 //! it, and [`SimScratch::thread_busy_after`] sums costs through it, so
 //! the tests pin it to the op-log replay
 //! (`GraphPatch::apply_reference` recompiled). The same [`SimScratch`]
-//! arena also serves P3's full simulations of its cached plans
+//! arena also serves P3's simulations of its cached plans
 //! (`whatif::P3Plan::steady_iteration_ns`), which write the cluster's
-//! transfer times into arena-owned cost and duration rows.
+//! transfer times into arena-owned cost and duration rows and resume
+//! after the plan's first iteration.
 
 use crate::compiled::{CompactId, CompiledGraph, ThreadId};
 use crate::graph::{DependencyGraph, GraphError, TaskId};
@@ -135,6 +164,9 @@ type Key = u128;
 /// The [`Key`] of a thread with an empty frontier. It compares above
 /// every real candidate: no task has compact id `u32::MAX`.
 const IDLE: Key = u128::MAX;
+
+/// No task: no compact id is `u32::MAX`.
+const NO_TASK: u32 = u32::MAX;
 
 /// A key's low half, `dense_rank << 32 | task`, with the dense rank read
 /// from `ranks` (`None`: the task id, the default order).
@@ -433,9 +465,10 @@ pub fn simulate_with<O: FrontierOrder>(
     Ok(simulate_compiled_with(&cg, order)?.into_sim_result(&cg))
 }
 
-/// Simulates a compiled graph with the default policy.
+/// Simulates a compiled graph with the default policy, on the frontier
+/// kernel: the oracle the warm path and the sweep are pinned to.
 pub fn simulate_compiled(graph: &CompiledGraph) -> Result<CompiledSim, GraphError> {
-    sim_compiled_core(graph, None).map(|(sim, _)| sim)
+    simulate_compiled_with(graph, &EarliestStart)
 }
 
 /// Simulates a compiled graph under `order`, converted to dense ranks
@@ -444,32 +477,18 @@ pub fn simulate_compiled_with<O: FrontierOrder>(
     cg: &CompiledGraph,
     order: &O,
 ) -> Result<CompiledSim, GraphError> {
-    sim_compiled_core(cg, order.dense_ranks(cg).as_deref()).map(|(sim, _)| sim)
+    let mut bufs = SimBufs::sized_for(cg);
+    let run = bufs.run_full(cg, order.dense_ranks(cg).as_deref(), 0);
+    bufs.into_sim(cg, run).map(|(sim, _)| sim)
 }
 
-/// The full-simulation core on fresh buffers, additionally returning each
-/// task's final dependency-induced start (`max` over predecessor
-/// finishes) — the readiness times [`Schedule::capture`] indexes for
-/// incremental cutoff computation.
-fn sim_compiled_core(
-    cg: &CompiledGraph,
-    ranks: Option<&[u32]>,
-) -> Result<(CompiledSim, Vec<u64>), GraphError> {
-    let mut bufs = SimBufs::default();
-    bufs.ensure(cg.len(), cg.thread_count());
-    let (done, makespan) = bufs.run_full(cg, ranks, 0);
-    if done != cg.len() {
-        return Err(GraphError::Cycle);
-    }
-    Ok((
-        CompiledSim {
-            start_ns: bufs.start,
-            wait_ns: bufs.wait,
-            thread_end: bufs.progress,
-            makespan_ns: makespan,
-        },
-        bufs.tentative,
-    ))
+/// Test and bench hook: `cg` simulated by the chain sweep alone
+/// ([`Schedule::capture`]'s path), or `None` if its chain check fires.
+#[doc(hidden)]
+pub fn simulate_compiled_swept(cg: &CompiledGraph) -> Option<Result<CompiledSim, GraphError>> {
+    let mut bufs = SimBufs::sized_for(cg);
+    let run = bufs.run_sweep(cg, 0)?;
+    Some(bufs.into_sim(cg, run).map(|(sim, _)| sim))
 }
 
 /// The frontier dispatch loop shared by every entry point (the full
@@ -569,6 +588,8 @@ fn dispatch_loop<G: SimGraphView>(
 pub struct Schedule {
     /// The base simulation output (dense, compiled-space).
     sim: CompiledSim,
+    /// Every thread of the base is a chain: the sweep simulated it.
+    chain_threaded: bool,
     /// Final dependency-induced start per task (max predecessor finish).
     tentative_ns: Vec<u64>,
     /// `start + cost` per task: when the thread moves past it.
@@ -597,8 +618,13 @@ pub struct Schedule {
 impl Schedule {
     /// Simulates `cg` under the default policy and builds the
     /// incremental-seeding indices. O(V log V + E log E) once per base.
+    /// The simulation is the chain sweep when every thread of `cg` is a
+    /// chain (module docs), and the frontier kernel otherwise;
+    /// [`Schedule::is_chain_threaded`] records which.
     pub fn capture(cg: &CompiledGraph) -> Result<Schedule, GraphError> {
-        let (sim, tentative_ns) = sim_compiled_core(cg, None)?;
+        let mut bufs = SimBufs::sized_for(cg);
+        let (chain_threaded, run) = bufs.run_sweep_or_full(cg, 0);
+        let (sim, tentative_ns) = bufs.into_sim(cg, run)?;
         let n = cg.len();
         let fin_ns: Vec<u64> = (0..n)
             .map(|i| sim.start_ns[i] + cg.cost_ns(CompactId(i as u32)))
@@ -681,6 +707,7 @@ impl Schedule {
 
         Ok(Schedule {
             sim,
+            chain_threaded,
             tentative_ns,
             fin_ns,
             by_start,
@@ -713,6 +740,13 @@ impl Schedule {
     /// The captured base simulation.
     pub fn sim(&self) -> &CompiledSim {
         &self.sim
+    }
+
+    /// `true` if every thread of the base is a chain (module docs), so
+    /// the capture ran as one topological sweep, and so do the full
+    /// fallbacks of [`simulate_warm_with`] that add no thread.
+    pub fn is_chain_threaded(&self) -> bool {
+        self.chain_threaded
     }
 
     /// Index of the first dispatch at or after `cutoff` in start order.
@@ -1439,9 +1473,43 @@ struct SimBufs {
     progress: Vec<u64>,
     fronts: Vec<ThreadFrontier>,
     bests: Vec<Key>,
+    /// The sweep's FIFO of released tasks ([`SimBufs::run_sweep`]).
+    queue: Vec<u32>,
+    /// The sweep's last task taken per thread, or [`NO_TASK`].
+    last: Vec<u32>,
 }
 
 impl SimBufs {
+    /// Fresh buffers for one simulation of `cg`.
+    fn sized_for(cg: &CompiledGraph) -> SimBufs {
+        let mut bufs = SimBufs::default();
+        bufs.ensure(cg.len(), cg.thread_count());
+        bufs
+    }
+
+    /// The [`CompiledSim`] of a full run over `cg` on fresh buffers,
+    /// with each task's final dependency-induced start (`max` over
+    /// predecessor finishes), the readiness times [`Schedule::capture`]
+    /// indexes for incremental cutoff computation.
+    fn into_sim(
+        self,
+        cg: &CompiledGraph,
+        (done, makespan): (usize, u64),
+    ) -> Result<(CompiledSim, Vec<u64>), GraphError> {
+        if done != cg.len() {
+            return Err(GraphError::Cycle);
+        }
+        Ok((
+            CompiledSim {
+                start_ns: self.start,
+                wait_ns: self.wait,
+                thread_end: self.progress,
+                makespan_ns: makespan,
+            },
+            self.tentative,
+        ))
+    }
+
     /// Sizes the buffers for `n` tasks on `t_count` threads; `true` if
     /// any grew.
     fn ensure(&mut self, n: usize, t_count: usize) -> bool {
@@ -1458,6 +1526,7 @@ impl SimBufs {
             self.fronts.resize_with(t_count, ThreadFrontier::default);
             self.bests.resize(t_count, IDLE);
             self.progress.resize(t_count, 0);
+            self.last.resize(t_count, NO_TASK);
             grew = true;
         }
         grew
@@ -1516,6 +1585,117 @@ impl SimBufs {
             &mut makespan,
         );
         (done, makespan)
+    }
+
+    /// Full simulation of every live task of `view` as one FIFO
+    /// topological sweep, the chain theorem's shortcut (module docs): each
+    /// task starts at its latest predecessor finish, so no frontier is
+    /// kept. Returns what [`SimBufs::run_full`] returns, or `None` as soon
+    /// as the sweep takes a task whose previous task on its thread, in
+    /// sweep order, is not one of its direct predecessors: that thread is
+    /// no chain, the buffers hold a partial sweep, and the caller reruns
+    /// the view on [`SimBufs::run_full`], which seeds afresh.
+    ///
+    /// Until a task is taken, its `wait` slot holds the last task
+    /// dispatched on its thread among its direct predecessors (or
+    /// [`NO_TASK`]), which is all the check reads.
+    fn run_sweep<G: SimGraphView>(&mut self, view: &G, epoch: u32) -> Option<(usize, u64)> {
+        let t_count = view.thread_count();
+        self.progress[..t_count].fill(0);
+        self.last[..t_count].fill(NO_TASK);
+        self.queue.clear();
+        // Every task is queued once: a warm arena never grows it.
+        self.queue.reserve(view.len());
+        for i in 0..view.len() {
+            if view.is_live(i) {
+                let preds = view.pred_count(CompactId(i as u32));
+                self.stamp[i] = epoch;
+                self.preds[i] = preds;
+                self.tentative[i] = 0;
+                self.wait[i] = NO_TASK as u64;
+                if preds == 0 {
+                    self.queue.push(i as u32);
+                }
+            }
+        }
+        let mut makespan = 0u64;
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let (ui, c) = (u as usize, CompactId(u));
+            let t = view.thread_of(c).0 as usize;
+            let prev = self.last[t];
+            if prev != NO_TASK && self.wait[ui] != prev as u64 {
+                return None;
+            }
+            self.last[t] = u;
+            // A chain task's thread progress is its thread predecessor's
+            // finish, which its tentative start already covers.
+            let s = self.tentative[ui];
+            debug_assert!(
+                s >= self.progress[t],
+                "a chain task never waits on its thread"
+            );
+            self.start[ui] = s;
+            self.wait[ui] = s - self.progress[t];
+            let fin = s + view.cost_ns(c);
+            makespan = makespan.max(s + view.duration_ns(c));
+            self.progress[t] = fin;
+            for &v in view.successors(c) {
+                let vi = v.0 as usize;
+                self.tentative[vi] = self.tentative[vi].max(fin);
+                if view.thread_of(v).0 as usize == t {
+                    self.wait[vi] = u as u64;
+                }
+                self.preds[vi] -= 1;
+                if self.preds[vi] == 0 {
+                    self.queue.push(v.0);
+                }
+            }
+        }
+        Some((head, makespan))
+    }
+
+    /// [`SimBufs::run_sweep`], or [`SimBufs::run_full`] under the default
+    /// order when the sweep's chain check fires; `true` with the result
+    /// when the sweep ran to the end.
+    fn run_sweep_or_full<G: SimGraphView>(&mut self, view: &G, epoch: u32) -> (bool, (usize, u64)) {
+        match self.run_sweep(view, epoch) {
+            Some(run) => (true, run),
+            None => (false, self.run_full(view, None, epoch)),
+        }
+    }
+
+    /// Full simulation of the tasks of `view` after `seed`'s replayed
+    /// prefix, under the dense order `ranks`: the prefix is never
+    /// touched, each later task starts from its seeded remaining
+    /// predecessor count and tentative start, and each thread from its
+    /// progress after the prefix. Returns how many tasks were dispatched.
+    fn run_resumed<G: SimGraphView>(
+        &mut self,
+        view: &G,
+        ranks: Option<&[u32]>,
+        seed: &ReplaySeed,
+        epoch: u32,
+    ) -> usize {
+        let t_count = view.thread_count();
+        self.progress[..t_count].copy_from_slice(&seed.progress);
+        for (i, (&rem, &tent)) in (seed.replayed as u32..).zip(seed.rem.iter().zip(&seed.tent)) {
+            self.seed(view, ranks, i, rem, tent, epoch);
+        }
+        let mut makespan = 0u64;
+        dispatch_loop(
+            view,
+            ranks,
+            &mut self.tentative,
+            &mut self.preds,
+            &mut self.start,
+            &mut self.wait,
+            &mut self.progress,
+            &mut self.fronts[..t_count],
+            &mut self.bests[..t_count],
+            &mut makespan,
+        )
     }
 
     /// Seeds and re-dispatches the cone over `view`, stamping exactly the
@@ -1592,6 +1772,153 @@ impl SimBufs {
     }
 }
 
+/// Where a full simulation of a graph resumes once its first
+/// `replayed` tasks (a compact-id prefix) are replayed from a captured
+/// [`Schedule`] of that prefix alone: each later task's remaining
+/// predecessor count and tentative start, and each thread's progress
+/// after the prefix. [`SimScratch::simulate_retimed`] dispatches only the
+/// later tasks from it. The empty seed replays nothing: the run starts
+/// from scratch. A P3 plan keeps one, whose prefix is the profiled
+/// iteration itself (`whatif::P3Plan`).
+///
+/// [`ReplaySeed::build`] returns the empty seed unless the replay is
+/// exact, which three conditions on the graph make it (checked once, in
+/// O(V+E)):
+///
+/// 1. the prefix is closed under predecessors, so nothing later feeds it;
+/// 2. every thread the prefix uses is a chain (module docs), so each
+///    prefix task starts at its latest predecessor finish, as in the
+///    schedule, and no later task runs on that thread before the
+///    prefix's last task there;
+/// 3. every prefix task's dense rank is below every later task's, so
+///    wherever a prefix task and a later one are feasible at the same
+///    instant, the prefix task dispatches first: a later task released
+///    at that instant by a zero-cost prefix task is on the frontier
+///    before any later task is picked there, as it is in the resumed run.
+///
+/// Under them, dispatches happen in nondecreasing start order, and the
+/// full run's later dispatches are the resumed run's, one for one.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ReplaySeed {
+    /// Tasks replayed: compact ids `0..replayed`.
+    replayed: usize,
+    /// Remaining predecessor count of each later task, from `replayed`.
+    rem: Vec<u32>,
+    /// Seeded tentative start of each later task.
+    tent: Vec<u64>,
+    /// Each thread's progress after the prefix.
+    progress: Vec<u64>,
+}
+
+impl ReplaySeed {
+    /// The seed that resumes `graph`, under the dense order `ranks`,
+    /// after its first `schedule.len()` tasks, replayed from `schedule`;
+    /// empty unless the three conditions above hold. The caller
+    /// guarantees that the prefix is the graph `schedule` was captured
+    /// over (same costs, same edges among the prefix tasks).
+    pub(crate) fn build(
+        graph: &CompiledGraph,
+        ranks: Option<&[u32]>,
+        schedule: &Schedule,
+    ) -> ReplaySeed {
+        let (n, k) = (graph.len(), schedule.len());
+        if k == 0 || k > n {
+            return ReplaySeed::default();
+        }
+        debug_assert!(
+            (0..k).all(|i| graph.cost_ns(CompactId(i as u32))
+                == schedule.fin_ns[i] - schedule.sim.start_ns[i]),
+            "the prefix is the graph the schedule was captured over"
+        );
+        // 3. Prefix ranks below later ranks: dense ranks are a
+        // permutation of `0..n`, so each prefix rank must be below `k`.
+        if let Some(r) = ranks {
+            if r[..k].iter().any(|&rank| rank as usize >= k) {
+                return ReplaySeed::default();
+            }
+        }
+        // 1. Closed under predecessors: no later task feeds the prefix.
+        if (k..n).any(|i| {
+            graph
+                .successors(CompactId(i as u32))
+                .iter()
+                .any(|v| (v.0 as usize) < k)
+        }) {
+            return ReplaySeed::default();
+        }
+        // 2. The prefix's threads are chains of the whole graph.
+        let Some(chains) = chain_threads(graph) else {
+            return ReplaySeed::default();
+        };
+        if (0..k).any(|i| !chains[graph.thread_of(CompactId(i as u32)).0 as usize]) {
+            return ReplaySeed::default();
+        }
+        let mut rem: Vec<u32> = graph.pred_count[k..].to_vec();
+        let mut tent = vec![0u64; n - k];
+        let mut progress = vec![0u64; graph.thread_count()];
+        for u in 0..k {
+            let c = CompactId(u as u32);
+            let fin = schedule.fin_ns[u];
+            let t = graph.thread_of(c).0 as usize;
+            progress[t] = progress[t].max(fin);
+            for &v in graph.successors(c) {
+                if let Some(j) = (v.0 as usize).checked_sub(k) {
+                    rem[j] -= 1;
+                    tent[j] = tent[j].max(fin);
+                }
+            }
+        }
+        ReplaySeed {
+            replayed: k,
+            rem,
+            tent,
+            progress,
+        }
+    }
+
+    /// Tasks replayed from the schedule (0 for the empty seed).
+    pub(crate) fn replayed(&self) -> usize {
+        self.replayed
+    }
+}
+
+/// Which threads of `g` are chains: a thread is one when each of its
+/// tasks, except the first, has the thread's previous task among its
+/// direct predecessors. One FIFO topological pass, as the sweep's check
+/// runs, that marks a thread broken instead of stopping. `None` if `g`
+/// has a cycle.
+fn chain_threads(g: &CompiledGraph) -> Option<Vec<bool>> {
+    let n = g.len();
+    let mut preds = g.pred_count.clone();
+    // The last task dispatched on each task's thread among its direct
+    // predecessors, and the last task taken per thread.
+    let mut link = vec![NO_TASK; n];
+    let mut last = vec![NO_TASK; g.thread_count()];
+    let mut chain = vec![true; g.thread_count()];
+    let mut queue: Vec<u32> = (0..n as u32).filter(|&i| preds[i as usize] == 0).collect();
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let c = CompactId(u);
+        let t = g.thread_of(c).0 as usize;
+        if last[t] != NO_TASK && link[u as usize] != last[t] {
+            chain[t] = false;
+        }
+        last[t] = u;
+        for &v in g.successors(c) {
+            let vi = v.0 as usize;
+            if g.thread_of(v).0 as usize == t {
+                link[vi] = u;
+            }
+            preds[vi] -= 1;
+            if preds[vi] == 0 {
+                queue.push(v.0);
+            }
+        }
+    }
+    (head == n).then_some(chain)
+}
+
 /// What the last warm evaluation left in the arena — enough for
 /// [`SimScratch::materialize`] to reconstruct the full [`CompiledSim`]
 /// of the applied graph.
@@ -1599,8 +1926,13 @@ impl SimBufs {
 enum WarmLast {
     /// Cone re-dispatch: stamped slots overlay the base schedule.
     Cone { makespan: u64 },
-    /// Full dispatch of every live view task into the buffers.
-    Full { makespan: u64 },
+    /// Full dispatch of every live view task into the buffers, by the
+    /// sweep (`swept`, which only the tests read) or the frontier kernel.
+    Full {
+        makespan: u64,
+        #[cfg_attr(not(test), allow(dead_code))]
+        swept: bool,
+    },
     /// No simulation-relevant effect: the base schedule is the answer.
     Noop,
 }
@@ -1681,21 +2013,30 @@ impl SimScratch {
         self.size_bufs(shape.n, shape.t_count, grew);
     }
 
-    /// Fully simulates `graph` with the given tasks' durations replaced
-    /// (each keeping its trailing gap), under the dense order `ranks`
-    /// ([`FrontierOrder::dense_ranks`]), in this arena: the retimed cost
-    /// and duration rows are arena-owned copies, so nothing is cloned
-    /// and, warm, nothing allocated. Returns each task's end (start plus
-    /// duration). The run opens its own epoch and leaves nothing to
+    /// Simulates `graph` with the given tasks' durations replaced (each
+    /// keeping its trailing gap), under the dense order `ranks`
+    /// ([`FrontierOrder::dense_ranks`]), in this arena, resuming after
+    /// `seed`'s replayed prefix (an empty seed: from the start). Only the
+    /// tasks the run dispatches get arena-owned copies of their cost and
+    /// duration rows, so nothing is cloned and, warm, nothing allocated.
+    /// Returns each dispatched task's end (start plus duration); a
+    /// replayed task's end is not kept. The run opens its own epoch and
+    /// leaves nothing to
     /// [`SimScratch::materialize`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a retimed task is in the replayed prefix.
     pub(crate) fn simulate_retimed(
         &mut self,
         graph: &CompiledGraph,
         ranks: Option<&[u32]>,
+        seed: &ReplaySeed,
         durations: impl IntoIterator<Item = (CompactId, u64)>,
     ) -> Result<impl Fn(CompactId) -> u64 + '_, GraphError> {
         self.next_epoch();
         let n = graph.len();
+        let k = seed.replayed;
         let grew = self.cost.len() < n;
         if grew {
             self.cost.resize(n, 0);
@@ -1703,10 +2044,11 @@ impl SimScratch {
         }
         self.size_bufs(n, graph.thread_count(), grew);
         let (cost, dur) = (&mut self.cost[..n], &mut self.dur[..n]);
-        cost.copy_from_slice(&graph.cost_ns);
-        dur.copy_from_slice(&graph.duration_ns);
+        cost[k..].copy_from_slice(&graph.cost_ns[k..]);
+        dur[k..].copy_from_slice(&graph.duration_ns[k..]);
         for (c, d) in durations {
             let i = c.0 as usize;
+            assert!(i >= k, "a replayed task keeps its base duration");
             cost[i] = d + (cost[i] - dur[i]);
             dur[i] = d;
         }
@@ -1715,8 +2057,12 @@ impl SimScratch {
             cost: &self.cost[..n],
             dur: &self.dur[..n],
         };
-        let (done, _) = self.bufs.run_full(&view, ranks, self.epoch);
-        if done != n {
+        let done = if k == 0 {
+            self.bufs.run_full(&view, ranks, self.epoch).0
+        } else {
+            self.bufs.run_resumed(&view, ranks, seed, self.epoch)
+        };
+        if done != n - k {
             return Err(GraphError::Cycle);
         }
         let (start, dur) = (&self.bufs.start, &self.dur);
@@ -1735,7 +2081,7 @@ impl SimScratch {
         let (full, makespan) = match self.last? {
             WarmLast::Noop => return Some(schedule.sim.clone()),
             WarmLast::Cone { makespan } => (false, makespan),
-            WarmLast::Full { makespan } => (true, makespan),
+            WarmLast::Full { makespan, .. } => (true, makespan),
         };
         let shape = self.ov.shape;
         let (live, threads) = self.ov.applied_order(self.epoch);
@@ -1831,6 +2177,13 @@ impl SimScratch {
         self.reuses = 0;
         self.allocs = 0;
         c
+    }
+
+    /// Test hook: `true` if the last warm evaluation fell back to a full
+    /// run and ran it as the chain sweep.
+    #[cfg(test)]
+    pub(crate) fn swept(&self) -> bool {
+        matches!(self.last, Some(WarmLast::Full { swept: true, .. }))
     }
 
     /// Test hook: forces the generation counter (exercising u32 wrap).
@@ -1947,14 +2300,21 @@ pub fn simulate_warm_with(
         Ok(outcome) => return Ok(outcome),
         Err(reason) => reason,
     };
-    // The overlay of this evaluation is still current.
+    // The overlay of this evaluation is still current. A thread the base
+    // lacks is no chain in the catalog (a collective channel, a copy
+    // stream), so only patches that add none try the sweep.
     let view = scratch.ov.view(base, scratch.epoch);
-    let (done, makespan) = scratch.bufs.run_full(&view, None, scratch.epoch);
+    let (swept, (done, makespan)) = if schedule.chain_threaded && scratch.ov.new_threads.is_empty()
+    {
+        scratch.bufs.run_sweep_or_full(&view, scratch.epoch)
+    } else {
+        (false, scratch.bufs.run_full(&view, None, scratch.epoch))
+    };
     let live = scratch.ov.shape.live;
     if done != live {
         return Err(GraphError::Cycle);
     }
-    scratch.last = Some(WarmLast::Full { makespan });
+    scratch.last = Some(WarmLast::Full { makespan, swept });
     Ok(WarmOutcome {
         makespan_ns: makespan,
         stats: IncrementalStats {
@@ -2307,6 +2667,217 @@ mod tests {
         );
         let descending = simulate_compiled_with(&cg, &Descending).unwrap();
         assert_eq!(descending.start_ns, vec![36, 25, 13, 0]);
+    }
+
+    /// A hand-built plan: `tasks` `(thread, duration)` with `edges`,
+    /// compiled, and the schedule captured over its first `k` tasks
+    /// alone, the base a seed replays.
+    fn plan_over_prefix(
+        tasks: &[(ExecThread, u64)],
+        edges: &[(usize, usize)],
+        k: usize,
+    ) -> (CompiledGraph, Schedule) {
+        let build = |n: usize| {
+            let mut g = DependencyGraph::new();
+            for &(thread, dur) in &tasks[..n] {
+                g.add_task(Task::new("t", TaskKind::CpuWork, thread, dur));
+            }
+            for &(a, b) in edges.iter().filter(|&&(a, b)| a < n && b < n) {
+                g.add_dep(TaskId(a), TaskId(b), DepKind::Transform);
+            }
+            CompiledGraph::compile(&g)
+        };
+        let schedule = Schedule::capture(&build(k)).unwrap();
+        (build(tasks.len()), schedule)
+    }
+
+    /// Each task's end after the seed's prefix, from the resumed run, and
+    /// from a full kernel run under the same dense order.
+    fn resumed_and_full(
+        cg: &CompiledGraph,
+        ranks: Option<&[u32]>,
+        seed: &ReplaySeed,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let later = seed.replayed() as u32..cg.len() as u32;
+        let mut scratch = SimScratch::new();
+        let end = scratch.simulate_retimed(cg, ranks, seed, []).unwrap();
+        let resumed = later.clone().map(|i| end(CompactId(i))).collect();
+        let mut bufs = SimBufs::sized_for(cg);
+        bufs.run_full(cg, ranks, 0);
+        let full = later
+            .map(|i| bufs.start[i as usize] + cg.duration_ns(CompactId(i)))
+            .collect();
+        (resumed, full)
+    }
+
+    const SEND: ExecThread = ExecThread::Comm(crate::task::CommChannel::Send);
+    const CPU0: ExecThread = ExecThread::Cpu(CpuThreadId(0));
+
+    /// Ranks tasks by a fixed table over their compact ids.
+    struct Table(&'static [u64]);
+
+    impl FrontierOrder for Table {
+        fn rank(&self, _graph: &CompiledGraph, task: CompactId) -> Rank {
+            (self.0[task.0 as usize], 0)
+        }
+    }
+
+    /// Hand-built plans with a two-task prefix, each resumed from its
+    /// seed and run in full under the same order. One meets all three
+    /// build checks and resumes; each other fails one check, gets the
+    /// empty seed and still matches, where replaying its prefix would
+    /// not:
+    /// 1. a later transfer feeds the prefix, delaying it past the schedule;
+    /// 2. a later task shares a prefix thread without being chained after
+    ///    it, and runs while the prefix waits on another thread;
+    /// 3. an order ranks transfer `x` below the zero-cost prefix task `b`,
+    ///    so the channel takes `x` before `b` releases the higher-ranked
+    ///    `y` at the same instant; a resumed run would see `y` released.
+    #[test]
+    fn seeds_resume_only_where_all_three_build_checks_hold() {
+        let check = |case: &str,
+                     tasks: &[(ExecThread, u64)],
+                     edges: &[(usize, usize)],
+                     table: Option<&'static [u64]>,
+                     replayed: usize| {
+            let (cg, schedule) = plan_over_prefix(tasks, edges, 2);
+            let ranks = table.and_then(|t| Table(t).dense_ranks(&cg));
+            let seed = ReplaySeed::build(&cg, ranks.as_deref(), &schedule);
+            let (resumed, full) = resumed_and_full(&cg, ranks.as_deref(), &seed);
+            assert_eq!(resumed, full, "{case}");
+            assert_eq!(seed.replayed(), replayed, "{case}");
+        };
+        // a (cpu0, 10) -> b (cpu0, 0); later x (send, 5) after a, y after b.
+        let release = [(CPU0, 10), (CPU0, 0), (SEND, 5), (SEND, 5)];
+        let release_edges = [(0, 1), (0, 2), (1, 3)];
+        check("all checks hold", &release, &release_edges, None, 2);
+        // a -> b -> y on cpu0; x (send, 100) -> b.
+        let tasks = [(CPU0, 10), (CPU0, 10), (SEND, 100), (CPU0, 5)];
+        check("check 1", &tasks, &[(0, 1), (2, 1), (1, 3)], None, 0);
+        // a0 (cpu1, 50) -> a1 (cpu0, 10); z (cpu0, 5) has no predecessor.
+        let cpu1 = ExecThread::Cpu(CpuThreadId(1));
+        check(
+            "check 2",
+            &[(cpu1, 50), (CPU0, 10), (CPU0, 5)],
+            &[(0, 1)],
+            None,
+            0,
+        );
+        // Dense ranks a 0, y 1, x 2, b 3.
+        check("check 3", &release, &release_edges, Some(&[0, 3, 2, 1]), 0);
+    }
+
+    /// Which catalog families' full fallbacks run as the chain sweep, on
+    /// the chain-threaded ResNet-50 and BERT_Base bases at batch 4: those
+    /// whose patch keeps to the base's threads, and not DDP, BlueConnect,
+    /// DGC (a collective channel) or vDNN (a copy stream). Every result
+    /// still equals the frontier kernel over the applied graph.
+    #[test]
+    fn catalog_full_fallbacks_sweep_only_on_the_base_threads() {
+        use crate::construct::ProfiledGraph;
+        use crate::patch::PatchGraph;
+        use crate::whatif::*;
+        use daydream_comm::ClusterConfig;
+        use daydream_device::GpuSpec;
+        use daydream_runtime::{ground_truth, ExecConfig};
+
+        // vDNN on BERT offloads nothing (the catalog refuses it there).
+        for (name, sweeps, kernels) in [
+            (
+                "ResNet-50",
+                &["amp", "upgrade-gpu", "batch-size", "reconstruct-bn", "gist"][..],
+                &["ddp", "blueconnect", "dgc", "vdnn"][..],
+            ),
+            (
+                "BERT_Base",
+                &["amp", "upgrade-gpu", "batch-size", "metaflow", "gist"][..],
+                &["ddp", "blueconnect", "dgc"][..],
+            ),
+        ] {
+            let model = daydream_models::zoo::by_name(name).unwrap();
+            let cfg = ExecConfig::pytorch_2080ti().with_batch(4);
+            let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
+            let base = CompiledGraph::compile(&pg.graph);
+            let schedule = Schedule::capture(&base).unwrap();
+            assert!(
+                schedule.is_chain_threaded(),
+                "{name}: every thread is a chain"
+            );
+            let cluster = ClusterConfig::new(2, 1, 8.0);
+            let emit = |family: &str| {
+                let mut ov = PatchGraph::new(&pg.graph);
+                match family {
+                    "amp" => plan_amp(&mut ov),
+                    "upgrade-gpu" => {
+                        let old = GpuSpec::by_name(&pg.meta.device).unwrap();
+                        plan_upgrade_gpu(&mut ov, &old, &GpuSpec::v100());
+                    }
+                    "batch-size" => {
+                        plan_batch_size(&mut ov, 4, 16);
+                    }
+                    "reconstruct-bn" => plan_reconstruct_bn(&mut ov, &model),
+                    "metaflow" => plan_metaflow(&mut ov, &qkv_fusion_policy(&model)),
+                    "gist" => {
+                        plan_gist(&mut ov, &GistConfig { lossy: true });
+                    }
+                    "fused-adam" => {
+                        plan_fused_adam(&mut ov);
+                    }
+                    "bandwidth" => {
+                        plan_bandwidth(&mut ov, 2.0);
+                    }
+                    "vdnn" => {
+                        plan_vdnn(&mut ov, &model, &VdnnConfig::default(), 4);
+                    }
+                    _ => {
+                        let ar = plan_distributed(&mut ov, &pg.meta.buckets, &cluster);
+                        match family {
+                            "blueconnect" => {
+                                plan_blueconnect(&mut ov, &cluster, &ar);
+                            }
+                            "dgc" => {
+                                plan_dgc(&mut ov, &ar, &DgcConfig::default());
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                ov.finish()
+            };
+            let mut swept = Vec::new();
+            let mut kernel = Vec::new();
+            for family in [
+                "amp",
+                "upgrade-gpu",
+                "batch-size",
+                "reconstruct-bn",
+                "metaflow",
+                "gist",
+                "fused-adam",
+                "bandwidth",
+                "ddp",
+                "blueconnect",
+                "dgc",
+                "vdnn",
+            ] {
+                let patch = emit(family);
+                let mut scratch = SimScratch::new();
+                let warm = simulate_warm(&base, &schedule, &patch, &mut scratch).unwrap();
+                let full = simulate_compiled(&base.apply(&patch)).unwrap();
+                assert_eq!(
+                    scratch.materialize(&schedule),
+                    Some(full),
+                    "{name} {family}"
+                );
+                if scratch.swept() {
+                    swept.push(family);
+                } else if !warm.stats.is_incremental() {
+                    kernel.push(family);
+                }
+            }
+            assert_eq!(swept, sweeps, "{name}: full fallbacks that sweep");
+            assert_eq!(kernel, kernels, "{name}: full fallbacks on the kernel");
+        }
     }
 
     /// A wide comm channel frontier — the shape that made the reference

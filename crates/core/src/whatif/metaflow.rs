@@ -26,7 +26,10 @@ pub enum Substitution {
 /// One selection pass groups the GPU tasks of every layer the policy
 /// names (ascending ids within a layer); the substitutions then apply in
 /// policy order. A removed layer's group empties, so a later substitution
-/// naming the same layer touches nothing.
+/// naming the same layer touches nothing. Each run of consecutive
+/// removals is one [`GraphEdit::remove_tasks`] call over its layers'
+/// groups, in policy order, so the op log is the one a call per layer
+/// records.
 pub fn plan_metaflow<G: GraphEdit>(g: &mut G, policy: &[Substitution]) {
     let slot = |sub: &Substitution| match *sub {
         Substitution::RemoveLayer(l) | Substitution::ScaleLayer(l, _) => l.0 as usize,
@@ -41,13 +44,18 @@ pub fn plan_metaflow<G: GraphEdit>(g: &mut G, policy: &[Substitution]) {
         let layer = g.task(id).layer.expect("selected tasks belong to a layer");
         groups[layer.layer.0 as usize].push(id);
     }
+    let mut doomed: Vec<TaskId> = Vec::new();
     for sub in policy {
         let group = &mut groups[slot(sub)];
         match *sub {
-            Substitution::RemoveLayer(_) => remove_all(g, &std::mem::take(group)),
-            Substitution::ScaleLayer(_, s) => scale_durations(g, group, s),
+            Substitution::RemoveLayer(_) => doomed.append(group),
+            Substitution::ScaleLayer(_, s) => {
+                remove_all(g, &std::mem::take(&mut doomed));
+                scale_durations(g, group, s);
+            }
         }
     }
+    remove_all(g, &doomed);
 }
 
 /// The QKV-fusion policy the catalog's `metaflow` family evaluates: fuse
@@ -109,17 +117,20 @@ mod tests {
         );
     }
 
-    /// The grouped pass records the op log of selecting afresh per
-    /// substitution, also when a policy names a layer more than once.
+    /// The grouped pass, which removes each run of consecutive removals
+    /// in one call, records the op log of selecting afresh and removing
+    /// per substitution, and leaves the same successor sets: on a policy
+    /// that names a layer more than once, and on the catalog's QKV
+    /// fusion, whose key and value removals run back to back.
     #[test]
     fn grouped_selection_matches_per_substitution_selection() {
+        use crate::graph::GraphView;
         use crate::patch::PatchGraph;
-        let model = zoo::resnet50();
-        let cfg = ExecConfig::pytorch_2080ti().with_batch(4);
-        let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
-        let layer = |name: &str| model.layers.iter().find(|l| l.name == name).unwrap().id;
+        use std::collections::BTreeSet;
+        let resnet = zoo::resnet50();
+        let layer = |name: &str| resnet.layers.iter().find(|l| l.name == name).unwrap().id;
         let (relu, conv1) = (layer("relu"), layer("conv1"));
-        let policy = [
+        let repeats = vec![
             Substitution::ScaleLayer(relu, 2.0),
             Substitution::RemoveLayer(relu),
             Substitution::ScaleLayer(relu, 3.0),
@@ -127,24 +138,41 @@ mod tests {
             Substitution::ScaleLayer(conv1, 1.5),
             Substitution::RemoveLayer(relu),
         ];
-        let mut grouped = PatchGraph::new(&pg.graph);
-        plan_metaflow(&mut grouped, &policy);
-        let mut fresh = PatchGraph::new(&pg.graph);
-        for sub in &policy {
-            match *sub {
-                Substitution::RemoveLayer(l) => {
-                    let sel = select::gpu_of_layer(&fresh, l);
-                    remove_all(&mut fresh, &sel);
-                }
-                Substitution::ScaleLayer(l, s) => {
-                    let sel = select::gpu_of_layer(&fresh, l);
-                    scale_durations(&mut fresh, &sel, s);
+        let (bert_base, bert_large) = (zoo::bert_base(), zoo::bert_large());
+        for (model, policy) in [
+            (&resnet, repeats),
+            (&bert_base, qkv_fusion_policy(&bert_base)),
+            (&bert_large, qkv_fusion_policy(&bert_large)),
+        ] {
+            let cfg = ExecConfig::pytorch_2080ti().with_batch(4);
+            let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(model, &cfg));
+            let mut grouped = PatchGraph::new(&pg.graph);
+            plan_metaflow(&mut grouped, &policy);
+            let mut fresh = PatchGraph::new(&pg.graph);
+            for sub in &policy {
+                match *sub {
+                    Substitution::RemoveLayer(l) => {
+                        let sel = select::gpu_of_layer(&fresh, l);
+                        remove_all(&mut fresh, &sel);
+                    }
+                    Substitution::ScaleLayer(l, s) => {
+                        let sel = select::gpu_of_layer(&fresh, l);
+                        scale_durations(&mut fresh, &sel, s);
+                    }
                 }
             }
+            let succs = |g: &PatchGraph| -> Vec<BTreeSet<TaskId>> {
+                (0..g.capacity())
+                    .map(TaskId)
+                    .filter(|&id| !g.is_removed(id))
+                    .map(|id| g.successors(id).iter().map(|&(s, _)| s).collect())
+                    .collect()
+            };
+            assert_eq!(succs(&grouped), succs(&fresh), "{}", model.name);
+            let (grouped, fresh) = (grouped.finish(), fresh.finish());
+            assert!(!grouped.is_empty());
+            assert_eq!(grouped.ops(), fresh.ops(), "{}", model.name);
         }
-        let (grouped, fresh) = (grouped.finish(), fresh.finish());
-        assert!(!grouped.is_empty());
-        assert_eq!(grouped.ops(), fresh.ops());
     }
 
     #[test]

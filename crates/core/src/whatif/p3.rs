@@ -11,6 +11,21 @@
 //! compiled, unrolled profile and sorts the scheduler's ranks once, then
 //! simulates each cluster's transfer times on a reusable arena.
 //!
+//! # Copy 0 replays the base schedule
+//!
+//! The first unrolled copy is the profiled iteration itself. Transfers
+//! depend on backward kernels and feed only later copies, so nothing
+//! outside copy 0 feeds it; replication chains every compute thread
+//! across copies, so each thread finishes copy 0 before it starts copy
+//! 1; and [`P3Scheduler`] ranks compute tasks by id, below every
+//! transfer, so a same-instant release from copy 0 is on the frontier
+//! before a channel picks. Copy 0's dispatches are therefore the base
+//! profile's captured [`Schedule`], whatever the cluster's wire times,
+//! and a plan dispatches only its later copies and transfers: 21–33% of
+//! each catalog plan is never dispatched. [`P3Plan::build`] checks the
+//! three conditions this rests on once per plan (closure, chain threads,
+//! ranks) and falls back to a run from the start if any fails.
+//!
 //! The predicted transfer times are pure wire times (`bytes / bandwidth`,
 //! Algorithm 7); real MXNet messages also pay server/worker engine
 //! overheads, which is why the paper overestimates P3's speedup at higher
@@ -21,7 +36,7 @@ use crate::construct::ProfiledGraph;
 use crate::graph::{DepKind, GraphEdit, GraphError, TaskId};
 use crate::patch::{PatchGraph, PatchSummary};
 use crate::replicate::{replicate_iterations, ReplicatedGraph};
-use crate::sim::{FrontierOrder, Rank, SimScratch};
+use crate::sim::{FrontierOrder, Rank, ReplaySeed, Schedule, SimScratch};
 use crate::task::{CommChannel, CommPrimitive, ExecThread, Task, TaskKind};
 use daydream_comm::{ClusterConfig, PsModel};
 use daydream_trace::{LayerId, Phase};
@@ -271,6 +286,16 @@ pub fn p3_replicated_base(pg: &ProfiledGraph, iterations: usize) -> ReplicatedGr
 /// cluster writes those into a [`SimScratch`] arena's copy of the
 /// duration rows and simulates there; it never re-plans, re-emits,
 /// re-applies, re-ranks or clones.
+///
+/// Copy 0 is not simulated at all: the plan keeps where a run resumes
+/// after it (each later task's remaining predecessor count and tentative
+/// start, each thread's progress), taken from the base's captured
+/// [`Schedule`] at build, and each evaluation dispatches the later
+/// copies and the transfers only (module docs). The build checks that
+/// copy 0 is closed under predecessors, that every thread copy 0 uses is
+/// a chain in the plan, and that every copy-0 task's dense rank is below
+/// every other task's; if any check fails, or copy 0 is one of the two
+/// copies the steady state reads, every evaluation runs the whole plan.
 #[derive(Debug, Clone)]
 pub struct P3Plan {
     /// The applied replicated graph. Its transfer durations are those of
@@ -279,6 +304,9 @@ pub struct P3Plan {
     /// [`P3Scheduler`]'s dense ranks over `compiled`
     /// ([`FrontierOrder::dense_ranks`]).
     ranks: Option<Vec<u32>>,
+    /// Where each evaluation resumes after copy 0 (empty: from the
+    /// start).
+    seed: ReplaySeed,
     /// Compact id and payload bytes of every inserted push/pull task.
     transfers: Vec<(CompactId, u64)>,
     /// Compact ids of the last two unrolled copies' tasks: the steady
@@ -293,19 +321,28 @@ pub struct P3Plan {
 }
 
 impl P3Plan {
-    /// Plans `cfg` over a lone profile: unrolls [`P3_ITERATIONS`] copies,
-    /// compiles them and builds the plan over that base.
+    /// Plans `cfg` over a lone profile: captures the profile's
+    /// [`Schedule`], unrolls [`P3_ITERATIONS`] copies, compiles them and
+    /// builds the plan over that base.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile's graph has a cycle.
     pub fn new(pg: &ProfiledGraph, cfg: &P3Config) -> P3Plan {
+        let schedule = Schedule::capture(&CompiledGraph::compile(&pg.graph))
+            .expect("a profiled graph is a DAG");
         let rep = p3_replicated_base(pg, P3_ITERATIONS);
         let compiled = CompiledGraph::compile(&rep.graph);
-        P3Plan::build(pg, &rep, &compiled, cfg)
+        P3Plan::build(pg, &schedule, &rep, &compiled, cfg)
     }
 
     /// Plans `cfg`'s inserts over a replicated base of `pg` (and its
     /// compiled form) and applies them. Several configs' plans can share
-    /// one replication.
+    /// one replication. `schedule` is the [`Schedule`] captured over
+    /// `pg`'s compiled graph, which copy 0 replays.
     pub fn build(
         pg: &ProfiledGraph,
+        schedule: &Schedule,
         rep: &ReplicatedGraph,
         rep_compiled: &CompiledGraph,
         cfg: &P3Config,
@@ -330,8 +367,21 @@ impl P3Plan {
         };
         let n = rep.iterations();
         let last_copies = [copy(n - 2), copy(n - 1)];
+        let ranks = P3Scheduler.dense_ranks(&compiled);
+        // Copy 0 replays `schedule` when it is the plan's compact-id
+        // prefix in the base's own order, and the steady state reads
+        // only later copies.
+        let prefix = n > 2
+            && schedule.len() == pg.graph.len()
+            && (0..).zip(copy(0)).all(|(i, c)| c == CompactId(i));
+        let seed = if prefix {
+            ReplaySeed::build(&compiled, ranks.as_deref(), schedule)
+        } else {
+            ReplaySeed::default()
+        };
         P3Plan {
-            ranks: P3Scheduler.dense_ranks(&compiled),
+            ranks,
+            seed,
             compiled,
             transfers,
             last_copies,
@@ -358,6 +408,18 @@ impl P3Plan {
         &self.compiled
     }
 
+    /// Copy-0 tasks each evaluation replays from the base schedule
+    /// instead of dispatching: 0 when a build check failed.
+    pub fn replayed_tasks(&self) -> usize {
+        self.seed.replayed()
+    }
+
+    /// Tasks each evaluation dispatches: the plan's tasks after copy 0,
+    /// or all of them when nothing is replayed.
+    pub fn dispatched_tasks(&self) -> usize {
+        self.compiled.len() - self.seed.replayed()
+    }
+
     /// The wire time ([`PsModel::wire_ns`]) of every inserted transfer on
     /// `cluster`, in plan order.
     pub fn wire_times(&self, cluster: &ClusterConfig) -> Vec<u64> {
@@ -367,10 +429,11 @@ impl P3Plan {
 
     /// Steady-state iteration time with the transfers' durations set to
     /// `wires` (one per transfer, as [`P3Plan::wire_times`] returns
-    /// them): a full simulation under [`P3Scheduler`] in `scratch`, read
-    /// as the span between the last two unrolled copies' ends, as
-    /// [`ReplicatedGraph::steady_iteration_ns`] reads it. A warm arena
-    /// makes the call allocation-free.
+    /// them): a simulation under [`P3Scheduler`] in `scratch` that
+    /// resumes after copy 0 ([`P3Plan::dispatched_tasks`] dispatches),
+    /// read as the span between the last two unrolled copies' ends, as
+    /// [`ReplicatedGraph::steady_iteration_ns`] reads it from a full run.
+    /// A warm arena makes the call allocation-free.
     ///
     /// # Panics
     ///
@@ -386,7 +449,8 @@ impl P3Plan {
             "P3Plan::steady_iteration_ns takes one wire time per transfer of the plan"
         );
         let retimes = self.transfers.iter().zip(wires).map(|(&(c, _), &w)| (c, w));
-        let end_of = scratch.simulate_retimed(&self.compiled, self.ranks.as_deref(), retimes)?;
+        let end_of =
+            scratch.simulate_retimed(&self.compiled, self.ranks.as_deref(), &self.seed, retimes)?;
         let end = |ids: &[CompactId]| ids.iter().map(|&c| end_of(c)).max().unwrap_or(0);
         Ok(end(&self.last_copies[1]) - end(&self.last_copies[0]))
     }

@@ -1,0 +1,69 @@
+//! P3 plans resume after copy 0 from the base's captured schedule.
+//!
+//! Every catalog base (the six zoo models at batches 4 and 8) must build
+//! a seed for both the FIFO and the sliced plan, and the resumed run must
+//! predict exactly what the unresumed oracle does: the profile unrolled,
+//! the push/pull tasks spliced in place, and the whole graph simulated by
+//! the frontier kernel under `P3Scheduler`. One plan per config serves
+//! five clusters, as in the sweep engine. About 5 s in a debug build;
+//! CI also runs it in release, the build the engine ships, where
+//! `debug_assert!`s and overflow checks are off.
+
+use daydream_comm::ClusterConfig;
+use daydream_core::whatif::{
+    p3_insert_plan, p3_replicated_base, plan_p3_inserts, P3Config, P3Plan, P3Scheduler,
+    P3_ITERATIONS,
+};
+use daydream_core::{simulate_with, CompiledGraph, ProfiledGraph, Schedule, SimScratch};
+use daydream_runtime::{ground_truth, ExecConfig};
+
+#[test]
+fn resumed_p3_plans_match_the_unresumed_oracle_on_every_catalog_base() {
+    let clusters = [
+        ClusterConfig::new(1, 1, 1.0),
+        ClusterConfig::new(2, 1, 8.0),
+        ClusterConfig::new(8, 1, 25.0),
+        ClusterConfig::new(4, 1, 100.0),
+        ClusterConfig::new(8, 1, 1.0),
+    ];
+    let configs: [fn(ClusterConfig) -> P3Config; 2] = [P3Config::baseline, P3Config::p3];
+    let mut scratch = SimScratch::new();
+    for model in daydream_models::zoo::all_models() {
+        for batch in [4u64, 8] {
+            let cfg = ExecConfig::pytorch_2080ti().with_batch(batch);
+            let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
+            let schedule = Schedule::capture(&CompiledGraph::compile(&pg.graph)).unwrap();
+            let rep = p3_replicated_base(&pg, P3_ITERATIONS);
+            let rep_compiled = CompiledGraph::compile(&rep.graph);
+            for config in configs {
+                let plan = P3Plan::build(&pg, &schedule, &rep, &rep_compiled, &config(clusters[0]));
+                let at = format!(
+                    "{} b{batch} {:?}",
+                    model.name,
+                    config(clusters[0]).slice_bytes
+                );
+                assert_eq!(
+                    plan.replayed_tasks(),
+                    pg.graph.len(),
+                    "{at}: copy 0 replays"
+                );
+                for cluster in &clusters {
+                    let resumed = plan
+                        .steady_iteration_ns(&plan.wire_times(cluster), &mut scratch)
+                        .unwrap();
+                    let mut unrolled = rep.clone();
+                    plan_p3_inserts(
+                        &mut unrolled.graph,
+                        &p3_insert_plan(&pg, &rep, &config(*cluster)),
+                    );
+                    let sim = simulate_with(&unrolled.graph, &P3Scheduler).unwrap();
+                    assert_eq!(
+                        resumed,
+                        unrolled.steady_iteration_ns(&sim),
+                        "{at} on {cluster:?}"
+                    );
+                }
+            }
+        }
+    }
+}

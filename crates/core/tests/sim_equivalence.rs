@@ -7,18 +7,21 @@
 //! arbitrary DAGs — varying thread counts, durations, gaps, and removed
 //! tasks. A test-local rank-aware oracle pins the dispatch order under
 //! every [`FrontierOrder`], P3's included, and with it the kernel's
-//! conversion of ranks to dense ranks. Plus pinned tests that the P3 and
-//! vDNN schedule overrides still steer dispatch order on the new
-//! frontier.
+//! conversion of ranks to dense ranks. On chain-threaded DAGs the chain
+//! sweep ([`Schedule::capture`]'s path, and the warm full fallback's)
+//! must equal the kernel, and on a DAG with one thread that is no chain
+//! its check must fire. Plus pinned tests that the P3 and vDNN schedule
+//! overrides still steer dispatch order on the new frontier.
 
 mod common;
 
-use common::thread_for;
+use common::{assert_warm_matches_full, thread_for};
 use daydream_core::whatif::P3Scheduler;
 use daydream_core::{
-    simulate, simulate_compiled, simulate_compiled_with, simulate_reference, simulate_with,
-    CommChannel, CompactId, CompiledGraph, CompiledSim, DepKind, DependencyGraph, EarliestStart,
-    ExecThread, FrontierOrder, Rank, Task, TaskKind,
+    simulate, simulate_compiled, simulate_compiled_swept, simulate_compiled_with,
+    simulate_reference, simulate_with, CommChannel, CompactId, CompiledGraph, CompiledSim, DepKind,
+    DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit, IncrementalOptions,
+    PatchGraph, Rank, Schedule, SimScratch, Task, TaskId, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -143,7 +146,82 @@ fn rank_oracle<O: FrontierOrder>(cg: &CompiledGraph, order: &O) -> CompiledSim {
     }
 }
 
+/// A random chain-threaded DAG over [`thread6_for`]'s threads: each task
+/// `(thread selector, duration, gap)` is chained after the previous task
+/// on its thread, and `cross` adds forward edges between tasks on
+/// different threads. Returns the graph and its chain edges.
+fn build_chained(
+    tasks: &[(u64, u64, u64)],
+    cross: &[(u64, u64)],
+) -> (DependencyGraph, Vec<(TaskId, TaskId)>) {
+    let mut g = DependencyGraph::new();
+    let mut last: [Option<TaskId>; 6] = [None; 6];
+    let mut chain = Vec::new();
+    for (i, &(sel, dur, gap)) in tasks.iter().enumerate() {
+        let mut t = Task::new(format!("t{i}"), TaskKind::CpuWork, thread6_for(sel), dur);
+        t.gap_ns = gap;
+        let id = g.add_task(t);
+        if let Some(prev) = last[(sel % 6) as usize].replace(id) {
+            g.add_dep(prev, id, DepKind::CpuSeq);
+            chain.push((prev, id));
+        }
+    }
+    let n = tasks.len();
+    for &(a, b) in cross {
+        let (x, y) = ((a as usize) % n, (b as usize) % n);
+        if tasks[x].0 % 6 != tasks[y].0 % 6 {
+            g.add_dep(TaskId(x.min(y)), TaskId(x.max(y)), DepKind::Transform);
+        }
+    }
+    (g, chain)
+}
+
 proptest! {
+    // The chain sweep against the frontier kernel on chain-threaded DAGs
+    // dense in ties: durations and gaps from 0 to 3, so zero-cost tasks
+    // and equal finishes abound, with cross-thread edges. The sweep
+    // (alone, and as `Schedule::capture` runs it) equals the kernel, and
+    // so does a warm full fallback over the base, which sweeps because
+    // its patch adds no thread. With one chain edge dropped, that thread
+    // is two chains: the check fires, and the capture's kernel run still
+    // matches.
+    #[test]
+    fn sweep_matches_kernel_on_chain_threaded_dags(
+        tasks in prop::collection::vec((0u64..6, 0u64..4, 0u64..4), 1..90),
+        cross in prop::collection::vec((0u64..10_000, 0u64..10_000), 0..200),
+        retimes in prop::collection::vec((0u64..10_000, 0u64..6), 1..6),
+        broken in 0u64..10_000,
+    ) {
+        let (mut g, chain) = build_chained(&tasks, &cross);
+        let cg = CompiledGraph::compile(&g);
+        let kernel = simulate_compiled(&cg).expect("forward edges: a DAG");
+        prop_assert_eq!(simulate_compiled_swept(&cg), Some(Ok(kernel.clone())));
+        let schedule = Schedule::capture(&cg).expect("forward edges: a DAG");
+        prop_assert!(schedule.is_chain_threaded());
+        prop_assert_eq!(schedule.sim(), &kernel);
+
+        let mut ov = PatchGraph::new(&g);
+        let n = tasks.len();
+        ov.set_durations(
+            &retimes
+                .iter()
+                .map(|&(i, d)| (TaskId(i as usize % n), d))
+                .collect::<Vec<_>>(),
+        );
+        let always_full = IncrementalOptions { max_cone_fraction: 0.0 };
+        assert_warm_matches_full(&cg, &schedule, &ov.finish(), &always_full, &mut SimScratch::new());
+
+        if !chain.is_empty() {
+            let (from, to) = chain[broken as usize % chain.len()];
+            g.remove_dep(from, to);
+            let cg = CompiledGraph::compile(&g);
+            prop_assert_eq!(simulate_compiled_swept(&cg), None);
+            let schedule = Schedule::capture(&cg).expect("forward edges: a DAG");
+            prop_assert!(!schedule.is_chain_threaded());
+            prop_assert_eq!(schedule.sim(), &simulate_compiled(&cg).expect("a DAG"));
+        }
+    }
+
     // The kernel against the rank-aware oracle under three policies, on
     // six-thread DAGs dense in ties: short durations and gaps (zeros
     // included) and a handful of priorities. The default order runs

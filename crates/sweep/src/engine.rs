@@ -340,12 +340,14 @@ impl BaseProfile {
     /// The base's P3 plans, built on first use from the first P3
     /// scenario's cluster (every evaluation retimes all transfers, so
     /// which cluster built them never shows in a prediction). Both plans
-    /// share one replication of the base.
+    /// share one replication of the base, and both resume after copy 0
+    /// from the base's schedule.
     fn p3_plans(&self, cluster: &ClusterConfig) -> &P3Base {
         self.p3.get_or_init(|| {
             let rep = p3_replicated_base(&self.graph, P3_ITERATIONS);
             let compiled = CompiledGraph::compile(&rep.graph);
-            let plan = |cfg: P3Config| P3Plan::build(&self.graph, &rep, &compiled, &cfg);
+            let plan =
+                |cfg: P3Config| P3Plan::build(&self.graph, &self.schedule, &rep, &compiled, &cfg);
             P3Base {
                 fifo: plan(P3Config::baseline(*cluster)),
                 sliced: plan(P3Config::p3(*cluster)),
@@ -386,10 +388,12 @@ pub struct RunStats {
     /// Scenario evaluations answered by the patch-fingerprint cache
     /// (identical patch over the same base: simulation skipped).
     pub patch_hits: usize,
-    /// Simulations served by the incremental cone path this run.
+    /// Simulations that re-dispatched over a base schedule this run: the
+    /// warm cone path, and P3 plans resumed after their first unrolled
+    /// iteration, which replays the base's captured schedule.
     pub incremental_sims: usize,
-    /// Simulations that ran the full dispatch loop this run (fallbacks
-    /// and P3 replicated-base analyses).
+    /// Simulations that dispatched every task this run (warm fallbacks,
+    /// and P3 plans that could not resume).
     pub full_sims: usize,
     /// Tasks dispatched across all simulations this run.
     pub tasks_redispatched: u64,
@@ -1014,9 +1018,11 @@ fn offloaded_bytes(patch: &GraphPatch) -> u64 {
 /// cached plan: set the plan's transfers to the cluster's wire times,
 /// simulate under the priority scheduler on the worker's arena, and read
 /// the steady-state iteration straight from the simulation
-/// ([`P3Plan::steady_iteration_ns`]). Always a full simulation: the
-/// steady state reads the whole replicated timeline, and the plan keeps
-/// no captured schedule.
+/// ([`P3Plan::steady_iteration_ns`]). An incremental simulation: the
+/// plan's first unrolled iteration replays the base's captured schedule,
+/// and only the tasks after it are dispatched
+/// ([`P3Plan::dispatched_tasks`]); a full one if the plan could not
+/// resume ([`P3Plan::replayed_tasks`] is 0).
 ///
 /// The patch-cache key hashes the plan's fingerprint with the retimed
 /// durations: equal keys mean the same retimed graph. So clusters with
@@ -1040,12 +1046,17 @@ fn p3_prediction(
         let predicted_ns = plan
             .steady_iteration_ns(&wires, scratch)
             .map_err(|e| format!("P3 graph for {}: {e}", named.label))?;
-        let dispatched = plan.compiled().len() as u64;
-        stats.full_sims += 1;
+        let dispatched = plan.dispatched_tasks() as u64;
+        let incremental = plan.replayed_tasks() > 0;
+        if incremental {
+            stats.incremental_sims += 1;
+        } else {
+            stats.full_sims += 1;
+        }
         stats.tasks_redispatched += dispatched;
         Ok(PatchEval {
             predicted_ns,
-            incremental: false,
+            incremental,
             estimated: false,
             tasks_redispatched: dispatched,
         })
@@ -1161,7 +1172,11 @@ fn evaluate(
             let plans = base.p3_plans(&cluster);
             let fifo = p3_prediction(named, &plans.fifo, &cluster, patches, scratch, stats)?;
             let p3 = p3_prediction(named, &plans.sliced, &cluster, patches, scratch, stats)?;
-            sim_path = "full";
+            sim_path = if fifo.incremental && p3.incremental {
+                "incremental"
+            } else {
+                "full"
+            };
             tasks_redispatched = fifo.tasks_redispatched + p3.tasks_redispatched;
             Prediction {
                 baseline_ns: fifo.predicted_ns,
@@ -1383,12 +1398,24 @@ pub fn explain_scenario(scenario: &Scenario) -> Result<String, String> {
             // The sliced plan `evaluate` retimes for this cluster.
             let cluster = ClusterConfig::new(*machines, *gpus_per_machine, *bw_gbps);
             let plan = &base.p3_plans(&cluster).sliced;
+            let (dispatched, total) = (plan.dispatched_tasks(), plan.compiled().len());
+            let sim_note = if plan.replayed_tasks() > 0 {
+                format!(
+                    "incremental re-simulation of the base's cached P3 plan, retimed to \
+                     this cluster's wire times: the first of its {P3_ITERATIONS} unrolled \
+                     iterations replays the base schedule\n\
+                     cone:      {dispatched} of {total} tasks re-dispatched ({:.1}%)",
+                    dispatched as f64 / total as f64 * 100.0
+                )
+            } else {
+                "full re-simulation of the base's cached P3 plan, retimed to this \
+                 cluster's wire times (its first iteration cannot replay the base \
+                 schedule)"
+                    .to_string()
+            };
             (
                 format!("patch over the {P3_ITERATIONS}-iteration replicated base"),
-                "full re-simulation of the base's cached P3 plan, retimed to \
-                     this cluster's wire times (steady-state analysis reads the \
-                     whole replicated timeline)"
-                    .to_string(),
+                sim_note,
                 plan.fingerprint(),
                 plan.summary(),
                 0,

@@ -31,13 +31,16 @@ pub struct ScenarioOutcome {
     /// Estimated network bytes per iteration (0 for single-GPU what-ifs).
     pub comm_bytes: u64,
     /// Simulation path that produced the prediction: `"incremental"`
-    /// (cone re-dispatch over the base schedule), `"full"` (complete
-    /// re-simulation), or `"baseline"` (no patched simulation at all).
-    /// Deterministic per scenario, so sharded and single-process sweeps
-    /// agree byte-for-byte.
+    /// (re-dispatch over the base schedule: a patch's cone, or a P3
+    /// plan resumed after its first unrolled iteration, which replays
+    /// the base's captured schedule), `"full"` (complete re-simulation),
+    /// `"estimate"` (a search rung's busy-time bound), or `"baseline"`
+    /// (no patched simulation at all). Deterministic per scenario, so
+    /// sharded and single-process sweeps agree byte-for-byte.
     pub sim_path: String,
     /// Tasks the simulator re-dispatched to evaluate this scenario (the
-    /// cone size on the incremental path, the whole graph on a full
+    /// cone size on the incremental path, the tasks after the first
+    /// iteration of both P3 plans, the whole graph on a full
     /// re-simulation).
     pub tasks_redispatched: u64,
     /// Whether this outcome came from the result cache.
@@ -87,7 +90,8 @@ pub struct SweepReport {
     pub executed: usize,
     /// Scenarios answered from the result cache.
     pub cache_hits: usize,
-    /// Scenarios whose prediction came off the incremental cone path.
+    /// Scenarios whose prediction re-dispatched over the base schedule
+    /// (`sim_path` `"incremental"`: a cone, or both resumed P3 plans).
     pub incremental_sims: usize,
     /// Scenarios that required a full re-simulation.
     pub full_sims: usize,
