@@ -37,8 +37,8 @@ use common::assert_warm_matches_full;
 use criterion::{BenchmarkId, Criterion, Throughput};
 use daydream_bench::synth::{synthetic_graph, tail_retime, tail_structural};
 use daydream_core::{
-    simulate_compiled, simulate_warm, CompiledGraph, DependencyGraph, GraphPatch,
-    IncrementalOptions, PatchGraph, Schedule, SimScratch, TaskId,
+    simulate_compiled, simulate_warm, CompiledGraph, DependencyGraph, GraphPatch, PatchGraph,
+    Schedule, SimScratch, TaskId, DEFAULT_MAX_CONE_FRACTION,
 };
 use std::hint::black_box;
 
@@ -61,7 +61,7 @@ fn pin_warm(
         compiled,
         schedule,
         patch,
-        &IncrementalOptions::default(),
+        DEFAULT_MAX_CONE_FRACTION,
         scratch,
     );
     assert!(warm.stats.is_incremental(), "tail patch must stay warm");

@@ -32,8 +32,8 @@ use daydream_core::whatif::{
     VdnnConfig,
 };
 use daydream_core::{
-    simulate_warm, CompiledGraph, GraphPatch, IncrementalOptions, PatchGraph, Schedule, SimScratch,
-    TaskId, TaskIndex, WarmOutcome,
+    simulate_warm, CompiledGraph, GraphPatch, PatchGraph, Schedule, SimScratch, TaskId, TaskIndex,
+    WarmOutcome, DEFAULT_MAX_CONE_FRACTION,
 };
 
 /// Evaluates `patch` warm three times on one arena — the first call sizes
@@ -58,7 +58,7 @@ fn third_warm_call_allocates_nothing(
             compiled,
             schedule,
             patch,
-            &IncrementalOptions::default(),
+            DEFAULT_MAX_CONE_FRACTION,
             &mut scratch
         ),
         third
@@ -96,7 +96,7 @@ fn warmed_evaluation_is_allocation_free() {
             &compiled,
             &schedule,
             &patch,
-            &IncrementalOptions::default(),
+            DEFAULT_MAX_CONE_FRACTION,
             &mut scratch
         ),
         third

@@ -38,10 +38,10 @@ pub struct ThreadId(pub u32);
 /// What [`CompiledGraph::apply_traced`] did to the base.
 #[derive(Debug, Clone)]
 pub struct ApplyTrace {
-    /// `true` if the patch left a base thread without tasks: base
-    /// `ThreadId`s are then re-compacted and no longer stable. Warm
-    /// evaluation falls back to a full run for exactly these patches
-    /// ([`crate::sim::FallbackReason::VacatedThreads`]).
+    /// `true` if the patch left a base thread without tasks, so the
+    /// compaction dropped it and the applied graph's `ThreadId`s differ
+    /// from the base's. It reports the compaction only: warm evaluation
+    /// keeps the base's thread ids and never reads it.
     pub vacated_threads: bool,
 }
 
@@ -71,8 +71,6 @@ pub struct CompiledGraph {
     pub(crate) duration_ns: Vec<u64>,
     /// Per-task scheduling priority (P3's `Schedule` override).
     pub(crate) priority: Vec<i64>,
-    /// Per-thread "is a communication channel" flag.
-    pub(crate) comm_thread: Vec<bool>,
     /// CSR offsets into `succ`, length `len() + 1`.
     pub(crate) succ_off: Vec<u32>,
     /// Flattened successor lists.
@@ -117,7 +115,6 @@ impl CompiledGraph {
             pred_count.push(g.predecessors(id).len() as u32);
             edge_total += g.successors(id).len();
         }
-        let comm_thread = threads.iter().map(ExecThread::is_comm).collect();
 
         let mut succ_off = Vec::with_capacity(n + 1);
         let mut succ = Vec::with_capacity(edge_total);
@@ -138,7 +135,6 @@ impl CompiledGraph {
             cost_ns,
             duration_ns,
             priority,
-            comm_thread,
             succ_off,
             succ,
             pred_count,
@@ -210,7 +206,7 @@ impl CompiledGraph {
     /// Returns `true` if the task runs on a communication channel.
     #[inline]
     pub fn on_comm_thread(&self, c: CompactId) -> bool {
-        self.comm_thread[self.thread_of[c.0 as usize].0 as usize]
+        self.exec_thread(self.thread_of(c)).is_comm()
     }
 
     /// Successors of a task.
@@ -224,11 +220,6 @@ impl CompiledGraph {
     #[inline]
     pub fn pred_count(&self, c: CompactId) -> u32 {
         self.pred_count[c.0 as usize]
-    }
-
-    /// A copy of all predecessor counts (the simulator's working state).
-    pub fn pred_counts(&self) -> Vec<u32> {
-        self.pred_count.clone()
     }
 
     /// The compact id of a live task, if present: O(1) when the source
@@ -272,7 +263,7 @@ impl CompiledGraph {
     }
 
     /// [`CompiledGraph::apply`] plus an [`ApplyTrace`] saying whether the
-    /// patch vacated a base thread (its `ThreadId`s then compact; base
+    /// patch vacated a base thread (the compaction then drops it; base
     /// thread ids are *stable* otherwise).
     ///
     /// # Panics

@@ -58,6 +58,7 @@
 use crate::graph::{bridge_kind, DepKind, DependencyGraph, GraphEdit, GraphView, TaskId};
 use crate::index::{Edits, TaskIndex};
 use crate::task::{ExecThread, Task, TaskKind};
+use daydream_trace::{fnv1a64_continue, FNV_OFFSET};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -722,7 +723,7 @@ struct Fnv(u64);
 impl Fnv {
     /// The state after hashing the arena capacity of a patch's base.
     fn for_base(base_capacity: usize) -> Self {
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv(FNV_OFFSET);
         base_capacity.hash(&mut h);
         h
     }
@@ -762,10 +763,7 @@ impl Hasher for Fnv {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a64_continue(self.0, bytes);
     }
 
     #[inline]

@@ -36,6 +36,11 @@
 //!   onto another thread can only lower that thread's entry (its
 //!   progress did not move), so one comparison keeps it exact.
 //!
+//! Every entry point (the full simulator, the warm cone and full paths,
+//! P3's retimed plans) seeds the frontiers of one `SimBufs` arena and
+//! drains them with the same kernel, `SimBufs::drain`, which reads and
+//! writes only that arena's rows.
+//!
 //! This dispatches exactly the same task sequence as the quadratic
 //! reference loop ([`simulate_reference`]), which refreshes every frontier
 //! candidate against thread progress on each step and linear-scans for the
@@ -79,9 +84,14 @@
 //! [`Schedule`] without applying its patch: retimes, thread moves,
 //! inserts and removals are all read through an epoch-stamped overlay on
 //! the base [`CompiledGraph`], and only the cone of tasks the patch can
-//! affect is re-dispatched. It runs the default order only. Its oracle is
-//! the full path: [`simulate_compiled`] over `CompiledGraph::apply`,
-//! which [`simulate_reference`] pins in turn. That overlay is the one
+//! affect is re-dispatched. It runs the default order only. The overlay
+//! keeps the base's thread ids and interns a patch's new threads after
+//! them, so the captured schedule's per-thread rows stay valid for every
+//! patch, also one that leaves a base thread without tasks: the cone's
+//! size alone decides whether the full path runs instead
+//! ([`DEFAULT_MAX_CONE_FRACTION`]). Its oracle is the full path:
+//! [`simulate_compiled`] over `CompiledGraph::apply`, which
+//! [`simulate_reference`] pins in turn. That overlay is the one
 //! reader of a patch's delta against a compiled base: `apply` compacts
 //! it, and [`SimScratch::thread_busy_after`] sums costs through it, so
 //! the tests pin it to the op-log replay
@@ -355,7 +365,7 @@ impl ThreadFrontier {
     }
 }
 
-/// The graph surface [`dispatch_loop`] and its seeding read — everything
+/// The graph surface [`SimBufs::drain`] and its seeding read — everything
 /// the frontier needs to seed and dispatch a task and release its
 /// successors. Implemented by [`CompiledGraph`] itself, by
 /// [`OverlayView`], the copy-on-write overlay that serves any patch
@@ -479,7 +489,7 @@ pub fn simulate_compiled_with<O: FrontierOrder>(
 ) -> Result<CompiledSim, GraphError> {
     let mut bufs = SimBufs::sized_for(cg);
     let run = bufs.run_full(cg, order.dense_ranks(cg).as_deref(), 0);
-    bufs.into_sim(cg, run).map(|(sim, _)| sim)
+    bufs.into_sim(cg, run)
 }
 
 /// Test and bench hook: `cg` simulated by the chain sweep alone
@@ -488,84 +498,7 @@ pub fn simulate_compiled_with<O: FrontierOrder>(
 pub fn simulate_compiled_swept(cg: &CompiledGraph) -> Option<Result<CompiledSim, GraphError>> {
     let mut bufs = SimBufs::sized_for(cg);
     let run = bufs.run_sweep(cg, 0)?;
-    Some(bufs.into_sim(cg, run).map(|(sim, _)| sim))
-}
-
-/// The frontier dispatch loop shared by every entry point (the full
-/// simulator, the warm cone and full paths, P3's retimed plans): drains
-/// the seeded frontiers to completion, returning how many tasks were
-/// dispatched. All entry points run *this* code, so no derived path can
-/// drift from full-simulation semantics.
-///
-/// `ranks` holds each task's dense rank (`None`: the task id, the default
-/// order). `bests` is working space, one slot per thread
-/// (`fronts.len()`); the loop fills it from the seeded frontiers itself.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_loop<G: SimGraphView>(
-    cg: &G,
-    ranks: Option<&[u32]>,
-    tentative: &mut [u64],
-    preds: &mut [u32],
-    start: &mut [u64],
-    wait: &mut [u64],
-    progress: &mut [u64],
-    fronts: &mut [ThreadFrontier],
-    bests: &mut [Key],
-    makespan: &mut u64,
-) -> usize {
-    for (t, front) in fronts.iter_mut().enumerate() {
-        front.refresh(progress[t]);
-        bests[t] = front.best(progress[t]);
-    }
-    let mut done = 0usize;
-    loop {
-        let mut ti = usize::MAX;
-        let mut best = IDLE;
-        for (t, &b) in bests.iter().enumerate() {
-            if b < best {
-                best = b;
-                ti = t;
-            }
-        }
-        if ti == usize::MAX {
-            break;
-        }
-        let (s, u) = (start_of(best), best as u32);
-        debug_assert_eq!(fronts[ti].best(progress[ti]), best);
-        fronts[ti].pop_best();
-
-        let ui = u as usize;
-        start[ui] = s;
-        wait[ui] = s - progress[ti];
-        let fin = s + cg.cost_ns(CompactId(u));
-        *makespan = (*makespan).max(s + cg.duration_ns(CompactId(u)));
-        progress[ti] = fin;
-        done += 1;
-
-        for &v in cg.successors(CompactId(u)) {
-            let vi = v.0 as usize;
-            tentative[vi] = tentative[vi].max(fin);
-            preds[vi] -= 1;
-            if preds[vi] == 0 {
-                let tv = cg.thread_of(v).0 as usize;
-                let low = low_key(ranks, v.0);
-                fronts[tv].push(tentative[vi], low, progress[tv]);
-                if tv != ti {
-                    // That thread's progress did not move, so the released
-                    // task either beats its cached best or leaves it be.
-                    let cand = key(tentative[vi].max(progress[tv]), low);
-                    if cand < bests[tv] {
-                        bests[tv] = cand;
-                    }
-                }
-            }
-        }
-        // This thread's progress advanced and its best was consumed.
-        let front = &mut fronts[ti];
-        front.refresh(progress[ti]);
-        bests[ti] = front.best(progress[ti]);
-    }
-    done
+    Some(bufs.into_sim(cg, run))
 }
 
 // ---------------------------------------------------------------------------
@@ -573,12 +506,13 @@ fn dispatch_loop<G: SimGraphView>(
 // ---------------------------------------------------------------------------
 
 /// A captured base simulation plus the acceleration indices incremental
-/// re-simulation needs: per-task start/finish/ready times, the dispatch
-/// sequence sorted by start, per-thread timelines, and per-task
-/// predecessor arrays sorted by predecessor start with running-max
-/// finishes. Built once per base profile ([`Schedule::capture`]);
-/// every patched scenario then reuses the schedule to replay the
-/// unaffected prefix verbatim and re-dispatch only its cone.
+/// re-simulation needs: per-task finish times, the dispatch sequence
+/// sorted by start, per-thread timelines, and per-task predecessor
+/// arrays sorted by predecessor start with running-max finishes (whose
+/// last entry is the task's ready time). Built once per base profile
+/// ([`Schedule::capture`]); every patched scenario then reuses the
+/// schedule to replay the unaffected prefix verbatim and re-dispatch
+/// only its cone.
 ///
 /// The indices make cutoff seeding sublinear in the prefix: thread
 /// progress at a cutoff is one binary search per thread, and a suffix
@@ -590,15 +524,11 @@ pub struct Schedule {
     sim: CompiledSim,
     /// Every thread of the base is a chain: the sweep simulated it.
     chain_threaded: bool,
-    /// Final dependency-induced start per task (max predecessor finish).
-    tentative_ns: Vec<u64>,
     /// `start + cost` per task: when the thread moves past it.
     fin_ns: Vec<u64>,
     /// Task ids sorted by start time (the dispatch sequence up to
     /// same-instant ties, which a time cutoff never splits).
     by_start: Vec<u32>,
-    /// Starts parallel to `by_start` (ascending).
-    sorted_starts: Vec<u64>,
     /// `makespan_prefix[i]` = max `start + duration` over `by_start[..i]`.
     makespan_prefix: Vec<u64>,
     /// Per-thread timeline CSR offsets into `tl_start`/`tl_fin`.
@@ -624,7 +554,7 @@ impl Schedule {
     pub fn capture(cg: &CompiledGraph) -> Result<Schedule, GraphError> {
         let mut bufs = SimBufs::sized_for(cg);
         let (chain_threaded, run) = bufs.run_sweep_or_full(cg, 0);
-        let (sim, tentative_ns) = bufs.into_sim(cg, run)?;
+        let sim = bufs.into_sim(cg, run)?;
         let n = cg.len();
         let fin_ns: Vec<u64> = (0..n)
             .map(|i| sim.start_ns[i] + cg.cost_ns(CompactId(i as u32)))
@@ -632,7 +562,6 @@ impl Schedule {
 
         let mut by_start: Vec<u32> = (0..n as u32).collect();
         by_start.sort_unstable_by_key(|&i| sim.start_ns[i as usize]);
-        let sorted_starts: Vec<u64> = by_start.iter().map(|&i| sim.start_ns[i as usize]).collect();
         let mut makespan_prefix = Vec::with_capacity(n + 1);
         makespan_prefix.push(0u64);
         let mut running = 0u64;
@@ -708,10 +637,8 @@ impl Schedule {
         Ok(Schedule {
             sim,
             chain_threaded,
-            tentative_ns,
             fin_ns,
             by_start,
-            sorted_starts,
             makespan_prefix,
             tl_off,
             tl_start,
@@ -751,7 +678,16 @@ impl Schedule {
 
     /// Index of the first dispatch at or after `cutoff` in start order.
     fn first_suffix(&self, cutoff: u64) -> usize {
-        self.sorted_starts.partition_point(|&s| s < cutoff)
+        self.by_start
+            .partition_point(|&i| self.sim.start_ns[i as usize] < cutoff)
+    }
+
+    /// When `task` became ready in the base run: the latest finish of
+    /// its predecessors, the last running maximum of its segment, or 0
+    /// if it has none.
+    fn ready_ns(&self, task: usize) -> u64 {
+        let seg = self.pred_off[task] as usize..self.pred_off[task + 1] as usize;
+        seg.last().map_or(0, |last| self.pred_fin_max[last])
     }
 
     /// Thread progress after every dispatch strictly before `cutoff`.
@@ -781,38 +717,22 @@ impl Schedule {
     }
 }
 
-/// Tuning knobs for [`simulate_warm_with`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IncrementalOptions {
-    /// Fall back to a full simulation when the re-dispatch cone exceeds
-    /// this fraction of the patched graph's tasks (`1.0` never falls
-    /// back on size, `0.0` always does). Past roughly three quarters of
-    /// the graph, seeding overhead cancels the skipped prefix.
-    pub max_cone_fraction: f64,
-}
-
-impl Default for IncrementalOptions {
-    fn default() -> Self {
-        IncrementalOptions {
-            max_cone_fraction: 0.75,
-        }
-    }
-}
+/// The cone budget of [`simulate_warm`]: a cone above this fraction of
+/// the patched graph's tasks runs the full path. Past roughly three
+/// quarters of the graph, seeding overhead cancels the skipped prefix.
+pub const DEFAULT_MAX_CONE_FRACTION: f64 = 0.75;
 
 /// Why an incremental simulation fell back to the full path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackReason {
-    /// The patch vacated a base thread, so base `ThreadId`s are not
-    /// stable in the patched graph.
-    VacatedThreads,
-    /// The cone exceeded [`IncrementalOptions::max_cone_fraction`].
+    /// The cone exceeded the budget, a fraction of the patched graph's
+    /// tasks ([`simulate_warm_with`]'s `max_cone_fraction`).
     ConeTooLarge,
 }
 
 impl std::fmt::Display for FallbackReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            FallbackReason::VacatedThreads => "patch vacates a base thread",
             FallbackReason::ConeTooLarge => "re-dispatch cone exceeds the size threshold",
         })
     }
@@ -903,7 +823,7 @@ fn cone_bound(
         if s.thread.is_some() {
             // A placement change can move the task's own dispatch, but
             // never before its dependencies allow.
-            cutoff = cutoff.min(schedule.tentative_ns[c]);
+            cutoff = cutoff.min(schedule.ready_ns(c));
         }
     }
     let mut removed_live = 0usize;
@@ -1275,12 +1195,6 @@ impl Overlay {
         grew
     }
 
-    /// `true` if the patch left a base thread without tasks.
-    fn vacates_a_thread(&self) -> bool {
-        let t_base = self.shape.t_count - self.new_threads.len();
-        self.live_per_thread[..t_base].contains(&0)
-    }
-
     fn view<'a>(&'a self, base: &'a CompiledGraph, epoch: u32) -> OverlayView<'a> {
         OverlayView {
             base,
@@ -1362,7 +1276,6 @@ impl Overlay {
         CompiledGraph {
             task_ids,
             arena_len: base.arena_len() + d.new_ids().len(),
-            comm_thread: threads.iter().map(ExecThread::is_comm).collect(),
             threads,
             thread_tasks: order
                 .iter()
@@ -1380,13 +1293,15 @@ impl Overlay {
 }
 
 /// `CompiledGraph::apply_traced`: the overlay of `patch` over `base`,
-/// compacted, and whether the patch vacated a base thread.
+/// compacted, and whether the compaction dropped a base thread the patch
+/// left without tasks.
 pub(crate) fn apply_overlay(base: &CompiledGraph, patch: &GraphPatch) -> (CompiledGraph, bool) {
     let mut ov = Overlay::default();
     let d = patch.delta();
     // A fresh overlay's stamps are 0, so epoch 1 is current.
     ov.build(base, d, patch.base_capacity(), 1);
-    (ov.compact(base, d, 1), ov.vacates_a_thread())
+    let vacated = ov.live_per_thread[..base.thread_count()].contains(&0);
+    (ov.compact(base, d, 1), vacated)
 }
 
 /// A patched graph served straight off the base [`CompiledGraph`] plus
@@ -1487,27 +1402,21 @@ impl SimBufs {
         bufs
     }
 
-    /// The [`CompiledSim`] of a full run over `cg` on fresh buffers,
-    /// with each task's final dependency-induced start (`max` over
-    /// predecessor finishes), the readiness times [`Schedule::capture`]
-    /// indexes for incremental cutoff computation.
+    /// The [`CompiledSim`] of a full run over `cg` on fresh buffers.
     fn into_sim(
         self,
         cg: &CompiledGraph,
         (done, makespan): (usize, u64),
-    ) -> Result<(CompiledSim, Vec<u64>), GraphError> {
+    ) -> Result<CompiledSim, GraphError> {
         if done != cg.len() {
             return Err(GraphError::Cycle);
         }
-        Ok((
-            CompiledSim {
-                start_ns: self.start,
-                wait_ns: self.wait,
-                thread_end: self.progress,
-                makespan_ns: makespan,
-            },
-            self.tentative,
-        ))
+        Ok(CompiledSim {
+            start_ns: self.start,
+            wait_ns: self.wait,
+            thread_end: self.progress,
+            makespan_ns: makespan,
+        })
     }
 
     /// Sizes the buffers for `n` tasks on `t_count` threads; `true` if
@@ -1554,6 +1463,84 @@ impl SimBufs {
         }
     }
 
+    /// The frontier dispatch loop shared by every entry point (the full
+    /// simulator, the warm cone and full paths, P3's retimed plans):
+    /// drains the seeded frontiers of `view`'s first `t_count` threads to
+    /// completion, from `makespan`, returning how many tasks were
+    /// dispatched and the makespan. All entry points run *this* code, so
+    /// no derived path can drift from full-simulation semantics.
+    ///
+    /// `ranks` holds each task's dense rank (`None`: the task id, the
+    /// default order). `bests` is working space; the loop fills it from
+    /// the seeded frontiers itself.
+    fn drain<G: SimGraphView>(
+        &mut self,
+        view: &G,
+        ranks: Option<&[u32]>,
+        t_count: usize,
+        mut makespan: u64,
+    ) -> (usize, u64) {
+        let (tentative, preds) = (&mut self.tentative[..], &mut self.preds[..]);
+        let (start, wait) = (&mut self.start[..], &mut self.wait[..]);
+        let progress = &mut self.progress[..t_count];
+        let fronts = &mut self.fronts[..t_count];
+        let bests = &mut self.bests[..t_count];
+        for (t, front) in fronts.iter_mut().enumerate() {
+            front.refresh(progress[t]);
+            bests[t] = front.best(progress[t]);
+        }
+        let mut done = 0usize;
+        loop {
+            let mut ti = usize::MAX;
+            let mut best = IDLE;
+            for (t, &b) in bests.iter().enumerate() {
+                if b < best {
+                    best = b;
+                    ti = t;
+                }
+            }
+            if ti == usize::MAX {
+                break;
+            }
+            let (s, u) = (start_of(best), best as u32);
+            debug_assert_eq!(fronts[ti].best(progress[ti]), best);
+            fronts[ti].pop_best();
+
+            let ui = u as usize;
+            start[ui] = s;
+            wait[ui] = s - progress[ti];
+            let fin = s + view.cost_ns(CompactId(u));
+            makespan = makespan.max(s + view.duration_ns(CompactId(u)));
+            progress[ti] = fin;
+            done += 1;
+
+            for &v in view.successors(CompactId(u)) {
+                let vi = v.0 as usize;
+                tentative[vi] = tentative[vi].max(fin);
+                preds[vi] -= 1;
+                if preds[vi] == 0 {
+                    let tv = view.thread_of(v).0 as usize;
+                    let low = low_key(ranks, v.0);
+                    fronts[tv].push(tentative[vi], low, progress[tv]);
+                    if tv != ti {
+                        // That thread's progress did not move, so the
+                        // released task either beats its cached best or
+                        // leaves it be.
+                        let cand = key(tentative[vi].max(progress[tv]), low);
+                        if cand < bests[tv] {
+                            bests[tv] = cand;
+                        }
+                    }
+                }
+            }
+            // This thread's progress advanced and its best was consumed.
+            let front = &mut fronts[ti];
+            front.refresh(progress[ti]);
+            bests[ti] = front.best(progress[ti]);
+        }
+        (done, makespan)
+    }
+
     /// Full simulation of every live task of `view` into the buffers,
     /// under the dense order `ranks`, from empty frontiers; returns how
     /// many tasks were dispatched and the makespan.
@@ -1571,20 +1558,7 @@ impl SimBufs {
                 self.seed(view, ranks, i as u32, preds, 0, epoch);
             }
         }
-        let mut makespan = 0u64;
-        let done = dispatch_loop(
-            view,
-            ranks,
-            &mut self.tentative,
-            &mut self.preds,
-            &mut self.start,
-            &mut self.wait,
-            &mut self.progress,
-            &mut self.fronts[..t_count],
-            &mut self.bests[..t_count],
-            &mut makespan,
-        );
-        (done, makespan)
+        self.drain(view, ranks, t_count, 0)
     }
 
     /// Full simulation of every live task of `view` as one FIFO
@@ -1683,19 +1657,7 @@ impl SimBufs {
         for (i, (&rem, &tent)) in (seed.replayed as u32..).zip(seed.rem.iter().zip(&seed.tent)) {
             self.seed(view, ranks, i, rem, tent, epoch);
         }
-        let mut makespan = 0u64;
-        dispatch_loop(
-            view,
-            ranks,
-            &mut self.tentative,
-            &mut self.preds,
-            &mut self.start,
-            &mut self.wait,
-            &mut self.progress,
-            &mut self.fronts[..t_count],
-            &mut self.bests[..t_count],
-            &mut makespan,
-        )
+        self.drain(view, ranks, t_count, 0).0
     }
 
     /// Seeds and re-dispatches the cone over `view`, stamping exactly the
@@ -1755,20 +1717,7 @@ impl SimBufs {
                 self.seed(view, None, i, rem, tent, epoch);
             }
         }
-        let mut makespan = schedule.makespan_prefix[cut_idx];
-        let done = dispatch_loop(
-            view,
-            None,
-            &mut self.tentative,
-            &mut self.preds,
-            &mut self.start,
-            &mut self.wait,
-            &mut self.progress,
-            &mut self.fronts[..t_count],
-            &mut self.bests[..t_count],
-            &mut makespan,
-        );
-        (done, makespan)
+        self.drain(view, None, t_count, schedule.makespan_prefix[cut_idx])
     }
 }
 
@@ -2249,20 +2198,15 @@ pub struct WarmOutcome {
     pub stats: IncrementalStats,
 }
 
-/// [`simulate_warm_with`] under the default options.
+/// [`simulate_warm_with`] under the default cone budget,
+/// [`DEFAULT_MAX_CONE_FRACTION`].
 pub fn simulate_warm(
     base: &CompiledGraph,
     schedule: &Schedule,
     patch: &GraphPatch,
     scratch: &mut SimScratch,
 ) -> Result<WarmOutcome, GraphError> {
-    simulate_warm_with(
-        base,
-        schedule,
-        patch,
-        scratch,
-        &IncrementalOptions::default(),
-    )
+    simulate_warm_with(base, schedule, patch, scratch, DEFAULT_MAX_CONE_FRACTION)
 }
 
 /// Simulates `base.apply(patch)` from the base [`Schedule`] under the
@@ -2270,17 +2214,18 @@ pub fn simulate_warm(
 /// allocation-free once `scratch` is warm. The result is pinned
 /// byte-identical (equivalence proptests) to [`simulate_compiled`] over
 /// the applied graph. Every patch — retimes, thread moves, priority
-/// edits, inserts, removals, rewires — is simulated over the base
-/// [`CompiledGraph`] plus an epoch-stamped overlay in `scratch`, built in
-/// O(|patch|), and every per-sim O(V) buffer comes from the arena. The
-/// decisions, in order:
+/// edits, inserts, removals, rewires, also one that leaves a base thread
+/// without tasks — is simulated over the base [`CompiledGraph`] plus an
+/// epoch-stamped overlay in `scratch`, built in O(|patch|), and every
+/// per-sim O(V) buffer comes from the arena. The overlay keeps the
+/// base's thread ids, so the decision rests on the cone alone:
 ///
-/// 1. a patch that vacates a base thread runs the full path;
-/// 2. a patch with no simulation-relevant effect (priority and name
-///    edits) answers with the base schedule, a cone above
-///    `opts.max_cone_fraction` runs the full path, and every other patch
-///    re-dispatches only its cone: the replayed prefix is never copied,
-///    so warm cost is O(cone + |patch|).
+/// 1. a patch with no simulation-relevant effect (priority and name
+///    edits) answers with the base schedule;
+/// 2. a cone above `max_cone_fraction` of the patched graph's tasks
+///    (`1.0` never falls back, `0.0` always does) runs the full path;
+/// 3. every other patch re-dispatches only its cone: the replayed prefix
+///    is never copied, so warm cost is O(cone + |patch|).
 ///
 /// The full path dispatches every live task over the same overlay —
 /// still zero clones and zero allocations warm.
@@ -2294,9 +2239,9 @@ pub fn simulate_warm_with(
     schedule: &Schedule,
     patch: &GraphPatch,
     scratch: &mut SimScratch,
-    opts: &IncrementalOptions,
+    max_cone_fraction: f64,
 ) -> Result<WarmOutcome, GraphError> {
-    let reason = match try_simulate_warm_with(base, schedule, patch, scratch, opts)? {
+    let reason = match try_simulate_warm_with(base, schedule, patch, scratch, max_cone_fraction)? {
         Ok(outcome) => return Ok(outcome),
         Err(reason) => reason,
     };
@@ -2327,8 +2272,8 @@ pub fn simulate_warm_with(
 }
 
 /// [`simulate_warm_with`] *without* the full-simulation fallback: the
-/// inner `Err` names why the cone cannot (or should not) run, leaving
-/// the caller free to substitute something cheaper — the sweep search's
+/// inner `Err` says the cone exceeded `max_cone_fraction`, leaving the
+/// caller free to substitute something cheaper — the sweep search's
 /// low-fidelity rungs answer it with the maximum of
 /// [`SimScratch::thread_busy_after`]. After an `Err`, the arena holds
 /// nothing to [`SimScratch::materialize`].
@@ -2341,7 +2286,7 @@ pub fn try_simulate_warm_with(
     schedule: &Schedule,
     patch: &GraphPatch,
     scratch: &mut SimScratch,
-    opts: &IncrementalOptions,
+    max_cone_fraction: f64,
 ) -> Result<Result<WarmOutcome, FallbackReason>, GraphError> {
     assert_eq!(
         base.len(),
@@ -2354,9 +2299,6 @@ pub fn try_simulate_warm_with(
         "patch recorded against a different base arena"
     );
     scratch.begin(base, patch);
-    if scratch.ov.vacates_a_thread() {
-        return Ok(Err(FallbackReason::VacatedThreads));
-    }
     let live = scratch.ov.shape.live;
     let bound = cone_bound(base, schedule, patch, &mut scratch.ov.ins);
     debug_assert_eq!(bound.n_new, live, "delta-derived live count must match");
@@ -2374,7 +2316,7 @@ pub fn try_simulate_warm_with(
             },
         }));
     }
-    if bound.cone as f64 > opts.max_cone_fraction * live as f64 {
+    if bound.cone as f64 > max_cone_fraction * live as f64 {
         return Ok(Err(FallbackReason::ConeTooLarge));
     }
     let view = scratch.ov.view(base, scratch.epoch);
@@ -2877,6 +2819,26 @@ mod tests {
             }
             assert_eq!(swept, sweeps, "{name}: full fallbacks that sweep");
             assert_eq!(kernel, kernels, "{name}: full fallbacks on the kernel");
+        }
+    }
+
+    /// The ready time `cone_bound` reads for a moved task, derived from
+    /// the predecessor index, is a full kernel run's final `tentative`
+    /// row on the ResNet-50 and BERT_Base bases at batch 4.
+    #[test]
+    fn derived_ready_times_equal_a_full_runs_tentative_row() {
+        use crate::construct::ProfiledGraph;
+        use daydream_runtime::{ground_truth, ExecConfig};
+        for name in ["ResNet-50", "BERT_Base"] {
+            let model = daydream_models::zoo::by_name(name).unwrap();
+            let cfg = ExecConfig::pytorch_2080ti().with_batch(4);
+            let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
+            let base = CompiledGraph::compile(&pg.graph);
+            let schedule = Schedule::capture(&base).unwrap();
+            let mut bufs = SimBufs::sized_for(&base);
+            bufs.run_full(&base, None, 0);
+            let ready: Vec<u64> = (0..base.len()).map(|i| schedule.ready_ns(i)).collect();
+            assert_eq!(ready, bufs.tentative, "{name}");
         }
     }
 

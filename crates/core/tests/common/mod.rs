@@ -8,8 +8,8 @@
 
 use daydream_core::{
     simulate_compiled, simulate_warm_with, CommChannel, CompactId, CompiledGraph, DepKind,
-    DependencyGraph, ExecThread, FallbackReason, GraphPatch, IncrementalOptions, IncrementalStats,
-    Schedule, SimScratch, Task, TaskId, TaskKind, WarmOutcome,
+    DependencyGraph, ExecThread, FallbackReason, GraphPatch, IncrementalStats, Schedule,
+    SimScratch, Task, TaskId, TaskKind, WarmOutcome,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 
@@ -73,18 +73,19 @@ pub fn canonical(cg: &CompiledGraph) -> Vec<CanonicalTask> {
         .collect()
 }
 
-/// Evaluates `patch` warm on `scratch` and pins the result to the full
-/// simulation of the applied graph: the makespan, the materialized
-/// dense simulation, and its expanded arena-indexed form. Then checks
-/// the work accounting with [`assert_stats`] and returns the outcome.
+/// Evaluates `patch` warm on `scratch` under the cone budget
+/// `max_cone_fraction` and pins the result to the full simulation of the
+/// applied graph: the makespan, the materialized dense simulation, and
+/// its expanded arena-indexed form. Then checks the work accounting with
+/// [`assert_stats`] and returns the outcome.
 pub fn assert_warm_matches_full(
     cg: &CompiledGraph,
     schedule: &Schedule,
     patch: &GraphPatch,
-    opts: &IncrementalOptions,
+    max_cone_fraction: f64,
     scratch: &mut SimScratch,
 ) -> WarmOutcome {
-    let warm = simulate_warm_with(cg, schedule, patch, scratch, opts)
+    let warm = simulate_warm_with(cg, schedule, patch, scratch, max_cone_fraction)
         .expect("patched graph must stay a DAG");
     let applied = cg.apply(patch);
     let full = simulate_compiled(&applied).expect("patched graph must stay a DAG");
@@ -101,24 +102,30 @@ pub fn assert_warm_matches_full(
         full.into_sim_result(&applied),
         "expanded SimResult diverged"
     );
-    assert_stats(cg, schedule, patch, opts, &warm.stats);
+    assert_stats(
+        cg,
+        &applied,
+        schedule,
+        patch,
+        max_cone_fraction,
+        &warm.stats,
+    );
     warm
 }
 
 /// The path accounting `simulate_warm_with` must report for `patch`,
-/// derived from the applied graph: `ApplyTrace::vacated_threads` decides
-/// the structural fallback; on the cone path, every live base task
-/// dispatched at or after the cutoff plus every live insert
-/// re-dispatches; and that cone, taken at an unbounded budget, decides
-/// the size fallback.
+/// derived from the `applied` graph: on the cone path, every live base
+/// task dispatched at or after the cutoff plus every live insert
+/// re-dispatches, and that cone, taken at an unbounded budget, alone
+/// decides the fallback.
 fn assert_stats(
     cg: &CompiledGraph,
+    applied: &CompiledGraph,
     schedule: &Schedule,
     patch: &GraphPatch,
-    opts: &IncrementalOptions,
+    max_cone_fraction: f64,
     stats: &IncrementalStats,
 ) {
-    let (applied, trace) = cg.apply_traced(patch);
     assert_eq!(stats.total, applied.len(), "live task count");
     if stats.fallback.is_some() {
         assert_eq!(
@@ -127,14 +134,7 @@ fn assert_stats(
         );
         assert_eq!(stats.cutoff_ns, None, "a fallback has no cutoff");
     }
-    if trace.vacated_threads {
-        assert_eq!(stats.fallback, Some(FallbackReason::VacatedThreads));
-        return;
-    }
-    let unbounded = IncrementalOptions {
-        max_cone_fraction: 1.0,
-    };
-    let cone_path = simulate_warm_with(cg, schedule, patch, &mut SimScratch::new(), &unbounded)
+    let cone_path = simulate_warm_with(cg, schedule, patch, &mut SimScratch::new(), 1.0)
         .expect("patched graph must stay a DAG")
         .stats;
     let cutoff = cone_path
@@ -158,7 +158,7 @@ fn assert_stats(
             + inserts
     };
     assert_eq!(cone_path.redispatched, cone, "cone size");
-    if cone as f64 > opts.max_cone_fraction * stats.total as f64 {
+    if cone as f64 > max_cone_fraction * stats.total as f64 {
         assert_eq!(stats.fallback, Some(FallbackReason::ConeTooLarge));
     } else {
         assert_eq!(stats.fallback, None);

@@ -23,8 +23,8 @@ use daydream_core::whatif::{
 use daydream_core::{
     simulate_compiled_with, simulate_reference, simulate_with, CompiledGraph, DepKind,
     DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit, GraphPatch, GraphView,
-    IncrementalOptions, PatchGraph, ProfiledGraph, Schedule, SimResult, SimScratch, Task, TaskId,
-    TaskKind,
+    PatchGraph, ProfiledGraph, Schedule, SimResult, SimScratch, Task, TaskId, TaskKind,
+    DEFAULT_MAX_CONE_FRACTION,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -284,11 +284,11 @@ proptest! {
         let cg = CompiledGraph::compile(&g);
         let schedule = Schedule::capture(&cg).expect("base must be a DAG");
         let mut scratch = SimScratch::new();
-        for opts in [
-            IncrementalOptions::default(),
-            IncrementalOptions { max_cone_fraction: 1.0 },
+        for budget in [
+            DEFAULT_MAX_CONE_FRACTION,
+            1.0,
         ] {
-            assert_warm_matches_full(&cg, &schedule, &bulk, &opts, &mut scratch);
+            assert_warm_matches_full(&cg, &schedule, &bulk, budget, &mut scratch);
         }
     }
 }

@@ -20,8 +20,8 @@ use daydream_core::whatif::P3Scheduler;
 use daydream_core::{
     simulate, simulate_compiled, simulate_compiled_swept, simulate_compiled_with,
     simulate_reference, simulate_with, CommChannel, CompactId, CompiledGraph, CompiledSim, DepKind,
-    DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit, IncrementalOptions,
-    PatchGraph, Rank, Schedule, SimScratch, Task, TaskId, TaskKind,
+    DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit, PatchGraph, Rank,
+    Schedule, SimScratch, Task, TaskId, TaskKind,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
@@ -105,7 +105,7 @@ fn check_kernel<O: FrontierOrder>(cg: &CompiledGraph, order: &O) -> Result<(), T
 /// task. Ids are unique, so the order is total for any [`FrontierOrder`].
 fn rank_oracle<O: FrontierOrder>(cg: &CompiledGraph, order: &O) -> CompiledSim {
     let n = cg.len();
-    let mut preds = cg.pred_counts();
+    let mut preds: Vec<u32> = (0..n as u32).map(|i| cg.pred_count(CompactId(i))).collect();
     let mut tentative = vec![0u64; n];
     let mut start = vec![0u64; n];
     let mut wait = vec![0u64; n];
@@ -208,8 +208,7 @@ proptest! {
                 .map(|&(i, d)| (TaskId(i as usize % n), d))
                 .collect::<Vec<_>>(),
         );
-        let always_full = IncrementalOptions { max_cone_fraction: 0.0 };
-        assert_warm_matches_full(&cg, &schedule, &ov.finish(), &always_full, &mut SimScratch::new());
+        assert_warm_matches_full(&cg, &schedule, &ov.finish(), 0.0, &mut SimScratch::new());
 
         if !chain.is_empty() {
             let (from, to) = chain[broken as usize % chain.len()];

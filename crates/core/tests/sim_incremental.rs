@@ -23,35 +23,27 @@ use daydream_core::whatif::{
 };
 use daydream_core::{
     simulate_compiled, simulate_warm_with, CompiledGraph, DepKind, DependencyGraph, ExecThread,
-    FallbackReason, GraphEdit, GraphPatch, GraphView, IncrementalOptions, IncrementalStats,
-    PatchGraph, ProfiledGraph, Schedule, SimScratch, Task, TaskId, TaskKind,
+    GraphEdit, GraphPatch, GraphView, IncrementalStats, PatchGraph, ProfiledGraph, Schedule,
+    SimScratch, Task, TaskId, TaskKind, DEFAULT_MAX_CONE_FRACTION,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
 
 /// Never fall back on cone size: exercises the incremental machinery on
 /// every patch, however dense.
-const FORCE: IncrementalOptions = IncrementalOptions {
-    max_cone_fraction: 1.0,
-};
+const FORCE: f64 = 1.0;
 
 /// Always fall back on cone size (unless the patch has no simulation
 /// effect at all): exercises the full-fallback path.
-const FALLBACK: IncrementalOptions = IncrementalOptions {
-    max_cone_fraction: 0.0,
-};
+const FALLBACK: f64 = 0.0;
 
 /// Evaluates `patch` warm over a freshly compiled `base` and asserts it
 /// equals the full simulation of the applied graph (dense *and* expanded
 /// arena-indexed forms) with the expected work accounting, returning it.
-fn assert_incremental(
-    base: &DependencyGraph,
-    patch: &GraphPatch,
-    opts: &IncrementalOptions,
-) -> IncrementalStats {
+fn assert_incremental(base: &DependencyGraph, patch: &GraphPatch, budget: f64) -> IncrementalStats {
     let cg = CompiledGraph::compile(base);
     let schedule = Schedule::capture(&cg).expect("base must be a DAG");
-    assert_warm_matches_full(&cg, &schedule, patch, opts, &mut SimScratch::new()).stats
+    assert_warm_matches_full(&cg, &schedule, patch, budget, &mut SimScratch::new()).stats
 }
 
 /// One random mutation decoded against the overlay's current state
@@ -116,14 +108,10 @@ proptest! {
             apply_random_op(&mut p, op);
         }
         let patch = p.finish();
-        let stats = assert_incremental(&g, &patch, &FORCE);
-        prop_assert!(
-            stats.fallback.is_none() || stats.fallback == Some(FallbackReason::VacatedThreads),
-            "forced cone may only fall back on vacated threads, got {:?}",
-            stats.fallback
-        );
-        assert_incremental(&g, &patch, &IncrementalOptions::default());
-        let fb = assert_incremental(&g, &patch, &FALLBACK);
+        let stats = assert_incremental(&g, &patch, FORCE);
+        prop_assert_eq!(stats.fallback, None, "a forced cone never falls back");
+        assert_incremental(&g, &patch, DEFAULT_MAX_CONE_FRACTION);
+        let fb = assert_incremental(&g, &patch, FALLBACK);
         prop_assert!(
             fb.fallback.is_some() || fb.redispatched == 0,
             "zero threshold must fall back unless the patch is a sim no-op"
@@ -182,12 +170,12 @@ proptest! {
         // thread's last task occupies the thread but not the makespan,
         // so the busy sum is a lower bound only up to trailing gaps.
 
-        let opts = IncrementalOptions { max_cone_fraction: budget_pct as f64 / 100.0 };
+        let budget = budget_pct as f64 / 100.0;
         let schedule = Schedule::capture(&base).unwrap();
         let checked =
-            assert_warm_matches_full(&base, &schedule, &patch, &opts, &mut SimScratch::new());
+            assert_warm_matches_full(&base, &schedule, &patch, budget, &mut SimScratch::new());
         let attempt =
-            try_simulate_warm_with(&base, &schedule, &patch, &mut SimScratch::new(), &opts)
+            try_simulate_warm_with(&base, &schedule, &patch, &mut SimScratch::new(), budget)
                 .unwrap();
         match attempt {
             Ok(warm) => prop_assert_eq!(warm, checked),
@@ -230,7 +218,7 @@ proptest! {
         );
         // The incremental compiler handles the composed patch like any
         // other, and the incremental simulator agrees with full.
-        assert_incremental(&g, &composed, &FORCE);
+        assert_incremental(&g, &composed, FORCE);
     }
 }
 
@@ -265,7 +253,7 @@ fn tail_retime_redispatches_only_the_tail() {
     let mut p = PatchGraph::new(&g);
     p.set_duration(ids[90], 500);
     let patch = p.finish();
-    let stats = assert_incremental(&g, &patch, &IncrementalOptions::default());
+    let stats = assert_incremental(&g, &patch, DEFAULT_MAX_CONE_FRACTION);
     assert!(stats.is_incremental());
     assert_eq!(
         stats.redispatched, 10,
@@ -278,7 +266,7 @@ fn tail_retime_redispatches_only_the_tail() {
 fn empty_patch_redispatches_nothing() {
     let (g, _) = chain(20);
     let patch = PatchGraph::new(&g).finish();
-    let stats = assert_incremental(&g, &patch, &IncrementalOptions::default());
+    let stats = assert_incremental(&g, &patch, DEFAULT_MAX_CONE_FRACTION);
     assert!(stats.is_incremental());
     assert_eq!(stats.redispatched, 0);
 }
@@ -290,7 +278,7 @@ fn priority_patch_is_free_under_priority_blind_policy() {
     p.set_priority(ids[0], -99);
     let patch = p.finish();
     // The default order ignores priority: zero cone.
-    let stats = assert_incremental(&g, &patch, &IncrementalOptions::default());
+    let stats = assert_incremental(&g, &patch, DEFAULT_MAX_CONE_FRACTION);
     assert_eq!(stats.redispatched, 0);
 }
 
@@ -309,7 +297,7 @@ fn removed_dep_overtakes_earlier_timeline_task() {
     let mut p = PatchGraph::new(&g);
     p.remove_dep(x, u);
     let patch = p.finish();
-    let stats = assert_incremental(&g, &patch, &FORCE);
+    let stats = assert_incremental(&g, &patch, FORCE);
     assert!(stats.is_incremental());
     assert_eq!(
         stats.cutoff_ns,
@@ -333,7 +321,7 @@ fn late_removed_dep_replays_the_prefix() {
     let mut p = PatchGraph::new(&g);
     p.remove_dep(x, ids[4]);
     let patch = p.finish();
-    let stats = assert_incremental(&g, &patch, &IncrementalOptions::default());
+    let stats = assert_incremental(&g, &patch, DEFAULT_MAX_CONE_FRACTION);
     assert!(stats.is_incremental());
     assert_eq!(stats.cutoff_ns, Some(40), "cutoff at c3's finish");
     assert_eq!(
@@ -342,17 +330,38 @@ fn late_removed_dep_replays_the_prefix() {
     );
 }
 
+/// A patch that leaves a base thread without tasks still runs its cone:
+/// the overlay keeps the base's thread ids, and only the applied graph
+/// drops the empty stream, so the later stream's id shifts down there.
 #[test]
-fn vacating_patch_falls_back() {
-    let mut g = DependencyGraph::new();
-    let a = g.add_task(cpu(10));
-    let b = g.add_task(gpu(20));
-    g.add_dep(a, b, DepKind::Correlation);
+fn vacating_patch_runs_the_cone() {
+    // c0..c3 on the CPU; k, the only kernel on stream 0, runs between c2
+    // and c3; m, on stream 1, hangs off c0.
+    let (mut g, ids) = chain(4);
+    let k = g.add_task(gpu(20));
+    g.add_dep(ids[2], k, DepKind::Correlation);
+    g.add_dep(k, ids[3], DepKind::Sync);
+    let mut m = gpu(15);
+    m.thread = ExecThread::Gpu(DeviceId(0), StreamId(1));
+    let m = g.add_task(m);
+    g.add_dep(ids[0], m, DepKind::Correlation);
     let mut p = PatchGraph::new(&g);
-    p.remove_task(b);
+    p.remove_task(k);
     let patch = p.finish();
-    let stats = assert_incremental(&g, &patch, &FORCE);
-    assert_eq!(stats.fallback, Some(FallbackReason::VacatedThreads));
+    assert!(
+        CompiledGraph::compile(&g)
+            .apply_traced(&patch)
+            .1
+            .vacated_threads
+    );
+    let stats = assert_incremental(&g, &patch, DEFAULT_MAX_CONE_FRACTION);
+    assert_eq!(stats.fallback, None, "a vacating patch runs its cone");
+    assert_eq!(stats.cutoff_ns, Some(30), "cutoff at k's base start");
+    assert_eq!(
+        (stats.redispatched, stats.total),
+        (1, 5),
+        "only c3 re-dispatches; c0..c2 and m replay"
+    );
 }
 
 #[test]
@@ -383,7 +392,7 @@ fn layered_overlay_equals_compose() {
     let a = CompiledGraph::compile(&composed.apply_reference(&g));
     let b = CompiledGraph::compile(&refinement.apply_reference(&mid));
     assert_eq!(canonical(&a), canonical(&b));
-    assert_incremental(&g, &composed, &FORCE);
+    assert_incremental(&g, &composed, FORCE);
 }
 
 // --- The full what-if catalog over profiled model graphs -------------------
@@ -407,9 +416,9 @@ fn check_transform(pg: &ProfiledGraph, plan: impl FnOnce(&mut PatchGraph<'_>)) {
     plan(&mut p);
     let patch = p.finish();
     assert!(!patch.is_empty(), "transform must emit a non-empty patch");
-    assert_incremental(&pg.graph, &patch, &FORCE);
-    assert_incremental(&pg.graph, &patch, &IncrementalOptions::default());
-    assert_incremental(&pg.graph, &patch, &FALLBACK);
+    assert_incremental(&pg.graph, &patch, FORCE);
+    assert_incremental(&pg.graph, &patch, DEFAULT_MAX_CONE_FRACTION);
+    assert_incremental(&pg.graph, &patch, FALLBACK);
 }
 
 #[test]
@@ -534,8 +543,8 @@ fn incremental_matches_full_for_p3_on_replicated_base() {
         let mut p = PatchGraph::new(&rep.graph);
         plan_p3_inserts(&mut p, &inserts);
         let patch = p.finish();
-        assert_incremental(&rep.graph, &patch, &FORCE);
-        assert_incremental(&rep.graph, &patch, &IncrementalOptions::default());
+        assert_incremental(&rep.graph, &patch, FORCE);
+        assert_incremental(&rep.graph, &patch, DEFAULT_MAX_CONE_FRACTION);
     }
 }
 
@@ -563,7 +572,7 @@ fn p3_and_warm_evaluations_share_one_arena() {
     let mut shared = SimScratch::new();
     for _round in 0..2 {
         for (i, (cg, schedule, patch, plan)) in bases.iter().enumerate() {
-            for opts in [FORCE, FALLBACK] {
+            for budget in [FORCE, FALLBACK] {
                 for p3 in [plan, &bases[1 - i].3] {
                     let wires = p3.wire_times(&cluster);
                     assert_eq!(
@@ -573,9 +582,9 @@ fn p3_and_warm_evaluations_share_one_arena() {
                     );
                     assert_eq!(shared.materialize(schedule), None);
                 }
-                let warm = assert_warm_matches_full(cg, schedule, patch, &opts, &mut shared);
-                assert_eq!(warm.stats.is_incremental(), opts == FORCE);
-                let fresh = simulate_warm_with(cg, schedule, patch, &mut SimScratch::new(), &opts)
+                let warm = assert_warm_matches_full(cg, schedule, patch, budget, &mut shared);
+                assert_eq!(warm.stats.is_incremental(), budget == FORCE);
+                let fresh = simulate_warm_with(cg, schedule, patch, &mut SimScratch::new(), budget)
                     .expect("patched graph must stay a DAG");
                 assert_eq!(warm, fresh, "a warm run on the shared arena diverged");
             }

@@ -18,7 +18,7 @@ mod common;
 use common::{assert_warm_matches_full, build_dag, thread_for};
 use daydream_core::{
     simulate_warm, CommChannel, CompiledGraph, DepKind, DependencyGraph, ExecThread, GraphEdit,
-    GraphView, IncrementalOptions, PatchGraph, Schedule, SimScratch, Task, TaskId, TaskKind,
+    GraphView, PatchGraph, Schedule, SimScratch, Task, TaskId, TaskKind, DEFAULT_MAX_CONE_FRACTION,
 };
 use daydream_trace::CpuThreadId;
 use proptest::prelude::*;
@@ -195,12 +195,12 @@ proptest! {
                 apply_random_op(&mut p, op);
             }
             let patch = p.finish();
-            let opts = match budget {
-                0 => IncrementalOptions::default(),
-                1 => IncrementalOptions { max_cone_fraction: 1.0 },
-                _ => IncrementalOptions { max_cone_fraction: 0.0 },
+            let budget = match budget {
+                0 => DEFAULT_MAX_CONE_FRACTION,
+                1 => 1.0,
+                _ => 0.0,
             };
-            assert_warm_matches_full(&base.cg, &base.schedule, &patch, &opts, &mut scratch);
+            assert_warm_matches_full(&base.cg, &base.schedule, &patch, budget, &mut scratch);
         }
     }
 }
@@ -220,13 +220,8 @@ fn fresh_threads_materialize_in_apply_order() {
     p.set_duration(TaskId(9), 500);
     let patch = p.finish();
     let mut scratch = SimScratch::new();
-    for opts in [
-        IncrementalOptions::default(),
-        IncrementalOptions {
-            max_cone_fraction: 0.0,
-        },
-    ] {
-        assert_warm_matches_full(&base.cg, &base.schedule, &patch, &opts, &mut scratch);
+    for budget in [DEFAULT_MAX_CONE_FRACTION, 0.0] {
+        assert_warm_matches_full(&base.cg, &base.schedule, &patch, budget, &mut scratch);
     }
 }
 
@@ -257,26 +252,23 @@ fn chain(n: u64) -> (WarmBase, Vec<TaskId>) {
 fn warm_paths_match_the_classic_oracle() {
     let (base, ids) = chain(12);
     let mut scratch = SimScratch::new();
-    let default = IncrementalOptions::default();
-    let mut check = |p: PatchGraph<'_>, opts: &IncrementalOptions| {
-        assert_warm_matches_full(&base.cg, &base.schedule, &p.finish(), opts, &mut scratch)
+    let default = DEFAULT_MAX_CONE_FRACTION;
+    let mut check = |p: PatchGraph<'_>, budget: f64| {
+        assert_warm_matches_full(&base.cg, &base.schedule, &p.finish(), budget, &mut scratch)
     };
 
     // Cone re-dispatch.
     let mut p = PatchGraph::new(&base.graph);
     p.set_duration(ids[8], 500);
-    check(p, &default);
+    check(p, default);
     // No-op: the default order ignores priority.
     let mut p = PatchGraph::new(&base.graph);
     p.set_priority(ids[3], 7);
-    assert_eq!(check(p, &default).stats.redispatched, 0);
+    assert_eq!(check(p, default).stats.redispatched, 0);
     // Forced full fallback stays on the overlay (no apply).
     let mut p = PatchGraph::new(&base.graph);
     p.set_duration(ids[2], 900);
-    let zero = IncrementalOptions {
-        max_cone_fraction: 0.0,
-    };
-    check(p, &zero);
+    check(p, 0.0);
     // Structural patch: simulated over the overlay, never applied.
     let mut p = PatchGraph::new(&base.graph);
     let extra = p.add_task(Task::new(
@@ -286,11 +278,11 @@ fn warm_paths_match_the_classic_oracle() {
         40,
     ));
     p.add_dep(ids[10], extra, DepKind::Transform);
-    check(p, &default);
+    check(p, default);
     // Back-to-back cone on the same arena: stale stamps must not leak.
     let mut p = PatchGraph::new(&base.graph);
     p.set_duration(ids[4], 123);
-    check(p, &default);
+    check(p, default);
 
     assert!(
         scratch.counters().reuses >= 2,
@@ -320,7 +312,7 @@ fn epoch_wrap_resets_cleanly() {
             &base.cg,
             &base.schedule,
             &mk(target, ns),
-            &IncrementalOptions::default(),
+            DEFAULT_MAX_CONE_FRACTION,
             &mut scratch,
         );
     }

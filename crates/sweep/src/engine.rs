@@ -17,8 +17,8 @@ use daydream_core::whatif::{
 };
 use daydream_core::{
     simulate_warm, thread_busy_ns, try_simulate_warm_with, CompiledGraph, ExecThread, GraphError,
-    GraphPatch, IncrementalOptions, IncrementalStats, PatchGraph, Prediction, ProfiledGraph,
-    Schedule, ScratchPool, SimScratch, TaskId, TaskIndex, TaskKind,
+    GraphPatch, PatchGraph, Prediction, ProfiledGraph, Schedule, ScratchPool, SimScratch, TaskId,
+    TaskIndex, TaskKind,
 };
 use daydream_device::GpuSpec;
 use daydream_models::{
@@ -453,13 +453,13 @@ impl RunStats {
     }
 
     /// Counts one simulation by the path it took.
-    fn record_sim(&mut self, stats: &IncrementalStats) {
-        if stats.is_incremental() {
+    fn record_sim(&mut self, eval: &PatchEval) {
+        if eval.incremental {
             self.incremental_sims += 1;
         } else {
             self.full_sims += 1;
         }
-        self.tasks_redispatched += stats.redispatched as u64;
+        self.tasks_redispatched += eval.tasks_redispatched;
     }
 }
 
@@ -584,7 +584,7 @@ impl SweepEngine {
     /// [`SweepEngine::run`]; outcome values are independent of thread
     /// count and of how scenarios are split across calls.
     pub fn run_scenarios(&self, scenarios: Vec<Scenario>) -> Result<Vec<ScenarioOutcome>, String> {
-        self.run_scenarios_inner(scenarios, Fidelity::Exact, true, None)
+        self.run_scenarios_inner(scenarios, Fidelity::Exact, None)
     }
 
     /// Like [`SweepEngine::run_scenarios`], but streams each outcome to
@@ -597,7 +597,7 @@ impl SweepEngine {
         scenarios: Vec<Scenario>,
         observer: OutcomeObserver<'_>,
     ) -> Result<Vec<ScenarioOutcome>, String> {
-        self.run_scenarios_inner(scenarios, Fidelity::Exact, true, Some(observer))
+        self.run_scenarios_inner(scenarios, Fidelity::Exact, Some(observer))
     }
 
     /// Evaluates a scenario list at a *low-fidelity rung*: the cone
@@ -612,14 +612,13 @@ impl SweepEngine {
         scenarios: Vec<Scenario>,
         max_cone_fraction: f64,
     ) -> Result<Vec<ScenarioOutcome>, String> {
-        self.run_scenarios_inner(scenarios, Fidelity::Rung { max_cone_fraction }, false, None)
+        self.run_scenarios_inner(scenarios, Fidelity::Rung { max_cone_fraction }, None)
     }
 
     fn run_scenarios_inner(
         &self,
         scenarios: Vec<Scenario>,
         fidelity: Fidelity,
-        use_result_cache: bool,
         observer: Option<OutcomeObserver<'_>>,
     ) -> Result<Vec<ScenarioOutcome>, String> {
         // Phase 0: answer what we can from the result cache, so fully
@@ -627,6 +626,7 @@ impl SweepEngine {
         // (a cross-process `--cache-file` rerun builds no profiles).
         // Rung runs skip it: their outcomes are low-fidelity and must
         // neither read nor pollute the exact-result store.
+        let use_result_cache = fidelity == Fidelity::Exact;
         let mut outcomes: Vec<Option<ScenarioOutcome>> = Vec::with_capacity(scenarios.len());
         let mut misses: Vec<(usize, Named)> = Vec::new();
         for (i, scenario) in scenarios.into_iter().enumerate() {
@@ -1046,20 +1046,14 @@ fn p3_prediction(
         let predicted_ns = plan
             .steady_iteration_ns(&wires, scratch)
             .map_err(|e| format!("P3 graph for {}: {e}", named.label))?;
-        let dispatched = plan.dispatched_tasks() as u64;
-        let incremental = plan.replayed_tasks() > 0;
-        if incremental {
-            stats.incremental_sims += 1;
-        } else {
-            stats.full_sims += 1;
-        }
-        stats.tasks_redispatched += dispatched;
-        Ok(PatchEval {
+        let eval = PatchEval {
             predicted_ns,
-            incremental,
+            incremental: plan.replayed_tasks() > 0,
             estimated: false,
-            tasks_redispatched: dispatched,
-        })
+            tasks_redispatched: plan.dispatched_tasks() as u64,
+        };
+        stats.record_sim(&eval);
+        Ok(eval)
     })
 }
 
@@ -1324,25 +1318,29 @@ fn simulate_patch(
             patch,
             scratch,
         )?),
-        Fidelity::Rung { max_cone_fraction } => {
-            let opts = IncrementalOptions { max_cone_fraction };
-            try_simulate_warm_with(&base.compiled, &base.schedule, patch, scratch, &opts)?
-        }
+        Fidelity::Rung { max_cone_fraction } => try_simulate_warm_with(
+            &base.compiled,
+            &base.schedule,
+            patch,
+            scratch,
+            max_cone_fraction,
+        )?,
     };
     Ok(match attempt {
         Ok(outcome) => {
-            stats.record_sim(&outcome.stats);
-            PatchEval {
+            let eval = PatchEval {
                 predicted_ns: outcome.makespan_ns,
                 incremental: outcome.stats.is_incremental(),
                 estimated: false,
                 tasks_redispatched: outcome.stats.redispatched as u64,
-            }
+            };
+            stats.record_sim(&eval);
+            eval
         }
         // Low-fidelity stand-in: a patch whose cone busts the rung's
-        // budget (or that vacates a thread) answers with the O(|patch|)
-        // busy-time bound — a lower bound on the makespan that ranks
-        // rung candidates, never simulated.
+        // budget answers with the O(|patch|) busy-time bound — a lower
+        // bound on the makespan that ranks rung candidates, never
+        // simulated.
         Err(_) => {
             stats.estimate_sims += 1;
             PatchEval {
@@ -1532,13 +1530,13 @@ mod tests {
 
     #[test]
     fn rung_estimate_is_the_applied_graphs_busy_time() {
-        // A rung answers an over-budget or thread-vacating patch with
+        // A rung answers an over-budget patch with
         // `BaseProfile::busy_bound` over the *unapplied* patch. It must
-        // equal the busy time of the applied graph, so the estimate does
-        // not depend on which fallback refused the cone. No catalog
-        // family vacates a zoo thread, so a hand-made patch removes one
-        // thread's tasks.
-        use daydream_core::{FallbackReason, GraphEdit};
+        // equal the busy time of the applied graph, also where the patch
+        // leaves a base thread empty, which the compaction drops. No
+        // catalog family vacates a zoo thread, so a hand-made patch
+        // removes one thread's tasks.
+        use daydream_core::GraphEdit;
         let base = build_profile("ResNet-50", 4).unwrap();
         let g = &base.graph.graph;
         let mut per_thread: HashMap<ExecThread, Vec<TaskId>> = HashMap::new();
@@ -1570,17 +1568,6 @@ mod tests {
             let applied_busy = thread_busy_ns(&applied).into_iter().max().unwrap_or(0);
             let bound = base.busy_bound(patch, &mut scratch);
             assert_eq!(bound, applied_busy, "{opt:?}: delta bound vs applied graph");
-            let attempt = try_simulate_warm_with(
-                &base.compiled,
-                &base.schedule,
-                patch,
-                &mut scratch,
-                &IncrementalOptions::default(),
-            )
-            .unwrap();
-            if opt.is_none() {
-                assert_eq!(attempt, Err(FallbackReason::VacatedThreads));
-            }
         }
     }
 

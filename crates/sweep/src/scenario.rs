@@ -2,6 +2,7 @@
 //! sweep, with stable labels and content-hash fingerprints for caching.
 
 use daydream_models::Model;
+use daydream_trace::{fnv1a64_continue, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
 
 /// An optimization (with its parameters) applied in one scenario.
@@ -205,21 +206,12 @@ impl Scenario {
 /// [`Scenario::fingerprint`] of the scenario labelled `label`, hashed
 /// without formatting the key string.
 pub(crate) fn label_fingerprint(label: &str) -> u64 {
-    fnv1a64_from(fnv1a64(label.as_bytes()), b"|pytorch|2080ti|seed0")
+    fnv1a64_continue(fnv1a64(label.as_bytes()), b"|pytorch|2080ti|seed0")
 }
 
 /// FNV-1a 64-bit hash.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_from(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// FNV-1a continued from state `h` over more bytes.
-fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64_continue(FNV_OFFSET, bytes)
 }
 
 #[cfg(test)]

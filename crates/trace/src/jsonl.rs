@@ -30,11 +30,14 @@ use std::io::Write;
 /// Format version stamped into every header record.
 pub const JSONL_VERSION: u32 = 1;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds `bytes` into a running FNV-1a 64-bit hash.
-fn fnv1a64_continue(mut h: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into a running FNV-1a 64-bit hash: the one byte loop
+/// behind the trace chain, scenario keys and patch fingerprints.
+#[inline]
+pub fn fnv1a64_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);

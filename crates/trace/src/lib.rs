@@ -44,7 +44,10 @@ pub use chrome::to_chrome_trace;
 pub use diff::{diff_traces, LaneDiff, OpDiff, OpGroupError, PhaseDiff, TraceDiff};
 pub use ids::{ActivityId, CorrelationId, CpuThreadId, DeviceId, Lane, LayerId, StreamId};
 pub use intervals::IntervalSet;
-pub use jsonl::{from_jsonl, to_jsonl, verify_jsonl, ChainSummary, TraceWriter, JSONL_VERSION};
+pub use jsonl::{
+    fnv1a64_continue, from_jsonl, to_jsonl, verify_jsonl, ChainSummary, TraceWriter, FNV_OFFSET,
+    JSONL_VERSION,
+};
 pub use marker::{LayerMarker, Phase};
 pub use meta::{BucketInfo, Framework, GradientInfo, TraceMeta};
 pub use trace::{Trace, TraceError};
