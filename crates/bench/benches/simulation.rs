@@ -1,10 +1,13 @@
-//! Bench: the dispatch kernel and the chain sweep on the real catalog
-//! bases.
+//! Bench: the dispatch kernel, the chain sweep and the retime replay on
+//! the real catalog bases.
 //!
 //! Times, on the 12 catalog bases (the six zoo models at batches 4 and
-//! 8), `simulate_compiled` (the frontier kernel) and the chain sweep
-//! `Schedule::capture` runs (`simulate_compiled_swept`), and
-//! `P3Plan::steady_iteration_ns` on a warmed `SimScratch` arena for each
+//! 8), `simulate_compiled` (the frontier kernel), the chain sweep
+//! `Schedule::capture` runs (`simulate_compiled_swept`), a batch-size
+//! patch (to four times the base's batch) through `simulate_warm` on a
+//! warmed `SimScratch` arena, whose cone is over the budget, so the
+//! engine's warm path replays the base's start order over the retimed
+//! rows, and `P3Plan::steady_iteration_ns` on a warmed arena for each
 //! base's P3 plan: three unrolled iterations with 4 MB-sliced push/pull
 //! transfers for a 4-machine, 10 Gbit/s cluster, the graph and the path
 //! the sweep engine simulates for a `p3` scenario, resumed after its
@@ -20,8 +23,11 @@
 use criterion::Criterion;
 use daydream_bench::util::profile_for;
 use daydream_comm::ClusterConfig;
-use daydream_core::whatif::{P3Config, P3Plan};
-use daydream_core::{simulate_compiled, simulate_compiled_swept, CompiledGraph, SimScratch};
+use daydream_core::whatif::{plan_batch_size, P3Config, P3Plan};
+use daydream_core::{
+    simulate_compiled, simulate_compiled_swept, simulate_warm, CompiledGraph, PatchGraph, Schedule,
+    SimScratch,
+};
 use daydream_models::zoo;
 use std::hint::black_box;
 
@@ -62,6 +68,16 @@ fn main() {
         for batch in [4u64, 8] {
             let (pg, _) = profile_for(&model.name, Some(batch), false);
             let base = CompiledGraph::compile(&pg.graph);
+            let schedule = Schedule::capture(&base).unwrap();
+            let mut ov = PatchGraph::new(&pg.graph);
+            plan_batch_size(&mut ov, batch, 4 * batch);
+            let batch_size = ov.finish();
+            let mut warm = SimScratch::new();
+            let replay = simulate_warm(&base, &schedule, &batch_size, &mut warm).unwrap();
+            assert!(
+                !replay.stats.is_incremental(),
+                "the cone is over the budget"
+            );
             let cluster = ClusterConfig::new(4, 1, 10.0);
             let plan = P3Plan::new(&pg, &P3Config::p3(cluster));
             let wires = plan.wire_times(&cluster);
@@ -80,12 +96,17 @@ fn main() {
                         .expect("catalog bases are chain-threaded")
                         .unwrap();
                 });
+            let replay_ns =
+                median_ns_per_task(&mut c, &format!("replay/{label}"), 40, base.len(), || {
+                    simulate_warm(&base, &schedule, black_box(&batch_size), &mut warm).unwrap();
+                });
             let p3_ns = median_ns_per_task(&mut c, &format!("p3/{label}"), 10, dispatched, || {
                 plan.steady_iteration_ns(black_box(&wires), &mut scratch)
                     .unwrap();
             });
             println!(
                 "sim_kernel {label}: base {base_ns:.1} ns/task, sweep {sweep_ns:.1} ns/task, \
+                 replay {replay_ns:.1} ns/task, \
                  p3 {p3_ns:.1} ns per dispatched task ({dispatched} of {})",
                 p3.len()
             );
@@ -93,7 +114,8 @@ fn main() {
                 concat!(
                     "      {{\"model\": \"{}\", \"batch\": {}, ",
                     "\"tasks\": {}, \"threads\": {}, \"ns_per_task\": {:.1}, ",
-                    "\"sweep_ns_per_task\": {:.1}, \"p3_tasks\": {}, ",
+                    "\"sweep_ns_per_task\": {:.1}, \"replay_ns_per_task\": {:.1}, ",
+                    "\"p3_tasks\": {}, ",
                     "\"p3_dispatched\": {}, \"p3_threads\": {}, \"p3_ns_per_task\": {:.1}, ",
                     "\"p3_us\": {:.1}}}"
                 ),
@@ -103,6 +125,7 @@ fn main() {
                 base.thread_count(),
                 base_ns,
                 sweep_ns,
+                replay_ns,
                 p3.len(),
                 dispatched,
                 p3.thread_count(),
@@ -132,11 +155,14 @@ fn main() {
         concat!(
             "{{\n    \"kernel\": \"simulate_compiled (the frontier kernel) and the chain ",
             "sweep (simulate_compiled_swept, what Schedule::capture runs) on each catalog ",
-            "base; P3Plan::steady_iteration_ns on a warmed SimScratch arena (the engine's ",
+            "base; a batch-size patch (to 4x the base's batch) through simulate_warm on a ",
+            "warmed SimScratch arena (its cone is over the budget: the retime replay); ",
+            "P3Plan::steady_iteration_ns on a warmed SimScratch arena (the engine's ",
             "path: wire times written into arena-owned rows, dense ranks sorted once per ",
             "plan, the first unrolled iteration replayed from the base schedule) for its ",
             "3-iteration, 4 MB-sliced P3 plan for 4 machines at 10 Gbit/s\",\n",
-            "    \"note\": \"wall time per dispatched task (p3: of p3_dispatched, the plan's ",
+            "    \"note\": \"wall time per dispatched task (replay: the whole simulate_warm ",
+            "call per base task; p3: of p3_dispatched, the plan's ",
             "tasks after its first iteration; p3_us per plan evaluation), median of 5 ",
             "rounds; compilation and plan building untimed\",\n",
             "    \"results\": [\n{}\n    ]{}\n  }}"

@@ -3,11 +3,12 @@
 //! Three regressions these pin:
 //!
 //! * **Allocation creep** — the whole point of the epoch-stamped arena
-//!   is that a warmed evaluation touches no allocator, for retimes,
-//!   structural patches and P3's plan runs alike. The counting global
-//!   allocator in `daydream_bench::util` (debug builds only) fails these
-//!   tests the moment someone reintroduces a per-call `clone`,
-//!   `Vec::new` or patch apply into the hot loop.
+//!   is that a warmed evaluation touches no allocator, for retimes (on
+//!   the cone path and replayed), structural patches and P3's plan runs
+//!   alike, also when a plan run and a replay share the arena's rows.
+//!   The counting global allocator in `daydream_bench::util` (debug
+//!   builds only) fails these tests the moment someone reintroduces a
+//!   per-call `clone`, `Vec::new` or patch apply into the hot loop.
 //! * **Patch memory that grows with the base** — a patch stores what
 //!   it touched: inserting tasks must not size anything to the base
 //!   arena beyond one `u32` slot map, and a refinement layered on a
@@ -32,8 +33,8 @@ use daydream_core::whatif::{
     VdnnConfig,
 };
 use daydream_core::{
-    simulate_warm, CompiledGraph, GraphPatch, PatchGraph, Schedule, SimScratch, TaskId, TaskIndex,
-    WarmOutcome, DEFAULT_MAX_CONE_FRACTION,
+    simulate_warm, CompiledGraph, FallbackReason, GraphEdit, GraphPatch, PatchGraph, Schedule,
+    SimScratch, TaskId, TaskIndex, WarmOutcome, DEFAULT_MAX_CONE_FRACTION,
 };
 
 /// Evaluates `patch` warm three times on one arena — the first call sizes
@@ -155,6 +156,62 @@ fn warmed_p3_evaluation_is_allocation_free() {
     });
     assert_eq!(third, first);
     assert_eq!(third, plan.evaluate(&cluster).unwrap().iteration_ns);
+}
+
+#[test]
+fn warmed_retime_replay_is_allocation_free() {
+    // Every task of a chain-threaded zoo base retimed: the cone is the
+    // whole graph and the patch keeps the structure, so the full
+    // fallback replays the base's start order over the arena's duration
+    // rows.
+    let (pg, _) = profile_for("ResNet-50", Some(4), false);
+    let compiled = CompiledGraph::compile(&pg.graph);
+    let schedule = Schedule::capture(&compiled).expect("base must be a DAG");
+    assert!(schedule.is_chain_threaded(), "zoo bases are chain-threaded");
+    let retimes: Vec<(TaskId, u64)> = pg
+        .graph
+        .iter()
+        .map(|(id, t)| (id, t.duration_ns / 2))
+        .collect();
+    let mut ov = PatchGraph::new(&pg.graph);
+    ov.set_durations(&retimes);
+    let patch = ov.finish();
+    let replayed =
+        third_warm_call_allocates_nothing("warmed retime replay", &compiled, &schedule, &patch);
+    assert_eq!(replayed.stats.fallback, Some(FallbackReason::ConeTooLarge));
+    assert_eq!(replayed.stats.redispatched, compiled.len());
+
+    // A P3 plan run and the replay on one arena: the plan writes the
+    // cost and duration rows after its first unrolled iteration, the
+    // replay from the first task. In turn, each answers as on a fresh
+    // arena, and the third round allocates nothing.
+    let cluster = ClusterConfig::new(4, 1, 10.0);
+    let plan = P3Plan::new(&pg, &P3Config::p3(cluster));
+    let wires = plan.wire_times(&cluster);
+    let fresh = (plan.evaluate(&cluster).unwrap().iteration_ns, replayed);
+    let round = |scratch: &mut SimScratch| {
+        (
+            plan.steady_iteration_ns(&wires, scratch).unwrap(),
+            simulate_warm(&compiled, &schedule, &patch, scratch).unwrap(),
+        )
+    };
+    let mut scratch = SimScratch::new();
+    assert_eq!(round(&mut scratch), fresh);
+    assert_eq!(round(&mut scratch), fresh);
+    let third = assert_no_allocs("a P3 plan run and a retime replay on one arena", || {
+        round(&mut scratch)
+    });
+    assert_eq!(third, fresh);
+    assert_eq!(
+        assert_warm_matches_full(
+            &compiled,
+            &schedule,
+            &patch,
+            DEFAULT_MAX_CONE_FRACTION,
+            &mut scratch
+        ),
+        replayed
+    );
 }
 
 /// Bytes `f` allocates on this thread (0 in release builds).

@@ -528,6 +528,23 @@ impl NetDelta {
         &self.edge_ids
     }
 
+    /// The base tasks' duration overrides, `(id, duration)` in first-touch
+    /// order, read from the dense `dur` row behind `F_DUR`, if the
+    /// patch keeps the base's structure: it inserts, removes and rewires
+    /// nothing and moves no task to another thread. `None` otherwise.
+    pub(crate) fn retimes_only(&self) -> Option<impl Iterator<Item = (TaskId, u64)> + '_> {
+        let keeps = self.new_ids.is_empty()
+            && self.removed_list.is_empty()
+            && self.edge_ids.is_empty()
+            && self.fields & F_THREAD == 0;
+        keeps.then(|| {
+            self.touched
+                .iter()
+                .filter(|&&id| self.flags[id.0] & F_DUR != 0)
+                .map(|&id| (id, self.dur[id.0]))
+        })
+    }
+
     /// Ids whose final predecessor list the patch overrides, in
     /// first-write order. (Every edge add/remove dirties the `to` side's
     /// list, and task removal dirties every neighbour — so this is

@@ -69,14 +69,37 @@
 //! kernel runs over the same view. It runs in [`Schedule::capture`],
 //! which records whether the base passed
 //! ([`Schedule::is_chain_threaded`]), and in the full fallback of
-//! [`simulate_warm_with`] over such a base when the patch interns no
-//! thread the base lacks (a new collective channel or copy stream is no
-//! chain). [`simulate_compiled`] and the warm cone path stay on the
-//! kernel; the former is the oracle both are pinned to.
+//! [`simulate_warm_with`] for a patch that changes such a base's
+//! structure but interns no thread the base lacks (a new collective
+//! channel or copy stream is no chain). [`simulate_compiled`] and the
+//! warm cone path stay on the kernel; the former is the oracle both are
+//! pinned to.
 //!
 //! The same argument lets a P3 plan skip its first unrolled iteration
 //! (`ReplaySeed`): where no dispatch can go two ways, the base's
 //! captured schedule is the answer.
+//!
+//! # Retimes keep the structure
+//!
+//! A patch that only retimes (AMP, a GPU upgrade, a batch-size change:
+//! no insert, removal, edge override or thread move) keeps the base's
+//! tasks, threads and edges. Over a chain-threaded base every thread is
+//! still a chain, so every task still starts at its latest predecessor
+//! finish, and every topological order of the base is one of the
+//! patched graph. The capture keeps one in [`Schedule`]'s start order:
+//! the sweep's FIFO dispatch sequence, stably sorted by start. On an
+//! edge `u → v`, `v` starts no earlier than `u` finishes, so either `u`
+//! starts first, or `u` costs nothing and starts with `v`; then the FIFO
+//! took `u` first (taking it released `v`), and the stable sort keeps it
+//! first. When such a patch's cone is over the budget, the full fallback
+//! of [`simulate_warm_with`] writes the patch's durations into the
+//! arena's dense cost and duration rows and walks that order once
+//! (`SimBufs::run_replay`): each task starts at the latest finish its
+//! predecessors posted, and its thread's progress is its thread
+//! predecessor's finish, walked before it. No overlay, queue,
+//! predecessor count or chain check is needed: the chains are the
+//! base's, which the capture checked. The starts, waits, thread ends
+//! and makespan are the sweep's over the applied graph, so the kernel's.
 //!
 //! # Warm evaluation
 //!
@@ -84,7 +107,9 @@
 //! [`Schedule`] without applying its patch: retimes, thread moves,
 //! inserts and removals are all read through an epoch-stamped overlay on
 //! the base [`CompiledGraph`], and only the cone of tasks the patch can
-//! affect is re-dispatched. It runs the default order only. The overlay
+//! affect is re-dispatched; a retime-only patch whose cone is over the
+//! budget replays the base's order instead (above), and builds no
+//! overlay. It runs the default order only. The overlay
 //! keeps the base's thread ids and interns a patch's new threads after
 //! them, so the captured schedule's per-thread rows stay valid for every
 //! patch, also one that leaves a base thread without tasks: the cone's
@@ -99,7 +124,8 @@
 //! arena also serves P3's simulations of its cached plans
 //! (`whatif::P3Plan::steady_iteration_ns`), which write the cluster's
 //! transfer times into arena-owned cost and duration rows and resume
-//! after the plan's first iteration.
+//! after the plan's first iteration; the retime replay writes the same
+//! rows, through the same writer.
 
 use crate::compiled::{CompactId, CompiledGraph, ThreadId};
 use crate::graph::{DependencyGraph, GraphError, TaskId};
@@ -422,8 +448,9 @@ impl SimGraphView for CompiledGraph {
 }
 
 /// A compiled graph whose cost and duration rows are arena-owned copies
-/// with some tasks retimed: what [`SimScratch::simulate_retimed`]
-/// dispatches, so retiming never clones the graph.
+/// with some tasks retimed ([`SimScratch::write_retimed`]): what
+/// [`SimScratch::simulate_retimed`] dispatches and the warm retime
+/// replay walks, so retiming never clones the graph.
 struct RetimedView<'a> {
     graph: &'a CompiledGraph,
     cost: &'a [u64],
@@ -517,7 +544,9 @@ pub fn simulate_compiled_swept(cg: &CompiledGraph) -> Option<Result<CompiledSim,
 /// The indices make cutoff seeding sublinear in the prefix: thread
 /// progress at a cutoff is one binary search per thread, and a suffix
 /// task's remaining-predecessor count and seeded tentative start are one
-/// binary search over its sorted predecessor segment.
+/// binary search over its sorted predecessor segment. On a
+/// chain-threaded base the start order is also a topological order, which
+/// the retime replay walks (module docs).
 #[derive(Debug, Clone)]
 pub struct Schedule {
     /// The base simulation output (dense, compiled-space).
@@ -527,15 +556,19 @@ pub struct Schedule {
     /// `start + cost` per task: when the thread moves past it.
     fin_ns: Vec<u64>,
     /// Task ids sorted by start time (the dispatch sequence up to
-    /// same-instant ties, which a time cutoff never splits).
+    /// same-instant ties, which a time cutoff never splits). On a
+    /// chain-threaded base, the sweep's FIFO sequence stably sorted, so
+    /// a topological order in which each thread's tasks keep their
+    /// dispatch order; otherwise `0..n` sorted unstably.
     by_start: Vec<u32>,
     /// `makespan_prefix[i]` = max `start + duration` over `by_start[..i]`.
     makespan_prefix: Vec<u64>,
     /// Per-thread timeline CSR offsets into `tl_start`/`tl_fin`.
     tl_off: Vec<u32>,
-    /// Per-thread task starts in dispatch order.
+    /// Per-thread task starts in `by_start` order.
     tl_start: Vec<u64>,
-    /// Per-thread task finishes in dispatch order (monotone per thread).
+    /// Per-thread running max of task finishes in `by_start` order
+    /// (monotone per thread).
     tl_fin: Vec<u64>,
     /// Per-task predecessor CSR offsets into `pred_start`/`pred_fin_max`.
     pred_off: Vec<u32>,
@@ -554,14 +587,24 @@ impl Schedule {
     pub fn capture(cg: &CompiledGraph) -> Result<Schedule, GraphError> {
         let mut bufs = SimBufs::sized_for(cg);
         let (chain_threaded, run) = bufs.run_sweep_or_full(cg, 0);
+        // A finished sweep leaves every task in its queue, in the order
+        // it took them.
+        let mut by_start = std::mem::take(&mut bufs.queue);
         let sim = bufs.into_sim(cg, run)?;
         let n = cg.len();
         let fin_ns: Vec<u64> = (0..n)
             .map(|i| sim.start_ns[i] + cg.cost_ns(CompactId(i as u32)))
             .collect();
 
-        let mut by_start: Vec<u32> = (0..n as u32).collect();
-        by_start.sort_unstable_by_key(|&i| sim.start_ns[i as usize]);
+        if chain_threaded {
+            // Stable: a zero-cost task keeps its place before the
+            // successor it ties on start (module docs).
+            by_start.sort_by_key(|&i| sim.start_ns[i as usize]);
+        } else {
+            by_start.clear();
+            by_start.extend(0..n as u32);
+            by_start.sort_unstable_by_key(|&i| sim.start_ns[i as usize]);
+        }
         let mut makespan_prefix = Vec::with_capacity(n + 1);
         makespan_prefix.push(0u64);
         let mut running = 0u64;
@@ -570,12 +613,14 @@ impl Schedule {
             makespan_prefix.push(running);
         }
 
-        // Per-thread timelines in dispatch order. Finishes are stored as
-        // a running max per segment: serial execution makes them monotone
-        // already *except* when a zero-cost task ties a same-thread
-        // neighbour on start and the unstable by-start sort orders the
-        // tie against dispatch order — `progress_at` must still see the
-        // true thread progress.
+        // Per-thread timelines in start order. Finishes are stored as a
+        // running max per segment: serial execution makes them monotone
+        // already *except* on a kernel-captured base, when a zero-cost
+        // task ties a same-thread neighbour on start and the unstable
+        // by-start sort orders the tie against dispatch order —
+        // `progress_at` must still see the true thread progress. A
+        // chain-threaded base's stable sort keeps each thread's dispatch
+        // order, so there the max changes nothing.
         let t_count = cg.thread_count();
         let mut tl_off = Vec::with_capacity(t_count + 1);
         tl_off.push(0u32);
@@ -670,8 +715,9 @@ impl Schedule {
     }
 
     /// `true` if every thread of the base is a chain (module docs), so
-    /// the capture ran as one topological sweep, and so do the full
-    /// fallbacks of [`simulate_warm_with`] that add no thread.
+    /// the capture ran as one topological sweep. The full fallbacks of
+    /// [`simulate_warm_with`] then replay the start order for a patch
+    /// that only retimes, and sweep for one that adds no thread.
     pub fn is_chain_threaded(&self) -> bool {
         self.chain_threaded
     }
@@ -1640,6 +1686,37 @@ impl SimBufs {
         }
     }
 
+    /// Full simulation of `view` by walking `order`, a topological order
+    /// of its tasks in which each thread's tasks keep their chain order,
+    /// as [`Schedule`]'s start order of a chain-threaded base is (module
+    /// docs, "Retimes keep the structure"): each task starts at the
+    /// latest finish its predecessors posted. Returns the makespan.
+    fn run_replay(&mut self, view: &RetimedView, order: &[u32]) -> u64 {
+        let n = view.len();
+        let progress = &mut self.progress[..view.thread_count()];
+        progress.fill(0);
+        let tentative = &mut self.tentative[..n];
+        tentative.fill(0);
+        let (start, wait) = (&mut self.start[..n], &mut self.wait[..n]);
+        let mut makespan = 0u64;
+        for &u in order {
+            let (ui, c) = (u as usize, CompactId(u));
+            let t = view.graph.thread_of(c).0 as usize;
+            let s = tentative[ui];
+            debug_assert!(s >= progress[t], "a chain task never waits on its thread");
+            start[ui] = s;
+            wait[ui] = s - progress[t];
+            let fin = s + view.cost[ui];
+            makespan = makespan.max(s + view.dur[ui]);
+            progress[t] = fin;
+            for &v in view.graph.successors(c) {
+                let vi = v.0 as usize;
+                tentative[vi] = tentative[vi].max(fin);
+            }
+        }
+        makespan
+    }
+
     /// Full simulation of the tasks of `view` after `seed`'s replayed
     /// prefix, under the dense order `ranks`: the prefix is never
     /// touched, each later task starts from its seeded remaining
@@ -1882,16 +1959,23 @@ enum WarmLast {
         #[cfg_attr(not(test), allow(dead_code))]
         swept: bool,
     },
+    /// Retime replay over the base's order: the buffers hold every base
+    /// task, in base order, which the applied graph keeps.
+    Replay { makespan: u64 },
     /// No simulation-relevant effect: the base schedule is the answer.
     Noop,
 }
 
-/// Monotonic reuse accounting of a scratch arena.
+/// Monotonic reuse accounting of a scratch arena: every simulation that
+/// sizes its buffers (a warm cone or full evaluation, a retime replay, a
+/// P3 plan run) counts once. A warm evaluation with no
+/// simulation-relevant effect, or one [`try_simulate_warm_with`]
+/// refuses, sizes nothing and counts in neither.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchCounters {
-    /// Evaluations served without growing any buffer.
+    /// Simulations served without growing any buffer.
     pub reuses: u64,
-    /// Evaluations that had to (re)size at least one buffer.
+    /// Simulations that had to (re)size at least one buffer.
     pub allocs: u64,
 }
 
@@ -1908,7 +1992,7 @@ pub struct SimScratch {
     ov: Overlay,
     bufs: SimBufs,
     /// Cost and duration rows of the last retimed graph
-    /// ([`SimScratch::simulate_retimed`]).
+    /// ([`SimScratch::write_retimed`]).
     cost: Vec<u64>,
     dur: Vec<u64>,
     last: Option<WarmLast>,
@@ -1962,6 +2046,42 @@ impl SimScratch {
         self.size_bufs(shape.n, shape.t_count, grew);
     }
 
+    /// The one writer of retimed rows: opens a new evaluation epoch,
+    /// sizes the buffers for `graph`, and copies its cost and duration
+    /// rows from task `from` onwards into the arena, with `durations`
+    /// replacing the given tasks' durations (each keeping its trailing
+    /// gap). Rows before `from` are left as they are. What P3's plan runs
+    /// ([`SimScratch::simulate_retimed`]) and the warm retime replay
+    /// ([`SimScratch::replay_retimes`]) read through a [`RetimedView`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a retimed task is before `from`.
+    fn write_retimed(
+        &mut self,
+        graph: &CompiledGraph,
+        from: usize,
+        durations: impl IntoIterator<Item = (CompactId, u64)>,
+    ) {
+        self.next_epoch();
+        let n = graph.len();
+        let grew = self.cost.len() < n;
+        if grew {
+            self.cost.resize(n, 0);
+            self.dur.resize(n, 0);
+        }
+        self.size_bufs(n, graph.thread_count(), grew);
+        let (cost, dur) = (&mut self.cost[..n], &mut self.dur[..n]);
+        cost[from..].copy_from_slice(&graph.cost_ns[from..]);
+        dur[from..].copy_from_slice(&graph.duration_ns[from..]);
+        for (c, d) in durations {
+            let i = c.0 as usize;
+            assert!(i >= from, "a replayed task keeps its base duration");
+            cost[i] = d + (cost[i] - dur[i]);
+            dur[i] = d;
+        }
+    }
+
     /// Simulates `graph` with the given tasks' durations replaced (each
     /// keeping its trailing gap), under the dense order `ranks`
     /// ([`FrontierOrder::dense_ranks`]), in this arena, resuming after
@@ -1983,24 +2103,8 @@ impl SimScratch {
         seed: &ReplaySeed,
         durations: impl IntoIterator<Item = (CompactId, u64)>,
     ) -> Result<impl Fn(CompactId) -> u64 + '_, GraphError> {
-        self.next_epoch();
-        let n = graph.len();
-        let k = seed.replayed;
-        let grew = self.cost.len() < n;
-        if grew {
-            self.cost.resize(n, 0);
-            self.dur.resize(n, 0);
-        }
-        self.size_bufs(n, graph.thread_count(), grew);
-        let (cost, dur) = (&mut self.cost[..n], &mut self.dur[..n]);
-        cost[k..].copy_from_slice(&graph.cost_ns[k..]);
-        dur[k..].copy_from_slice(&graph.duration_ns[k..]);
-        for (c, d) in durations {
-            let i = c.0 as usize;
-            assert!(i >= k, "a replayed task keeps its base duration");
-            cost[i] = d + (cost[i] - dur[i]);
-            dur[i] = d;
-        }
+        let (n, k) = (graph.len(), seed.replayed);
+        self.write_retimed(graph, k, durations);
         let view = RetimedView {
             graph,
             cost: &self.cost[..n],
@@ -2018,6 +2122,38 @@ impl SimScratch {
         Ok(move |c: CompactId| start[c.0 as usize] + dur[c.0 as usize])
     }
 
+    /// The retime replay (module docs): simulates `base` with
+    /// `durations`, a structure-keeping patch's duration overrides,
+    /// written over its rows, by walking `schedule`'s start order, and
+    /// leaves the run to [`SimScratch::materialize`]. Returns the
+    /// makespan. The caller checks that `schedule`, captured over
+    /// `base`, is chain-threaded.
+    fn replay_retimes(
+        &mut self,
+        base: &CompiledGraph,
+        schedule: &Schedule,
+        durations: impl Iterator<Item = (TaskId, u64)>,
+    ) -> u64 {
+        debug_assert!(
+            schedule.chain_threaded,
+            "replays need a topological start order"
+        );
+        let compact = |id: TaskId| {
+            base.compact_of(id)
+                .expect("patched task must be live in the base")
+        };
+        self.write_retimed(base, 0, durations.map(|(id, d)| (compact(id), d)));
+        let n = base.len();
+        let view = RetimedView {
+            graph: base,
+            cost: &self.cost[..n],
+            dur: &self.dur[..n],
+        };
+        let makespan = self.bufs.run_replay(&view, &schedule.by_start);
+        self.last = Some(WarmLast::Replay { makespan });
+        makespan
+    }
+
     /// Reconstructs the full [`CompiledSim`] of the last
     /// [`simulate_warm_with`] call — byte-identical to
     /// [`simulate_compiled`] over `CompiledGraph::apply` of the same
@@ -2031,6 +2167,15 @@ impl SimScratch {
             WarmLast::Noop => return Some(schedule.sim.clone()),
             WarmLast::Cone { makespan } => (false, makespan),
             WarmLast::Full { makespan, .. } => (true, makespan),
+            WarmLast::Replay { makespan } => {
+                let (n, t_count) = (schedule.len(), schedule.sim.thread_end.len());
+                return Some(CompiledSim {
+                    start_ns: self.bufs.start[..n].to_vec(),
+                    wait_ns: self.bufs.wait[..n].to_vec(),
+                    thread_end: self.bufs.progress[..t_count].to_vec(),
+                    makespan_ns: makespan,
+                });
+            }
         };
         let shape = self.ov.shape;
         let (live, threads) = self.ov.applied_order(self.epoch);
@@ -2135,6 +2280,13 @@ impl SimScratch {
         matches!(self.last, Some(WarmLast::Full { swept: true, .. }))
     }
 
+    /// Test hook: `true` if the last warm evaluation fell back to a full
+    /// run and ran it as the retime replay.
+    #[cfg(test)]
+    pub(crate) fn replayed(&self) -> bool {
+        matches!(self.last, Some(WarmLast::Replay { .. }))
+    }
+
     /// Test hook: forces the generation counter (exercising u32 wrap).
     #[doc(hidden)]
     pub fn force_epoch(&mut self, epoch: u32) {
@@ -2215,20 +2367,24 @@ pub fn simulate_warm(
 /// byte-identical (equivalence proptests) to [`simulate_compiled`] over
 /// the applied graph. Every patch — retimes, thread moves, priority
 /// edits, inserts, removals, rewires, also one that leaves a base thread
-/// without tasks — is simulated over the base [`CompiledGraph`] plus an
-/// epoch-stamped overlay in `scratch`, built in O(|patch|), and every
-/// per-sim O(V) buffer comes from the arena. The overlay keeps the
-/// base's thread ids, so the decision rests on the cone alone:
+/// without tasks — is simulated over the base [`CompiledGraph`], with
+/// every per-sim O(V) buffer from the arena. The decision rests on the
+/// cone alone, which is bounded from the patch's delta and the schedule
+/// before anything is built:
 ///
 /// 1. a patch with no simulation-relevant effect (priority and name
 ///    edits) answers with the base schedule;
 /// 2. a cone above `max_cone_fraction` of the patched graph's tasks
 ///    (`1.0` never falls back, `0.0` always does) runs the full path;
-/// 3. every other patch re-dispatches only its cone: the replayed prefix
-///    is never copied, so warm cost is O(cone + |patch|).
+/// 3. every other patch re-dispatches only its cone, over an
+///    epoch-stamped overlay in `scratch` built in O(|patch|): the
+///    replayed prefix is never copied, so warm cost is O(cone + |patch|).
 ///
-/// The full path dispatches every live task over the same overlay —
-/// still zero clones and zero allocations warm.
+/// On the full path, a patch that keeps the structure (it only retimes)
+/// of a chain-threaded base replays the base's start order over the
+/// arena's dense duration rows (module docs); every other patch
+/// dispatches every live task over the overlay — still zero clones and
+/// zero allocations warm. Both report the full path's accounting.
 ///
 /// # Panics
 ///
@@ -2245,21 +2401,34 @@ pub fn simulate_warm_with(
         Ok(outcome) => return Ok(outcome),
         Err(reason) => reason,
     };
-    // The overlay of this evaluation is still current. A thread the base
-    // lacks is no chain in the catalog (a collective channel, a copy
-    // stream), so only patches that add none try the sweep.
-    let view = scratch.ov.view(base, scratch.epoch);
-    let (swept, (done, makespan)) = if schedule.chain_threaded && scratch.ov.new_threads.is_empty()
-    {
-        scratch.bufs.run_sweep_or_full(&view, scratch.epoch)
+    let retimes = patch
+        .delta()
+        .retimes_only()
+        .filter(|_| schedule.chain_threaded);
+    let (live, makespan) = if let Some(durations) = retimes {
+        (
+            base.len(),
+            scratch.replay_retimes(base, schedule, durations),
+        )
     } else {
-        (false, scratch.bufs.run_full(&view, None, scratch.epoch))
+        scratch.begin(base, patch);
+        // A thread the base lacks is no chain in the catalog (a
+        // collective channel, a copy stream), so only patches that add
+        // none try the sweep.
+        let view = scratch.ov.view(base, scratch.epoch);
+        let (swept, (done, makespan)) =
+            if schedule.chain_threaded && scratch.ov.new_threads.is_empty() {
+                scratch.bufs.run_sweep_or_full(&view, scratch.epoch)
+            } else {
+                (false, scratch.bufs.run_full(&view, None, scratch.epoch))
+            };
+        let live = scratch.ov.shape.live;
+        if done != live {
+            return Err(GraphError::Cycle);
+        }
+        scratch.last = Some(WarmLast::Full { makespan, swept });
+        (live, makespan)
     };
-    let live = scratch.ov.shape.live;
-    if done != live {
-        return Err(GraphError::Cycle);
-    }
-    scratch.last = Some(WarmLast::Full { makespan, swept });
     Ok(WarmOutcome {
         makespan_ns: makespan,
         stats: IncrementalStats {
@@ -2275,8 +2444,10 @@ pub fn simulate_warm_with(
 /// inner `Err` says the cone exceeded `max_cone_fraction`, leaving the
 /// caller free to substitute something cheaper — the sweep search's
 /// low-fidelity rungs answer it with the maximum of
-/// [`SimScratch::thread_busy_after`]. After an `Err`, the arena holds
-/// nothing to [`SimScratch::materialize`].
+/// [`SimScratch::thread_busy_after`]. Only the cone path builds the
+/// patch's overlay and sizes the arena's buffers; a no-op and a refusal
+/// size nothing and count neither a reuse nor an alloc. After an `Err`,
+/// the arena holds nothing to [`SimScratch::materialize`].
 ///
 /// # Panics
 ///
@@ -2298,10 +2469,9 @@ pub fn try_simulate_warm_with(
         patch.base_capacity(),
         "patch recorded against a different base arena"
     );
-    scratch.begin(base, patch);
-    let live = scratch.ov.shape.live;
+    // The bound reads the delta and the schedule only; the overlay's
+    // insert bounds are its storage.
     let bound = cone_bound(base, schedule, patch, &mut scratch.ov.ins);
-    debug_assert_eq!(bound.n_new, live, "delta-derived live count must match");
     if bound.cutoff == u64::MAX {
         // No simulation-relevant effect (name, kind or priority edits):
         // the base schedule is the answer, referenced rather than cloned.
@@ -2310,15 +2480,21 @@ pub fn try_simulate_warm_with(
             makespan_ns: schedule.makespan_ns(),
             stats: IncrementalStats {
                 redispatched: 0,
-                total: live,
+                total: bound.n_new,
                 cutoff_ns: Some(u64::MAX),
                 fallback: None,
             },
         }));
     }
-    if bound.cone as f64 > max_cone_fraction * live as f64 {
+    if bound.cone as f64 > max_cone_fraction * bound.n_new as f64 {
+        scratch.last = None;
         return Ok(Err(FallbackReason::ConeTooLarge));
     }
+    scratch.begin(base, patch);
+    debug_assert_eq!(
+        bound.n_new, scratch.ov.shape.live,
+        "delta-derived live count must match"
+    );
     let view = scratch.ov.view(base, scratch.epoch);
     let (done, makespan) = scratch.bufs.run_cone(
         &view,
@@ -2336,7 +2512,7 @@ pub fn try_simulate_warm_with(
         makespan_ns: makespan,
         stats: IncrementalStats {
             redispatched: done,
-            total: live,
+            total: bound.n_new,
             cutoff_ns: Some(bound.cutoff),
             fallback: None,
         },
@@ -2709,11 +2885,13 @@ mod tests {
         check("check 3", &release, &release_edges, Some(&[0, 3, 2, 1]), 0);
     }
 
-    /// Which catalog families' full fallbacks run as the chain sweep, on
-    /// the chain-threaded ResNet-50 and BERT_Base bases at batch 4: those
-    /// whose patch keeps to the base's threads, and not DDP, BlueConnect,
-    /// DGC (a collective channel) or vDNN (a copy stream). Every result
-    /// still equals the frontier kernel over the applied graph.
+    /// How catalog families' full fallbacks run, on the chain-threaded
+    /// ResNet-50 and BERT_Base bases at batch 4: those that only retime
+    /// (AMP, upgrade-gpu, batch-size) replay the base's start order; the
+    /// other structural ones that keep to the base's threads sweep; DDP,
+    /// BlueConnect, DGC (a collective channel) and vDNN (a copy stream)
+    /// keep the frontier kernel. Every result still equals the frontier
+    /// kernel over the applied graph.
     #[test]
     fn catalog_full_fallbacks_sweep_only_on_the_base_threads() {
         use crate::construct::ProfiledGraph;
@@ -2723,16 +2901,17 @@ mod tests {
         use daydream_device::GpuSpec;
         use daydream_runtime::{ground_truth, ExecConfig};
 
+        let replays = &["amp", "upgrade-gpu", "batch-size"][..];
         // vDNN on BERT offloads nothing (the catalog refuses it there).
         for (name, sweeps, kernels) in [
             (
                 "ResNet-50",
-                &["amp", "upgrade-gpu", "batch-size", "reconstruct-bn", "gist"][..],
+                &["reconstruct-bn", "gist"][..],
                 &["ddp", "blueconnect", "dgc", "vdnn"][..],
             ),
             (
                 "BERT_Base",
-                &["amp", "upgrade-gpu", "batch-size", "metaflow", "gist"][..],
+                &["metaflow", "gist"][..],
                 &["ddp", "blueconnect", "dgc"][..],
             ),
         ] {
@@ -2786,6 +2965,7 @@ mod tests {
                 }
                 ov.finish()
             };
+            let mut replayed = Vec::new();
             let mut swept = Vec::new();
             let mut kernel = Vec::new();
             for family in [
@@ -2811,14 +2991,67 @@ mod tests {
                     Some(full),
                     "{name} {family}"
                 );
-                if scratch.swept() {
+                if scratch.replayed() {
+                    replayed.push(family);
+                } else if scratch.swept() {
                     swept.push(family);
                 } else if !warm.stats.is_incremental() {
                     kernel.push(family);
                 }
             }
+            assert_eq!(replayed, replays, "{name}: full fallbacks that replay");
             assert_eq!(swept, sweeps, "{name}: full fallbacks that sweep");
             assert_eq!(kernel, kernels, "{name}: full fallbacks on the kernel");
+        }
+    }
+
+    /// A chain-threaded base where the zero-cost `z` (cpu0, id 2) ties
+    /// its successor `s` (gpu0, id 1) on start and has the larger compact
+    /// id: `a` (cpu0, 10) → `z` (cpu0, 0) → `c` (cpu0, 4), `z` → `s`
+    /// (gpu0, 7) → `k` (gpu0, 3), and `c` → `k`. The start order must be
+    /// topological, so `z` before `s`, which neither compact-id order nor
+    /// an unstable sort of `0..n` by start gives; and retime-only patches
+    /// over budget, zero durations included, replay it to the kernel's
+    /// answer over the applied graph.
+    #[test]
+    fn replay_walks_a_zero_cost_tie_in_topological_order() {
+        use crate::graph::GraphEdit;
+        use crate::patch::PatchGraph;
+        let gpu0 = ExecThread::Gpu(DeviceId(0), StreamId(0));
+        let mut g = DependencyGraph::new();
+        let [a, s, z, c, k] = [(CPU0, 10), (gpu0, 7), (CPU0, 0), (CPU0, 4), (gpu0, 3)]
+            .map(|(thread, dur)| g.add_task(Task::new("t", TaskKind::CpuWork, thread, dur)));
+        for (from, to) in [(a, z), (z, c), (z, s), (s, k), (c, k)] {
+            g.add_dep(from, to, DepKind::Transform);
+        }
+        let base = CompiledGraph::compile(&g);
+        let schedule = Schedule::capture(&base).unwrap();
+        assert!(schedule.is_chain_threaded());
+        assert_eq!(schedule.sim.start_ns, vec![0, 10, 10, 10, 17]);
+        let mut pos = vec![0usize; base.len()];
+        for (p, &i) in schedule.by_start.iter().enumerate() {
+            pos[i as usize] = p;
+        }
+        for u in 0..base.len() {
+            for &v in base.successors(CompactId(u as u32)) {
+                assert!(pos[u] < pos[v.0 as usize], "{u} -> {} out of order", v.0);
+            }
+        }
+        for retimes in [
+            vec![(a, 20)],
+            vec![(a, 0), (s, 0)],
+            vec![(z, 5), (k, 0)],
+            vec![(a, 3), (s, 9), (z, 0), (c, 0), (k, 1)],
+        ] {
+            let mut ov = PatchGraph::new(&g);
+            ov.set_durations(&retimes);
+            let patch = ov.finish();
+            let mut scratch = SimScratch::new();
+            let warm = simulate_warm_with(&base, &schedule, &patch, &mut scratch, 0.0).unwrap();
+            assert!(scratch.replayed(), "{retimes:?}");
+            let full = simulate_compiled(&base.apply(&patch)).unwrap();
+            assert_eq!(warm.makespan_ns, full.makespan_ns, "{retimes:?}");
+            assert_eq!(scratch.materialize(&schedule), Some(full), "{retimes:?}");
         }
     }
 

@@ -9,9 +9,10 @@
 //! every [`FrontierOrder`], P3's included, and with it the kernel's
 //! conversion of ranks to dense ranks. On chain-threaded DAGs the chain
 //! sweep ([`Schedule::capture`]'s path, and the warm full fallback's)
+//! and the warm retime replay, which walks the captured start order,
 //! must equal the kernel, and on a DAG with one thread that is no chain
-//! its check must fire. Plus pinned tests that the P3 and vDNN schedule
-//! overrides still steer dispatch order on the new frontier.
+//! the sweep's check must fire. Plus pinned tests that the P3 and vDNN
+//! schedule overrides still steer dispatch order on the new frontier.
 
 mod common;
 
@@ -147,30 +148,41 @@ fn rank_oracle<O: FrontierOrder>(cg: &CompiledGraph, order: &O) -> CompiledSim {
 }
 
 /// A random chain-threaded DAG over [`thread6_for`]'s threads: each task
-/// `(thread selector, duration, gap)` is chained after the previous task
-/// on its thread, and `cross` adds forward edges between tasks on
-/// different threads. Returns the graph and its chain edges.
+/// `(thread selector, duration, gap)`, in a topological order, is chained
+/// after the previous task on its thread, and `cross` adds edges forward
+/// in that order between tasks on different threads. The `p`-th task
+/// gets the id of its rank by `keys[p]` (0 past the end; ties by
+/// position), so with `keys` empty ids follow the order, and otherwise
+/// edges also run from higher ids to lower ones. Returns the graph and
+/// its chain edges.
 fn build_chained(
     tasks: &[(u64, u64, u64)],
     cross: &[(u64, u64)],
+    keys: &[u64],
 ) -> (DependencyGraph, Vec<(TaskId, TaskId)>) {
+    let n = tasks.len();
+    let mut by_key: Vec<usize> = (0..n).collect();
+    by_key.sort_by_key(|&p| (keys.get(p).copied().unwrap_or(0), p));
     let mut g = DependencyGraph::new();
+    let mut id_of = vec![TaskId(0); n];
+    for &p in &by_key {
+        let (sel, dur, gap) = tasks[p];
+        let mut t = Task::new(format!("t{p}"), TaskKind::CpuWork, thread6_for(sel), dur);
+        t.gap_ns = gap;
+        id_of[p] = g.add_task(t);
+    }
     let mut last: [Option<TaskId>; 6] = [None; 6];
     let mut chain = Vec::new();
-    for (i, &(sel, dur, gap)) in tasks.iter().enumerate() {
-        let mut t = Task::new(format!("t{i}"), TaskKind::CpuWork, thread6_for(sel), dur);
-        t.gap_ns = gap;
-        let id = g.add_task(t);
-        if let Some(prev) = last[(sel % 6) as usize].replace(id) {
-            g.add_dep(prev, id, DepKind::CpuSeq);
-            chain.push((prev, id));
+    for (p, &(sel, _, _)) in tasks.iter().enumerate() {
+        if let Some(prev) = last[(sel % 6) as usize].replace(id_of[p]) {
+            g.add_dep(prev, id_of[p], DepKind::CpuSeq);
+            chain.push((prev, id_of[p]));
         }
     }
-    let n = tasks.len();
     for &(a, b) in cross {
         let (x, y) = ((a as usize) % n, (b as usize) % n);
         if tasks[x].0 % 6 != tasks[y].0 % 6 {
-            g.add_dep(TaskId(x.min(y)), TaskId(x.max(y)), DepKind::Transform);
+            g.add_dep(id_of[x.min(y)], id_of[x.max(y)], DepKind::Transform);
         }
     }
     (g, chain)
@@ -182,17 +194,19 @@ proptest! {
     // and equal finishes abound, with cross-thread edges. The sweep
     // (alone, and as `Schedule::capture` runs it) equals the kernel, and
     // so does a warm full fallback over the base, which sweeps because
-    // its patch adds no thread. With one chain edge dropped, that thread
-    // is two chains: the check fires, and the capture's kernel run still
-    // matches.
+    // its patch (retimes and one removal, whose bridges keep the chains)
+    // changes the structure but adds no thread. With one chain edge
+    // dropped, that thread is two chains: the check fires, and the
+    // capture's kernel run still matches.
     #[test]
     fn sweep_matches_kernel_on_chain_threaded_dags(
         tasks in prop::collection::vec((0u64..6, 0u64..4, 0u64..4), 1..90),
         cross in prop::collection::vec((0u64..10_000, 0u64..10_000), 0..200),
         retimes in prop::collection::vec((0u64..10_000, 0u64..6), 1..6),
+        removed in 0u64..10_000,
         broken in 0u64..10_000,
     ) {
-        let (mut g, chain) = build_chained(&tasks, &cross);
+        let (mut g, chain) = build_chained(&tasks, &cross, &[]);
         let cg = CompiledGraph::compile(&g);
         let kernel = simulate_compiled(&cg).expect("forward edges: a DAG");
         prop_assert_eq!(simulate_compiled_swept(&cg), Some(Ok(kernel.clone())));
@@ -208,6 +222,7 @@ proptest! {
                 .map(|&(i, d)| (TaskId(i as usize % n), d))
                 .collect::<Vec<_>>(),
         );
+        ov.remove_task(TaskId(removed as usize % n));
         assert_warm_matches_full(&cg, &schedule, &ov.finish(), 0.0, &mut SimScratch::new());
 
         if !chain.is_empty() {
@@ -219,6 +234,53 @@ proptest! {
             prop_assert!(!schedule.is_chain_threaded());
             prop_assert_eq!(schedule.sim(), &simulate_compiled(&cg).expect("a DAG"));
         }
+    }
+
+    // Retime-only patches over chain-threaded DAGs dense in ties, zero
+    // durations included, whose ids are mostly not in topological order
+    // and whose arenas may hold removed tasks (bridged, so the chains
+    // hold and compaction is no identity): the base's start order is
+    // topological, so at budget 0.0 the warm path replays it over the
+    // retimed rows and at 1.0 runs the cone, and both equal the kernel
+    // over the applied graph. A priority edit rides along: it keeps the
+    // structure too.
+    #[test]
+    fn retime_replay_matches_kernel_on_chain_threaded_dags(
+        tasks in prop::collection::vec((0u64..6, 0u64..4, 0u64..4), 1..90),
+        cross in prop::collection::vec((0u64..10_000, 0u64..10_000), 0..200),
+        keys in prop::collection::vec(0u64..1_000, 0..90),
+        removals in prop::collection::vec(0u64..10_000, 0..4),
+        retimes in prop::collection::vec((0u64..10_000, 0u64..4), 1..40),
+        reprioritized in 0u64..10_000,
+    ) {
+        let (mut g, _) = build_chained(&tasks, &cross, &keys);
+        for &r in &removals {
+            g.remove_task(TaskId(r as usize % tasks.len()));
+        }
+        let live: Vec<TaskId> = g.iter().map(|(id, _)| id).collect();
+        if live.is_empty() {
+            return Ok(());
+        }
+        let cg = CompiledGraph::compile(&g);
+        let schedule = Schedule::capture(&cg).expect("forward edges: a DAG");
+        prop_assert!(schedule.is_chain_threaded());
+        let pick = |i: u64| live[i as usize % live.len()];
+        let mut ov = PatchGraph::new(&g);
+        ov.set_durations(
+            &retimes
+                .iter()
+                .map(|&(i, d)| (pick(i), d))
+                .collect::<Vec<_>>(),
+        );
+        ov.set_priority(pick(reprioritized), -9);
+        let patch = ov.finish();
+        let mut scratch = SimScratch::new();
+        let replayed = assert_warm_matches_full(&cg, &schedule, &patch, 0.0, &mut scratch);
+        prop_assert!(!replayed.stats.is_incremental());
+        prop_assert_eq!(replayed.stats.redispatched, live.len());
+        let cone = assert_warm_matches_full(&cg, &schedule, &patch, 1.0, &mut scratch);
+        prop_assert!(cone.stats.is_incremental());
+        prop_assert_eq!(cone.makespan_ns, replayed.makespan_ns);
     }
 
     // The kernel against the rank-aware oracle under three policies, on

@@ -247,7 +247,9 @@ fn chain(n: u64) -> (WarmBase, Vec<TaskId>) {
 }
 
 /// Warm evaluation against the full oracle on a single arena across every
-/// path: cone, no-op, forced full fallback, and a structural patch.
+/// path: cone, no-op, a forced full fallback of a retime (the replay) and
+/// of a structural patch (the full path over the overlay), and a
+/// structural cone.
 #[test]
 fn warm_paths_match_the_classic_oracle() {
     let (base, ids) = chain(12);
@@ -265,20 +267,26 @@ fn warm_paths_match_the_classic_oracle() {
     let mut p = PatchGraph::new(&base.graph);
     p.set_priority(ids[3], 7);
     assert_eq!(check(p, default).stats.redispatched, 0);
-    // Forced full fallback stays on the overlay (no apply).
+    // Forced full fallback of a retime: replays the base's order over
+    // the arena's rows (no apply).
     let mut p = PatchGraph::new(&base.graph);
     p.set_duration(ids[2], 900);
     check(p, 0.0);
-    // Structural patch: simulated over the overlay, never applied.
-    let mut p = PatchGraph::new(&base.graph);
-    let extra = p.add_task(Task::new(
-        "c",
-        TaskKind::CpuWork,
-        ExecThread::Cpu(CpuThreadId(0)),
-        40,
-    ));
-    p.add_dep(ids[10], extra, DepKind::Transform);
-    check(p, default);
+    // Structural patch: simulated over the overlay, never applied, on
+    // the cone path and on a forced full fallback.
+    let structural = || {
+        let mut p = PatchGraph::new(&base.graph);
+        let extra = p.add_task(Task::new(
+            "c",
+            TaskKind::CpuWork,
+            ExecThread::Cpu(CpuThreadId(0)),
+            40,
+        ));
+        p.add_dep(ids[10], extra, DepKind::Transform);
+        p
+    };
+    check(structural(), default);
+    check(structural(), 0.0);
     // Back-to-back cone on the same arena: stale stamps must not leak.
     let mut p = PatchGraph::new(&base.graph);
     p.set_duration(ids[4], 123);

@@ -633,16 +633,19 @@ mod tests {
         );
 
         // Warm what-if on the same base: the metrics' incremental
-        // counter must move (the whole point of the daemon). The
-        // bandwidth what-if's cone is small, so it re-dispatches
-        // incrementally against the resident schedule.
+        // counter must move (the whole point of the daemon). A P3 plan
+        // resumes from the resident schedule after its first unrolled
+        // iteration, so it counts as incremental, and it simulates on
+        // the arena. (On this single-GPU base a bandwidth what-if would
+        // count as incremental too, but it is a no-op that the schedule
+        // answers without touching the arena.)
         let before_body = get(&addr, "/metrics").body;
         let before: u64 = metric(&before_body, "incremental_sims");
         let scratch_evals = |body: &str| metric(body, "reuses") + metric(body, "allocs");
         let warm = post(
             &addr,
             "/whatif",
-            r#"{"model": "ResNet-50", "opt": "bandwidth"}"#,
+            r#"{"model": "ResNet-50", "opt": "p3", "machines": 2, "bw": 10}"#,
         );
         assert_eq!(warm.status, 200, "{}", warm.body);
         let metrics_body = get(&addr, "/metrics").body;

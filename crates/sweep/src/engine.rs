@@ -408,9 +408,11 @@ pub struct RunStats {
     /// Evaluations answered by the analytic busy-time estimate this run
     /// (low-fidelity rungs only; always 0 at exact fidelity).
     pub estimate_sims: usize,
-    /// Arena simulations (warm evaluations and P3 plan runs) that reused
-    /// already-sized scratch buffers (no allocation on the simulation hot
-    /// path).
+    /// Arena simulations that size scratch buffers (warm cone and full
+    /// evaluations, retime replays and P3 plan runs) and reused
+    /// already-sized ones (no allocation on the simulation hot path). A
+    /// warm evaluation with no simulation-relevant effect sizes nothing
+    /// and counts here as neither a reuse nor an alloc.
     pub scratch_reuses: u64,
     /// Arena simulations that had to (re)size at least one scratch
     /// buffer — at most one per worker per new largest graph (a base, or
