@@ -33,8 +33,8 @@ use daydream_core::whatif::{
     VdnnConfig,
 };
 use daydream_core::{
-    simulate_warm, CompiledGraph, FallbackReason, GraphEdit, GraphPatch, PatchGraph, Schedule,
-    SimScratch, TaskId, TaskIndex, WarmOutcome, DEFAULT_MAX_CONE_FRACTION,
+    simulate_warm, CompiledGraph, GraphEdit, GraphPatch, PatchGraph, Schedule, SimScratch, TaskId,
+    TaskIndex, WarmOutcome, DEFAULT_MAX_CONE_FRACTION,
 };
 
 /// Evaluates `patch` warm three times on one arena — the first call sizes
@@ -178,7 +178,10 @@ fn warmed_retime_replay_is_allocation_free() {
     let patch = ov.finish();
     let replayed =
         third_warm_call_allocates_nothing("warmed retime replay", &compiled, &schedule, &patch);
-    assert_eq!(replayed.stats.fallback, Some(FallbackReason::ConeTooLarge));
+    assert!(
+        !replayed.stats.is_incremental(),
+        "the cone is over the budget"
+    );
     assert_eq!(replayed.stats.redispatched, compiled.len());
 
     // A P3 plan run and the replay on one arena: the plan writes the

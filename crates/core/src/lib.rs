@@ -64,8 +64,8 @@ pub use report::{layer_report, LayerTimes};
 pub use sim::{
     simulate, simulate_compiled, simulate_compiled_swept, simulate_compiled_with,
     simulate_reference, simulate_warm, simulate_warm_with, simulate_with, thread_busy_ns,
-    try_simulate_warm_with, CompiledSim, EarliestStart, FallbackReason, FrontierOrder,
-    IncrementalStats, Rank, Schedule, ScratchCounters, ScratchPool, SimResult, SimScratch,
-    WarmOutcome, DEFAULT_MAX_CONE_FRACTION,
+    try_simulate_warm_with, CompiledSim, EarliestStart, FrontierOrder, IncrementalStats, Rank,
+    Schedule, ScratchCounters, ScratchPool, SimResult, SimScratch, WarmOutcome,
+    DEFAULT_MAX_CONE_FRACTION,
 };
 pub use task::{CommChannel, CommPrimitive, ExecThread, LayerRef, Task, TaskKind};

@@ -63,21 +63,22 @@
 //! every thread is a chain Algorithm 1 has no choice to make: a FIFO
 //! pass over released tasks (`SimBufs::run_sweep`) yields the same
 //! starts, waits, thread ends and makespan as the frontier kernel, at
-//! about half its cost per task. The sweep checks the property as it
-//! goes: when it takes a task whose previous task on the same thread, in
-//! sweep order, is not one of its direct predecessors, it stops and the
-//! kernel runs over the same view. It runs in [`Schedule::capture`],
-//! which records whether the base passed
-//! ([`Schedule::is_chain_threaded`]), and in the full fallback of
-//! [`simulate_warm_with`] for a patch that changes such a base's
-//! structure but interns no thread the base lacks (a new collective
-//! channel or copy stream is no chain). [`simulate_compiled`] and the
-//! warm cone path stay on the kernel; the former is the oracle both are
-//! pinned to.
+//! about half its cost per task. The sweep is the one check of the
+//! property: it marks every thread on which it takes a task whose
+//! previous task there, in sweep order, is not one of its direct
+//! predecessors, and where it marked one the kernel reruns the same
+//! view. It runs in [`Schedule::capture`], which records whether the
+//! base passed ([`Schedule::is_chain_threaded`]), and in the full
+//! fallback of [`simulate_warm_with`] for a patch that changes such a
+//! base's structure but interns no thread the base lacks (a new
+//! collective channel or copy stream is no chain). [`simulate_compiled`]
+//! and the warm cone path stay on the kernel; the former is the oracle
+//! both are pinned to.
 //!
 //! The same argument lets a P3 plan skip its first unrolled iteration
-//! (`ReplaySeed`): where no dispatch can go two ways, the base's
-//! captured schedule is the answer.
+//! (`ReplaySeed`): when that iteration is closed under predecessors and
+//! its threads are unmarked, one sweep over the plan times it for every
+//! cluster, and each evaluation dispatches only what follows.
 //!
 //! # Retimes keep the structure
 //!
@@ -520,12 +521,13 @@ pub fn simulate_compiled_with<O: FrontierOrder>(
 }
 
 /// Test and bench hook: `cg` simulated by the chain sweep alone
-/// ([`Schedule::capture`]'s path), or `None` if its chain check fires.
+/// ([`Schedule::capture`]'s path), or `None` if it marks a thread.
 #[doc(hidden)]
 pub fn simulate_compiled_swept(cg: &CompiledGraph) -> Option<Result<CompiledSim, GraphError>> {
     let mut bufs = SimBufs::sized_for(cg);
-    let run = bufs.run_sweep(cg, 0)?;
-    Some(bufs.into_sim(cg, run))
+    let run = bufs.run_sweep(cg, 0);
+    bufs.chains_hold(cg.thread_count())
+        .then(|| bufs.into_sim(cg, run))
 }
 
 // ---------------------------------------------------------------------------
@@ -533,8 +535,8 @@ pub fn simulate_compiled_swept(cg: &CompiledGraph) -> Option<Result<CompiledSim,
 // ---------------------------------------------------------------------------
 
 /// A captured base simulation plus the acceleration indices incremental
-/// re-simulation needs: per-task finish times, the dispatch sequence
-/// sorted by start, per-thread timelines, and per-task predecessor
+/// re-simulation needs: the dispatch sequence sorted by start,
+/// per-thread timelines, and per-task predecessor
 /// arrays sorted by predecessor start with running-max finishes (whose
 /// last entry is the task's ready time). Built once per base profile
 /// ([`Schedule::capture`]); every patched scenario then reuses the
@@ -553,8 +555,6 @@ pub struct Schedule {
     sim: CompiledSim,
     /// Every thread of the base is a chain: the sweep simulated it.
     chain_threaded: bool,
-    /// `start + cost` per task: when the thread moves past it.
-    fin_ns: Vec<u64>,
     /// Task ids sorted by start time (the dispatch sequence up to
     /// same-instant ties, which a time cutoff never splits). On a
     /// chain-threaded base, the sweep's FIFO sequence stably sorted, so
@@ -592,9 +592,8 @@ impl Schedule {
         let mut by_start = std::mem::take(&mut bufs.queue);
         let sim = bufs.into_sim(cg, run)?;
         let n = cg.len();
-        let fin_ns: Vec<u64> = (0..n)
-            .map(|i| sim.start_ns[i] + cg.cost_ns(CompactId(i as u32)))
-            .collect();
+        // When the thread moves past a task.
+        let fin_ns = |i: usize| sim.start_ns[i] + cg.cost_ns(CompactId(i as u32));
 
         if chain_threaded {
             // Stable: a zero-cost task keeps its place before the
@@ -636,9 +635,9 @@ impl Schedule {
             cursor[t] += 1;
             tl_start[slot] = sim.start_ns[i as usize];
             tl_fin[slot] = if slot > tl_off[t] as usize {
-                fin_ns[i as usize].max(tl_fin[slot - 1])
+                fin_ns(i as usize).max(tl_fin[slot - 1])
             } else {
-                fin_ns[i as usize]
+                fin_ns(i as usize)
             };
         }
 
@@ -674,7 +673,7 @@ impl Schedule {
             for s in seg {
                 let p = pred_task[s] as usize;
                 pred_start[s] = sim.start_ns[p];
-                running = running.max(fin_ns[p]);
+                running = running.max(fin_ns(p));
                 pred_fin_max[s] = running;
             }
         }
@@ -682,7 +681,6 @@ impl Schedule {
         Ok(Schedule {
             sim,
             chain_threaded,
-            fin_ns,
             by_start,
             makespan_prefix,
             tl_off,
@@ -768,23 +766,9 @@ impl Schedule {
 /// quarters of the graph, seeding overhead cancels the skipped prefix.
 pub const DEFAULT_MAX_CONE_FRACTION: f64 = 0.75;
 
-/// Why an incremental simulation fell back to the full path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FallbackReason {
-    /// The cone exceeded the budget, a fraction of the patched graph's
-    /// tasks ([`simulate_warm_with`]'s `max_cone_fraction`).
-    ConeTooLarge,
-}
-
-impl std::fmt::Display for FallbackReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FallbackReason::ConeTooLarge => "re-dispatch cone exceeds the size threshold",
-        })
-    }
-}
-
-/// Work accounting of one incremental simulation.
+/// Work accounting of one warm simulation. The full path has one
+/// cause, a cone over the budget ([`simulate_warm_with`]'s
+/// `max_cone_fraction`), so a missing cutoff is the whole record of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncrementalStats {
     /// Tasks the simulator actually dispatched (the cone on the
@@ -793,17 +777,16 @@ pub struct IncrementalStats {
     /// Live tasks in the patched graph.
     pub total: usize,
     /// The divergence cutoff: every base dispatch strictly before this
-    /// instant was replayed verbatim (`None` on full fallback;
-    /// `u64::MAX` when the patch had no simulation-relevant effect).
+    /// instant was replayed verbatim (`None` when the cone was over the
+    /// budget and the full path ran; `u64::MAX` when the patch had no
+    /// simulation-relevant effect).
     pub cutoff_ns: Option<u64>,
-    /// `Some` when the full path ran instead of the cone.
-    pub fallback: Option<FallbackReason>,
 }
 
 impl IncrementalStats {
-    /// `true` when the cone path ran (no fallback).
+    /// `true` when the cone path ran (no full fallback).
     pub fn is_incremental(&self) -> bool {
-        self.fallback.is_none()
+        self.cutoff_ns.is_some()
     }
 
     /// Fraction of tasks re-dispatched.
@@ -852,6 +835,8 @@ fn cone_bound(
             .expect("patched task must be live in the base")
             .0 as usize
     };
+    // When a base task's thread moves past it in the base run.
+    let fin = |c: usize| schedule.sim.start_ns[c] + base.cost_ns(CompactId(c as u32));
 
     // --- Cutoff: the earliest instant any patch effect can surface. ---
     let mut cutoff = u64::MAX;
@@ -880,7 +865,7 @@ fn cone_bound(
             removed_live += 1;
         }
     }
-    ins.compute(d, base_cap, |id| schedule.fin_ns[base_compact(id)]);
+    ins.compute(d, base_cap, |id| fin(base_compact(id)));
     let mut inserted_live = 0usize;
     for (i, &v) in d.new_ids().iter().enumerate() {
         if !d.is_removed(v) {
@@ -894,7 +879,7 @@ fn cone_bound(
     let fin_lb_of = |p: TaskId| -> u64 {
         match p.0.checked_sub(base_cap) {
             Some(i) => ins.bound[i] + ins.cost[i],
-            None => schedule.fin_ns[base_compact(p)],
+            None => fin(base_compact(p)),
         }
     };
     for id in d.pred_overlay_ids() {
@@ -1438,6 +1423,8 @@ struct SimBufs {
     queue: Vec<u32>,
     /// The sweep's last task taken per thread, or [`NO_TASK`].
     last: Vec<u32>,
+    /// The sweep's verdict per thread: `true` if it is no chain.
+    broken: Vec<bool>,
 }
 
 impl SimBufs {
@@ -1482,6 +1469,7 @@ impl SimBufs {
             self.bests.resize(t_count, IDLE);
             self.progress.resize(t_count, 0);
             self.last.resize(t_count, NO_TASK);
+            self.broken.resize(t_count, false);
             grew = true;
         }
         grew
@@ -1609,20 +1597,20 @@ impl SimBufs {
 
     /// Full simulation of every live task of `view` as one FIFO
     /// topological sweep, the chain theorem's shortcut (module docs): each
-    /// task starts at its latest predecessor finish, so no frontier is
-    /// kept. Returns what [`SimBufs::run_full`] returns, or `None` as soon
-    /// as the sweep takes a task whose previous task on its thread, in
+    /// task starts at its latest predecessor finish (or its thread's
+    /// progress, if later), so no frontier is kept. Returns how many tasks
+    /// it took and the makespan. It goes to the end, marking in `broken`
+    /// every thread on which it takes a task whose previous task there, in
     /// sweep order, is not one of its direct predecessors: that thread is
-    /// no chain, the buffers hold a partial sweep, and the caller reruns
-    /// the view on [`SimBufs::run_full`], which seeds afresh.
-    ///
-    /// Until a task is taken, its `wait` slot holds the last task
-    /// dispatched on its thread among its direct predecessors (or
-    /// [`NO_TASK`]), which is all the check reads.
-    fn run_sweep<G: SimGraphView>(&mut self, view: &G, epoch: u32) -> Option<(usize, u64)> {
+    /// no chain, and the run is the kernel's only if no thread is marked
+    /// ([`SimBufs::chains_hold`]). Until a task is taken, its `wait` slot
+    /// holds the last task dispatched on its thread among its direct
+    /// predecessors (or [`NO_TASK`]), which is all the check reads.
+    fn run_sweep<G: SimGraphView>(&mut self, view: &G, epoch: u32) -> (usize, u64) {
         let t_count = view.thread_count();
         self.progress[..t_count].fill(0);
         self.last[..t_count].fill(NO_TASK);
+        self.broken[..t_count].fill(false);
         self.queue.clear();
         // Every task is queued once: a warm arena never grows it.
         self.queue.reserve(view.len());
@@ -1646,18 +1634,19 @@ impl SimBufs {
             let t = view.thread_of(c).0 as usize;
             let prev = self.last[t];
             if prev != NO_TASK && self.wait[ui] != prev as u64 {
-                return None;
+                self.broken[t] = true;
             }
             self.last[t] = u;
             // A chain task's thread progress is its thread predecessor's
             // finish, which its tentative start already covers.
-            let s = self.tentative[ui];
+            let (tent, progress) = (self.tentative[ui], self.progress[t]);
             debug_assert!(
-                s >= self.progress[t],
+                self.broken[t] || tent >= progress,
                 "a chain task never waits on its thread"
             );
+            let s = tent.max(progress);
             self.start[ui] = s;
-            self.wait[ui] = s - self.progress[t];
+            self.wait[ui] = s - progress;
             let fin = s + view.cost_ns(c);
             makespan = makespan.max(s + view.duration_ns(c));
             self.progress[t] = fin;
@@ -1673,16 +1662,23 @@ impl SimBufs {
                 }
             }
         }
-        Some((head, makespan))
+        (head, makespan)
     }
 
-    /// [`SimBufs::run_sweep`], or [`SimBufs::run_full`] under the default
-    /// order when the sweep's chain check fires; `true` with the result
-    /// when the sweep ran to the end.
+    /// `true` if the last sweep marked none of the first `t_count` threads.
+    fn chains_hold(&self, t_count: usize) -> bool {
+        !self.broken[..t_count].contains(&true)
+    }
+
+    /// [`SimBufs::run_sweep`], rerun as [`SimBufs::run_full`] under the
+    /// default order when the sweep marks a thread; `true` with the
+    /// result when the sweep's run stands.
     fn run_sweep_or_full<G: SimGraphView>(&mut self, view: &G, epoch: u32) -> (bool, (usize, u64)) {
-        match self.run_sweep(view, epoch) {
-            Some(run) => (true, run),
-            None => (false, self.run_full(view, None, epoch)),
+        let run = self.run_sweep(view, epoch);
+        if self.chains_hold(view.thread_count()) {
+            (true, run)
+        } else {
+            (false, self.run_full(view, None, epoch))
         }
     }
 
@@ -1770,7 +1766,7 @@ impl SimBufs {
             for &(p, _) in list {
                 match base.compact_of(p) {
                     Some(c) if schedule.sim.start_ns[c.0 as usize] < cutoff => {
-                        tent = tent.max(schedule.fin_ns[c.0 as usize]);
+                        tent = tent.max(schedule.sim.start_ns[c.0 as usize] + base.cost_ns(c));
                     }
                     _ => rem += 1,
                 }
@@ -1799,13 +1795,13 @@ impl SimBufs {
 }
 
 /// Where a full simulation of a graph resumes once its first
-/// `replayed` tasks (a compact-id prefix) are replayed from a captured
-/// [`Schedule`] of that prefix alone: each later task's remaining
-/// predecessor count and tentative start, and each thread's progress
-/// after the prefix. [`SimScratch::simulate_retimed`] dispatches only the
-/// later tasks from it. The empty seed replays nothing: the run starts
-/// from scratch. A P3 plan keeps one, whose prefix is the profiled
-/// iteration itself (`whatif::P3Plan`).
+/// `replayed` tasks (a compact-id prefix) are timed without dispatching
+/// them: each later task's remaining predecessor count and tentative
+/// start, and each thread's progress after the prefix.
+/// [`SimScratch::simulate_retimed`] dispatches only the later tasks from
+/// it. The empty seed replays nothing: the run starts from scratch. A P3
+/// plan keeps one, whose prefix is the profiled iteration itself
+/// (`whatif::P3Plan`).
 ///
 /// [`ReplaySeed::build`] returns the empty seed unless the replay is
 /// exact, which three conditions on the graph make it (checked once, in
@@ -1813,8 +1809,8 @@ impl SimBufs {
 ///
 /// 1. the prefix is closed under predecessors, so nothing later feeds it;
 /// 2. every thread the prefix uses is a chain (module docs), so each
-///    prefix task starts at its latest predecessor finish, as in the
-///    schedule, and no later task runs on that thread before the
+///    prefix task starts at its latest predecessor finish, as the chain
+///    sweep times it, and no later task runs on that thread before the
 ///    prefix's last task there;
 /// 3. every prefix task's dense rank is below every later task's, so
 ///    wherever a prefix task and a later one are feasible at the same
@@ -1838,24 +1834,16 @@ pub(crate) struct ReplaySeed {
 
 impl ReplaySeed {
     /// The seed that resumes `graph`, under the dense order `ranks`,
-    /// after its first `schedule.len()` tasks, replayed from `schedule`;
-    /// empty unless the three conditions above hold. The caller
-    /// guarantees that the prefix is the graph `schedule` was captured
-    /// over (same costs, same edges among the prefix tasks).
-    pub(crate) fn build(
-        graph: &CompiledGraph,
-        ranks: Option<&[u32]>,
-        schedule: &Schedule,
-    ) -> ReplaySeed {
-        let (n, k) = (graph.len(), schedule.len());
+    /// after its first `k` tasks; empty unless the three conditions above
+    /// hold. One chain sweep over `graph` checks condition 2 and times
+    /// the prefix: under conditions 1 and 2 it starts each prefix task at
+    /// its latest predecessor finish, which is where every run of the
+    /// graph starts it, whatever the later tasks' costs.
+    pub(crate) fn build(graph: &CompiledGraph, ranks: Option<&[u32]>, k: usize) -> ReplaySeed {
+        let n = graph.len();
         if k == 0 || k > n {
             return ReplaySeed::default();
         }
-        debug_assert!(
-            (0..k).all(|i| graph.cost_ns(CompactId(i as u32))
-                == schedule.fin_ns[i] - schedule.sim.start_ns[i]),
-            "the prefix is the graph the schedule was captured over"
-        );
         // 3. Prefix ranks below later ranks: dense ranks are a
         // permutation of `0..n`, so each prefix rank must be below `k`.
         if let Some(r) = ranks {
@@ -1872,11 +1860,12 @@ impl ReplaySeed {
         }) {
             return ReplaySeed::default();
         }
-        // 2. The prefix's threads are chains of the whole graph.
-        let Some(chains) = chain_threads(graph) else {
-            return ReplaySeed::default();
-        };
-        if (0..k).any(|i| !chains[graph.thread_of(CompactId(i as u32)).0 as usize]) {
+        // 2. The prefix's threads are chains of the whole graph (and the
+        // graph is acyclic: the sweep takes every task).
+        let mut sweep = SimBufs::sized_for(graph);
+        if sweep.run_sweep(graph, 0).0 != n
+            || (0..k).any(|i| sweep.broken[graph.thread_of(CompactId(i as u32)).0 as usize])
+        {
             return ReplaySeed::default();
         }
         let mut rem: Vec<u32> = graph.pred_count[k..].to_vec();
@@ -1884,7 +1873,7 @@ impl ReplaySeed {
         let mut progress = vec![0u64; graph.thread_count()];
         for u in 0..k {
             let c = CompactId(u as u32);
-            let fin = schedule.fin_ns[u];
+            let fin = sweep.start[u] + graph.cost_ns(c);
             let t = graph.thread_of(c).0 as usize;
             progress[t] = progress[t].max(fin);
             for &v in graph.successors(c) {
@@ -1902,47 +1891,10 @@ impl ReplaySeed {
         }
     }
 
-    /// Tasks replayed from the schedule (0 for the empty seed).
+    /// Tasks replayed without dispatching (0 for the empty seed).
     pub(crate) fn replayed(&self) -> usize {
         self.replayed
     }
-}
-
-/// Which threads of `g` are chains: a thread is one when each of its
-/// tasks, except the first, has the thread's previous task among its
-/// direct predecessors. One FIFO topological pass, as the sweep's check
-/// runs, that marks a thread broken instead of stopping. `None` if `g`
-/// has a cycle.
-fn chain_threads(g: &CompiledGraph) -> Option<Vec<bool>> {
-    let n = g.len();
-    let mut preds = g.pred_count.clone();
-    // The last task dispatched on each task's thread among its direct
-    // predecessors, and the last task taken per thread.
-    let mut link = vec![NO_TASK; n];
-    let mut last = vec![NO_TASK; g.thread_count()];
-    let mut chain = vec![true; g.thread_count()];
-    let mut queue: Vec<u32> = (0..n as u32).filter(|&i| preds[i as usize] == 0).collect();
-    let mut head = 0;
-    while let Some(&u) = queue.get(head) {
-        head += 1;
-        let c = CompactId(u);
-        let t = g.thread_of(c).0 as usize;
-        if last[t] != NO_TASK && link[u as usize] != last[t] {
-            chain[t] = false;
-        }
-        last[t] = u;
-        for &v in g.successors(c) {
-            let vi = v.0 as usize;
-            if g.thread_of(v).0 as usize == t {
-                link[vi] = u;
-            }
-            preds[vi] -= 1;
-            if preds[vi] == 0 {
-                queue.push(v.0);
-            }
-        }
-    }
-    (head == n).then_some(chain)
 }
 
 /// What the last warm evaluation left in the arena — enough for
@@ -2397,10 +2349,11 @@ pub fn simulate_warm_with(
     scratch: &mut SimScratch,
     max_cone_fraction: f64,
 ) -> Result<WarmOutcome, GraphError> {
-    let reason = match try_simulate_warm_with(base, schedule, patch, scratch, max_cone_fraction)? {
-        Ok(outcome) => return Ok(outcome),
-        Err(reason) => reason,
-    };
+    if let Some(outcome) =
+        try_simulate_warm_with(base, schedule, patch, scratch, max_cone_fraction)?
+    {
+        return Ok(outcome);
+    }
     let retimes = patch
         .delta()
         .retimes_only()
@@ -2435,18 +2388,17 @@ pub fn simulate_warm_with(
             redispatched: live,
             total: live,
             cutoff_ns: None,
-            fallback: Some(reason),
         },
     })
 }
 
-/// [`simulate_warm_with`] *without* the full-simulation fallback: the
-/// inner `Err` says the cone exceeded `max_cone_fraction`, leaving the
-/// caller free to substitute something cheaper — the sweep search's
+/// [`simulate_warm_with`] *without* the full-simulation fallback: `None`
+/// says the cone exceeded `max_cone_fraction`, leaving the caller free
+/// to substitute something cheaper — the sweep search's
 /// low-fidelity rungs answer it with the maximum of
 /// [`SimScratch::thread_busy_after`]. Only the cone path builds the
 /// patch's overlay and sizes the arena's buffers; a no-op and a refusal
-/// size nothing and count neither a reuse nor an alloc. After an `Err`,
+/// size nothing and count neither a reuse nor an alloc. After a `None`,
 /// the arena holds nothing to [`SimScratch::materialize`].
 ///
 /// # Panics
@@ -2458,7 +2410,7 @@ pub fn try_simulate_warm_with(
     patch: &GraphPatch,
     scratch: &mut SimScratch,
     max_cone_fraction: f64,
-) -> Result<Result<WarmOutcome, FallbackReason>, GraphError> {
+) -> Result<Option<WarmOutcome>, GraphError> {
     assert_eq!(
         base.len(),
         schedule.len(),
@@ -2476,19 +2428,18 @@ pub fn try_simulate_warm_with(
         // No simulation-relevant effect (name, kind or priority edits):
         // the base schedule is the answer, referenced rather than cloned.
         scratch.last = Some(WarmLast::Noop);
-        return Ok(Ok(WarmOutcome {
+        return Ok(Some(WarmOutcome {
             makespan_ns: schedule.makespan_ns(),
             stats: IncrementalStats {
                 redispatched: 0,
                 total: bound.n_new,
                 cutoff_ns: Some(u64::MAX),
-                fallback: None,
             },
         }));
     }
     if bound.cone as f64 > max_cone_fraction * bound.n_new as f64 {
         scratch.last = None;
-        return Ok(Err(FallbackReason::ConeTooLarge));
+        return Ok(None);
     }
     scratch.begin(base, patch);
     debug_assert_eq!(
@@ -2508,13 +2459,12 @@ pub fn try_simulate_warm_with(
         return Err(GraphError::Cycle);
     }
     scratch.last = Some(WarmLast::Cone { makespan });
-    Ok(Ok(WarmOutcome {
+    Ok(Some(WarmOutcome {
         makespan_ns: makespan,
         stats: IncrementalStats {
             redispatched: done,
             total: bound.n_new,
             cutoff_ns: Some(bound.cutoff),
-            fallback: None,
         },
     }))
 }
@@ -2788,25 +2738,16 @@ mod tests {
     }
 
     /// A hand-built plan: `tasks` `(thread, duration)` with `edges`,
-    /// compiled, and the schedule captured over its first `k` tasks
-    /// alone, the base a seed replays.
-    fn plan_over_prefix(
-        tasks: &[(ExecThread, u64)],
-        edges: &[(usize, usize)],
-        k: usize,
-    ) -> (CompiledGraph, Schedule) {
-        let build = |n: usize| {
-            let mut g = DependencyGraph::new();
-            for &(thread, dur) in &tasks[..n] {
-                g.add_task(Task::new("t", TaskKind::CpuWork, thread, dur));
-            }
-            for &(a, b) in edges.iter().filter(|&&(a, b)| a < n && b < n) {
-                g.add_dep(TaskId(a), TaskId(b), DepKind::Transform);
-            }
-            CompiledGraph::compile(&g)
-        };
-        let schedule = Schedule::capture(&build(k)).unwrap();
-        (build(tasks.len()), schedule)
+    /// compiled.
+    fn compile_plan(tasks: &[(ExecThread, u64)], edges: &[(usize, usize)]) -> CompiledGraph {
+        let mut g = DependencyGraph::new();
+        for &(thread, dur) in tasks {
+            g.add_task(Task::new("t", TaskKind::CpuWork, thread, dur));
+        }
+        for &(a, b) in edges {
+            g.add_dep(TaskId(a), TaskId(b), DepKind::Transform);
+        }
+        CompiledGraph::compile(&g)
     }
 
     /// Each task's end after the seed's prefix, from the resumed run, and
@@ -2858,9 +2799,9 @@ mod tests {
                      edges: &[(usize, usize)],
                      table: Option<&'static [u64]>,
                      replayed: usize| {
-            let (cg, schedule) = plan_over_prefix(tasks, edges, 2);
+            let cg = compile_plan(tasks, edges);
             let ranks = table.and_then(|t| Table(t).dense_ranks(&cg));
-            let seed = ReplaySeed::build(&cg, ranks.as_deref(), &schedule);
+            let seed = ReplaySeed::build(&cg, ranks.as_deref(), 2);
             let (resumed, full) = resumed_and_full(&cg, ranks.as_deref(), &seed);
             assert_eq!(resumed, full, "{case}");
             assert_eq!(seed.replayed(), replayed, "{case}");
@@ -2883,6 +2824,47 @@ mod tests {
         );
         // Dense ranks a 0, y 1, x 2, b 3.
         check("check 3", &release, &release_edges, Some(&[0, 3, 2, 1]), 0);
+    }
+
+    /// One sweep gives every thread's verdict. Over `a0 → a1 → a2` on
+    /// cpu0 (a chain), `b0` (50) and `b1` (5) on cpu1 with no edge
+    /// between them, and `g0 → g1` on gpu0 after `a0` with `g2` after
+    /// `a2` alone, the sweep takes cpu1's second task while `b0` still
+    /// holds the thread, and gpu0's third while `g1` does: each is a
+    /// task whose start would have underflowed past its thread's
+    /// progress had the sweep taken its tentative start as given. It
+    /// marks both threads, takes every task, and leaves the chain be;
+    /// the capture then reruns the kernel.
+    #[test]
+    fn the_sweep_marks_every_broken_thread_and_takes_every_task() {
+        let cpu1 = ExecThread::Cpu(CpuThreadId(1));
+        let gpu0 = ExecThread::Gpu(DeviceId(0), StreamId(0));
+        let cg = compile_plan(
+            &[
+                (CPU0, 10),
+                (CPU0, 10),
+                (CPU0, 10),
+                (cpu1, 50),
+                (cpu1, 5),
+                (gpu0, 20),
+                (gpu0, 20),
+                (gpu0, 1),
+            ],
+            &[(0, 1), (1, 2), (0, 5), (5, 6), (2, 7)],
+        );
+        let mut bufs = SimBufs::sized_for(&cg);
+        let (taken, _) = bufs.run_sweep(&cg, 0);
+        assert_eq!(taken, cg.len(), "the sweep goes on past every break");
+        let marked: Vec<ExecThread> = (0..cg.thread_count() as u32)
+            .filter(|&t| bufs.broken[t as usize])
+            .map(|t| cg.exec_thread(ThreadId(t)))
+            .collect();
+        assert_eq!(marked, [cpu1, gpu0]);
+        assert!(!bufs.chains_hold(cg.thread_count()));
+        assert_eq!(simulate_compiled_swept(&cg), None);
+        let schedule = Schedule::capture(&cg).unwrap();
+        assert!(!schedule.is_chain_threaded());
+        assert_eq!(schedule.sim(), &simulate_compiled(&cg).unwrap());
     }
 
     /// How catalog families' full fallbacks run, on the chain-threaded

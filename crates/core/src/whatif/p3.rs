@@ -11,7 +11,7 @@
 //! compiled, unrolled profile and sorts the scheduler's ranks once, then
 //! simulates each cluster's transfer times on a reusable arena.
 //!
-//! # Copy 0 replays the base schedule
+//! # Copy 0 is timed once per plan
 //!
 //! The first unrolled copy is the profiled iteration itself. Transfers
 //! depend on backward kernels and feed only later copies, so nothing
@@ -19,12 +19,15 @@
 //! across copies, so each thread finishes copy 0 before it starts copy
 //! 1; and [`P3Scheduler`] ranks compute tasks by id, below every
 //! transfer, so a same-instant release from copy 0 is on the frontier
-//! before a channel picks. Copy 0's dispatches are therefore the base
-//! profile's captured [`Schedule`], whatever the cluster's wire times,
-//! and a plan dispatches only its later copies and transfers: 21–33% of
-//! each catalog plan is never dispatched. [`P3Plan::build`] checks the
-//! three conditions this rests on once per plan (closure, chain threads,
-//! ranks) and falls back to a run from the start if any fails.
+//! before a channel picks. Each copy-0 task therefore starts at its
+//! latest predecessor finish, as in the base profile's simulation,
+//! whatever the cluster's wire times. [`P3Plan::build`] times copy 0
+//! once with the simulator's chain sweep, which also gives each thread's
+//! chain verdict, and a plan dispatches only its later copies and
+//! transfers: 21–33% of each catalog plan is never dispatched. The build
+//! checks the three conditions this rests on once per plan (closure,
+//! chain threads, ranks) and falls back to a run from the start if any
+//! fails.
 //!
 //! The predicted transfer times are pure wire times (`bytes / bandwidth`,
 //! Algorithm 7); real MXNet messages also pay server/worker engine
@@ -36,7 +39,7 @@ use crate::construct::ProfiledGraph;
 use crate::graph::{DepKind, GraphEdit, GraphError, TaskId};
 use crate::patch::{PatchGraph, PatchSummary};
 use crate::replicate::{replicate_iterations, ReplicatedGraph};
-use crate::sim::{FrontierOrder, Rank, ReplaySeed, Schedule, SimScratch};
+use crate::sim::{FrontierOrder, Rank, ReplaySeed, SimScratch};
 use crate::task::{CommChannel, CommPrimitive, ExecThread, Task, TaskKind};
 use daydream_comm::{ClusterConfig, PsModel};
 use daydream_trace::{LayerId, Phase};
@@ -287,10 +290,10 @@ pub fn p3_replicated_base(pg: &ProfiledGraph, iterations: usize) -> ReplicatedGr
 /// duration rows and simulates there; it never re-plans, re-emits,
 /// re-applies, re-ranks or clones.
 ///
-/// Copy 0 is not simulated at all: the plan keeps where a run resumes
-/// after it (each later task's remaining predecessor count and tentative
-/// start, each thread's progress), taken from the base's captured
-/// [`Schedule`] at build, and each evaluation dispatches the later
+/// Copy 0 is not dispatched by any evaluation: the plan keeps where a
+/// run resumes after it (each later task's remaining predecessor count
+/// and tentative start, each thread's progress), timed once at build by
+/// a chain sweep over the plan, and each evaluation dispatches the later
 /// copies and the transfers only (module docs). The build checks that
 /// copy 0 is closed under predecessors, that every thread copy 0 uses is
 /// a chain in the plan, and that every copy-0 task's dense rank is below
@@ -321,28 +324,19 @@ pub struct P3Plan {
 }
 
 impl P3Plan {
-    /// Plans `cfg` over a lone profile: captures the profile's
-    /// [`Schedule`], unrolls [`P3_ITERATIONS`] copies, compiles them and
-    /// builds the plan over that base.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile's graph has a cycle.
+    /// Plans `cfg` over a lone profile: unrolls [`P3_ITERATIONS`]
+    /// copies, compiles them and builds the plan over that base.
     pub fn new(pg: &ProfiledGraph, cfg: &P3Config) -> P3Plan {
-        let schedule = Schedule::capture(&CompiledGraph::compile(&pg.graph))
-            .expect("a profiled graph is a DAG");
         let rep = p3_replicated_base(pg, P3_ITERATIONS);
         let compiled = CompiledGraph::compile(&rep.graph);
-        P3Plan::build(pg, &schedule, &rep, &compiled, cfg)
+        P3Plan::build(pg, &rep, &compiled, cfg)
     }
 
     /// Plans `cfg`'s inserts over a replicated base of `pg` (and its
     /// compiled form) and applies them. Several configs' plans can share
-    /// one replication. `schedule` is the [`Schedule`] captured over
-    /// `pg`'s compiled graph, which copy 0 replays.
+    /// one replication.
     pub fn build(
         pg: &ProfiledGraph,
-        schedule: &Schedule,
         rep: &ReplicatedGraph,
         rep_compiled: &CompiledGraph,
         cfg: &P3Config,
@@ -368,14 +362,12 @@ impl P3Plan {
         let n = rep.iterations();
         let last_copies = [copy(n - 2), copy(n - 1)];
         let ranks = P3Scheduler.dense_ranks(&compiled);
-        // Copy 0 replays `schedule` when it is the plan's compact-id
-        // prefix in the base's own order, and the steady state reads
-        // only later copies.
-        let prefix = n > 2
-            && schedule.len() == pg.graph.len()
-            && (0..).zip(copy(0)).all(|(i, c)| c == CompactId(i));
-        let seed = if prefix {
-            ReplaySeed::build(&compiled, ranks.as_deref(), schedule)
+        // Copy 0 is replayed when it is the plan's compact-id prefix in
+        // the base's own order, and the steady state reads only later
+        // copies.
+        let copy0 = copy(0);
+        let seed = if n > 2 && (0..).zip(&copy0).all(|(i, &c)| c == CompactId(i)) {
+            ReplaySeed::build(&compiled, ranks.as_deref(), copy0.len())
         } else {
             ReplaySeed::default()
         };
@@ -408,7 +400,7 @@ impl P3Plan {
         &self.compiled
     }
 
-    /// Copy-0 tasks each evaluation replays from the base schedule
+    /// Copy-0 tasks each evaluation replays from the build's timing
     /// instead of dispatching: 0 when a build check failed.
     pub fn replayed_tasks(&self) -> usize {
         self.seed.replayed()

@@ -8,8 +8,8 @@
 
 use daydream_core::{
     simulate_compiled, simulate_warm_with, CommChannel, CompactId, CompiledGraph, DepKind,
-    DependencyGraph, ExecThread, FallbackReason, GraphPatch, IncrementalStats, Schedule,
-    SimScratch, Task, TaskId, TaskKind, WarmOutcome,
+    DependencyGraph, ExecThread, GraphPatch, IncrementalStats, Schedule, SimScratch, Task, TaskId,
+    TaskKind, WarmOutcome,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 
@@ -127,12 +127,11 @@ fn assert_stats(
     stats: &IncrementalStats,
 ) {
     assert_eq!(stats.total, applied.len(), "live task count");
-    if stats.fallback.is_some() {
+    if !stats.is_incremental() {
         assert_eq!(
             stats.redispatched, stats.total,
             "a fallback dispatches every task"
         );
-        assert_eq!(stats.cutoff_ns, None, "a fallback has no cutoff");
     }
     let cone_path = simulate_warm_with(cg, schedule, patch, &mut SimScratch::new(), 1.0)
         .expect("patched graph must stay a DAG")
@@ -159,9 +158,9 @@ fn assert_stats(
     };
     assert_eq!(cone_path.redispatched, cone, "cone size");
     if cone as f64 > max_cone_fraction * stats.total as f64 {
-        assert_eq!(stats.fallback, Some(FallbackReason::ConeTooLarge));
+        assert!(!stats.is_incremental(), "a cone over the budget falls back");
     } else {
-        assert_eq!(stats.fallback, None);
+        assert!(stats.is_incremental(), "a cone within the budget runs");
         assert_eq!(stats.redispatched, cone);
         assert_eq!(stats.cutoff_ns, Some(cutoff));
     }

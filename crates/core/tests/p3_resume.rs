@@ -1,4 +1,5 @@
-//! P3 plans resume after copy 0 from the base's captured schedule.
+//! P3 plans resume after copy 0, which their build times once with the
+//! chain sweep.
 //!
 //! Every catalog base (the six zoo models at batches 4 and 8) must build
 //! a seed for both the FIFO and the sliced plan, and the resumed run must
@@ -14,7 +15,7 @@ use daydream_core::whatif::{
     p3_insert_plan, p3_replicated_base, plan_p3_inserts, P3Config, P3Plan, P3Scheduler,
     P3_ITERATIONS,
 };
-use daydream_core::{simulate_with, CompiledGraph, ProfiledGraph, Schedule, SimScratch};
+use daydream_core::{simulate_with, CompiledGraph, ProfiledGraph, SimScratch};
 use daydream_runtime::{ground_truth, ExecConfig};
 
 #[test]
@@ -32,11 +33,10 @@ fn resumed_p3_plans_match_the_unresumed_oracle_on_every_catalog_base() {
         for batch in [4u64, 8] {
             let cfg = ExecConfig::pytorch_2080ti().with_batch(batch);
             let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
-            let schedule = Schedule::capture(&CompiledGraph::compile(&pg.graph)).unwrap();
             let rep = p3_replicated_base(&pg, P3_ITERATIONS);
             let rep_compiled = CompiledGraph::compile(&rep.graph);
             for config in configs {
-                let plan = P3Plan::build(&pg, &schedule, &rep, &rep_compiled, &config(clusters[0]));
+                let plan = P3Plan::build(&pg, &rep, &rep_compiled, &config(clusters[0]));
                 let at = format!(
                     "{} b{batch} {:?}",
                     model.name,

@@ -25,11 +25,9 @@ use daydream_models::{
     footprint, stashed_activation_bytes, vdnn_offloadable_bytes, MemoryFootprint, Model, F32_BYTES,
 };
 use daydream_runtime::{ground_truth, ExecConfig};
-use daydream_trace::{LayerId, MemcpyDir, Trace};
+use daydream_trace::{fnv1a64_continue, LayerId, MemcpyDir, Trace};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Relative-error budget for the per-profile fidelity check: the
@@ -340,14 +338,12 @@ impl BaseProfile {
     /// The base's P3 plans, built on first use from the first P3
     /// scenario's cluster (every evaluation retimes all transfers, so
     /// which cluster built them never shows in a prediction). Both plans
-    /// share one replication of the base, and both resume after copy 0
-    /// from the base's schedule.
+    /// share one replication of the base, and both resume after copy 0.
     fn p3_plans(&self, cluster: &ClusterConfig) -> &P3Base {
         self.p3.get_or_init(|| {
             let rep = p3_replicated_base(&self.graph, P3_ITERATIONS);
             let compiled = CompiledGraph::compile(&rep.graph);
-            let plan =
-                |cfg: P3Config| P3Plan::build(&self.graph, &self.schedule, &rep, &compiled, &cfg);
+            let plan = |cfg: P3Config| P3Plan::build(&self.graph, &rep, &compiled, &cfg);
             P3Base {
                 fifo: plan(P3Config::baseline(*cluster)),
                 sliced: plan(P3Config::p3(*cluster)),
@@ -390,7 +386,7 @@ pub struct RunStats {
     pub patch_hits: usize,
     /// Simulations that re-dispatched over a base schedule this run: the
     /// warm cone path, and P3 plans resumed after their first unrolled
-    /// iteration, which replays the base's captured schedule.
+    /// iteration, which each plan's build timed once.
     pub incremental_sims: usize,
     /// Simulations that dispatched every task this run (warm fallbacks,
     /// and P3 plans that could not resume).
@@ -1021,15 +1017,16 @@ fn offloaded_bytes(patch: &GraphPatch) -> u64 {
 /// simulate under the priority scheduler on the worker's arena, and read
 /// the steady-state iteration straight from the simulation
 /// ([`P3Plan::steady_iteration_ns`]). An incremental simulation: the
-/// plan's first unrolled iteration replays the base's captured schedule,
+/// plan's first unrolled iteration replays the timing its build took,
 /// and only the tasks after it are dispatched
 /// ([`P3Plan::dispatched_tasks`]); a full one if the plan could not
 /// resume ([`P3Plan::replayed_tasks`] is 0).
 ///
-/// The patch-cache key hashes the plan's fingerprint with the retimed
-/// durations: equal keys mean the same retimed graph. So clusters with
-/// identical wire times (one machine at any bandwidth) share one
-/// simulation, and so do the FIFO and sliced plans when they coincide.
+/// The patch-cache key folds the retimed durations into the plan's
+/// fingerprint with FNV-1a, the hash of every cache key: equal keys
+/// mean the same retimed graph. So clusters with identical wire times
+/// (one machine at any bandwidth) share one simulation, and so do the
+/// FIFO and sliced plans when they coincide.
 fn p3_prediction(
     named: &Named,
     plan: &P3Plan,
@@ -1039,11 +1036,18 @@ fn p3_prediction(
     stats: &mut RunStats,
 ) -> Result<PatchEval, String> {
     let wires = plan.wire_times(cluster);
-    let mut h = DefaultHasher::new();
-    (plan.fingerprint(), &wires).hash(&mut h);
+    // FNV-1a pays a multiply per byte, so the key folds runs of equal
+    // wire times, each as its time and length: a push and its pull are
+    // the same size, as are most slices of a layer, so runs are few, and
+    // they still fix the vector exactly.
+    let mut retimed = fnv1a64(&plan.fingerprint().to_le_bytes());
+    for run in wires.chunk_by(|a, b| a == b) {
+        retimed = fnv1a64_continue(retimed, &run[0].to_le_bytes());
+        retimed = fnv1a64_continue(retimed, &(run.len() as u64).to_le_bytes());
+    }
     // P3 is never evaluated at a reduced rung (the steady-state analysis
     // has no cheap stand-in), so its key is always exact-fidelity.
-    let key = patch_key(&named.scenario, "p3", h.finish(), Fidelity::Exact);
+    let key = patch_key(&named.scenario, "p3", retimed, Fidelity::Exact);
     memoized(patches, key, stats, |stats| {
         let predicted_ns = plan
             .steady_iteration_ns(&wires, scratch)
@@ -1136,16 +1140,23 @@ fn evaluate(
 ) -> Result<ScenarioOutcome, String> {
     let scenario = &named.scenario;
     let model = &base.model;
-    let grad_bytes = base.grad_bytes;
 
-    // Default memory/comm objectives: the footprint-model estimate. The
-    // AMP/Gist/vDNN arms below replace it with a value derived from the
-    // patched graph (the layers/copies the transformation actually
-    // touched), falling back to the model estimate when the patch
-    // carries no memory-relevant signal.
+    // The objectives no patch moves: the footprint model's memory at the
+    // scenario's batch, and the gradient bytes each distributed family
+    // sends. The AMP/Gist/vDNN arms below replace the memory with a value
+    // derived from the patched graph (the layers/copies the
+    // transformation actually touched), falling back to the model
+    // estimate when the patch carries no memory-relevant signal.
     let fp = base.footprint;
-    let mut memory_bytes = fp.total();
-    let mut comm_bytes = 0u64;
+    let mut memory_bytes = match &scenario.opt {
+        OptSpec::BatchSize { batch } => footprint(model, *batch).total(),
+        _ => fp.total(),
+    };
+    let comm_bytes = match &scenario.opt {
+        OptSpec::Ddp { .. } | OptSpec::BlueConnect { .. } | OptSpec::P3 { .. } => base.grad_bytes,
+        OptSpec::Dgc { ratio, .. } => (base.grad_bytes as f64 * ratio).ceil() as u64,
+        _ => 0,
+    };
 
     let mut sim_path = "baseline";
     let mut tasks_redispatched = 0u64;
@@ -1160,7 +1171,6 @@ fn evaluate(
             bw_gbps,
         } => {
             let cluster = ClusterConfig::new(*machines, *gpus_per_machine, *bw_gbps);
-            comm_bytes = grad_bytes;
             // P3's comparable baseline is the same parameter-server
             // cluster with FIFO layer-granularity transfers (paper
             // §6.6), not the single-GPU profile — so the speedup column
@@ -1196,15 +1206,6 @@ fn evaluate(
                             (ns, "estimate")
                         }
                     };
-                    match opt {
-                        OptSpec::BatchSize { batch } => {
-                            memory_bytes = footprint(model, *batch).total();
-                        }
-                        OptSpec::Dgc { ratio, .. } => {
-                            comm_bytes = (grad_bytes as f64 * ratio).ceil() as u64;
-                        }
-                        _ => {}
-                    }
                     let prediction = Prediction {
                         baseline_ns: base.baseline_ns,
                         predicted_ns: est_ns,
@@ -1258,15 +1259,6 @@ fn evaluate(
                     };
                     memory_bytes = fp.total().saturating_sub(saved);
                 }
-                OptSpec::BatchSize { batch } => {
-                    memory_bytes = footprint(model, *batch).total();
-                }
-                OptSpec::Ddp { .. } | OptSpec::BlueConnect { .. } => {
-                    comm_bytes = grad_bytes;
-                }
-                OptSpec::Dgc { ratio, .. } => {
-                    comm_bytes = (grad_bytes as f64 * ratio).ceil() as u64;
-                }
                 _ => {}
             }
             // Patched evaluation: warm cone re-simulation against the
@@ -1314,7 +1306,7 @@ fn simulate_patch(
         // Warm path: the arena's epoch-stamped buffers replace the
         // per-evaluation prefix clones, so a small cone costs O(cone),
         // not O(n).
-        Fidelity::Exact => Ok(simulate_warm(
+        Fidelity::Exact => Some(simulate_warm(
             &base.compiled,
             &base.schedule,
             patch,
@@ -1329,7 +1321,7 @@ fn simulate_patch(
         )?,
     };
     Ok(match attempt {
-        Ok(outcome) => {
+        Some(outcome) => {
             let eval = PatchEval {
                 predicted_ns: outcome.makespan_ns,
                 incremental: outcome.stats.is_incremental(),
@@ -1343,7 +1335,7 @@ fn simulate_patch(
         // budget answers with the O(|patch|) busy-time bound — a lower
         // bound on the makespan that ranks rung candidates, never
         // simulated.
-        Err(_) => {
+        None => {
             stats.estimate_sims += 1;
             PatchEval {
                 predicted_ns: base.busy_bound(patch, scratch),
@@ -1437,15 +1429,16 @@ pub fn explain_scenario(scenario: &Scenario) -> Result<String, String> {
             )
             .map_err(|e| format!("patched graph for {}: {e}", scenario.label()))?;
             let s = outcome.stats;
-            let sim_note = match s.fallback {
-                    None => format!(
-                        "incremental cone re-simulation\ncone:      {} of {} tasks re-dispatched ({:.1}%)",
-                        s.redispatched,
-                        s.total,
-                        s.cone_fraction() * 100.0
-                    ),
-                    Some(reason) => format!("full re-simulation ({reason})"),
-                };
+            let sim_note = if s.is_incremental() {
+                format!(
+                    "incremental cone re-simulation\ncone:      {} of {} tasks re-dispatched ({:.1}%)",
+                    s.redispatched,
+                    s.total,
+                    s.cone_fraction() * 100.0
+                )
+            } else {
+                "full re-simulation (re-dispatch cone exceeds the size threshold)".to_string()
+            };
             (
                 note,
                 sim_note,

@@ -33,7 +33,7 @@ pub struct ScenarioOutcome {
     /// Simulation path that produced the prediction: `"incremental"`
     /// (re-dispatch over the base schedule: a patch's cone, or a P3
     /// plan resumed after its first unrolled iteration, which replays
-    /// the base's captured schedule), `"full"` (complete re-simulation),
+    /// the timing the plan's build took), `"full"` (complete re-simulation),
     /// `"estimate"` (a search rung's busy-time bound), or `"baseline"`
     /// (no patched simulation at all). Deterministic per scenario, so
     /// sharded and single-process sweeps agree byte-for-byte.
