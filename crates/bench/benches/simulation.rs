@@ -1,32 +1,42 @@
-//! Bench: the dispatch kernel, the chain sweep and the retime replay on
-//! the real catalog bases.
+//! Bench: the dispatch loop, with and without choice threads, and the
+//! retime replay on the real catalog bases.
 //!
 //! Times, on the 12 catalog bases (the six zoo models at batches 4 and
-//! 8), `simulate_compiled` (the frontier kernel), the chain sweep
-//! `Schedule::capture` runs (`simulate_compiled_swept`), a batch-size
-//! patch (to four times the base's batch) through `simulate_warm` on a
-//! warmed `SimScratch` arena, whose cone is over the budget, so the
-//! engine's warm path replays the base's start order over the retimed
-//! rows, and `P3Plan::steady_iteration_ns` on a warmed arena for each
-//! base's P3 plan: three unrolled iterations with 4 MB-sliced push/pull
-//! transfers for a 4-machine, 10 Gbit/s cluster, the graph and the path
-//! the sweep engine simulates for a `p3` scenario, resumed after its
-//! first iteration. Profiling, compilation, plan building and the
-//! arena's first sizing stay outside the timed loop. Each figure is the
-//! median of five timed rounds, so one preempted round cannot move it.
-//! Unless running in `--test` smoke mode, the per-task costs are
-//! snapshotted into the `"sim_kernel"` section of `BENCH_sim.json` at
-//! the workspace root; a `"before"` table already in that section is
-//! carried over unchanged, so the section keeps the numbers of the code
-//! it was compared against.
+//! 8), `simulate_compiled` (every thread on a frontier: the kernel), the
+//! chain sweep `Schedule::capture` runs (`simulate_compiled_mixed` with
+//! no choice thread), a batch-size patch (to four times the base's
+//! batch) through `simulate_warm` on a warmed `SimScratch` arena, whose
+//! cone is over the budget, so the engine's warm path replays the base's
+//! start order over the retimed rows, and three runs where Algorithm 1
+//! has a choice, each on the engine's path: the warm full fallbacks
+//! (budget 0.0) of a DDP patch (a collective channel) and of DGC layered
+//! on it (its compression kernels join the compute stream), and
+//! `P3Plan::steady_iteration_ns` for each base's P3 plan: three unrolled
+//! iterations with 4 MB-sliced push/pull transfers, the graph and the
+//! path the sweep engine simulates for a `p3` scenario, resumed after its
+//! first iteration. All use a 4-machine, 10 Gbit/s cluster. Beside each
+//! of the three, `simulate_compiled_mixed` runs the loop over the same
+//! graph (the patch applied, the whole plan) twice, round by round in
+//! turn: with the choice threads its checks settle on when it starts
+//! from none (the threads the engine picks for that graph), and with
+//! every thread a choice thread. Profiling, compilation, patch emit, plan
+//! building and the arenas' first sizing stay outside the timed loop.
+//! Each figure is the median of five timed rounds, so one preempted round
+//! cannot move it. Unless running in `--test` smoke mode, the per-task
+//! costs are snapshotted into the `"sim_kernel"` section of
+//! `BENCH_sim.json` at the workspace root; a `"before"` table already in
+//! that section is carried over unchanged, so the section keeps the
+//! numbers of the code it was compared against.
 
 use criterion::Criterion;
 use daydream_bench::util::profile_for;
 use daydream_comm::ClusterConfig;
-use daydream_core::whatif::{plan_batch_size, P3Config, P3Plan};
+use daydream_core::whatif::{
+    plan_batch_size, plan_dgc, plan_distributed, DgcConfig, P3Config, P3Plan, P3Scheduler,
+};
 use daydream_core::{
-    simulate_compiled, simulate_compiled_swept, simulate_warm, CompiledGraph, PatchGraph, Schedule,
-    SimScratch,
+    simulate_compiled, simulate_compiled_mixed, simulate_warm, simulate_warm_with, CompiledGraph,
+    EarliestStart, FrontierOrder, PatchGraph, Schedule, SimScratch,
 };
 use daydream_models::zoo;
 use std::hint::black_box;
@@ -34,30 +44,70 @@ use std::hint::black_box;
 /// Timed rounds per figure.
 const ROUNDS: usize = 5;
 
-/// The median over [`ROUNDS`] rounds of `samples` runs each, in ns per
-/// each of `tasks` tasks.
-fn median_ns_per_task(
+/// Tasks each timed round runs through, whatever the graph's size: tens
+/// of milliseconds, so a round outlasts the host's scheduling noise.
+const TASKS_PER_ROUND: usize = 1 << 20;
+
+/// The medians over [`ROUNDS`] rounds of each of `runs`, in turn within
+/// each round, in ns per each of `tasks` tasks a run takes.
+fn median_ns_per_task<const N: usize>(
     c: &mut Criterion,
-    id: &str,
-    samples: usize,
+    ids: [&str; N],
     tasks: usize,
-    mut run: impl FnMut(),
-) -> f64 {
+    mut runs: [&mut dyn FnMut(); N],
+) -> [f64; N] {
     let mut group = c.benchmark_group("sim_kernel");
-    group.sample_size(samples);
+    group.sample_size(TASKS_PER_ROUND.div_ceil(tasks.max(1)));
     for _ in 0..ROUNDS {
-        group.bench_function(id, |b| b.iter(&mut run));
+        for (id, run) in ids.iter().zip(runs.iter_mut()) {
+            group.bench_function(id, |b| b.iter(&mut *run));
+        }
     }
     group.finish();
-    let name = format!("sim_kernel/{id}");
-    let mut per_task: Vec<f64> = c
-        .records()
-        .iter()
-        .filter(|r| r.name == name)
-        .map(|r| r.ns_per_iter / tasks as f64)
-        .collect();
-    per_task.sort_by(f64::total_cmp);
-    per_task[per_task.len() / 2]
+    ids.map(|id| {
+        let name = format!("sim_kernel/{id}");
+        let mut per_task: Vec<f64> = c
+            .records()
+            .iter()
+            .filter(|r| r.name == name)
+            .map(|r| r.ns_per_iter / tasks as f64)
+            .collect();
+        per_task.sort_by(f64::total_cmp);
+        per_task[per_task.len() / 2]
+    })
+}
+
+/// `simulate_compiled_mixed` over `graph` under `order`, with the choice
+/// threads the loop's checks settle on when it starts from none and
+/// with every thread a choice thread, in turn: ns per task of `graph`.
+fn choice_and_frontier_ns<O: FrontierOrder>(
+    c: &mut Criterion,
+    id: &str,
+    graph: &CompiledGraph,
+    order: &O,
+) -> [f64; 2] {
+    let none = vec![false; graph.thread_count()];
+    let (sim, choice) = simulate_compiled_mixed(graph, order, &none).unwrap();
+    assert!(choice.contains(&false), "{id}: some thread is a chain");
+    let every = vec![true; graph.thread_count()];
+    assert_eq!(
+        simulate_compiled_mixed(graph, order, &every).unwrap().0,
+        sim
+    );
+    let ids = [format!("{id}-choice"), format!("{id}-frontier")];
+    median_ns_per_task(
+        c,
+        ids.each_ref().map(String::as_str),
+        graph.len(),
+        [
+            &mut || {
+                simulate_compiled_mixed(black_box(graph), order, &choice).unwrap();
+            },
+            &mut || {
+                simulate_compiled_mixed(black_box(graph), order, &every).unwrap();
+            },
+        ],
+    )
 }
 
 fn main() {
@@ -69,6 +119,7 @@ fn main() {
             let (pg, _) = profile_for(&model.name, Some(batch), false);
             let base = CompiledGraph::compile(&pg.graph);
             let schedule = Schedule::capture(&base).unwrap();
+            let no_choice = vec![false; base.thread_count()];
             let mut ov = PatchGraph::new(&pg.graph);
             plan_batch_size(&mut ov, batch, 4 * batch);
             let batch_size = ov.finish();
@@ -79,35 +130,82 @@ fn main() {
                 "the cone is over the budget"
             );
             let cluster = ClusterConfig::new(4, 1, 10.0);
+            let mut ov = PatchGraph::new(&pg.graph);
+            let allreduces = plan_distributed(&mut ov, &pg.meta.buckets, &cluster);
+            let ddp = ov.finish();
+            let mut ov = PatchGraph::layered(&pg.graph, &ddp);
+            plan_dgc(&mut ov, &allreduces, &DgcConfig::default());
+            let dgc = ov.finish();
             let plan = P3Plan::new(&pg, &P3Config::p3(cluster));
             let wires = plan.wire_times(&cluster);
-            let mut scratch = SimScratch::new();
-            plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
             let p3 = plan.compiled();
             let dispatched = plan.dispatched_tasks();
             let label = format!("{} b{batch}", model.name);
-            let base_ns =
-                median_ns_per_task(&mut c, &format!("base/{label}"), 40, base.len(), || {
-                    simulate_compiled(black_box(&base)).unwrap();
-                });
-            let sweep_ns =
-                median_ns_per_task(&mut c, &format!("sweep/{label}"), 40, base.len(), || {
-                    simulate_compiled_swept(black_box(&base))
-                        .expect("catalog bases are chain-threaded")
+
+            let ids = ["base", "sweep", "replay"].map(|what| format!("{what}/{label}"));
+            let [base_ns, sweep_ns, replay_ns] = median_ns_per_task(
+                &mut c,
+                ids.each_ref().map(String::as_str),
+                base.len(),
+                [
+                    &mut || {
+                        simulate_compiled(black_box(&base)).unwrap();
+                    },
+                    &mut || {
+                        simulate_compiled_mixed(black_box(&base), &EarliestStart, &no_choice)
+                            .unwrap();
+                    },
+                    &mut || {
+                        simulate_warm(&base, &schedule, black_box(&batch_size), &mut warm).unwrap();
+                    },
+                ],
+            );
+            // A warm full fallback of `patch` on a warmed arena, ns per
+            // patched task, and the loop over the applied patch.
+            let mut fallback = |what: &str, patch| {
+                let mut scratch = SimScratch::new();
+                let mut run = || {
+                    simulate_warm_with(&base, &schedule, black_box(patch), &mut scratch, 0.0)
+                        .unwrap()
+                };
+                let tasks = run().stats.total;
+                let id = format!("{what}/{label}");
+                let [ns] = median_ns_per_task(
+                    &mut c,
+                    [id.as_str()],
+                    tasks,
+                    [&mut || {
+                        run();
+                    }],
+                );
+                let applied = base.apply(patch);
+                let [choice_ns, frontier_ns] =
+                    choice_and_frontier_ns(&mut c, &id, &applied, &EarliestStart);
+                (tasks, ns, choice_ns, frontier_ns)
+            };
+            let (ddp_tasks, ddp_ns, ddp_choice_ns, ddp_frontier_ns) = fallback("ddp", &ddp);
+            let (dgc_tasks, dgc_ns, dgc_choice_ns, dgc_frontier_ns) = fallback("dgc", &dgc);
+            let mut scratch = SimScratch::new();
+            plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
+            let id = format!("p3/{label}");
+            let [p3_ns] = median_ns_per_task(
+                &mut c,
+                [id.as_str()],
+                dispatched,
+                [&mut || {
+                    plan.steady_iteration_ns(black_box(&wires), &mut scratch)
                         .unwrap();
-                });
-            let replay_ns =
-                median_ns_per_task(&mut c, &format!("replay/{label}"), 40, base.len(), || {
-                    simulate_warm(&base, &schedule, black_box(&batch_size), &mut warm).unwrap();
-                });
-            let p3_ns = median_ns_per_task(&mut c, &format!("p3/{label}"), 10, dispatched, || {
-                plan.steady_iteration_ns(black_box(&wires), &mut scratch)
-                    .unwrap();
-            });
+                }],
+            );
+            let [p3_choice_ns, p3_frontier_ns] =
+                choice_and_frontier_ns(&mut c, &id, p3, &P3Scheduler);
             println!(
                 "sim_kernel {label}: base {base_ns:.1} ns/task, sweep {sweep_ns:.1} ns/task, \
-                 replay {replay_ns:.1} ns/task, \
-                 p3 {p3_ns:.1} ns per dispatched task ({dispatched} of {})",
+                 replay {replay_ns:.1} ns/task, ddp {ddp_ns:.1} ns/task (loop \
+                 {ddp_choice_ns:.1}, all-frontier {ddp_frontier_ns:.1}), dgc {dgc_ns:.1} \
+                 ns/task (loop {dgc_choice_ns:.1}, all-frontier {dgc_frontier_ns:.1}), p3 \
+                 {p3_ns:.1} ns per dispatched task ({dispatched} of {}; loop \
+                 {p3_choice_ns:.1}, all-frontier {p3_frontier_ns:.1} ns/task)",
                 p3.len()
             );
             rows.push(format!(
@@ -115,9 +213,14 @@ fn main() {
                     "      {{\"model\": \"{}\", \"batch\": {}, ",
                     "\"tasks\": {}, \"threads\": {}, \"ns_per_task\": {:.1}, ",
                     "\"sweep_ns_per_task\": {:.1}, \"replay_ns_per_task\": {:.1}, ",
+                    "\"ddp_tasks\": {}, \"ddp_ns_per_task\": {:.1}, ",
+                    "\"ddp_choice_ns_per_task\": {:.1}, \"ddp_frontier_ns_per_task\": {:.1}, ",
+                    "\"dgc_tasks\": {}, \"dgc_ns_per_task\": {:.1}, ",
+                    "\"dgc_choice_ns_per_task\": {:.1}, \"dgc_frontier_ns_per_task\": {:.1}, ",
                     "\"p3_tasks\": {}, ",
                     "\"p3_dispatched\": {}, \"p3_threads\": {}, \"p3_ns_per_task\": {:.1}, ",
-                    "\"p3_us\": {:.1}}}"
+                    "\"p3_us\": {:.1}, ",
+                    "\"p3_choice_ns_per_task\": {:.1}, \"p3_frontier_ns_per_task\": {:.1}}}"
                 ),
                 model.name,
                 batch,
@@ -126,11 +229,21 @@ fn main() {
                 base_ns,
                 sweep_ns,
                 replay_ns,
+                ddp_tasks,
+                ddp_ns,
+                ddp_choice_ns,
+                ddp_frontier_ns,
+                dgc_tasks,
+                dgc_ns,
+                dgc_choice_ns,
+                dgc_frontier_ns,
                 p3.len(),
                 dispatched,
                 p3.thread_count(),
                 p3_ns,
                 p3_ns * dispatched as f64 / 1e3,
+                p3_choice_ns,
+                p3_frontier_ns,
             ));
         }
     }
@@ -153,18 +266,26 @@ fn main() {
     };
     let json = format!(
         concat!(
-            "{{\n    \"kernel\": \"simulate_compiled (the frontier kernel) and the chain ",
-            "sweep (simulate_compiled_swept, what Schedule::capture runs) on each catalog ",
-            "base; a batch-size patch (to 4x the base's batch) through simulate_warm on a ",
-            "warmed SimScratch arena (its cone is over the budget: the retime replay); ",
-            "P3Plan::steady_iteration_ns on a warmed SimScratch arena (the engine's ",
-            "path: wire times written into arena-owned rows, dense ranks sorted once per ",
-            "plan, the first unrolled iteration replayed from the base schedule) for its ",
-            "3-iteration, 4 MB-sliced P3 plan for 4 machines at 10 Gbit/s\",\n",
+            "{{\n    \"kernel\": \"simulate_compiled (every thread on a frontier) and the ",
+            "chain sweep (simulate_compiled_mixed with no choice thread, what ",
+            "Schedule::capture runs) on each catalog base; a batch-size patch (to 4x the ",
+            "base's batch) through simulate_warm on a warmed SimScratch arena (its cone is ",
+            "over the budget: the retime replay); the warm full fallbacks (budget 0.0) of a ",
+            "DDP patch and of DGC layered on it, and P3Plan::steady_iteration_ns (the ",
+            "engine's path: wire times written into arena-owned rows, dense ranks sorted ",
+            "once per plan, the first unrolled iteration replayed from the build's timing) ",
+            "for its 3-iteration, 4 MB-sliced P3 plan, each on a warmed arena; beside each, ",
+            "simulate_compiled_mixed over the same graph (the patch applied, the whole plan) ",
+            "with the choice threads its checks settle on from none (*_choice_ns_per_task) ",
+            "and with every thread a choice thread (*_frontier_ns_per_task); 4 machines at ",
+            "10 Gbit/s\",\n",
             "    \"note\": \"wall time per dispatched task (replay: the whole simulate_warm ",
-            "call per base task; p3: of p3_dispatched, the plan's ",
-            "tasks after its first iteration; p3_us per plan evaluation), median of 5 ",
-            "rounds; compilation and plan building untimed\",\n",
+            "call per base task; ddp and dgc: the whole simulate_warm_with call per patched ",
+            "task; p3: of p3_dispatched, the plan's tasks after its first iteration; p3_us ",
+            "per plan evaluation; *_choice and *_frontier: the whole simulate_compiled_mixed ",
+            "call, arena allocation included, per task of the graph), median of 5 rounds of ",
+            "about 2^20 tasks, the choice and frontier calls alternating round by round; ",
+            "compilation, patch emit and plan building untimed\",\n",
             "    \"results\": [\n{}\n    ]{}\n  }}"
         ),
         rows.join(",\n"),

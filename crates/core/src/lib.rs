@@ -62,7 +62,7 @@ pub use predict::{predict, Prediction};
 pub use replicate::{replicate_iterations, ReplicatedGraph};
 pub use report::{layer_report, LayerTimes};
 pub use sim::{
-    simulate, simulate_compiled, simulate_compiled_swept, simulate_compiled_with,
+    simulate, simulate_compiled, simulate_compiled_mixed, simulate_compiled_with,
     simulate_reference, simulate_warm, simulate_warm_with, simulate_with, thread_busy_ns,
     try_simulate_warm_with, CompiledSim, EarliestStart, FrontierOrder, IncrementalStats, Rank,
     Schedule, ScratchCounters, ScratchPool, SimResult, SimScratch, WarmOutcome,

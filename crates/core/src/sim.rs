@@ -27,19 +27,14 @@
 //!   task`) for tasks the thread could start immediately. When progress
 //!   advances, pending entries whose tentative start has been overtaken
 //!   migrate to `ready` (each task migrates at most once). A lone task
-//!   stays in an inline slot with both heaps empty, so chain threads (the
-//!   launch thread, each GPU stream) dispatch without touching a heap;
+//!   stays in an inline slot with both heaps empty, so a thread holding
+//!   one task at a time dispatches without touching a heap;
 //! * each thread's best candidate key, over its feasible start, is
 //!   **cached** in a flat array, and each dispatch takes the minimum by a
 //!   linear scan — O(T) per dispatch, and zoo graphs have 4–8 threads.
 //!   Only the dispatching thread's entry is recomputed; a task released
 //!   onto another thread can only lower that thread's entry (its
 //!   progress did not move), so one comparison keeps it exact.
-//!
-//! Every entry point (the full simulator, the warm cone and full paths,
-//! P3's retimed plans) seeds the frontiers of one `SimBufs` arena and
-//! drains them with the same kernel, `SimBufs::drain`, which reads and
-//! writes only that arena's rows.
 //!
 //! This dispatches exactly the same task sequence as the quadratic
 //! reference loop ([`simulate_reference`]), which refreshes every frontier
@@ -50,7 +45,7 @@
 //! is the global one. The reference loop is retained as the oracle for the
 //! equivalence proptests and the `sim_scale` benchmark.
 //!
-//! # Chain-threaded graphs: one topological sweep
+//! # Chain threads and choice threads
 //!
 //! A thread is a **chain** when each of its tasks, except the first, has
 //! the thread's previous task among its direct predecessors: the launch
@@ -58,27 +53,64 @@
 //! every thread a patch edits through the thread-sequence primitives.
 //! On a chain at most one task is released at a time, and the thread's
 //! progress is the finish of that task's own thread predecessor, which
-//! its tentative start already covers. So every task starts at its
-//! latest predecessor finish, whatever the dispatch order, and when
-//! every thread is a chain Algorithm 1 has no choice to make: a FIFO
-//! pass over released tasks (`SimBufs::run_sweep`) yields the same
-//! starts, waits, thread ends and makespan as the frontier kernel, at
-//! about half its cost per task. The sweep is the one check of the
-//! property: it marks every thread on which it takes a task whose
-//! previous task there, in sweep order, is not one of its direct
-//! predecessors, and where it marked one the kernel reruns the same
-//! view. It runs in [`Schedule::capture`], which records whether the
-//! base passed ([`Schedule::is_chain_threaded`]), and in the full
-//! fallback of [`simulate_warm_with`] for a patch that changes such a
-//! base's structure but interns no thread the base lacks (a new
-//! collective channel or copy stream is no chain). [`simulate_compiled`]
-//! and the warm cone path stay on the kernel; the former is the oracle
-//! both are pinned to.
+//! its tentative start already covers. So each of its tasks starts at
+//! its latest predecessor finish, whatever the dispatch order: Algorithm
+//! 1 has a choice only on a thread that holds two released tasks at once.
+//! In the catalog only the threads a what-if adds do (DDP's collective
+//! channel, BlueConnect's stages, vDNN's copy stream and thread, P3's
+//! push and pull channels), and the compute stream DGC inserts its
+//! compression kernels onto without chaining them.
 //!
-//! The same argument lets a P3 plan skip its first unrolled iteration
-//! (`ReplaySeed`): when that iteration is closed under predecessors and
-//! its threads are unmarked, one sweep over the plan times it for every
-//! cluster, and each evaluation dispatches only what follows.
+//! Every simulation (the full simulator, the capture, the warm cone and
+//! full paths, P3's plans) therefore seeds one `SimBufs` arena and
+//! drains it with one loop, `SimBufs::drain`, which reads and writes
+//! only that arena's rows and keeps a frontier only on the **choice
+//! threads** its caller names. A task released on a choice thread joins
+//! that thread's frontier; one released on any other thread joins a FIFO
+//! queue and starts at `max(tentative, progress)`. The loop takes the
+//! best frontier key only when the queue is empty. With no choice thread
+//! it is one topological sweep, at about half the kernel's cost per
+//! task; with every thread one, it is the frontier kernel above. Its run
+//! is the kernel's when two conditions hold:
+//!
+//! * **(a) every other thread is a chain.** The loop checks it: it marks
+//!   every queued thread on which it takes a task whose previous task
+//!   there, in the loop's order, is not one of its direct predecessors.
+//!   The verdict depends only on the graph's structure, so a marked
+//!   thread reruns once as a choice thread. In a cone, each thread's
+//!   first task has nothing before it in the loop's order and is not
+//!   checked, which is sound: every later task there must directly
+//!   depend on the one before it.
+//! * **(b) no zero-cost queued task with a successor ranks above a task
+//!   on a choice thread.** The queue runs ahead of frontier picks the
+//!   kernel makes first, but a queued task releases its successors at
+//!   its finish: after a candidate's start if it starts later, and at
+//!   that same instant, if it starts with the candidate, only when it
+//!   costs nothing. Then, if it ranks above the candidate, the kernel
+//!   dispatches the candidate before it and only afterwards releases a
+//!   successor that might rank below the candidate on its thread, which
+//!   the loop would already hold. The loop checks this as well, and where
+//!   it fails every thread becomes a choice thread. P3's order ranks
+//!   every compute task below every transfer, and the catalog's only
+//!   zero-cost tasks (`cudaDeviceSynchronize` calls) have no successor,
+//!   so neither fails it.
+//!
+//! The callers name their choice threads from what they know of the
+//! graph. [`Schedule::capture`] names none, and records whether the
+//! base kept them all ([`Schedule::is_chain_threaded`]). The warm cone
+//! and full paths of [`simulate_warm_with`] over a chain-threaded base
+//! name the threads the base lacks and, when there are any, every base
+//! thread the patch inserts a task onto; a patch that adds no thread
+//! (Gist, which splices into the stream) runs as the sweep. Over any
+//! other base they name every thread. A P3 plan names the threads its
+//! build's sweep marks (`ReplaySeed`), its push and pull channels, once
+//! per plan. [`simulate_compiled`] names every thread: it stays the
+//! kernel, the oracle the others are pinned to.
+//!
+//! The chain argument also lets a P3 plan skip its first unrolled
+//! iteration (`ReplaySeed`): when that iteration is closed under
+//! predecessors and its threads are unmarked, the build's sweep times it
+//! for every cluster, and each evaluation dispatches only what follows.
 //!
 //! # Retimes keep the structure
 //!
@@ -88,7 +120,7 @@
 //! still a chain, so every task still starts at its latest predecessor
 //! finish, and every topological order of the base is one of the
 //! patched graph. The capture keeps one in [`Schedule`]'s start order:
-//! the sweep's FIFO dispatch sequence, stably sorted by start. On an
+//! the sweep's FIFO queue, stably sorted by start. On an
 //! edge `u → v`, `v` starts no earlier than `u` finishes, so either `u`
 //! starts first, or `u` costs nothing and starts with `v`; then the FIFO
 //! took `u` first (taking it released `v`), and the stable sort keeps it
@@ -503,8 +535,9 @@ pub fn simulate_with<O: FrontierOrder>(
     Ok(simulate_compiled_with(&cg, order)?.into_sim_result(&cg))
 }
 
-/// Simulates a compiled graph with the default policy, on the frontier
-/// kernel: the oracle the warm path and the sweep are pinned to.
+/// Simulates a compiled graph with the default policy, every thread a
+/// choice thread (the frontier kernel): the oracle every other run of
+/// the dispatch loop is pinned to.
 pub fn simulate_compiled(graph: &CompiledGraph) -> Result<CompiledSim, GraphError> {
     simulate_compiled_with(graph, &EarliestStart)
 }
@@ -516,18 +549,27 @@ pub fn simulate_compiled_with<O: FrontierOrder>(
     order: &O,
 ) -> Result<CompiledSim, GraphError> {
     let mut bufs = SimBufs::sized_for(cg);
+    bufs.choice.fill(true);
     let run = bufs.run_full(cg, order.dense_ranks(cg).as_deref(), 0);
     bufs.into_sim(cg, run)
 }
 
-/// Test and bench hook: `cg` simulated by the chain sweep alone
-/// ([`Schedule::capture`]'s path), or `None` if it marks a thread.
+/// Test and bench hook: `cg` simulated under `order` by the dispatch
+/// loop with `choice` (a flag per thread) as its choice threads, and the
+/// choice threads the run ended with, wider than `choice` where a check
+/// failed (module docs). With no choice thread it is the chain sweep
+/// [`Schedule::capture`] runs.
 #[doc(hidden)]
-pub fn simulate_compiled_swept(cg: &CompiledGraph) -> Option<Result<CompiledSim, GraphError>> {
+pub fn simulate_compiled_mixed<O: FrontierOrder>(
+    cg: &CompiledGraph,
+    order: &O,
+    choice: &[bool],
+) -> Result<(CompiledSim, Vec<bool>), GraphError> {
     let mut bufs = SimBufs::sized_for(cg);
-    let run = bufs.run_sweep(cg, 0);
-    bufs.chains_hold(cg.thread_count())
-        .then(|| bufs.into_sim(cg, run))
+    bufs.choice.copy_from_slice(choice);
+    let run = bufs.run_full(cg, order.dense_ranks(cg).as_deref(), 0);
+    let choice = bufs.choice.clone();
+    Ok((bufs.into_sim(cg, run)?, choice))
 }
 
 // ---------------------------------------------------------------------------
@@ -553,7 +595,7 @@ pub fn simulate_compiled_swept(cg: &CompiledGraph) -> Option<Result<CompiledSim,
 pub struct Schedule {
     /// The base simulation output (dense, compiled-space).
     sim: CompiledSim,
-    /// Every thread of the base is a chain: the sweep simulated it.
+    /// Every thread of the base is a chain: the sweep alone simulated it.
     chain_threaded: bool,
     /// Task ids sorted by start time (the dispatch sequence up to
     /// same-instant ties, which a time cutoff never splits). On a
@@ -581,14 +623,16 @@ pub struct Schedule {
 impl Schedule {
     /// Simulates `cg` under the default policy and builds the
     /// incremental-seeding indices. O(V log V + E log E) once per base.
-    /// The simulation is the chain sweep when every thread of `cg` is a
-    /// chain (module docs), and the frontier kernel otherwise;
-    /// [`Schedule::is_chain_threaded`] records which.
+    /// The simulation is the dispatch loop with no choice thread, the
+    /// chain sweep (module docs); a thread it marks reruns as a choice
+    /// thread, and [`Schedule::is_chain_threaded`] records whether any
+    /// did.
     pub fn capture(cg: &CompiledGraph) -> Result<Schedule, GraphError> {
         let mut bufs = SimBufs::sized_for(cg);
-        let (chain_threaded, run) = bufs.run_sweep_or_full(cg, 0);
-        // A finished sweep leaves every task in its queue, in the order
-        // it took them.
+        let run = bufs.run_full(cg, None, 0);
+        let chain_threaded = !bufs.choice.contains(&true);
+        // A run with no choice thread leaves every task in its queue, in
+        // the order it took them.
         let mut by_start = std::mem::take(&mut bufs.queue);
         let sim = bufs.into_sim(cg, run)?;
         let n = cg.len();
@@ -715,7 +759,8 @@ impl Schedule {
     /// `true` if every thread of the base is a chain (module docs), so
     /// the capture ran as one topological sweep. The full fallbacks of
     /// [`simulate_warm_with`] then replay the start order for a patch
-    /// that only retimes, and sweep for one that adds no thread.
+    /// that only retimes, and its runs keep frontiers only where the
+    /// patch adds a thread.
     pub fn is_chain_threaded(&self) -> bool {
         self.chain_threaded
     }
@@ -822,12 +867,20 @@ struct ConeBound {
     n_new: usize,
 }
 
+/// The [`ConeBound`] of `patch`, or `None` once its cone is over
+/// `max_cone_fraction` of the patched graph's tasks. The cone is every
+/// base dispatch at or after the cutoff, less the removed tasks (all of
+/// them there) plus the inserted ones, so it is over the budget exactly
+/// when the cutoff is at or before one base start, the threshold, fixed
+/// before the first effect is read. The running cutoff only falls, so
+/// the bound returns as soon as it reaches the threshold.
 fn cone_bound(
     base: &CompiledGraph,
     schedule: &Schedule,
     patch: &GraphPatch,
     ins: &mut InsertBounds,
-) -> ConeBound {
+    max_cone_fraction: f64,
+) -> Option<ConeBound> {
     let d = patch.delta();
     let base_cap = patch.base_capacity();
     let base_compact = |id: TaskId| -> usize {
@@ -838,39 +891,58 @@ fn cone_bound(
     // When a base task's thread moves past it in the base run.
     let fin = |c: usize| schedule.sim.start_ns[c] + base.cost_ns(CompactId(c as u32));
 
-    // --- Cutoff: the earliest instant any patch effect can surface. ---
+    let removed_live = d.removed_ids().iter().filter(|id| id.0 < base_cap).count();
+    let inserted_live = d.new_ids().iter().filter(|&&v| !d.is_removed(v)).count();
+    let n_new = base.len() - removed_live + inserted_live;
+    // The cone is over the budget once `over` base dispatches are in
+    // it: a cutoff at or before the start of dispatch `len - over`, below
+    // `below`, stops the bound. With `over` at most 0 every effect does
+    // (`below` `u64::MAX`); a budget no cone can exceed stops nothing
+    // (`below` 0).
+    let max_cone = (max_cone_fraction * n_new as f64).floor();
+    let below = if max_cone.is_finite() && max_cone < n_new as f64 {
+        let over = max_cone as i64 + 1 + removed_live as i64 - inserted_live as i64;
+        match usize::try_from(schedule.by_start.len() as i64 - over) {
+            _ if over <= 0 => u64::MAX,
+            Ok(j) => schedule.sim.start_ns[schedule.by_start[j] as usize] + 1,
+            Err(_) => 0,
+        }
+    } else {
+        0
+    };
     let mut cutoff = u64::MAX;
+    let mut lower = |at: u64| {
+        cutoff = cutoff.min(at);
+        cutoff < below
+    };
+
+    // --- Cutoff: the earliest instant any patch effect can surface. ---
     for &id in d.touched() {
         if id.0 >= base_cap || d.is_removed(id) {
             continue;
         }
         let c = base_compact(id);
         let s = d.scalars(id).expect("touched task has a slot");
-        if s.duration_ns.is_some() || s.gap_ns.is_some() {
-            // A retime dispatches identically but finishes differently:
-            // effects start no earlier than the task's own dispatch.
-            cutoff = cutoff.min(schedule.sim.start_ns[c]);
-        }
-        if s.thread.is_some() {
-            // A placement change can move the task's own dispatch, but
-            // never before its dependencies allow.
-            cutoff = cutoff.min(schedule.ready_ns(c));
+        // A retime dispatches identically but finishes differently:
+        // effects start no earlier than the task's own dispatch. A
+        // placement change can move the task's own dispatch, but never
+        // before its dependencies allow.
+        if ((s.duration_ns.is_some() || s.gap_ns.is_some()) && lower(schedule.sim.start_ns[c]))
+            || (s.thread.is_some() && lower(schedule.ready_ns(c)))
+        {
+            return None;
         }
     }
-    let mut removed_live = 0usize;
     for &id in d.removed_ids() {
-        if id.0 < base_cap {
-            // The vacated thread slot opens where the base dispatched it.
-            cutoff = cutoff.min(schedule.sim.start_ns[base_compact(id)]);
-            removed_live += 1;
+        // The vacated thread slot opens where the base dispatched it.
+        if id.0 < base_cap && lower(schedule.sim.start_ns[base_compact(id)]) {
+            return None;
         }
     }
     ins.compute(d, base_cap, |id| fin(base_compact(id)));
-    let mut inserted_live = 0usize;
     for (i, &v) in d.new_ids().iter().enumerate() {
-        if !d.is_removed(v) {
-            cutoff = cutoff.min(ins.bound[i]);
-            inserted_live += 1;
+        if !d.is_removed(v) && lower(ins.bound[i]) {
+            return None;
         }
     }
     // A predecessor gates its successor at its *finish*: earliest
@@ -890,28 +962,30 @@ fn cone_bound(
         // predecessor finish, or miss its base dispatch slot entirely.
         let list = d.pred_over(id).expect("overlay id has a list");
         let ready_lb = list.iter().map(|&(p, _)| fin_lb_of(p)).max().unwrap_or(0);
-        cutoff = cutoff.min(ready_lb.min(schedule.sim.start_ns[base_compact(id)]));
+        if lower(ready_lb.min(schedule.sim.start_ns[base_compact(id)])) {
+            return None;
+        }
     }
 
-    let n_new = base.len() - removed_live + inserted_live;
     if cutoff == u64::MAX {
-        return ConeBound {
+        return Some(ConeBound {
             cutoff,
             cut_idx: schedule.by_start.len(),
             cone: 0,
             n_new,
-        };
+        });
     }
 
     // --- Cone sizing. ---
     let cut_idx = schedule.first_suffix(cutoff);
     let cone = (schedule.by_start.len() - cut_idx) - removed_live + inserted_live;
-    ConeBound {
+    let over_budget = cone as f64 > max_cone_fraction * n_new as f64;
+    (!over_budget).then_some(ConeBound {
         cutoff,
         cut_idx,
         cone,
         n_new,
-    }
+    })
 }
 
 /// Per-thread busy time (sum of [`CompiledGraph::cost_ns`]) of a
@@ -1419,16 +1493,24 @@ struct SimBufs {
     progress: Vec<u64>,
     fronts: Vec<ThreadFrontier>,
     bests: Vec<Key>,
-    /// The sweep's FIFO of released tasks ([`SimBufs::run_sweep`]).
+    /// Per thread: `true` for a choice thread, whose released tasks wait
+    /// on its frontier; the others' join `queue` (module docs). The
+    /// caller sets it before a run; a run that reruns widens it.
+    choice: Vec<bool>,
+    /// The FIFO of released tasks on the other threads, in the order
+    /// [`SimBufs::drain`] took them.
     queue: Vec<u32>,
-    /// The sweep's last task taken per thread, or [`NO_TASK`].
+    /// The last task the loop took from the queue per thread, or
+    /// [`NO_TASK`].
     last: Vec<u32>,
-    /// The sweep's verdict per thread: `true` if it is no chain.
-    broken: Vec<bool>,
+    /// Per thread: `true` if the last pass marked it to rerun as a choice
+    /// thread: a queued thread that is no chain (condition (a) of the
+    /// module docs), or every thread where condition (b) failed.
+    marked: Vec<bool>,
 }
 
 impl SimBufs {
-    /// Fresh buffers for one simulation of `cg`.
+    /// Fresh buffers for one simulation of `cg`, with no choice thread.
     fn sized_for(cg: &CompiledGraph) -> SimBufs {
         let mut bufs = SimBufs::default();
         bufs.ensure(cg.len(), cg.thread_count());
@@ -1468,15 +1550,17 @@ impl SimBufs {
             self.fronts.resize_with(t_count, ThreadFrontier::default);
             self.bests.resize(t_count, IDLE);
             self.progress.resize(t_count, 0);
+            self.choice.resize(t_count, false);
             self.last.resize(t_count, NO_TASK);
-            self.broken.resize(t_count, false);
+            self.marked.resize(t_count, false);
             grew = true;
         }
         grew
     }
 
     /// Stamps view task `i` with its seeded state and, once it owes no
-    /// predecessor, puts it on its thread's frontier.
+    /// predecessor, releases it: onto its thread's frontier on a choice
+    /// thread, into the queue otherwise.
     #[inline]
     fn seed<G: SimGraphView>(
         &mut self,
@@ -1491,18 +1575,36 @@ impl SimBufs {
         self.stamp[iu] = epoch;
         self.preds[iu] = rem;
         self.tentative[iu] = tent;
+        self.wait[iu] = NO_TASK as u64;
         if rem == 0 {
             let t = view.thread_of(CompactId(i)).0 as usize;
-            self.fronts[t].push(tent, low_key(ranks, i), self.progress[t]);
+            if self.choice[t] {
+                self.fronts[t].push(tent, low_key(ranks, i), self.progress[t]);
+            } else {
+                self.queue.push(i);
+            }
         }
     }
 
-    /// The frontier dispatch loop shared by every entry point (the full
-    /// simulator, the warm cone and full paths, P3's retimed plans):
-    /// drains the seeded frontiers of `view`'s first `t_count` threads to
-    /// completion, from `makespan`, returning how many tasks were
-    /// dispatched and the makespan. All entry points run *this* code, so
-    /// no derived path can drift from full-simulation semantics.
+    /// The dispatch loop every simulation runs (module docs): drains the
+    /// seeded queue and frontiers of `view`'s first `t_count` threads to
+    /// completion, from `makespan`. A task released on a choice thread
+    /// joins that thread's frontier; one released anywhere else joins the
+    /// FIFO queue and starts at `max(tentative, progress)`. The loop takes
+    /// the best frontier key only when the queue is empty. With no choice
+    /// thread it is the chain sweep, with every thread one the frontier
+    /// kernel.
+    ///
+    /// It goes to the end and checks both conditions under which its run
+    /// is the kernel's, marking in `marked` every queued thread on which
+    /// it takes a task whose previous task there, in the loop's order, is
+    /// not one of its direct predecessors (condition (a): that thread is
+    /// no chain), and every thread unless each zero-cost queued task with
+    /// a successor ranks below every task it took from a frontier
+    /// (condition (b)). Until a task is taken, its `wait` slot holds the
+    /// last task taken on its thread among its direct predecessors (or
+    /// [`NO_TASK`]), which is all the chain check reads. Returns how many
+    /// tasks it took and the makespan.
     ///
     /// `ranks` holds each task's dense rank (`None`: the task id, the
     /// default order). `bests` is working space; the loop fills it from
@@ -1519,167 +1621,188 @@ impl SimBufs {
         let progress = &mut self.progress[..t_count];
         let fronts = &mut self.fronts[..t_count];
         let bests = &mut self.bests[..t_count];
+        let choice = &self.choice[..t_count];
+        let (last, marked) = (&mut self.last[..t_count], &mut self.marked[..t_count]);
+        let queue = &mut self.queue;
         for (t, front) in fronts.iter_mut().enumerate() {
-            front.refresh(progress[t]);
-            bests[t] = front.best(progress[t]);
+            bests[t] = if choice[t] {
+                front.refresh(progress[t]);
+                front.best(progress[t])
+            } else {
+                IDLE
+            };
         }
-        let mut done = 0usize;
+        // One more than the highest dense rank of a zero-cost queued task
+        // with a successor (0: none), and the lowest of a task taken from
+        // a frontier: condition (b) is `zero_rank <= choice_rank`.
+        let (mut zero_rank, mut choice_rank) = (0u64, u64::MAX);
+        let (mut head, mut done) = (0usize, 0usize);
         loop {
-            let mut ti = usize::MAX;
-            let mut best = IDLE;
-            for (t, &b) in bests.iter().enumerate() {
-                if b < best {
-                    best = b;
-                    ti = t;
+            let (u, t, s) = if let Some(&u) = queue.get(head) {
+                head += 1;
+                let t = view.thread_of(CompactId(u)).0 as usize;
+                let prev = last[t];
+                if prev != NO_TASK && wait[u as usize] != prev as u64 {
+                    marked[t] = true;
                 }
-            }
-            if ti == usize::MAX {
-                break;
-            }
-            let (s, u) = (start_of(best), best as u32);
-            debug_assert_eq!(fronts[ti].best(progress[ti]), best);
-            fronts[ti].pop_best();
+                last[t] = u;
+                // A chain task's thread progress is its thread
+                // predecessor's finish, which its tentative start already
+                // covers; only a thread's first task in the loop's order
+                // (in a cone) may start at its progress instead.
+                let tent = tentative[u as usize];
+                debug_assert!(
+                    marked[t] || prev == NO_TASK || tent >= progress[t],
+                    "a chain task never waits on its thread"
+                );
+                (u, t, tent.max(progress[t]))
+            } else {
+                let mut ti = usize::MAX;
+                let mut best = IDLE;
+                for (t, &b) in bests.iter().enumerate() {
+                    if b < best {
+                        best = b;
+                        ti = t;
+                    }
+                }
+                if ti == usize::MAX {
+                    break;
+                }
+                debug_assert_eq!(fronts[ti].best(progress[ti]), best);
+                fronts[ti].pop_best();
+                choice_rank = choice_rank.min(best as u64 >> 32);
+                (best as u32, ti, start_of(best))
+            };
 
-            let ui = u as usize;
+            let (ui, c) = (u as usize, CompactId(u));
             start[ui] = s;
-            wait[ui] = s - progress[ti];
-            let fin = s + view.cost_ns(CompactId(u));
-            makespan = makespan.max(s + view.duration_ns(CompactId(u)));
-            progress[ti] = fin;
+            wait[ui] = s - progress[t];
+            let cost = view.cost_ns(c);
+            let fin = s + cost;
+            makespan = makespan.max(s + view.duration_ns(c));
+            progress[t] = fin;
             done += 1;
 
-            for &v in view.successors(CompactId(u)) {
+            let succs = view.successors(c);
+            if cost == 0 && !choice[t] && !succs.is_empty() {
+                zero_rank = zero_rank.max((low_key(ranks, u) >> 32) + 1);
+            }
+            for &v in succs {
                 let vi = v.0 as usize;
                 tentative[vi] = tentative[vi].max(fin);
+                let tv = view.thread_of(v).0 as usize;
+                if tv == t {
+                    wait[vi] = u as u64;
+                }
                 preds[vi] -= 1;
-                if preds[vi] == 0 {
-                    let tv = view.thread_of(v).0 as usize;
-                    let low = low_key(ranks, v.0);
-                    fronts[tv].push(tentative[vi], low, progress[tv]);
-                    if tv != ti {
-                        // That thread's progress did not move, so the
-                        // released task either beats its cached best or
-                        // leaves it be.
-                        let cand = key(tentative[vi].max(progress[tv]), low);
-                        if cand < bests[tv] {
-                            bests[tv] = cand;
-                        }
+                if preds[vi] != 0 {
+                    continue;
+                }
+                if !choice[tv] {
+                    queue.push(v.0);
+                    continue;
+                }
+                let low = low_key(ranks, v.0);
+                fronts[tv].push(tentative[vi], low, progress[tv]);
+                if tv != t {
+                    // That thread's progress did not move, so the released
+                    // task either beats its cached best or leaves it be.
+                    let cand = key(tentative[vi].max(progress[tv]), low);
+                    if cand < bests[tv] {
+                        bests[tv] = cand;
                     }
                 }
             }
-            // This thread's progress advanced and its best was consumed.
-            let front = &mut fronts[ti];
-            front.refresh(progress[ti]);
-            bests[ti] = front.best(progress[ti]);
+            if choice[t] {
+                // This thread's progress advanced and its best was consumed.
+                let front = &mut fronts[t];
+                front.refresh(progress[t]);
+                bests[t] = front.best(progress[t]);
+            }
+        }
+        if zero_rank > choice_rank {
+            marked.fill(true);
         }
         (done, makespan)
     }
 
-    /// Full simulation of every live task of `view` into the buffers,
-    /// under the dense order `ranks`, from empty frontiers; returns how
-    /// many tasks were dispatched and the makespan.
-    fn run_full<G: SimGraphView>(
+    /// One pass of the loop over `view`'s first `t_count` threads under
+    /// the current choice threads: empties the queue and frontiers, lets
+    /// `seed` set each thread's progress and seed every task the run
+    /// dispatches (returning the makespan to start from), and drains.
+    fn pass<G: SimGraphView>(
         &mut self,
         view: &G,
         ranks: Option<&[u32]>,
-        epoch: u32,
+        t_count: usize,
+        seed: &mut impl FnMut(&mut SimBufs) -> u64,
     ) -> (usize, u64) {
-        let t_count = view.thread_count();
-        self.progress[..t_count].fill(0);
+        self.queue.clear();
+        // Every task is queued at most once: a warm arena never grows it.
+        self.queue.reserve(view.len());
+        self.last[..t_count].fill(NO_TASK);
+        self.marked[..t_count].fill(false);
+        for front in &mut self.fronts[..t_count] {
+            front.clear();
+        }
+        let from = seed(self);
+        self.drain(view, ranks, t_count, from)
+    }
+
+    /// `true` if the last pass marked none of the first `t_count` threads.
+    fn none_marked(&self, t_count: usize) -> bool {
+        !self.marked[..t_count].contains(&true)
+    }
+
+    /// Passes of the loop until one is the kernel's run (module docs),
+    /// returning how many tasks it dispatched and the makespan: the
+    /// threads a pass marks become choice threads. The chain verdict
+    /// depends only on the graph, so a rerun marks no thread for it that
+    /// the pass before left unmarked, and `choice` ends as the run's
+    /// choice threads.
+    fn run<G: SimGraphView>(
+        &mut self,
+        view: &G,
+        ranks: Option<&[u32]>,
+        t_count: usize,
+        mut seed: impl FnMut(&mut SimBufs) -> u64,
+    ) -> (usize, u64) {
+        loop {
+            let run = self.pass(view, ranks, t_count, &mut seed);
+            if self.none_marked(t_count) {
+                return run;
+            }
+            for (c, &m) in self.choice[..t_count].iter_mut().zip(&self.marked) {
+                *c |= m;
+            }
+        }
+    }
+
+    /// Seeds every live task of `view` from the start: each thread at
+    /// progress 0, each task owing all its predecessors.
+    fn seed_all<G: SimGraphView>(&mut self, view: &G, ranks: Option<&[u32]>, epoch: u32) -> u64 {
+        self.progress[..view.thread_count()].fill(0);
         for i in 0..view.len() {
             if view.is_live(i) {
                 let preds = view.pred_count(CompactId(i as u32));
                 self.seed(view, ranks, i as u32, preds, 0, epoch);
             }
         }
-        self.drain(view, ranks, t_count, 0)
+        0
     }
 
-    /// Full simulation of every live task of `view` as one FIFO
-    /// topological sweep, the chain theorem's shortcut (module docs): each
-    /// task starts at its latest predecessor finish (or its thread's
-    /// progress, if later), so no frontier is kept. Returns how many tasks
-    /// it took and the makespan. It goes to the end, marking in `broken`
-    /// every thread on which it takes a task whose previous task there, in
-    /// sweep order, is not one of its direct predecessors: that thread is
-    /// no chain, and the run is the kernel's only if no thread is marked
-    /// ([`SimBufs::chains_hold`]). Until a task is taken, its `wait` slot
-    /// holds the last task dispatched on its thread among its direct
-    /// predecessors (or [`NO_TASK`]), which is all the check reads.
-    fn run_sweep<G: SimGraphView>(&mut self, view: &G, epoch: u32) -> (usize, u64) {
-        let t_count = view.thread_count();
-        self.progress[..t_count].fill(0);
-        self.last[..t_count].fill(NO_TASK);
-        self.broken[..t_count].fill(false);
-        self.queue.clear();
-        // Every task is queued once: a warm arena never grows it.
-        self.queue.reserve(view.len());
-        for i in 0..view.len() {
-            if view.is_live(i) {
-                let preds = view.pred_count(CompactId(i as u32));
-                self.stamp[i] = epoch;
-                self.preds[i] = preds;
-                self.tentative[i] = 0;
-                self.wait[i] = NO_TASK as u64;
-                if preds == 0 {
-                    self.queue.push(i as u32);
-                }
-            }
-        }
-        let mut makespan = 0u64;
-        let mut head = 0;
-        while let Some(&u) = self.queue.get(head) {
-            head += 1;
-            let (ui, c) = (u as usize, CompactId(u));
-            let t = view.thread_of(c).0 as usize;
-            let prev = self.last[t];
-            if prev != NO_TASK && self.wait[ui] != prev as u64 {
-                self.broken[t] = true;
-            }
-            self.last[t] = u;
-            // A chain task's thread progress is its thread predecessor's
-            // finish, which its tentative start already covers.
-            let (tent, progress) = (self.tentative[ui], self.progress[t]);
-            debug_assert!(
-                self.broken[t] || tent >= progress,
-                "a chain task never waits on its thread"
-            );
-            let s = tent.max(progress);
-            self.start[ui] = s;
-            self.wait[ui] = s - progress;
-            let fin = s + view.cost_ns(c);
-            makespan = makespan.max(s + view.duration_ns(c));
-            self.progress[t] = fin;
-            for &v in view.successors(c) {
-                let vi = v.0 as usize;
-                self.tentative[vi] = self.tentative[vi].max(fin);
-                if view.thread_of(v).0 as usize == t {
-                    self.wait[vi] = u as u64;
-                }
-                self.preds[vi] -= 1;
-                if self.preds[vi] == 0 {
-                    self.queue.push(v.0);
-                }
-            }
-        }
-        (head, makespan)
-    }
-
-    /// `true` if the last sweep marked none of the first `t_count` threads.
-    fn chains_hold(&self, t_count: usize) -> bool {
-        !self.broken[..t_count].contains(&true)
-    }
-
-    /// [`SimBufs::run_sweep`], rerun as [`SimBufs::run_full`] under the
-    /// default order when the sweep marks a thread; `true` with the
-    /// result when the sweep's run stands.
-    fn run_sweep_or_full<G: SimGraphView>(&mut self, view: &G, epoch: u32) -> (bool, (usize, u64)) {
-        let run = self.run_sweep(view, epoch);
-        if self.chains_hold(view.thread_count()) {
-            (true, run)
-        } else {
-            (false, self.run_full(view, None, epoch))
-        }
+    /// Full simulation of every live task of `view` into the buffers,
+    /// under the dense order `ranks`; returns how many tasks were
+    /// dispatched and the makespan.
+    fn run_full<G: SimGraphView>(
+        &mut self,
+        view: &G,
+        ranks: Option<&[u32]>,
+        epoch: u32,
+    ) -> (usize, u64) {
+        self.run(view, ranks, view.thread_count(), |bufs| {
+            bufs.seed_all(view, ranks, epoch)
+        })
     }
 
     /// Full simulation of `view` by walking `order`, a topological order
@@ -1726,11 +1849,15 @@ impl SimBufs {
         epoch: u32,
     ) -> usize {
         let t_count = view.thread_count();
-        self.progress[..t_count].copy_from_slice(&seed.progress);
-        for (i, (&rem, &tent)) in (seed.replayed as u32..).zip(seed.rem.iter().zip(&seed.tent)) {
-            self.seed(view, ranks, i, rem, tent, epoch);
-        }
-        self.drain(view, ranks, t_count, 0).0
+        let later = seed.replayed as u32..;
+        self.run(view, ranks, t_count, |bufs| {
+            bufs.progress[..t_count].copy_from_slice(&seed.progress);
+            for (i, (&rem, &tent)) in later.clone().zip(seed.rem.iter().zip(&seed.tent)) {
+                bufs.seed(view, ranks, i, rem, tent, epoch);
+            }
+            0
+        })
+        .0
     }
 
     /// Seeds and re-dispatches the cone over `view`, stamping exactly the
@@ -1750,13 +1877,6 @@ impl SimBufs {
     ) -> (usize, u64) {
         let base = view.base;
         let t_count = view.ov.shape.t_count;
-        for t in 0..t_count {
-            self.progress[t] = if t < base.thread_count() {
-                schedule.progress_at(t, cutoff)
-            } else {
-                0
-            };
-        }
         // Remaining preds / seeded tentative from an explicit list:
         // replayed base predecessors contribute their finish; suffix and
         // inserted ones (no base compact id) stay owed to the loop.
@@ -1773,24 +1893,33 @@ impl SimBufs {
             }
             (rem, tent)
         };
-        for &c in &schedule.by_start[cut_idx..] {
-            if !view.is_live(c as usize) {
-                continue;
+        self.run(view, None, t_count, |bufs| {
+            for t in 0..t_count {
+                bufs.progress[t] = if t < base.thread_count() {
+                    schedule.progress_at(t, cutoff)
+                } else {
+                    0
+                };
             }
-            let (rem, tent) = match d.pred_over(base.task_id(CompactId(c))) {
-                Some(list) => split_list(list),
-                None => schedule.pred_split(c as usize, cutoff),
-            };
-            self.seed(view, None, c, rem, tent, epoch);
-        }
-        for (k, &v) in d.new_ids().iter().enumerate() {
-            let i = view.ov.ins_view[k];
-            if i != u32::MAX {
-                let (rem, tent) = d.pred_over(v).map_or((0, 0), split_list);
-                self.seed(view, None, i, rem, tent, epoch);
+            for &c in &schedule.by_start[cut_idx..] {
+                if !view.is_live(c as usize) {
+                    continue;
+                }
+                let (rem, tent) = match d.pred_over(base.task_id(CompactId(c))) {
+                    Some(list) => split_list(list),
+                    None => schedule.pred_split(c as usize, cutoff),
+                };
+                bufs.seed(view, None, c, rem, tent, epoch);
             }
-        }
-        self.drain(view, None, t_count, schedule.makespan_prefix[cut_idx])
+            for (k, &v) in d.new_ids().iter().enumerate() {
+                let i = view.ov.ins_view[k];
+                if i != u32::MAX {
+                    let (rem, tent) = d.pred_over(v).map_or((0, 0), split_list);
+                    bufs.seed(view, None, i, rem, tent, epoch);
+                }
+            }
+            schedule.makespan_prefix[cut_idx]
+        })
     }
 }
 
@@ -1820,7 +1949,11 @@ impl SimBufs {
 ///
 /// Under them, dispatches happen in nondecreasing start order, and the
 /// full run's later dispatches are the resumed run's, one for one.
-#[derive(Debug, Clone, Default)]
+///
+/// Every seed also records the graph's choice threads: those its
+/// build's sweep marked, where tasks that do not depend on each other
+/// share a thread (a P3 plan's push and pull channels).
+#[derive(Debug, Clone)]
 pub(crate) struct ReplaySeed {
     /// Tasks replayed: compact ids `0..replayed`.
     replayed: usize,
@@ -1830,25 +1963,41 @@ pub(crate) struct ReplaySeed {
     tent: Vec<u64>,
     /// Each thread's progress after the prefix.
     progress: Vec<u64>,
+    /// Per thread: `true` for a choice thread of every run of the graph.
+    choice: Vec<bool>,
 }
 
 impl ReplaySeed {
     /// The seed that resumes `graph`, under the dense order `ranks`,
-    /// after its first `k` tasks; empty unless the three conditions above
-    /// hold. One chain sweep over `graph` checks condition 2 and times
-    /// the prefix: under conditions 1 and 2 it starts each prefix task at
-    /// its latest predecessor finish, which is where every run of the
-    /// graph starts it, whatever the later tasks' costs.
+    /// after its first `k` tasks; empty (`k` 0 included) unless the three
+    /// conditions above hold. One pass of the loop with no choice thread,
+    /// the chain sweep, over `graph` finds its choice threads, checks
+    /// condition 2 and times the prefix: under conditions 1 and 2 it
+    /// starts each prefix task at its latest predecessor finish, which is
+    /// where every run of the graph starts it, whatever the later tasks'
+    /// costs.
     pub(crate) fn build(graph: &CompiledGraph, ranks: Option<&[u32]>, k: usize) -> ReplaySeed {
         let n = graph.len();
+        let t_count = graph.thread_count();
+        let mut sweep = SimBufs::sized_for(graph);
+        let (taken, _) = sweep.pass(graph, None, t_count, &mut |bufs| {
+            bufs.seed_all(graph, None, 0)
+        });
+        let empty = ReplaySeed {
+            replayed: 0,
+            rem: Vec::new(),
+            tent: Vec::new(),
+            progress: Vec::new(),
+            choice: sweep.marked[..t_count].to_vec(),
+        };
         if k == 0 || k > n {
-            return ReplaySeed::default();
+            return empty;
         }
         // 3. Prefix ranks below later ranks: dense ranks are a
         // permutation of `0..n`, so each prefix rank must be below `k`.
         if let Some(r) = ranks {
             if r[..k].iter().any(|&rank| rank as usize >= k) {
-                return ReplaySeed::default();
+                return empty;
             }
         }
         // 1. Closed under predecessors: no later task feeds the prefix.
@@ -1858,15 +2007,14 @@ impl ReplaySeed {
                 .iter()
                 .any(|v| (v.0 as usize) < k)
         }) {
-            return ReplaySeed::default();
+            return empty;
         }
         // 2. The prefix's threads are chains of the whole graph (and the
         // graph is acyclic: the sweep takes every task).
-        let mut sweep = SimBufs::sized_for(graph);
-        if sweep.run_sweep(graph, 0).0 != n
-            || (0..k).any(|i| sweep.broken[graph.thread_of(CompactId(i as u32)).0 as usize])
+        if taken != n
+            || (0..k).any(|i| empty.choice[graph.thread_of(CompactId(i as u32)).0 as usize])
         {
-            return ReplaySeed::default();
+            return empty;
         }
         let mut rem: Vec<u32> = graph.pred_count[k..].to_vec();
         let mut tent = vec![0u64; n - k];
@@ -1888,6 +2036,7 @@ impl ReplaySeed {
             rem,
             tent,
             progress,
+            ..empty
         }
     }
 
@@ -1904,13 +2053,8 @@ impl ReplaySeed {
 enum WarmLast {
     /// Cone re-dispatch: stamped slots overlay the base schedule.
     Cone { makespan: u64 },
-    /// Full dispatch of every live view task into the buffers, by the
-    /// sweep (`swept`, which only the tests read) or the frontier kernel.
-    Full {
-        makespan: u64,
-        #[cfg_attr(not(test), allow(dead_code))]
-        swept: bool,
-    },
+    /// Full dispatch of every live view task into the buffers.
+    Full { makespan: u64 },
     /// Retime replay over the base's order: the buffers hold every base
     /// task, in base order, which the applied graph keeps.
     Replay { makespan: u64 },
@@ -1972,17 +2116,14 @@ impl SimScratch {
         self.last = None;
     }
 
-    /// Sizes the buffers for `n` tasks on `t_count` threads and empties
-    /// the frontiers, counting the evaluation as an alloc if any buffer
-    /// grew (`grew`: the caller's own rows did) and as a reuse otherwise.
+    /// Sizes the buffers for `n` tasks on `t_count` threads, counting the
+    /// evaluation as an alloc if any buffer grew (`grew`: the caller's own
+    /// rows did) and as a reuse otherwise.
     fn size_bufs(&mut self, n: usize, t_count: usize, grew: bool) {
         if self.bufs.ensure(n, t_count) || grew {
             self.allocs += 1;
         } else {
             self.reuses += 1;
-        }
-        for front in self.bufs.fronts[..t_count].iter_mut() {
-            front.clear();
         }
     }
 
@@ -2037,7 +2178,8 @@ impl SimScratch {
     /// Simulates `graph` with the given tasks' durations replaced (each
     /// keeping its trailing gap), under the dense order `ranks`
     /// ([`FrontierOrder::dense_ranks`]), in this arena, resuming after
-    /// `seed`'s replayed prefix (an empty seed: from the start). Only the
+    /// `seed`'s replayed prefix (an empty seed: from the start), with a
+    /// frontier on `seed`'s choice threads only. Only the
     /// tasks the run dispatches get arena-owned copies of their cost and
     /// duration rows, so nothing is cloned and, warm, nothing allocated.
     /// Returns each dispatched task's end (start plus duration); a
@@ -2057,6 +2199,7 @@ impl SimScratch {
     ) -> Result<impl Fn(CompactId) -> u64 + '_, GraphError> {
         let (n, k) = (graph.len(), seed.replayed);
         self.write_retimed(graph, k, durations);
+        self.bufs.choice[..graph.thread_count()].copy_from_slice(&seed.choice);
         let view = RetimedView {
             graph,
             cost: &self.cost[..n],
@@ -2072,6 +2215,27 @@ impl SimScratch {
         }
         let (start, dur) = (&self.bufs.start, &self.dur);
         Ok(move |c: CompactId| start[c.0 as usize] + dur[c.0 as usize])
+    }
+
+    /// Sets the choice threads of a warm run over the overlay of the
+    /// last [`SimScratch::begin`] (module docs): on a chain-threaded base,
+    /// the threads the base lacks and, when there are any, every base
+    /// thread the patch inserts a task onto; on any other base, every
+    /// thread.
+    fn choose_threads(&mut self, base: &CompiledGraph, chain_threaded: bool) {
+        let (t_base, t_count) = (base.thread_count(), self.ov.shape.t_count);
+        let choice = &mut self.bufs.choice[..t_count];
+        if !chain_threaded {
+            choice.fill(true);
+            return;
+        }
+        choice[..t_base].fill(false);
+        choice[t_base..].fill(true);
+        if t_count > t_base {
+            for &i in self.ov.ins_view.iter().filter(|&&i| i != u32::MAX) {
+                choice[self.ov.thread[i as usize] as usize] = true;
+            }
+        }
     }
 
     /// The retime replay (module docs): simulates `base` with
@@ -2225,11 +2389,14 @@ impl SimScratch {
         c
     }
 
-    /// Test hook: `true` if the last warm evaluation fell back to a full
-    /// run and ran it as the chain sweep.
+    /// Test hook: the choice threads of the last warm cone or full run,
+    /// those that kept a frontier.
     #[cfg(test)]
-    pub(crate) fn swept(&self) -> bool {
-        matches!(self.last, Some(WarmLast::Full { swept: true, .. }))
+    pub(crate) fn choice_threads(&self, base: &CompiledGraph) -> Vec<ExecThread> {
+        (0..self.ov.shape.t_count as u32)
+            .filter(|&t| self.bufs.choice[t as usize])
+            .map(|t| self.ov.exec_thread(base, t))
+            .collect()
     }
 
     /// Test hook: `true` if the last warm evaluation fell back to a full
@@ -2322,7 +2489,8 @@ pub fn simulate_warm(
 /// without tasks — is simulated over the base [`CompiledGraph`], with
 /// every per-sim O(V) buffer from the arena. The decision rests on the
 /// cone alone, which is bounded from the patch's delta and the schedule
-/// before anything is built:
+/// before anything is built, the bound stopping as soon as the cone is
+/// over the budget:
 ///
 /// 1. a patch with no simulation-relevant effect (priority and name
 ///    edits) answers with the base schedule;
@@ -2336,7 +2504,9 @@ pub fn simulate_warm(
 /// of a chain-threaded base replays the base's start order over the
 /// arena's dense duration rows (module docs); every other patch
 /// dispatches every live task over the overlay — still zero clones and
-/// zero allocations warm. Both report the full path's accounting.
+/// zero allocations warm. Both report the full path's accounting. The
+/// cone and full runs keep a frontier only on the patch's choice threads
+/// (module docs).
 ///
 /// # Panics
 ///
@@ -2365,21 +2535,14 @@ pub fn simulate_warm_with(
         )
     } else {
         scratch.begin(base, patch);
-        // A thread the base lacks is no chain in the catalog (a
-        // collective channel, a copy stream), so only patches that add
-        // none try the sweep.
+        scratch.choose_threads(base, schedule.chain_threaded);
         let view = scratch.ov.view(base, scratch.epoch);
-        let (swept, (done, makespan)) =
-            if schedule.chain_threaded && scratch.ov.new_threads.is_empty() {
-                scratch.bufs.run_sweep_or_full(&view, scratch.epoch)
-            } else {
-                (false, scratch.bufs.run_full(&view, None, scratch.epoch))
-            };
+        let (done, makespan) = scratch.bufs.run_full(&view, None, scratch.epoch);
         let live = scratch.ov.shape.live;
         if done != live {
             return Err(GraphError::Cycle);
         }
-        scratch.last = Some(WarmLast::Full { makespan, swept });
+        scratch.last = Some(WarmLast::Full { makespan });
         (live, makespan)
     };
     Ok(WarmOutcome {
@@ -2423,7 +2586,16 @@ pub fn try_simulate_warm_with(
     );
     // The bound reads the delta and the schedule only; the overlay's
     // insert bounds are its storage.
-    let bound = cone_bound(base, schedule, patch, &mut scratch.ov.ins);
+    let Some(bound) = cone_bound(
+        base,
+        schedule,
+        patch,
+        &mut scratch.ov.ins,
+        max_cone_fraction,
+    ) else {
+        scratch.last = None;
+        return Ok(None);
+    };
     if bound.cutoff == u64::MAX {
         // No simulation-relevant effect (name, kind or priority edits):
         // the base schedule is the answer, referenced rather than cloned.
@@ -2437,15 +2609,12 @@ pub fn try_simulate_warm_with(
             },
         }));
     }
-    if bound.cone as f64 > max_cone_fraction * bound.n_new as f64 {
-        scratch.last = None;
-        return Ok(None);
-    }
     scratch.begin(base, patch);
     debug_assert_eq!(
         bound.n_new, scratch.ov.shape.live,
         "delta-derived live count must match"
     );
+    scratch.choose_threads(base, schedule.chain_threaded);
     let view = scratch.ov.view(base, scratch.epoch);
     let (done, makespan) = scratch.bufs.run_cone(
         &view,
@@ -2762,6 +2931,7 @@ mod tests {
         let end = scratch.simulate_retimed(cg, ranks, seed, []).unwrap();
         let resumed = later.clone().map(|i| end(CompactId(i))).collect();
         let mut bufs = SimBufs::sized_for(cg);
+        bufs.choice.fill(true);
         bufs.run_full(cg, ranks, 0);
         let full = later
             .map(|i| bufs.start[i as usize] + cg.duration_ns(CompactId(i)))
@@ -2853,29 +3023,32 @@ mod tests {
             &[(0, 1), (1, 2), (0, 5), (5, 6), (2, 7)],
         );
         let mut bufs = SimBufs::sized_for(&cg);
-        let (taken, _) = bufs.run_sweep(&cg, 0);
+        let t_count = cg.thread_count();
+        let (taken, _) = bufs.pass(&cg, None, t_count, &mut |b| b.seed_all(&cg, None, 0));
         assert_eq!(taken, cg.len(), "the sweep goes on past every break");
         let marked: Vec<ExecThread> = (0..cg.thread_count() as u32)
-            .filter(|&t| bufs.broken[t as usize])
+            .filter(|&t| bufs.marked[t as usize])
             .map(|t| cg.exec_thread(ThreadId(t)))
             .collect();
         assert_eq!(marked, [cpu1, gpu0]);
-        assert!(!bufs.chains_hold(cg.thread_count()));
-        assert_eq!(simulate_compiled_swept(&cg), None);
+        assert!(!bufs.none_marked(cg.thread_count()));
+        let kernel = simulate_compiled(&cg).unwrap();
+        let mixed = simulate_compiled_mixed(&cg, &EarliestStart, &[false; 3]).unwrap();
+        assert_eq!(mixed, (kernel, bufs.marked), "the marked threads rerun");
         let schedule = Schedule::capture(&cg).unwrap();
         assert!(!schedule.is_chain_threaded());
         assert_eq!(schedule.sim(), &simulate_compiled(&cg).unwrap());
     }
 
-    /// How catalog families' full fallbacks run, on the chain-threaded
-    /// ResNet-50 and BERT_Base bases at batch 4: those that only retime
-    /// (AMP, upgrade-gpu, batch-size) replay the base's start order; the
-    /// other structural ones that keep to the base's threads sweep; DDP,
-    /// BlueConnect, DGC (a collective channel) and vDNN (a copy stream)
-    /// keep the frontier kernel. Every result still equals the frontier
-    /// kernel over the applied graph.
-    #[test]
-    fn catalog_full_fallbacks_sweep_only_on_the_base_threads() {
+    /// Every catalog family's patch over the profiled `name` at batch 4,
+    /// the families that retime only first; DDP's refinements layer on a
+    /// two-machine plan.
+    fn catalog_patches(
+        name: &str,
+    ) -> (
+        crate::construct::ProfiledGraph,
+        Vec<(&'static str, GraphPatch)>,
+    ) {
         use crate::construct::ProfiledGraph;
         use crate::patch::PatchGraph;
         use crate::whatif::*;
@@ -2883,107 +3056,204 @@ mod tests {
         use daydream_device::GpuSpec;
         use daydream_runtime::{ground_truth, ExecConfig};
 
-        let replays = &["amp", "upgrade-gpu", "batch-size"][..];
+        let model = daydream_models::zoo::by_name(name).unwrap();
+        let cfg = ExecConfig::pytorch_2080ti().with_batch(4);
+        let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
+        let cluster = ClusterConfig::new(2, 1, 8.0);
+        let emit = |family: &str| {
+            let mut ov = PatchGraph::new(&pg.graph);
+            match family {
+                "amp" => plan_amp(&mut ov),
+                "upgrade-gpu" => {
+                    let old = GpuSpec::by_name(&pg.meta.device).unwrap();
+                    plan_upgrade_gpu(&mut ov, &old, &GpuSpec::v100());
+                }
+                "batch-size" => {
+                    plan_batch_size(&mut ov, 4, 16);
+                }
+                "reconstruct-bn" => plan_reconstruct_bn(&mut ov, &model),
+                "metaflow" => plan_metaflow(&mut ov, &qkv_fusion_policy(&model)),
+                "gist" => {
+                    plan_gist(&mut ov, &GistConfig { lossy: true });
+                }
+                "fused-adam" => {
+                    plan_fused_adam(&mut ov);
+                }
+                "bandwidth" => {
+                    plan_bandwidth(&mut ov, 2.0);
+                }
+                "vdnn" => {
+                    plan_vdnn(&mut ov, &model, &VdnnConfig::default(), 4);
+                }
+                _ => {
+                    let ar = plan_distributed(&mut ov, &pg.meta.buckets, &cluster);
+                    match family {
+                        "blueconnect" => {
+                            plan_blueconnect(&mut ov, &cluster, &ar);
+                        }
+                        "dgc" => {
+                            plan_dgc(&mut ov, &ar, &DgcConfig::default());
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            ov.finish()
+        };
+        let patches = [
+            "amp",
+            "upgrade-gpu",
+            "batch-size",
+            "reconstruct-bn",
+            "metaflow",
+            "gist",
+            "fused-adam",
+            "bandwidth",
+            "ddp",
+            "blueconnect",
+            "dgc",
+            "vdnn",
+        ]
+        .map(|family| (family, emit(family)))
+        .into();
+        (pg, patches)
+    }
+
+    /// Condition (b), pinned: the zero-cost `c` (cpu0, id 3) starts at 0
+    /// and releases `w` (id 0) onto the collective channel, a choice
+    /// thread, where `v` (id 1) is feasible at 0 too. The kernel takes
+    /// `v` first, by rank, before `c`; a queue that took `c` first would
+    /// put `w` ahead of `v`. So the loop runs this graph with every
+    /// thread a choice thread, and equals the reference loop. (Id 2 is a
+    /// removed task.)
+    #[test]
+    fn a_zero_cost_release_ranked_above_a_choice_task_runs_on_every_frontier() {
+        let chan = ExecThread::Comm(crate::task::CommChannel::Collective);
+        let mut g = DependencyGraph::new();
+        let w = g.add_task(Task::new("w", TaskKind::CpuWork, chan, 5));
+        let v = g.add_task(Task::new("v", TaskKind::CpuWork, chan, 10));
+        let gone = g.add_task(cpu(1, 0));
+        let c = g.add_task(cpu(0, 0));
+        g.add_dep(c, w, DepKind::Transform);
+        g.remove_task(gone);
+        let cg = CompiledGraph::compile(&g);
+        let mut bufs = SimBufs::sized_for(&cg);
+        let on_chan = cg.thread_of(cg.compact_of(v).unwrap()).0 as usize;
+        bufs.choice[on_chan] = true;
+        let run = bufs.run_full(&cg, None, 0);
+        let choice = bufs.choice.clone();
+        let r = bufs.into_sim(&cg, run).unwrap().into_sim_result(&cg);
+        assert_eq!(r, simulate_reference(&g).unwrap());
+        assert_eq!((r.start_of(v), r.start_of(c), r.start_of(w)), (0, 0, 10));
+        assert_eq!(choice, [true, true], "every thread keeps a frontier");
+    }
+
+    /// How catalog families' full fallbacks run, on the chain-threaded
+    /// ResNet-50 and BERT_Base bases at batch 4, with the budget at 0.0
+    /// so every patch with an effect falls back: those that only retime
+    /// (AMP, upgrade-gpu, batch-size) replay the base's start order; the
+    /// other structural ones that keep to the base's threads queue every
+    /// task; a patch that adds a thread keeps a frontier on it and on
+    /// every base thread it inserts a task onto: DDP on the collective
+    /// channel, BlueConnect on its one stage channel (two machines of one
+    /// GPU each), DGC on both the
+    /// collective channel and the compute stream its compression kernels
+    /// join, and vDNN on its copy stream and CPU thread. Every result
+    /// still equals the frontier kernel over the applied graph.
+    #[test]
+    fn catalog_full_fallbacks_sweep_only_on_the_base_threads() {
+        use crate::task::CommChannel;
+        let gpu0 = ExecThread::Gpu(DeviceId(0), StreamId(0));
+        let comm = ExecThread::Comm;
+        let vdnn = [
+            ExecThread::Cpu(crate::whatif::VDNN_THREAD),
+            ExecThread::Gpu(DeviceId(0), crate::whatif::VDNN_STREAM),
+        ];
         // vDNN on BERT offloads nothing (the catalog refuses it there).
-        for (name, sweeps, kernels) in [
-            (
-                "ResNet-50",
-                &["reconstruct-bn", "gist"][..],
-                &["ddp", "blueconnect", "dgc", "vdnn"][..],
-            ),
-            (
-                "BERT_Base",
-                &["metaflow", "gist"][..],
-                &["ddp", "blueconnect", "dgc"][..],
-            ),
-        ] {
-            let model = daydream_models::zoo::by_name(name).unwrap();
-            let cfg = ExecConfig::pytorch_2080ti().with_batch(4);
-            let pg = ProfiledGraph::from_trace(&ground_truth::run_baseline(&model, &cfg));
+        for (name, vdnn) in [("ResNet-50", &vdnn[..]), ("BERT_Base", &[][..])] {
+            let (pg, patches) = catalog_patches(name);
             let base = CompiledGraph::compile(&pg.graph);
             let schedule = Schedule::capture(&base).unwrap();
             assert!(
                 schedule.is_chain_threaded(),
                 "{name}: every thread is a chain"
             );
-            let cluster = ClusterConfig::new(2, 1, 8.0);
-            let emit = |family: &str| {
-                let mut ov = PatchGraph::new(&pg.graph);
-                match family {
-                    "amp" => plan_amp(&mut ov),
-                    "upgrade-gpu" => {
-                        let old = GpuSpec::by_name(&pg.meta.device).unwrap();
-                        plan_upgrade_gpu(&mut ov, &old, &GpuSpec::v100());
-                    }
-                    "batch-size" => {
-                        plan_batch_size(&mut ov, 4, 16);
-                    }
-                    "reconstruct-bn" => plan_reconstruct_bn(&mut ov, &model),
-                    "metaflow" => plan_metaflow(&mut ov, &qkv_fusion_policy(&model)),
-                    "gist" => {
-                        plan_gist(&mut ov, &GistConfig { lossy: true });
-                    }
-                    "fused-adam" => {
-                        plan_fused_adam(&mut ov);
-                    }
-                    "bandwidth" => {
-                        plan_bandwidth(&mut ov, 2.0);
-                    }
-                    "vdnn" => {
-                        plan_vdnn(&mut ov, &model, &VdnnConfig::default(), 4);
-                    }
-                    _ => {
-                        let ar = plan_distributed(&mut ov, &pg.meta.buckets, &cluster);
-                        match family {
-                            "blueconnect" => {
-                                plan_blueconnect(&mut ov, &cluster, &ar);
-                            }
-                            "dgc" => {
-                                plan_dgc(&mut ov, &ar, &DgcConfig::default());
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                ov.finish()
-            };
             let mut replayed = Vec::new();
-            let mut swept = Vec::new();
-            let mut kernel = Vec::new();
-            for family in [
-                "amp",
-                "upgrade-gpu",
-                "batch-size",
-                "reconstruct-bn",
-                "metaflow",
-                "gist",
-                "fused-adam",
-                "bandwidth",
-                "ddp",
-                "blueconnect",
-                "dgc",
-                "vdnn",
-            ] {
-                let patch = emit(family);
+            let mut frontiers = Vec::new();
+            for (family, patch) in &patches {
                 let mut scratch = SimScratch::new();
-                let warm = simulate_warm(&base, &schedule, &patch, &mut scratch).unwrap();
-                let full = simulate_compiled(&base.apply(&patch)).unwrap();
+                let warm = simulate_warm_with(&base, &schedule, patch, &mut scratch, 0.0).unwrap();
+                let full = simulate_compiled(&base.apply(patch)).unwrap();
                 assert_eq!(
                     scratch.materialize(&schedule),
                     Some(full),
                     "{name} {family}"
                 );
                 if scratch.replayed() {
-                    replayed.push(family);
-                } else if scratch.swept() {
-                    swept.push(family);
+                    replayed.push(*family);
                 } else if !warm.stats.is_incremental() {
-                    kernel.push(family);
+                    frontiers.push((*family, scratch.choice_threads(&base)));
                 }
             }
-            assert_eq!(replayed, replays, "{name}: full fallbacks that replay");
-            assert_eq!(swept, sweeps, "{name}: full fallbacks that sweep");
-            assert_eq!(kernel, kernels, "{name}: full fallbacks on the kernel");
+            assert_eq!(
+                replayed,
+                ["amp", "upgrade-gpu", "batch-size"],
+                "{name}: full fallbacks that replay"
+            );
+            let mut expected = vec![
+                ("reconstruct-bn", vec![]),
+                ("metaflow", vec![]),
+                ("gist", vec![]),
+                ("fused-adam", vec![]),
+                ("ddp", vec![comm(CommChannel::Collective)]),
+                ("blueconnect", vec![comm(CommChannel::Stage(0))]),
+                ("dgc", vec![gpu0, comm(CommChannel::Collective)]),
+                ("vdnn", vdnn.to_vec()),
+            ];
+            // reconstruct-BN on BERT and MetaFlow on ResNet-50 change
+            // nothing; vDNN on BERT neither.
+            expected
+                .retain(|(family, _)| patches.iter().any(|(f, p)| f == family && !p.is_empty()));
+            assert_eq!(
+                frontiers, expected,
+                "{name}: each fallback's choice threads"
+            );
+        }
+    }
+
+    /// The bound stops early only where the whole bound is over the
+    /// budget: over every catalog patch of the ResNet-50 and BERT_Base
+    /// bases at batch 4, at budgets 0.0, 0.75 and 1.0, it refuses exactly
+    /// the cones the bound at an unbounded budget puts over it, and
+    /// otherwise gives that bound's cutoff and cone.
+    #[test]
+    fn the_cone_bound_stops_only_once_the_cone_is_over_the_budget() {
+        for name in ["ResNet-50", "BERT_Base"] {
+            let (pg, patches) = catalog_patches(name);
+            let base = CompiledGraph::compile(&pg.graph);
+            let schedule = Schedule::capture(&base).unwrap();
+            let mut ins = InsertBounds::default();
+            let mut refused = [0usize; 3];
+            for (family, patch) in &patches {
+                let full = cone_bound(&base, &schedule, patch, &mut ins, f64::INFINITY)
+                    .expect("no cone is over an unbounded budget");
+                let full = (full.cutoff, full.cut_idx, full.cone, full.n_new);
+                for (k, budget) in [0.0, 0.75, 1.0].into_iter().enumerate() {
+                    let over = full.2 as f64 > budget * full.3 as f64;
+                    let bound = cone_bound(&base, &schedule, patch, &mut ins, budget)
+                        .map(|b| (b.cutoff, b.cut_idx, b.cone, b.n_new));
+                    let expected = (!over).then_some(full);
+                    assert_eq!(bound, expected, "{name} {family} at {budget}");
+                    refused[k] += over as usize;
+                }
+            }
+            // Every patch with an effect is over 0.0, some cones are under
+            // 0.75, and none is over 1.0.
+            let effects = patches.iter().filter(|(_, p)| !p.is_empty()).count();
+            let under = effects - refused[1];
+            assert_eq!(refused[0], effects, "{name}");
+            assert!(under > 0, "{name}: {refused:?}");
+            assert_eq!(refused[2], 0, "{name}");
         }
     }
 
@@ -3051,6 +3321,7 @@ mod tests {
             let base = CompiledGraph::compile(&pg.graph);
             let schedule = Schedule::capture(&base).unwrap();
             let mut bufs = SimBufs::sized_for(&base);
+            bufs.choice.fill(true);
             bufs.run_full(&base, None, 0);
             let ready: Vec<u64> = (0..base.len()).map(|i| schedule.ready_ns(i)).collect();
             assert_eq!(ready, bufs.tentative, "{name}");

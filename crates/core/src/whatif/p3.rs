@@ -29,6 +29,17 @@
 //! chain threads, ranks) and falls back to a run from the start if any
 //! fails.
 //!
+//! The same sweep marks the push and pull channels, the plan's only
+//! threads on which transfers that do not depend on each other wait
+//! together, and Algorithm 7's priority order has a choice to make. The
+//! plan records them as its choice threads: each evaluation keeps a
+//! frontier on those two alone and runs every compute task through the
+//! simulator's FIFO queue. That is exact because every compute thread is
+//! a chain, and [`P3Scheduler`] ranks every compute task below every
+//! transfer, so no zero-cost compute task can release a transfer ahead
+//! of one the frontier would pick first (the simulator's module docs,
+//! conditions (a) and (b)).
+//!
 //! The predicted transfer times are pure wire times (`bytes / bandwidth`,
 //! Algorithm 7); real MXNet messages also pay server/worker engine
 //! overheads, which is why the paper overestimates P3's speedup at higher
@@ -299,6 +310,13 @@ pub fn p3_replicated_base(pg: &ProfiledGraph, iterations: usize) -> ReplicatedGr
 /// a chain in the plan, and that every copy-0 task's dense rank is below
 /// every other task's; if any check fails, or copy 0 is one of the two
 /// copies the steady state reads, every evaluation runs the whole plan.
+/// Either way the sweep's marks, the push and pull channels, are the
+/// only threads an evaluation keeps a frontier on.
+///
+/// The plan also keeps its transfers' distinct payload sizes: a
+/// cluster's wire time for each ([`P3Plan::size_wire_times`]) fixes
+/// every transfer's duration, which is what the sweep engine keys its
+/// patch cache on.
 #[derive(Debug, Clone)]
 pub struct P3Plan {
     /// The applied replicated graph. Its transfer durations are those of
@@ -312,6 +330,8 @@ pub struct P3Plan {
     seed: ReplaySeed,
     /// Compact id and payload bytes of every inserted push/pull task.
     transfers: Vec<(CompactId, u64)>,
+    /// The distinct payload sizes of `transfers`, ascending.
+    sizes: Vec<u64>,
     /// Compact ids of the last two unrolled copies' tasks: the steady
     /// state is the span between their ends.
     last_copies: [Vec<CompactId>; 2],
@@ -346,7 +366,7 @@ impl P3Plan {
         let patch = ov.finish();
         let compiled = rep_compiled.apply(&patch);
         let compact = |id: TaskId| compiled.compact_of(id).expect("P3 inserts remove no task");
-        let transfers = patch
+        let transfers: Vec<(CompactId, u64)> = patch
             .inserted_tasks()
             .filter_map(|(id, t)| match t.kind {
                 TaskKind::Communication { bytes, .. } => Some((compact(id), bytes)),
@@ -366,16 +386,21 @@ impl P3Plan {
         // the base's own order, and the steady state reads only later
         // copies.
         let copy0 = copy(0);
-        let seed = if n > 2 && (0..).zip(&copy0).all(|(i, &c)| c == CompactId(i)) {
-            ReplaySeed::build(&compiled, ranks.as_deref(), copy0.len())
+        let prefix = if n > 2 && (0..).zip(&copy0).all(|(i, &c)| c == CompactId(i)) {
+            copy0.len()
         } else {
-            ReplaySeed::default()
+            0
         };
+        let seed = ReplaySeed::build(&compiled, ranks.as_deref(), prefix);
+        let mut sizes: Vec<u64> = transfers.iter().map(|&(_, b)| b).collect();
+        sizes.sort_unstable();
+        sizes.dedup();
         P3Plan {
             ranks,
             seed,
             compiled,
             transfers,
+            sizes,
             last_copies,
             fingerprint: patch.fingerprint(),
             summary: patch.summary(),
@@ -410,6 +435,19 @@ impl P3Plan {
     /// or all of them when nothing is replayed.
     pub fn dispatched_tasks(&self) -> usize {
         self.compiled.len() - self.seed.replayed()
+    }
+
+    /// Each distinct payload size of the plan's transfers, ascending,
+    /// with its wire time ([`PsModel::wire_ns`]) on `cluster`: together
+    /// they fix [`P3Plan::wire_times`].
+    pub fn size_wire_times(
+        &self,
+        cluster: &ClusterConfig,
+    ) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let ps = PsModel::new(*cluster);
+        self.sizes
+            .iter()
+            .map(move |&bytes| (bytes, ps.wire_ns(bytes)))
     }
 
     /// The wire time ([`PsModel::wire_ns`]) of every inserted transfer on

@@ -8,18 +8,21 @@
 //! tasks. A test-local rank-aware oracle pins the dispatch order under
 //! every [`FrontierOrder`], P3's included, and with it the kernel's
 //! conversion of ranks to dense ranks. On chain-threaded DAGs the chain
-//! sweep ([`Schedule::capture`]'s path, and the warm full fallback's)
-//! and the warm retime replay, which walks the captured start order,
-//! must equal the kernel, and on a DAG with one thread that is no chain
-//! the sweep's check must fire. Plus pinned tests that the P3 and vDNN
-//! schedule overrides still steer dispatch order on the new frontier.
+//! sweep ([`Schedule::capture`]'s path) and the warm retime replay,
+//! which walks the captured start order, must equal the kernel, and on a
+//! DAG with one thread that is no chain the sweep's check must fire. On
+//! patched chain-threaded DAGs the dispatch loop with choice threads (the
+//! warm paths', and P3's) must equal the kernel. Plus pinned tests that
+//! the P3 and vDNN schedule overrides still steer dispatch order on the
+//! new frontier.
 
 mod common;
 
 use common::{assert_warm_matches_full, thread_for};
+use daydream_core::transform::insert_after;
 use daydream_core::whatif::P3Scheduler;
 use daydream_core::{
-    simulate, simulate_compiled, simulate_compiled_swept, simulate_compiled_with,
+    simulate, simulate_compiled, simulate_compiled_mixed, simulate_compiled_with,
     simulate_reference, simulate_with, CommChannel, CompactId, CompiledGraph, CompiledSim, DepKind,
     DependencyGraph, EarliestStart, ExecThread, FrontierOrder, GraphEdit, PatchGraph, Rank,
     Schedule, SimScratch, Task, TaskId, TaskKind,
@@ -209,7 +212,9 @@ proptest! {
         let (mut g, chain) = build_chained(&tasks, &cross, &[]);
         let cg = CompiledGraph::compile(&g);
         let kernel = simulate_compiled(&cg).expect("forward edges: a DAG");
-        prop_assert_eq!(simulate_compiled_swept(&cg), Some(Ok(kernel.clone())));
+        let no_choice = vec![false; cg.thread_count()];
+        let swept = simulate_compiled_mixed(&cg, &EarliestStart, &no_choice);
+        prop_assert_eq!(swept, Ok((kernel.clone(), no_choice)));
         let schedule = Schedule::capture(&cg).expect("forward edges: a DAG");
         prop_assert!(schedule.is_chain_threaded());
         prop_assert_eq!(schedule.sim(), &kernel);
@@ -229,7 +234,15 @@ proptest! {
             let (from, to) = chain[broken as usize % chain.len()];
             g.remove_dep(from, to);
             let cg = CompiledGraph::compile(&g);
-            prop_assert_eq!(simulate_compiled_swept(&cg), None);
+            // The check marks the split thread, which reruns on a
+            // frontier (and every thread does where a zero-cost task
+            // then ranks above one of its tasks).
+            let no_choice = vec![false; cg.thread_count()];
+            let (swept, ran) = simulate_compiled_mixed(&cg, &EarliestStart, &no_choice)
+                .expect("a DAG");
+            prop_assert_eq!(swept, simulate_compiled(&cg).expect("a DAG"));
+            let split = cg.thread_of(cg.compact_of(to).expect("live")).0 as usize;
+            prop_assert!(ran[split]);
             let schedule = Schedule::capture(&cg).expect("forward edges: a DAG");
             prop_assert!(!schedule.is_chain_threaded());
             prop_assert_eq!(schedule.sim(), &simulate_compiled(&cg).expect("a DAG"));
@@ -353,6 +366,99 @@ proptest! {
         let oracle = simulate_reference(&g).unwrap();
         prop_assert_eq!(&fast.start_ns, &oracle.start_ns);
         prop_assert_eq!(fast.makespan_ns, oracle.makespan_ns);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Patches over random chain-threaded DAGs dense in ties (durations
+    // from 0 to 2 and gaps 0 or 1, so one task in six costs nothing; ids
+    // mostly out of topological order) that give Algorithm 1 a choice: transfers on a
+    // collective channel the base lacks (each after one base task and
+    // maybe before another, at a random priority), tasks inserted onto a
+    // base thread after a base task but chained to nothing there, and
+    // tasks spliced into a thread's chain with `insert_after`. The warm
+    // path at budgets 0.0, 0.75 and 1.0 equals the kernel over the
+    // applied graph, and so does the loop over the applied graph with
+    // the channel and every base thread an insert lands on as its choice
+    // threads, under the default order and under P3's dense ranks. A
+    // zero-cost release ranked above a choice thread's task is rare
+    // here, so this test runs more cases than the others: without
+    // condition (b) the first failing case is the 83rd.
+    #[test]
+    fn mixed_loop_matches_kernel_on_patched_chain_threaded_dags(
+        tasks in prop::collection::vec((0u64..6, 0u64..3, 0u64..2), 1..80),
+        cross in prop::collection::vec((0u64..10_000, 0u64..10_000), 0..150),
+        keys in prop::collection::vec(0u64..1_000, 0..80),
+        transfers in prop::collection::vec(
+            (0u64..10_000, 0u64..10_000, 0u64..4, -2i64..3, any::<bool>()),
+            0..10,
+        ),
+        unchained in prop::collection::vec((0u64..10_000, 0u64..10_000, 0u64..3), 0..12),
+        spliced in prop::collection::vec((0u64..10_000, 0u64..3), 0..6),
+    ) {
+        let (g, _) = build_chained(&tasks, &cross, &keys);
+        let cg = CompiledGraph::compile(&g);
+        let schedule = Schedule::capture(&cg).expect("forward edges: a DAG");
+        prop_assert!(schedule.is_chain_threaded());
+        let n = tasks.len();
+        let base = |i: u64| TaskId(i as usize % n);
+        let collective = ExecThread::Comm(CommChannel::Collective);
+        let mut ov = PatchGraph::new(&g);
+        for &(from, to, dur, priority, gated) in &transfers {
+            let mut t = Task::new("x", TaskKind::CpuWork, collective, dur);
+            t.priority = priority;
+            let x = ov.add_task(t);
+            ov.add_dep(base(from), x, DepKind::Comm);
+            // Only a later task may wait on the transfer.
+            if gated && from % n as u64 != to % n as u64 {
+                let (a, b) = (from as usize % n, to as usize % n);
+                if schedule.sim().start_ns[cg.compact_of(base(a as u64)).unwrap().0 as usize]
+                    < schedule.sim().start_ns[cg.compact_of(base(b as u64)).unwrap().0 as usize]
+                {
+                    ov.add_dep(x, base(to), DepKind::Comm);
+                }
+            }
+        }
+        let mut landed = Vec::new();
+        for &(after, on, dur) in &unchained {
+            let thread = g.task(base(on)).thread;
+            let u = ov.add_task(Task::new("u", TaskKind::CpuWork, thread, dur));
+            ov.add_dep(base(after), u, DepKind::Transform);
+            landed.push(thread);
+        }
+        for &(after, dur) in &spliced {
+            let thread = g.task(base(after)).thread;
+            insert_after(&mut ov, base(after), Task::new("s", TaskKind::CpuWork, thread, dur));
+            landed.push(thread);
+        }
+        let patch = ov.finish();
+        let mut scratch = SimScratch::new();
+        for budget in [0.0, 0.75, 1.0] {
+            assert_warm_matches_full(&cg, &schedule, &patch, budget, &mut scratch);
+        }
+        let applied = cg.apply(&patch);
+        let choice: Vec<bool> = (0..applied.thread_count() as u32)
+            .map(|t| applied.exec_thread(daydream_core::ThreadId(t)))
+            .map(|t| t == collective || landed.contains(&t))
+            .collect();
+        for ranks in [false, true] {
+            let (mixed, kernel) = if ranks {
+                (
+                    simulate_compiled_mixed(&applied, &P3Scheduler, &choice),
+                    simulate_compiled_with(&applied, &P3Scheduler),
+                )
+            } else {
+                (
+                    simulate_compiled_mixed(&applied, &EarliestStart, &choice),
+                    simulate_compiled(&applied),
+                )
+            };
+            let (mixed, ran) = mixed.expect("a DAG");
+            prop_assert_eq!(mixed, kernel.expect("a DAG"));
+            prop_assert!(ran.iter().zip(&choice).all(|(&r, &c)| r || !c));
+        }
     }
 }
 

@@ -1024,9 +1024,13 @@ fn offloaded_bytes(patch: &GraphPatch) -> u64 {
 ///
 /// The patch-cache key folds the retimed durations into the plan's
 /// fingerprint with FNV-1a, the hash of every cache key: equal keys
-/// mean the same retimed graph. So clusters with identical wire times
-/// (one machine at any bandwidth) share one simulation, and so do the
-/// FIFO and sliced plans when they coincide.
+/// mean the same retimed graph. A transfer's wire time depends on its
+/// payload alone, so the key folds one `(size, wire time)` pair per
+/// distinct payload size of the plan ([`P3Plan::size_wire_times`]), which
+/// fixes every transfer's duration, and the per-transfer wire times are
+/// computed only on a miss. So clusters with identical wire times (one
+/// machine at any bandwidth) share one simulation, and so do the FIFO
+/// and sliced plans when they coincide.
 fn p3_prediction(
     named: &Named,
     plan: &P3Plan,
@@ -1035,22 +1039,17 @@ fn p3_prediction(
     scratch: &mut SimScratch,
     stats: &mut RunStats,
 ) -> Result<PatchEval, String> {
-    let wires = plan.wire_times(cluster);
-    // FNV-1a pays a multiply per byte, so the key folds runs of equal
-    // wire times, each as its time and length: a push and its pull are
-    // the same size, as are most slices of a layer, so runs are few, and
-    // they still fix the vector exactly.
     let mut retimed = fnv1a64(&plan.fingerprint().to_le_bytes());
-    for run in wires.chunk_by(|a, b| a == b) {
-        retimed = fnv1a64_continue(retimed, &run[0].to_le_bytes());
-        retimed = fnv1a64_continue(retimed, &(run.len() as u64).to_le_bytes());
+    for (bytes, wire_ns) in plan.size_wire_times(cluster) {
+        retimed = fnv1a64_continue(retimed, &bytes.to_le_bytes());
+        retimed = fnv1a64_continue(retimed, &wire_ns.to_le_bytes());
     }
     // P3 is never evaluated at a reduced rung (the steady-state analysis
     // has no cheap stand-in), so its key is always exact-fidelity.
     let key = patch_key(&named.scenario, "p3", retimed, Fidelity::Exact);
     memoized(patches, key, stats, |stats| {
         let predicted_ns = plan
-            .steady_iteration_ns(&wires, scratch)
+            .steady_iteration_ns(&plan.wire_times(cluster), scratch)
             .map_err(|e| format!("P3 graph for {}: {e}", named.label))?;
         let eval = PatchEval {
             predicted_ns,
