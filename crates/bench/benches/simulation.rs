@@ -13,9 +13,11 @@
 //! on it (its compression kernels join the compute stream), and
 //! `P3Plan::steady_iteration_ns` for each base's P3 plan: three unrolled
 //! iterations with 4 MB-sliced push/pull transfers, the graph and the
-//! path the sweep engine simulates for a `p3` scenario, resumed after its
-//! first iteration. All use a 4-machine, 10 Gbit/s cluster. Beside each
-//! of the three, `simulate_compiled_mixed` runs the loop over the same
+//! path the sweep engine simulates for a `p3` scenario, run copy by copy
+//! after its first iteration (compute tasks walked in the build sweep's
+//! order, transfers drained from the push and pull channels' frontiers).
+//! All use a 4-machine, 10 Gbit/s cluster. Beside each of the three,
+//! `simulate_compiled_mixed` runs the loop over the same
 //! graph (the patch applied, the whole plan) twice, round by round in
 //! turn: with the choice threads its checks settle on when it starts
 //! from none (the threads the engine picks for that graph), and with
@@ -186,7 +188,8 @@ fn main() {
             let (ddp_tasks, ddp_ns, ddp_choice_ns, ddp_frontier_ns) = fallback("ddp", &ddp);
             let (dgc_tasks, dgc_ns, dgc_choice_ns, dgc_frontier_ns) = fallback("dgc", &dgc);
             let mut scratch = SimScratch::new();
-            plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
+            let (_, timed) = plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
+            assert_eq!(timed, dispatched, "{label}: the per-copy run");
             let id = format!("p3/{label}");
             let [p3_ns] = median_ns_per_task(
                 &mut c,
@@ -273,7 +276,10 @@ fn main() {
             "over the budget: the retime replay); the warm full fallbacks (budget 0.0) of a ",
             "DDP patch and of DGC layered on it, and P3Plan::steady_iteration_ns (the ",
             "engine's path: wire times written into arena-owned rows, dense ranks sorted ",
-            "once per plan, the first unrolled iteration replayed from the build's timing) ",
+            "once per plan, the first unrolled iteration replayed from the build's timing ",
+            "and the rest run copy by copy: compute tasks walked in the build sweep's ",
+            "order, each copy's transfers drained from the push and pull channels' ",
+            "frontiers) ",
             "for its 3-iteration, 4 MB-sliced P3 plan, each on a warmed arena; beside each, ",
             "simulate_compiled_mixed over the same graph (the patch applied, the whole plan) ",
             "with the choice threads its checks settle on from none (*_choice_ns_per_task) ",

@@ -175,13 +175,14 @@ fn warmed_p3_evaluation_is_allocation_free() {
     let wires = plan.wire_times(&cluster);
     let mut scratch = SimScratch::new();
     let first = plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
+    assert_eq!(first.1, plan.dispatched_tasks(), "the per-copy run");
     let second = plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
     assert_eq!(first, second);
     let third = assert_no_allocs("warmed P3Plan::steady_iteration_ns", || {
         plan.steady_iteration_ns(&wires, &mut scratch).unwrap()
     });
     assert_eq!(third, first);
-    assert_eq!(third, plan.evaluate(&cluster).unwrap().iteration_ns);
+    assert_eq!(third.0, plan.evaluate(&cluster).unwrap().iteration_ns);
 }
 
 #[test]
@@ -210,14 +211,18 @@ fn warmed_retime_replay_is_allocation_free() {
     );
     assert_eq!(replayed.stats.redispatched, compiled.len());
 
-    // A P3 plan run and the replay on one arena: the plan writes the
-    // cost and duration rows after its first unrolled iteration, the
-    // replay from the first task. In turn, each answers as on a fresh
-    // arena, and the third round allocates nothing.
+    // A P3 plan's per-copy run and the replay on one arena: the plan
+    // writes the cost and duration rows after its first unrolled
+    // iteration, the replay from the first task. In turn, each answers
+    // as on a fresh arena, and the third round allocates nothing.
     let cluster = ClusterConfig::new(4, 1, 10.0);
     let plan = P3Plan::new(&pg, &P3Config::p3(cluster));
     let wires = plan.wire_times(&cluster);
-    let fresh = (plan.evaluate(&cluster).unwrap().iteration_ns, replayed);
+    let per_copy = (
+        plan.evaluate(&cluster).unwrap().iteration_ns,
+        plan.dispatched_tasks(),
+    );
+    let fresh = (per_copy, replayed);
     let round = |scratch: &mut SimScratch| {
         (
             plan.steady_iteration_ns(&wires, scratch).unwrap(),
@@ -395,12 +400,9 @@ fn snapshot_eval_warm_section_clears_the_floors() {
     );
 }
 
-/// One base's ratio can flip on this host: four runs of the bench on
-/// unchanged code put the worst per-base ratio of a run type at up to
-/// 1.40, while the medians stayed within 0.62-0.64 (DDP), 0.83-0.86
-/// (DGC) and 0.76-0.77 (P3).
-#[test]
-fn snapshot_sim_kernel_mixed_loop_is_no_slower_than_every_frontier() {
+/// The median over the 12 catalog bases of the checked-in
+/// `sim_kernel` snapshot's `numerator / denominator` columns.
+fn sim_kernel_median_ratio(numerator: &str, denominator: &str) -> f64 {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
     let text = std::fs::read_to_string(path).expect("BENCH_sim.json is checked in");
     let json: serde_json::Value = serde_json::from_str(&text).expect("snapshot parses");
@@ -410,25 +412,51 @@ fn snapshot_sim_kernel_mixed_loop_is_no_slower_than_every_frontier() {
         .and_then(|r| r.as_array())
         .expect("snapshot has a sim_kernel section with results");
     assert_eq!(results.len(), 12, "one row per catalog base");
+    let ns = |row: &serde_json::Value, column: &str| {
+        row.get(column)
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("a sim_kernel row has no {column}"))
+    };
+    let mut ratios: Vec<f64> = results
+        .iter()
+        .map(|row| ns(row, numerator) / ns(row, denominator))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    (ratios[5] + ratios[6]) / 2.0
+}
+
+/// One base's ratio can flip on this host: four runs of the bench on
+/// unchanged code put the worst per-base ratio of a run type at up to
+/// 1.40, while the medians stayed within 0.62-0.64 (DDP), 0.83-0.86
+/// (DGC) and 0.76-0.77 (P3).
+#[test]
+fn snapshot_sim_kernel_mixed_loop_is_no_slower_than_every_frontier() {
     for run in ["ddp", "dgc", "p3"] {
-        let ns = |row: &serde_json::Value, column: String| {
-            row.get(&column)
-                .and_then(|v| v.as_f64())
-                .unwrap_or_else(|| panic!("a sim_kernel row has no {column}"))
-        };
-        let mut ratios: Vec<f64> = results
-            .iter()
-            .map(|row| {
-                ns(row, format!("{run}_choice_ns_per_task"))
-                    / ns(row, format!("{run}_frontier_ns_per_task"))
-            })
-            .collect();
-        ratios.sort_by(f64::total_cmp);
-        let median = (ratios[5] + ratios[6]) / 2.0;
+        let median = sim_kernel_median_ratio(
+            &format!("{run}_choice_ns_per_task"),
+            &format!("{run}_frontier_ns_per_task"),
+        );
         assert!(
             median < 1.0,
             "the snapshotted {run} loop with choice threads takes {median:.2}x the time of \
              a frontier on every thread, in the median over the catalog bases"
         );
     }
+}
+
+/// A P3 plan's per-copy run (the whole `P3Plan::steady_iteration_ns`
+/// call, per task it times) against the dispatch loop with the plan's
+/// choice threads over the same plan (per task of the plan): the run
+/// walks its compute tasks and keeps a frontier only on the two
+/// channels, with no queue, predecessor counts or chain check. Read as
+/// the median over the bases, like the check above, so one noisy base
+/// cannot flip it.
+#[test]
+fn snapshot_sim_kernel_p3_per_copy_run_beats_the_mixed_loop() {
+    let median = sim_kernel_median_ratio("p3_ns_per_task", "p3_choice_ns_per_task");
+    assert!(
+        median < 0.75,
+        "the snapshotted P3 per-copy run takes {median:.2}x the time per task of the \
+         dispatch loop with choice threads, in the median over the catalog bases"
+    );
 }

@@ -104,13 +104,76 @@
 //! (Gist, which splices into the stream) runs as the sweep. Over any
 //! other base they name every thread. A P3 plan names the threads its
 //! build's sweep marks (`ReplaySeed`), its push and pull channels, once
-//! per plan. [`simulate_compiled`] names every thread: it stays the
-//! kernel, the oracle the others are pinned to.
+//! per plan, for the runs that do not go copy by copy (below).
+//! [`simulate_compiled`] names every thread: it stays the kernel, the
+//! oracle the others are pinned to.
 //!
-//! The chain argument also lets a P3 plan skip its first unrolled
-//! iteration (`ReplaySeed`): when that iteration is closed under
-//! predecessors and its threads are unmarked, the build's sweep times it
-//! for every cluster, and each evaluation dispatches only what follows.
+//! # P3 plans run copy by copy
+//!
+//! A P3 plan (`whatif::P3Plan`) unrolls the profile into copies, each a
+//! range of compact ids, and inserts push and pull transfers on two
+//! channels between one copy's backward pass and the next copy's forward
+//! pass. Only those two channels give Algorithm 1 a choice, so the plan
+//! has no need of the dispatch loop's queue, predecessor counts, stamps
+//! or chain check. Its build's sweep times the first copy once, and
+//! `ReplaySeed` keeps that timing and the order of a run that times the
+//! rest one copy at a time. Each evaluation
+//! (`SimScratch::simulate_retimed`) seeds the later tasks' tentative
+//! starts and the threads' progress from the first copy and then, copy
+//! by copy:
+//!
+//! * walks the copy's compute tasks (from copy 1) in the build sweep's
+//!   FIFO order, as the retime replay walks its order: each starts at
+//!   its tentative start and posts its finish to its successors;
+//! * then, channel by channel, pushes before pulls, puts the copy's
+//!   transfers on that thread's frontier at their release times and
+//!   drains it by the kernel's per-thread pick, earliest feasible start
+//!   and then dense rank, posting each finish to the successors.
+//!
+//! That is the kernel's run. A compute task on a chain starts at its
+//! latest predecessor finish, whatever the dispatch order. The kernel
+//! dispatches in nondecreasing start order, so when a channel picks at
+//! time `s`, every transfer released by `s` is already on its frontier,
+//! unless its release comes at `s` itself from a task that costs nothing
+//! and that the kernel dispatches after the pick. So a channel's picks
+//! depend only on its own transfers' release times and ranks:
+//! single-machine list scheduling, which the drain runs with every
+//! transfer of the copy on the frontier at once, as a transfer released
+//! later than a pick could not have won it. Once per plan, in O(V+E),
+//! `ReplaySeed::build` checks:
+//!
+//! 1. the first copy replays: it is closed under predecessors and its
+//!    threads are chains, so each of its tasks starts at its latest
+//!    predecessor finish, whatever the transfers cost, where the build's
+//!    sweep starts it (checks 2 and 3 cover both);
+//! 2. the sweep marked exactly the transfers' threads: every compute
+//!    thread is a chain, and no compute task shares a channel;
+//! 3. every edge runs forward in the run's order: into a compute task of
+//!    copy `k` only from compute tasks of copies up to `k` or from
+//!    transfers of earlier copies, into a transfer of copy `q` only from
+//!    compute tasks of copies up to `q` or from transfers of copy `q` on
+//!    an earlier channel, so each task's predecessors are timed before
+//!    it;
+//! 4. every compute task that costs nothing ranks below every transfer:
+//!    at any instant the kernel dispatches every compute task that starts
+//!    then, a chain of zero-cost ones that releases a transfer included,
+//!    before a channel picks.
+//!
+//! And each run checks, as it goes:
+//!
+//! 5. no transfer that costs nothing has a successor that is a transfer
+//!    or costs nothing: a zero-wire push could release its pull, directly
+//!    or through a zero-cost compute task, at the very instant of a pick
+//!    that the kernel makes before it dispatches the push;
+//! 6. on each channel, every transfer of a copy is released strictly
+//!    after the last start of the earlier copies' transfers there, so the
+//!    kernel too picks it only after those.
+//!
+//! Where a build check fails, every run of the plan, and where a run's
+//! check fails, that run, is the dispatch loop over the whole plan, its
+//! rows written from the first task, with a frontier on the plan's choice
+//! threads. `whatif::P3Scheduler` ranks every compute task below every
+//! transfer, and the catalog's plans pass every check on every cluster.
 //!
 //! # Retimes keep the structure
 //!
@@ -156,9 +219,9 @@
 //! (`GraphPatch::apply_reference` recompiled). The same [`SimScratch`]
 //! arena also serves P3's simulations of its cached plans
 //! (`whatif::P3Plan::steady_iteration_ns`), which write the cluster's
-//! transfer times into arena-owned cost and duration rows and resume
-//! after the plan's first iteration; the retime replay writes the same
-//! rows, through the same writer.
+//! transfer times into arena-owned cost and duration rows and run copy
+//! by copy after the plan's first copy (above); the retime replay writes
+//! the same rows, through the same writer.
 
 use crate::compiled::{CompactId, CompiledGraph, ThreadId};
 use crate::graph::{DependencyGraph, GraphError, TaskId};
@@ -481,9 +544,9 @@ impl SimGraphView for CompiledGraph {
 }
 
 /// A compiled graph whose cost and duration rows are arena-owned copies
-/// with some tasks retimed ([`SimScratch::write_retimed`]): what
-/// [`SimScratch::simulate_retimed`] dispatches and the warm retime
-/// replay walks, so retiming never clones the graph.
+/// with some tasks retimed ([`SimScratch::write_retimed`]): what P3's
+/// plan runs ([`SimScratch::simulate_retimed`]) and the warm retime
+/// replay time, so retiming never clones the graph.
 struct RetimedView<'a> {
     graph: &'a CompiledGraph,
     cost: &'a [u64],
@@ -1808,14 +1871,25 @@ impl SimBufs {
     /// Full simulation of `view` by walking `order`, a topological order
     /// of its tasks in which each thread's tasks keep their chain order,
     /// as [`Schedule`]'s start order of a chain-threaded base is (module
-    /// docs, "Retimes keep the structure"): each task starts at the
-    /// latest finish its predecessors posted. Returns the makespan.
+    /// docs, "Retimes keep the structure"). Returns the makespan.
     fn run_replay(&mut self, view: &RetimedView, order: &[u32]) -> u64 {
+        self.progress[..view.thread_count()].fill(0);
+        self.tentative[..view.len()].fill(0);
+        self.walk(view, order)
+    }
+
+    /// Times `order`'s tasks one after another, from the `tentative` and
+    /// `progress` rows as they stand: each starts at the latest finish
+    /// its predecessors posted, which must all be timed before it, and
+    /// posts its own. Each thread's tasks in `order` must keep their
+    /// chain order. Returns the latest end among them. Inlined into both
+    /// callers: as a call, it made the warm retime replay about a tenth
+    /// slower.
+    #[inline(always)]
+    fn walk(&mut self, view: &RetimedView, order: &[u32]) -> u64 {
         let n = view.len();
-        let progress = &mut self.progress[..view.thread_count()];
-        progress.fill(0);
         let tentative = &mut self.tentative[..n];
-        tentative.fill(0);
+        let progress = &mut self.progress[..view.thread_count()];
         let (start, wait) = (&mut self.start[..n], &mut self.wait[..n]);
         let mut makespan = 0u64;
         for &u in order {
@@ -1836,28 +1910,67 @@ impl SimBufs {
         makespan
     }
 
-    /// Full simulation of the tasks of `view` after `seed`'s replayed
-    /// prefix, under the dense order `ranks`: the prefix is never
-    /// touched, each later task starts from its seeded remaining
-    /// predecessor count and tentative start, and each thread from its
-    /// progress after the prefix. Returns how many tasks were dispatched.
-    fn run_resumed<G: SimGraphView>(
-        &mut self,
-        view: &G,
-        ranks: Option<&[u32]>,
-        seed: &ReplaySeed,
-        epoch: u32,
-    ) -> usize {
-        let t_count = view.thread_count();
-        let later = seed.replayed as u32..;
-        self.run(view, ranks, t_count, |bufs| {
-            bufs.progress[..t_count].copy_from_slice(&seed.progress);
-            for (i, (&rem, &tent)) in later.clone().zip(seed.rem.iter().zip(&seed.tent)) {
-                bufs.seed(view, ranks, i, rem, tent, epoch);
+    /// The per-copy run of a P3 plan (module docs, "P3 plans run copy by
+    /// copy"): times every task of `view` after `seed`'s replayed first
+    /// copy, segment by segment in `seed`'s order, from the seeded
+    /// tentative starts and thread progress. A compute segment is walked;
+    /// a channel's segment is put on that thread's frontier and drained
+    /// by the kernel's pick under the dense order `ranks`. Returns
+    /// `false`, the run left unfinished, as soon as check 5 or 6 fails.
+    fn run_copies(&mut self, view: &RetimedView, ranks: Option<&[u32]>, seed: &ReplaySeed) -> bool {
+        let (k, t_count) = (seed.replayed, view.thread_count());
+        self.tentative[k..view.len()].copy_from_slice(&seed.tent);
+        self.progress[..t_count].copy_from_slice(&seed.progress);
+        self.last[..t_count].fill(NO_TASK);
+        let mut from = 0;
+        for &(end, thread) in &seed.segments {
+            let segment = &seed.order[from..end as usize];
+            from = end as usize;
+            if thread == NO_TASK {
+                self.walk(view, segment);
+                continue;
             }
-            0
-        })
-        .0
+            let t = thread as usize;
+            let (tentative, start) = (&mut self.tentative[..], &mut self.start[..]);
+            let (progress, last) = (&mut self.progress[t], &mut self.last[t]);
+            let front = &mut self.fronts[t];
+            front.clear();
+            for &u in segment {
+                let tent = tentative[u as usize];
+                // 6. Released after every earlier start on the channel.
+                if *last != NO_TASK && tent <= start[*last as usize] {
+                    return false;
+                }
+                front.push(tent, low_key(ranks, u), *progress);
+            }
+            loop {
+                front.refresh(*progress);
+                let best = front.best(*progress);
+                if best == IDLE {
+                    break;
+                }
+                front.pop_best();
+                let (u, s) = (best as u32, start_of(best));
+                let (ui, c) = (u as usize, CompactId(u));
+                start[ui] = s;
+                let cost = view.cost[ui];
+                let fin = s + cost;
+                *progress = fin;
+                *last = u;
+                for &v in view.graph.successors(c) {
+                    let vi = v.0 as usize;
+                    // 5. A release at the transfer's own start reaches no
+                    // frontier, directly or through a zero-cost task.
+                    if cost == 0
+                        && (self.choice[view.graph.thread_of(v).0 as usize] || view.cost[vi] == 0)
+                    {
+                        return false;
+                    }
+                    tentative[vi] = tentative[vi].max(fin);
+                }
+            }
+        }
+        true
     }
 
     /// Seeds and re-dispatches the cone over `view`, stamping exactly the
@@ -1923,60 +2036,56 @@ impl SimBufs {
     }
 }
 
-/// Where a full simulation of a graph resumes once its first
-/// `replayed` tasks (a compact-id prefix) are timed without dispatching
-/// them: each later task's remaining predecessor count and tentative
-/// start, and each thread's progress after the prefix.
-/// [`SimScratch::simulate_retimed`] dispatches only the later tasks from
-/// it. The empty seed replays nothing: the run starts from scratch. A P3
-/// plan keeps one, whose prefix is the profiled iteration itself
-/// (`whatif::P3Plan`).
+/// How every run of a P3 plan times it (module docs, "P3 plans run copy
+/// by copy"): the plan's first unrolled copy, compact ids
+/// `0..replayed`, timed once by the build's sweep, and the order of the
+/// per-copy run that times the rest from there. The empty seed replays
+/// nothing and orders nothing: each run is the dispatch loop over the
+/// whole graph. Either way, the seed records the graph's choice threads,
+/// those its build's sweep marked, where tasks that do not depend on
+/// each other share a thread (a P3 plan's push and pull channels).
 ///
-/// [`ReplaySeed::build`] returns the empty seed unless the replay is
-/// exact, which three conditions on the graph make it (checked once, in
-/// O(V+E)):
-///
-/// 1. the prefix is closed under predecessors, so nothing later feeds it;
-/// 2. every thread the prefix uses is a chain (module docs), so each
-///    prefix task starts at its latest predecessor finish, as the chain
-///    sweep times it, and no later task runs on that thread before the
-///    prefix's last task there;
-/// 3. every prefix task's dense rank is below every later task's, so
-///    wherever a prefix task and a later one are feasible at the same
-///    instant, the prefix task dispatches first: a later task released
-///    at that instant by a zero-cost prefix task is on the frontier
-///    before any later task is picked there, as it is in the resumed run.
-///
-/// Under them, dispatches happen in nondecreasing start order, and the
-/// full run's later dispatches are the resumed run's, one for one.
-///
-/// Every seed also records the graph's choice threads: those its
-/// build's sweep marked, where tasks that do not depend on each other
-/// share a thread (a P3 plan's push and pull channels).
+/// [`ReplaySeed::build`] returns the empty seed unless checks 2–4 of the
+/// module docs hold, which it checks once, in O(V+E).
+/// [`SimScratch::simulate_retimed`] runs the plan.
 #[derive(Debug, Clone)]
 pub(crate) struct ReplaySeed {
-    /// Tasks replayed: compact ids `0..replayed`.
+    /// Tasks replayed: compact ids `0..replayed`, the first copy.
     replayed: usize,
-    /// Remaining predecessor count of each later task, from `replayed`.
-    rem: Vec<u32>,
+    /// Every later task once, in the order the run times it: per copy,
+    /// its compute tasks in the build sweep's FIFO order (from copy 1),
+    /// then its transfers, channel by channel.
+    order: Vec<u32>,
+    /// The segments of `order`, each `(end, thread)`: a compute walk
+    /// (`thread` [`NO_TASK`]) or one copy's transfers on channel
+    /// `thread`.
+    segments: Vec<(u32, u32)>,
     /// Seeded tentative start of each later task.
     tent: Vec<u64>,
-    /// Each thread's progress after the prefix.
+    /// Each thread's progress after the first copy.
     progress: Vec<u64>,
     /// Per thread: `true` for a choice thread of every run of the graph.
     choice: Vec<bool>,
 }
 
 impl ReplaySeed {
-    /// The seed that resumes `graph`, under the dense order `ranks`,
-    /// after its first `k` tasks; empty (`k` 0 included) unless the three
-    /// conditions above hold. One pass of the loop with no choice thread,
-    /// the chain sweep, over `graph` finds its choice threads, checks
-    /// condition 2 and times the prefix: under conditions 1 and 2 it
-    /// starts each prefix task at its latest predecessor finish, which is
-    /// where every run of the graph starts it, whatever the later tasks'
-    /// costs.
-    pub(crate) fn build(graph: &CompiledGraph, ranks: Option<&[u32]>, k: usize) -> ReplaySeed {
+    /// The seed of `graph` under the dense order `ranks`, whose copies
+    /// are compact-id ranges of `k` compute tasks each (copy `q`'s are
+    /// the ids in `q*k..(q+1)*k` that are no transfer) and whose
+    /// `transfers` are listed with their copies, by copy and within a copy
+    /// channel by channel in the run's stage order (pushes before
+    /// pulls). Empty (`k` 0 included) unless checks 2–4 hold. One pass of
+    /// the loop with no choice thread, the chain sweep, over `graph`
+    /// finds its choice threads, gives the compute tasks' FIFO order and
+    /// times the first copy: under checks 2 and 3 it starts each of its
+    /// tasks at its latest predecessor finish, which is where every run
+    /// of the graph starts it, whatever the transfers' costs.
+    pub(crate) fn build(
+        graph: &CompiledGraph,
+        ranks: Option<&[u32]>,
+        k: usize,
+        transfers: &[(u32, CompactId)],
+    ) -> ReplaySeed {
         let n = graph.len();
         let t_count = graph.thread_count();
         let mut sweep = SimBufs::sized_for(graph);
@@ -1985,40 +2094,103 @@ impl ReplaySeed {
         });
         let empty = ReplaySeed {
             replayed: 0,
-            rem: Vec::new(),
+            order: Vec::new(),
+            segments: Vec::new(),
             tent: Vec::new(),
             progress: Vec::new(),
             choice: sweep.marked[..t_count].to_vec(),
         };
-        if k == 0 || k > n {
+        // The graph must be acyclic: the sweep takes every task.
+        if k == 0 || k > n || taken != n {
             return empty;
         }
-        // 3. Prefix ranks below later ranks: dense ranks are a
-        // permutation of `0..n`, so each prefix rank must be below `k`.
-        if let Some(r) = ranks {
-            if r[..k].iter().any(|&rank| rank as usize >= k) {
+        let on_choice = |i: u32| empty.choice[graph.thread_of(CompactId(i)).0 as usize];
+        let rank = |i: u32| low_key(ranks, i) >> 32;
+
+        // The run's segments: copy 0 (segment 0, replayed), then per copy
+        // its compute walk (from copy 1) and one segment per run of
+        // transfers on one channel. `seg_of` holds each task's segment.
+        let copies = (n - 1) / k + 1;
+        let copies = copies.max(transfers.last().map_or(0, |&(q, _)| q as usize + 1));
+        let mut computes = vec![0u32; copies];
+        for i in k as u32..n as u32 {
+            if !on_choice(i) {
+                computes[i as usize / k] += 1;
+            }
+        }
+        let mut seg_of = vec![u32::MAX; n];
+        seg_of[..k].fill(0);
+        let mut order = vec![0u32; n - k];
+        let mut segments: Vec<(u32, u32)> = Vec::new();
+        // Where each copy's compute walk starts in `order`, and its
+        // segment.
+        let mut walks = vec![(0u32, 0u32); copies];
+        let (mut end, mut next, mut channel) = (0u32, transfers.iter().peekable(), None);
+        for q in 0..copies {
+            if q > 0 && computes[q] > 0 {
+                walks[q] = (end, segments.len() as u32 + 1);
+                end += computes[q];
+                segments.push((end, NO_TASK));
+            }
+            while let Some(&(_, c)) = next.next_if(|&&(copy, _)| copy as usize == q) {
+                // 2. Each transfer is listed once, on a marked thread.
+                if !on_choice(c.0) || seg_of[c.0 as usize] != u32::MAX {
+                    return empty;
+                }
+                let t = graph.thread_of(c).0;
+                order[end as usize] = c.0;
+                end += 1;
+                if channel == Some((q, t)) {
+                    segments.last_mut().expect("the channel's segment").0 = end;
+                } else {
+                    segments.push((end, t));
+                    channel = Some((q, t));
+                }
+                seg_of[c.0 as usize] = segments.len() as u32;
+            }
+        }
+        // 2. Every task on a marked thread is a listed transfer (the list
+        // is in copy order, or some are left over).
+        let marked_tasks: u32 = (0..t_count)
+            .filter(|&t| empty.choice[t])
+            .map(|t| graph.thread_tasks[t])
+            .sum();
+        if next.next().is_some() || marked_tasks as usize != transfers.len() {
+            return empty;
+        }
+        // The compute walks, each in the sweep's FIFO order.
+        for &u in &sweep.queue {
+            let q = u as usize / k;
+            if q > 0 && !on_choice(u) {
+                let (at, segment) = &mut walks[q];
+                order[*at as usize] = u;
+                *at += 1;
+                seg_of[u as usize] = *segment;
+            }
+        }
+        // 3. Every edge runs forward in the run's order: to a later
+        // segment, or within a compute walk. So copy 0 is closed under
+        // predecessors.
+        for u in 0..n as u32 {
+            for &v in graph.successors(CompactId(u)) {
+                let (su, sv) = (seg_of[u as usize], seg_of[v.0 as usize]);
+                if su > sv || (su == sv && on_choice(v.0)) {
+                    return empty;
+                }
+            }
+        }
+        // 4. Every compute task that costs nothing ranks below every
+        // transfer.
+        let first = transfers.iter().map(|&(_, c)| rank(c.0)).min();
+        if let Some(first) = first {
+            if (0..n as u32)
+                .any(|i| !on_choice(i) && graph.cost_ns(CompactId(i)) == 0 && rank(i) >= first)
+            {
                 return empty;
             }
         }
-        // 1. Closed under predecessors: no later task feeds the prefix.
-        if (k..n).any(|i| {
-            graph
-                .successors(CompactId(i as u32))
-                .iter()
-                .any(|v| (v.0 as usize) < k)
-        }) {
-            return empty;
-        }
-        // 2. The prefix's threads are chains of the whole graph (and the
-        // graph is acyclic: the sweep takes every task).
-        if taken != n
-            || (0..k).any(|i| empty.choice[graph.thread_of(CompactId(i as u32)).0 as usize])
-        {
-            return empty;
-        }
-        let mut rem: Vec<u32> = graph.pred_count[k..].to_vec();
         let mut tent = vec![0u64; n - k];
-        let mut progress = vec![0u64; graph.thread_count()];
+        let mut progress = vec![0u64; t_count];
         for u in 0..k {
             let c = CompactId(u as u32);
             let fin = sweep.start[u] + graph.cost_ns(c);
@@ -2026,14 +2198,14 @@ impl ReplaySeed {
             progress[t] = progress[t].max(fin);
             for &v in graph.successors(c) {
                 if let Some(j) = (v.0 as usize).checked_sub(k) {
-                    rem[j] -= 1;
                     tent[j] = tent[j].max(fin);
                 }
             }
         }
         ReplaySeed {
             replayed: k,
-            rem,
+            order,
+            segments,
             tent,
             progress,
             ..empty
@@ -2175,46 +2347,66 @@ impl SimScratch {
         }
     }
 
-    /// Simulates `graph` with the given tasks' durations replaced (each
-    /// keeping its trailing gap), under the dense order `ranks`
-    /// ([`FrontierOrder::dense_ranks`]), in this arena, resuming after
-    /// `seed`'s replayed prefix (an empty seed: from the start), with a
-    /// frontier on `seed`'s choice threads only. Only the
-    /// tasks the run dispatches get arena-owned copies of their cost and
-    /// duration rows, so nothing is cloned and, warm, nothing allocated.
-    /// Returns each dispatched task's end (start plus duration); a
-    /// replayed task's end is not kept. The run opens its own epoch and
-    /// leaves nothing to
-    /// [`SimScratch::materialize`].
+    /// Simulates `graph` with the given transfers' durations replaced
+    /// (each keeping its trailing gap), under the dense order `ranks`
+    /// ([`FrontierOrder::dense_ranks`]), in this arena: the per-copy run
+    /// after `seed`'s replayed first copy (module docs), or, for an empty
+    /// seed or where check 5 or 6 fails, the dispatch loop over the whole
+    /// graph with a frontier on `seed`'s choice threads. Only the tasks
+    /// the run times get arena-owned copies of their cost and duration
+    /// rows, so nothing is cloned and, warm, nothing allocated. Returns
+    /// how many tasks the run timed, and each timed task's end (start
+    /// plus duration); a replayed task's end is not kept. The run opens
+    /// its own epoch and leaves nothing to [`SimScratch::materialize`].
     ///
     /// # Panics
     ///
-    /// Panics if a retimed task is in the replayed prefix.
+    /// Panics if a retimed task is in the replayed copy.
     pub(crate) fn simulate_retimed(
         &mut self,
         graph: &CompiledGraph,
         ranks: Option<&[u32]>,
         seed: &ReplaySeed,
         durations: impl IntoIterator<Item = (CompactId, u64)>,
-    ) -> Result<impl Fn(CompactId) -> u64 + '_, GraphError> {
+    ) -> Result<(usize, impl Fn(CompactId) -> u64 + '_), GraphError> {
         let (n, k) = (graph.len(), seed.replayed);
+        // Check 4 rests on the compute tasks' costs: only transfers move.
+        let durations = durations.into_iter().inspect(|&(c, _)| {
+            debug_assert!(
+                k == 0 || seed.choice[graph.thread_of(c).0 as usize],
+                "only transfers are retimed"
+            )
+        });
         self.write_retimed(graph, k, durations);
         self.bufs.choice[..graph.thread_count()].copy_from_slice(&seed.choice);
-        let view = RetimedView {
-            graph,
-            cost: &self.cost[..n],
-            dur: &self.dur[..n],
+        let by_copy = k > 0 && {
+            let view = RetimedView {
+                graph,
+                cost: &self.cost[..n],
+                dur: &self.dur[..n],
+            };
+            self.bufs.run_copies(&view, ranks, seed)
         };
-        let done = if k == 0 {
-            self.bufs.run_full(&view, ranks, self.epoch).0
+        let timed = if by_copy {
+            n - k
         } else {
-            self.bufs.run_resumed(&view, ranks, seed, self.epoch)
+            // The whole graph, its rows written from task 0.
+            self.cost[..k].copy_from_slice(&graph.cost_ns[..k]);
+            self.dur[..k].copy_from_slice(&graph.duration_ns[..k]);
+            let view = RetimedView {
+                graph,
+                cost: &self.cost[..n],
+                dur: &self.dur[..n],
+            };
+            if self.bufs.run_full(&view, ranks, self.epoch).0 != n {
+                return Err(GraphError::Cycle);
+            }
+            n
         };
-        if done != n - k {
-            return Err(GraphError::Cycle);
-        }
         let (start, dur) = (&self.bufs.start, &self.dur);
-        Ok(move |c: CompactId| start[c.0 as usize] + dur[c.0 as usize])
+        Ok((timed, move |c: CompactId| {
+            start[c.0 as usize] + dur[c.0 as usize]
+        }))
     }
 
     /// Sets the choice threads of a warm run over the overlay of the
@@ -2716,6 +2908,7 @@ mod tests {
     use crate::graph::DepKind;
     use crate::task::{Task, TaskKind};
     use daydream_trace::{CpuThreadId, DeviceId, StreamId};
+    use proptest::prelude::*;
 
     fn cpu(dur: u64, gap: u64) -> Task {
         let mut t = Task::new("c", TaskKind::CpuWork, ExecThread::Cpu(CpuThreadId(0)), dur);
@@ -2919,24 +3112,56 @@ mod tests {
         CompiledGraph::compile(&g)
     }
 
-    /// Each task's end after the seed's prefix, from the resumed run, and
-    /// from a full kernel run under the same dense order.
-    fn resumed_and_full(
+    /// A plan's run from its seed, and the kernel's.
+    #[derive(Debug)]
+    struct PlanRun {
+        /// Tasks the seed replays: 0 where a build check failed.
+        replayed: usize,
+        /// Tasks the run timed: all of them where a check failed.
+        timed: usize,
+        /// Each task's end after the replayed copy, from the run and from
+        /// the kernel.
+        ends: Vec<u64>,
+        kernel: Vec<u64>,
+    }
+
+    /// Runs `cg` under `order` from the seed of copies of `k` compute
+    /// tasks and `transfers`, each `(copy, compact id)`, with `wires`
+    /// retiming the given transfers, and `simulate_compiled_with` over
+    /// the retimed graph.
+    fn per_copy_and_kernel<O: FrontierOrder>(
         cg: &CompiledGraph,
-        ranks: Option<&[u32]>,
-        seed: &ReplaySeed,
-    ) -> (Vec<u64>, Vec<u64>) {
+        order: &O,
+        k: usize,
+        transfers: &[(u32, u32)],
+        wires: &[(CompactId, u64)],
+    ) -> PlanRun {
+        let ranks = order.dense_ranks(cg);
+        let transfers: Vec<(u32, CompactId)> =
+            transfers.iter().map(|&(q, c)| (q, CompactId(c))).collect();
+        let seed = ReplaySeed::build(cg, ranks.as_deref(), k, &transfers);
         let later = seed.replayed() as u32..cg.len() as u32;
         let mut scratch = SimScratch::new();
-        let end = scratch.simulate_retimed(cg, ranks, seed, []).unwrap();
-        let resumed = later.clone().map(|i| end(CompactId(i))).collect();
-        let mut bufs = SimBufs::sized_for(cg);
-        bufs.choice.fill(true);
-        bufs.run_full(cg, ranks, 0);
-        let full = later
-            .map(|i| bufs.start[i as usize] + cg.duration_ns(CompactId(i)))
+        let (timed, end) = scratch
+            .simulate_retimed(cg, ranks.as_deref(), &seed, wires.iter().copied())
+            .unwrap();
+        let ends = later.clone().map(|i| end(CompactId(i))).collect();
+        let mut retimed = cg.clone();
+        for &(c, wire) in wires {
+            let i = c.0 as usize;
+            retimed.cost_ns[i] = wire + (retimed.cost_ns[i] - retimed.duration_ns[i]);
+            retimed.duration_ns[i] = wire;
+        }
+        let sim = simulate_compiled_with(&retimed, order).unwrap();
+        let kernel = later
+            .map(|i| sim.start_ns[i as usize] + retimed.duration_ns(CompactId(i)))
             .collect();
-        (resumed, full)
+        PlanRun {
+            replayed: seed.replayed(),
+            timed,
+            ends,
+            kernel,
+        }
     }
 
     const SEND: ExecThread = ExecThread::Comm(crate::task::CommChannel::Send);
@@ -2951,38 +3176,45 @@ mod tests {
         }
     }
 
-    /// Hand-built plans with a two-task prefix, each resumed from its
-    /// seed and run in full under the same order. One meets all three
-    /// build checks and resumes; each other fails one check, gets the
-    /// empty seed and still matches, where replaying its prefix would
-    /// not:
-    /// 1. a later transfer feeds the prefix, delaying it past the schedule;
-    /// 2. a later task shares a prefix thread without being chained after
-    ///    it, and runs while the prefix waits on another thread;
-    /// 3. an order ranks transfer `x` below the zero-cost prefix task `b`,
+    /// Hand-built plans with a two-task first copy, each run from its
+    /// seed and by the kernel under the same order. One passes every
+    /// build check and runs copy by copy; each other breaks copy 0's
+    /// replay one way, gets the empty seed and still matches, where
+    /// replaying copy 0 would not:
+    /// 1. a later task feeds copy 0, delaying it past the sweep's timing
+    ///    (check 3: an edge runs backwards);
+    /// 2. a later task shares a copy-0 thread without being chained after
+    ///    it, and runs while copy 0 waits on another thread (check 2: the
+    ///    sweep marks a compute thread);
+    /// 3. an order ranks transfer `x` below the zero-cost copy-0 task `b`,
     ///    so the channel takes `x` before `b` releases the higher-ranked
-    ///    `y` at the same instant; a resumed run would see `y` released.
+    ///    `y` at the same instant (check 4); a run from the seed would see
+    ///    `y` released.
     #[test]
     fn seeds_resume_only_where_all_three_build_checks_hold() {
         let check = |case: &str,
                      tasks: &[(ExecThread, u64)],
                      edges: &[(usize, usize)],
                      table: Option<&'static [u64]>,
+                     transfers: &[(u32, u32)],
                      replayed: usize| {
             let cg = compile_plan(tasks, edges);
-            let ranks = table.and_then(|t| Table(t).dense_ranks(&cg));
-            let seed = ReplaySeed::build(&cg, ranks.as_deref(), 2);
-            let (resumed, full) = resumed_and_full(&cg, ranks.as_deref(), &seed);
-            assert_eq!(resumed, full, "{case}");
-            assert_eq!(seed.replayed(), replayed, "{case}");
+            let run = match table {
+                Some(t) => per_copy_and_kernel(&cg, &Table(t), 2, transfers, &[]),
+                None => per_copy_and_kernel(&cg, &EarliestStart, 2, transfers, &[]),
+            };
+            assert_eq!(run.ends, run.kernel, "{case}");
+            assert_eq!(run.replayed, replayed, "{case}");
         };
-        // a (cpu0, 10) -> b (cpu0, 0); later x (send, 5) after a, y after b.
+        // a (cpu0, 10) -> b (cpu0, 0); copy-0 transfers x (send, 5) after
+        // a, y after b.
         let release = [(CPU0, 10), (CPU0, 0), (SEND, 5), (SEND, 5)];
         let release_edges = [(0, 1), (0, 2), (1, 3)];
-        check("all checks hold", &release, &release_edges, None, 2);
+        let xy = [(0, 2), (0, 3)];
+        check("all checks hold", &release, &release_edges, None, &xy, 2);
         // a -> b -> y on cpu0; x (send, 100) -> b.
         let tasks = [(CPU0, 10), (CPU0, 10), (SEND, 100), (CPU0, 5)];
-        check("check 1", &tasks, &[(0, 1), (2, 1), (1, 3)], None, 0);
+        check("check 1", &tasks, &[(0, 1), (2, 1), (1, 3)], None, &[], 0);
         // a0 (cpu1, 50) -> a1 (cpu0, 10); z (cpu0, 5) has no predecessor.
         let cpu1 = ExecThread::Cpu(CpuThreadId(1));
         check(
@@ -2990,10 +3222,150 @@ mod tests {
             &[(cpu1, 50), (CPU0, 10), (CPU0, 5)],
             &[(0, 1)],
             None,
+            &[],
             0,
         );
         // Dense ranks a 0, y 1, x 2, b 3.
-        check("check 3", &release, &release_edges, Some(&[0, 3, 2, 1]), 0);
+        let table = Some(&[0, 3, 2, 1][..]);
+        check("check 3", &release, &release_edges, table, &xy, 0);
+    }
+
+    const RECV: ExecThread = ExecThread::Comm(crate::task::CommChannel::Receive);
+
+    /// Check 5, pinned on two plans, each of whose runs goes copy by copy
+    /// at the build's wire times and equals the kernel. With one transfer
+    /// retimed to 0, it would release a transfer at its own start, which
+    /// the kernel puts on a frontier only after a pick there that a run
+    /// with the transfer already on it would not make; so those runs fall
+    /// back to the whole plan (every task timed), and equal the kernel.
+    ///
+    /// Directly: `a` (cpu0, 10) releases the pushes `p` (id 1, 3 ns at
+    /// build) and `r` (id 4, 5) and the pull `q2` (id 3, 5) at 10, and
+    /// `p` releases the pull `q1` (id 2, 5), the first-ranked transfer
+    /// (dense ranks a 0, q1 1, q2 2, p 3, r 4). With `p` at 0, the kernel
+    /// picks `q2` on the pull channel at 10 before it dispatches `p`, so
+    /// `q1` starts at 15, not at 10.
+    ///
+    /// Through a zero-cost compute task: copy 0 is `a` (cpu0, 10) with the
+    /// pulls `q` (id 2, 3 ns at build) and `q2` (id 3, 5) after it; copy
+    /// 1 is `z` (gpu0, 0) after `q`, with the push `x` (id 4, 5) after
+    /// `a` and the first-ranked push `y` (id 5, 5) after `z` (dense ranks
+    /// a 0, z 1, y 2, x 3, q 4, q2 5). With `q` at 0, the kernel picks
+    /// `x` at 10 before it dispatches `q`, and so before `z` releases
+    /// `y` at 10: `y` starts at 15, not at 10.
+    #[test]
+    fn a_zero_cost_push_releasing_a_pull_at_a_pick_falls_back() {
+        let gpu0 = ExecThread::Gpu(DeviceId(0), StreamId(0));
+        let direct = compile_plan(
+            &[(CPU0, 10), (SEND, 3), (RECV, 5), (RECV, 5), (SEND, 5)],
+            &[(0, 1), (1, 2), (0, 3), (0, 4)],
+        );
+        let through_z = compile_plan(
+            &[
+                (CPU0, 10),
+                (gpu0, 0),
+                (RECV, 3),
+                (RECV, 5),
+                (SEND, 5),
+                (SEND, 5),
+            ],
+            &[(0, 2), (0, 3), (2, 1), (0, 4), (1, 5)],
+        );
+        for (case, cg, table, transfers, zero) in [
+            (
+                "direct",
+                direct,
+                Table(&[0, 3, 1, 2, 4]),
+                [(0, 1), (0, 4), (0, 2), (0, 3)],
+                1,
+            ),
+            (
+                "through z",
+                through_z,
+                Table(&[0, 1, 4, 5, 3, 2]),
+                [(0, 2), (0, 3), (1, 4), (1, 5)],
+                2,
+            ),
+        ] {
+            let zero = CompactId(zero);
+            let build = cg.duration_ns(zero);
+            for (wire, timed) in [(build, cg.len() - 1), (0, cg.len())] {
+                let run = per_copy_and_kernel(&cg, &table, 1, &transfers, &[(zero, wire)]);
+                assert_eq!(run.ends, run.kernel, "{case}, wire {wire}");
+                assert_eq!((run.replayed, run.timed), (1, timed), "{case}, wire {wire}");
+            }
+        }
+    }
+
+    /// Check 6, pinned: copy 0 is `a` (cpu0, 10) with the pushes `x` (id
+    /// 2) and `y` (id 3) after it; copy 1 is `b` (cpu0, 5) after `a`,
+    /// with the push `z` (id 4) after it, which ranks above `y` (dense
+    /// ranks a 0, b 1, z 2, x 3, y 4; each push 5). `y` starts at 15, when
+    /// `b` releases `z`: the kernel takes `z` first, a run that drains
+    /// copy 0's pushes before it puts any of copy 1's on the frontier
+    /// would not, so the run falls back to the whole plan. With `x`
+    /// retimed to 4, `y` starts at 14, before `z` is released, and the
+    /// run goes copy by copy; both equal the kernel.
+    #[test]
+    fn a_push_released_at_the_last_start_of_the_copy_before_falls_back() {
+        let cg = compile_plan(
+            &[(CPU0, 10), (CPU0, 5), (SEND, 5), (SEND, 5), (SEND, 5)],
+            &[(0, 1), (0, 2), (0, 3), (1, 4)],
+        );
+        let table = Table(&[0, 1, 3, 4, 2]);
+        let transfers = [(0, 2), (0, 3), (1, 4)];
+        let x = CompactId(2);
+        for (wire, timed) in [(5, 5), (4, 4)] {
+            let run = per_copy_and_kernel(&cg, &table, 1, &transfers, &[(x, wire)]);
+            assert_eq!(run.ends, run.kernel, "wire {wire}");
+            assert_eq!((run.replayed, run.timed), (1, timed), "wire {wire}");
+        }
+    }
+
+    /// Check 4, pinned on a chain: `a` (cpu0, 10) → `q` (cpu0, 0) → `p`
+    /// (cpu0, 0) is copy 0, the push `x` (id 3, 5) follows `a` and the
+    /// push `y` (id 4, 5) follows `p` (dense ranks a 0, p 1, y 2, x 3, q
+    /// 4). `p` ranks below every transfer, but `q`, which it waits on,
+    /// ranks above `x`: the kernel takes `x` at 10 before `q`, and `y`
+    /// only at 15, where a run with `y` on the frontier at 10 would take
+    /// it first. So the build orders nothing, and every run is the whole
+    /// plan's, which is the kernel's.
+    #[test]
+    fn a_zero_cost_chain_ranked_above_a_transfer_builds_no_per_copy_order() {
+        let cg = compile_plan(
+            &[(CPU0, 10), (CPU0, 0), (CPU0, 0), (SEND, 5), (SEND, 5)],
+            &[(0, 1), (1, 2), (0, 3), (2, 4)],
+        );
+        let run = per_copy_and_kernel(&cg, &Table(&[0, 4, 1, 3, 2]), 3, &[(0, 3), (0, 4)], &[]);
+        assert_eq!(run.ends, run.kernel);
+        assert_eq!((run.replayed, run.timed), (0, cg.len()));
+    }
+
+    /// Check 3, pinned: two copies of `a` (cpu0, 10) → `g` (gpu0, 10),
+    /// each thread chained across them, and copy 1's pushes `x` (id 4,
+    /// 100) and `y` (id 5, 5) after its `a`, where `x` also feeds its own
+    /// copy's `g`. The per-copy run would walk copy 1's `g` before any of
+    /// its transfers, 90 ns before `x` finishes; so the build orders
+    /// nothing, and every run is the whole plan's, which is the
+    /// kernel's.
+    #[test]
+    fn a_transfer_feeding_its_own_copy_builds_no_per_copy_order() {
+        let gpu0 = ExecThread::Gpu(DeviceId(0), StreamId(0));
+        let cg = compile_plan(
+            &[
+                (CPU0, 10),
+                (gpu0, 10),
+                (CPU0, 10),
+                (gpu0, 10),
+                (SEND, 100),
+                (SEND, 5),
+            ],
+            &[(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (2, 5), (4, 3)],
+        );
+        let order = crate::whatif::P3Scheduler;
+        let run = per_copy_and_kernel(&cg, &order, 2, &[(1, 4), (1, 5)], &[]);
+        assert_eq!(run.ends, run.kernel);
+        assert_eq!((run.replayed, run.timed), (0, cg.len()));
     }
 
     /// One sweep gives every thread's verdict. Over `a0 → a1 → a2` on
@@ -3325,6 +3697,95 @@ mod tests {
             bufs.run_full(&base, None, 0);
             let ready: Vec<u64> = (0..base.len()).map(|i| schedule.ready_ns(i)).collect();
             assert_eq!(ready, bufs.tentative, "{name}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Plan runs against the kernel under P3's order, over the retimed
+        // plan, on random P3 plans: a chain-threaded base over a CPU
+        // thread and two GPU streams, dense in ties (durations 0 to 3 and
+        // gaps 0 or 1, so zero-cost compute tasks abound), unrolled three
+        // times, with push/pull pairs from a task of one copy to one of
+        // the next (or to nothing) at priorities that tie, each transfer
+        // then retimed to a wire time from 0 to 3, where a third of the
+        // cases keep every 0, a third only the pulls' and a third none (a
+        // zero-cost push fails check 5). Every run, copy by copy or whole
+        // where a check fails, equals the kernel.
+        #[test]
+        fn per_copy_runs_match_the_kernel_on_random_p3_plans(
+            tasks in prop::collection::vec((0usize..3, 0u64..4, 0u64..2), 1..24),
+            cross in prop::collection::vec((0usize..1_000, 0usize..1_000), 0..40),
+            pairs in prop::collection::vec(
+                (0usize..1_000, 0usize..1_000, any::<bool>(), -1i64..2, 0usize..3),
+                0..16,
+            ),
+            wires in prop::collection::vec(0u64..4, 1..32),
+            zeros in 0u8..3,
+        ) {
+            use crate::replicate::replicate_iterations;
+            use crate::whatif::{plan_p3_inserts, P3Insert, P3Scheduler};
+            let threads = [
+                CPU0,
+                ExecThread::Gpu(DeviceId(0), StreamId(0)),
+                ExecThread::Gpu(DeviceId(0), StreamId(1)),
+            ];
+            let m = tasks.len();
+            let mut base = DependencyGraph::new();
+            let mut last = [None; 3];
+            for &(sel, dur, gap) in &tasks {
+                let mut t = Task::new("t", TaskKind::CpuWork, threads[sel], dur);
+                t.gap_ns = gap;
+                let id = base.add_task(t);
+                if let Some(prev) = last[sel].replace(id) {
+                    base.add_dep(prev, id, DepKind::Transform);
+                }
+            }
+            for &(a, b) in &cross {
+                let (x, y) = (a % m, b % m);
+                if tasks[x].0 != tasks[y].0 {
+                    base.add_dep(TaskId(x.min(y)), TaskId(x.max(y)), DepKind::Transform);
+                }
+            }
+            let mut rep = replicate_iterations(&base, 3);
+            let inserts: Vec<P3Insert> = pairs
+                .iter()
+                .map(|&(from, to, gated, priority, k)| P3Insert {
+                    bwd: rep.replica(k, TaskId(from % m)),
+                    consumer: (gated && k < 2).then(|| rep.replica(k + 1, TaskId(to % m))),
+                    priority,
+                    bytes: 1,
+                    wire_ns: 1,
+                    push_name: "push".into(),
+                    pull_name: "pull".into(),
+                    start_hint_ns: 0,
+                    iteration: k,
+                })
+                .collect();
+            plan_p3_inserts(&mut rep.graph, &inserts);
+            let cg = CompiledGraph::compile(&rep.graph);
+            // Each pair adds its push, then its pull, after the copies.
+            let mut staged: Vec<(u32, bool, u32)> = (0..)
+                .zip(&inserts)
+                .flat_map(|(i, ins)| {
+                    let push = 3 * m as u32 + 2 * i;
+                    let copy = ins.iteration as u32;
+                    [(copy, false, push), (copy, true, push + 1)]
+                })
+                .collect();
+            staged.sort_unstable();
+            let transfers: Vec<(u32, u32)> = staged.iter().map(|&(q, _, c)| (q, c)).collect();
+            let retimes: Vec<(CompactId, u64)> = (0..)
+                .zip(&staged)
+                .map(|(i, &(_, pull, c))| {
+                    let wire = wires[i % wires.len()];
+                    let zero = zeros == 0 || (zeros == 1 && pull);
+                    (CompactId(c), if zero { wire } else { wire.max(1) })
+                })
+                .collect();
+            let run = per_copy_and_kernel(&cg, &P3Scheduler, m, &transfers, &retimes);
+            prop_assert_eq!(run.ends, run.kernel);
         }
     }
 

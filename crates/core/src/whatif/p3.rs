@@ -11,34 +11,35 @@
 //! compiled, unrolled profile and sorts the scheduler's ranks once, then
 //! simulates each cluster's transfer times on a reusable arena.
 //!
-//! # Copy 0 is timed once per plan
+//! # Copy 0 is timed once per plan, the rest copy by copy
 //!
 //! The first unrolled copy is the profiled iteration itself. Transfers
 //! depend on backward kernels and feed only later copies, so nothing
 //! outside copy 0 feeds it; replication chains every compute thread
-//! across copies, so each thread finishes copy 0 before it starts copy
-//! 1; and [`P3Scheduler`] ranks compute tasks by id, below every
-//! transfer, so a same-instant release from copy 0 is on the frontier
-//! before a channel picks. Each copy-0 task therefore starts at its
-//! latest predecessor finish, as in the base profile's simulation,
-//! whatever the cluster's wire times. [`P3Plan::build`] times copy 0
-//! once with the simulator's chain sweep, which also gives each thread's
-//! chain verdict, and a plan dispatches only its later copies and
-//! transfers: 21–33% of each catalog plan is never dispatched. The build
-//! checks the three conditions this rests on once per plan (closure,
-//! chain threads, ranks) and falls back to a run from the start if any
-//! fails.
+//! across copies, so each thread finishes copy 0 before it starts the
+//! next. Each copy-0 task therefore starts at its latest predecessor
+//! finish, as in the base profile's simulation, whatever the cluster's
+//! wire times, and [`P3Plan::build`] times copy 0 once with the
+//! simulator's chain sweep: 21–33% of each catalog plan is never timed
+//! again.
 //!
 //! The same sweep marks the push and pull channels, the plan's only
 //! threads on which transfers that do not depend on each other wait
-//! together, and Algorithm 7's priority order has a choice to make. The
-//! plan records them as its choice threads: each evaluation keeps a
-//! frontier on those two alone and runs every compute task through the
-//! simulator's FIFO queue. That is exact because every compute thread is
-//! a chain, and [`P3Scheduler`] ranks every compute task below every
-//! transfer, so no zero-cost compute task can release a transfer ahead
-//! of one the frontier would pick first (the simulator's module docs,
-//! conditions (a) and (b)).
+//! together, and Algorithm 7's priority order has a choice to make.
+//! Every compute thread is a chain, so each later compute task, too,
+//! starts at its latest predecessor finish, whatever the order the
+//! simulator takes tasks in; and a channel's picks depend only on its
+//! own transfers' release times and ranks, as on a single machine under
+//! list scheduling. So each evaluation runs the plan copy by copy (the
+//! simulator's module docs): it walks a copy's compute tasks in the
+//! build sweep's FIFO order, then puts the copy's pushes on the push
+//! channel's frontier and drains it, then its pulls on the pull
+//! channel's. That is the kernel's run under [`P3Scheduler`], which
+//! ranks every compute task below every transfer, wherever the plan
+//! passes the build's checks, which the catalog's plans all do, and the
+//! cluster's wire times pass the run's. Where a check fails, the run is
+//! the simulator's dispatch loop over the whole plan, with a frontier on
+//! the two channels alone, and its row reads `full`.
 //!
 //! The predicted transfer times are pure wire times (`bytes / bandwidth`,
 //! Algorithm 7); real MXNet messages also pay server/worker engine
@@ -171,9 +172,10 @@ pub struct P3Insert {
     pub pull_name: String,
     /// Channel-order hint (the backward anchor's measured start).
     pub start_hint_ns: u64,
-    /// `true` for the first unrolled iteration (messages-per-iteration
-    /// accounting).
-    pub first_iteration: bool,
+    /// The unrolled iteration whose backward task releases the push: the
+    /// copy [`P3Plan`]'s run times the pair with, and, for iteration 0,
+    /// the messages-per-iteration count.
+    pub iteration: usize,
 }
 
 /// Computes the P3 insertion plan for an unrolled profile: one push/pull
@@ -234,7 +236,7 @@ pub fn p3_insert_plan(pg: &ProfiledGraph, rep: &ReplicatedGraph, cfg: &P3Config)
                     push_name: format!("push_{layer}_{si}"),
                     pull_name: format!("pull_{layer}_{si}"),
                     start_hint_ns: rep.graph.task(bwd_k).measured_start_ns,
-                    first_iteration: k == 0,
+                    iteration: k,
                 });
             }
         }
@@ -278,7 +280,7 @@ pub fn plan_p3_inserts<G: GraphEdit>(g: &mut G, inserts: &[P3Insert]) -> usize {
         if let Some(c) = ins.consumer {
             g.add_dep(pull_id, c, DepKind::Comm);
         }
-        if ins.first_iteration {
+        if ins.iteration == 0 {
             messages += 1;
         }
     }
@@ -301,17 +303,20 @@ pub fn p3_replicated_base(pg: &ProfiledGraph, iterations: usize) -> ReplicatedGr
 /// duration rows and simulates there; it never re-plans, re-emits,
 /// re-applies, re-ranks or clones.
 ///
-/// Copy 0 is not dispatched by any evaluation: the plan keeps where a
-/// run resumes after it (each later task's remaining predecessor count
-/// and tentative start, each thread's progress), timed once at build by
-/// a chain sweep over the plan, and each evaluation dispatches the later
-/// copies and the transfers only (module docs). The build checks that
-/// copy 0 is closed under predecessors, that every thread copy 0 uses is
-/// a chain in the plan, and that every copy-0 task's dense rank is below
-/// every other task's; if any check fails, or copy 0 is one of the two
-/// copies the steady state reads, every evaluation runs the whole plan.
-/// Either way the sweep's marks, the push and pull channels, are the
-/// only threads an evaluation keeps a frontier on.
+/// Copy 0 is not timed by any evaluation, and the rest runs copy by
+/// copy (module docs): the plan keeps copy 0's timing (each later task's
+/// tentative start, each thread's progress), taken once at build by a
+/// chain sweep over the plan, and the order of the per-copy run: each
+/// later copy's compute tasks in that sweep's FIFO order, and each
+/// copy's transfers, its pushes before its pulls. The build checks that
+/// the sweep marks exactly the push and pull channels, that every edge
+/// runs forward in copy order, and that every compute task that costs
+/// nothing ranks below every transfer; if a check fails, or copy 0 is
+/// one of the two copies the steady state reads, or a copy is not a
+/// compact-id range, every evaluation runs the whole plan through the
+/// simulator's dispatch loop, and so does one whose wire times fail a
+/// check of the run. Either way the sweep's marks, the push and pull
+/// channels, are the only threads an evaluation keeps a frontier on.
 ///
 /// The plan also keeps its transfers' distinct payload sizes: a
 /// cluster's wire time for each ([`P3Plan::size_wire_times`]) fixes
@@ -325,8 +330,8 @@ pub struct P3Plan {
     /// [`P3Scheduler`]'s dense ranks over `compiled`
     /// ([`FrontierOrder::dense_ranks`]).
     ranks: Option<Vec<u32>>,
-    /// Where each evaluation resumes after copy 0 (empty: from the
-    /// start).
+    /// Copy 0's timing and the per-copy run's order (empty: every
+    /// evaluation runs the whole plan).
     seed: ReplaySeed,
     /// Compact id and payload bytes of every inserted push/pull task.
     transfers: Vec<(CompactId, u64)>,
@@ -361,8 +366,9 @@ impl P3Plan {
         rep_compiled: &CompiledGraph,
         cfg: &P3Config,
     ) -> P3Plan {
+        let inserts = p3_insert_plan(pg, rep, cfg);
         let mut ov = PatchGraph::new(&rep.graph);
-        let messages_per_iteration = plan_p3_inserts(&mut ov, &p3_insert_plan(pg, rep, cfg));
+        let messages_per_iteration = plan_p3_inserts(&mut ov, &inserts);
         let patch = ov.finish();
         let compiled = rep_compiled.apply(&patch);
         let compact = |id: TaskId| compiled.compact_of(id).expect("P3 inserts remove no task");
@@ -382,16 +388,36 @@ impl P3Plan {
         let n = rep.iterations();
         let last_copies = [copy(n - 2), copy(n - 1)];
         let ranks = P3Scheduler.dense_ranks(&compiled);
-        // Copy 0 is replayed when it is the plan's compact-id prefix in
-        // the base's own order, and the steady state reads only later
-        // copies.
-        let copy0 = copy(0);
-        let prefix = if n > 2 && (0..).zip(&copy0).all(|(i, &c)| c == CompactId(i)) {
-            copy0.len()
-        } else {
-            0
-        };
-        let seed = ReplaySeed::build(&compiled, ranks.as_deref(), prefix);
+        // The plan runs copy by copy when each copy is the compact-id
+        // range of its index in the base's own order, and the steady
+        // state reads only copies after copy 0.
+        let m = pg.graph.len();
+        let ranges = (0..n).all(|k| {
+            (k * m..)
+                .zip(pg.graph.iter())
+                .all(|(i, (id, _))| compact(rep.replica(k, id)) == CompactId(i as u32))
+        });
+        // Each insert adds its push, then its pull: a transfer's copy is
+        // its insert's iteration, and each copy's pushes run before its
+        // pulls.
+        debug_assert_eq!(transfers.len(), 2 * inserts.len());
+        let mut staged: Vec<(usize, bool, CompactId)> = inserts
+            .iter()
+            .zip(transfers.chunks_exact(2))
+            .flat_map(|(ins, pair)| {
+                [
+                    (ins.iteration, false, pair[0].0),
+                    (ins.iteration, true, pair[1].0),
+                ]
+            })
+            .collect();
+        staged.sort_unstable();
+        let staged: Vec<(u32, CompactId)> = staged
+            .into_iter()
+            .map(|(copy, _, c)| (copy as u32, c))
+            .collect();
+        let copy_len = if n > 2 && ranges { m } else { 0 };
+        let seed = ReplaySeed::build(&compiled, ranks.as_deref(), copy_len, &staged);
         let mut sizes: Vec<u64> = transfers.iter().map(|&(_, b)| b).collect();
         sizes.sort_unstable();
         sizes.dedup();
@@ -426,13 +452,13 @@ impl P3Plan {
     }
 
     /// Copy-0 tasks each evaluation replays from the build's timing
-    /// instead of dispatching: 0 when a build check failed.
+    /// instead of timing them: 0 when a build check failed.
     pub fn replayed_tasks(&self) -> usize {
         self.seed.replayed()
     }
 
-    /// Tasks each evaluation dispatches: the plan's tasks after copy 0,
-    /// or all of them when nothing is replayed.
+    /// Tasks each evaluation times on the per-copy run: the plan's tasks
+    /// after copy 0, or all of them when nothing is replayed.
     pub fn dispatched_tasks(&self) -> usize {
         self.compiled.len() - self.seed.replayed()
     }
@@ -459,11 +485,14 @@ impl P3Plan {
 
     /// Steady-state iteration time with the transfers' durations set to
     /// `wires` (one per transfer, as [`P3Plan::wire_times`] returns
-    /// them): a simulation under [`P3Scheduler`] in `scratch` that
-    /// resumes after copy 0 ([`P3Plan::dispatched_tasks`] dispatches),
-    /// read as the span between the last two unrolled copies' ends, as
+    /// them), and how many tasks the run timed: a simulation under
+    /// [`P3Scheduler`] in `scratch`, read as the span between the last
+    /// two unrolled copies' ends, as
     /// [`ReplicatedGraph::steady_iteration_ns`] reads it from a full run.
-    /// A warm arena makes the call allocation-free.
+    /// The run is the per-copy run after copy 0, which times
+    /// [`P3Plan::dispatched_tasks`], unless the build or these wire times
+    /// fail one of its checks; then it times every task of the plan. A
+    /// warm arena makes the call allocation-free.
     ///
     /// # Panics
     ///
@@ -472,24 +501,24 @@ impl P3Plan {
         &self,
         wires: &[u64],
         scratch: &mut SimScratch,
-    ) -> Result<u64, GraphError> {
+    ) -> Result<(u64, usize), GraphError> {
         assert_eq!(
             wires.len(),
             self.transfers.len(),
             "P3Plan::steady_iteration_ns takes one wire time per transfer of the plan"
         );
         let retimes = self.transfers.iter().zip(wires).map(|(&(c, _), &w)| (c, w));
-        let end_of =
+        let (timed, end_of) =
             scratch.simulate_retimed(&self.compiled, self.ranks.as_deref(), &self.seed, retimes)?;
         let end = |ids: &[CompactId]| ids.iter().map(|&c| end_of(c)).max().unwrap_or(0);
-        Ok(end(&self.last_copies[1]) - end(&self.last_copies[0]))
+        Ok((end(&self.last_copies[1]) - end(&self.last_copies[0]), timed))
     }
 
     /// The plan's prediction on `cluster`, simulated on a fresh arena.
     pub fn evaluate(&self, cluster: &ClusterConfig) -> Result<P3Prediction, GraphError> {
+        let wires = self.wire_times(cluster);
         Ok(P3Prediction {
-            iteration_ns: self
-                .steady_iteration_ns(&self.wire_times(cluster), &mut SimScratch::new())?,
+            iteration_ns: self.steady_iteration_ns(&wires, &mut SimScratch::new())?.0,
             messages_per_iteration: self.messages_per_iteration,
         })
     }

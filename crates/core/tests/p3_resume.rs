@@ -1,14 +1,17 @@
-//! P3 plans resume after copy 0, which their build times once with the
-//! chain sweep.
+//! P3 plans run copy by copy after copy 0, which their build times once
+//! with the chain sweep.
 //!
 //! Every catalog base (the six zoo models at batches 4 and 8) must build
-//! a seed for both the FIFO and the sliced plan, and the resumed run must
-//! predict exactly what the unresumed oracle does: the profile unrolled,
+//! the per-copy run for both the FIFO and the sliced plan, every
+//! evaluation must take it (its reported count of timed tasks is the
+//! plan's tasks after copy 0: no check sent it whole), and it must
+//! predict exactly what the unrolled oracle does: the profile unrolled,
 //! the push/pull tasks spliced in place, and the whole graph simulated by
 //! the frontier kernel under `P3Scheduler`. One plan per config serves
-//! five clusters, as in the sweep engine. About 5 s in a debug build;
-//! CI also runs it in release, the build the engine ships, where
-//! `debug_assert!`s and overflow checks are off.
+//! seven clusters, as in the sweep engine, two of them with several GPUs
+//! per machine. About 7 s in a debug build; CI also runs it in release,
+//! the build the engine ships, where `debug_assert!`s and overflow checks
+//! are off.
 
 use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{
@@ -26,6 +29,8 @@ fn resumed_p3_plans_match_the_unresumed_oracle_on_every_catalog_base() {
         ClusterConfig::new(8, 1, 25.0),
         ClusterConfig::new(4, 1, 100.0),
         ClusterConfig::new(8, 1, 1.0),
+        ClusterConfig::new(2, 2, 10.0),
+        ClusterConfig::new(1, 4, 4.0),
     ];
     let configs: [fn(ClusterConfig) -> P3Config; 2] = [P3Config::baseline, P3Config::p3];
     let mut scratch = SimScratch::new();
@@ -48,9 +53,14 @@ fn resumed_p3_plans_match_the_unresumed_oracle_on_every_catalog_base() {
                     "{at}: copy 0 replays"
                 );
                 for cluster in &clusters {
-                    let resumed = plan
+                    let (per_copy, timed) = plan
                         .steady_iteration_ns(&plan.wire_times(cluster), &mut scratch)
                         .unwrap();
+                    assert_eq!(
+                        timed,
+                        plan.dispatched_tasks(),
+                        "{at} on {cluster:?}: the per-copy run"
+                    );
                     let mut unrolled = rep.clone();
                     plan_p3_inserts(
                         &mut unrolled.graph,
@@ -58,7 +68,7 @@ fn resumed_p3_plans_match_the_unresumed_oracle_on_every_catalog_base() {
                     );
                     let sim = simulate_with(&unrolled.graph, &P3Scheduler).unwrap();
                     assert_eq!(
-                        resumed,
+                        per_copy,
                         unrolled.steady_iteration_ns(&sim),
                         "{at} on {cluster:?}"
                     );

@@ -576,7 +576,7 @@ fn p3_and_warm_evaluations_share_one_arena() {
                 for p3 in [plan, &bases[1 - i].3] {
                     let wires = p3.wire_times(&cluster);
                     assert_eq!(
-                        p3.steady_iteration_ns(&wires, &mut shared).unwrap(),
+                        p3.steady_iteration_ns(&wires, &mut shared).unwrap().0,
                         p3.evaluate(&cluster).unwrap().iteration_ns,
                         "a P3 run on the shared arena diverged from a fresh one"
                     );

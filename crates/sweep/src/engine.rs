@@ -338,7 +338,8 @@ impl BaseProfile {
     /// The base's P3 plans, built on first use from the first P3
     /// scenario's cluster (every evaluation retimes all transfers, so
     /// which cluster built them never shows in a prediction). Both plans
-    /// share one replication of the base, and both resume after copy 0.
+    /// share one replication of the base, and both run copy by copy
+    /// after copy 0.
     fn p3_plans(&self, cluster: &ClusterConfig) -> &P3Base {
         self.p3.get_or_init(|| {
             let rep = p3_replicated_base(&self.graph, P3_ITERATIONS);
@@ -385,11 +386,11 @@ pub struct RunStats {
     /// (identical patch over the same base: simulation skipped).
     pub patch_hits: usize,
     /// Simulations that re-dispatched over a base schedule this run: the
-    /// warm cone path, and P3 plans resumed after their first unrolled
-    /// iteration, which each plan's build timed once.
+    /// warm cone path, and P3 plans run copy by copy after their first
+    /// unrolled iteration, which each plan's build timed once.
     pub incremental_sims: usize,
     /// Simulations that dispatched every task this run (warm fallbacks,
-    /// and P3 plans that could not resume).
+    /// and P3 plan runs that failed a check of the per-copy run).
     pub full_sims: usize,
     /// Tasks dispatched across all simulations this run.
     pub tasks_redispatched: u64,
@@ -1016,11 +1017,12 @@ fn offloaded_bytes(patch: &GraphPatch) -> u64 {
 /// cached plan: set the plan's transfers to the cluster's wire times,
 /// simulate under the priority scheduler on the worker's arena, and read
 /// the steady-state iteration straight from the simulation
-/// ([`P3Plan::steady_iteration_ns`]). An incremental simulation: the
-/// plan's first unrolled iteration replays the timing its build took,
-/// and only the tasks after it are dispatched
-/// ([`P3Plan::dispatched_tasks`]); a full one if the plan could not
-/// resume ([`P3Plan::replayed_tasks`] is 0).
+/// ([`P3Plan::steady_iteration_ns`]). The row reports the run that
+/// happened: an incremental simulation on the per-copy run, where the
+/// plan's first unrolled iteration replays the timing its build took and
+/// only the tasks after it are timed ([`P3Plan::dispatched_tasks`]); a
+/// full one, every task counted, where the plan or this cluster's wire
+/// times failed one of that run's checks.
 ///
 /// The patch-cache key folds the retimed durations into the plan's
 /// fingerprint with FNV-1a, the hash of every cache key: equal keys
@@ -1048,14 +1050,14 @@ fn p3_prediction(
     // has no cheap stand-in), so its key is always exact-fidelity.
     let key = patch_key(&named.scenario, "p3", retimed, Fidelity::Exact);
     memoized(patches, key, stats, |stats| {
-        let predicted_ns = plan
+        let (predicted_ns, timed) = plan
             .steady_iteration_ns(&plan.wire_times(cluster), scratch)
             .map_err(|e| format!("P3 graph for {}: {e}", named.label))?;
         let eval = PatchEval {
             predicted_ns,
-            incremental: plan.replayed_tasks() > 0,
+            incremental: timed < plan.compiled().len(),
             estimated: false,
-            tasks_redispatched: plan.dispatched_tasks() as u64,
+            tasks_redispatched: timed as u64,
         };
         stats.record_sim(&eval);
         Ok(eval)

@@ -32,8 +32,9 @@ pub struct ScenarioOutcome {
     pub comm_bytes: u64,
     /// Simulation path that produced the prediction: `"incremental"`
     /// (re-dispatch over the base schedule: a patch's cone, or a P3
-    /// plan resumed after its first unrolled iteration, which replays
-    /// the timing the plan's build took), `"full"` (complete re-simulation),
+    /// plan run copy by copy after its first unrolled iteration, which
+    /// replays the timing the plan's build took), `"full"` (complete
+    /// re-simulation),
     /// `"estimate"` (a search rung's busy-time bound), or `"baseline"`
     /// (no patched simulation at all). Deterministic per scenario, so
     /// sharded and single-process sweeps agree byte-for-byte.
@@ -91,7 +92,8 @@ pub struct SweepReport {
     /// Scenarios answered from the result cache.
     pub cache_hits: usize,
     /// Scenarios whose prediction re-dispatched over the base schedule
-    /// (`sim_path` `"incremental"`: a cone, or both resumed P3 plans).
+    /// (`sim_path` `"incremental"`: a cone, or both P3 plans run copy by
+    /// copy).
     pub incremental_sims: usize,
     /// Scenarios that required a full re-simulation.
     pub full_sims: usize,
