@@ -11,11 +11,12 @@
 //! has a choice, each on the engine's path: the warm full fallbacks
 //! (budget 0.0) of a DDP patch (a collective channel) and of DGC layered
 //! on it (its compression kernels join the compute stream), and
-//! `P3Plan::steady_iteration_ns` for each base's P3 plan: three unrolled
-//! iterations with 4 MB-sliced push/pull transfers, the graph and the
-//! path the sweep engine simulates for a `p3` scenario, run copy by copy
-//! after its first iteration (compute tasks walked in the build sweep's
-//! order, transfers drained from the push and pull channels' frontiers).
+//! `P3Plan::steady_iteration_ns` for each base's P3 plan, its pricing
+//! included: three unrolled iterations with 4 MB-sliced push/pull
+//! transfers, the graph and the path the sweep engine simulates for a
+//! `p3` scenario on a patch-cache miss, run copy by copy after its first
+//! iteration (compute tasks walked in the build sweep's order, transfers
+//! drained from the push and pull channels' frontiers).
 //! All use a 4-machine, 10 Gbit/s cluster. Beside each of the three,
 //! `simulate_compiled_mixed` runs the loop over the same
 //! graph (the patch applied, the whole plan) twice, round by round in
@@ -139,7 +140,6 @@ fn main() {
             plan_dgc(&mut ov, &allreduces, &DgcConfig::default());
             let dgc = ov.finish();
             let plan = P3Plan::new(&pg, &P3Config::p3(cluster));
-            let wires = plan.wire_times(&cluster);
             let p3 = plan.compiled();
             let dispatched = plan.dispatched_tasks();
             let label = format!("{} b{batch}", model.name);
@@ -188,7 +188,7 @@ fn main() {
             let (ddp_tasks, ddp_ns, ddp_choice_ns, ddp_frontier_ns) = fallback("ddp", &ddp);
             let (dgc_tasks, dgc_ns, dgc_choice_ns, dgc_frontier_ns) = fallback("dgc", &dgc);
             let mut scratch = SimScratch::new();
-            let (_, timed) = plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
+            let (_, timed) = plan.steady_iteration_ns(&cluster, &mut scratch).unwrap();
             assert_eq!(timed, dispatched, "{label}: the per-copy run");
             let id = format!("p3/{label}");
             let [p3_ns] = median_ns_per_task(
@@ -196,7 +196,7 @@ fn main() {
                 [id.as_str()],
                 dispatched,
                 [&mut || {
-                    plan.steady_iteration_ns(black_box(&wires), &mut scratch)
+                    plan.steady_iteration_ns(black_box(&cluster), &mut scratch)
                         .unwrap();
                 }],
             );
@@ -275,7 +275,8 @@ fn main() {
             "base's batch) through simulate_warm on a warmed SimScratch arena (its cone is ",
             "over the budget: the retime replay); the warm full fallbacks (budget 0.0) of a ",
             "DDP patch and of DGC layered on it, and P3Plan::steady_iteration_ns (the ",
-            "engine's path: wire times written into arena-owned rows, dense ranks sorted ",
+            "engine's path: each transfer priced at its wire time straight into arena-owned ",
+            "rows, dense ranks sorted ",
             "once per plan, the first unrolled iteration replayed from the build's timing ",
             "and the rest run copy by copy: compute tasks walked in the build sweep's ",
             "order, each copy's transfers drained from the push and pull channels' ",

@@ -167,19 +167,19 @@ fn warmed_structural_evaluation_is_allocation_free() {
 
 #[test]
 fn warmed_p3_evaluation_is_allocation_free() {
-    // The engine's P3 path: a cached plan, simulated on the worker's
-    // arena at another cluster's wire times.
+    // The engine's P3 path on a patch-cache miss: a cached plan, priced
+    // at another cluster's wire times and simulated on the worker's
+    // arena. The counted call includes the pricing.
     let (pg, _) = profile_for("ResNet-50", Some(4), false);
     let plan = P3Plan::new(&pg, &P3Config::p3(ClusterConfig::new(4, 1, 10.0)));
     let cluster = ClusterConfig::new(8, 1, 2.0);
-    let wires = plan.wire_times(&cluster);
     let mut scratch = SimScratch::new();
-    let first = plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
+    let first = plan.steady_iteration_ns(&cluster, &mut scratch).unwrap();
     assert_eq!(first.1, plan.dispatched_tasks(), "the per-copy run");
-    let second = plan.steady_iteration_ns(&wires, &mut scratch).unwrap();
+    let second = plan.steady_iteration_ns(&cluster, &mut scratch).unwrap();
     assert_eq!(first, second);
     let third = assert_no_allocs("warmed P3Plan::steady_iteration_ns", || {
-        plan.steady_iteration_ns(&wires, &mut scratch).unwrap()
+        plan.steady_iteration_ns(&cluster, &mut scratch).unwrap()
     });
     assert_eq!(third, first);
     assert_eq!(third.0, plan.evaluate(&cluster).unwrap().iteration_ns);
@@ -211,13 +211,13 @@ fn warmed_retime_replay_is_allocation_free() {
     );
     assert_eq!(replayed.stats.redispatched, compiled.len());
 
-    // A P3 plan's per-copy run and the replay on one arena: the plan
-    // writes the cost and duration rows after its first unrolled
-    // iteration, the replay from the first task. In turn, each answers
-    // as on a fresh arena, and the third round allocates nothing.
+    // A P3 plan's per-copy run, its pricing included, and the replay on
+    // one arena: the plan writes the cost and duration rows after its
+    // first unrolled iteration, the replay from the first task. In turn,
+    // each answers as on a fresh arena, and the third round allocates
+    // nothing.
     let cluster = ClusterConfig::new(4, 1, 10.0);
     let plan = P3Plan::new(&pg, &P3Config::p3(cluster));
-    let wires = plan.wire_times(&cluster);
     let per_copy = (
         plan.evaluate(&cluster).unwrap().iteration_ns,
         plan.dispatched_tasks(),
@@ -225,7 +225,7 @@ fn warmed_retime_replay_is_allocation_free() {
     let fresh = (per_copy, replayed);
     let round = |scratch: &mut SimScratch| {
         (
-            plan.steady_iteration_ns(&wires, scratch).unwrap(),
+            plan.steady_iteration_ns(&cluster, scratch).unwrap(),
             simulate_warm(&compiled, &schedule, &patch, scratch).unwrap(),
         )
     };

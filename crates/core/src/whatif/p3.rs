@@ -9,7 +9,8 @@
 //! `Schedule` function is overridden with a priority queue.
 //! [`P3Plan`] is the one evaluator: it applies a config's inserts to the
 //! compiled, unrolled profile and sorts the scheduler's ranks once, then
-//! simulates each cluster's transfer times on a reusable arena.
+//! prices each cluster's transfers and simulates them on a reusable
+//! arena.
 //!
 //! # Copy 0 is timed once per plan, the rest copy by copy
 //!
@@ -41,10 +42,19 @@
 //! the simulator's dispatch loop over the whole plan, with a frontier on
 //! the two channels alone, and its row reads `full`.
 //!
-//! The predicted transfer times are pure wire times (`bytes / bandwidth`,
-//! Algorithm 7); real MXNet messages also pay server/worker engine
-//! overheads, which is why the paper overestimates P3's speedup at higher
-//! bandwidths (§6.6).
+//! # Pricing, layout and key
+//!
+//! Algorithm 7 prices a transfer at its pure wire time, `bytes /
+//! bandwidth` ([`PsModel::wire_ns`]), so a prediction depends only on
+//! the plan and the cluster, and the plan alone prices:
+//! [`P3Plan::steady_iteration_ns`] writes the wire times into the arena
+//! and [`P3Plan::retimed_fingerprint`] keys them. It keeps no task id:
+//! [`replicate_iterations`] and [`CompiledGraph::apply`] make copy `k` of
+//! `n` the compact-id range `k·m..(k+1)·m` of the profile's `m` tasks,
+//! and insert `j`'s push and pull `n·m + 2j` and `n·m + 2j + 1`, which
+//! the build asserts. Real MXNet messages also pay engine overheads the
+//! wire time leaves out, which is why the paper overestimates P3's
+//! speedup at higher bandwidths (§6.6).
 
 use crate::compiled::{CompactId, CompiledGraph};
 use crate::construct::ProfiledGraph;
@@ -54,8 +64,9 @@ use crate::replicate::{replicate_iterations, ReplicatedGraph};
 use crate::sim::{FrontierOrder, Rank, ReplaySeed, SimScratch};
 use crate::task::{CommChannel, CommPrimitive, ExecThread, Task, TaskKind};
 use daydream_comm::{ClusterConfig, PsModel};
-use daydream_trace::{LayerId, Phase};
+use daydream_trace::{fnv1a64_continue, LayerId, Phase, FNV_OFFSET};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Iterations P3's plans unroll for steady state.
 pub const P3_ITERATIONS: usize = 3;
@@ -297,11 +308,11 @@ pub fn p3_replicated_base(pg: &ProfiledGraph, iterations: usize) -> ReplicatedGr
 /// A compiled P3 (or PS-baseline) plan: the replicated base with one
 /// config's push/pull tasks inserted and applied, once, and
 /// [`P3Scheduler`]'s order over it sorted into dense ranks, once. Of the
-/// whole plan only the transfer durations depend on the cluster
-/// (Algorithm 7 prices a slice at `bytes / bandwidth`), so evaluating a
-/// cluster writes those into a [`SimScratch`] arena's copy of the
-/// duration rows and simulates there; it never re-plans, re-emits,
-/// re-applies, re-ranks or clones.
+/// whole plan only the transfer durations depend on the cluster, and the
+/// plan prices them itself (module docs), so evaluating a cluster writes
+/// them straight into a [`SimScratch`] arena's copy of the duration rows
+/// and simulates there; it never re-plans, re-emits, re-applies,
+/// re-ranks or clones.
 ///
 /// Copy 0 is not timed by any evaluation, and the rest runs copy by
 /// copy (module docs): the plan keeps copy 0's timing (each later task's
@@ -312,16 +323,11 @@ pub fn p3_replicated_base(pg: &ProfiledGraph, iterations: usize) -> ReplicatedGr
 /// the sweep marks exactly the push and pull channels, that every edge
 /// runs forward in copy order, and that every compute task that costs
 /// nothing ranks below every transfer; if a check fails, or copy 0 is
-/// one of the two copies the steady state reads, or a copy is not a
-/// compact-id range, every evaluation runs the whole plan through the
-/// simulator's dispatch loop, and so does one whose wire times fail a
-/// check of the run. Either way the sweep's marks, the push and pull
-/// channels, are the only threads an evaluation keeps a frontier on.
-///
-/// The plan also keeps its transfers' distinct payload sizes: a
-/// cluster's wire time for each ([`P3Plan::size_wire_times`]) fixes
-/// every transfer's duration, which is what the sweep engine keys its
-/// patch cache on.
+/// one of the two copies the steady state reads, every evaluation runs
+/// the whole plan through the simulator's dispatch loop, and so does one
+/// whose wire times fail a check of the run. Either way the sweep's
+/// marks, the push and pull channels, are the only threads an evaluation
+/// keeps a frontier on.
 #[derive(Debug, Clone)]
 pub struct P3Plan {
     /// The applied replicated graph. Its transfer durations are those of
@@ -333,13 +339,13 @@ pub struct P3Plan {
     /// Copy 0's timing and the per-copy run's order (empty: every
     /// evaluation runs the whole plan).
     seed: ReplaySeed,
-    /// Compact id and payload bytes of every inserted push/pull task.
-    transfers: Vec<(CompactId, u64)>,
-    /// The distinct payload sizes of `transfers`, ascending.
+    /// Payload bytes of each insert, whose push and pull close the plan's
+    /// compact ids (module docs).
+    payloads: Vec<u64>,
+    /// The distinct values of `payloads`, ascending.
     sizes: Vec<u64>,
-    /// Compact ids of the last two unrolled copies' tasks: the steady
-    /// state is the span between their ends.
-    last_copies: [Vec<CompactId>; 2],
+    /// Tasks per unrolled copy: the profile's `m`.
+    copy_len: usize,
     /// Fingerprint of the plan's patch over the replicated base.
     fingerprint: u64,
     /// Op counts of the plan's patch.
@@ -371,63 +377,40 @@ impl P3Plan {
         let messages_per_iteration = plan_p3_inserts(&mut ov, &inserts);
         let patch = ov.finish();
         let compiled = rep_compiled.apply(&patch);
-        let compact = |id: TaskId| compiled.compact_of(id).expect("P3 inserts remove no task");
-        let transfers: Vec<(CompactId, u64)> = patch
-            .inserted_tasks()
-            .filter_map(|(id, t)| match t.kind {
-                TaskKind::Communication { bytes, .. } => Some((compact(id), bytes)),
-                _ => None,
-            })
-            .collect();
-        let copy = |k: usize| -> Vec<CompactId> {
-            pg.graph
-                .iter()
-                .map(|(id, _)| compact(rep.replica(k, id)))
-                .collect()
-        };
-        let n = rep.iterations();
-        let last_copies = [copy(n - 2), copy(n - 1)];
-        let ranks = P3Scheduler.dense_ranks(&compiled);
-        // The plan runs copy by copy when each copy is the compact-id
-        // range of its index in the base's own order, and the steady
-        // state reads only copies after copy 0.
-        let m = pg.graph.len();
-        let ranges = (0..n).all(|k| {
-            (k * m..)
+        let compact = |id: TaskId| compiled.compact_of(id).map_or(usize::MAX, |c| c.0 as usize);
+        let (n, m) = (rep.iterations(), pg.graph.len());
+        assert!(
+            (0..n).all(|k| (k * m..)
                 .zip(pg.graph.iter())
-                .all(|(i, (id, _))| compact(rep.replica(k, id)) == CompactId(i as u32))
-        });
-        // Each insert adds its push, then its pull: a transfer's copy is
-        // its insert's iteration, and each copy's pushes run before its
-        // pulls.
-        debug_assert_eq!(transfers.len(), 2 * inserts.len());
-        let mut staged: Vec<(usize, bool, CompactId)> = inserts
-            .iter()
-            .zip(transfers.chunks_exact(2))
-            .flat_map(|(ins, pair)| {
-                [
-                    (ins.iteration, false, pair[0].0),
-                    (ins.iteration, true, pair[1].0),
-                ]
-            })
+                .all(|(i, (id, _))| compact(rep.replica(k, id)) == i))
+                && (n * m..)
+                    .zip(patch.inserted_tasks())
+                    .all(|(i, (id, _))| compact(id) == i),
+            "a P3 plan's copies are compact-id ranges and its transfers follow them"
+        );
+        // A transfer's copy is its insert's iteration, and each copy's
+        // pushes run before its pulls.
+        let first = n * m;
+        let copy_of = |i: usize| inserts[(i - first) / 2].iteration as u32;
+        let mut staged: Vec<(u32, CompactId)> = (first..compiled.len())
+            .map(|i| (copy_of(i), CompactId(i as u32)))
             .collect();
-        staged.sort_unstable();
-        let staged: Vec<(u32, CompactId)> = staged
-            .into_iter()
-            .map(|(copy, _, c)| (copy as u32, c))
-            .collect();
-        let copy_len = if n > 2 && ranges { m } else { 0 };
-        let seed = ReplaySeed::build(&compiled, ranks.as_deref(), copy_len, &staged);
-        let mut sizes: Vec<u64> = transfers.iter().map(|&(_, b)| b).collect();
+        staged.sort_unstable_by_key(|&(copy, c)| (copy, (c.0 as usize - first) % 2, c.0));
+        let ranks = P3Scheduler.dense_ranks(&compiled);
+        // The steady state must read only copies after copy 0.
+        let replayed = if n > 2 { m } else { 0 };
+        let seed = ReplaySeed::build(&compiled, ranks.as_deref(), replayed, &staged);
+        let payloads: Vec<u64> = inserts.iter().map(|ins| ins.bytes).collect();
+        let mut sizes = payloads.clone();
         sizes.sort_unstable();
         sizes.dedup();
         P3Plan {
             ranks,
             seed,
             compiled,
-            transfers,
+            payloads,
             sizes,
-            last_copies,
+            copy_len: m,
             fingerprint: patch.fingerprint(),
             summary: patch.summary(),
             messages_per_iteration,
@@ -463,62 +446,49 @@ impl P3Plan {
         self.compiled.len() - self.seed.replayed()
     }
 
-    /// Each distinct payload size of the plan's transfers, ascending,
-    /// with its wire time ([`PsModel::wire_ns`]) on `cluster`: together
-    /// they fix [`P3Plan::wire_times`].
-    pub fn size_wire_times(
-        &self,
-        cluster: &ClusterConfig,
-    ) -> impl Iterator<Item = (u64, u64)> + '_ {
+    /// The plan's fingerprint folded (FNV-1a) with one `(size, wire
+    /// time)` pair per distinct payload size, ascending, at
+    /// [`PsModel::wire_ns`] on `cluster`: the pairs fix every transfer's
+    /// duration, so equal values mean the same retimed plan. Clusters with
+    /// equal wire times (one machine at any bandwidth) share it, and so
+    /// do the FIFO and sliced plans where they coincide.
+    pub fn retimed_fingerprint(&self, cluster: &ClusterConfig) -> u64 {
         let ps = PsModel::new(*cluster);
-        self.sizes
-            .iter()
-            .map(move |&bytes| (bytes, ps.wire_ns(bytes)))
+        let plan = fnv1a64_continue(FNV_OFFSET, &self.fingerprint.to_le_bytes());
+        self.sizes.iter().fold(plan, |h, &bytes| {
+            let h = fnv1a64_continue(h, &bytes.to_le_bytes());
+            fnv1a64_continue(h, &ps.wire_ns(bytes).to_le_bytes())
+        })
     }
 
-    /// The wire time ([`PsModel::wire_ns`]) of every inserted transfer on
-    /// `cluster`, in plan order.
-    pub fn wire_times(&self, cluster: &ClusterConfig) -> Vec<u64> {
-        let ps = PsModel::new(*cluster);
-        self.transfers.iter().map(|&(_, b)| ps.wire_ns(b)).collect()
-    }
-
-    /// Steady-state iteration time with the transfers' durations set to
-    /// `wires` (one per transfer, as [`P3Plan::wire_times`] returns
-    /// them), and how many tasks the run timed: a simulation under
-    /// [`P3Scheduler`] in `scratch`, read as the span between the last
-    /// two unrolled copies' ends, as
-    /// [`ReplicatedGraph::steady_iteration_ns`] reads it from a full run.
-    /// The run is the per-copy run after copy 0, which times
-    /// [`P3Plan::dispatched_tasks`], unless the build or these wire times
-    /// fail one of its checks; then it times every task of the plan. A
-    /// warm arena makes the call allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wires` does not hold exactly one time per transfer.
+    /// Steady-state iteration time on `cluster`, and how many tasks the
+    /// run timed: a simulation under [`P3Scheduler`] in `scratch` with
+    /// each transfer's duration set to [`PsModel::wire_ns`] of its
+    /// payload, read as the span between the last two unrolled copies'
+    /// latest ends, as [`ReplicatedGraph::steady_iteration_ns`] reads it
+    /// from a full run. The run is the per-copy run after copy 0, which
+    /// times [`P3Plan::dispatched_tasks`], unless the build or these wire
+    /// times fail one of its checks; then it times every task of the
+    /// plan. A warm arena makes the call allocation-free.
     pub fn steady_iteration_ns(
         &self,
-        wires: &[u64],
+        cluster: &ClusterConfig,
         scratch: &mut SimScratch,
     ) -> Result<(u64, usize), GraphError> {
-        assert_eq!(
-            wires.len(),
-            self.transfers.len(),
-            "P3Plan::steady_iteration_ns takes one wire time per transfer of the plan"
-        );
-        let retimes = self.transfers.iter().zip(wires).map(|(&(c, _), &w)| (c, w));
+        let ps = PsModel::new(*cluster);
+        let (m, first) = (self.copy_len, self.compiled.len() - 2 * self.payloads.len());
+        let wire = |i: usize| ps.wire_ns(self.payloads[(i - first) / 2]);
+        let retimes = (first..self.compiled.len()).map(|i| (CompactId(i as u32), wire(i)));
         let (timed, end_of) =
             scratch.simulate_retimed(&self.compiled, self.ranks.as_deref(), &self.seed, retimes)?;
-        let end = |ids: &[CompactId]| ids.iter().map(|&c| end_of(c)).max().unwrap_or(0);
-        Ok((end(&self.last_copies[1]) - end(&self.last_copies[0]), timed))
+        let end = |copy: Range<usize>| copy.map(|i| end_of(CompactId(i as u32))).max().unwrap_or(0);
+        Ok((end(first - m..first) - end(first - 2 * m..first - m), timed))
     }
 
     /// The plan's prediction on `cluster`, simulated on a fresh arena.
     pub fn evaluate(&self, cluster: &ClusterConfig) -> Result<P3Prediction, GraphError> {
-        let wires = self.wire_times(cluster);
         Ok(P3Prediction {
-            iteration_ns: self.steady_iteration_ns(&wires, &mut SimScratch::new())?.0,
+            iteration_ns: self.steady_iteration_ns(cluster, &mut SimScratch::new())?.0,
             messages_per_iteration: self.messages_per_iteration,
         })
     }
@@ -556,19 +526,6 @@ mod tests {
             base.iteration_ms()
         );
         assert!(p3.messages_per_iteration > base.messages_per_iteration);
-    }
-
-    /// A wire vector one short would leave the last transfer at the
-    /// building cluster's wire time; it is rejected instead.
-    #[test]
-    #[should_panic(expected = "one wire time per transfer of the plan")]
-    fn short_wire_vector_is_rejected() {
-        let pg = worker_profile(&zoo::vgg19(), 4);
-        let cluster = ClusterConfig::new(4, 1, 10.0);
-        let plan = P3Plan::new(&pg, &P3Config::p3(cluster));
-        let mut wires = plan.wire_times(&ClusterConfig::new(4, 1, 1.0));
-        wires.pop();
-        let _ = plan.steady_iteration_ns(&wires, &mut SimScratch::new());
     }
 
     #[test]

@@ -574,9 +574,8 @@ fn p3_and_warm_evaluations_share_one_arena() {
         for (i, (cg, schedule, patch, plan)) in bases.iter().enumerate() {
             for budget in [FORCE, FALLBACK] {
                 for p3 in [plan, &bases[1 - i].3] {
-                    let wires = p3.wire_times(&cluster);
                     assert_eq!(
-                        p3.steady_iteration_ns(&wires, &mut shared).unwrap().0,
+                        p3.steady_iteration_ns(&cluster, &mut shared).unwrap().0,
                         p3.evaluate(&cluster).unwrap().iteration_ns,
                         "a P3 run on the shared arena diverged from a fresh one"
                     );

@@ -312,8 +312,8 @@ pub struct PatchEval {
     pub incremental: bool,
     /// `true` if a low-fidelity rung answered with the analytic busy-time
     /// estimate instead of simulating (never set at exact fidelity — the
-    /// patch key carries the fidelity tag, so rung entries cannot be
-    /// served to exact requests).
+    /// patch key carries the fidelity, so rung entries cannot be served
+    /// to exact requests).
     pub estimated: bool,
     /// Tasks the simulator re-dispatched to produce it.
     pub tasks_redispatched: u64,

@@ -44,9 +44,9 @@ pub const FIDELITY_TOLERANCE: f64 = 0.05;
 /// mode: the cone budget is overridden, and a patch whose cone exceeds it
 /// is answered with an O(threads + tasks) analytic busy-time estimate
 /// instead of a full simulation — cheap, approximately ranked, never
-/// cached as a scenario result. The fidelity's tag is folded into the
-/// patch-cache key, so a rung-0 estimate can never be served where an
-/// exact prediction was requested.
+/// cached as a scenario result. The fidelity (exact, or the rung's cone
+/// budget in permille) is folded into the patch-cache key, so a rung-0
+/// estimate can never be served where an exact prediction was requested.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fidelity {
     /// Full-fidelity evaluation (default cone budget, full-sim fallback).
@@ -60,13 +60,19 @@ pub enum Fidelity {
 }
 
 impl Fidelity {
-    /// The cache-key tag distinguishing this fidelity's patch evaluations
-    /// (also the rung label in search reports).
+    /// The rung label in search reports: `exact`, or `cone` and the
+    /// rung's cone budget in permille.
     pub fn tag(&self) -> String {
+        self.permille()
+            .map_or_else(|| "exact".to_string(), |p| format!("cone{p}"))
+    }
+
+    /// A rung's cone budget in permille; `None` for `Exact`.
+    fn permille(&self) -> Option<u64> {
         match self {
-            Fidelity::Exact => "exact".to_string(),
+            Fidelity::Exact => None,
             Fidelity::Rung { max_cone_fraction } => {
-                format!("cone{}", (max_cone_fraction * 1000.0).round() as u64)
+                Some((max_cone_fraction * 1000.0).round() as u64)
             }
         }
     }
@@ -852,21 +858,24 @@ fn emit_patch(opt: &OptSpec, base: &BaseProfile) -> Result<Arc<GraphPatch>, Stri
     Ok(Arc::new(ov.finish()))
 }
 
-/// Patch-cache key: the base identity plus the patch content hash, a
-/// policy tag (P3 simulates under a different frontier order), and the
-/// fidelity tag — a rung-0 cone-capped prediction and a full-fidelity
-/// result for the same patch are *different values* and must never
-/// answer each other's lookups.
+/// Patch-cache key: the base identity (the model name after its length,
+/// and the batch) plus the patch content hash, a policy tag (P3
+/// simulates under a different frontier order), and the fidelity —
+/// `exact`, or the rung's permille: a rung-0 cone-capped prediction and a
+/// full-fidelity result for the same patch are *different values* and
+/// must never answer each other's lookups. Folded with FNV-1a, so a
+/// lookup allocates nothing.
 fn patch_key(scenario: &Scenario, policy: &str, patch_fingerprint: u64, fidelity: Fidelity) -> u64 {
-    fnv1a64(
-        format!(
-            "{}|{}|{policy}|{}|{patch_fingerprint:016x}",
-            scenario.model,
-            scenario.batch,
-            fidelity.tag()
-        )
-        .as_bytes(),
-    )
+    let model = scenario.model.as_bytes();
+    let mut key = fnv1a64(&(model.len() as u64).to_le_bytes());
+    for field in [model, &scenario.batch.to_le_bytes(), policy.as_bytes()] {
+        key = fnv1a64_continue(key, field);
+    }
+    key = match fidelity.permille() {
+        None => fnv1a64_continue(key, b"exact"),
+        Some(permille) => fnv1a64_continue(key, &permille.to_le_bytes()),
+    };
+    fnv1a64_continue(key, &patch_fingerprint.to_le_bytes())
 }
 
 /// What the rung-0 analytic surrogate knows about a candidate without
@@ -1014,9 +1023,9 @@ fn offloaded_bytes(patch: &GraphPatch) -> u64 {
 }
 
 /// Evaluates one parameter-server config of a P3 scenario over its
-/// cached plan: set the plan's transfers to the cluster's wire times,
-/// simulate under the priority scheduler on the worker's arena, and read
-/// the steady-state iteration straight from the simulation
+/// cached plan, which prices its transfers at the cluster's wire times,
+/// simulates under the priority scheduler on the worker's arena and
+/// reads the steady-state iteration straight from the simulation
 /// ([`P3Plan::steady_iteration_ns`]). The row reports the run that
 /// happened: an incremental simulation on the per-copy run, where the
 /// plan's first unrolled iteration replays the timing its build took and
@@ -1024,15 +1033,12 @@ fn offloaded_bytes(patch: &GraphPatch) -> u64 {
 /// full one, every task counted, where the plan or this cluster's wire
 /// times failed one of that run's checks.
 ///
-/// The patch-cache key folds the retimed durations into the plan's
-/// fingerprint with FNV-1a, the hash of every cache key: equal keys
-/// mean the same retimed graph. A transfer's wire time depends on its
-/// payload alone, so the key folds one `(size, wire time)` pair per
-/// distinct payload size of the plan ([`P3Plan::size_wire_times`]), which
-/// fixes every transfer's duration, and the per-transfer wire times are
-/// computed only on a miss. So clusters with identical wire times (one
-/// machine at any bandwidth) share one simulation, and so do the FIFO
-/// and sliced plans when they coincide.
+/// The patch-cache key folds in the plan's fingerprint of itself priced
+/// for the cluster ([`P3Plan::retimed_fingerprint`]), so the pricing rule
+/// lives in the plan alone and equal keys mean the same retimed graph:
+/// clusters with identical wire times (one machine at any bandwidth)
+/// share one simulation, and so do the FIFO and sliced plans when they
+/// coincide.
 fn p3_prediction(
     named: &Named,
     plan: &P3Plan,
@@ -1041,17 +1047,17 @@ fn p3_prediction(
     scratch: &mut SimScratch,
     stats: &mut RunStats,
 ) -> Result<PatchEval, String> {
-    let mut retimed = fnv1a64(&plan.fingerprint().to_le_bytes());
-    for (bytes, wire_ns) in plan.size_wire_times(cluster) {
-        retimed = fnv1a64_continue(retimed, &bytes.to_le_bytes());
-        retimed = fnv1a64_continue(retimed, &wire_ns.to_le_bytes());
-    }
     // P3 is never evaluated at a reduced rung (the steady-state analysis
     // has no cheap stand-in), so its key is always exact-fidelity.
-    let key = patch_key(&named.scenario, "p3", retimed, Fidelity::Exact);
+    let key = patch_key(
+        &named.scenario,
+        "p3",
+        plan.retimed_fingerprint(cluster),
+        Fidelity::Exact,
+    );
     memoized(patches, key, stats, |stats| {
         let (predicted_ns, timed) = plan
-            .steady_iteration_ns(&plan.wire_times(cluster), scratch)
+            .steady_iteration_ns(cluster, scratch)
             .map_err(|e| format!("P3 graph for {}: {e}", named.label))?;
         let eval = PatchEval {
             predicted_ns,
@@ -1850,7 +1856,7 @@ mod tests {
         // Satellite of the fidelity-keyed patch cache: a low-fidelity
         // rung-0 prediction (tiny cone budget forces the analytic
         // estimate) must never answer a full-fidelity lookup for the
-        // same patch — the fidelity tag in the key separates them.
+        // same patch — the fidelity folded into the key separates them.
         let engine = SweepEngine::new(1);
         let s = Scenario::new("ResNet-50", 4, OptSpec::Amp);
         let rung = engine.run_scenarios_rung(vec![s.clone()], 0.01).unwrap();
