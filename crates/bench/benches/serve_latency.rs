@@ -2,14 +2,14 @@
 //! buys over cold-start evaluation.
 //!
 //! Three measurements around one what-if scenario (GNMT b4, DDP on four
-//! machines at 10 Gbit/s — a patch the incremental cone path serves,
-//! re-dispatching part of the graph):
+//! machines at 10 Gbit/s — a patch that only adds a thread, so the warm
+//! path times its inserted all-reduces alone):
 //!
 //! 1. *cold* — a fresh engine per iteration: profile build + compile +
 //!    baseline schedule capture + evaluation, the cost every one-shot
 //!    `daydream predict` pays.
 //! 2. *warm* — one resident engine, result cache cleared per iteration:
-//!    the incremental cone re-dispatch against the already-captured
+//!    the incremental simulation against the already-captured
 //!    baseline schedule, the daemon's `POST /whatif` fast path.
 //! 3. *warm over HTTP* — the same warm evaluation through a live
 //!    [`daydream_serve::Server`] socket round trip, bounding the
@@ -69,11 +69,11 @@ fn main() {
         .expect("warm eval")[0];
     assert_eq!(
         outcome.sim_path, "incremental",
-        "the warm what-if must ride the cone path"
+        "the warm what-if must ride an incremental path"
     );
     assert!(
         outcome.tasks_redispatched > 0,
-        "the warm what-if must re-dispatch a cone, not replay a no-op"
+        "the warm what-if must re-dispatch its tasks, not replay a no-op"
     );
 
     let mut group = c.benchmark_group("serve");
@@ -175,7 +175,7 @@ fn main() {
                     "{{\n  \"scenario\": \"{}\",\n",
                     "  \"note\": \"cold = fresh engine per iteration (profile build + compile + ",
                     "baseline capture + eval); warm = resident engine, result cache cleared, ",
-                    "incremental cone re-dispatch only; http = same warm eval through a live ",
+                    "the thread-insert simulation only; http = same warm eval through a live ",
                     "daemon socket; sweep_job = submit-to-done through the job queue with warm ",
                     "bases\",\n",
                     "  \"whatif_cold_ns_per_iter\": {},\n",

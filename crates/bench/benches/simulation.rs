@@ -7,16 +7,21 @@
 //! no choice thread), a batch-size patch (to four times the base's
 //! batch) through `simulate_warm` on a warmed `SimScratch` arena, whose
 //! cone is over the budget, so the engine's warm path replays the base's
-//! start order over the retimed rows, and three runs where Algorithm 1
-//! has a choice, each on the engine's path: the warm full fallbacks
-//! (budget 0.0) of a DDP patch (a collective channel) and of DGC layered
-//! on it (its compression kernels join the compute stream), and
+//! start order over the retimed rows, and three graphs where Algorithm
+//! 1 has a choice, each on the engine's path: the warm calls (budget
+//! 0.0) of a DDP patch (a collective channel), which only adds a
+//! thread, so the warm path times its inserted tasks alone, and of DGC
+//! layered on it (its compression kernels join the compute stream),
+//! which falls back to a full run, and
 //! `P3Plan::steady_iteration_ns` for each base's P3 plan, its pricing
 //! included: three unrolled iterations with 4 MB-sliced push/pull
 //! transfers, the graph and the path the sweep engine simulates for a
 //! `p3` scenario on a patch-cache miss, run copy by copy after its first
 //! iteration (compute tasks walked in the build sweep's order, transfers
 //! drained from the push and pull channels' frontiers).
+//! The warm call of BlueConnect layered on the DDP patch (its stage
+//! channel), which also only adds threads, is timed too; the DDP and
+//! BlueConnect calls are also reported in µs per call.
 //! All use a 4-machine, 10 Gbit/s cluster. Beside each of the three,
 //! `simulate_compiled_mixed` runs the loop over the same
 //! graph (the patch applied, the whole plan) twice, round by round in
@@ -35,11 +40,12 @@ use criterion::Criterion;
 use daydream_bench::util::profile_for;
 use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{
-    plan_batch_size, plan_dgc, plan_distributed, DgcConfig, P3Config, P3Plan, P3Scheduler,
+    plan_batch_size, plan_blueconnect, plan_dgc, plan_distributed, DgcConfig, P3Config, P3Plan,
+    P3Scheduler,
 };
 use daydream_core::{
     simulate_compiled, simulate_compiled_mixed, simulate_warm, simulate_warm_with, CompiledGraph,
-    EarliestStart, FrontierOrder, PatchGraph, Schedule, SimScratch,
+    EarliestStart, FrontierOrder, GraphPatch, PatchGraph, Schedule, SimScratch,
 };
 use daydream_models::zoo;
 use std::hint::black_box;
@@ -78,6 +84,30 @@ fn median_ns_per_task<const N: usize>(
         per_task.sort_by(f64::total_cmp);
         per_task[per_task.len() / 2]
     })
+}
+
+/// The warm call of `patch` at budget 0.0 on a warmed arena: the tasks
+/// of the patched graph, and the call's time in ns per each of them.
+fn warm_ns_per_task(
+    c: &mut Criterion,
+    id: &str,
+    base: &CompiledGraph,
+    schedule: &Schedule,
+    patch: &GraphPatch,
+) -> (usize, f64) {
+    let mut scratch = SimScratch::new();
+    let mut run =
+        || simulate_warm_with(base, schedule, black_box(patch), &mut scratch, 0.0).unwrap();
+    let tasks = run().stats.total;
+    let [ns] = median_ns_per_task(
+        c,
+        [id],
+        tasks,
+        [&mut || {
+            run();
+        }],
+    );
+    (tasks, ns)
 }
 
 /// `simulate_compiled_mixed` over `graph` under `order`, with the choice
@@ -137,6 +167,9 @@ fn main() {
             let allreduces = plan_distributed(&mut ov, &pg.meta.buckets, &cluster);
             let ddp = ov.finish();
             let mut ov = PatchGraph::layered(&pg.graph, &ddp);
+            plan_blueconnect(&mut ov, &cluster, &allreduces);
+            let blueconnect = ov.finish();
+            let mut ov = PatchGraph::layered(&pg.graph, &ddp);
             plan_dgc(&mut ov, &allreduces, &DgcConfig::default());
             let dgc = ov.finish();
             let plan = P3Plan::new(&pg, &P3Config::p3(cluster));
@@ -162,24 +195,11 @@ fn main() {
                     },
                 ],
             );
-            // A warm full fallback of `patch` on a warmed arena, ns per
-            // patched task, and the loop over the applied patch.
+            // The warm call of `patch` on a warmed arena, ns per patched
+            // task, and the loop over the applied patch.
             let mut fallback = |what: &str, patch| {
-                let mut scratch = SimScratch::new();
-                let mut run = || {
-                    simulate_warm_with(&base, &schedule, black_box(patch), &mut scratch, 0.0)
-                        .unwrap()
-                };
-                let tasks = run().stats.total;
                 let id = format!("{what}/{label}");
-                let [ns] = median_ns_per_task(
-                    &mut c,
-                    [id.as_str()],
-                    tasks,
-                    [&mut || {
-                        run();
-                    }],
-                );
+                let (tasks, ns) = warm_ns_per_task(&mut c, &id, &base, &schedule, patch);
                 let applied = base.apply(patch);
                 let [choice_ns, frontier_ns] =
                     choice_and_frontier_ns(&mut c, &id, &applied, &EarliestStart);
@@ -187,6 +207,12 @@ fn main() {
             };
             let (ddp_tasks, ddp_ns, ddp_choice_ns, ddp_frontier_ns) = fallback("ddp", &ddp);
             let (dgc_tasks, dgc_ns, dgc_choice_ns, dgc_frontier_ns) = fallback("dgc", &dgc);
+            let id = format!("blueconnect/{label}");
+            let (bc_tasks, bc_ns) = warm_ns_per_task(&mut c, &id, &base, &schedule, &blueconnect);
+            let (ddp_us, bc_us) = (
+                ddp_ns * ddp_tasks as f64 / 1e3,
+                bc_ns * bc_tasks as f64 / 1e3,
+            );
             let mut scratch = SimScratch::new();
             let (_, timed) = plan.steady_iteration_ns(&cluster, &mut scratch).unwrap();
             assert_eq!(timed, dispatched, "{label}: the per-copy run");
@@ -204,7 +230,8 @@ fn main() {
                 choice_and_frontier_ns(&mut c, &id, p3, &P3Scheduler);
             println!(
                 "sim_kernel {label}: base {base_ns:.1} ns/task, sweep {sweep_ns:.1} ns/task, \
-                 replay {replay_ns:.1} ns/task, ddp {ddp_ns:.1} ns/task (loop \
+                 replay {replay_ns:.1} ns/task, ddp {ddp_us:.2} us/call, blueconnect \
+                 {bc_us:.2} us/call, ddp {ddp_ns:.1} ns/task (loop \
                  {ddp_choice_ns:.1}, all-frontier {ddp_frontier_ns:.1}), dgc {dgc_ns:.1} \
                  ns/task (loop {dgc_choice_ns:.1}, all-frontier {dgc_frontier_ns:.1}), p3 \
                  {p3_ns:.1} ns per dispatched task ({dispatched} of {}; loop \
@@ -216,7 +243,8 @@ fn main() {
                     "      {{\"model\": \"{}\", \"batch\": {}, ",
                     "\"tasks\": {}, \"threads\": {}, \"ns_per_task\": {:.1}, ",
                     "\"sweep_ns_per_task\": {:.1}, \"replay_ns_per_task\": {:.1}, ",
-                    "\"ddp_tasks\": {}, \"ddp_ns_per_task\": {:.1}, ",
+                    "\"ddp_tasks\": {}, \"ddp_ns_per_task\": {:.1}, \"ddp_us\": {:.2}, ",
+                    "\"blueconnect_tasks\": {}, \"blueconnect_us\": {:.2}, ",
                     "\"ddp_choice_ns_per_task\": {:.1}, \"ddp_frontier_ns_per_task\": {:.1}, ",
                     "\"dgc_tasks\": {}, \"dgc_ns_per_task\": {:.1}, ",
                     "\"dgc_choice_ns_per_task\": {:.1}, \"dgc_frontier_ns_per_task\": {:.1}, ",
@@ -234,6 +262,9 @@ fn main() {
                 replay_ns,
                 ddp_tasks,
                 ddp_ns,
+                ddp_us,
+                bc_tasks,
+                bc_us,
                 ddp_choice_ns,
                 ddp_frontier_ns,
                 dgc_tasks,
@@ -273,8 +304,10 @@ fn main() {
             "chain sweep (simulate_compiled_mixed with no choice thread, what ",
             "Schedule::capture runs) on each catalog base; a batch-size patch (to 4x the ",
             "base's batch) through simulate_warm on a warmed SimScratch arena (its cone is ",
-            "over the budget: the retime replay); the warm full fallbacks (budget 0.0) of a ",
-            "DDP patch and of DGC layered on it, and P3Plan::steady_iteration_ns (the ",
+            "over the budget: the retime replay); the warm calls (budget 0.0) of a DDP ",
+            "patch and of BlueConnect layered on it (both only add threads: the ",
+            "thread-insert path times their inserted tasks alone) and the warm full ",
+            "fallback (budget 0.0) of DGC layered on DDP, and P3Plan::steady_iteration_ns (the ",
             "engine's path: each transfer priced at its wire time straight into arena-owned ",
             "rows, dense ranks sorted ",
             "once per plan, the first unrolled iteration replayed from the build's timing ",
@@ -288,7 +321,8 @@ fn main() {
             "10 Gbit/s\",\n",
             "    \"note\": \"wall time per dispatched task (replay: the whole simulate_warm ",
             "call per base task; ddp and dgc: the whole simulate_warm_with call per patched ",
-            "task; p3: of p3_dispatched, the plan's tasks after its first iteration; p3_us ",
+            "task; ddp_us and blueconnect_us: that call's whole time; p3: of p3_dispatched, ",
+            "the plan's tasks after its first iteration; p3_us ",
             "per plan evaluation; *_choice and *_frontier: the whole simulate_compiled_mixed ",
             "call, arena allocation included, per task of the graph), median of 5 rounds of ",
             "about 2^20 tasks, the choice and frontier calls alternating round by round; ",

@@ -4,10 +4,10 @@
 //!
 //! * **Allocation creep** — the whole point of the epoch-stamped arena
 //!   is that a warmed evaluation touches no allocator, for retimes (on
-//!   the cone path and replayed), structural patches (a DDP full
-//!   fallback, a DGC cone with a base thread on a frontier) and P3's plan
-//!   runs alike, also when a plan run and a replay share the arena's
-//!   rows.
+//!   the cone path and replayed), structural patches (DDP and
+//!   BlueConnect on the thread-insert path, a DGC cone with a base
+//!   thread on a frontier) and P3's plan runs alike, also when a plan
+//!   run and a replay share the arena's rows.
 //!   The counting global allocator in `daydream_bench::util` (debug
 //!   builds only) fails these tests the moment someone reintroduces a
 //!   per-call `clone`, `Vec::new` or patch apply into the hot loop.
@@ -35,8 +35,8 @@ use daydream_bench::synth::{synthetic_graph, tail_retime, tail_splice, tail_stru
 use daydream_bench::{assert_no_allocs, profile_for, thread_alloc_bytes, thread_allocs};
 use daydream_comm::ClusterConfig;
 use daydream_core::whatif::{
-    plan_dgc, plan_distributed, plan_gist, plan_vdnn, DgcConfig, GistConfig, P3Config, P3Plan,
-    VdnnConfig,
+    plan_blueconnect, plan_dgc, plan_distributed, plan_gist, plan_vdnn, DgcConfig, GistConfig,
+    P3Config, P3Plan, VdnnConfig,
 };
 use daydream_core::{
     simulate_warm, CompiledGraph, GraphEdit, GraphPatch, PatchGraph, Schedule, SimScratch, TaskId,
@@ -129,20 +129,36 @@ fn warmed_structural_evaluation_is_allocation_free() {
     );
     assert!(out.stats.is_incremental(), "tail splice must stay warm");
 
-    // A catalog patch on a zoo base: DDP inserts one allreduce per
+    // Catalog patches on zoo bases: DDP inserts one allreduce per
     // gradient bucket onto a communication channel the profile never
-    // used.
-    let (pg, _) = profile_for("ResNet-50", Some(4), false);
-    let compiled = CompiledGraph::compile(&pg.graph);
-    let schedule = Schedule::capture(&compiled).expect("base must be a DAG");
-    let mut ov = PatchGraph::new(&pg.graph);
-    plan_distributed(&mut ov, &pg.meta.buckets, &ClusterConfig::new(2, 1, 10.0));
-    third_warm_call_allocates_nothing(
-        "warmed DDP simulate_warm",
-        &compiled,
-        &schedule,
-        &ov.finish(),
-    );
+    // used, and BlueConnect splits each into stages on channels of their
+    // own. Both only add threads, so the warm call times their tasks
+    // alone.
+    for (name, cluster) in [
+        ("ResNet-50", ClusterConfig::new(2, 1, 10.0)),
+        ("BERT_Large", ClusterConfig::new(2, 2, 10.0)),
+    ] {
+        let (pg, _) = profile_for(name, Some(4), false);
+        let compiled = CompiledGraph::compile(&pg.graph);
+        let schedule = Schedule::capture(&compiled).expect("base must be a DAG");
+        for family in ["ddp", "blueconnect"] {
+            let mut ov = PatchGraph::new(&pg.graph);
+            let allreduces = plan_distributed(&mut ov, &pg.meta.buckets, &cluster);
+            if family == "blueconnect" {
+                plan_blueconnect(&mut ov, &cluster, &allreduces);
+            }
+            let out = third_warm_call_allocates_nothing(
+                &format!("warmed {family} simulate_warm on {name} b4"),
+                &compiled,
+                &schedule,
+                &ov.finish(),
+            );
+            assert!(
+                out.stats.entries.is_some(),
+                "{family} on {name} b4 takes the thread-insert path"
+            );
+        }
+    }
 
     // DGC's cone on GNMT b4: its compression kernels join the compute
     // stream unchained, so the cone keeps a frontier on that base thread

@@ -197,13 +197,59 @@
 //! base's, which the capture checked. The starts, waits, thread ends
 //! and makespan are the sweep's over the applied graph, so the kernel's.
 //!
+//! # Patches that only add threads
+//!
+//! DDP and BlueConnect insert communication tasks on channels the
+//! profile never used, fed by backward kernels and feeding the weight
+//! update, and leave the base's tasks and the edges among them alone. A
+//! patch over a chain-threaded base that inserts tasks only on threads
+//! the base lacks, removes, retimes and moves no base task, and changes
+//! no edge between two base tasks keeps every base thread a chain, so
+//! every base task still starts at its latest predecessor finish: its
+//! start is a longest path, from the base's sources and from the
+//! inserted tasks that feed it. Call a base task with an inserted
+//! predecessor an **entry**, `I_e` the latest finish among entry `e`'s
+//! inserted predecessors, and `tail(e)` the longest path from `e`'s
+//! start to any end it reaches, its own end included, which
+//! [`Schedule::capture`] records per task in one reverse pass over the
+//! start order. By max-plus superposition a base task starts at the
+//! later of its base start and, over the entries `e` that reach it,
+//! `I_e` plus the longest path from `e` to it, so the patched makespan
+//! is
+//!
+//! `max(base makespan, max over entries e of (I_e + tail(e)), latest end
+//! of an inserted task)`.
+//!
+//! The inserted tasks are timed alone, by the dispatch loop over the
+//! overlay with a frontier on each of their threads: each starts owing
+//! its inserted predecessors, ready at its base predecessors' captured
+//! finishes, and the entries owe more predecessors than they have, so
+//! the loop never releases one and only posts `I_e` to it. That is the
+//! kernel's run of the inserted tasks exactly when their base
+//! predecessors keep their captured finishes, that is when none of them
+//! descends from an entry (the entry included): a task on a fresh thread
+//! waits only on its predecessors and on its own thread, and a base task
+//! released at the same instant as an inserted task is picked ranks
+//! above it (every inserted task has a larger view id), so the kernel
+//! releases it first. Each call checks that with a search from the
+//! entries over base successors; starts only grow along edges, so it
+//! stops past the latest start of a base predecessor of an inserted
+//! task. Where it reaches one (vDNN, whose prefetches wait on backward
+//! kernels; a patch that closes a cycle through the base), the call
+//! goes on to the cone bound below. The path costs O(|patch|) plus the
+//! search, and reports itself as incremental with the inserted tasks
+//! re-dispatched ([`IncrementalStats::entries`]);
+//! [`SimScratch::materialize`] replays the base's start order with each
+//! entry ready no earlier than its `I_e`.
+//!
 //! # Warm evaluation
 //!
 //! [`simulate_warm_with`] answers a what-if from a captured base
 //! [`Schedule`] without applying its patch: retimes, thread moves,
 //! inserts and removals are all read through an epoch-stamped overlay on
 //! the base [`CompiledGraph`], and only the cone of tasks the patch can
-//! affect is re-dispatched; a retime-only patch whose cone is over the
+//! affect is re-dispatched; a patch that only adds threads times only
+//! its own tasks (above), and a retime-only patch whose cone is over the
 //! budget replays the base's order instead (above), and builds no
 //! overlay. It runs the default order only. The overlay
 //! keeps the base's thread ids and interns a patch's new threads after
@@ -641,9 +687,11 @@ pub fn simulate_compiled_mixed<O: FrontierOrder>(
 
 /// A captured base simulation plus the acceleration indices incremental
 /// re-simulation needs: the dispatch sequence sorted by start,
-/// per-thread timelines, and per-task predecessor
+/// per-thread timelines, per-task predecessor
 /// arrays sorted by predecessor start with running-max finishes (whose
-/// last entry is the task's ready time). Built once per base profile
+/// last entry is the task's ready time), and, on a chain-threaded base,
+/// each task's tail, what the thread-insert path adds to a delayed
+/// entry (module docs). Built once per base profile
 /// ([`Schedule::capture`]); every patched scenario then reuses the
 /// schedule to replay the unaffected prefix verbatim and re-dispatch
 /// only its cone.
@@ -681,6 +729,13 @@ pub struct Schedule {
     pred_start: Vec<u64>,
     /// Running max of predecessor finishes along `pred_start` order.
     pred_fin_max: Vec<u64>,
+    /// Per task of a chain-threaded base (empty otherwise): its tail, the
+    /// longest path from its start to any end it reaches, its own end
+    /// included. A task delayed to start `d` later delays its
+    /// descendants by at most `d`, so no task it reaches ends after its
+    /// new start plus its tail: the thread-insert path adds it to each
+    /// entry's delayed start (module docs).
+    tail_ns: Vec<u64>,
 }
 
 impl Schedule {
@@ -785,6 +840,25 @@ impl Schedule {
             }
         }
 
+        // Tails, in one reverse pass over the start order, which is
+        // topological on a chain-threaded base: a task's tail is its own
+        // end or its finish plus a successor's tail.
+        let mut tail_ns = Vec::new();
+        if chain_threaded {
+            tail_ns.resize(n, 0u64);
+            for &i in by_start.iter().rev() {
+                let c = CompactId(i);
+                let after = cg
+                    .successors(c)
+                    .iter()
+                    .map(|&w| tail_ns[w.0 as usize])
+                    .max();
+                tail_ns[i as usize] = after
+                    .map_or(0, |t| cg.cost_ns(c) + t)
+                    .max(cg.duration_ns(c));
+            }
+        }
+
         Ok(Schedule {
             sim,
             chain_threaded,
@@ -796,6 +870,7 @@ impl Schedule {
             pred_off,
             pred_start,
             pred_fin_max,
+            tail_ns,
         })
     }
 
@@ -880,15 +955,21 @@ pub const DEFAULT_MAX_CONE_FRACTION: f64 = 0.75;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncrementalStats {
     /// Tasks the simulator actually dispatched (the cone on the
-    /// incremental path; every task on a full fallback).
+    /// incremental path, the inserted tasks on the thread-insert path;
+    /// every task on a full fallback).
     pub redispatched: usize,
     /// Live tasks in the patched graph.
     pub total: usize,
     /// The divergence cutoff: every base dispatch strictly before this
     /// instant was replayed verbatim (`None` when the cone was over the
     /// budget and the full path ran; `u64::MAX` when the patch had no
-    /// simulation-relevant effect).
+    /// simulation-relevant effect). On the thread-insert path, the
+    /// earliest start of an inserted task or base start of an entry.
     pub cutoff_ns: Option<u64>,
+    /// `Some` when the thread-insert path ran (module docs, "Patches that
+    /// only add threads"): how many entries, base tasks with an inserted
+    /// predecessor, added their captured tails to the base makespan.
+    pub entries: Option<usize>,
 }
 
 impl IncrementalStats {
@@ -1049,6 +1130,60 @@ fn cone_bound(
         cone,
         n_new,
     })
+}
+
+/// `true` if `d`, a patch's delta over `base`, is one the thread-insert
+/// path serves (module docs, "Patches that only add threads"): it
+/// inserts at least one task, each on a thread `base` lacks, removes,
+/// retimes and moves no base task, and leaves the edges between base
+/// tasks as they are. Reads only the delta, in O(|patch|): every change
+/// to an edge between base tasks overrides the successor list of its
+/// source, whose base entries must then be its base successors.
+fn adds_only_threads(base: &CompiledGraph, d: &NetDelta, base_cap: usize) -> bool {
+    let compact = |id: TaskId| {
+        base.compact_of(id)
+            .expect("patched task must be live in the base")
+    };
+    let base_thread =
+        |t: ExecThread| (0..base.thread_count() as u32).any(|k| base.exec_thread(ThreadId(k)) == t);
+    if d.removed_ids().iter().any(|id| id.0 < base_cap) {
+        return false;
+    }
+    let mut inserts = false;
+    for &id in d.touched() {
+        let s = d.scalars(id).expect("touched task has a slot");
+        if id.0 >= base_cap {
+            if !d.is_removed(id) {
+                if s.thread.is_some_and(base_thread) {
+                    return false;
+                }
+                inserts = true;
+            }
+            continue;
+        }
+        let c = compact(id);
+        let moved = s
+            .thread
+            .is_some_and(|t| t != base.exec_thread(base.thread_of(c)));
+        if moved || s.duration_ns.is_some_and(|dur| dur != base.duration_ns(c)) {
+            return false;
+        }
+    }
+    inserts
+        && d.edge_ids().iter().all(|&id| {
+            let Some(list) = d.succ_over(id).filter(|_| id.0 < base_cap) else {
+                return true;
+            };
+            let succs = base.successors(compact(id));
+            let mut kept = 0;
+            for &(w, _) in list.iter().filter(|(w, _)| w.0 < base_cap) {
+                if !succs.iter().any(|&x| base.task_id(x) == w) {
+                    return false;
+                }
+                kept += 1;
+            }
+            kept == succs.len()
+        })
 }
 
 /// Per-thread busy time (sum of [`CompiledGraph::cost_ns`]) of a
@@ -2230,15 +2365,18 @@ enum WarmLast {
     /// Retime replay over the base's order: the buffers hold every base
     /// task, in base order, which the applied graph keeps.
     Replay { makespan: u64 },
+    /// The thread-insert path: the buffers hold the inserted tasks, and
+    /// the base tasks replay the base's order with the entries delayed.
+    Tails { makespan: u64 },
     /// No simulation-relevant effect: the base schedule is the answer.
     Noop,
 }
 
 /// Monotonic reuse accounting of a scratch arena: every simulation that
-/// sizes its buffers (a warm cone or full evaluation, a retime replay, a
-/// P3 plan run) counts once. A warm evaluation with no
+/// sizes its buffers (a warm thread-insert, cone or full evaluation, a
+/// retime replay, a P3 plan run) counts once. A warm evaluation with no
 /// simulation-relevant effect, or one [`try_simulate_warm_with`]
-/// refuses, sizes nothing and counts in neither.
+/// refuses, counts in neither.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchCounters {
     /// Simulations served without growing any buffer.
@@ -2288,11 +2426,10 @@ impl SimScratch {
         self.last = None;
     }
 
-    /// Sizes the buffers for `n` tasks on `t_count` threads, counting the
-    /// evaluation as an alloc if any buffer grew (`grew`: the caller's own
-    /// rows did) and as a reuse otherwise.
-    fn size_bufs(&mut self, n: usize, t_count: usize, grew: bool) {
-        if self.bufs.ensure(n, t_count) || grew {
+    /// Counts one simulation: an alloc if it grew a buffer, a reuse
+    /// otherwise.
+    fn count(&mut self, grew: bool) {
+        if grew {
             self.allocs += 1;
         } else {
             self.reuses += 1;
@@ -2300,15 +2437,16 @@ impl SimScratch {
     }
 
     /// Opens a new evaluation epoch and builds the overlay of `patch`
-    /// over `base`, (re)sizing the buffers on the way. O(|patch|) when
-    /// the arena has already served a graph at least this large.
-    fn begin(&mut self, base: &CompiledGraph, patch: &GraphPatch) {
+    /// over `base`, (re)sizing the buffers on the way; `true` if any
+    /// grew. O(|patch|) when the arena has already served a graph at
+    /// least this large. The caller counts the simulation it then runs.
+    fn begin(&mut self, base: &CompiledGraph, patch: &GraphPatch) -> bool {
         self.next_epoch();
         let grew = self
             .ov
             .build(base, patch.delta(), patch.base_capacity(), self.epoch);
         let shape = self.ov.shape;
-        self.size_bufs(shape.n, shape.t_count, grew);
+        self.bufs.ensure(shape.n, shape.t_count) || grew
     }
 
     /// The one writer of retimed rows: opens a new evaluation epoch,
@@ -2335,7 +2473,8 @@ impl SimScratch {
             self.cost.resize(n, 0);
             self.dur.resize(n, 0);
         }
-        self.size_bufs(n, graph.thread_count(), grew);
+        let grew = self.bufs.ensure(n, graph.thread_count()) || grew;
+        self.count(grew);
         let (cost, dur) = (&mut self.cost[..n], &mut self.dur[..n]);
         cost[from..].copy_from_slice(&graph.cost_ns[from..]);
         dur[from..].copy_from_slice(&graph.duration_ns[from..]);
@@ -2430,6 +2569,134 @@ impl SimScratch {
         }
     }
 
+    /// The thread-insert path over the overlay of the last
+    /// [`SimScratch::begin`], for a patch [`adds_only_threads`] accepts
+    /// over the chain-threaded base `schedule` was captured from (module
+    /// docs): `None`, with nothing run, where a base predecessor of an
+    /// inserted task descends from an entry. Otherwise it times the
+    /// inserted tasks alone, each seeded from its base predecessors'
+    /// captured finishes and the entries owing more predecessors than
+    /// they have, so they never release, and answers with the base
+    /// makespan, each entry's tail after its inserted predecessors and
+    /// the inserted tasks' ends; an error if the inserted tasks close a
+    /// cycle among themselves.
+    fn time_inserts(
+        &mut self,
+        base: &CompiledGraph,
+        schedule: &Schedule,
+        d: &NetDelta,
+    ) -> Option<Result<WarmOutcome, GraphError>> {
+        // Only the threads the base lacks hold inserts: each keeps a
+        // frontier, and the pass below takes every insert from one.
+        self.choose_threads(base, true);
+        let (epoch, shape) = (self.epoch, self.ov.shape);
+        let (n_base, base_cap) = (shape.n_base, base.arena_len());
+        let start = &schedule.sim.start_ns;
+        let view = self.ov.view(base, epoch);
+        let bufs = &mut self.bufs;
+
+        // Each insert owes its inserted predecessors and is ready at its
+        // base ones' latest finish; `latest` is their latest start. The
+        // live inserts have view ids from `n_base`, in id order.
+        let mut latest = None;
+        let inserts = d.new_ids().iter().filter(|&&v| !d.is_removed(v));
+        for (i, &v) in (n_base..).zip(inserts) {
+            let (mut rem, mut tent) = (0u32, 0u64);
+            for &(p, _) in d.pred_over(v).unwrap_or_default() {
+                if p.0 >= base_cap {
+                    rem += 1;
+                    continue;
+                }
+                let c = base.compact_of(p).expect("a base predecessor is live");
+                let s = start[c.0 as usize];
+                latest = latest.max(Some(s));
+                tent = tent.max(s + base.cost_ns(c));
+            }
+            bufs.stamp[i] = epoch;
+            bufs.preds[i] = rem;
+            bufs.tentative[i] = tent;
+        }
+        // The entries, each once, at the head of the queue, which serves
+        // as the search's worklist until the pass clears it. Each owes
+        // more predecessors than it has, so the pass never releases it.
+        bufs.queue.clear();
+        for i in n_base..shape.n {
+            for &w in view.successors(CompactId(i as u32)) {
+                let wi = w.0 as usize;
+                if wi < n_base && bufs.stamp[wi] != epoch {
+                    bufs.stamp[wi] = epoch;
+                    bufs.preds[wi] = u32::MAX;
+                    bufs.queue.push(w.0);
+                }
+            }
+        }
+        let entries = bufs.queue.len();
+        // The reach check: no entry's descendant (the entry included)
+        // feeds an insert. Starts only grow along edges, so the search
+        // stops past the latest start of a task that feeds one. It
+        // stamps what it visits; when it fails, each of those starts no
+        // earlier than an entry, so the cone that may follow, whose
+        // cutoff is at most any entry's start, seeds it afresh.
+        let mut head = 0;
+        while let (Some(latest), Some(&u)) = (latest, bufs.queue.get(head)) {
+            head += 1;
+            let c = CompactId(u);
+            if start[u as usize] > latest {
+                continue;
+            }
+            if view.slot(c).is_some() && view.successors(c).iter().any(|w| w.0 as usize >= n_base) {
+                return None;
+            }
+            for &w in base.successors(c) {
+                let wi = w.0 as usize;
+                if bufs.stamp[wi] != epoch && start[wi] <= latest {
+                    bufs.stamp[wi] = epoch;
+                    bufs.queue.push(w.0);
+                }
+            }
+        }
+
+        let t_count = shape.t_count;
+        let (done, ends) = bufs.pass(&view, None, t_count, &mut |bufs| {
+            bufs.progress[..t_count].fill(0);
+            for i in n_base as u32..shape.n as u32 {
+                let (rem, tent) = (bufs.preds[i as usize], bufs.tentative[i as usize]);
+                bufs.seed(&view, None, i, rem, tent, epoch);
+            }
+            0
+        });
+        debug_assert!(bufs.none_marked(t_count), "no task is queued");
+        if done != shape.n - n_base {
+            return Some(Err(GraphError::Cycle));
+        }
+        let mut makespan = schedule.makespan_ns().max(ends);
+        let mut cutoff = u64::MAX;
+        for i in n_base..shape.n {
+            let c = CompactId(i as u32);
+            let fin = bufs.start[i] + view.cost_ns(c);
+            cutoff = cutoff.min(bufs.start[i]);
+            for &w in view
+                .successors(c)
+                .iter()
+                .filter(|w| (w.0 as usize) < n_base)
+            {
+                let wi = w.0 as usize;
+                makespan = makespan.max(fin + schedule.tail_ns[wi]);
+                cutoff = cutoff.min(start[wi]);
+            }
+        }
+        self.last = Some(WarmLast::Tails { makespan });
+        Some(Ok(WarmOutcome {
+            makespan_ns: makespan,
+            stats: IncrementalStats {
+                redispatched: done,
+                total: shape.live,
+                cutoff_ns: Some(cutoff),
+                entries: Some(entries),
+            },
+        }))
+    }
+
     /// The retime replay (module docs): simulates `base` with
     /// `durations`, a structure-keeping patch's duration overrides,
     /// written over its rows, by walking `schedule`'s start order, and
@@ -2466,15 +2733,22 @@ impl SimScratch {
     /// [`simulate_warm_with`] call — byte-identical to
     /// [`simulate_compiled`] over `CompiledGraph::apply` of the same
     /// patch (the oracle the equivalence proptests pin), in the task and
-    /// thread order `apply` builds. `schedule` must be the one that
-    /// evaluation ran against. `None` before any warm evaluation, and
+    /// thread order `apply` builds. `base` and `schedule` must be the
+    /// ones that evaluation ran against; after the thread-insert path,
+    /// the base tasks' run is replayed here, in O(V+E). `None` before any
+    /// warm evaluation, and
     /// after a P3 plan run (`whatif::P3Plan::steady_iteration_ns`) or a
     /// [`SimScratch::thread_busy_after`] on this arena.
-    pub fn materialize(&self, schedule: &Schedule) -> Option<CompiledSim> {
+    pub fn materialize(&self, base: &CompiledGraph, schedule: &Schedule) -> Option<CompiledSim> {
+        let mut tails = None;
         let (full, makespan) = match self.last? {
             WarmLast::Noop => return Some(schedule.sim.clone()),
             WarmLast::Cone { makespan } => (false, makespan),
             WarmLast::Full { makespan, .. } => (true, makespan),
+            WarmLast::Tails { makespan } => {
+                tails = Some(self.replay_delayed(base, schedule));
+                (true, makespan)
+            }
             WarmLast::Replay { makespan } => {
                 let (n, t_count) = (schedule.len(), schedule.sim.thread_end.len());
                 return Some(CompiledSim {
@@ -2489,10 +2763,15 @@ impl SimScratch {
         let (live, threads) = self.ov.applied_order(self.epoch);
         let mut start = Vec::with_capacity(shape.live);
         let mut wait = Vec::with_capacity(shape.live);
+        // The rows each task and thread reads: on the thread-insert path,
+        // the replay's for the base's.
+        let (rows, base_rows) = (&self.bufs, tails.as_ref().unwrap_or(&self.bufs));
+        let t_base = schedule.sim.thread_end.len();
         for i in live {
             if full || i >= shape.n_base || self.bufs.stamp[i] == self.epoch {
-                start.push(self.bufs.start[i]);
-                wait.push(self.bufs.wait[i]);
+                let r = if i < shape.n_base { base_rows } else { rows };
+                start.push(r.start[i]);
+                wait.push(r.wait[i]);
             } else {
                 start.push(schedule.sim.start_ns[i]);
                 wait.push(schedule.sim.wait_ns[i]);
@@ -2500,7 +2779,14 @@ impl SimScratch {
         }
         let thread_end = threads
             .iter()
-            .map(|&t| self.bufs.progress[t as usize])
+            .map(|&t| {
+                let r = if (t as usize) < t_base {
+                    base_rows
+                } else {
+                    rows
+                };
+                r.progress[t as usize]
+            })
             .collect();
         Some(CompiledSim {
             start_ns: start,
@@ -2508,6 +2794,34 @@ impl SimScratch {
             thread_end,
             makespan_ns: makespan,
         })
+    }
+
+    /// The base tasks' run on the thread-insert path: `schedule`'s start
+    /// order walked over `base` with each entry ready no earlier than
+    /// its inserted predecessors' finishes, on fresh rows.
+    fn replay_delayed(&self, base: &CompiledGraph, schedule: &Schedule) -> SimBufs {
+        let view = self.ov.view(base, self.epoch);
+        let mut replay = SimBufs::sized_for(base);
+        let n_base = base.len();
+        for i in n_base..self.ov.shape.n {
+            let c = CompactId(i as u32);
+            let fin = self.bufs.start[i] + view.cost_ns(c);
+            for &w in view
+                .successors(c)
+                .iter()
+                .filter(|w| (w.0 as usize) < n_base)
+            {
+                let t = &mut replay.tentative[w.0 as usize];
+                *t = (*t).max(fin);
+            }
+        }
+        let rows = RetimedView {
+            graph: base,
+            cost: &base.cost_ns,
+            dur: &base.duration_ns,
+        };
+        replay.walk(&rows, &schedule.by_start);
+        replay
     }
 
     /// Per-thread busy time (summed [`CompiledGraph::cost_ns`]) of
@@ -2679,16 +2993,20 @@ pub fn simulate_warm(
 /// the applied graph. Every patch — retimes, thread moves, priority
 /// edits, inserts, removals, rewires, also one that leaves a base thread
 /// without tasks — is simulated over the base [`CompiledGraph`], with
-/// every per-sim O(V) buffer from the arena. The decision rests on the
-/// cone alone, which is bounded from the patch's delta and the schedule
-/// before anything is built, the bound stopping as soon as the cone is
-/// over the budget:
+/// every per-sim O(V) buffer from the arena:
 ///
-/// 1. a patch with no simulation-relevant effect (priority and name
+/// 1. a patch that only adds threads to a chain-threaded base (module
+///    docs) times its inserted tasks alone and adds each entry's captured
+///    tail to the base, in O(|patch|), whatever the budget, unless a
+///    base predecessor of an inserted task descends from an entry;
+/// 2. otherwise the decision rests on the cone alone, which is bounded
+///    from the patch's delta and the schedule before anything else is
+///    built, the bound stopping as soon as the cone is over the budget:
+///    a patch with no simulation-relevant effect (priority and name
 ///    edits) answers with the base schedule;
-/// 2. a cone above `max_cone_fraction` of the patched graph's tasks
+/// 3. a cone above `max_cone_fraction` of the patched graph's tasks
 ///    (`1.0` never falls back, `0.0` always does) runs the full path;
-/// 3. every other patch re-dispatches only its cone, over an
+/// 4. every other patch re-dispatches only its cone, over an
 ///    epoch-stamped overlay in `scratch` built in O(|patch|): the
 ///    replayed prefix is never copied, so warm cost is O(cone + |patch|).
 ///
@@ -2711,11 +3029,135 @@ pub fn simulate_warm_with(
     scratch: &mut SimScratch,
     max_cone_fraction: f64,
 ) -> Result<WarmOutcome, GraphError> {
-    if let Some(outcome) =
-        try_simulate_warm_with(base, schedule, patch, scratch, max_cone_fraction)?
-    {
-        return Ok(outcome);
+    warm(base, schedule, patch, scratch, max_cone_fraction, true)
+        .map(|outcome| outcome.expect("the full path answers every patch"))
+}
+
+/// [`simulate_warm_with`] *without* the full-simulation fallback: `None`
+/// says the cone exceeded `max_cone_fraction`, leaving the caller free
+/// to substitute something cheaper — the sweep search's
+/// low-fidelity rungs answer it with the maximum of
+/// [`SimScratch::thread_busy_after`]. Every run counts one reuse or
+/// alloc; a no-op and a refusal count neither. After a `None`, the arena
+/// holds nothing to [`SimScratch::materialize`].
+///
+/// # Panics
+///
+/// As [`simulate_warm_with`].
+pub fn try_simulate_warm_with(
+    base: &CompiledGraph,
+    schedule: &Schedule,
+    patch: &GraphPatch,
+    scratch: &mut SimScratch,
+    max_cone_fraction: f64,
+) -> Result<Option<WarmOutcome>, GraphError> {
+    warm(base, schedule, patch, scratch, max_cone_fraction, false)
+}
+
+/// Both warm entry points: the thread-insert path, then the cone bound,
+/// then the cone or, where `fallback` allows and the cone is over the
+/// budget, the full path. An overlay built for the thread-insert path
+/// serves the run that follows it.
+fn warm(
+    base: &CompiledGraph,
+    schedule: &Schedule,
+    patch: &GraphPatch,
+    scratch: &mut SimScratch,
+    max_cone_fraction: f64,
+    fallback: bool,
+) -> Result<Option<WarmOutcome>, GraphError> {
+    assert_eq!(
+        base.len(),
+        schedule.len(),
+        "schedule captured over a different base"
+    );
+    assert_eq!(
+        base.arena_len(),
+        patch.base_capacity(),
+        "patch recorded against a different base arena"
+    );
+    let d = patch.delta();
+    // The growth of an overlay already built for this patch.
+    let mut built = None;
+    if schedule.chain_threaded && adds_only_threads(base, d, patch.base_capacity()) {
+        let grew = scratch.begin(base, patch);
+        if let Some(answer) = scratch.time_inserts(base, schedule, d) {
+            scratch.count(grew);
+            return answer.map(Some);
+        }
+        built = Some(grew);
     }
+    // The bound reads the delta and the schedule only; the overlay's
+    // insert bounds are its storage.
+    let Some(bound) = cone_bound(
+        base,
+        schedule,
+        patch,
+        &mut scratch.ov.ins,
+        max_cone_fraction,
+    ) else {
+        if !fallback {
+            scratch.last = None;
+            return Ok(None);
+        }
+        return full(base, schedule, patch, scratch, built).map(Some);
+    };
+    if bound.cutoff == u64::MAX {
+        // No simulation-relevant effect (name, kind or priority edits):
+        // the base schedule is the answer, referenced rather than cloned.
+        scratch.last = Some(WarmLast::Noop);
+        return Ok(Some(WarmOutcome {
+            makespan_ns: schedule.makespan_ns(),
+            stats: IncrementalStats {
+                redispatched: 0,
+                total: bound.n_new,
+                cutoff_ns: Some(u64::MAX),
+                entries: None,
+            },
+        }));
+    }
+    let grew = built.unwrap_or_else(|| scratch.begin(base, patch));
+    scratch.count(grew);
+    debug_assert_eq!(
+        bound.n_new, scratch.ov.shape.live,
+        "delta-derived live count must match"
+    );
+    scratch.choose_threads(base, schedule.chain_threaded);
+    let view = scratch.ov.view(base, scratch.epoch);
+    let (done, makespan) = scratch.bufs.run_cone(
+        &view,
+        schedule,
+        d,
+        bound.cutoff,
+        bound.cut_idx,
+        scratch.epoch,
+    );
+    if done != bound.cone {
+        return Err(GraphError::Cycle);
+    }
+    scratch.last = Some(WarmLast::Cone { makespan });
+    Ok(Some(WarmOutcome {
+        makespan_ns: makespan,
+        stats: IncrementalStats {
+            redispatched: done,
+            total: bound.n_new,
+            cutoff_ns: Some(bound.cutoff),
+            entries: None,
+        },
+    }))
+}
+
+/// The full path of [`simulate_warm_with`] (its docs): the retime replay
+/// for a patch that only retimes a chain-threaded base, the dispatch
+/// loop over the overlay (`built`, when it already is, with its growth)
+/// for every other.
+fn full(
+    base: &CompiledGraph,
+    schedule: &Schedule,
+    patch: &GraphPatch,
+    scratch: &mut SimScratch,
+    built: Option<bool>,
+) -> Result<WarmOutcome, GraphError> {
     let retimes = patch
         .delta()
         .retimes_only()
@@ -2726,7 +3168,8 @@ pub fn simulate_warm_with(
             scratch.replay_retimes(base, schedule, durations),
         )
     } else {
-        scratch.begin(base, patch);
+        let grew = built.unwrap_or_else(|| scratch.begin(base, patch));
+        scratch.count(grew);
         scratch.choose_threads(base, schedule.chain_threaded);
         let view = scratch.ov.view(base, scratch.epoch);
         let (done, makespan) = scratch.bufs.run_full(&view, None, scratch.epoch);
@@ -2743,91 +3186,9 @@ pub fn simulate_warm_with(
             redispatched: live,
             total: live,
             cutoff_ns: None,
+            entries: None,
         },
     })
-}
-
-/// [`simulate_warm_with`] *without* the full-simulation fallback: `None`
-/// says the cone exceeded `max_cone_fraction`, leaving the caller free
-/// to substitute something cheaper — the sweep search's
-/// low-fidelity rungs answer it with the maximum of
-/// [`SimScratch::thread_busy_after`]. Only the cone path builds the
-/// patch's overlay and sizes the arena's buffers; a no-op and a refusal
-/// size nothing and count neither a reuse nor an alloc. After a `None`,
-/// the arena holds nothing to [`SimScratch::materialize`].
-///
-/// # Panics
-///
-/// As [`simulate_warm_with`].
-pub fn try_simulate_warm_with(
-    base: &CompiledGraph,
-    schedule: &Schedule,
-    patch: &GraphPatch,
-    scratch: &mut SimScratch,
-    max_cone_fraction: f64,
-) -> Result<Option<WarmOutcome>, GraphError> {
-    assert_eq!(
-        base.len(),
-        schedule.len(),
-        "schedule captured over a different base"
-    );
-    assert_eq!(
-        base.arena_len(),
-        patch.base_capacity(),
-        "patch recorded against a different base arena"
-    );
-    // The bound reads the delta and the schedule only; the overlay's
-    // insert bounds are its storage.
-    let Some(bound) = cone_bound(
-        base,
-        schedule,
-        patch,
-        &mut scratch.ov.ins,
-        max_cone_fraction,
-    ) else {
-        scratch.last = None;
-        return Ok(None);
-    };
-    if bound.cutoff == u64::MAX {
-        // No simulation-relevant effect (name, kind or priority edits):
-        // the base schedule is the answer, referenced rather than cloned.
-        scratch.last = Some(WarmLast::Noop);
-        return Ok(Some(WarmOutcome {
-            makespan_ns: schedule.makespan_ns(),
-            stats: IncrementalStats {
-                redispatched: 0,
-                total: bound.n_new,
-                cutoff_ns: Some(u64::MAX),
-            },
-        }));
-    }
-    scratch.begin(base, patch);
-    debug_assert_eq!(
-        bound.n_new, scratch.ov.shape.live,
-        "delta-derived live count must match"
-    );
-    scratch.choose_threads(base, schedule.chain_threaded);
-    let view = scratch.ov.view(base, scratch.epoch);
-    let (done, makespan) = scratch.bufs.run_cone(
-        &view,
-        schedule,
-        patch.delta(),
-        bound.cutoff,
-        bound.cut_idx,
-        scratch.epoch,
-    );
-    if done != bound.cone {
-        return Err(GraphError::Cycle);
-    }
-    scratch.last = Some(WarmLast::Cone { makespan });
-    Ok(Some(WarmOutcome {
-        makespan_ns: makespan,
-        stats: IncrementalStats {
-            redispatched: done,
-            total: bound.n_new,
-            cutoff_ns: Some(bound.cutoff),
-        },
-    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -3522,16 +3883,17 @@ mod tests {
 
     /// How catalog families' full fallbacks run, on the chain-threaded
     /// ResNet-50 and BERT_Base bases at batch 4, with the budget at 0.0
-    /// so every patch with an effect falls back: those that only retime
-    /// (AMP, upgrade-gpu, batch-size) replay the base's start order; the
-    /// other structural ones that keep to the base's threads queue every
-    /// task; a patch that adds a thread keeps a frontier on it and on
-    /// every base thread it inserts a task onto: DDP on the collective
-    /// channel, BlueConnect on its one stage channel (two machines of one
-    /// GPU each), DGC on both the
-    /// collective channel and the compute stream its compression kernels
-    /// join, and vDNN on its copy stream and CPU thread. Every result
-    /// still equals the frontier kernel over the applied graph.
+    /// so every patch with an effect falls back, except DDP and
+    /// BlueConnect, which only add threads and take the thread-insert
+    /// path at any budget: those that only retime (AMP, upgrade-gpu,
+    /// batch-size) replay the base's start order; the other structural
+    /// ones that keep to the base's threads queue every task; a patch
+    /// that adds a thread keeps a frontier on it and on every base thread
+    /// it inserts a task onto: DGC on both the collective channel and the
+    /// compute stream its compression kernels join, and vDNN, whose
+    /// prefetches wait on backward kernels, on its copy stream and CPU
+    /// thread. Every result still equals the frontier kernel over the
+    /// applied graph.
     #[test]
     fn catalog_full_fallbacks_sweep_only_on_the_base_threads() {
         use crate::task::CommChannel;
@@ -3551,18 +3913,21 @@ mod tests {
                 "{name}: every thread is a chain"
             );
             let mut replayed = Vec::new();
+            let mut tails = Vec::new();
             let mut frontiers = Vec::new();
             for (family, patch) in &patches {
                 let mut scratch = SimScratch::new();
                 let warm = simulate_warm_with(&base, &schedule, patch, &mut scratch, 0.0).unwrap();
                 let full = simulate_compiled(&base.apply(patch)).unwrap();
                 assert_eq!(
-                    scratch.materialize(&schedule),
+                    scratch.materialize(&base, &schedule),
                     Some(full),
                     "{name} {family}"
                 );
                 if scratch.replayed() {
                     replayed.push(*family);
+                } else if warm.stats.entries.is_some() {
+                    tails.push(*family);
                 } else if !warm.stats.is_incremental() {
                     frontiers.push((*family, scratch.choice_threads(&base)));
                 }
@@ -3572,13 +3937,16 @@ mod tests {
                 ["amp", "upgrade-gpu", "batch-size"],
                 "{name}: full fallbacks that replay"
             );
+            assert_eq!(
+                tails,
+                ["ddp", "blueconnect"],
+                "{name}: patches that only add threads"
+            );
             let mut expected = vec![
                 ("reconstruct-bn", vec![]),
                 ("metaflow", vec![]),
                 ("gist", vec![]),
                 ("fused-adam", vec![]),
-                ("ddp", vec![comm(CommChannel::Collective)]),
-                ("blueconnect", vec![comm(CommChannel::Stage(0))]),
                 ("dgc", vec![gpu0, comm(CommChannel::Collective)]),
                 ("vdnn", vdnn.to_vec()),
             ];
@@ -3675,7 +4043,11 @@ mod tests {
             assert!(scratch.replayed(), "{retimes:?}");
             let full = simulate_compiled(&base.apply(&patch)).unwrap();
             assert_eq!(warm.makespan_ns, full.makespan_ns, "{retimes:?}");
-            assert_eq!(scratch.materialize(&schedule), Some(full), "{retimes:?}");
+            assert_eq!(
+                scratch.materialize(&base, &schedule),
+                Some(full),
+                "{retimes:?}"
+            );
         }
     }
 

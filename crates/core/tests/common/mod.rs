@@ -7,9 +7,9 @@
 #![allow(dead_code)]
 
 use daydream_core::{
-    simulate_compiled, simulate_warm_with, CommChannel, CompactId, CompiledGraph, DepKind,
-    DependencyGraph, ExecThread, GraphPatch, IncrementalStats, Schedule, SimScratch, Task, TaskId,
-    TaskKind, WarmOutcome,
+    simulate_compiled, simulate_warm_with, CommChannel, CompactId, CompiledGraph, CompiledSim,
+    DepKind, DependencyGraph, ExecThread, GraphPatch, IncrementalStats, Schedule, SimScratch, Task,
+    TaskId, TaskKind, ThreadId, WarmOutcome,
 };
 use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 
@@ -91,42 +91,143 @@ pub fn assert_warm_matches_full(
     let full = simulate_compiled(&applied).expect("patched graph must stay a DAG");
     assert_eq!(warm.makespan_ns, full.makespan_ns, "makespan diverged");
     let materialized = scratch
-        .materialize(schedule)
+        .materialize(cg, schedule)
         .expect("a completed warm evaluation must materialize");
     assert_eq!(
         materialized, full,
         "warm simulation diverged from the full run"
+    );
+    assert_stats(
+        cg,
+        &applied,
+        &full,
+        schedule,
+        patch,
+        max_cone_fraction,
+        &warm.stats,
     );
     assert_eq!(
         materialized.into_sim_result(&applied),
         full.into_sim_result(&applied),
         "expanded SimResult diverged"
     );
-    assert_stats(
-        cg,
-        &applied,
-        schedule,
-        patch,
-        max_cone_fraction,
-        &warm.stats,
-    );
     warm
 }
 
+/// The entries of `applied`, the patched `cg`, if the thread-insert path
+/// must answer its patch: `schedule`, captured over `cg`, is
+/// chain-threaded; the patch keeps every base task with its thread and
+/// duration, and every edge between base tasks; it inserts at least one
+/// task, each on a thread `cg` lacks; and no base predecessor of an
+/// inserted task descends from an entry (a base task with an inserted
+/// predecessor), the entry included. Each entry once, in applied
+/// compact ids.
+fn thread_insert_entries(
+    cg: &CompiledGraph,
+    applied: &CompiledGraph,
+    schedule: &Schedule,
+) -> Option<Vec<usize>> {
+    let base_threads: Vec<ExecThread> = (0..cg.thread_count() as u32)
+        .map(|t| cg.exec_thread(ThreadId(t)))
+        .collect();
+    let at = |i: usize| applied.compact_of(cg.task_id(CompactId(i as u32)));
+    let is_base = |c: CompactId| applied.task_id(c).0 < cg.arena_len();
+    let base_succs = |g: &CompiledGraph, c: CompactId| -> Vec<TaskId> {
+        let mut s: Vec<TaskId> = g
+            .successors(c)
+            .iter()
+            .map(|&w| g.task_id(w))
+            .filter(|w| w.0 < cg.arena_len())
+            .collect();
+        s.sort_unstable();
+        s
+    };
+    if !schedule.is_chain_threaded() || applied.len() == cg.len() {
+        return None;
+    }
+    for i in 0..cg.len() {
+        let c = CompactId(i as u32);
+        let a = at(i)?;
+        let kept = applied.exec_thread(applied.thread_of(a)) == cg.exec_thread(cg.thread_of(c))
+            && applied.duration_ns(a) == cg.duration_ns(c)
+            && base_succs(applied, a) == base_succs(cg, c);
+        if !kept {
+            return None;
+        }
+    }
+    let mut entries = Vec::new();
+    for x in (0..applied.len() as u32)
+        .map(CompactId)
+        .filter(|&c| !is_base(c))
+    {
+        if base_threads.contains(&applied.exec_thread(applied.thread_of(x))) {
+            return None;
+        }
+        for &w in applied.successors(x) {
+            if is_base(w) && !entries.contains(&(w.0 as usize)) {
+                entries.push(w.0 as usize);
+            }
+        }
+    }
+    // A base task that feeds an insert.
+    let feeds = |c: CompactId| is_base(c) && applied.successors(c).iter().any(|&w| !is_base(w));
+    // Every base task an entry reaches over base edges, the entry included.
+    let mut seen = vec![false; applied.len()];
+    let mut stack = entries.clone();
+    while let Some(u) = stack.pop() {
+        let u = CompactId(u as u32);
+        if std::mem::replace(&mut seen[u.0 as usize], true) {
+            continue;
+        }
+        if feeds(u) {
+            return None;
+        }
+        stack.extend(
+            applied
+                .successors(u)
+                .iter()
+                .filter(|&&w| is_base(w))
+                .map(|w| w.0 as usize),
+        );
+    }
+    Some(entries)
+}
+
 /// The path accounting `simulate_warm_with` must report for `patch`,
-/// derived from the `applied` graph: on the cone path, every live base
-/// task dispatched at or after the cutoff plus every live insert
-/// re-dispatches, and that cone, taken at an unbounded budget, alone
-/// decides the fallback.
+/// derived from the `applied` graph and its `full` simulation: on the
+/// thread-insert path, which answers whenever
+/// [`thread_insert_entries`] finds the entries, the inserted tasks are
+/// timed and the cutoff is the earliest of their starts and the entries'
+/// base starts; on the cone path, every live base task dispatched at or
+/// after the cutoff plus every live insert re-dispatches, and that cone,
+/// taken at an unbounded budget, alone decides the fallback.
 fn assert_stats(
     cg: &CompiledGraph,
     applied: &CompiledGraph,
+    full: &CompiledSim,
     schedule: &Schedule,
     patch: &GraphPatch,
     max_cone_fraction: f64,
     stats: &IncrementalStats,
 ) {
     assert_eq!(stats.total, applied.len(), "live task count");
+    if let Some(entries) = thread_insert_entries(cg, applied, schedule) {
+        let inserts = applied.len() - cg.len();
+        let earliest = (cg.len()..applied.len())
+            .map(|c| full.start_ns[c])
+            .chain(entries.iter().map(|&e| {
+                let id = applied.task_id(CompactId(e as u32));
+                schedule.sim().start_ns[cg.compact_of(id).unwrap().0 as usize]
+            }))
+            .min();
+        assert_eq!(
+            (stats.entries, stats.redispatched, stats.cutoff_ns),
+            (Some(entries.len()), inserts, earliest),
+            "the thread-insert path times the inserted tasks"
+        );
+        return;
+    }
+    assert_eq!(stats.entries, None, "the thread-insert path does not apply");
     if !stats.is_incremental() {
         assert_eq!(
             stats.redispatched, stats.total,

@@ -113,8 +113,8 @@ proptest! {
         assert_incremental(&g, &patch, DEFAULT_MAX_CONE_FRACTION);
         let fb = assert_incremental(&g, &patch, FALLBACK);
         prop_assert!(
-            !fb.is_incremental() || fb.redispatched == 0,
-            "zero threshold must fall back unless the patch is a sim no-op"
+            !fb.is_incremental() || fb.redispatched == 0 || fb.entries.is_some(),
+            "zero threshold must fall back unless the patch is a sim no-op or only adds threads"
         );
     }
 
@@ -579,7 +579,7 @@ fn p3_and_warm_evaluations_share_one_arena() {
                         p3.evaluate(&cluster).unwrap().iteration_ns,
                         "a P3 run on the shared arena diverged from a fresh one"
                     );
-                    assert_eq!(shared.materialize(schedule), None);
+                    assert_eq!(shared.materialize(cg, schedule), None);
                 }
                 let warm = assert_warm_matches_full(cg, schedule, patch, budget, &mut shared);
                 assert_eq!(warm.stats.is_incremental(), budget == FORCE);
@@ -587,6 +587,69 @@ fn p3_and_warm_evaluations_share_one_arena() {
                     .expect("patched graph must stay a DAG");
                 assert_eq!(warm, fresh, "a warm run on the shared arena diverged");
             }
+        }
+    }
+}
+
+/// DDP and BlueConnect only add threads: on every catalog base (the six
+/// zoo models at batches 4 and 8) and four clusters, two of them with
+/// several GPUs per machine, their patches take the thread-insert path,
+/// timing only their inserted tasks, and match the kernel over the
+/// applied graph. DGC's compression kernels join the compute stream and
+/// vDNN's prefetches wait on backward kernels, so neither takes it.
+#[test]
+fn ddp_and_blueconnect_add_only_threads_on_every_catalog_base() {
+    let clusters = [
+        ClusterConfig::new(4, 1, 10.0),
+        ClusterConfig::new(2, 2, 1.0),
+        ClusterConfig::new(1, 4, 1.0),
+        ClusterConfig::new(8, 1, 1.0),
+    ];
+    let mut scratch = SimScratch::new();
+    for model in daydream_models::zoo::all_models() {
+        for batch in [4u64, 8] {
+            let cfg = daydream_runtime::ExecConfig::pytorch_2080ti().with_batch(batch);
+            let pg = ProfiledGraph::from_trace(&daydream_runtime::ground_truth::run_baseline(
+                &model, &cfg,
+            ));
+            let cg = CompiledGraph::compile(&pg.graph);
+            let schedule = Schedule::capture(&cg).expect("base must be a DAG");
+            let label = format!("{} b{batch}", model.name);
+            let mut check = |what: &str, patch: &GraphPatch, tails: bool| {
+                let warm = assert_warm_matches_full(
+                    &cg,
+                    &schedule,
+                    patch,
+                    DEFAULT_MAX_CONE_FRACTION,
+                    &mut scratch,
+                );
+                assert_eq!(warm.stats.entries.is_some(), tails, "{label} {what}");
+                if tails {
+                    let inserts = patch.inserted_tasks().count();
+                    assert_eq!(warm.stats.redispatched, inserts, "{label} {what}");
+                }
+            };
+            for cluster in &clusters {
+                // DDP's plan with a refinement on its all-reduces.
+                let ddp = |refine: &dyn Fn(&mut PatchGraph<'_>, &[TaskId])| {
+                    let mut p = PatchGraph::new(&pg.graph);
+                    let allreduces = plan_distributed(&mut p, &pg.meta.buckets, cluster);
+                    refine(&mut p, &allreduces);
+                    p.finish()
+                };
+                check(&format!("ddp {cluster}"), &ddp(&|_, _| {}), true);
+                let blueconnect = ddp(&|p, ars| {
+                    plan_blueconnect(p, cluster, ars);
+                });
+                check(&format!("blueconnect {cluster}"), &blueconnect, true);
+                let dgc = ddp(&|p, ars| {
+                    plan_dgc(p, ars, &DgcConfig::default());
+                });
+                check(&format!("dgc {cluster}"), &dgc, false);
+            }
+            let mut p = PatchGraph::new(&pg.graph);
+            plan_vdnn(&mut p, &model, &VdnnConfig::default(), batch);
+            check("vdnn", &p.finish(), false);
         }
     }
 }

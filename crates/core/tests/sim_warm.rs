@@ -17,10 +17,11 @@ mod common;
 
 use common::{assert_warm_matches_full, build_dag, thread_for};
 use daydream_core::{
-    simulate_warm, CommChannel, CompiledGraph, DepKind, DependencyGraph, ExecThread, GraphEdit,
-    GraphView, PatchGraph, Schedule, SimScratch, Task, TaskId, TaskKind, DEFAULT_MAX_CONE_FRACTION,
+    simulate_compiled, simulate_warm, simulate_warm_with, CommChannel, CompiledGraph, DepKind,
+    DependencyGraph, ExecThread, GraphEdit, GraphError, GraphView, PatchGraph, Schedule,
+    SimScratch, Task, TaskId, TaskKind, DEFAULT_MAX_CONE_FRACTION,
 };
-use daydream_trace::CpuThreadId;
+use daydream_trace::{CpuThreadId, DeviceId, StreamId};
 use proptest::prelude::*;
 
 /// Threads no base graph uses: inserts and moves onto them make the
@@ -201,6 +202,135 @@ proptest! {
                 _ => 0.0,
             };
             assert_warm_matches_full(&base.cg, &base.schedule, &patch, budget, &mut scratch);
+        }
+    }
+}
+
+/// The budgets the thread-insert path must answer at alike.
+const BUDGETS: [f64; 3] = [0.0, DEFAULT_MAX_CONE_FRACTION, 1.0];
+
+/// A chain-threaded base over a CPU thread and two GPU streams: `(thread
+/// selector, duration, gap)` per task, each thread's tasks chained in id
+/// order, plus `cross` edges between threads, forward in id order.
+fn chain_threaded(tasks: &[(usize, u64, u64)], cross: &[(usize, usize)]) -> WarmBase {
+    let threads = [
+        ExecThread::Cpu(CpuThreadId(0)),
+        ExecThread::Gpu(DeviceId(0), StreamId(0)),
+        ExecThread::Gpu(DeviceId(0), StreamId(1)),
+    ];
+    let mut g = DependencyGraph::new();
+    let mut last = [None; 3];
+    for &(sel, dur, gap) in tasks {
+        let mut t = Task::new("t", TaskKind::CpuWork, threads[sel], dur);
+        t.gap_ns = gap;
+        let id = g.add_task(t);
+        if let Some(prev) = last[sel].replace(id) {
+            g.add_dep(prev, id, DepKind::Transform);
+        }
+    }
+    let m = tasks.len();
+    for &(a, b) in cross {
+        let (x, y) = (a % m, b % m);
+        if tasks[x].0 != tasks[y].0 {
+            g.add_dep(TaskId(x.min(y)), TaskId(x.max(y)), DepKind::Transform);
+        }
+    }
+    let base = WarmBase::of(g);
+    assert!(base.schedule.is_chain_threaded());
+    base
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Patches that only add threads, on random chain-threaded bases dense
+    // in ties (durations 0 to 3): one or two fresh threads of inserted
+    // tasks, with edges from random base tasks into them, from them into
+    // random base tasks and between them. Random edges make some entry's
+    // descendant feed an insert, where the thread-insert path must fall
+    // through, and close some cycles through the base or among the
+    // inserts. Every acyclic patch matches the applied graph's kernel
+    // run at three budgets, its accounting included (`assert_stats`),
+    // and every cyclic one is refused as a cycle.
+    #[test]
+    fn thread_inserts_match_the_kernel(
+        tasks in prop::collection::vec((0usize..3, 0u64..4, 0u64..2), 1..24),
+        cross in prop::collection::vec((0usize..1_000, 0usize..1_000), 0..32),
+        inserts in prop::collection::vec((any::<bool>(), 0u64..6, 0u64..2), 1..6),
+        edges in prop::collection::vec((0usize..1_000, 0usize..1_000, 0u8..3), 1..16),
+    ) {
+        let base = chain_threaded(&tasks, &cross);
+        let mut p = PatchGraph::new(&base.graph);
+        let ids: Vec<TaskId> = inserts
+            .iter()
+            .map(|&(second, dur, gap)| {
+                let mut t = Task::new("ins", TaskKind::CpuWork, fresh_thread(second as u64), dur);
+                t.gap_ns = gap;
+                p.add_task(t)
+            })
+            .collect();
+        let (m, k) = (tasks.len(), ids.len());
+        for &(a, b, kind) in &edges {
+            match kind {
+                0 => p.add_dep(TaskId(a % m), ids[b % k], DepKind::Transform),
+                1 => p.add_dep(ids[a % k], TaskId(b % m), DepKind::Transform),
+                _ => p.add_dep(ids[a % k], ids[b % k], DepKind::Transform),
+            }
+        }
+        let patch = p.finish();
+        if simulate_compiled(&base.cg.apply(&patch)).is_err() {
+            for budget in BUDGETS {
+                let mut scratch = SimScratch::new();
+                let warm = simulate_warm_with(&base.cg, &base.schedule, &patch, &mut scratch, budget);
+                prop_assert_eq!(warm, Err(GraphError::Cycle));
+            }
+        } else {
+            let mut scratch = SimScratch::new();
+            for budget in BUDGETS {
+                assert_warm_matches_full(&base.cg, &base.schedule, &patch, budget, &mut scratch);
+            }
+        }
+    }
+}
+
+/// Two entries, `e1` and `e2`, each fed by an insert on a fresh channel.
+/// The base is `a` (cpu0, 10) → `e1` (cpu0, 5) → `b` (cpu0, 5), and
+/// `e1` → `p` (gpu0, 10) → `e2` (gpu0, 10). `x1` (send, 100) runs after
+/// `a` and feeds `e1`, delaying it from 10 to 110 and `p` from 15 to
+/// 115; `x2` (receive, 50) feeds `e2`. When `x2` runs after `p`, a
+/// descendant of `e1`, it starts at `p`'s delayed finish, 125, and `e2`
+/// at 175: the thread-insert path, which times `x2` from `p`'s captured
+/// finish, 25, would end the iteration at 135, not 185. The warm path
+/// must see that and fall through. When `x2` runs after `a` instead, the
+/// path answers: the inserts end at 110 and 60, and the iteration at
+/// `e1`'s delayed start plus its tail, 135.
+#[test]
+fn a_release_predecessor_behind_an_entry_falls_through() {
+    let cpu0 = ExecThread::Cpu(CpuThreadId(0));
+    let gpu0 = ExecThread::Gpu(DeviceId(0), StreamId(0));
+    let mut g = DependencyGraph::new();
+    let [a, e1, b, p, e2] = [(cpu0, 10), (cpu0, 5), (cpu0, 5), (gpu0, 10), (gpu0, 10)]
+        .map(|(thread, dur)| g.add_task(Task::new("t", TaskKind::CpuWork, thread, dur)));
+    for (from, to) in [(a, e1), (e1, b), (e1, p), (p, e2)] {
+        g.add_dep(from, to, DepKind::Transform);
+    }
+    let base = WarmBase::of(g);
+    assert_eq!(base.schedule.makespan_ns(), 35);
+    for (release, makespan, entries) in [(p, 185, None), (a, 135, Some(2))] {
+        let mut ov = PatchGraph::new(&base.graph);
+        let x1 = ov.add_task(Task::new("x1", TaskKind::CpuWork, fresh_thread(0), 100));
+        let recv = ExecThread::Comm(CommChannel::Receive);
+        let x2 = ov.add_task(Task::new("x2", TaskKind::CpuWork, recv, 50));
+        for (from, to) in [(a, x1), (x1, e1), (release, x2), (x2, e2)] {
+            ov.add_dep(from, to, DepKind::Transform);
+        }
+        let patch = ov.finish();
+        let mut scratch = SimScratch::new();
+        for budget in BUDGETS {
+            let warm =
+                assert_warm_matches_full(&base.cg, &base.schedule, &patch, budget, &mut scratch);
+            assert_eq!(warm.makespan_ns, makespan, "x2 after {release:?}");
+            assert_eq!(warm.stats.entries, entries, "x2 after {release:?}");
         }
     }
 }

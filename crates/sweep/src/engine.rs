@@ -1384,8 +1384,9 @@ pub fn evaluate_trace(model: Model, trace: &Trace, opt: &OptSpec) -> Result<Pred
 /// Renders a human-readable patch explanation for one scenario: builds
 /// the base profile, emits the scenario's patch, summarizes what it does
 /// to the graph, and reports which simulation path would evaluate it —
-/// for the incremental path, the cone size and the share of tasks
-/// re-dispatched (`daydream sweep --explain`).
+/// for the incremental paths, the tasks re-dispatched (the cone, or the
+/// inserted tasks of a patch that only adds threads) and their share
+/// (`daydream sweep --explain`).
 pub fn explain_scenario(scenario: &Scenario) -> Result<String, String> {
     let base = build_profile(&scenario.model, scenario.batch)?;
     let (note, sim_note, fingerprint, summary, offloaded) = match &scenario.opt {
@@ -1436,7 +1437,17 @@ pub fn explain_scenario(scenario: &Scenario) -> Result<String, String> {
             )
             .map_err(|e| format!("patched graph for {}: {e}", scenario.label()))?;
             let s = outcome.stats;
-            let sim_note = if s.is_incremental() {
+            let sim_note = if let Some(entries) = s.entries {
+                format!(
+                    "incremental thread-insert simulation: the patch only adds threads, \
+                     whose tasks alone are timed; the {entries} base task(s) they feed add \
+                     their captured tails to the base schedule\n\
+                     timed:     {} of {} tasks re-dispatched ({:.1}%)",
+                    s.redispatched,
+                    s.total,
+                    s.cone_fraction() * 100.0
+                )
+            } else if s.is_incremental() {
                 format!(
                     "incremental cone re-simulation\ncone:      {} of {} tasks re-dispatched ({:.1}%)",
                     s.redispatched,
